@@ -24,6 +24,7 @@
 
 use gpu_sim::{DeviceGroup, DeviceSpec, ExecConfig, SimError};
 use tridiag_core::generators::random_batch;
+use tridiag_gpu::hash::{fnv1a_extend, FNV_OFFSET};
 use tridiag_gpu::solver::{GpuSolverConfig, GpuTridiagSolver};
 use tridiag_gpu::{solution_hash, GpuScalar, PlanExecutor};
 
@@ -138,6 +139,71 @@ fn distributed_solves_match_single_device_across_the_sweep() {
     }
     for n in SWEEP_F32 {
         check_point::<f32>("f32", n, 1e-2);
+    }
+}
+
+/// One exact pin of a row-split run at n = 16384 (f64, seed 42).
+struct SplitPin {
+    d: usize,
+    solution: u64,
+    total_us: u64,
+    wall_clock_us: u64,
+    serialized_us: u64,
+    completions: &'static [u64],
+    trace: u64,
+}
+
+/// Bit patterns of the modeled timeline (`total_us`, the distributed
+/// summary's wall-clock and serialized sum, every chunk's stream
+/// completion), the solution fingerprint and an FNV-1a hash of the
+/// Chrome trace text. Any change to the stream replay, the gather /
+/// reduce / scatter ordering or the trace merge moves at least one.
+const SPLIT_PINS: &[SplitPin] = &[
+    SplitPin {
+        d: 2,
+        solution: 0x7c9f_0f42_e93f_84e6,
+        total_us: 0x4071_256d_ab4e_607d,
+        wall_clock_us: 0x407a_fb8a_5756_91a6,
+        serialized_us: 0x408a_ef86_3ec3_1cea,
+        completions: &[0x407a_e382_262f_a82d, 0x407a_fb8a_5756_91a6],
+        trace: 0x0970_1400_429b_5586,
+    },
+    SplitPin {
+        d: 4,
+        solution: 0xc591_cb6d_860e_71c5,
+        total_us: 0x4070_6340_21f5_00b9,
+        wall_clock_us: 0x4076_92b4_de5f_7fb0,
+        serialized_us: 0x4096_6ea8_94a5_217b,
+        completions: &[
+            0x4076_4a9c_4aea_c345,
+            0x4076_62a4_7c11_acbe,
+            0x4076_7aac_ad38_9637,
+            0x4076_92b4_de5f_7fb0,
+        ],
+        trace: 0xd928_e5ee_ddde_5d1a,
+    },
+];
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "slow simulation; run with --release")]
+fn split_timeline_and_trace_are_pinned() {
+    let n = 16384usize;
+    let batch = random_batch::<f64>(1, n, SEED);
+    let solver = GpuTridiagSolver::gtx480();
+    for pin in SPLIT_PINS {
+        let d = pin.d;
+        let group = DeviceGroup::homogeneous(DeviceSpec::gtx480(), d).unwrap();
+        let (x, report) = solver.solve_batch_split(&group, &batch).unwrap();
+        let dist = report.distributed.as_ref().expect("distributed summary");
+        let completions: Vec<u64> =
+            report.shards.iter().map(|s| s.completion_us.to_bits()).collect();
+        let trace = fnv1a_extend(FNV_OFFSET, report.trace.to_chrome_json().bytes());
+        assert_eq!(solution_hash(&x), pin.solution, "D={d}: solution");
+        assert_eq!(report.total_us.to_bits(), pin.total_us, "D={d}: total_us");
+        assert_eq!(dist.wall_clock_us.to_bits(), pin.wall_clock_us, "D={d}: wall-clock");
+        assert_eq!(dist.serialized_us.to_bits(), pin.serialized_us, "D={d}: serialized");
+        assert_eq!(completions, pin.completions, "D={d}: per-chunk completion_us");
+        assert_eq!(trace, pin.trace, "D={d}: trace text");
     }
 }
 

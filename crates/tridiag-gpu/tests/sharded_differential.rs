@@ -17,6 +17,7 @@
 
 use gpu_sim::{DeviceGroup, DeviceSpec, ExecConfig, SimError};
 use tridiag_core::generators::random_batch;
+use tridiag_gpu::hash::{fnv1a_extend, FNV_OFFSET};
 use tridiag_gpu::solver::GpuTridiagSolver;
 use tridiag_gpu::{solution_hash, GpuScalar, PlanExecutor};
 
@@ -134,6 +135,50 @@ fn sharded_solves_are_bit_identical_across_the_sweep() {
             "f32" => check_point::<f32>(label, prec, m, n),
             _ => check_point::<f64>(label, prec, m, n),
         }
+    }
+}
+
+/// Exact pins of the merged report at m = 64, n = 512 (f64, seed 42):
+/// `(D, total_us bits, per-shard completion_us bits, FNV-1a of the
+/// Chrome trace text)`. Any change to the modeled timeline, the stream
+/// replay or the trace merge moves at least one of them.
+const TIMELINE_PINS: &[(usize, u64, &[u64], u64)] = &[
+    (
+        2,
+        0x4046_e51e_06da_4020,
+        &[0x4060_e6b8_258d_9a46, 0x4060_e6b8_258d_9a46],
+        0x4d6d_f3b6_2a01_bdd1,
+    ),
+    (
+        4,
+        0x403d_b597_fdf4_1613,
+        &[
+            0x4053_8ad6_a354_0fc2,
+            0x4053_8ad6_a354_0fc2,
+            0x4053_8ad6_a354_0fc2,
+            0x4053_8ad6_a354_0fc2,
+        ],
+        0x2519_8679_92c2_1c79,
+    ),
+];
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "slow simulation; run with --release")]
+fn merged_timeline_and_trace_are_pinned() {
+    let batch = random_batch::<f64>(64, 512, SEED);
+    let solver = GpuTridiagSolver::gtx480();
+    for &(d, total_bits, completions, trace_hash) in TIMELINE_PINS {
+        let group = DeviceGroup::homogeneous(DeviceSpec::gtx480(), d).unwrap();
+        let (_, report) = solver.solve_batch_group(&group, &batch).unwrap();
+        let got: Vec<u64> = report
+            .shards
+            .iter()
+            .map(|s| s.completion_us.to_bits())
+            .collect();
+        let hash = fnv1a_extend(FNV_OFFSET, report.trace.to_chrome_json().bytes());
+        assert_eq!(report.total_us.to_bits(), total_bits, "D={d}: total_us");
+        assert_eq!(got, completions, "D={d}: per-shard completion_us");
+        assert_eq!(hash, trace_hash, "D={d}: trace text");
     }
 }
 
