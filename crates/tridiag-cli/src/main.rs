@@ -12,7 +12,6 @@
 //! tridiag plan --sweep                   # dry-run + schema-check sweep plans
 //! tridiag verify --m 256 --n 1024        # statically certify the plan
 //! tridiag verify --sweep                 # certify + execute + cross-check
-//! tridiag verify --negative              # corruption suite: all classes fire
 //! tridiag profile --m 256 --n 1024       # per-phase profile + Chrome trace
 //! tridiag profile --zoo --out zoo.json   # ...for every shipped kernel
 //! tridiag compare --m 64 --n 2048        # run every engine, check parity
@@ -101,86 +100,193 @@ fn split_n_opt(a: &Args) -> Result<Option<SplitN>, String> {
     }
 }
 
-/// Resolve `--split-n` against one geometry: the device group to
-/// row-split across, or `None` when the system should stay on one
-/// device (`auto` and the single-device plan fits). `--devices`
-/// supplies the group when present (its size must match an explicit
-/// count); otherwise the group is homogeneous copies of `--device` —
-/// `auto` doubles the count from 2 until the distributed plan fits.
-fn resolve_split(
+/// Which path a geometry takes, resolved once from `--devices` and
+/// `--split-n` for `solve`, `plan` and `verify`.
+enum Route {
+    /// One device.
+    Single,
+    /// The batch sharded across a device group (`--devices`).
+    Sharded(DeviceGroup),
+    /// One system row-split across a device group (`--split-n`).
+    Split(DeviceGroup),
+}
+
+/// Resolve the parsed `--devices` group and `--split-n` for an
+/// `m x n` geometry. Splitting requires `m = 1`. `--split-n D` splits
+/// across the `--devices` group when given (its size must be D), else
+/// across D copies of the solver's device. `--split-n auto` splits only
+/// when the single-device planner rejects the system as too large for
+/// one device, across the `--devices` group or else the smallest
+/// homogeneous group (2, 4, ... 64 devices) whose plan fits.
+fn resolve_route(
     solver: &GpuTridiagSolver,
-    device: &DeviceSpec,
-    group: Option<&DeviceGroup>,
-    split: SplitN,
+    group: Option<DeviceGroup>,
+    split: Option<SplitN>,
+    m: usize,
     n: usize,
     elem_bytes: usize,
-) -> Result<Option<DeviceGroup>, Failure> {
-    match split {
-        SplitN::Count(d) => match group {
-            Some(g) if g.len() == d => Ok(Some(g.clone())),
-            Some(g) => Err(Failure::Error(format!(
-                "--split-n {d} does not match the {}-device --devices group",
-                g.len()
-            ))),
-            None => DeviceGroup::homogeneous(device.clone(), d)
-                .map(Some)
-                .map_err(|e| Failure::Error(format!("--split-n {d}: {e}"))),
-        },
+) -> Result<Route, Failure> {
+    let Some(split) = split else {
+        return Ok(group.map_or(Route::Single, Route::Sharded));
+    };
+    if m != 1 {
+        return Err(Failure::Error(format!(
+            "--split-n splits one system's rows across devices (m = 1); got --m {m}"
+        )));
+    }
+    let device = solver.spec();
+    let d = match split {
+        SplitN::Count(d) => d,
         SplitN::Auto => match solver.plan_geometry(1, n, elem_bytes) {
-            Ok(_) => Ok(None),
+            Ok(_) => return Ok(Route::Single),
             Err(gpu_sim::SimError::InvalidPlan(msg))
                 if msg.contains("split across devices with a distributed plan") =>
             {
                 if let Some(g) = group {
-                    return Ok(Some(g.clone()));
+                    return Ok(Route::Split(g));
                 }
-                let mut d = 2usize;
-                while d <= 64 {
-                    let g = DeviceGroup::homogeneous(device.clone(), d)
-                        .map_err(|e| Failure::Error(e.to_string()))?;
-                    if solver.plan_geometry_split(&g, n, elem_bytes).is_ok() {
-                        return Ok(Some(g));
-                    }
-                    d *= 2;
-                }
-                Err(Failure::Error(format!(
-                    "--split-n auto: no homogeneous group up to 64 devices fits n = {n}"
-                )))
+                return (1..=6)
+                    .filter_map(|e| DeviceGroup::homogeneous(device.clone(), 1 << e).ok())
+                    .find(|g| solver.plan_geometry_split(g, n, elem_bytes).is_ok())
+                    .map(Route::Split)
+                    .ok_or_else(|| {
+                        Failure::Error(format!(
+                            "--split-n auto: no homogeneous group up to 64 devices fits n = {n}"
+                        ))
+                    });
             }
-            Err(e) => Err(Failure::Error(e.to_string())),
+            Err(e) => return Err(Failure::Error(e.to_string())),
         },
-    }
-}
-
-/// Resolve an explicit `--split-n` count for `plan`/`verify`: the
-/// `--devices` group when given (its size must match), else that many
-/// homogeneous copies of `--device`. `auto` is rejected here — it is a
-/// solve-time fallback, not a plannable geometry.
-fn split_count_group(
-    a: &Args,
-    device: &DeviceSpec,
-    split: SplitN,
-    m: usize,
-) -> Result<DeviceGroup, Failure> {
-    let SplitN::Count(d) = split else {
-        return Err(Failure::Error(
-            "--split-n auto is a solve-time fallback; pass an explicit device count".into(),
-        ));
     };
-    if m != 1 {
-        return Err(Failure::Error(format!(
-            "--split-n plans one system's row split (m = 1); got --m {m}"
-        )));
-    }
-    match device_group(a, device)? {
-        Some(g) if g.len() == d => Ok(g),
+    match group {
+        Some(g) if g.len() == d => Ok(Route::Split(g)),
         Some(g) => Err(Failure::Error(format!(
             "--split-n {d} does not match the {}-device --devices group",
             g.len()
         ))),
         None => DeviceGroup::homogeneous(device.clone(), d)
+            .map(Route::Split)
             .map_err(|e| Failure::Error(format!("--split-n {d}: {e}"))),
     }
+}
+
+/// The plan a [`Route`] builds for one geometry — nothing executes.
+enum RoutePlan {
+    Single(tridiag_gpu::SolvePlan),
+    Sharded(DeviceGroup, tridiag_gpu::ShardedPlan),
+    Split(DeviceGroup, tridiag_gpu::DistributedPlan),
+}
+
+impl RoutePlan {
+    fn build(
+        route: Route,
+        solver: &GpuTridiagSolver,
+        m: usize,
+        n: usize,
+        elem_bytes: usize,
+    ) -> Result<RoutePlan, Failure> {
+        let plan = match route {
+            Route::Single => solver.plan_geometry(m, n, elem_bytes).map(RoutePlan::Single),
+            Route::Sharded(g) => solver
+                .plan_geometry_group(&g, m, n, elem_bytes)
+                .map(|p| RoutePlan::Sharded(g, p)),
+            Route::Split(g) => solver
+                .plan_geometry_split(&g, n, elem_bytes)
+                .map(|p| RoutePlan::Split(g, p)),
+        };
+        plan.map_err(|e| Failure::Error(e.to_string()))
+    }
+
+    fn describe(&self) -> String {
+        match self {
+            RoutePlan::Single(p) => p.describe(),
+            RoutePlan::Sharded(_, p) => p.describe(),
+            RoutePlan::Split(_, p) => p.describe(),
+        }
+    }
+
+    fn to_json(&self) -> gpu_sim::Json {
+        match self {
+            RoutePlan::Single(p) => p.to_json(),
+            RoutePlan::Sharded(_, p) => p.to_json(),
+            RoutePlan::Split(_, p) => p.to_json(),
+        }
+    }
+
+    /// Statically verify the plan: the human-readable report, its JSON
+    /// form, and one line per finding (empty = certified clean).
+    fn verify(&self, device: &DeviceSpec) -> (String, gpu_sim::Json, Vec<String>) {
+        let group = match self {
+            RoutePlan::Single(p) => {
+                let r = tridiag_gpu::verify_plan(device, p);
+                let problems = r.findings.iter().map(|f| f.to_string()).collect();
+                return (r.to_string(), r.to_json(), problems);
+            }
+            RoutePlan::Sharded(g, p) => tridiag_gpu::verify_sharded_plan(g, p),
+            RoutePlan::Split(g, p) => tridiag_gpu::verify_distributed_plan(g, p),
+        };
+        (group.to_string(), group.to_json(), group.messages())
+    }
+}
+
+/// The one print path of `plan`, `verify` and `solve --dry-run`: the
+/// plan (described, or as JSON) when `show_plan`, then its static
+/// verification when `verify` — as JSON only if the plan itself was not
+/// printed. Verification findings exit 2.
+fn print_plan(
+    plan: &RoutePlan,
+    device: &DeviceSpec,
+    json: bool,
+    show_plan: bool,
+    verify: bool,
+) -> Result<(), Failure> {
+    if show_plan {
+        if json {
+            println!("{}", plan.to_json());
+        } else {
+            print!("{}", plan.describe());
+        }
+    }
+    if !verify {
+        return Ok(());
+    }
+    let (text, doc, problems) = plan.verify(device);
+    if !json {
+        println!("{text}");
+    } else if !show_plan {
+        println!("{doc}");
+    }
+    if problems.is_empty() {
+        Ok(())
+    } else {
+        Err(Failure::Findings(format!(
+            "plan verification:\n  - {}",
+            problems.join("\n  - ")
+        )))
+    }
+}
+
+/// `plan` and `verify` for one geometry: parse it, resolve its route,
+/// build the plan without executing anything and print it through
+/// [`print_plan`].
+fn plan_geometry_cmd(
+    a: &Args,
+    device: &DeviceSpec,
+    show_plan: bool,
+    verify: bool,
+) -> Result<(), Failure> {
+    let split = split_n_opt(a)?;
+    let m: usize = a.get_or("m", if split.is_some() { 1 } else { 64 })?;
+    let n: usize = a.get_or("n", 1024)?;
+    let elem_bytes = if a.get("precision").unwrap_or("f64") == "f32" { 4 } else { 8 };
+    let config = GpuSolverConfig {
+        layout: layout_choice(a)?,
+        ..Default::default()
+    };
+    let solver = GpuTridiagSolver::new(device.clone(), config);
+    let route = resolve_route(&solver, device_group(a, device)?, split, m, n, elem_bytes)?;
+    let plan = RoutePlan::build(route, &solver, m, n, elem_bytes)?;
+    print_plan(&plan, device, a.flag("json"), show_plan, verify)
 }
 
 /// Parse `--layout`: the planner's memory-layout choice. `auto`
@@ -203,9 +309,9 @@ fn usage() -> &'static str {
      [--split-n D|auto] [--seed S] [--layout auto|contiguous|interleaved] \
      [--verbose] [--sanitize] [--lint] [--check] [--trace FILE] [--json] [--dry-run]\n  \
      tridiag plan    --m M --n N [--precision f64|f32] [--device D] [--devices G] \
-     [--split-n D] [--layout L] [--json] [--verify] | --sweep [--device D]\n  \
+     [--split-n D|auto] [--layout L] [--json] [--verify] | --sweep [--device D]\n  \
      tridiag verify  --m M --n N [--precision f64|f32] [--device D] [--devices G] \
-     [--split-n D] [--layout L] [--json] | --sweep [--device D] | --negative [--device D]\n  \
+     [--split-n D|auto] [--layout L] [--json] | --sweep [--device D]\n  \
      tridiag profile --m M --n N [--precision f64|f32] [--device D] [--seed S] \
      [--out FILE] | --zoo [--out FILE]\n  \
      tridiag compare --m M --n N [--seed S]\n  \
@@ -251,9 +357,9 @@ fn usage() -> &'static str {
      \u{20}           substitution; lets a single system too large for one\n  \
      \u{20}           device's memory solve across the group; D = 1 is the\n  \
      \u{20}           bit-identical single-device path; with --devices G the\n  \
-     \u{20}           group supplies the devices (sizes must agree); solve\n  \
-     \u{20}           --split-n auto splits only when the single-device planner\n  \
-     \u{20}           rejects N as too large\n\n\
+     \u{20}           group supplies the devices (sizes must agree); --split-n\n  \
+     \u{20}           auto splits only when the single-device planner rejects N\n  \
+     \u{20}           as too large\n\n\
      layout (gpu engine only):\n  \
      --layout L  memory-layout choice for the planner: auto (default) lets the\n  \
      \u{20}           transaction cost model pick, contiguous/interleaved pin the\n  \
@@ -278,9 +384,7 @@ fn usage() -> &'static str {
      \u{20}           pairing, exact transfer/launch/peak-memory certificate)\n  \
      \u{20}           without executing; --sweep certifies the figure-sweep and\n  \
      \u{20}           sharded geometries AND executes each, cross-checking the\n  \
-     \u{20}           certificate against measured stats; --negative injects one\n  \
-     \u{20}           corruption per diagnostic class and demands each fires\n  \
-     \u{20}           (exit 2 = all fired, exit 1 = a diagnostic was lost)\n  \
+     \u{20}           certificate against measured stats\n  \
      profile     run a solve (or, with --zoo, every zoo kernel), write the\n  \
      \u{20}           trace to --out (default trace.json) and print the per-phase\n  \
      \u{20}           profile; exits 2 on phase-sum or trace-schema violations\n\n\
@@ -325,17 +429,10 @@ fn cmd_solve(a: &Args) -> Result<(), Failure> {
             "--devices only applies to the gpu engine (got {engine:?})"
         )));
     }
-    if split.is_some() {
-        if engine != "gpu" {
-            return Err(Failure::Error(format!(
-                "--split-n only applies to the gpu engine (got {engine:?})"
-            )));
-        }
-        if m != 1 {
-            return Err(Failure::Error(format!(
-                "--split-n splits one system's rows across devices (m = 1); got --m {m}"
-            )));
-        }
+    if split.is_some() && engine != "gpu" {
+        return Err(Failure::Error(format!(
+            "--split-n only applies to the gpu engine (got {engine:?})"
+        )));
     }
     if layout != LayoutChoice::Auto && engine != "gpu" {
         return Err(Failure::Error(format!(
@@ -419,67 +516,29 @@ fn solve_typed<S: tridiag_gpu::GpuScalar>(
         verify,
         layout,
     } = *opts;
+    let config = GpuSolverConfig {
+        exec: match (sanitize, lint) {
+            (true, true) => gpu_sim::ExecConfig::checked(),
+            (true, false) => gpu_sim::ExecConfig::sanitized(),
+            (false, true) => gpu_sim::ExecConfig::planned(),
+            (false, false) => gpu_sim::ExecConfig::default(),
+        },
+        layout,
+        ..Default::default()
+    };
+    let solver = GpuTridiagSolver::new(device.clone(), config);
+    let elem_bytes = <S as gpu_sim::Elem>::BYTES;
+    let route = resolve_route(&solver, group.clone(), split, m, n, elem_bytes)?;
+    let fits_note = split.is_some() && matches!(route, Route::Single) && !json;
     if dry_run {
         // Plan only: print k, mapping, kernel sequence and buffer
         // footprint without launching a single kernel.
-        let config = GpuSolverConfig {
-            layout,
-            ..Default::default()
-        };
-        let solver = GpuTridiagSolver::new(device.clone(), config);
-        if let Some(split) = split {
-            let resolved = resolve_split(
-                &solver,
-                device,
-                group.as_ref(),
-                split,
-                n,
-                <S as gpu_sim::Elem>::BYTES,
-            )?;
-            if let Some(sgroup) = resolved {
-                let plan = solver
-                    .plan_geometry_split(&sgroup, n, <S as gpu_sim::Elem>::BYTES)
-                    .map_err(|e| e.to_string())?;
-                if json {
-                    println!("{}", plan.to_json());
-                } else {
-                    print!("{}", plan.describe());
-                    println!("dry run     : no kernels launched");
-                }
-                return Ok(());
-            }
-            // `auto` resolved to the ordinary single-device plan.
-            let plan = solver
-                .plan_geometry(m, n, <S as gpu_sim::Elem>::BYTES)
-                .map_err(|e| e.to_string())?;
-            if json {
-                println!("{}", plan.to_json());
-            } else {
-                println!("split       : n = {n} fits on one device; no split needed");
-                print!("{}", plan.describe());
-                println!("dry run     : no kernels launched");
-            }
-            return Ok(());
+        if fits_note {
+            println!("split       : n = {n} fits on one device; no split needed");
         }
-        if let Some(group) = group {
-            let plan = solver
-                .plan_geometry_group(group, m, n, <S as gpu_sim::Elem>::BYTES)
-                .map_err(|e| e.to_string())?;
-            if json {
-                println!("{}", plan.to_json());
-            } else {
-                print!("{}", plan.describe());
-                println!("dry run     : no kernels launched");
-            }
-            return Ok(());
-        }
-        let plan = solver
-            .plan_geometry(m, n, <S as gpu_sim::Elem>::BYTES)
-            .map_err(|e| e.to_string())?;
-        if json {
-            println!("{}", plan.to_json());
-        } else {
-            print!("{}", plan.describe());
+        let plan = RoutePlan::build(route, &solver, m, n, elem_bytes)?;
+        print_plan(&plan, device, json, true, false)?;
+        if !json {
             println!("dry run     : no kernels launched");
         }
         return Ok(());
@@ -497,41 +556,14 @@ fn solve_typed<S: tridiag_gpu::GpuScalar>(
     let mut sanitizer_line: Option<Result<String, String>> = None;
     let mut lint_line: Option<Result<String, String>> = None;
     let mut gpu_report = None;
-    let mut split_group: Option<DeviceGroup> = None;
     let (x, modeled_us): (Vec<S>, Option<f64>) = match engine {
         "gpu" => {
-            let config = GpuSolverConfig {
-                exec: match (sanitize, lint) {
-                    (true, true) => gpu_sim::ExecConfig::checked(),
-                    (true, false) => gpu_sim::ExecConfig::sanitized(),
-                    (false, true) => gpu_sim::ExecConfig::planned(),
-                    (false, false) => gpu_sim::ExecConfig::default(),
-                },
-                layout,
-                ..Default::default()
-            };
-            let solver = GpuTridiagSolver::new(device.clone(), config);
-            let resolved_split = match split {
-                Some(split) => resolve_split(
-                    &solver,
-                    device,
-                    group.as_ref(),
-                    split,
-                    n,
-                    <S as gpu_sim::Elem>::BYTES,
-                )?,
-                None => None,
-            };
-            let (x, report) = match (&resolved_split, group) {
-                (Some(sgroup), _) => solver
-                    .solve_batch_split(sgroup, &batch)
-                    .map_err(|e| e.to_string())?,
-                (None, Some(group)) if split.is_none() => solver
-                    .solve_batch_group(group, &batch)
-                    .map_err(|e| e.to_string())?,
-                _ => solver.solve_batch(&batch).map_err(|e| e.to_string())?,
-            };
-            split_group = resolved_split;
+            let (x, report) = match &route {
+                Route::Single => solver.solve_batch(&batch),
+                Route::Sharded(g) => solver.solve_batch_group(g, &batch),
+                Route::Split(g) => solver.solve_batch_split(g, &batch),
+            }
+            .map_err(|e| e.to_string())?;
             if verbose && !json {
                 print!("{report}");
             }
@@ -606,16 +638,17 @@ fn solve_typed<S: tridiag_gpu::GpuScalar>(
     } else {
         println!("engine      : {engine}");
         println!("batch       : M = {m}, N = {n} ({})", S::NAME);
-        if let Some(sgroup) = &split_group {
-            println!(
+        match &route {
+            Route::Split(g) => println!(
                 "devices     : {} ({}, one system row-split)",
-                sgroup.len(),
-                sgroup.label()
-            );
-        } else if let Some(group) = group {
-            println!("devices     : {} ({})", group.len(), group.label());
-        } else if split.is_some() {
-            println!("split       : n = {n} fits on one device; no split needed");
+                g.len(),
+                g.label()
+            ),
+            Route::Sharded(g) => println!("devices     : {} ({})", g.len(), g.label()),
+            Route::Single if fits_note => {
+                println!("split       : n = {n} fits on one device; no split needed")
+            }
+            Route::Single => {}
         }
         if let Some(ds) = gpu_report.as_ref().and_then(|r| r.distributed.as_ref()) {
             println!(
@@ -625,7 +658,7 @@ fn solve_typed<S: tridiag_gpu::GpuScalar>(
             );
         }
         if let Some(us) = modeled_us {
-            if group.is_some() || split_group.is_some() {
+            if !matches!(route, Route::Single) {
                 println!("modeled time: {us:.1} us (kernel wall-clock, max over devices)");
             } else {
                 println!("modeled time: {us:.1} us (simulated device)");
@@ -721,84 +754,7 @@ fn cmd_plan(a: &Args) -> Result<(), Failure> {
     if a.flag("sweep") {
         return plan_sweep(&device);
     }
-    let split = split_n_opt(a)?;
-    let m: usize = a.get_or("m", if split.is_some() { 1 } else { 64 })?;
-    let n: usize = a.get_or("n", 1024)?;
-    let elem_bytes = if a.get("precision").unwrap_or("f64") == "f32" { 4 } else { 8 };
-    let config = GpuSolverConfig {
-        layout: layout_choice(a)?,
-        ..Default::default()
-    };
-    let solver = GpuTridiagSolver::new(device.clone(), config);
-    if let Some(split) = split {
-        let group = split_count_group(a, &device, split, m)?;
-        let plan = solver
-            .plan_geometry_split(&group, n, elem_bytes)
-            .map_err(|e| e.to_string())?;
-        if a.flag("json") {
-            println!("{}", plan.to_json());
-        } else {
-            print!("{}", plan.describe());
-        }
-        if a.flag("verify") {
-            let report = tridiag_gpu::verify_distributed_plan(&group, &plan);
-            if !a.flag("json") {
-                println!("{report}");
-            }
-            if !report.is_clean() {
-                return Err(Failure::Findings(format!(
-                    "plan verification:\n  - {}",
-                    report.messages().join("\n  - ")
-                )));
-            }
-        }
-        return Ok(());
-    }
-    if let Some(group) = device_group(a, &device)? {
-        let plan = solver
-            .plan_geometry_group(&group, m, n, elem_bytes)
-            .map_err(|e| e.to_string())?;
-        if a.flag("json") {
-            println!("{}", plan.to_json());
-        } else {
-            print!("{}", plan.describe());
-        }
-        if a.flag("verify") {
-            let report = tridiag_gpu::verify_sharded_plan(&group, &plan);
-            if !a.flag("json") {
-                println!("{report}");
-            }
-            if !report.is_clean() {
-                return Err(Failure::Findings(format!(
-                    "plan verification:\n  - {}",
-                    report.messages().join("\n  - ")
-                )));
-            }
-        }
-        return Ok(());
-    }
-    let plan = solver
-        .plan_geometry(m, n, elem_bytes)
-        .map_err(|e| e.to_string())?;
-    if a.flag("json") {
-        println!("{}", plan.to_json());
-    } else {
-        print!("{}", plan.describe());
-    }
-    if a.flag("verify") {
-        let report = tridiag_gpu::verify_plan(&device, &plan);
-        if !a.flag("json") {
-            println!("{report}");
-        }
-        if !report.is_clean() {
-            let msgs: Vec<String> = report.findings.iter().map(|f| f.to_string()).collect();
-            return Err(Failure::Findings(format!(
-                "plan verification:\n  - {}",
-                msgs.join("\n  - ")
-            )));
-        }
-    }
-    Ok(())
+    plan_geometry_cmd(a, &device, true, a.flag("verify"))
 }
 
 /// The `plan --sweep` smoke: the Fig. 12/13 sweep geometries, planned
@@ -968,78 +924,14 @@ fn plan_sweep(device: &DeviceSpec) -> Result<(), Failure> {
 /// `--sweep` additionally *executes* every point and cross-checks the
 /// static [`tridiag_gpu::PlanPrediction`] against the measured
 /// transfer/launch/peak-memory stats — any discrepancy is a finding
-/// (exit 2). `--negative` runs the canned corruption suite: every
-/// diagnostic class must fire (exit 2 with the findings printed; exit 1
-/// if a class fails to fire, i.e. the verifier lost a diagnostic).
+/// (exit 2). The corruption classes every diagnostic must catch live in
+/// the `verify_negative` test suite.
 fn cmd_verify(a: &Args) -> Result<(), Failure> {
     let device = device_by_name(a.get("device").unwrap_or("gtx480"))?;
-    if a.flag("negative") {
-        return verify_negative(&device);
-    }
     if a.flag("sweep") {
         return verify_sweep(&device);
     }
-    let split = split_n_opt(a)?;
-    let m: usize = a.get_or("m", if split.is_some() { 1 } else { 64 })?;
-    let n: usize = a.get_or("n", 1024)?;
-    let elem_bytes = if a.get("precision").unwrap_or("f64") == "f32" { 4 } else { 8 };
-    let config = GpuSolverConfig {
-        layout: layout_choice(a)?,
-        ..Default::default()
-    };
-    let solver = GpuTridiagSolver::new(device.clone(), config);
-    if let Some(split) = split {
-        let group = split_count_group(a, &device, split, m)?;
-        let plan = solver
-            .plan_geometry_split(&group, n, elem_bytes)
-            .map_err(|e| e.to_string())?;
-        let report = tridiag_gpu::verify_distributed_plan(&group, &plan);
-        if a.flag("json") {
-            println!("{}", report.to_json());
-        } else {
-            println!("{report}");
-        }
-        if !report.is_clean() {
-            return Err(Failure::Findings(format!(
-                "plan verification:\n  - {}",
-                report.messages().join("\n  - ")
-            )));
-        }
-        return Ok(());
-    }
-    if let Some(group) = device_group(a, &device)? {
-        let plan = solver
-            .plan_geometry_group(&group, m, n, elem_bytes)
-            .map_err(|e| e.to_string())?;
-        let report = tridiag_gpu::verify_sharded_plan(&group, &plan);
-        if a.flag("json") {
-            println!("{}", report.to_json());
-        } else {
-            println!("{report}");
-        }
-        if !report.is_clean() {
-            return Err(Failure::Findings(format!(
-                "plan verification:\n  - {}",
-                report.messages().join("\n  - ")
-            )));
-        }
-        return Ok(());
-    }
-    let plan = solver.plan_geometry(m, n, elem_bytes).map_err(|e| e.to_string())?;
-    let report = tridiag_gpu::verify_plan(&device, &plan);
-    if a.flag("json") {
-        println!("{}", report.to_json());
-    } else {
-        println!("{report}");
-    }
-    if !report.is_clean() {
-        let msgs: Vec<String> = report.findings.iter().map(|f| f.to_string()).collect();
-        return Err(Failure::Findings(format!(
-            "plan verification:\n  - {}",
-            msgs.join("\n  - ")
-        )));
-    }
-    Ok(())
+    plan_geometry_cmd(a, &device, false, true)
 }
 
 /// Execute a solve and return every verifier problem the run surfaced:
@@ -1150,7 +1042,7 @@ fn verify_sweep(device: &DeviceSpec) -> Result<(), Failure> {
             verified += 1;
             println!(
                 "m={m:<5} n={n:<6} f64 x{devices}: {} shard(s) certified  {}",
-                report.shards.len(),
+                report.plans.len(),
                 if problems.len() == before { "prediction=exact" } else { "FINDINGS" },
             );
         }
@@ -1222,211 +1114,6 @@ fn verify_sweep(device: &DeviceSpec) -> Result<(), Failure> {
         )));
     }
     Ok(())
-}
-
-/// The canned corruption suite: hand-break a known-good plan one way
-/// per diagnostic class and demand the verifier catches each with the
-/// right [`tridiag_gpu::FindingKind`]. All classes firing is the
-/// *expected* outcome (exit 2, findings printed); a missing diagnostic
-/// means the verifier regressed (exit 1).
-fn verify_negative(device: &DeviceSpec) -> Result<(), Failure> {
-    use tridiag_gpu::plan::{BufferDecl, KernelOp, Step};
-    use tridiag_gpu::FindingKind;
-
-    let solver = GpuTridiagSolver::new(device.clone(), GpuSolverConfig::default());
-    // 64 x 512 f64 plans the split (tiled-PCR + pThomas) pipeline on
-    // every shipped device: 11 slots, two launches — enough structure
-    // to break in every direction.
-    let base = solver.plan_geometry(64, 512, 8).map_err(|e| e.to_string())?;
-    if base.launches().count() != 2 {
-        return Err(Failure::Error(
-            "negative suite expects the split pipeline at 64x512 f64".into(),
-        ));
-    }
-    let tiled_at = base
-        .steps
-        .iter()
-        .position(|s| matches!(s, Step::Launch(l) if matches!(l.op, KernelOp::TiledPcr { .. })))
-        .ok_or_else(|| Failure::Error("no tiled_pcr launch in the base plan".into()))?;
-    let thomas_at = base
-        .steps
-        .iter()
-        .position(|s| matches!(s, Step::Launch(l) if matches!(l.op, KernelOp::PThomas { .. })))
-        .ok_or_else(|| Failure::Error("no p_thomas launch in the base plan".into()))?;
-
-    // Each case: a label, a corrupted plan, and the diagnostic class
-    // that must fire.
-    let mut cases: Vec<(&str, tridiag_gpu::SolvePlan, FindingKind)> = Vec::new();
-
-    let mut p = base.clone();
-    if let Step::Launch(l) = &mut p.steps[tiled_at] {
-        if let KernelOp::TiledPcr { input, .. } = &mut l.op {
-            input[0] = 9; // c' scratch — allocated only after this launch
-        }
-    }
-    cases.push(("read of a slot defined later", p, FindingKind::UseBeforeDef));
-
-    let mut p = base.clone();
-    if let Step::Launch(l) = &mut p.steps[tiled_at] {
-        if let KernelOp::TiledPcr { input, .. } = &mut l.op {
-            input[0] = 4; // x — allocated, but nothing has written it yet
-        }
-    }
-    cases.push((
-        "read of allocated-but-unwritten scratch",
-        p,
-        FindingKind::UnwrittenScratchRead,
-    ));
-
-    let mut p = base.clone();
-    let x_alloc = p
-        .steps
-        .iter()
-        .position(|s| matches!(s, Step::Alloc { slot: 4 }))
-        .ok_or_else(|| Failure::Error("no Alloc{slot: 4} in the base plan".into()))?;
-    p.steps.insert(x_alloc + 1, Step::Alloc { slot: 4 });
-    cases.push(("second definition of a live slot", p, FindingKind::DuplicateDef));
-
-    let mut p = base.clone();
-    for s in &mut p.steps {
-        if let Step::ConvertBack { from } = s {
-            *from = match *from {
-                tridiag_core::Layout::Contiguous => tridiag_core::Layout::Interleaved,
-                tridiag_core::Layout::Interleaved => tridiag_core::Layout::Contiguous,
-            };
-        }
-    }
-    cases.push(("convert-back from the wrong layout", p, FindingKind::LayoutMismatch));
-
-    let mut p = base.clone();
-    if let Step::Launch(l) = &mut p.steps[thomas_at] {
-        if let KernelOp::PThomas { a, x, .. } = &mut l.op {
-            *x = *a; // output aliases an input within one launch
-        }
-    }
-    cases.push(("kernel output aliasing an input", p, FindingKind::AliasHazard));
-
-    let mut p = base.clone();
-    p.buffers.push(BufferDecl { name: "orphan", elems: 64 });
-    p.steps.insert(x_alloc, Step::Alloc { slot: p.buffers.len() - 1 });
-    cases.push(("allocated slot that nothing ever uses", p, FindingKind::DanglingSlot));
-
-    let mut p = base.clone();
-    if let Some(Step::Download { slot }) =
-        p.steps.iter_mut().find(|s| matches!(s, Step::Download { .. }))
-    {
-        *slot = 99;
-    }
-    cases.push(("bind of a slot beyond the buffer table", p, FindingKind::SlotOutOfRange));
-
-    let mut findings = Vec::new();
-    let mut missing = Vec::new();
-    for (label, plan, kind) in &cases {
-        let report = tridiag_gpu::verify_plan(device, plan);
-        match report.findings.iter().find(|f| f.kind == *kind) {
-            Some(f) => findings.push(format!("{label}: caught: {f}")),
-            None => missing.push(format!("{label}: expected {kind}, verifier stayed clean")),
-        }
-    }
-
-    // Peak-memory overflow: the certificate against a 1 KiB device.
-    let mut tiny = device.clone();
-    tiny.global_mem_bytes = 1024;
-    let report = tridiag_gpu::verify_plan(&tiny, &base);
-    match report
-        .findings
-        .iter()
-        .find(|f| f.kind == FindingKind::PeakMemoryOverflow)
-    {
-        Some(f) => findings.push(format!("peak exceeding device memory: caught: {f}")),
-        None => missing.push("peak exceeding device memory: expected peak-memory-overflow".into()),
-    }
-
-    // Sharded corruptions: a broken partition and a drifted pinned k.
-    let group = DeviceGroup::homogeneous(device.clone(), 2).map_err(|e| e.to_string())?;
-    let sharded = solver
-        .plan_geometry_group(&group, 64, 512, 8)
-        .map_err(|e| e.to_string())?;
-    let mut p = sharded.clone();
-    p.shards[1].sys_start += 1;
-    let report = tridiag_gpu::verify_sharded_plan(&group, &p);
-    match report
-        .findings
-        .iter()
-        .find(|f| f.kind == FindingKind::ShardPartition)
-    {
-        Some(f) => findings.push(format!("gapped shard partition: caught: {f}")),
-        None => missing.push("gapped shard partition: expected shard-partition".into()),
-    }
-    let mut p = sharded.clone();
-    p.shards[0].plan.k += 1;
-    let report = tridiag_gpu::verify_sharded_plan(&group, &p);
-    match report
-        .findings
-        .iter()
-        .find(|f| f.kind == FindingKind::ShardConsistency)
-    {
-        Some(f) => findings.push(format!("shard k drifting off the pin: caught: {f}")),
-        None => missing.push("shard k drifting off the pin: expected shard-consistency".into()),
-    }
-
-    // Distributed corruptions: one per new diagnostic class, each
-    // demanded to fire with chunk attribution where one applies.
-    let dbase = solver
-        .plan_geometry_split(&group, 512, 8)
-        .map_err(|e| e.to_string())?;
-    let mut p = dbase.clone();
-    p.chunks[0].interior = None;
-    let report = tridiag_gpu::verify_distributed_plan(&group, &p);
-    match report
-        .findings
-        .iter()
-        .find(|f| f.kind == FindingKind::InterfaceExchange && f.chunk == Some(0))
-    {
-        Some(f) => findings.push(format!("interface used before defined: caught: {f}")),
-        None => missing.push(
-            "interface used before defined: expected chunk-attributed interface-exchange".into(),
-        ),
-    }
-    let mut p = dbase.clone();
-    p.chunks[1].row_start += 1;
-    let report = tridiag_gpu::verify_distributed_plan(&group, &p);
-    match report
-        .findings
-        .iter()
-        .find(|f| f.kind == FindingKind::ChunkPartition && f.chunk == Some(1))
-    {
-        Some(f) => findings.push(format!("gapped chunk partition: caught: {f}")),
-        None => missing
-            .push("gapped chunk partition: expected chunk-attributed chunk-partition".into()),
-    }
-    let mut p = dbase.clone();
-    p.reduced = Some(
-        solver
-            .plan_geometry(1, 2 * group.len() - 1, 8)
-            .map_err(|e| e.to_string())?,
-    );
-    let report = tridiag_gpu::verify_distributed_plan(&group, &p);
-    match report
-        .findings
-        .iter()
-        .find(|f| f.kind == FindingKind::ReducedSystem)
-    {
-        Some(f) => findings.push(format!("reduced system of the wrong size: caught: {f}")),
-        None => missing.push("reduced system of the wrong size: expected reduced-system".into()),
-    }
-
-    if !missing.is_empty() {
-        return Err(Failure::Error(format!(
-            "verifier failed to diagnose:\n  - {}",
-            missing.join("\n  - ")
-        )));
-    }
-    println!(
-        "{} corruption(s) injected, every diagnostic class fired:",
-        findings.len()
-    );
-    Err(Failure::Findings(format!("  - {}", findings.join("\n  - "))))
 }
 
 /// Validate and write a Chrome-trace document; schema violations are
@@ -1967,8 +1654,7 @@ fn write_telemetry(dir: &str, metrics: &str, events: &str, trace: &str) -> Resul
 /// `tridiag stats --negative` — inject one corruption per
 /// replay-diagnostic class into a copy of a clean event log and demand
 /// the validator fires on each: exit 2 = every diagnostic fired
-/// (reported as findings, mirroring `verify --negative`), exit 1 = a
-/// diagnostic was lost.
+/// (reported as findings), exit 1 = a diagnostic was lost.
 fn stats_negative(log: &str) -> Result<(), Failure> {
     if let Err(p) = tridiag_service::validate_event_log(log) {
         return Err(Failure::Error(format!(

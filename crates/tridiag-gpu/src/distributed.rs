@@ -6,8 +6,8 @@
 //! implements the standard substructuring decomposition for that case:
 //!
 //! 1. **Partition** the `n` rows into `D` contiguous chunks (±1
-//!    balance, the [`crate::plan::partition_systems`] idiom), each at
-//!    least 2 rows so it owns an interface pair.
+//!    balance, [`crate::plan::partition`] with [`Partition::Rows`]),
+//!    each at least 2 rows so it owns an interface pair.
 //! 2. **Partial elimination** per device: a chunk's first and last rows
 //!    are its *interface* unknowns; the `L - 2` interior rows form an
 //!    independent tridiagonal system once the couplings to the
@@ -35,6 +35,10 @@
 //!    back-substitution overlaps device `D-1`'s interface wait — the
 //!    pipelining is visible in the merged timeline and trace.
 //!
+//! The fan-out over devices, the stream replay of every plan run, the
+//! per-device trace tracks and the report merge are the multi-device
+//! core (`multi_device`) the sharded executor shares.
+//!
 //! Numerics: the interior eliminations reorder the arithmetic of the
 //! single-device pipeline, so for `D >= 2` the result matches the
 //! single-device solution to a condition-derived tolerance rather than
@@ -45,49 +49,15 @@
 
 use crate::buffers::GpuScalar;
 use crate::executor::PlanExecutor;
-use crate::plan::{SolvePlan, Step};
+use crate::multi_device::{
+    counter_totals, device_track, fan_out, group_trace, replay_plan, Launch, Merged,
+};
+use crate::plan::{check_parts_json, partition, Partition, SolvePlan};
 use crate::solver::{DistributedSummary, GpuSolveReport, GpuSolverConfig, ShardSummary};
 use gpu_sim::group::copy_us;
 use gpu_sim::json::schema::Check;
-use gpu_sim::trace::Trace;
-use gpu_sim::{
-    DeviceGroup, ExecConfig, GroupTimeline, Json, Result, SimError, StreamOp,
-};
+use gpu_sim::{DeviceGroup, ExecConfig, GroupTimeline, Json, Result, SimError, StreamOp};
 use tridiag_core::{SystemBatch, TridiagonalSystem};
-
-/// Split `n` rows of one system across `d` devices into contiguous
-/// `(row_start, row_count)` chunks, sizes balanced within 1, earlier
-/// chunks taking the remainder — the [`crate::plan::partition_systems`]
-/// idiom applied to rows. Every chunk needs at least 2 rows (its
-/// interface pair), so this requires `n >= 2 * d`.
-pub fn partition_rows(n: usize, d: usize) -> Result<Vec<(usize, usize)>> {
-    if d == 0 {
-        return Err(SimError::InvalidPlan("device group is empty".into()));
-    }
-    if n == 0 {
-        return Err(SimError::InvalidPlan(
-            "cannot split an empty system (n = 0)".into(),
-        ));
-    }
-    if n < 2 * d {
-        return Err(SimError::InvalidPlan(format!(
-            "cannot split {n} row(s) across {d} device(s): each chunk needs at \
-             least 2 rows for its interface pair (n >= {})",
-            2 * d
-        )));
-    }
-    let base = n / d;
-    let rem = n % d;
-    let mut chunks = Vec::with_capacity(d);
-    let mut start = 0usize;
-    for i in 0..d {
-        let count = base + usize::from(i < rem);
-        chunks.push((start, count));
-        start += count;
-    }
-    debug_assert_eq!(start, n);
-    Ok(chunks)
-}
 
 /// One device's share of a distributed solve: which rows it owns and
 /// the interior-elimination [`SolvePlan`] (built against *its* spec)
@@ -174,7 +144,7 @@ impl DistributedPlan {
             });
         }
         let d = group.len();
-        let ranges = partition_rows(n, d)?;
+        let ranges = partition(n, d, Partition::Rows)?;
         let chunks = ranges
             .into_iter()
             .enumerate()
@@ -369,98 +339,55 @@ pub fn validate_distributed_plan_json(doc: &Json) -> Vec<String> {
     c.req_str("precision");
     c.req_uints(&["n", "elem_bytes", "devices", "device_bytes"]);
     let n = doc.get("n").and_then(Json::as_num).unwrap_or(0.0) as usize;
-    let declared = doc.get("devices").and_then(Json::as_num).unwrap_or(0.0) as usize;
     let identity = doc.get("identity").filter(|j| !matches!(j, Json::Null));
     let reduced = doc.get("reduced").filter(|j| !matches!(j, Json::Null));
-    let chunks = doc.get("chunks").and_then(Json::as_arr).unwrap_or(&[]);
     if let Some(ident) = identity {
         // Identity path: D == 1, no chunks, no reduced system.
         c.absorb_with("identity: ", validate_plan_json(ident));
-        c.ensure(declared == 1, "identity plan present but \"devices\" != 1");
-        c.ensure(chunks.is_empty(), "identity plan present but chunks are listed");
+        let devices = doc.get("devices").and_then(Json::as_num);
+        c.ensure(devices == Some(1.0), "identity plan present but \"devices\" != 1");
+        c.ensure(
+            doc.get("chunks").and_then(Json::as_arr).is_none_or(|a| a.is_empty()),
+            "identity plan present but chunks are listed",
+        );
         c.ensure(
             reduced.is_none(),
             "identity plan present but a reduced plan is listed",
         );
         return c.finish();
     }
-    c.ensure(
-        chunks.len() == declared,
-        format!(
-            "\"devices\" is {declared} but {} chunks are listed",
-            chunks.len()
-        ),
-    );
-    let mut cursor = 0usize;
-    let mut min_count = usize::MAX;
-    let mut max_count = 0usize;
-    for (i, ch) in chunks.iter().enumerate() {
-        let mut chc = c.child(ch, format!("chunks[{i}] "));
-        chc.req_str("device");
-        let num = |key: &str| ch.get(key).and_then(Json::as_num);
-        match (num("device_index"), num("row_start"), num("row_count")) {
-            (Some(di), Some(start), Some(count))
-                if di.fract() == 0.0 && start.fract() == 0.0 && count.fract() == 0.0 =>
-            {
-                chc.ensure(di as usize == i, format!("has device_index {di}"));
-                chc.ensure(
-                    start as usize == cursor,
-                    format!(
-                        "starts at {start}, expected {cursor} \
-                         (chunks must tile the system contiguously)"
-                    ),
-                );
-                chc.ensure(
-                    count >= 2.0,
-                    format!("owns {count} row(s): a chunk needs its 2-row interface pair"),
-                );
-                cursor = start as usize + count as usize;
-                min_count = min_count.min(count as usize);
-                max_count = max_count.max(count as usize);
-                let interior = ch.get("interior").filter(|j| !matches!(j, Json::Null));
-                match (interior, count as usize) {
-                    (None, cnt) if cnt > 2 => chc.problem(format!(
-                        "has {cnt} rows but no interior plan (interface \
-                         coefficients would be used before being defined)"
-                    )),
-                    (Some(_), 2) => {
-                        chc.problem("is interface-only (2 rows) but lists an interior plan")
-                    }
-                    (Some(plan), cnt) => {
-                        chc.absorb_with("interior: ", validate_plan_json(plan));
-                        let pnum = |key: &str| plan.get(key).and_then(Json::as_num);
-                        if let Some(pn) = pnum("n") {
-                            chc.ensure(
-                                pn as usize == cnt - 2,
-                                format!(
-                                    "interior plan solves n = {pn} but the chunk \
-                                     has {} interior row(s)",
-                                    cnt - 2
-                                ),
-                            );
-                        }
-                        if let Some(pm) = pnum("m") {
-                            chc.ensure(pm == 1.0, format!("interior plan has m = {pm}, not 1"));
-                        }
-                    }
-                    (None, _) => {}
+    let chunks = check_parts_json(&mut c, "chunks", Partition::Rows, n, |chc, ch, count| {
+        let interior = ch.get("interior").filter(|j| !matches!(j, Json::Null));
+        match (interior, count) {
+            (None, Some(cnt)) if cnt > 2 => chc.problem(format!(
+                "has {cnt} rows but no interior plan (interface \
+                 coefficients would be used before being defined)"
+            )),
+            (Some(_), Some(2)) => {
+                chc.problem("is interface-only (2 rows) but lists an interior plan")
+            }
+            (Some(plan), _) => {
+                chc.absorb_with("interior: ", validate_plan_json(plan));
+                let pnum = |key: &str| plan.get(key).and_then(Json::as_num);
+                if let (Some(pn), Some(cnt)) = (pnum("n"), count) {
+                    chc.ensure(
+                        pn as usize + 2 == cnt,
+                        format!(
+                            "interior plan solves n = {pn} but the chunk has {} \
+                             interior row(s)",
+                            cnt.saturating_sub(2)
+                        ),
+                    );
+                }
+                if let Some(pm) = pnum("m") {
+                    chc.ensure(pm == 1.0, format!("interior plan has m = {pm}, not 1"));
                 }
             }
-            _ => chc.problem("missing integer device_index/row_start/row_count"),
+            (None, _) => {}
         }
-        c.absorb(chc);
-    }
+    });
     if chunks.is_empty() {
         c.problem("no identity plan and no chunks");
-    } else {
-        c.ensure(
-            cursor == n,
-            format!("chunks cover [0, {cursor}) but the system has n = {n} rows"),
-        );
-        c.ensure(
-            max_count == 0 || max_count - min_count <= 1,
-            format!("chunk sizes unbalanced: min {min_count}, max {max_count} (allowed skew 1)"),
-        );
     }
     match reduced {
         Some(plan) => {
@@ -502,9 +429,8 @@ struct ChunkRun<S> {
     row_last: (S, S, S, S),
     /// One report per interior run (`y`, `u`, `w`), empty when `L == 2`.
     reports: Vec<GpuSolveReport>,
-    flops: u64,
-    global_transactions: u64,
-    global_bytes: u64,
+    /// Exact `(flops, global transactions, global bytes)` of the runs.
+    totals: (u64, u64, u64),
 }
 
 /// Drives a [`DistributedPlan`] across a [`DeviceGroup`], one thread
@@ -533,10 +459,10 @@ impl DistributedExecutor {
     /// of `plan.n` rows). Returns the solution plus the merged report.
     ///
     /// Fails with [`SimError::InvalidPlan`] when the batch does not
-    /// match the plan's geometry/width, the plan was built for a
-    /// different device count, or static verification
-    /// ([`crate::verify::verify_distributed_plan`]) finds a problem;
-    /// any chunk failure (including a worker panic, reported as
+    /// match the plan's geometry/width or static verification
+    /// ([`crate::verify::verify_distributed_plan`]) finds a problem,
+    /// including a plan built for a different device count; any chunk
+    /// failure (including a worker panic, reported as
     /// [`SimError::KernelFault`] with chunk attribution) aborts the
     /// whole solve.
     pub fn run<S: GpuScalar + Send + Sync>(
@@ -557,85 +483,33 @@ impl DistributedExecutor {
                 plan.n
             )));
         }
-        if <S as gpu_sim::Elem>::BYTES != plan.elem_bytes {
+        let eb = plan.elem_bytes;
+        if <S as gpu_sim::Elem>::BYTES != eb {
             return Err(SimError::InvalidPlan(format!(
-                "batch scalar is {} bytes but the distributed plan was built for {}",
-                <S as gpu_sim::Elem>::BYTES,
-                plan.elem_bytes
-            )));
-        }
-        let expected_devices = plan.num_devices();
-        if expected_devices != self.group.len() {
-            return Err(SimError::InvalidPlan(format!(
-                "distributed plan has {} chunk(s) but the group has {} device(s)",
-                expected_devices,
-                self.group.len()
+                "batch scalar is {} bytes but the distributed plan was built for {eb}",
+                <S as gpu_sim::Elem>::BYTES
             )));
         }
         // Cross-device static verification gates execution: partition
         // coverage, interface dataflow, reduced-system geometry, and
         // every chunk's own certificate against its device.
-        let dist_verify = crate::verify::verify_distributed_plan(&self.group, plan);
-        if !dist_verify.is_clean() {
-            return Err(SimError::InvalidPlan(format!(
-                "distributed plan failed static verification: {}",
-                dist_verify.messages().join("; ")
-            )));
-        }
+        crate::verify::verify_distributed_plan(&self.group, plan).into_result()?;
         if let Some(identity) = &plan.identity {
             // D == 1 is the identity: this is exactly the single-device
             // path, byte for byte.
             let mut ex = PlanExecutor::new(self.group.primary().clone(), self.exec);
             return ex.run(identity, batch);
         }
-        let reduced_plan = plan
-            .reduced
-            .as_ref()
-            .expect("verified distributed plan has a reduced plan");
+        let reduced_plan = plan.reduced.as_ref().ok_or_else(|| {
+            SimError::InvalidPlan("distributed plan has no reduced interface plan".into())
+        })?;
 
-        // One worker thread per chunk: build the interior system, solve
-        // it for the three right-hand sides, fold the solutions into
-        // the chunk's two interface rows.
-        let exec = self.exec;
-        let group = &self.group;
-        let joined: Vec<Result<ChunkRun<S>>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = plan
-                .chunks
-                .iter()
-                .map(|ch| {
-                    let spec = group.devices()[ch.device_index].clone();
-                    scope.spawn(move |_| -> Result<ChunkRun<S>> {
-                        chunk_eliminate(spec, exec, ch, batch)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(SimError::KernelFault("chunk worker thread panicked".into()))
-                    })
-                })
-                .collect()
-        })
-        .unwrap_or_else(|_| {
-            vec![Err(SimError::KernelFault(
-                "chunk worker thread panicked".into(),
-            ))]
-        });
-
-        // First fault by device index wins (deterministic); the other
-        // chunks' partial results are dropped here with `joined`.
-        let mut runs: Vec<ChunkRun<S>> = Vec::with_capacity(joined.len());
-        for (d, r) in joined.into_iter().enumerate() {
-            match r {
-                Ok(run) => runs.push(run),
-                Err(SimError::KernelFault(msg)) => {
-                    return Err(SimError::KernelFault(format!("chunk {d}: {msg}")))
-                }
-                Err(other) => return Err(other),
-            }
-        }
+        // One worker per chunk: build the interior system, solve it for
+        // the three right-hand sides, fold the solutions into the
+        // chunk's two interface rows.
+        let runs = fan_out("chunk", plan.chunks.len(), |d| {
+            chunk_eliminate(self.group.devices()[d].clone(), self.exec, &plan.chunks[d], batch)
+        })?;
 
         // Assemble the reduced interface system on the host (it is
         // gathered to the primary device below, on the modeled
@@ -644,21 +518,17 @@ impl DistributedExecutor {
         // couples only to its in-chunk partner and to the adjacent row
         // of the neighbouring chunk, so the system is tridiagonal.
         let rd_n = 2 * plan.chunks.len();
-        let mut ra = vec![S::ZERO; rd_n];
-        let mut rb = vec![S::ZERO; rd_n];
-        let mut rc = vec![S::ZERO; rd_n];
-        let mut rdv = vec![S::ZERO; rd_n];
-        for (j, run) in runs.iter().enumerate() {
-            let (fa, fb, fc, fd) = run.row_first;
-            let (la, lb, lc, ld) = run.row_last;
-            ra[2 * j] = fa;
-            rb[2 * j] = fb;
-            rc[2 * j] = fc;
-            rdv[2 * j] = fd;
-            ra[2 * j + 1] = la;
-            rb[2 * j + 1] = lb;
-            rc[2 * j + 1] = lc;
-            rdv[2 * j + 1] = ld;
+        let mut ra = Vec::with_capacity(rd_n);
+        let mut rb = Vec::with_capacity(rd_n);
+        let mut rc = Vec::with_capacity(rd_n);
+        let mut rdv = Vec::with_capacity(rd_n);
+        for run in &runs {
+            for (a, b, c, d) in [run.row_first, run.row_last] {
+                ra.push(a);
+                rb.push(b);
+                rc.push(c);
+                rdv.push(d);
+            }
         }
         let reduced_sys = TridiagonalSystem::new(ra, rb, rc, rdv)
             .map_err(|e| SimError::InvalidPlan(format!("assembling reduced system: {e}")))?;
@@ -673,13 +543,7 @@ impl DistributedExecutor {
                 }
                 other => other,
             })?;
-        let reduced_flops: u64 = red_ex.stats.iter().map(|s| s.total.flops).sum();
-        let reduced_transactions: u64 = red_ex
-            .stats
-            .iter()
-            .map(|s| s.total.global_transactions())
-            .sum();
-        let reduced_bytes: u64 = red_ex.stats.iter().map(|s| s.total.global_bytes()).sum();
+        let (reduced_flops, reduced_transactions, reduced_bytes) = counter_totals(&red_ex);
 
         // Distributed back substitution:
         //   x[first] = xr[2j], x[last] = xr[2j+1],
@@ -706,48 +570,14 @@ impl DistributedExecutor {
         // followed by the back-substitution launch — the scatter
         // serialization is what makes device 0's back-substitution
         // overlap device D-1's interface wait.
-        let eb = plan.elem_bytes;
         let gather_chunk_bytes = 8 * eb; // 2 interface rows x 4 coefficients
         let scatter_chunk_bytes = 2 * eb; // 2 interface values
-        let rhs_tags = ["y", "u", "w"];
         let mut timeline = GroupTimeline::new(&self.group);
         for (ch, run) in plan.chunks.iter().zip(&runs) {
             let stream = timeline.stream_mut(ch.device_index);
             if let Some(ip) = &ch.interior {
-                for (tag, report) in rhs_tags.iter().zip(&run.reports) {
-                    let mut kernel_idx = 0usize;
-                    for step in &ip.steps {
-                        match step {
-                            Step::Upload { slot, source } => {
-                                let bytes = ip.buffers[*slot].elems * eb;
-                                stream.record(
-                                    StreamOp::CopyH2D,
-                                    format!("h2d:{}#{tag}", source.label()),
-                                    copy_us(bytes),
-                                    bytes,
-                                );
-                            }
-                            Step::Launch(ls) => {
-                                let kr = report.kernels.get(kernel_idx).ok_or_else(|| {
-                                    SimError::InvalidPlan(
-                                        "chunk report is missing a kernel launch".into(),
-                                    )
-                                })?;
-                                stream.record(StreamOp::Launch, ls.name, kr.timing.total_us, 0);
-                                kernel_idx += 1;
-                            }
-                            Step::Download { slot } => {
-                                let bytes = ip.buffers[*slot].elems * eb;
-                                stream.record(
-                                    StreamOp::CopyD2H,
-                                    format!("d2h:{}#{tag}", ip.buffers[*slot].name),
-                                    copy_us(bytes),
-                                    bytes,
-                                );
-                            }
-                            _ => {}
-                        }
-                    }
+                for (tag, report) in ["#y", "#u", "#w"].iter().zip(&run.reports) {
+                    replay_plan(stream, ip, &report.kernels, tag, "chunk")?;
                 }
             }
             stream.record(
@@ -759,53 +589,14 @@ impl DistributedExecutor {
         }
         // The reduced solve starts on the primary once every chunk's
         // interface rows have arrived.
-        let gather_done = timeline
-            .streams()
-            .iter()
-            .map(|s| s.completion_us())
-            .fold(0.0f64, f64::max);
-        {
-            let s0 = timeline.stream_mut(0);
-            s0.wait_until(gather_done);
-            let mut kernel_idx = 0usize;
-            for step in &reduced_plan.steps {
-                match step {
-                    Step::Upload { slot, source } => {
-                        let bytes = reduced_plan.buffers[*slot].elems * eb;
-                        s0.record(
-                            StreamOp::CopyH2D,
-                            format!("h2d:{}#reduced", source.label()),
-                            copy_us(bytes),
-                            bytes,
-                        );
-                    }
-                    Step::Launch(ls) => {
-                        let kr = red_report.kernels.get(kernel_idx).ok_or_else(|| {
-                            SimError::InvalidPlan(
-                                "reduced report is missing a kernel launch".into(),
-                            )
-                        })?;
-                        s0.record(StreamOp::Launch, ls.name, kr.timing.total_us, 0);
-                        kernel_idx += 1;
-                    }
-                    Step::Download { slot } => {
-                        let bytes = reduced_plan.buffers[*slot].elems * eb;
-                        s0.record(
-                            StreamOp::CopyD2H,
-                            format!("d2h:{}#reduced", reduced_plan.buffers[*slot].name),
-                            copy_us(bytes),
-                            bytes,
-                        );
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let reduced_done = timeline.streams()[0].completion_us();
+        let gather_done = timeline.wall_clock_us();
+        let s0 = timeline.stream_mut(0);
+        s0.wait_until(gather_done);
+        replay_plan(s0, reduced_plan, &red_report.kernels, "#reduced", "reduced")?;
         // Scatter the interface pairs back, serialized over one PCIe
         // bus in device order; each device then back-substitutes its
         // interior as soon as *its* pair lands.
-        let mut host_cursor = reduced_done;
+        let mut host_cursor = timeline.streams()[0].completion_us();
         for ch in &plan.chunks {
             let st = timeline.stream_mut(ch.device_index);
             st.wait_until(host_cursor);
@@ -832,47 +623,19 @@ impl DistributedExecutor {
                 .stream_mut(ch.device_index)
                 .record(StreamOp::Launch, "back_substitute", dur, 0);
         }
-        let wall_clock = timeline.wall_clock_us();
         let kernel_wall = timeline.kernel_wall_clock_us();
-        let serialized = timeline.serialized_us();
 
-        // ---- merged Chrome trace --------------------------------------
-        let mut trace = Trace::new(format!(
-            "tridiag distributed solve on {}",
-            self.group.label()
-        ));
-        trace.span(
-            "distributed_solve",
-            "solver",
-            0,
-            0.0,
-            wall_clock,
+        // ---- merged Chrome trace and report ----------------------------
+        let mut trace = group_trace(
+            "distributed",
+            &self.group,
+            &timeline,
             vec![
                 ("n".into(), Json::num(plan.n as f64)),
                 ("precision".into(), Json::str(plan.precision)),
-                ("devices".into(), Json::num(plan.chunks.len() as f64)),
-                ("kernel_wall_us".into(), Json::num(kernel_wall)),
-                ("serialized_us".into(), Json::num(serialized)),
             ],
-        );
-        trace.instant(
-            "partition",
-            "solver",
-            0,
-            0.0,
-            vec![
-                ("devices".into(), Json::num(plan.chunks.len() as f64)),
-                (
-                    "chunks".into(),
-                    Json::str(
-                        plan.chunks
-                            .iter()
-                            .map(|c| format!("{}:{}", c.device_index, c.row_count))
-                            .collect::<Vec<_>>()
-                            .join("+"),
-                    ),
-                ),
-            ],
+            Partition::Rows,
+            plan.chunks.iter().map(|c| (c.device_index, c.row_count)),
         );
         trace.instant(
             "reduced_system",
@@ -885,188 +648,76 @@ impl DistributedExecutor {
                 ("k".into(), Json::num(reduced_plan.k)),
             ],
         );
-        for (ch, run) in plan.chunks.iter().zip(&runs) {
-            let tid = ch.device_index as u32;
-            let stream = &timeline.streams()[ch.device_index];
-            // Device d's launch sequence on its stream: the three
-            // interior runs' kernels in order, then (device 0 only) the
-            // reduced kernels, then the back_substitute launch, which
-            // has no KernelReport and is emitted by name.
-            let mut kernels: Vec<_> = run
-                .reports
-                .iter()
-                .flat_map(|r| r.kernels.iter())
-                .collect();
-            if ch.device_index == 0 {
-                kernels.extend(red_report.kernels.iter());
-            }
-            let mut kernels = kernels.into_iter();
-            for ev in &stream.events {
-                match ev.op {
-                    StreamOp::CopyH2D | StreamOp::CopyD2H => {
-                        trace.span(
-                            ev.name.clone(),
-                            "copy",
-                            tid,
-                            ev.start_us,
-                            ev.dur_us,
-                            vec![("bytes".into(), Json::num(ev.bytes as f64))],
-                        );
-                    }
-                    StreamOp::Launch if ev.name == "back_substitute" => {
-                        trace.span(
-                            "kernel:back_substitute",
-                            "kernel",
-                            tid,
-                            ev.start_us,
-                            ev.dur_us,
-                            vec![(
-                                "interior_rows".into(),
-                                Json::num(ch.interior_len() as f64),
-                            )],
-                        );
-                    }
-                    StreamOp::Launch => {
-                        let kr = kernels.next().expect("one report per launch event");
-                        let t = &kr.timing;
-                        trace.span(
-                            format!("kernel:{}", t.name),
-                            "kernel",
-                            tid,
-                            ev.start_us,
-                            t.total_us,
-                            vec![
-                                ("blocks".into(), Json::num(kr.blocks as f64)),
-                                ("bound".into(), Json::str(format!("{:?}", t.bound))),
-                                ("occupancy".into(), Json::num(t.occupancy_fraction)),
-                                ("waves".into(), Json::num(t.waves)),
-                            ],
-                        );
-                        trace.span(
-                            "launch_overhead",
-                            "kernel",
-                            tid,
-                            ev.start_us,
-                            t.launch_us,
-                            Vec::new(),
-                        );
-                        let mut at = ev.start_us + t.launch_us;
-                        for ph in &t.phases {
-                            trace.span(
-                                format!("phase:{}", ph.label),
-                                "phase",
-                                tid,
-                                at,
-                                ph.us,
-                                vec![
-                                    ("bound".into(), Json::str(format!("{:?}", ph.bound))),
-                                    ("flops".into(), Json::num(ph.stats.flops as f64)),
-                                    (
-                                        "global_bytes".into(),
-                                        Json::num(ph.stats.global_bytes() as f64),
-                                    ),
-                                    (
-                                        "transactions".into(),
-                                        Json::num(ph.stats.global_transactions() as f64),
-                                    ),
-                                ],
-                            );
-                            at += ph.us;
-                        }
-                    }
-                }
-            }
-        }
-
-        // ---- merged report --------------------------------------------
-        let mut kernels = Vec::new();
-        let mut violations = Vec::new();
-        let mut lints = Vec::new();
-        let mut lint_mismatches = Vec::new();
-        let mut phase_sum_mismatches = Vec::new();
-        let mut verify_mismatches = Vec::new();
+        let mut merged = Merged::default();
         let mut summaries = Vec::with_capacity(runs.len());
         for (ch, run) in plan.chunks.iter().zip(&runs) {
             let d = ch.device_index;
-            let kernel_us: f64 = run.reports.iter().map(|r| r.total_us).sum::<f64>()
-                + backsub_us[d];
+            let stream = &timeline.streams()[d];
+            // Device d's launch sequence on its stream: the three
+            // interior runs' kernels in order, then (device 0 only) the
+            // reduced kernels, then the back-substitution, which the
+            // timeline prices without a kernel report.
+            let mut launches: Vec<Launch> = run
+                .reports
+                .iter()
+                .flat_map(|r| &r.kernels)
+                .map(Launch::Kernel)
+                .collect();
+            if d == 0 {
+                launches.extend(red_report.kernels.iter().map(Launch::Kernel));
+            }
+            if ch.interior_len() > 0 {
+                launches.push(Launch::Modeled(
+                    "kernel:back_substitute",
+                    vec![(
+                        "interior_rows".into(),
+                        Json::num(ch.interior_len() as f64),
+                    )],
+                ));
+            }
+            device_track(&mut trace, d as u32, stream, launches)?;
+            let (flops, global_transactions, global_bytes) = run.totals;
             summaries.push(ShardSummary {
                 device: ch.device,
                 device_index: d,
                 sys_start: ch.row_start,
                 sys_count: ch.row_count,
                 k: ch.interior.as_ref().map_or(0, |p| p.k),
-                kernel_us,
-                completion_us: timeline.streams()[d].completion_us(),
-                flops: run.flops + 4 * ch.interior_len() as u64,
-                global_transactions: run.global_transactions,
-                global_bytes: run.global_bytes,
+                kernel_us: run.reports.iter().map(|r| r.total_us).sum::<f64>() + backsub_us[d],
+                completion_us: stream.completion_us(),
+                flops: flops + 4 * ch.interior_len() as u64,
+                global_transactions,
+                global_bytes,
             });
             for r in &run.reports {
-                kernels.extend(r.kernels.iter().cloned());
-                violations.extend(r.violations.iter().cloned());
-                lints.extend(r.lints.iter().cloned());
-                lint_mismatches.extend(r.lint_mismatches.iter().map(|s| format!("dev{d}: {s}")));
-                phase_sum_mismatches
-                    .extend(r.phase_sum_mismatches.iter().map(|s| format!("dev{d}: {s}")));
-                verify_mismatches
-                    .extend(r.verify_mismatches.iter().map(|s| format!("dev{d}: {s}")));
+                merged.absorb(&format!("dev{d}"), r);
             }
         }
-        kernels.extend(red_report.kernels.iter().cloned());
-        violations.extend(red_report.violations.iter().cloned());
-        lints.extend(red_report.lints.iter().cloned());
-        lint_mismatches.extend(
-            red_report
-                .lint_mismatches
-                .iter()
-                .map(|s| format!("reduced: {s}")),
-        );
-        phase_sum_mismatches.extend(
-            red_report
-                .phase_sum_mismatches
-                .iter()
-                .map(|s| format!("reduced: {s}")),
-        );
-        verify_mismatches.extend(
-            red_report
-                .verify_mismatches
-                .iter()
-                .map(|s| format!("reduced: {s}")),
-        );
-        let report = GpuSolveReport {
-            k: reduced_plan.k,
-            mapping: reduced_plan.mapping,
-            fused: reduced_plan.fused,
-            kernels,
-            total_us: kernel_wall,
-            precision: reduced_plan.precision,
-            violations,
-            lints,
-            lint_mismatches,
-            phase_sum_mismatches,
-            // The merged report carries the reduced plan (the one the
-            // primary device actually ran); per-chunk certificates are
-            // re-checked by verify_distributed_plan above.
-            verify: crate::verify::verify_plan(self.group.primary(), reduced_plan),
-            verify_mismatches,
-            trace,
-            plan: reduced_plan.clone(),
-            shards: summaries,
-            distributed: Some(DistributedSummary {
-                devices: plan.chunks.len(),
-                reduced_n: rd_n,
-                reduced_k: reduced_plan.k,
-                reduced_flops,
-                reduced_transactions,
-                reduced_bytes,
-                backsub_flops,
-                gather_bytes: (plan.chunks.len() * gather_chunk_bytes) as u64,
-                scatter_bytes: (plan.chunks.len() * scatter_chunk_bytes) as u64,
-                wall_clock_us: wall_clock,
-                serialized_us: serialized,
-            }),
+        merged.absorb("reduced", &red_report);
+        // The merged report carries the reduced plan (the one the
+        // primary device actually ran); per-chunk certificates were
+        // checked by verify_distributed_plan above.
+        let distributed = DistributedSummary {
+            devices: plan.chunks.len(),
+            reduced_n: rd_n,
+            reduced_k: reduced_plan.k,
+            reduced_flops,
+            reduced_transactions,
+            reduced_bytes,
+            backsub_flops,
+            gather_bytes: (plan.chunks.len() * gather_chunk_bytes) as u64,
+            scatter_bytes: (plan.chunks.len() * scatter_chunk_bytes) as u64,
+            wall_clock_us: timeline.wall_clock_us(),
+            serialized_us: timeline.serialized_us(),
         };
+        let report = merged.into_report(
+            self.group.primary(),
+            reduced_plan,
+            kernel_wall,
+            trace,
+            summaries,
+            Some(distributed),
+        );
         Ok((out, report))
     }
 }
@@ -1096,15 +747,15 @@ fn chunk_eliminate<S: GpuScalar>(
             row_first: (a_s, b_s, c_s, d_s),
             row_last: (a_e, b_e, c_e, d_e),
             reports: Vec::new(),
-            flops: 0,
-            global_transactions: 0,
-            global_bytes: 0,
+            totals: (0, 0, 0),
         });
     }
-    let ip = ch
-        .interior
-        .as_ref()
-        .expect("chunk with interior rows has an interior plan");
+    let ip = ch.interior.as_ref().ok_or_else(|| {
+        SimError::InvalidPlan(format!(
+            "chunk {} has {li} interior row(s) but no interior plan",
+            ch.device_index
+        ))
+    })?;
     // Interior rows s+1 ..= e-1. The couplings to the interface pair
     // (a_{s+1} on the first interior row, c_{e-1} on the last) move to
     // the right-hand side as the unit-load RHS u and w;
@@ -1163,13 +814,7 @@ fn chunk_eliminate<S: GpuScalar>(
         row_first,
         row_last,
         reports: vec![r_y, r_u, r_w],
-        flops: ex.stats.iter().map(|st| st.total.flops).sum(),
-        global_transactions: ex
-            .stats
-            .iter()
-            .map(|st| st.total.global_transactions())
-            .sum(),
-        global_bytes: ex.stats.iter().map(|st| st.total.global_bytes()).sum(),
+        totals: counter_totals(&ex),
     })
 }
 
@@ -1182,17 +827,6 @@ mod tests {
 
     fn group_of(d: usize) -> DeviceGroup {
         DeviceGroup::homogeneous(DeviceSpec::gtx480(), d).unwrap()
-    }
-
-    #[test]
-    fn partition_rows_covers_and_balances() {
-        let parts = partition_rows(10, 3).unwrap();
-        assert_eq!(parts, vec![(0, 4), (4, 3), (7, 3)]);
-        let total: usize = parts.iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, 10);
-        assert!(partition_rows(5, 3).is_err(), "n < 2D must be rejected");
-        assert!(partition_rows(0, 2).is_err());
-        assert!(partition_rows(8, 0).is_err());
     }
 
     #[test]

@@ -15,6 +15,7 @@ use crate::buffers::GpuScalar;
 use crate::kernels::fused::FusedKernel;
 use crate::kernels::p_thomas::PThomasKernel;
 use crate::kernels::tiled_pcr::TiledPcrKernel;
+use crate::multi_device::kernel_spans;
 use crate::plan::{KernelOp, SolvePlan, Step};
 use crate::solver::{GpuSolveReport, KernelReport};
 use crate::verify::DynamicPlanStats;
@@ -400,42 +401,8 @@ fn build_trace(spec: &DeviceSpec, plan: &SolvePlan, kernels: &[KernelReport]) ->
     );
     let mut cursor = 0.0f64;
     for kr in kernels {
-        let t = &kr.timing;
-        tr.span(
-            format!("kernel:{}", t.name),
-            "kernel",
-            0,
-            cursor,
-            t.total_us,
-            vec![
-                ("blocks".into(), Json::num(kr.blocks as f64)),
-                ("bound".into(), Json::str(format!("{:?}", t.bound))),
-                ("occupancy".into(), Json::num(t.occupancy_fraction)),
-                ("waves".into(), Json::num(t.waves)),
-            ],
-        );
-        tr.span("launch_overhead", "kernel", 0, cursor, t.launch_us, Vec::new());
-        let mut at = cursor + t.launch_us;
-        for ph in &t.phases {
-            tr.span(
-                format!("phase:{}", ph.label),
-                "phase",
-                0,
-                at,
-                ph.us,
-                vec![
-                    ("bound".into(), Json::str(format!("{:?}", ph.bound))),
-                    ("flops".into(), Json::num(ph.stats.flops as f64)),
-                    ("global_bytes".into(), Json::num(ph.stats.global_bytes() as f64)),
-                    (
-                        "transactions".into(),
-                        Json::num(ph.stats.global_transactions() as f64),
-                    ),
-                ],
-            );
-            at += ph.us;
-        }
-        cursor += t.total_us;
+        kernel_spans(&mut tr, 0, cursor, kr);
+        cursor += kr.timing.total_us;
     }
     tr
 }

@@ -20,6 +20,7 @@ pub mod distributed;
 pub mod executor;
 pub mod hash;
 pub mod kernels;
+mod multi_device;
 pub mod plan;
 pub mod sharded;
 pub mod solver;
@@ -29,14 +30,13 @@ pub mod zoo;
 
 pub use buffers::{download_solution, upload, DeviceBatch, GpuScalar};
 pub use distributed::{
-    partition_rows, validate_distributed_plan_json, ChunkPlan, DistributedExecutor,
-    DistributedPlan,
+    validate_distributed_plan_json, ChunkPlan, DistributedExecutor, DistributedPlan,
 };
 pub use executor::PlanExecutor;
 pub use hash::solution_hash;
 pub use plan::{
-    partition_systems, validate_plan_json, validate_sharded_plan_json, ShardPlan, ShardedPlan,
-    SolvePlan, Step,
+    partition, validate_plan_json, validate_sharded_plan_json, Partition, ShardPlan,
+    ShardedPlan, SolvePlan, Step,
 };
 pub use sharded::ShardedExecutor;
 pub use solver::{
@@ -44,7 +44,6 @@ pub use solver::{
     LayoutChoice, MappingVariant, ShardSummary,
 };
 pub use verify::{
-    verify_distributed_plan, verify_plan, verify_sharded_plan, DistributedVerifyReport,
-    DynamicPlanStats, FindingKind, PlanFinding, PlanPrediction, ShardedVerifyReport,
-    SlotLiveness, VerifyReport,
+    verify_distributed_plan, verify_plan, verify_sharded_plan, DynamicPlanStats, FindingKind,
+    GroupVerifyReport, PlanFinding, PlanPrediction, SlotLiveness, VerifyReport,
 };

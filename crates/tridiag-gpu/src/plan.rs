@@ -914,39 +914,217 @@ pub fn validate_plan_json(doc: &Json) -> Vec<String> {
 // Multi-device sharding
 // ---------------------------------------------------------------------
 
-/// Contiguous, balanced partition of `m` systems across `d` devices:
-/// shard `i` gets `m / d` systems plus one of the first `m % d`
-/// remainders, so shard sizes differ by at most 1 and every system
-/// index lands in exactly one shard, in order. Returns `(sys_start,
-/// sys_count)` per shard.
+/// What a multi-device plan partitions across its devices: a sharded
+/// plan splits a batch's **systems** into shards of at least one
+/// system each, a distributed plan splits one system's **rows** into
+/// chunks of at least two rows each (a chunk's interface pair).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Partition {
+    /// Shards of a batch: `(sys_start, sys_count)`, at least 1 system.
+    Systems,
+    /// Chunks of one system: `(row_start, row_count)`, at least 2 rows.
+    Rows,
+}
+
+impl Partition {
+    /// The smallest part [`partition`] hands out.
+    pub(crate) fn min_per_part(self) -> usize {
+        match self {
+            Partition::Systems => 1,
+            Partition::Rows => 2,
+        }
+    }
+
+    /// What one part is called: `"shard"` or `"chunk"`.
+    pub(crate) fn part(self) -> &'static str {
+        match self {
+            Partition::Systems => "shard",
+            Partition::Rows => "chunk",
+        }
+    }
+
+    /// `(item, whole, dimension)`: what is partitioned, and where.
+    fn nouns(self) -> (&'static str, &'static str, &'static str) {
+        match self {
+            Partition::Systems => ("system", "batch", "m"),
+            Partition::Rows => ("row", "system", "n"),
+        }
+    }
+}
+
+/// Contiguous, balanced partition of `total` items across `d` devices
+/// with a minimum per part of 1 system ([`Partition::Systems`]) or 2
+/// rows ([`Partition::Rows`]): part `i` gets `total / d` items plus one
+/// of the first `total % d` remainders, so part sizes differ by at most
+/// 1 and every index lands in exactly one part, in order. Returns
+/// `(start, count)` per part.
 ///
-/// Fails with [`SimError::InvalidPlan`] when `d == 0`, `m == 0`, or
-/// `m < d` (a device would receive an empty shard).
-pub fn partition_systems(m: usize, d: usize) -> Result<Vec<(usize, usize)>> {
+/// Fails with [`SimError::InvalidPlan`] when `d == 0`, `total == 0`,
+/// or `total` is below `d` times the minimum (a part would be too
+/// small).
+pub fn partition(total: usize, d: usize, of: Partition) -> Result<Vec<(usize, usize)>> {
     if d == 0 {
         return Err(SimError::InvalidPlan("device group is empty".into()));
     }
-    if m == 0 {
+    if total == 0 {
         return Err(SimError::InvalidPlan(
-            "cannot shard an empty batch (m = 0)".into(),
+            match of {
+                Partition::Systems => "cannot shard an empty batch (m = 0)",
+                Partition::Rows => "cannot split an empty system (n = 0)",
+            }
+            .into(),
         ));
     }
-    if m < d {
-        return Err(SimError::InvalidPlan(format!(
-            "cannot shard {m} system(s) across {d} devices: a device would idle"
-        )));
+    if total < d * of.min_per_part() {
+        return Err(SimError::InvalidPlan(match of {
+            Partition::Systems => format!(
+                "cannot shard {total} system(s) across {d} devices: a device would idle"
+            ),
+            Partition::Rows => format!(
+                "cannot split {total} row(s) across {d} device(s): each chunk needs at \
+                 least 2 rows for its interface pair (n >= {})",
+                2 * d
+            ),
+        }));
     }
-    let base = m / d;
-    let rem = m % d;
-    let mut shards = Vec::with_capacity(d);
+    let (base, rem) = (total / d, total % d);
     let mut start = 0usize;
-    for i in 0..d {
-        let count = base + usize::from(i < rem);
-        shards.push((start, count));
-        start += count;
+    Ok((0..d)
+        .map(|i| {
+            let count = base + usize::from(i < rem);
+            start += count;
+            (start - count, count)
+        })
+        .collect())
+}
+
+/// The one tiling check behind [`crate::verify`] and the plan-JSON
+/// validators: fed a multi-device plan's parts in device order, it
+/// reports every way they fail to tile `[0, total)` like [`partition`]
+/// would — gaps or overlaps, parts below the minimum, incomplete
+/// coverage, sizes skewed by more than 1.
+#[derive(Debug)]
+pub(crate) struct TileWalk {
+    of: Partition,
+    cursor: usize,
+    min: usize,
+    max: usize,
+}
+
+impl TileWalk {
+    pub(crate) fn new(of: Partition) -> TileWalk {
+        TileWalk {
+            of,
+            cursor: 0,
+            min: usize::MAX,
+            max: 0,
+        }
     }
-    debug_assert_eq!(start, m);
-    Ok(shards)
+
+    /// Problems with the next part, `(start, count)`.
+    pub(crate) fn part(&mut self, start: usize, count: usize) -> Vec<String> {
+        let (item, whole, _) = self.of.nouns();
+        let mut out = Vec::new();
+        if start != self.cursor {
+            out.push(format!(
+                "starts at {item} {start} but {} {item}s are covered so far \
+                 ({}s must tile the {whole} contiguously and disjointly)",
+                self.cursor,
+                self.of.part()
+            ));
+        }
+        if count < self.of.min_per_part() {
+            out.push(match self.of {
+                Partition::Systems => "owns no systems".to_string(),
+                Partition::Rows => {
+                    format!("owns {count} row(s): a chunk needs its 2-row interface pair")
+                }
+            });
+        }
+        self.cursor = start.saturating_add(count);
+        self.min = self.min.min(count);
+        self.max = self.max.max(count);
+        out
+    }
+
+    /// Problems with the whole tiling of `[0, total)` once every part
+    /// was seen (none when there were no parts).
+    pub(crate) fn finish(self, total: usize) -> Vec<String> {
+        let (item, whole, dim) = self.of.nouns();
+        let part = self.of.part();
+        let mut out = Vec::new();
+        if self.min == usize::MAX {
+            return out;
+        }
+        if self.cursor != total {
+            out.push(format!(
+                "{part}s cover [0, {}) but the {whole} has {dim} = {total} {item}s",
+                self.cursor
+            ));
+        }
+        if self.max - self.min > 1 {
+            out.push(format!(
+                "{part} sizes unbalanced: min {}, max {} (allowed skew 1)",
+                self.min, self.max
+            ));
+        }
+        out
+    }
+}
+
+/// Check the `key` array of a multi-device plan document against
+/// [`TileWalk`]: every part needs an integer `device_index` equal to
+/// its position plus integer start/count fields (`sys_*` for shards,
+/// `row_*` for chunks), and the parts must tile `[0, total)`. `each`
+/// adds a part's own checks, given its child checker and its count
+/// when that is a valid integer. Returns the listed parts.
+pub(crate) fn check_parts_json<'a>(
+    c: &mut Check<'a>,
+    key: &str,
+    of: Partition,
+    total: usize,
+    mut each: impl FnMut(&mut Check<'a>, &'a Json, Option<usize>),
+) -> &'a [Json] {
+    let parts = c.doc().get(key).and_then(Json::as_arr).unwrap_or(&[]);
+    let declared = c.doc().get("devices").and_then(Json::as_num).unwrap_or(0.0) as usize;
+    c.ensure(
+        parts.len() == declared,
+        format!("\"devices\" is {declared} but {} {key} are listed", parts.len()),
+    );
+    let prefix = match of {
+        Partition::Systems => "sys",
+        Partition::Rows => "row",
+    };
+    let (start_key, count_key) = (format!("{prefix}_start"), format!("{prefix}_count"));
+    let mut walk = TileWalk::new(of);
+    for (i, part) in parts.iter().enumerate() {
+        let mut pc = c.child(part, format!("{key}[{i}] "));
+        pc.req_str("device");
+        let int = |k: &str| {
+            part.get(k)
+                .and_then(Json::as_num)
+                .filter(|v| *v >= 0.0 && v.fract() == 0.0)
+                .map(|v| v as usize)
+        };
+        let count = int(&count_key);
+        match (int("device_index"), int(&start_key), count) {
+            (Some(di), Some(start), Some(count)) => {
+                pc.ensure(di == i, format!("has device_index {di}"));
+                for p in walk.part(start, count) {
+                    pc.problem(p);
+                }
+            }
+            _ => pc.problem(format!(
+                "missing integer device_index/{start_key}/{count_key}"
+            )),
+        }
+        each(&mut pc, part, count);
+        c.absorb(pc);
+    }
+    for p in walk.finish(total) {
+        c.problem(p);
+    }
+    parts
 }
 
 /// One device's share of a sharded solve: which systems it owns and the
@@ -1025,7 +1203,7 @@ impl ShardedPlan {
                 shards,
             });
         }
-        let ranges = partition_systems(m, group.len())?;
+        let ranges = partition(m, group.len(), Partition::Systems)?;
         // Pin the reference's global decisions so every shard runs the
         // same pipeline on its systems (per-device clamps still apply
         // inside SolvePlan::build).
@@ -1192,90 +1370,31 @@ pub fn validate_sharded_plan_json(doc: &Json) -> Vec<String> {
         c.absorb_with("reference: ", validate_plan_json(reference));
     }
     let m = doc.get("m").and_then(Json::as_num).unwrap_or(0.0) as usize;
-    let declared = doc.get("devices").and_then(Json::as_num).unwrap_or(0.0) as usize;
-    match doc.get("shards").and_then(Json::as_arr) {
-        Some(shards) if !shards.is_empty() => {
-            c.ensure(
-                shards.len() == declared,
-                format!(
-                    "\"devices\" is {declared} but {} shards are listed",
-                    shards.len()
-                ),
-            );
-            let mut cursor = 0usize;
-            let mut min_count = usize::MAX;
-            let mut max_count = 0usize;
-            for (i, sh) in shards.iter().enumerate() {
-                let mut shc = c.child(sh, format!("shards[{i}] "));
-                shc.req_str("device");
-                let num = |key: &str| sh.get(key).and_then(Json::as_num);
-                match (num("device_index"), num("sys_start"), num("sys_count")) {
-                    (Some(di), Some(start), Some(count))
-                        if di.fract() == 0.0 && start.fract() == 0.0 && count.fract() == 0.0 =>
-                    {
-                        shc.ensure(di as usize == i, format!("has device_index {di}"));
-                        shc.ensure(
-                            start as usize == cursor,
-                            format!(
-                                "starts at {start}, expected {cursor} \
-                                 (shards must tile the batch contiguously)"
-                            ),
-                        );
-                        shc.ensure(count >= 1.0, "owns no systems");
-                        cursor = start as usize + count as usize;
-                        min_count = min_count.min(count as usize);
-                        max_count = max_count.max(count as usize);
-                    }
-                    _ => shc.problem("missing integer device_index/sys_start/sys_count"),
-                }
-                match sh.get("plan") {
-                    Some(plan) => {
-                        shc.absorb_with("plan: ", validate_plan_json(plan));
-                        // The embedded plan must solve exactly the
-                        // systems the shard owns, on the same geometry.
-                        let plan_num = |key: &str| plan.get(key).and_then(Json::as_num);
-                        if let (Some(pm), Some(count)) =
-                            (plan_num("m"), sh.get("sys_count").and_then(Json::as_num))
-                        {
-                            shc.ensure(
-                                pm == count,
-                                format!(
-                                    "plan solves m = {pm} but the shard owns \
-                                     {count} system(s)"
-                                ),
-                            );
-                        }
-                        for key in ["n", "elem_bytes"] {
-                            if let (Some(pv), Some(tv)) =
-                                (plan_num(key), doc.get(key).and_then(Json::as_num))
-                            {
-                                shc.ensure(
-                                    pv == tv,
-                                    format!(
-                                        "plan has {key} = {pv} but the batch \
-                                         has {key} = {tv}"
-                                    ),
-                                );
-                            }
-                        }
-                    }
-                    None => shc.problem("missing object field \"plan\""),
-                }
-                c.absorb(shc);
-            }
-            c.ensure(
-                cursor == m,
-                format!("shards cover [0, {cursor}) but the batch has m = {m} systems"),
-            );
-            c.ensure(
-                max_count == 0 || max_count - min_count <= 1,
-                format!(
-                    "shard sizes unbalanced: min {min_count}, max {max_count} (allowed skew 1)"
-                ),
+    let shards = check_parts_json(&mut c, "shards", Partition::Systems, m, |shc, sh, count| {
+        let Some(plan) = sh.get("plan") else {
+            return shc.problem("missing object field \"plan\"");
+        };
+        shc.absorb_with("plan: ", validate_plan_json(plan));
+        // The embedded plan must solve exactly the systems the shard
+        // owns, on the same geometry.
+        let plan_num = |key: &str| plan.get(key).and_then(Json::as_num);
+        if let (Some(pm), Some(count)) = (plan_num("m"), count) {
+            shc.ensure(
+                pm == count as f64,
+                format!("plan solves m = {pm} but the shard owns {count} system(s)"),
             );
         }
-        Some(_) => c.problem("\"shards\" is empty"),
-        None => c.problem("missing array field \"shards\""),
+        for key in ["n", "elem_bytes"] {
+            if let (Some(pv), Some(tv)) = (plan_num(key), doc.get(key).and_then(Json::as_num)) {
+                shc.ensure(
+                    pv == tv,
+                    format!("plan has {key} = {pv} but the batch has {key} = {tv}"),
+                );
+            }
+        }
+    });
+    if shards.is_empty() {
+        c.problem("no shards are listed");
     }
     c.finish()
 }
@@ -1776,30 +1895,35 @@ mod tests {
     }
 
     #[test]
-    fn partition_covers_balanced_contiguously() {
-        for (m, d) in [(10usize, 3usize), (8, 4), (7, 2), (5, 5), (64, 4)] {
-            let shards = partition_systems(m, d).unwrap();
-            assert_eq!(shards.len(), d);
-            let mut cursor = 0;
-            for &(start, count) in &shards {
-                assert_eq!(start, cursor, "m={m} d={d}");
-                assert!(count >= 1);
-                cursor += count;
+    fn partition_balances_and_enforces_the_minimum_per_part() {
+        let parts = partition(10, 3, Partition::Systems).unwrap();
+        assert_eq!(parts, vec![(0, 4), (4, 3), (7, 3)]);
+        assert_eq!(partition(10, 3, Partition::Rows).unwrap(), parts);
+        assert_eq!(partition(5, 1, Partition::Systems).unwrap(), vec![(0, 5)]);
+        // 5 systems fill 5 shards; 5 rows cannot give 3 chunks 2 each.
+        assert!(partition(5, 5, Partition::Systems).is_ok());
+        assert!(partition(5, 3, Partition::Rows).is_err());
+        for of in [Partition::Systems, Partition::Rows] {
+            for (total, d) in [(0usize, 2usize), (4, 0), (3, 4), (0, 0)] {
+                let err = partition(total, d, of).unwrap_err();
+                assert!(matches!(err, SimError::InvalidPlan(_)), "{of:?} {total}/{d}");
             }
-            assert_eq!(cursor, m, "m={m} d={d}");
-            let min = shards.iter().map(|s| s.1).min().unwrap();
-            let max = shards.iter().map(|s| s.1).max().unwrap();
-            assert!(max - min <= 1, "m={m} d={d}: skew {min}..{max}");
         }
     }
 
     #[test]
-    fn partition_degenerate_cases_are_typed_errors() {
-        for (m, d) in [(0usize, 2usize), (4, 0), (3, 4), (0, 0)] {
-            let err = partition_systems(m, d).unwrap_err();
-            assert!(matches!(err, SimError::InvalidPlan(_)), "m={m} d={d}");
-        }
-        assert_eq!(partition_systems(5, 1).unwrap(), vec![(0, 5)]);
+    fn tile_walk_reports_gaps_small_parts_coverage_and_skew() {
+        let mut walk = TileWalk::new(Partition::Rows);
+        assert!(walk.part(0, 4).is_empty());
+        let problems = walk.part(5, 1);
+        assert_eq!(problems.len(), 2, "{problems:?}");
+        assert!(problems[0].contains("starts at row 5"), "{problems:?}");
+        assert!(problems[1].contains("interface pair"), "{problems:?}");
+        let problems = walk.finish(8);
+        assert_eq!(problems.len(), 2, "{problems:?}");
+        assert!(problems[0].contains("chunks cover [0, 6)"), "{problems:?}");
+        assert!(problems[1].contains("unbalanced"), "{problems:?}");
+        assert!(TileWalk::new(Partition::Systems).finish(3).is_empty());
     }
 
     #[test]

@@ -25,17 +25,20 @@
 //!    prefixed `dev{i}: `) and exact per-shard counter totals into
 //!    [`GpuSolveReport::shards`].
 //!
-//! A one-shard plan short-circuits to a plain [`PlanExecutor::run`] on
+//! Steps 2, 3, 5 and 6 are the multi-device core
+//! (`multi_device`) the distributed executor shares. A
+//! one-shard plan short-circuits to a plain [`PlanExecutor::run`] on
 //! the primary device: `D == 1` *is* the single-device path, byte for
 //! byte.
 
 use crate::buffers::GpuScalar;
 use crate::executor::PlanExecutor;
-use crate::plan::{ShardedPlan, Step};
+use crate::multi_device::{
+    counter_totals, device_track, fan_out, group_trace, replay_plan, Launch, Merged,
+};
+use crate::plan::{Partition, ShardedPlan};
 use crate::solver::{GpuSolveReport, ShardSummary};
-use gpu_sim::group::copy_us;
-use gpu_sim::trace::Trace;
-use gpu_sim::{DeviceGroup, ExecConfig, GroupTimeline, Json, Result, SimError, StreamOp};
+use gpu_sim::{DeviceGroup, ExecConfig, GroupTimeline, Json, Result, SimError};
 use tridiag_core::SystemBatch;
 
 /// Drives a [`ShardedPlan`] across a [`DeviceGroup`], one thread per
@@ -44,15 +47,6 @@ use tridiag_core::SystemBatch;
 pub struct ShardedExecutor {
     group: DeviceGroup,
     exec: ExecConfig,
-}
-
-/// What one shard's worker thread hands back.
-struct ShardRun<S> {
-    x: Vec<S>,
-    report: GpuSolveReport,
-    flops: u64,
-    global_transactions: u64,
-    global_bytes: u64,
 }
 
 impl ShardedExecutor {
@@ -71,8 +65,9 @@ impl ShardedExecutor {
     /// solutions in the batch's layout plus the merged report.
     ///
     /// Fails with [`SimError::InvalidPlan`] when the batch does not
-    /// match the plan's geometry/width or the plan was built for a
-    /// different device count; any shard failure (including a worker
+    /// match the plan's geometry/width or the plan fails static
+    /// verification against this group (including a plan built for a
+    /// different device count); any shard failure (including a worker
     /// panic, reported as [`SimError::KernelFault`]) aborts the whole
     /// solve.
     pub fn run<S: GpuScalar + Send + Sync>(
@@ -96,23 +91,10 @@ impl ShardedExecutor {
                 plan.elem_bytes
             )));
         }
-        if plan.shards.len() != self.group.len() {
-            return Err(SimError::InvalidPlan(format!(
-                "sharded plan has {} shard(s) but the group has {} device(s)",
-                plan.shards.len(),
-                self.group.len()
-            )));
-        }
         // Cross-device static verification gates execution: partition
         // coverage, pinned-decision consistency, and every shard's own
         // certificate against its device.
-        let sharded_verify = crate::verify::verify_sharded_plan(&self.group, plan);
-        if !sharded_verify.is_clean() {
-            return Err(SimError::InvalidPlan(format!(
-                "sharded plan failed static verification: {}",
-                sharded_verify.messages().join("; ")
-            )));
-        }
+        crate::verify::verify_sharded_plan(&self.group, plan).into_result()?;
         if plan.shards.len() == 1 {
             // D == 1 is the identity: the shard plan *is* the reference
             // plan, and this is exactly the single-device path.
@@ -138,69 +120,20 @@ impl ShardedExecutor {
             })?);
         }
 
-        // One worker thread per shard, each with a private executor
-        // against its own device spec. Joining captures panics instead
-        // of propagating them.
-        let exec = self.exec;
-        let group = &self.group;
-        let joined: Vec<Result<ShardRun<S>>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = plan
-                .shards
-                .iter()
-                .zip(&subs)
-                .map(|(sh, sub)| {
-                    let spec = group.devices()[sh.device_index].clone();
-                    scope.spawn(move |_| -> Result<ShardRun<S>> {
-                        let mut ex = PlanExecutor::new(spec, exec);
-                        let (x, report) = ex.run(&sh.plan, sub)?;
-                        Ok(ShardRun {
-                            x,
-                            report,
-                            flops: ex.stats.iter().map(|s| s.total.flops).sum(),
-                            global_transactions: ex
-                                .stats
-                                .iter()
-                                .map(|s| s.total.global_transactions())
-                                .sum(),
-                            global_bytes: ex.stats.iter().map(|s| s.total.global_bytes()).sum(),
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(SimError::KernelFault("shard worker thread panicked".into()))
-                    })
-                })
-                .collect()
-        })
-        .unwrap_or_else(|_| {
-            vec![Err(SimError::KernelFault(
-                "shard worker thread panicked".into(),
-            ))]
-        });
-
-        // First fault by device index wins (deterministic); the other
-        // shards' partial solutions are dropped here with `joined`.
-        let mut runs = Vec::with_capacity(joined.len());
-        for (d, r) in joined.into_iter().enumerate() {
-            match r {
-                Ok(run) => runs.push(run),
-                Err(SimError::KernelFault(msg)) => {
-                    return Err(SimError::KernelFault(format!("shard {d}: {msg}")))
-                }
-                Err(other) => return Err(other),
-            }
-        }
+        // One worker per shard, each with a private executor against
+        // its own device spec.
+        let runs = fan_out("shard", plan.shards.len(), |d| {
+            let mut ex = PlanExecutor::new(self.group.devices()[d].clone(), self.exec);
+            let (x, report) = ex.run(&plan.shards[d].plan, &subs[d])?;
+            Ok((x, report, counter_totals(&ex)))
+        })?;
 
         // Scatter-merge the shard solutions into the caller's layout.
         let mut out = vec![S::ZERO; batch.total_len()];
-        for (sh, (sub, run)) in plan.shards.iter().zip(subs.iter().zip(&runs)) {
+        for (sh, (sub, (x, _, _))) in plan.shards.iter().zip(subs.iter().zip(&runs)) {
             for local in 0..sh.sys_count {
                 for row in 0..plan.n {
-                    out[batch.index(sh.sys_start + local, row)] = run.x[sub.index(local, row)];
+                    out[batch.index(sh.sys_start + local, row)] = x[sub.index(local, row)];
                 }
             }
         }
@@ -208,43 +141,10 @@ impl ShardedExecutor {
         // Replay each shard's plan onto its device's in-order stream:
         // uploads, launches (modeled kernel time), the download.
         let mut timeline = GroupTimeline::new(&self.group);
-        for (sh, run) in plan.shards.iter().zip(&runs) {
+        for (sh, (_, report, _)) in plan.shards.iter().zip(&runs) {
             let stream = timeline.stream_mut(sh.device_index);
-            let mut kernel_idx = 0usize;
-            for step in &sh.plan.steps {
-                match step {
-                    Step::Upload { slot, source } => {
-                        let bytes = sh.plan.buffers[*slot].elems * sh.plan.elem_bytes;
-                        stream.record(
-                            StreamOp::CopyH2D,
-                            format!("h2d:{}", source.label()),
-                            copy_us(bytes),
-                            bytes,
-                        );
-                    }
-                    Step::Launch(ls) => {
-                        let kr = run.report.kernels.get(kernel_idx).ok_or_else(|| {
-                            SimError::InvalidPlan(
-                                "shard report is missing a kernel launch".into(),
-                            )
-                        })?;
-                        stream.record(StreamOp::Launch, ls.name, kr.timing.total_us, 0);
-                        kernel_idx += 1;
-                    }
-                    Step::Download { slot } => {
-                        let bytes = sh.plan.buffers[*slot].elems * sh.plan.elem_bytes;
-                        stream.record(
-                            StreamOp::CopyD2H,
-                            format!("d2h:{}", sh.plan.buffers[*slot].name),
-                            copy_us(bytes),
-                            bytes,
-                        );
-                    }
-                    _ => {}
-                }
-            }
+            replay_plan(stream, &sh.plan, &report.kernels, "", "shard")?;
         }
-        let wall_clock = timeline.wall_clock_us();
         // Kernel-only wall-clock: comparable with a single-device
         // report's total_us, which never includes copies either.
         let kernel_wall = timeline.kernel_wall_clock_us();
@@ -252,43 +152,17 @@ impl ShardedExecutor {
         // Merged Chrome trace: one track (tid) per device; phase
         // children keep their bit-exact durations, offset onto the
         // device's stream timeline.
-        let mut trace = Trace::new(format!(
-            "tridiag sharded solve on {}",
-            self.group.label()
-        ));
-        trace.span(
-            "sharded_solve",
-            "solver",
-            0,
-            0.0,
-            wall_clock,
+        let mut trace = group_trace(
+            "sharded",
+            &self.group,
+            &timeline,
             vec![
                 ("m".into(), Json::num(plan.m as f64)),
                 ("n".into(), Json::num(plan.n as f64)),
                 ("precision".into(), Json::str(plan.precision)),
-                ("devices".into(), Json::num(plan.shards.len() as f64)),
-                ("kernel_wall_us".into(), Json::num(kernel_wall)),
-                ("serialized_us".into(), Json::num(timeline.serialized_us())),
             ],
-        );
-        trace.instant(
-            "partition",
-            "solver",
-            0,
-            0.0,
-            vec![
-                ("devices".into(), Json::num(plan.shards.len() as f64)),
-                (
-                    "shards".into(),
-                    Json::str(
-                        plan.shards
-                            .iter()
-                            .map(|sh| format!("{}:{}", sh.device_index, sh.sys_count))
-                            .collect::<Vec<_>>()
-                            .join("+"),
-                    ),
-                ),
-            ],
+            Partition::Systems,
+            plan.shards.iter().map(|sh| (sh.device_index, sh.sys_count)),
         );
         trace.instant(
             "transition_rule",
@@ -313,139 +187,42 @@ impl ShardedExecutor {
                 ("fused".into(), Json::Bool(plan.reference.fused)),
             ],
         );
-        for (sh, run) in plan.shards.iter().zip(&runs) {
-            let tid = sh.device_index as u32;
-            let stream = &timeline.streams()[sh.device_index];
-            let mut kernels = run.report.kernels.iter();
-            for ev in &stream.events {
-                match ev.op {
-                    StreamOp::CopyH2D | StreamOp::CopyD2H => {
-                        trace.span(
-                            ev.name.clone(),
-                            "copy",
-                            tid,
-                            ev.start_us,
-                            ev.dur_us,
-                            vec![("bytes".into(), Json::num(ev.bytes as f64))],
-                        );
-                    }
-                    StreamOp::Launch => {
-                        let kr = kernels.next().expect("one report per launch event");
-                        let t = &kr.timing;
-                        trace.span(
-                            format!("kernel:{}", t.name),
-                            "kernel",
-                            tid,
-                            ev.start_us,
-                            t.total_us,
-                            vec![
-                                ("blocks".into(), Json::num(kr.blocks as f64)),
-                                ("bound".into(), Json::str(format!("{:?}", t.bound))),
-                                ("occupancy".into(), Json::num(t.occupancy_fraction)),
-                                ("waves".into(), Json::num(t.waves)),
-                            ],
-                        );
-                        trace.span(
-                            "launch_overhead",
-                            "kernel",
-                            tid,
-                            ev.start_us,
-                            t.launch_us,
-                            Vec::new(),
-                        );
-                        let mut at = ev.start_us + t.launch_us;
-                        for ph in &t.phases {
-                            trace.span(
-                                format!("phase:{}", ph.label),
-                                "phase",
-                                tid,
-                                at,
-                                ph.us,
-                                vec![
-                                    ("bound".into(), Json::str(format!("{:?}", ph.bound))),
-                                    ("flops".into(), Json::num(ph.stats.flops as f64)),
-                                    (
-                                        "global_bytes".into(),
-                                        Json::num(ph.stats.global_bytes() as f64),
-                                    ),
-                                    (
-                                        "transactions".into(),
-                                        Json::num(ph.stats.global_transactions() as f64),
-                                    ),
-                                ],
-                            );
-                            at += ph.us;
-                        }
-                    }
-                }
-            }
-        }
 
         // Merge the per-shard artifacts into one report.
-        let mut kernels = Vec::new();
-        let mut violations = Vec::new();
-        let mut lints = Vec::new();
-        let mut lint_mismatches = Vec::new();
-        let mut phase_sum_mismatches = Vec::new();
-        let mut verify_mismatches = Vec::new();
+        let mut merged = Merged::default();
         let mut summaries = Vec::with_capacity(runs.len());
-        for (sh, run) in plan.shards.iter().zip(&runs) {
+        for (sh, (_, report, totals)) in plan.shards.iter().zip(&runs) {
             let d = sh.device_index;
+            let stream = &timeline.streams()[d];
+            device_track(
+                &mut trace,
+                d as u32,
+                stream,
+                report.kernels.iter().map(Launch::Kernel).collect(),
+            )?;
+            let (flops, global_transactions, global_bytes) = *totals;
             summaries.push(ShardSummary {
                 device: sh.plan.device,
                 device_index: d,
                 sys_start: sh.sys_start,
                 sys_count: sh.sys_count,
                 k: sh.plan.k,
-                kernel_us: run.report.total_us,
-                completion_us: timeline.streams()[d].completion_us(),
-                flops: run.flops,
-                global_transactions: run.global_transactions,
-                global_bytes: run.global_bytes,
+                kernel_us: report.total_us,
+                completion_us: stream.completion_us(),
+                flops,
+                global_transactions,
+                global_bytes,
             });
-            kernels.extend(run.report.kernels.iter().cloned());
-            violations.extend(run.report.violations.iter().cloned());
-            lints.extend(run.report.lints.iter().cloned());
-            lint_mismatches.extend(
-                run.report
-                    .lint_mismatches
-                    .iter()
-                    .map(|s| format!("dev{d}: {s}")),
-            );
-            phase_sum_mismatches.extend(
-                run.report
-                    .phase_sum_mismatches
-                    .iter()
-                    .map(|s| format!("dev{d}: {s}")),
-            );
-            verify_mismatches.extend(
-                run.report
-                    .verify_mismatches
-                    .iter()
-                    .map(|s| format!("dev{d}: {s}")),
-            );
+            merged.absorb(&format!("dev{d}"), report);
         }
-        let report = GpuSolveReport {
-            k: plan.reference.k,
-            mapping: plan.reference.mapping,
-            fused: plan.reference.fused,
-            kernels,
-            total_us: kernel_wall,
-            precision: plan.reference.precision,
-            violations,
-            lints,
-            lint_mismatches,
-            phase_sum_mismatches,
-            // The merged report carries the reference plan, so its
-            // certificate is the reference plan's on the primary device;
-            // per-shard prediction mismatches merge dev-prefixed.
-            verify: crate::verify::verify_plan(self.group.primary(), &plan.reference),
-            verify_mismatches,
+        let report = merged.into_report(
+            self.group.primary(),
+            &plan.reference,
+            kernel_wall,
             trace,
-            plan: plan.reference.clone(),
-            shards: summaries,
-            distributed: None,
-        };
+            summaries,
+            None,
+        );
         Ok((out, report))
     }
 }

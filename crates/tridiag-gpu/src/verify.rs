@@ -35,15 +35,18 @@
 //! step, peak resident bytes, launch counts per kernel — that
 //! [`crate::executor::PlanExecutor`] cross-checks **exactly** against
 //! the stats of the real run (mirroring the access-plan lint's
-//! "predicted == measured" discipline). [`verify_sharded_plan`] extends
-//! all of this across devices: every shard is verified against *its*
-//! device, plus the cross-device invariants (contiguous disjoint
-//! partition coverage, balance, pinned `k`/mapping/fused consistency
-//! on same-model devices).
+//! "predicted == measured" discipline). [`verify_sharded_plan`] and
+//! [`verify_distributed_plan`] extend all of this across devices, both
+//! into one [`GroupVerifyReport`]: every embedded plan is verified
+//! against *its* device, plus the cross-device invariants one shared
+//! checker enforces (one part per device, contiguous disjoint balanced
+//! coverage, per-part geometry) and each plan kind's own (pinned
+//! `k`/mapping/fused/layout for shards; interface exchange and the
+//! reduced system for chunks).
 
 use crate::distributed::DistributedPlan;
-use crate::plan::{ShardedPlan, Slot, SolvePlan, Step};
-use gpu_sim::{DeviceGroup, DeviceSpec, Json};
+use crate::plan::{Partition, ShardedPlan, Slot, SolvePlan, Step, TileWalk};
+use gpu_sim::{DeviceGroup, DeviceSpec, Json, Result, SimError};
 use std::fmt;
 
 /// Diagnostic class of a [`PlanFinding`] — the negative suite proves
@@ -385,65 +388,97 @@ impl fmt::Display for VerifyReport {
     }
 }
 
-/// Result of verifying a [`ShardedPlan`]: the cross-device findings
-/// plus one [`VerifyReport`] per shard (against that shard's device).
+/// Result of verifying a multi-device plan — a [`ShardedPlan`] or a
+/// [`DistributedPlan`]: the cross-device findings plus one labelled
+/// [`VerifyReport`] per embedded single-device plan, each certified
+/// against the device it runs on.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardedVerifyReport {
-    /// Cross-device findings (partition/consistency), shard-attributed
-    /// where possible.
+pub struct GroupVerifyReport {
+    /// What was verified: `"sharded"` or `"distributed"`.
+    pub kind: &'static str,
+    /// Cross-device findings (partition, consistency, interface
+    /// dataflow, reduced-system geometry), attributed to a shard or
+    /// chunk where possible.
     pub findings: Vec<PlanFinding>,
-    /// Per-shard verification, in device order.
-    pub shards: Vec<VerifyReport>,
+    /// `(label, report)` per embedded plan, in device order: `shard i`
+    /// per shard; `chunk i` per interior plan then `reduced`; or
+    /// `identity` alone on the distributed `D == 1` path.
+    pub plans: Vec<(String, VerifyReport)>,
 }
 
-impl ShardedVerifyReport {
-    /// `true` when there are no cross-device findings and every shard
-    /// is clean.
+impl GroupVerifyReport {
+    /// `true` when there are no cross-device findings and every
+    /// embedded plan is clean.
     pub fn is_clean(&self) -> bool {
-        self.findings.is_empty() && self.shards.iter().all(VerifyReport::is_clean)
+        self.findings.is_empty() && self.plans.iter().all(|(_, r)| r.is_clean())
     }
 
-    /// Every finding as a display string, shard-prefixed.
+    /// Every finding as a display string, embedded-plan findings
+    /// prefixed with the plan's label.
     pub fn messages(&self) -> Vec<String> {
         let mut out: Vec<String> = self.findings.iter().map(|f| f.to_string()).collect();
-        for (i, sh) in self.shards.iter().enumerate() {
-            out.extend(sh.findings.iter().map(|f| format!("shard {i}: {f}")));
+        for (label, r) in &self.plans {
+            out.extend(r.findings.iter().map(|f| format!("{label}: {f}")));
         }
         out
+    }
+
+    /// `Ok` when clean, else [`SimError::InvalidPlan`] listing every
+    /// finding — the gate both multi-device executors apply before
+    /// anything runs.
+    pub fn into_result(self) -> Result<()> {
+        if self.is_clean() {
+            return Ok(());
+        }
+        Err(SimError::InvalidPlan(format!(
+            "{} plan failed static verification: {}",
+            self.kind,
+            self.messages().join("; ")
+        )))
     }
 
     /// Serialize as a JSON object.
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
+            ("kind".into(), Json::str(self.kind)),
             ("clean".into(), Json::Bool(self.is_clean())),
             (
                 "findings".into(),
                 Json::Arr(self.findings.iter().map(finding_json).collect()),
             ),
             (
-                "shards".into(),
-                Json::Arr(self.shards.iter().map(VerifyReport::to_json).collect()),
+                "plans".into(),
+                Json::Arr(
+                    self.plans
+                        .iter()
+                        .map(|(label, r)| {
+                            Json::Obj(vec![
+                                ("label".into(), Json::str(label.clone())),
+                                ("report".into(), r.to_json()),
+                            ])
+                        })
+                        .collect(),
+                ),
             ),
         ])
     }
 }
 
-impl fmt::Display for ShardedVerifyReport {
+impl fmt::Display for GroupVerifyReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_clean() {
-            write!(f, "verify sharded: clean across {} shard(s)", self.shards.len())?;
-            for sh in &self.shards {
-                write!(f, "\n  {sh}")?;
+            write!(f, "verify {}: clean across {} plan(s)", self.kind, self.plans.len())?;
+            for (label, r) in &self.plans {
+                write!(f, "\n  {label}: {r}")?;
             }
-            Ok(())
         } else {
             let msgs = self.messages();
-            write!(f, "verify sharded: {} finding(s)", msgs.len())?;
+            write!(f, "verify {}: {} finding(s)", self.kind, msgs.len())?;
             for m in &msgs {
                 write!(f, "\n  {m}")?;
             }
-            Ok(())
         }
+        Ok(())
     }
 }
 
@@ -876,390 +911,263 @@ pub fn verify_plan(spec: &DeviceSpec, plan: &SolvePlan) -> VerifyReport {
     }
 }
 
-/// Statically verify a [`ShardedPlan`] against its [`DeviceGroup`]:
-/// every shard against its own device, plus the cross-device
-/// invariants — shards tile `[0, m)` contiguously, disjointly, and
-/// balanced (skew ≤ 1); geometry (`n`, scalar width) matches the
-/// batch; the pinned reference decisions hold (a shard on the same
-/// device model as the reference must keep `k`/mapping/fused exactly;
-/// any shard's `k` may only clamp *down* from the reference).
-pub fn verify_sharded_plan(group: &DeviceGroup, plan: &ShardedPlan) -> ShardedVerifyReport {
-    let mut findings: Vec<PlanFinding> = Vec::new();
-    let push = |findings: &mut Vec<PlanFinding>,
-                    kind: FindingKind,
-                    shard: Option<usize>,
-                    message: String| {
-        findings.push(PlanFinding {
-            kind,
-            step: None,
-            shard,
-            chunk: None,
-            message,
-        });
-    };
-
-    if plan.shards.is_empty() {
-        push(
-            &mut findings,
-            FindingKind::ShardPartition,
-            None,
-            "sharded plan has no shards".into(),
-        );
+/// Attribute `f` to part `part` of a plan partitioned as `of`: a shard
+/// or a chunk.
+fn attribute(f: &mut PlanFinding, of: Partition, part: Option<usize>) {
+    match of {
+        Partition::Systems => f.shard = part,
+        Partition::Rows => f.chunk = part,
     }
-    if plan.shards.len() != group.len() {
+}
+
+/// A cross-device finding of `kind`, attributed to part `part`.
+fn group_finding(
+    kind: FindingKind,
+    of: Partition,
+    part: Option<usize>,
+    message: String,
+) -> PlanFinding {
+    let mut f = PlanFinding {
+        kind,
+        step: None,
+        shard: None,
+        chunk: None,
+        message,
+    };
+    attribute(&mut f, of, part);
+    f
+}
+
+/// The partition and consistency classes for parts partitioned as `of`.
+fn part_kinds(of: Partition) -> (FindingKind, FindingKind) {
+    match of {
+        Partition::Systems => (FindingKind::ShardPartition, FindingKind::ShardConsistency),
+        Partition::Rows => (FindingKind::ChunkPartition, FindingKind::ChunkConsistency),
+    }
+}
+
+/// One part of a multi-device plan as [`check_parts`] sees it.
+struct Part<'a> {
+    device_index: usize,
+    start: usize,
+    count: usize,
+    /// The part's single-device plan, if it has one.
+    plan: Option<&'a SolvePlan>,
+    /// The `(m, n)` that plan must solve.
+    need: (usize, usize),
+}
+
+/// The tiling-and-consistency check every multi-device plan shares:
+/// one part per device of `group`, in device order; the parts tile
+/// `[0, total)` the way [`crate::plan::partition`] does; and each
+/// embedded plan solves its part's geometry at `elem_bytes` for the
+/// device it runs on and certifies clean there (which covers
+/// per-device peak memory).
+/// Cross-device findings are appended to `findings`; returns one
+/// labelled report per embedded plan.
+fn check_parts(
+    group: &DeviceGroup,
+    of: Partition,
+    total: usize,
+    elem_bytes: usize,
+    parts: &[Part<'_>],
+    findings: &mut Vec<PlanFinding>,
+) -> Vec<(String, VerifyReport)> {
+    let (partition_kind, consistency) = part_kinds(of);
+    let name = of.part();
+    let mut push = |kind, part, message| findings.push(group_finding(kind, of, part, message));
+    if parts.is_empty() {
+        push(partition_kind, None, format!("plan has no {name}s"));
+    }
+    if parts.len() != group.len() {
         push(
-            &mut findings,
-            FindingKind::ShardConsistency,
+            consistency,
             None,
             format!(
-                "plan has {} shard(s) but the group has {} device(s)",
-                plan.shards.len(),
+                "plan has {} {name}(s) but the group has {} device(s)",
+                parts.len(),
                 group.len()
             ),
         );
     }
-    if plan.reference.device != group.primary().name {
-        push(
-            &mut findings,
-            FindingKind::ShardConsistency,
+    let mut walk = TileWalk::new(of);
+    let mut reports = Vec::new();
+    for (i, p) in parts.iter().enumerate() {
+        if p.device_index != i {
+            push(
+                consistency,
+                Some(i),
+                format!(
+                    "device_index is {} ({name}s must be in device order)",
+                    p.device_index
+                ),
+            );
+        }
+        for msg in walk.part(p.start, p.count) {
+            push(partition_kind, Some(i), msg);
+        }
+        let spec = group.devices().get(p.device_index);
+        if spec.is_none() {
+            push(
+                consistency,
+                Some(i),
+                format!(
+                    "device_index {} is out of range for a {}-device group",
+                    p.device_index,
+                    group.len()
+                ),
+            );
+        }
+        let Some(plan) = p.plan else { continue };
+        if (plan.m, plan.n) != p.need {
+            push(
+                consistency,
+                Some(i),
+                format!(
+                    "{name} plan solves m = {}, n = {} but the {name} needs m = {}, n = {}",
+                    plan.m, plan.n, p.need.0, p.need.1
+                ),
+            );
+        }
+        if plan.elem_bytes != elem_bytes {
+            push(
+                consistency,
+                Some(i),
+                format!(
+                    "{name} plan is {} bytes/elem but the group plan is {elem_bytes}",
+                    plan.elem_bytes
+                ),
+            );
+        }
+        if let Some(spec) = spec.filter(|s| s.name != plan.device) {
+            push(
+                consistency,
+                Some(i),
+                format!(
+                    "{name} plan was built for {} but device {} is {}",
+                    plan.device, p.device_index, spec.name
+                ),
+            );
+        }
+        let mut report = verify_plan(spec.unwrap_or_else(|| group.primary()), plan);
+        for f in &mut report.findings {
+            attribute(f, of, Some(i));
+        }
+        reports.push((format!("{name} {i}"), report));
+    }
+    for msg in walk.finish(total) {
+        push(partition_kind, None, msg);
+    }
+    reports
+}
+
+/// Statically verify a [`ShardedPlan`] against its [`DeviceGroup`]:
+/// the shared part checks (shards tile `[0, m)` contiguously,
+/// disjointly and balanced; every shard plan solves its systems at the
+/// batch's geometry and certifies clean on its own device), plus the
+/// pinned reference decisions: the reference was planned on the
+/// primary, a shard on the same device model as the reference keeps
+/// `k`/mapping/fused/layout exactly, and any shard's `k` may only
+/// clamp *down* from the reference.
+pub fn verify_sharded_plan(group: &DeviceGroup, plan: &ShardedPlan) -> GroupVerifyReport {
+    let of = Partition::Systems;
+    let consistency = FindingKind::ShardConsistency;
+    let mut findings = Vec::new();
+    let parts: Vec<Part> = plan
+        .shards
+        .iter()
+        .map(|sh| Part {
+            device_index: sh.device_index,
+            start: sh.sys_start,
+            count: sh.sys_count,
+            plan: Some(&sh.plan),
+            need: (sh.sys_count, plan.n),
+        })
+        .collect();
+    let plans = check_parts(group, of, plan.m, plan.elem_bytes, &parts, &mut findings);
+    let r = &plan.reference;
+    if r.device != group.primary().name {
+        findings.push(group_finding(
+            consistency,
+            of,
             None,
             format!(
                 "reference plan was built for {} but the group's primary is {}",
-                plan.reference.device,
+                r.device,
                 group.primary().name
             ),
-        );
+        ));
     }
-
-    let mut cursor = 0usize;
-    let mut min_count = usize::MAX;
-    let mut max_count = 0usize;
-    let mut shards = Vec::with_capacity(plan.shards.len());
     for (i, sh) in plan.shards.iter().enumerate() {
-        if sh.device_index != i {
-            push(
-                &mut findings,
-                FindingKind::ShardConsistency,
-                Some(i),
-                format!("device_index is {} (shards must be in device order)", sh.device_index),
-            );
-        }
-        if sh.sys_start != cursor {
-            push(
-                &mut findings,
-                FindingKind::ShardPartition,
-                Some(i),
-                format!(
-                    "starts at system {} but {} systems are covered so far \
-                     (shards must tile the batch contiguously and disjointly)",
-                    sh.sys_start, cursor
-                ),
-            );
-        }
-        if sh.sys_count == 0 {
-            push(
-                &mut findings,
-                FindingKind::ShardPartition,
-                Some(i),
-                "owns no systems".into(),
-            );
-        }
-        cursor = sh.sys_start + sh.sys_count;
-        min_count = min_count.min(sh.sys_count);
-        max_count = max_count.max(sh.sys_count);
-
-        if sh.plan.m != sh.sys_count {
-            push(
-                &mut findings,
-                FindingKind::ShardConsistency,
-                Some(i),
-                format!(
-                    "shard plan solves m = {} but the shard owns {} system(s)",
-                    sh.plan.m, sh.sys_count
-                ),
-            );
-        }
-        if sh.plan.n != plan.n {
-            push(
-                &mut findings,
-                FindingKind::ShardConsistency,
-                Some(i),
-                format!("shard plan has n = {} but the batch has n = {}", sh.plan.n, plan.n),
-            );
-        }
-        if sh.plan.elem_bytes != plan.elem_bytes {
-            push(
-                &mut findings,
-                FindingKind::ShardConsistency,
-                Some(i),
-                format!(
-                    "shard plan is {} bytes/elem but the batch is {}",
-                    sh.plan.elem_bytes, plan.elem_bytes
-                ),
-            );
-        }
-        if sh.plan.k > plan.reference.k {
-            push(
-                &mut findings,
-                FindingKind::ShardConsistency,
+        let p = &sh.plan;
+        if p.k > r.k {
+            findings.push(group_finding(
+                consistency,
+                of,
                 Some(i),
                 format!(
                     "shard k = {} exceeds the pinned reference k = {} \
                      (per-device clamps may only lower k)",
-                    sh.plan.k, plan.reference.k
+                    p.k, r.k
                 ),
-            );
+            ));
         }
-
-        let spec = group
-            .devices()
-            .get(sh.device_index)
-            .unwrap_or_else(|| group.primary());
-        if group.devices().get(sh.device_index).is_none() {
-            push(
-                &mut findings,
-                FindingKind::ShardConsistency,
-                Some(i),
-                format!(
-                    "device_index {} is out of range for a {}-device group",
-                    sh.device_index,
-                    group.len()
-                ),
-            );
-        } else {
-            if sh.plan.device != spec.name {
-                push(
-                    &mut findings,
-                    FindingKind::ShardConsistency,
+        // Same device model as the reference: the pinned decisions must
+        // hold exactly (heterogeneous devices may legitimately re-clamp
+        // k down).
+        let device = group.devices().get(sh.device_index).map(|s| s.name);
+        if device != Some(r.device) {
+            continue;
+        }
+        for (what, got, pinned) in [
+            ("k", p.k.to_string(), r.k.to_string()),
+            ("mapping", format!("{:?}", p.mapping), format!("{:?}", r.mapping)),
+            ("fused", p.fused.to_string(), r.fused.to_string()),
+            ("layout", format!("{:?}", p.layout), format!("{:?}", r.layout)),
+        ] {
+            if got != pinned {
+                findings.push(group_finding(
+                    consistency,
+                    of,
                     Some(i),
                     format!(
-                        "shard plan was built for {} but device {} is {}",
-                        sh.plan.device, sh.device_index, spec.name
+                        "shard on {} has {what} = {got} but the pinned reference \
+                         {what} is {pinned}",
+                        r.device
                     ),
-                );
+                ));
             }
-            if spec.name == plan.reference.device {
-                // Same device model as the reference: the pinned
-                // decisions must hold exactly (heterogeneous devices may
-                // legitimately re-clamp k down).
-                if sh.plan.k != plan.reference.k {
-                    push(
-                        &mut findings,
-                        FindingKind::ShardConsistency,
-                        Some(i),
-                        format!(
-                            "shard on {} has k = {} but the pinned reference k is {}",
-                            spec.name, sh.plan.k, plan.reference.k
-                        ),
-                    );
-                }
-                if sh.plan.mapping != plan.reference.mapping {
-                    push(
-                        &mut findings,
-                        FindingKind::ShardConsistency,
-                        Some(i),
-                        format!(
-                            "shard on {} resolved mapping {:?} but the pinned reference \
-                             mapping is {:?}",
-                            spec.name, sh.plan.mapping, plan.reference.mapping
-                        ),
-                    );
-                }
-                if sh.plan.fused != plan.reference.fused {
-                    push(
-                        &mut findings,
-                        FindingKind::ShardConsistency,
-                        Some(i),
-                        format!(
-                            "shard on {} has fused = {} but the pinned reference fused is {}",
-                            spec.name, sh.plan.fused, plan.reference.fused
-                        ),
-                    );
-                }
-                if sh.plan.layout != plan.reference.layout {
-                    push(
-                        &mut findings,
-                        FindingKind::ShardConsistency,
-                        Some(i),
-                        format!(
-                            "shard on {} uses layout {:?} but the pinned reference \
-                             layout is {:?}",
-                            spec.name, sh.plan.layout, plan.reference.layout
-                        ),
-                    );
-                }
-            }
-        }
-
-        // Per-shard static verification against the shard's own device
-        // (covers per-device peak memory among everything else).
-        let mut report = verify_plan(spec, &sh.plan);
-        for f in &mut report.findings {
-            f.shard = Some(i);
-        }
-        shards.push(report);
-    }
-
-    if !plan.shards.is_empty() {
-        if cursor != plan.m {
-            push(
-                &mut findings,
-                FindingKind::ShardPartition,
-                None,
-                format!(
-                    "shards cover [0, {cursor}) but the batch has m = {} systems",
-                    plan.m
-                ),
-            );
-        }
-        if max_count > 0 && min_count != usize::MAX && max_count - min_count > 1 {
-            push(
-                &mut findings,
-                FindingKind::ShardPartition,
-                None,
-                format!(
-                    "shard sizes unbalanced: min {min_count}, max {max_count} (allowed skew 1)"
-                ),
-            );
         }
     }
-
-    ShardedVerifyReport { findings, shards }
-}
-
-/// Result of verifying a [`DistributedPlan`]: the cross-device findings
-/// plus one [`VerifyReport`] per chunk's interior plan (`None` for a
-/// 2-row interface-only chunk), the reduced interface plan's report,
-/// and — on the `D == 1` path — the identity plan's report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DistributedVerifyReport {
-    /// Cross-device findings (partition, consistency, interface
-    /// dataflow, reduced-system geometry), chunk-attributed where
-    /// possible.
-    pub findings: Vec<PlanFinding>,
-    /// Per-chunk interior verification, in device order.
-    pub chunks: Vec<Option<VerifyReport>>,
-    /// Reduced interface plan verification (`D > 1` only).
-    pub reduced: Option<VerifyReport>,
-    /// Identity plan verification (`D == 1` only).
-    pub identity: Option<VerifyReport>,
-}
-
-impl DistributedVerifyReport {
-    /// `true` when there are no cross-device findings and every
-    /// embedded plan report is clean.
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty()
-            && self
-                .chunks
-                .iter()
-                .flatten()
-                .all(VerifyReport::is_clean)
-            && self.reduced.as_ref().is_none_or(VerifyReport::is_clean)
-            && self.identity.as_ref().is_none_or(VerifyReport::is_clean)
-    }
-
-    /// Every finding as a display string, chunk-prefixed.
-    pub fn messages(&self) -> Vec<String> {
-        let mut out: Vec<String> = self.findings.iter().map(|f| f.to_string()).collect();
-        for (i, ch) in self.chunks.iter().enumerate() {
-            if let Some(r) = ch {
-                out.extend(r.findings.iter().map(|f| format!("chunk {i}: {f}")));
-            }
-        }
-        if let Some(r) = &self.reduced {
-            out.extend(r.findings.iter().map(|f| format!("reduced: {f}")));
-        }
-        if let Some(r) = &self.identity {
-            out.extend(r.findings.iter().map(|f| format!("identity: {f}")));
-        }
-        out
-    }
-
-    /// Serialize as a JSON object.
-    pub fn to_json(&self) -> Json {
-        let opt = |r: &Option<VerifyReport>| r.as_ref().map_or(Json::Null, VerifyReport::to_json);
-        Json::Obj(vec![
-            ("clean".into(), Json::Bool(self.is_clean())),
-            (
-                "findings".into(),
-                Json::Arr(self.findings.iter().map(finding_json).collect()),
-            ),
-            (
-                "chunks".into(),
-                Json::Arr(self.chunks.iter().map(opt).collect()),
-            ),
-            ("reduced".into(), opt(&self.reduced)),
-            ("identity".into(), opt(&self.identity)),
-        ])
-    }
-}
-
-impl fmt::Display for DistributedVerifyReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_clean() {
-            if let Some(id) = &self.identity {
-                return write!(f, "verify distributed: clean (identity path)\n  {id}");
-            }
-            write!(
-                f,
-                "verify distributed: clean across {} chunk(s)",
-                self.chunks.len()
-            )?;
-            for ch in self.chunks.iter().flatten() {
-                write!(f, "\n  {ch}")?;
-            }
-            if let Some(r) = &self.reduced {
-                write!(f, "\n  reduced: {r}")?;
-            }
-            Ok(())
-        } else {
-            let msgs = self.messages();
-            write!(f, "verify distributed: {} finding(s)", msgs.len())?;
-            for m in &msgs {
-                write!(f, "\n  {m}")?;
-            }
-            Ok(())
-        }
+    GroupVerifyReport {
+        kind: "sharded",
+        findings,
+        plans,
     }
 }
 
 /// Statically verify a [`DistributedPlan`] against its [`DeviceGroup`]:
-/// every chunk's interior plan against its own device, the reduced
-/// interface plan against the primary, plus the cross-device
-/// invariants — chunks tile `[0, n)` contiguously, disjointly, balanced
-/// (skew ≤ 1), each at least 2 rows; the interface dataflow is sound
-/// (a chunk with interior rows *must* carry an interior elimination
-/// plan, else its interface coefficients are used before being
-/// defined); the reduced system has exactly `2D` unknowns on the
-/// primary device. On the `D == 1` path the identity plan is verified
-/// and the chunk/reduced invariants are vacuous.
-pub fn verify_distributed_plan(
-    group: &DeviceGroup,
-    plan: &DistributedPlan,
-) -> DistributedVerifyReport {
-    let mut findings: Vec<PlanFinding> = Vec::new();
-    let push = |findings: &mut Vec<PlanFinding>,
-                    kind: FindingKind,
-                    chunk: Option<usize>,
-                    message: String| {
-        findings.push(PlanFinding {
-            kind,
-            step: None,
-            shard: None,
-            chunk,
-            message,
-        });
-    };
-
+/// the shared part checks (chunks tile `[0, n)` contiguously, disjointly
+/// and balanced, each at least 2 rows; every interior plan solves its
+/// chunk's interior rows and certifies clean on its own device), plus
+/// the interface dataflow — a chunk with interior rows *must* carry an
+/// interior elimination plan, else its interface coefficients are used
+/// before being defined — and the reduced system: exactly `2D`
+/// unknowns, planned and certified on the primary device. On the
+/// `D == 1` path the identity plan is verified and the chunk/reduced
+/// invariants are vacuous.
+pub fn verify_distributed_plan(group: &DeviceGroup, plan: &DistributedPlan) -> GroupVerifyReport {
+    let of = Partition::Rows;
+    let mut findings = Vec::new();
+    let mut push = |kind, part, message| findings.push(group_finding(kind, of, part, message));
     if let Some(identity) = &plan.identity {
         // D == 1 short-circuit: the identity plan must be the plain
         // single-device solve of the whole system, and the distributed
         // machinery must be absent.
+        let consistency = FindingKind::ChunkConsistency;
         if !plan.chunks.is_empty() {
             push(
-                &mut findings,
-                FindingKind::ChunkConsistency,
+                consistency,
                 None,
                 format!(
                     "identity plan present but {} chunk(s) are listed",
@@ -1269,114 +1177,37 @@ pub fn verify_distributed_plan(
         }
         if plan.reduced.is_some() {
             push(
-                &mut findings,
-                FindingKind::ChunkConsistency,
+                consistency,
                 None,
                 "identity plan present but a reduced interface plan is listed".into(),
             );
         }
-        if identity.m != 1 || identity.n != plan.n {
+        if (identity.m, identity.n, identity.elem_bytes) != (1, plan.n, plan.elem_bytes) {
             push(
-                &mut findings,
-                FindingKind::ChunkConsistency,
+                consistency,
                 None,
                 format!(
-                    "identity plan solves {}x{} but the system is 1x{}",
-                    identity.m, identity.n, plan.n
+                    "identity plan solves {}x{} at {} bytes/elem but the system is 1x{} \
+                     at {}",
+                    identity.m, identity.n, identity.elem_bytes, plan.n, plan.elem_bytes
                 ),
             );
         }
-        if identity.elem_bytes != plan.elem_bytes {
-            push(
-                &mut findings,
-                FindingKind::ChunkConsistency,
-                None,
-                format!(
-                    "identity plan is {} bytes/elem but the system is {}",
-                    identity.elem_bytes, plan.elem_bytes
-                ),
-            );
-        }
-        return DistributedVerifyReport {
+        return GroupVerifyReport {
+            kind: "distributed",
             findings,
-            chunks: Vec::new(),
-            reduced: None,
-            identity: Some(verify_plan(group.primary(), identity)),
+            plans: vec![("identity".into(), verify_plan(group.primary(), identity))],
         };
     }
 
-    if plan.chunks.is_empty() {
-        push(
-            &mut findings,
-            FindingKind::ChunkPartition,
-            None,
-            "distributed plan has no chunks and no identity plan".into(),
-        );
-    }
-    if plan.chunks.len() != group.len() {
-        push(
-            &mut findings,
-            FindingKind::ChunkConsistency,
-            None,
-            format!(
-                "plan has {} chunk(s) but the group has {} device(s)",
-                plan.chunks.len(),
-                group.len()
-            ),
-        );
-    }
-
-    let mut cursor = 0usize;
-    let mut min_count = usize::MAX;
-    let mut max_count = 0usize;
-    let mut chunks = Vec::with_capacity(plan.chunks.len());
+    // Interface dataflow: the reduced system reads each chunk's
+    // modified interface coefficients, which only exist after the
+    // interior elimination ran. A chunk with interior rows but no
+    // interior plan would feed *unmodified* coefficients to the reduced
+    // solve — use before def, across devices.
     for (i, ch) in plan.chunks.iter().enumerate() {
-        if ch.device_index != i {
-            push(
-                &mut findings,
-                FindingKind::ChunkConsistency,
-                Some(i),
-                format!(
-                    "device_index is {} (chunks must be in device order)",
-                    ch.device_index
-                ),
-            );
-        }
-        if ch.row_start != cursor {
-            push(
-                &mut findings,
-                FindingKind::ChunkPartition,
-                Some(i),
-                format!(
-                    "starts at row {} but {} rows are covered so far \
-                     (chunks must tile the system contiguously and disjointly)",
-                    ch.row_start, cursor
-                ),
-            );
-        }
-        if ch.row_count < 2 {
-            push(
-                &mut findings,
-                FindingKind::ChunkPartition,
-                Some(i),
-                format!(
-                    "owns {} row(s): a chunk needs its 2-row interface pair",
-                    ch.row_count
-                ),
-            );
-        }
-        cursor = ch.row_start + ch.row_count;
-        min_count = min_count.min(ch.row_count);
-        max_count = max_count.max(ch.row_count);
-
-        // Interface dataflow: the reduced system reads the chunk's
-        // modified interface coefficients, which only exist after the
-        // interior elimination ran. A chunk with interior rows but no
-        // interior plan would feed *unmodified* coefficients to the
-        // reduced solve — use before def, across devices.
         match (&ch.interior, ch.row_count) {
             (None, rc) if rc > 2 => push(
-                &mut findings,
                 FindingKind::InterfaceExchange,
                 Some(i),
                 format!(
@@ -1385,150 +1216,33 @@ pub fn verify_distributed_plan(
                 ),
             ),
             (Some(_), 2) => push(
-                &mut findings,
                 FindingKind::InterfaceExchange,
                 Some(i),
                 "chunk is interface-only (2 rows) but carries an interior plan".into(),
             ),
             _ => {}
         }
-
-        let spec = group
-            .devices()
-            .get(ch.device_index)
-            .unwrap_or_else(|| group.primary());
-        if group.devices().get(ch.device_index).is_none() {
-            push(
-                &mut findings,
-                FindingKind::ChunkConsistency,
-                Some(i),
-                format!(
-                    "device_index {} is out of range for a {}-device group",
-                    ch.device_index,
-                    group.len()
-                ),
-            );
-        }
-        let chunk_report = match &ch.interior {
-            Some(ip) => {
-                if ip.m != 1 {
-                    push(
-                        &mut findings,
-                        FindingKind::ChunkConsistency,
-                        Some(i),
-                        format!("interior plan solves m = {}, not 1", ip.m),
-                    );
-                }
-                if ch.row_count >= 2 && ip.n != ch.row_count - 2 {
-                    push(
-                        &mut findings,
-                        FindingKind::ChunkConsistency,
-                        Some(i),
-                        format!(
-                            "interior plan has n = {} but the chunk has {} interior row(s)",
-                            ip.n,
-                            ch.row_count - 2
-                        ),
-                    );
-                }
-                if ip.elem_bytes != plan.elem_bytes {
-                    push(
-                        &mut findings,
-                        FindingKind::ChunkConsistency,
-                        Some(i),
-                        format!(
-                            "interior plan is {} bytes/elem but the system is {}",
-                            ip.elem_bytes, plan.elem_bytes
-                        ),
-                    );
-                }
-                if ip.device != spec.name {
-                    push(
-                        &mut findings,
-                        FindingKind::ChunkConsistency,
-                        Some(i),
-                        format!(
-                            "interior plan was built for {} but device {} is {}",
-                            ip.device, ch.device_index, spec.name
-                        ),
-                    );
-                }
-                // Per-chunk static verification against the chunk's own
-                // device (covers per-device peak memory among
-                // everything else).
-                let mut report = verify_plan(spec, ip);
-                for f in &mut report.findings {
-                    f.chunk = Some(i);
-                }
-                Some(report)
-            }
-            None => None,
-        };
-        chunks.push(chunk_report);
     }
-
-    if !plan.chunks.is_empty() {
-        if cursor != plan.n {
-            push(
-                &mut findings,
-                FindingKind::ChunkPartition,
-                None,
-                format!(
-                    "chunks cover [0, {cursor}) but the system has n = {} rows",
-                    plan.n
-                ),
-            );
-        }
-        if max_count > 0 && min_count != usize::MAX && max_count - min_count > 1 {
-            push(
-                &mut findings,
-                FindingKind::ChunkPartition,
-                None,
-                format!(
-                    "chunk sizes unbalanced: min {min_count}, max {max_count} (allowed skew 1)"
-                ),
-            );
-        }
-    }
-
-    let reduced = match &plan.reduced {
+    let d = plan.chunks.len();
+    match &plan.reduced {
         Some(rp) => {
-            if rp.m != 1 {
+            if (rp.m, rp.n, rp.elem_bytes) != (1, 2 * d, plan.elem_bytes) {
                 push(
-                    &mut findings,
-                    FindingKind::ReducedSystem,
-                    None,
-                    format!("reduced plan solves m = {}, not 1", rp.m),
-                );
-            }
-            if rp.n != 2 * plan.chunks.len() {
-                push(
-                    &mut findings,
                     FindingKind::ReducedSystem,
                     None,
                     format!(
-                        "reduced plan solves n = {} but {} chunk(s) need {} \
-                         interface unknowns",
+                        "reduced plan solves {}x{} at {} bytes/elem but {d} chunk(s) \
+                         need 1x{} interface unknowns at {}",
+                        rp.m,
                         rp.n,
-                        plan.chunks.len(),
-                        2 * plan.chunks.len()
-                    ),
-                );
-            }
-            if rp.elem_bytes != plan.elem_bytes {
-                push(
-                    &mut findings,
-                    FindingKind::ReducedSystem,
-                    None,
-                    format!(
-                        "reduced plan is {} bytes/elem but the system is {}",
-                        rp.elem_bytes, plan.elem_bytes
+                        rp.elem_bytes,
+                        2 * d,
+                        plan.elem_bytes
                     ),
                 );
             }
             if rp.device != group.primary().name {
                 push(
-                    &mut findings,
                     FindingKind::ChunkConsistency,
                     None,
                     format!(
@@ -1538,24 +1252,33 @@ pub fn verify_distributed_plan(
                     ),
                 );
             }
-            Some(verify_plan(group.primary(), rp))
         }
-        None => {
-            push(
-                &mut findings,
-                FindingKind::ReducedSystem,
-                None,
-                "distributed plan has no reduced interface plan (and no identity plan)".into(),
-            );
-            None
-        }
-    };
+        None => push(
+            FindingKind::ReducedSystem,
+            None,
+            "distributed plan has no reduced interface plan (and no identity plan)".into(),
+        ),
+    }
 
-    DistributedVerifyReport {
+    let parts: Vec<Part> = plan
+        .chunks
+        .iter()
+        .map(|ch| Part {
+            device_index: ch.device_index,
+            start: ch.row_start,
+            count: ch.row_count,
+            plan: ch.interior.as_ref(),
+            need: (1, ch.row_count.saturating_sub(2)),
+        })
+        .collect();
+    let mut plans = check_parts(group, of, plan.n, plan.elem_bytes, &parts, &mut findings);
+    if let Some(rp) = &plan.reduced {
+        plans.push(("reduced".into(), verify_plan(group.primary(), rp)));
+    }
+    GroupVerifyReport {
+        kind: "distributed",
         findings,
-        chunks,
-        reduced,
-        identity: None,
+        plans,
     }
 }
 
@@ -1651,7 +1374,7 @@ mod tests {
                 ShardedPlan::build(&group, &GpuSolverConfig::default(), 64, 512, 8).unwrap();
             let report = verify_sharded_plan(&group, &sp);
             assert!(report.is_clean(), "d={d}: {report}");
-            assert_eq!(report.shards.len(), d);
+            assert_eq!(report.plans.len(), d);
         }
     }
 

@@ -17,9 +17,11 @@ use crate::kernels::fused::FusedKernel;
 use crate::kernels::p_thomas::{AddrMap, PThomasKernel};
 use crate::kernels::pcr_shared::PcrSharedKernel;
 use crate::kernels::tiled_pcr::TiledPcrKernel;
+use crate::multi_device::fan_out;
+use crate::plan::{partition, Partition};
 use gpu_sim::{
     BlockKernel, DeviceGroup, DeviceSpec, ExecConfig, GpuMemory, KernelStats, KernelTiming,
-    LaunchConfig, LintReport, Result, SimError,
+    LaunchConfig, LintReport, Result,
 };
 use tridiag_core::generators::random_batch;
 use tridiag_core::Layout;
@@ -285,47 +287,21 @@ pub fn run_zoo() -> Result<Vec<ZooEntry>> {
 /// concurrently on scoped threads, each builder against its device's
 /// spec. Entries come back flattened in canonical zoo order, so on a
 /// homogeneous group the result is identical to [`run_zoo_on`] with
-/// that spec. A worker panic surfaces as [`SimError::KernelFault`];
-/// the first failing device (by index) wins.
+/// that spec. A worker panic surfaces as
+/// [`gpu_sim::SimError::KernelFault`]; the first failing device (by
+/// index) wins.
 pub fn run_zoo_group(group: &DeviceGroup) -> Result<Vec<ZooEntry>> {
     let workers = group.len().min(BUILDERS.len());
-    let ranges = crate::plan::partition_systems(BUILDERS.len(), workers)?;
-    let joined: Vec<Result<Vec<ZooEntry>>> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .enumerate()
-            .map(|(d, &(start, count))| {
-                let spec = group.devices()[d].clone();
-                scope.spawn(move |_| -> Result<Vec<ZooEntry>> {
-                    let mut out = Vec::new();
-                    for builder in &BUILDERS[start..start + count] {
-                        builder(&spec, &mut out)?;
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|_| {
-                    Err(SimError::KernelFault("zoo worker thread panicked".into()))
-                })
-            })
-            .collect()
-    })
-    .unwrap_or_else(|_| vec![Err(SimError::KernelFault("zoo worker thread panicked".into()))]);
-    let mut out = Vec::with_capacity(18);
-    for (d, r) in joined.into_iter().enumerate() {
-        match r {
-            Ok(entries) => out.extend(entries),
-            Err(SimError::KernelFault(msg)) => {
-                return Err(SimError::KernelFault(format!("device {d}: {msg}")))
-            }
-            Err(other) => return Err(other),
+    let ranges = partition(BUILDERS.len(), workers, Partition::Systems)?;
+    let per_device = fan_out("device", ranges.len(), |d| {
+        let (start, count) = ranges[d];
+        let mut out = Vec::new();
+        for builder in &BUILDERS[start..start + count] {
+            builder(&group.devices()[d], &mut out)?;
         }
-    }
-    Ok(out)
+        Ok(out)
+    })?;
+    Ok(per_device.into_iter().flatten().collect())
 }
 
 #[cfg(test)]

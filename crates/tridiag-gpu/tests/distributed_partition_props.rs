@@ -1,6 +1,6 @@
 //! Property tests of the row partitioner and the distributed planner.
 //!
-//! The contract under test: `partition_rows(n, d)` assigns every row of
+//! The contract under test: `partition(n, d, Partition::Rows)` assigns every row of
 //! one system to exactly one contiguous chunk, chunk sizes are balanced
 //! within ±1 and never below 2 (each chunk owns two interface rows),
 //! the chunk → reduced-system index mapping is a monotone bijection,
@@ -14,7 +14,7 @@
 use gpu_sim::{DeviceGroup, DeviceSpec, SimError};
 use proptest::prelude::*;
 use tridiag_gpu::solver::GpuSolverConfig;
-use tridiag_gpu::{partition_rows, DistributedPlan};
+use tridiag_gpu::{partition, DistributedPlan, Partition};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -28,7 +28,7 @@ proptest! {
         d in 1usize..9,
     ) {
         prop_assume!(n >= 2 * d);
-        let chunks = partition_rows(n, d).unwrap();
+        let chunks = partition(n, d, Partition::Rows).unwrap();
         prop_assert_eq!(chunks.len(), d);
         let mut cursor = 0usize;
         for &(start, count) in &chunks {
@@ -52,7 +52,7 @@ proptest! {
         d in 1usize..9,
     ) {
         prop_assume!(n >= 2 * d);
-        let chunks = partition_rows(n, d).unwrap();
+        let chunks = partition(n, d, Partition::Rows).unwrap();
         // Global row behind each reduced unknown, in reduced order
         // (x_s0, x_e0, x_s1, x_e1, ...).
         let mut globals = Vec::with_capacity(2 * d);
@@ -78,7 +78,7 @@ proptest! {
     /// single-device plan.
     #[test]
     fn single_device_split_is_identity(n in 2usize..8193) {
-        prop_assert_eq!(partition_rows(n, 1).unwrap(), vec![(0, n)]);
+        prop_assert_eq!(partition(n, 1, Partition::Rows).unwrap(), vec![(0, n)]);
         let group = DeviceGroup::single(DeviceSpec::gtx480());
         let plan = DistributedPlan::build(&group, &GpuSolverConfig::default(), n, 8).unwrap();
         prop_assert!(plan.identity.is_some(), "D = 1 must be the identity path");
@@ -92,7 +92,7 @@ proptest! {
         n in 0usize..16,
         d in 0usize..9,
     ) {
-        let result = partition_rows(n, d);
+        let result = partition(n, d, Partition::Rows);
         if d == 0 || n == 0 || n < 2 * d {
             prop_assert!(matches!(result, Err(SimError::InvalidPlan(_))));
         } else {

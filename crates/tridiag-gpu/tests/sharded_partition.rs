@@ -1,6 +1,6 @@
 //! Property tests of the shard partitioner and the sharded planner.
 //!
-//! The contract under test: `partition_systems(m, d)` assigns every
+//! The contract under test: `partition(m, d, Partition::Systems)` assigns every
 //! system index to exactly one contiguous shard, shard sizes are
 //! balanced within ±1, and the degenerate geometries (`m == 0`,
 //! `m < d`, `d == 0`) are typed `InvalidPlan` errors — never panics,
@@ -11,7 +11,7 @@
 use gpu_sim::{DeviceGroup, DeviceSpec, SimError};
 use proptest::prelude::*;
 use tridiag_gpu::solver::GpuSolverConfig;
-use tridiag_gpu::{partition_systems, ShardedPlan};
+use tridiag_gpu::{partition, Partition, ShardedPlan};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -24,7 +24,7 @@ proptest! {
         d in 1usize..9,
     ) {
         prop_assume!(m >= d);
-        let shards = partition_systems(m, d).unwrap();
+        let shards = partition(m, d, Partition::Systems).unwrap();
         prop_assert_eq!(shards.len(), d);
         let mut cursor = 0usize;
         for &(start, count) in &shards {
@@ -41,7 +41,7 @@ proptest! {
     /// `d == 1` is the identity partition.
     #[test]
     fn single_device_partition_is_identity(m in 1usize..4097) {
-        prop_assert_eq!(partition_systems(m, 1).unwrap(), vec![(0, m)]);
+        prop_assert_eq!(partition(m, 1, Partition::Systems).unwrap(), vec![(0, m)]);
     }
 
     /// Degenerate geometries are typed errors, not panics.
@@ -50,7 +50,7 @@ proptest! {
         m in 0usize..8,
         d in 0usize..9,
     ) {
-        let result = partition_systems(m, d);
+        let result = partition(m, d, Partition::Systems);
         if d == 0 || m == 0 || m < d {
             prop_assert!(matches!(result, Err(SimError::InvalidPlan(_))));
         } else {

@@ -1,6 +1,7 @@
 //! Negative suite for the plan verifier: hand-corrupt a known-good
 //! plan one way per diagnostic class and demand [`verify_plan`] /
-//! [`verify_sharded_plan`] catches each with the right
+//! [`verify_sharded_plan`] / [`verify_distributed_plan`] catches each
+//! with the right
 //! [`FindingKind`] *and* the right step index — a verifier that fires
 //! without attribution is barely better than one that stays silent.
 //!
@@ -14,7 +15,10 @@ use tridiag_core::generators::random_batch;
 use tridiag_core::Layout;
 use tridiag_gpu::plan::{BufferDecl, KernelOp, Step};
 use tridiag_gpu::solver::{GpuSolverConfig, GpuTridiagSolver};
-use tridiag_gpu::{verify_plan, verify_sharded_plan, FindingKind, PlanExecutor, SolvePlan};
+use tridiag_gpu::{
+    verify_distributed_plan, verify_plan, verify_sharded_plan, DistributedPlan, FindingKind,
+    PlanExecutor, SolvePlan,
+};
 
 fn base_plan() -> (DeviceSpec, SolvePlan) {
     let device = DeviceSpec::gtx480();
@@ -232,6 +236,57 @@ fn shard_consistency_violations_fire_for_unpinned_decisions() {
     );
 }
 
+/// A 512-row system split across two GTX480s: two 256-row chunks, each
+/// with an interior plan, and a 4-unknown reduced plan.
+fn split_plan() -> (DeviceGroup, GpuTridiagSolver, DistributedPlan) {
+    let group = DeviceGroup::homogeneous(DeviceSpec::gtx480(), 2).unwrap();
+    let solver = GpuTridiagSolver::new(DeviceSpec::gtx480(), GpuSolverConfig::default());
+    let plan = solver.plan_geometry_split(&group, 512, 8).unwrap();
+    assert!(verify_distributed_plan(&group, &plan).is_clean());
+    (group, solver, plan)
+}
+
+#[test]
+fn dropped_interior_plan_fires_interface_exchange_on_its_chunk() {
+    let (group, _, mut plan) = split_plan();
+    plan.chunks[0].interior = None;
+    let report = verify_distributed_plan(&group, &plan);
+    let f = report
+        .findings
+        .iter()
+        .find(|f| f.kind == FindingKind::InterfaceExchange)
+        .expect("expected an interface-exchange finding");
+    assert_eq!(f.chunk, Some(0));
+    assert!(f.message.contains("used before being defined"), "{}", f.message);
+}
+
+#[test]
+fn gapped_chunk_partition_fires_with_chunk_attribution() {
+    let (group, _, mut plan) = split_plan();
+    plan.chunks[1].row_start += 1;
+    let report = verify_distributed_plan(&group, &plan);
+    assert!(
+        report
+            .findings
+            .iter()
+            .any(|f| f.kind == FindingKind::ChunkPartition && f.chunk == Some(1)),
+        "expected a chunk-partition finding on chunk 1: {:?}",
+        report.findings
+    );
+}
+
+#[test]
+fn wrong_size_reduced_plan_fires_reduced_system() {
+    let (group, solver, mut plan) = split_plan();
+    plan.reduced = Some(solver.plan_geometry(1, 2 * group.len() - 1, 8).unwrap());
+    let report = verify_distributed_plan(&group, &plan);
+    assert!(
+        report.findings.iter().any(|f| f.kind == FindingKind::ReducedSystem),
+        "expected a reduced-system finding: {:?}",
+        report.findings
+    );
+}
+
 /// The executor refuses to run a plan the verifier rejects — the gate
 /// is load-bearing, not advisory.
 #[test]
@@ -274,6 +329,23 @@ fn sharded_executor_refuses_an_uncertified_plan() {
         SimError::InvalidPlan(msg) => {
             assert!(msg.contains("static verification"), "unexpected error: {msg}");
             assert!(msg.contains("shard-partition"), "unexpected error: {msg}");
+        }
+        other => panic!("expected InvalidPlan, got {other:?}"),
+    }
+}
+
+/// ...and the row-split path refuses one too.
+#[test]
+fn distributed_executor_refuses_an_uncertified_plan() {
+    let (group, _, mut plan) = split_plan();
+    plan.chunks[0].interior = None;
+    let batch = random_batch::<f64>(1, 512, 7);
+    let exec = tridiag_gpu::DistributedExecutor::new(group, ExecConfig::default());
+    let err = exec.run(&plan, &batch).unwrap_err();
+    match err {
+        SimError::InvalidPlan(msg) => {
+            assert!(msg.contains("static verification"), "unexpected error: {msg}");
+            assert!(msg.contains("interface-exchange"), "unexpected error: {msg}");
         }
         other => panic!("expected InvalidPlan, got {other:?}"),
     }

@@ -100,7 +100,7 @@ proptest! {
             "planner emitted an uncertifiable sharded plan: {:?}",
             report.messages()
         );
-        prop_assert_eq!(report.shards.len(), d);
+        prop_assert_eq!(report.plans.len(), d);
 
         let batch = random_batch::<f64>(m, n, seed);
         let (_, run) = solver.solve_batch_group(&group, &batch).unwrap();

@@ -11,26 +11,18 @@
 
 use std::sync::Arc;
 
-use gpu_sim::{DeviceGroup, Result, SimError};
+use gpu_sim::{DeviceGroup, Result};
 use tridiag_gpu::solver::GpuSolverConfig;
 use tridiag_gpu::ShardedPlan;
 use tridiag_gpu::hash::{fnv1a_extend, FNV_OFFSET};
 
 /// Statically certify `plan` against `group` with the plan verifier
 /// ([`tridiag_gpu::verify`]). `Ok(())` when clean; otherwise
-/// [`SimError::InvalidPlan`] listing every finding. [`PlanCache::lookup`]
-/// runs this on every miss, so an ill-formed plan can never be
-/// inserted and replayed to later requests.
+/// [`gpu_sim::SimError::InvalidPlan`] listing every finding.
+/// [`PlanCache::lookup`] runs this on every miss, so an ill-formed plan
+/// can never be inserted and replayed to later requests.
 pub fn certify(group: &DeviceGroup, plan: &ShardedPlan) -> Result<()> {
-    let report = tridiag_gpu::verify_sharded_plan(group, plan);
-    if report.is_clean() {
-        Ok(())
-    } else {
-        Err(SimError::InvalidPlan(format!(
-            "plan failed static verification: {}",
-            report.messages().join("; ")
-        )))
-    }
+    tridiag_gpu::verify_sharded_plan(group, plan).into_result()
 }
 
 /// What a plan is keyed by: the fused-batch geometry, the scalar
