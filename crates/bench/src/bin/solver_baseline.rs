@@ -23,9 +23,10 @@
 //! Besides the figure sweep, every run produces the layout ablation
 //! table (`"layout"` field, schema_version 2): pure p-Thomas at
 //! N = 512 for M ∈ {64, 256, 1024} in both device layouts, with the
-//! cost model's modeled transaction counts next to the executed
-//! modeled times. The generator asserts the interleaved layout wins
-//! modeled transactions — the claim the layout-aware planner rests on.
+//! closed-form transaction counts (`plan::cost::pthomas_transactions`)
+//! next to the executed modeled times. The generator asserts the
+//! interleaved layout wins modeled transactions — the claim the
+//! planner's `k = 0` ⇒ interleaved rule rests on.
 
 use bench::series;
 use gpu_sim::json::{parse, Json};

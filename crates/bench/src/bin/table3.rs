@@ -12,14 +12,15 @@
 
 use bench::table::TextTable;
 use bench::HarnessArgs;
-use gpu_sim::DeviceSpec;
+use gpu_sim::{DeviceGroup, DeviceSpec};
 use tridiag_core::cost_model;
 use tridiag_core::sliding_window::WindowProperties;
 use tridiag_gpu::autotune;
+use tridiag_gpu::LayoutChoice;
 
 fn main() {
     let args = HarnessArgs::parse();
-    let spec = DeviceSpec::gtx480();
+    let gtx480 = DeviceGroup::single(DeviceSpec::gtx480());
 
     // Representative M per Table III range.
     let m_values: Vec<usize> = if args.fast {
@@ -31,7 +32,8 @@ fn main() {
     let k_max = 8;
 
     println!("== Table III: transition point k(M), tuned on the simulated GTX480 (N = {n}) ==");
-    let points = autotune::tune::<f64>(&spec, &m_values, n, k_max).expect("tuning run");
+    let points = autotune::tune::<f64>(&gtx480, &m_values, n, k_max, LayoutChoice::Auto)
+        .expect("tuning run");
     let mut t = TextTable::new([
         "M",
         "paper k",

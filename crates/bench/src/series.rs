@@ -47,7 +47,10 @@ pub fn pthomas_layout_us<S: GpuScalar>(m: usize, n: usize, layout: Layout) -> (f
         DeviceSpec::gtx480(),
         GpuSolverConfig {
             policy: TransitionPolicy::Fixed(0),
-            layout: LayoutChoice::pin(layout),
+            layout: match layout {
+                Layout::Contiguous => LayoutChoice::Contiguous,
+                Layout::Interleaved => LayoutChoice::Interleaved,
+            },
             ..Default::default()
         },
     );

@@ -71,8 +71,9 @@ pub fn access_transactions(
 
 /// Fewest transactions `lanes` active lanes could cost (perfectly
 /// coalesced, aligned) — the denominator in diagnostics, and the
-/// memory term of the planner's transaction cost model (an access
-/// that hits this bound exactly is provably coalesced).
+/// per-access term of the planner's closed-form p-Thomas transaction
+/// count (an access that hits this bound exactly is provably
+/// coalesced).
 pub fn coalesced_minimum(
     lanes: usize,
     warp_size: usize,

@@ -290,8 +290,9 @@ fn plan_geometry_cmd(
 }
 
 /// Parse `--layout`: the planner's memory-layout choice. `auto`
-/// (default) lets the cost model decide; `contiguous`/`interleaved`
-/// pin the device layout regardless of what the model would pick.
+/// (default) follows the transition rule (interleaved iff it picks
+/// `k = 0`); `contiguous`/`interleaved` pin the device layout
+/// regardless of what the rule would pick.
 fn layout_choice(a: &Args) -> Result<LayoutChoice, String> {
     match a.get("layout").unwrap_or("auto") {
         "auto" => Ok(LayoutChoice::Auto),
@@ -326,7 +327,7 @@ fn usage() -> &'static str {
      \u{20}           [--precision f64|f32] [--device D] [--devices G] [--seed S]\n  \
      tridiag stats   [--requests R] [--window US] [--m M] [--n N] [--seed S]\n  \
      \u{20}           [--precision f64|f32|mixed] [--device D] [--devices G] [--top K]\n  \
-     \u{20}           [--json] [--out DIR] | --negative\n\n\
+     \u{20}           [--json] [--out DIR]\n\n\
      solve service:\n  \
      serve       start the threaded solve service, submit R requests from C\n  \
      \u{20}           concurrent client threads through the coalescing queue, and\n  \
@@ -341,9 +342,7 @@ fn usage() -> &'static str {
      \u{20}           labels per family), latency attribution, SLO account, and\n  \
      \u{20}           the exact-partition + event-replay + request-chain checks\n  \
      \u{20}           (any violation exits 2); --json prints the raw metrics\n  \
-     \u{20}           snapshot, --out DIR writes the telemetry artifact set,\n  \
-     \u{20}           --negative injects log corruptions and demands the replay\n  \
-     \u{20}           validator fires on each (exit 2 = all fired)\n\n\
+     \u{20}           snapshot, --out DIR writes the telemetry artifact set\n\n\
      multi-device (gpu engine only):\n  \
      --devices G shard the batch across a device group: a count \
      (--devices 4 =\n  \
@@ -361,10 +360,11 @@ fn usage() -> &'static str {
      \u{20}           auto splits only when the single-device planner rejects N\n  \
      \u{20}           as too large\n\n\
      layout (gpu engine only):\n  \
-     --layout L  memory-layout choice for the planner: auto (default) lets the\n  \
-     \u{20}           transaction cost model pick, contiguous/interleaved pin the\n  \
-     \u{20}           device layout; solve --layout interleaved also hands the\n  \
-     \u{20}           batch over pre-interleaved, eliding both layout conversions\n\n\
+     --layout L  memory-layout choice for the planner: auto (default) follows\n  \
+     \u{20}           the transition rule (interleaved iff k = 0), contiguous/\n  \
+     \u{20}           interleaved pin the device layout; solve --layout\n  \
+     \u{20}           interleaved also hands the batch over pre-interleaved,\n  \
+     \u{20}           eliding both layout conversions\n\n\
      checks (gpu engine only):\n  \
      --sanitize  run every kernel under the dynamic memory/race sanitizer\n  \
      --lint      record each kernel's affine access plan, run the static lint\n  \
@@ -747,7 +747,7 @@ fn solve_typed<S: tridiag_gpu::GpuScalar>(
 /// geometry without launching a single kernel. With `--sweep`, plan the
 /// figure-sweep geometries at both precisions (plus both forced
 /// layouts at f64), round-trip each plan through the strict JSON
-/// parser, and validate it against the `tridiag.solve_plan/v2`
+/// parser, and validate it against the `tridiag.solve_plan/v3`
 /// schema — exit 2 on any drift.
 fn cmd_plan(a: &Args) -> Result<(), Failure> {
     let device = device_by_name(a.get("device").unwrap_or("gtx480"))?;
@@ -805,7 +805,7 @@ fn plan_sweep(device: &DeviceSpec) -> Result<(), Failure> {
     }
     // Forced-layout plans: the same geometries at f64 with the device
     // layout pinned both ways — `--layout` must never produce a plan
-    // the v2 schema rejects, whatever the cost model would have chosen.
+    // the v3 schema rejects, whatever the transition rule would pick.
     for (label, choice) in [
         ("contiguous", LayoutChoice::Contiguous),
         ("interleaved", LayoutChoice::Interleaved),
@@ -1288,30 +1288,33 @@ fn cmd_compare(a: &Args) -> Result<(), String> {
     let reference = cpu_ref::solve_batch_sequential(&batch).map_err(|e| e.to_string())?;
 
     println!("{:<12} {:>14} {:>14}", "engine", "max |Δ| vs cpu", "residual");
-    let report = |name: &str, x: &[f64]| {
+    let report = |name: &str, x: &[f64]| -> Result<(), String> {
         let d = x
             .iter()
             .zip(&reference)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f64, f64::max);
-        let r = batch.max_relative_residual(x).expect("residual");
+        let r = batch
+            .max_relative_residual(x)
+            .map_err(|e| format!("{name} residual: {e}"))?;
         println!("{name:<12} {d:>14.3e} {r:>14.3e}");
+        Ok(())
     };
-    report("cpu", &reference);
+    report("cpu", &reference)?;
     let mt = cpu_ref::solve_batch_threaded(&batch, &cpu_ref::ThreadPool::per_cpu())
         .map_err(|e| e.to_string())?;
-    report("cpu-mt", &mt);
+    report("cpu-mt", &mt)?;
     let (g, _) = GpuTridiagSolver::gtx480()
         .solve_batch(&batch)
         .map_err(|e| e.to_string())?;
-    report("gpu", &g);
+    report("gpu", &g)?;
     let (dv, _) =
         davidson::solve_batch(&DeviceSpec::gtx480(), &batch).map_err(|e| e.to_string())?;
-    report("davidson", &dv);
+    report("davidson", &dv)?;
     if n <= zhang::max_system_size(&DeviceSpec::gtx480(), 8) {
         let (z, _) = zhang::solve_batch(&DeviceSpec::gtx480(), &batch, None)
             .map_err(|e| e.to_string())?;
-        report("zhang", &z);
+        report("zhang", &z)?;
     } else {
         println!("{:<12} {:>14}", "zhang", "N too large");
     }
@@ -1326,19 +1329,14 @@ fn cmd_tune(a: &Args) -> Result<(), String> {
         .unwrap_or_else(|| vec![1, 16, 64, 256, 1024]);
     let device = device_by_name(a.get("device").unwrap_or("gtx480"))?;
     let layout = layout_choice(a)?;
-    let points = if let Some(group) = device_group(a, &device)? {
-        println!(
-            "tuning k on simulated {} ({} device(s)) at N = {n}…",
-            group.label(),
-            group.len()
-        );
-        autotune::tune_sharded_with_layout::<f64>(&group, &m_values, n, k_max, layout)
-            .map_err(|e| e.to_string())?
-    } else {
-        println!("tuning k on simulated {} at N = {n}…", device.name);
-        autotune::tune_with_layout::<f64>(&device, &m_values, n, k_max, layout)
-            .map_err(|e| e.to_string())?
-    };
+    let group = device_group(a, &device)?.unwrap_or_else(|| DeviceGroup::single(device));
+    println!(
+        "tuning k on simulated {} ({} device(s)) at N = {n}…",
+        group.label(),
+        group.len()
+    );
+    let points =
+        autotune::tune::<f64>(&group, &m_values, n, k_max, layout).map_err(|e| e.to_string())?;
     println!("{:>8} {:>8} {:>12} {:>12}", "M", "best k", "best [us]", "k=0 [us]");
     for p in points {
         println!(
@@ -1505,13 +1503,15 @@ fn cmd_serve(a: &Args) -> Result<(), Failure> {
 
     let mut ok = 0usize;
     let mut problems = Vec::new();
-    for h in handles {
-        let (o, p) = h.join().expect("client thread panicked");
+    for (c, h) in handles.into_iter().enumerate() {
+        let (o, p) = h
+            .join()
+            .map_err(|_| Failure::Error(format!("client thread {c} panicked")))?;
         ok += o;
         problems.extend(p);
     }
     let service = Arc::try_unwrap(service)
-        .unwrap_or_else(|_| panic!("client threads still hold the service"));
+        .map_err(|_| Failure::Error("client threads still hold the service".into()))?;
     let stats = if let Some(dir) = a.get("telemetry") {
         let (stats, telemetry) = service.shutdown_with_telemetry();
         let (metrics, events, trace, findings) = telemetry_artifacts(&telemetry, "tridiag-serve");
@@ -1651,58 +1651,6 @@ fn write_telemetry(dir: &str, metrics: &str, events: &str, trace: &str) -> Resul
     Ok(())
 }
 
-/// `tridiag stats --negative` — inject one corruption per
-/// replay-diagnostic class into a copy of a clean event log and demand
-/// the validator fires on each: exit 2 = every diagnostic fired
-/// (reported as findings), exit 1 = a diagnostic was lost.
-fn stats_negative(log: &str) -> Result<(), Failure> {
-    if let Err(p) = tridiag_service::validate_event_log(log) {
-        return Err(Failure::Error(format!(
-            "baseline event log must replay cleanly, got:\n  - {}",
-            p.join("\n  - ")
-        )));
-    }
-    let completion = log
-        .lines()
-        .find(|l| l.contains("\"completion\""))
-        .ok_or_else(|| Failure::Error("workload produced no completion event".into()))?;
-    // A terminal for a cid far beyond any admitted id.
-    let orphan = r#"{"event":"completion","t_us":99.0,"cid":1152921504606846976,"batch":null,"precision":"f64","queue_us":0,"coalesce_us":0,"kernel_us":0,"scatter_us":0,"cache_hit":false,"coalesced_with":1}"#;
-    let cases = [
-        ("orphan terminal", format!("{log}{orphan}\n"), "orphan"),
-        (
-            "duplicate terminal",
-            format!("{log}{completion}\n"),
-            "duplicate terminal",
-        ),
-    ];
-    let mut fired = Vec::new();
-    let mut lost = Vec::new();
-    for (label, corrupted, keyword) in &cases {
-        match tridiag_service::validate_event_log(corrupted) {
-            Err(p) if p.iter().any(|m| m.contains(keyword)) => {
-                fired.push(format!("{label}: {}", p[0]));
-            }
-            Err(p) => lost.push(format!(
-                "{label}: validator fired without the expected diagnostic: {}",
-                p.join("; ")
-            )),
-            Ok(_) => lost.push(format!("{label}: validator accepted the corrupted log")),
-        }
-    }
-    if !lost.is_empty() {
-        return Err(Failure::Error(format!(
-            "replay validator failed to diagnose:\n  - {}",
-            lost.join("\n  - ")
-        )));
-    }
-    println!(
-        "{} corruption(s) injected, every replay diagnostic fired:",
-        cases.len()
-    );
-    Err(Failure::Findings(format!("  - {}", fired.join("\n  - "))))
-}
-
 /// `tridiag stats` — run a deterministic modeled workload through the
 /// service core and print the unified telemetry read-out: counter /
 /// gauge / histogram tables (top `--top` labels per family), the
@@ -1746,9 +1694,6 @@ fn cmd_stats(a: &Args) -> Result<(), Failure> {
     let telemetry = core.telemetry();
 
     let (metrics, events, trace, mut findings) = telemetry_artifacts(telemetry, "tridiag-stats");
-    if a.flag("negative") {
-        return stats_negative(&events);
-    }
     findings.extend(
         telemetry
             .cross_check(&report)

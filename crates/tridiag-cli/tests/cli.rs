@@ -67,3 +67,17 @@ fn bad_input_fails_with_usage() {
     assert!(!ok3);
     assert!(stderr3.contains("cannot parse"), "{stderr3}");
 }
+
+#[test]
+fn tune_single_device_matches_devices_1() {
+    let args = ["tune", "--n", "64", "--m-list", "1,16", "--k-max", "2"];
+    let (ok, single, stderr) = run(&args);
+    assert!(ok, "stderr: {stderr}");
+    let (ok1, grouped, stderr1) = run(&[&args[..], &["--devices", "1"]].concat());
+    assert!(ok1, "stderr: {stderr1}");
+    assert!(single.contains("best k"), "{single}");
+    assert_eq!(
+        single, grouped,
+        "--devices 1 must tune exactly like one device"
+    );
+}

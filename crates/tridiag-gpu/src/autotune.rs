@@ -9,11 +9,10 @@
 //! bench binary prints the result next to the paper's values.
 
 use crate::buffers::GpuScalar;
-use crate::executor::PlanExecutor;
-use crate::plan::{ShardedPlan, SolvePlan};
+use crate::plan::ShardedPlan;
 use crate::sharded::ShardedExecutor;
 use crate::solver::{GpuSolverConfig, LayoutChoice, MappingVariant};
-use gpu_sim::{DeviceGroup, DeviceSpec, Result};
+use gpu_sim::{DeviceGroup, Result};
 use tridiag_core::generators::random_batch;
 use tridiag_core::transition::{max_k_for, TransitionPolicy};
 
@@ -32,136 +31,43 @@ pub struct TunePoint {
     pub k0_us: f64,
 }
 
-/// The candidate plan for probing a fixed `k` on an `(m, n)` batch.
-fn candidate_plan(
-    spec: &DeviceSpec,
-    m: usize,
-    n: usize,
-    k: u32,
-    elem_bytes: usize,
-    layout: LayoutChoice,
-) -> Result<SolvePlan> {
-    let config = GpuSolverConfig {
+/// The config that probes a fixed `k` under the `layout` request.
+fn candidate_config(k: u32, layout: LayoutChoice) -> GpuSolverConfig {
+    GpuSolverConfig {
         policy: TransitionPolicy::Fixed(k),
         mapping: MappingVariant::Auto,
         layout,
         ..Default::default()
-    };
-    SolvePlan::build(spec, &config, m, n, elem_bytes)
-}
-
-/// Modeled time of solving an `(m, n)` batch with a fixed `k`.
-pub fn modeled_time_for_k<S: GpuScalar>(
-    spec: &DeviceSpec,
-    m: usize,
-    n: usize,
-    k: u32,
-    seed: u64,
-) -> Result<f64> {
-    let plan = candidate_plan(spec, m, n, k, <S as gpu_sim::Elem>::BYTES, LayoutChoice::Auto)?;
-    let batch = random_batch::<S>(m, n, seed);
-    let mut executor = PlanExecutor::new(spec.clone(), plan.config.exec);
-    let (_, report) = executor.run(&plan, &batch)?;
-    Ok(report.total_us)
-}
-
-/// Search `k ∈ 0..=k_max` for the fastest configuration at each `m`:
-/// enumerate one candidate plan per feasible `k`, execute them all
-/// uniformly through the plan executor on the same probe batch, and
-/// rank by modeled time (earliest `k` wins ties).
-pub fn tune<S: GpuScalar>(
-    spec: &DeviceSpec,
-    m_values: &[usize],
-    n: usize,
-    k_max: u32,
-) -> Result<Vec<TunePoint>> {
-    tune_with_layout::<S>(spec, m_values, n, k_max, LayoutChoice::Auto)
-}
-
-/// [`tune`] with the planner's layout choice pinned. Forcing
-/// `Interleaved` collapses the search (every `k` candidate is the pure
-/// p-Thomas plan, so `best_k` is always 0); forcing `Contiguous` ranks
-/// the uncoalesced strawman at `k = 0` against the hybrid pipelines.
-pub fn tune_with_layout<S: GpuScalar>(
-    spec: &DeviceSpec,
-    m_values: &[usize],
-    n: usize,
-    k_max: u32,
-    layout: LayoutChoice,
-) -> Result<Vec<TunePoint>> {
-    let mut out = Vec::with_capacity(m_values.len());
-    for &m in m_values {
-        let cap = max_k_for(n).min(k_max);
-        let candidates: Vec<(u32, SolvePlan)> = (0..=cap)
-            .map(|k| {
-                candidate_plan(spec, m, n, k, <S as gpu_sim::Elem>::BYTES, layout)
-                    .map(|p| (k, p))
-            })
-            .collect::<Result<_>>()?;
-        let batch = random_batch::<S>(m, n, 42 + m as u64);
-        let mut best_k = 0;
-        let mut best_us = f64::INFINITY;
-        let mut k0_us = 0.0;
-        for (k, plan) in &candidates {
-            let mut executor = PlanExecutor::new(spec.clone(), plan.config.exec);
-            let (_, report) = executor.run(plan, &batch)?;
-            let us = report.total_us;
-            if *k == 0 {
-                k0_us = us;
-            }
-            if us < best_us {
-                best_us = us;
-                best_k = *k;
-            }
-        }
-        out.push(TunePoint {
-            m,
-            n,
-            best_k,
-            best_us,
-            k0_us,
-        });
     }
-    Ok(out)
 }
 
-/// [`tune`] across a [`DeviceGroup`]: each candidate `k` is planned as
-/// a [`ShardedPlan`] (the fixed `k` pinned into every shard) and
-/// executed through the [`ShardedExecutor`], so the ranking metric is
-/// the group's modeled kernel wall-clock — max over devices, not a sum.
-/// Candidate `k`s that cannot shard (`m <` device count never arises
-/// here since the plan itself rejects it) propagate their typed error.
-pub fn tune_sharded<S: GpuScalar + Send + Sync>(
-    group: &DeviceGroup,
-    m_values: &[usize],
-    n: usize,
-    k_max: u32,
-) -> Result<Vec<TunePoint>> {
-    tune_sharded_with_layout::<S>(group, m_values, n, k_max, LayoutChoice::Auto)
-}
-
-/// [`tune_sharded`] with the planner's layout choice pinned into every
-/// shard (see [`tune_with_layout`] for the single-device semantics).
-pub fn tune_sharded_with_layout<S: GpuScalar + Send + Sync>(
+/// Search `k ∈ 0..=k_max` for the fastest configuration at each `m` on
+/// `group`: plan one [`ShardedPlan`] per feasible `k` (the fixed `k`
+/// pinned into every shard), execute them all through the
+/// [`ShardedExecutor`] on the same probe batch, and rank by the group's
+/// modeled kernel wall-clock — the max over devices, not a sum
+/// (earliest `k` wins ties). A one-device group is the single-device
+/// search: its sharded plan and executor are the identity path.
+///
+/// `layout` is the planner's layout request for every candidate:
+/// `Interleaved` collapses the search (every candidate is the pure
+/// p-Thomas plan, so `best_k` is always 0); `Contiguous` ranks the
+/// uncoalesced strawman at `k = 0` against the hybrid pipelines.
+/// Plan and execution failures propagate as typed errors.
+pub fn tune<S: GpuScalar + Send + Sync>(
     group: &DeviceGroup,
     m_values: &[usize],
     n: usize,
     k_max: u32,
     layout: LayoutChoice,
 ) -> Result<Vec<TunePoint>> {
+    let bytes = <S as gpu_sim::Elem>::BYTES;
     let mut out = Vec::with_capacity(m_values.len());
     for &m in m_values {
         let cap = max_k_for(n).min(k_max);
-        let bytes = <S as gpu_sim::Elem>::BYTES;
         let candidates: Vec<(u32, ShardedPlan)> = (0..=cap)
             .map(|k| {
-                let config = GpuSolverConfig {
-                    policy: TransitionPolicy::Fixed(k),
-                    mapping: MappingVariant::Auto,
-                    layout,
-                    ..Default::default()
-                };
-                ShardedPlan::build(group, &config, m, n, bytes).map(|p| (k, p))
+                ShardedPlan::build(group, &candidate_config(k, layout), m, n, bytes).map(|p| (k, p))
             })
             .collect::<Result<_>>()?;
         let batch = random_batch::<S>(m, n, 42 + m as u64);
@@ -194,6 +100,9 @@ pub fn tune_sharded_with_layout<S: GpuScalar + Send + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::PlanExecutor;
+    use crate::plan::SolvePlan;
+    use gpu_sim::DeviceSpec;
 
     #[test]
     #[cfg_attr(debug_assertions, ignore = "slow simulation; run with --release")]
@@ -203,27 +112,32 @@ mod tests {
         // solving the full batch (same probe batch, same k grid).
         let spec = DeviceSpec::gtx480();
         let group = DeviceGroup::homogeneous(spec.clone(), 2).unwrap();
-        let solo = tune::<f64>(&spec, &[64], 2048, 8).unwrap();
-        let duo = tune_sharded::<f64>(&group, &[64], 2048, 8).unwrap();
+        let single = DeviceGroup::single(spec.clone());
+        let solo = tune::<f64>(&single, &[64], 2048, 8, LayoutChoice::Auto).unwrap();
+        let duo = tune::<f64>(&group, &[64], 2048, 8, LayoutChoice::Auto).unwrap();
         assert!(
             duo[0].best_us < solo[0].best_us,
             "sharded best {} us !< single-device best {} us",
             duo[0].best_us,
             solo[0].best_us
         );
-        // D == 1 sharded tuning is the identity.
-        let single = DeviceGroup::single(spec);
-        let same = tune_sharded::<f64>(&single, &[64], 2048, 8).unwrap();
-        assert_eq!(same[0].best_k, solo[0].best_k);
-        assert_eq!(same[0].best_us, solo[0].best_us);
+        // D == 1 tuning is the identity: the winner's time is exactly
+        // a plain single-device plan-and-execute of the same probe.
+        let config = candidate_config(solo[0].best_k, LayoutChoice::Auto);
+        let plan = SolvePlan::build(&spec, &config, 64, 2048, 8).unwrap();
+        let batch = random_batch::<f64>(64, 2048, 42 + 64);
+        let (_, report) = PlanExecutor::new(spec, config.exec)
+            .run(&plan, &batch)
+            .unwrap();
+        assert_eq!(report.total_us, solo[0].best_us);
     }
 
     #[test]
     #[cfg_attr(debug_assertions, ignore = "slow simulation; run with --release")]
     fn tuned_k_decreases_with_m() {
         // The defining shape of Table III: fewer systems -> deeper PCR.
-        let spec = DeviceSpec::gtx480();
-        let points = tune::<f64>(&spec, &[1, 64, 4096], 2048, 8).unwrap();
+        let single = DeviceGroup::single(DeviceSpec::gtx480());
+        let points = tune::<f64>(&single, &[1, 64, 4096], 2048, 8, LayoutChoice::Auto).unwrap();
         assert!(points[0].best_k >= points[1].best_k);
         assert!(points[1].best_k >= points[2].best_k);
         // Saturated batches want pure p-Thomas.

@@ -40,7 +40,7 @@ pub use plan::{
 };
 pub use sharded::ShardedExecutor;
 pub use solver::{
-    CostModel, DistributedSummary, GpuSolveReport, GpuSolverConfig, GpuTridiagSolver,
+    DistributedSummary, GpuSolveReport, GpuSolverConfig, GpuTridiagSolver,
     LayoutChoice, MappingVariant, ShardSummary,
 };
 pub use verify::{

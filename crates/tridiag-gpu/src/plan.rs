@@ -23,10 +23,9 @@
 use crate::consts::{REGS_FUSED, REGS_PTHOMAS, REGS_TILED_PCR};
 use crate::kernels::p_thomas::AddrMap;
 use crate::kernels::tiled_pcr::{StreamSlot, TiledPcrKernel};
-use crate::solver::{CostModel, GpuSolverConfig, LayoutChoice, MappingVariant};
+use crate::solver::{GpuSolverConfig, MappingVariant};
 use gpu_sim::json::schema::Check;
 use gpu_sim::{DeviceGroup, DeviceSpec, Json, Result, SimError};
-use tridiag_core::transition::TransitionPolicy;
 use tridiag_core::Layout;
 
 pub mod cost;
@@ -335,7 +334,7 @@ impl SolvePlan {
             }
         };
         // Every pipeline decision — layout, mapping, fusion, k — is
-        // made in one place, by the cost module.
+        // made in one place, by the transition rule in `cost::decide`.
         let decision = cost::decide(spec, config, m, n, elem_bytes);
         let k = decision.k;
         // Elide conversions when the batch arrives already interleaved
@@ -654,8 +653,8 @@ impl SolvePlan {
             "plan: m={} n={} {} on {}",
             self.m, self.n, self.precision, self.device
         );
-        // The legacy line stays byte-identical (pinned by the golden
-        // snapshots); non-default host layout / cost model append.
+        // The decision line is pinned by the golden snapshots; a
+        // non-default host layout appends.
         let _ = write!(
             s,
             "  k={} mapping={:?} fused={} layout={:?}",
@@ -663,9 +662,6 @@ impl SolvePlan {
         );
         if self.host_layout != Layout::Contiguous {
             let _ = write!(s, " host={:?}", self.host_layout);
-        }
-        if self.config.cost != CostModel::Legacy {
-            let _ = write!(s, " cost={:?}", self.config.cost);
         }
         let _ = writeln!(s);
         let _ = writeln!(
@@ -727,7 +723,7 @@ impl SolvePlan {
     }
 
     /// Serialize the plan as a JSON object (schema
-    /// `tridiag.solve_plan/v2`); [`validate_plan_json`] checks the
+    /// `tridiag.solve_plan/v3`); [`validate_plan_json`] checks the
     /// shape.
     pub fn to_json(&self) -> Json {
         let buffers = self
@@ -802,10 +798,6 @@ impl SolvePlan {
                 "host_layout".into(),
                 Json::str(format!("{:?}", self.host_layout)),
             ),
-            (
-                "cost_model".into(),
-                Json::str(format!("{:?}", self.config.cost)),
-            ),
             ("device_elems".into(), Json::num(self.device_elems() as f64)),
             ("device_bytes".into(), Json::num(self.device_bytes() as f64)),
             ("buffers".into(), Json::Arr(buffers)),
@@ -815,16 +807,13 @@ impl SolvePlan {
 }
 
 /// Schema identifier emitted by [`SolvePlan::to_json`]. `v2` added
-/// the `host_layout` and `cost_model` dimensions; `v1` documents are
-/// rejected outright (the schema string is matched exactly).
-pub const PLAN_SCHEMA: &str = "tridiag.solve_plan/v2";
-
-/// Cost-model names accepted by the plan validators (the `Debug`
-/// renderings of [`CostModel`]).
-const COST_MODELS: &[&str] = &["Legacy", "Transactions"];
+/// the `host_layout` dimension, `v3` dropped the `cost_model` field;
+/// older documents are rejected outright (the schema string is
+/// matched exactly).
+pub const PLAN_SCHEMA: &str = "tridiag.solve_plan/v3";
 
 /// Validate a parsed plan document against the
-/// `tridiag.solve_plan/v2` schema. Returns every problem found (empty
+/// `tridiag.solve_plan/v3` schema. Returns every problem found (empty
 /// = valid). Used by the CLI `plan` smoke to catch schema drift.
 pub fn validate_plan_json(doc: &Json) -> Vec<String> {
     const LAYOUTS: &[&str] = &["Contiguous", "Interleaved"];
@@ -833,7 +822,6 @@ pub fn validate_plan_json(doc: &Json) -> Vec<String> {
     c.req_strs(&["device", "precision", "mapping"]);
     c.str_enum("layout", LAYOUTS);
     c.str_enum("host_layout", LAYOUTS);
-    c.str_enum("cost_model", COST_MODELS);
     c.req_uints(&["m", "n", "elem_bytes", "k", "device_elems", "device_bytes"]);
     c.req_bool("fused");
     let bufs = c.req_arr("buffers");
@@ -1204,21 +1192,10 @@ impl ShardedPlan {
             });
         }
         let ranges = partition(m, group.len(), Partition::Systems)?;
-        // Pin the reference's global decisions so every shard runs the
-        // same pipeline on its systems (per-device clamps still apply
-        // inside SolvePlan::build).
-        let pinned = GpuSolverConfig {
-            policy: TransitionPolicy::Fixed(reference.k),
-            mapping: reference.mapping,
-            fused: reference.fused,
-            // Layout is pinned too (the cost model may choose
-            // differently at the shard's smaller m), and the cost
-            // model switched to Legacy so the pinned decisions replay
-            // verbatim instead of being re-scored.
-            cost: CostModel::Legacy,
-            layout: LayoutChoice::pin(reference.layout),
-            ..*config
-        };
+        // Pin the reference's decisions so every shard runs the same
+        // pipeline on its systems (per-device clamps still apply inside
+        // SolvePlan::build).
+        let pinned = GpuSolverConfig::pinned_to(&reference);
         let shards = ranges
             .into_iter()
             .enumerate()
@@ -1303,7 +1280,7 @@ impl ShardedPlan {
         s
     }
 
-    /// Serialize as a JSON object (schema `tridiag.sharded_plan/v2`);
+    /// Serialize as a JSON object (schema `tridiag.sharded_plan/v3`);
     /// [`validate_sharded_plan_json`] checks the shape.
     pub fn to_json(&self) -> Json {
         let shards = self
@@ -1337,10 +1314,6 @@ impl ShardedPlan {
                 "layout".into(),
                 Json::str(format!("{:?}", self.reference.layout)),
             ),
-            (
-                "cost_model".into(),
-                Json::str(format!("{:?}", self.reference.config.cost)),
-            ),
             ("device_bytes".into(), Json::num(self.device_bytes() as f64)),
             ("reference".into(), self.reference.to_json()),
             ("shards".into(), Json::Arr(shards)),
@@ -1349,12 +1322,12 @@ impl ShardedPlan {
 }
 
 /// Schema identifier emitted by [`ShardedPlan::to_json`]. `v2` added
-/// the pinned `layout` and `cost_model` dimensions; `v1` documents
-/// are rejected outright.
-pub const SHARDED_PLAN_SCHEMA: &str = "tridiag.sharded_plan/v2";
+/// the pinned `layout` dimension, `v3` dropped the `cost_model` field;
+/// older documents are rejected outright.
+pub const SHARDED_PLAN_SCHEMA: &str = "tridiag.sharded_plan/v3";
 
 /// Validate a parsed sharded-plan document against the
-/// `tridiag.sharded_plan/v2` schema: field shapes, the embedded
+/// `tridiag.sharded_plan/v3` schema: field shapes, the embedded
 /// reference and per-shard plans (via [`validate_plan_json`]), and the
 /// partition invariants (contiguous full coverage, balance within 1).
 /// Returns every problem found (empty = valid).
@@ -1363,7 +1336,6 @@ pub fn validate_sharded_plan_json(doc: &Json) -> Vec<String> {
     c.schema(SHARDED_PLAN_SCHEMA);
     c.req_strs(&["precision", "mapping"]);
     c.str_enum("layout", &["Contiguous", "Interleaved"]);
-    c.str_enum("cost_model", COST_MODELS);
     c.req_uints(&["m", "n", "elem_bytes", "devices", "k", "device_bytes"]);
     c.req_bool("fused");
     if let Some(reference) = c.req_obj("reference") {
@@ -1402,6 +1374,7 @@ pub fn validate_sharded_plan_json(doc: &Json) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::LayoutChoice;
 
     fn gtx480_plan(m: usize, n: usize, bytes: usize) -> SolvePlan {
         SolvePlan::build(
@@ -1582,25 +1555,35 @@ mod tests {
         assert!(!validate_plan_json(&doc).is_empty());
     }
 
-    #[test]
-    fn json_validator_rejects_v1_documents() {
-        // v1 documents (no host_layout/cost_model, old schema string)
-        // must fail strictly, not be absorbed.
-        let plan = gtx480_plan(64, 512, 8);
-        let mut doc = plan.to_json();
+    /// Relabel `doc` as `schema`, as an older writer would have.
+    fn with_schema(mut doc: Json, schema: &str) -> Json {
         if let Json::Obj(fields) = &mut doc {
-            fields.retain(|(k, _)| k != "host_layout" && k != "cost_model");
             for (k, v) in fields.iter_mut() {
                 if k == "schema" {
-                    *v = Json::str("tridiag.solve_plan/v1");
+                    *v = Json::str(schema);
                 }
             }
         }
-        let problems = validate_plan_json(&doc);
-        assert!(
-            problems.iter().any(|p| p.contains("schema")),
-            "{problems:?}"
-        );
+        doc
+    }
+
+    #[test]
+    fn json_validators_reject_v1_and_v2_documents() {
+        // Older documents must fail strictly, not be absorbed — even
+        // when every field they carry is still well formed.
+        let plan = gtx480_plan(64, 512, 8);
+        for old in ["tridiag.solve_plan/v1", "tridiag.solve_plan/v2"] {
+            let problems = validate_plan_json(&with_schema(plan.to_json(), old));
+            assert!(
+                problems.iter().any(|p| p.contains("schema")),
+                "{old}: {problems:?}"
+            );
+        }
+        let mut v1 = with_schema(plan.to_json(), "tridiag.solve_plan/v1");
+        if let Json::Obj(fields) = &mut v1 {
+            fields.retain(|(k, _)| k != "host_layout");
+        }
+        let problems = validate_plan_json(&v1);
         assert!(
             problems.iter().any(|p| p.contains("host_layout")),
             "{problems:?}"
@@ -1608,34 +1591,13 @@ mod tests {
 
         let group = DeviceGroup::homogeneous(DeviceSpec::gtx480(), 2).unwrap();
         let sp = ShardedPlan::build(&group, &GpuSolverConfig::default(), 64, 512, 8).unwrap();
-        let mut doc = sp.to_json();
-        if let Json::Obj(fields) = &mut doc {
-            fields.retain(|(k, _)| k != "layout" && k != "cost_model");
-            for (k, v) in fields.iter_mut() {
-                if k == "schema" {
-                    *v = Json::str("tridiag.sharded_plan/v1");
-                }
-            }
+        for old in ["tridiag.sharded_plan/v1", "tridiag.sharded_plan/v2"] {
+            let problems = validate_sharded_plan_json(&with_schema(sp.to_json(), old));
+            assert!(
+                problems.iter().any(|p| p.contains("schema")),
+                "{old}: {problems:?}"
+            );
         }
-        assert!(!validate_sharded_plan_json(&doc).is_empty());
-    }
-
-    #[test]
-    fn json_validator_rejects_out_of_enum_cost_model() {
-        let plan = gtx480_plan(64, 512, 8);
-        let mut doc = plan.to_json();
-        if let Json::Obj(fields) = &mut doc {
-            for (k, v) in fields.iter_mut() {
-                if k == "cost_model" {
-                    *v = Json::str("Vibes");
-                }
-            }
-        }
-        let problems = validate_plan_json(&doc);
-        assert!(
-            problems.iter().any(|p| p.contains("cost_model")),
-            "{problems:?}"
-        );
     }
 
     #[test]
@@ -1741,19 +1703,18 @@ mod tests {
 
     #[test]
     fn sharded_plan_pins_reference_layout() {
-        // Under the transaction model the full batch at m = 1024 picks
-        // interleaved p-Thomas; a 4-way shard (m = 256) on its own
-        // would pick the hybrid — pinning must keep every shard on the
+        // The full batch at m = 1024 picks interleaved p-Thomas (k = 0);
+        // a 4-way shard (m = 256) on its own would pick the contiguous
+        // hybrid at k = 6 — pinning must keep every shard on the
         // reference layout.
         let group = DeviceGroup::homogeneous(DeviceSpec::gtx480(), 4).unwrap();
-        let cfg = GpuSolverConfig {
-            cost: CostModel::Transactions,
-            ..Default::default()
-        };
+        let cfg = GpuSolverConfig::default();
         let sp = ShardedPlan::build(&group, &cfg, 1024, 512, 8).unwrap();
         assert_eq!(sp.reference.layout, Layout::Interleaved);
+        assert_eq!(sp.reference.k, 0);
         let solo = SolvePlan::build(&DeviceSpec::gtx480(), &cfg, 256, 512, 8).unwrap();
         assert_ne!(solo.layout, sp.reference.layout);
+        assert_eq!(solo.k, 6);
         for sh in &sp.shards {
             assert_eq!(sh.plan.layout, sp.reference.layout);
             assert_eq!(sh.plan.k, sp.reference.k);

@@ -1,32 +1,20 @@
-//! The layout-aware plan cost model: enumerate candidate
-//! `(layout, mapping, fused, k)` pipelines and price each with
-//! closed-form transaction/serialization/transfer estimates.
+//! The planner's one decision rule: every `(layout, mapping, fused, k)`
+//! pipeline decision of a solve, made in [`decide`].
 //!
-//! Before this module, global-memory layout was an implied consequence
-//! of the transition rule: `k = 0` meant "convert to interleaved and
-//! run p-Thomas", `k > 0` meant "stay contiguous and run the hybrid".
-//! Here layout is an explicit, independently chosen dimension:
-//! [`decide`] resolves every pipeline decision in one place, either by
-//! replaying the legacy procedure exactly
-//! ([`CostModel::Legacy`] — pinned byte-for-byte by the golden plan
-//! snapshots) or by scoring every candidate tuple
-//! ([`CostModel::Transactions`]) and taking the deterministic argmin.
+//! `k` comes from the transition policy (Table III, §III-D), clamped to
+//! the device; the layout follows `k` — interleaved p-Thomas when
+//! `k = 0`, the many-systems regime where coalesced lanes pay off, the
+//! contiguous hybrid otherwise. The byte-exact shape of every plan this
+//! rule produces on the sweep geometries is pinned by the golden plan
+//! snapshots.
 //!
-//! The memory term reuses the coalesce lint's exact closed form
-//! ([`gpu_sim::lint::coalesce::coalesced_minimum`]): an interleaved
-//! p-Thomas row access by `m` lanes costs exactly
-//! `coalesced_minimum(m, warp, elem, segment)` transactions, the
-//! contiguous strawman costs up to `m` (one segment per lane once
-//! `n·elem ≥ segment`), and the hybrid's PCR stage moves the four
-//! coefficient arrays twice at the coalesced minimum. The
-//! serialization term charges each serial round (Thomas rows, PCR
-//! levels) `max(1, P / active_threads)` — a pipeline that leaves the
-//! device mostly idle pays for it. The transfer term is the PCIe-side
-//! 5·m·n·e bytes (4 uploads + 1 download) in segment units; it is
-//! layout-independent but keeps costs absolute.
+//! [`pthomas_transactions`] is the closed-form 128-byte-segment count
+//! of a p-Thomas sweep in either layout — the same formula the
+//! coalesce lint certifies ([`gpu_sim::lint::coalesce::coalesced_minimum`]);
+//! the layout ablation table prices its two columns with it.
 
 use crate::kernels::tiled_pcr::TiledPcrKernel;
-use crate::solver::{CostModel, GpuSolverConfig, LayoutChoice, MappingVariant};
+use crate::solver::{GpuSolverConfig, LayoutChoice, MappingVariant};
 use gpu_sim::lint::coalesce::coalesced_minimum;
 use gpu_sim::DeviceSpec;
 use tridiag_core::transition::{choose_k, max_k_for};
@@ -46,29 +34,8 @@ pub struct Decision {
     pub k: u32,
 }
 
-/// A candidate decision with its modeled price, in enumeration order
-/// (exposed for the bench's layout table and the acceptance gate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Candidate {
-    /// The decision being priced.
-    pub decision: Decision,
-    /// Exact global-memory transactions the pipeline's kernels move.
-    pub transactions: u64,
-    /// Serialization term: serial rounds weighted by device idleness.
-    pub serialization: u64,
-    /// Host↔device transfer term (segment units, layout-independent).
-    pub transfer: u64,
-}
-
-impl Candidate {
-    /// Total modeled cost — the argmin key.
-    pub fn cost(&self) -> u64 {
-        self.transactions + self.serialization + self.transfer
-    }
-}
-
 /// Clamp a requested `k` to the device: shared-memory window capacity,
-/// system length, and block width — exactly the legacy clamp sequence.
+/// system length, and block width.
 fn clamp_k(spec: &DeviceSpec, c: usize, elem_bytes: usize, n: usize, requested: u32) -> u32 {
     let mut k = requested
         .min(crate::plan::max_k_for_shared(spec, c, elem_bytes))
@@ -84,7 +51,7 @@ fn clamp_k(spec: &DeviceSpec, c: usize, elem_bytes: usize, n: usize, requested: 
 /// across block groups so more SMs engage; otherwise one block per
 /// system. An explicit multi-system mapping whose shared-memory
 /// footprint does not fit falls back to block-per-system.
-pub(crate) fn resolve_mapping(
+fn resolve_mapping(
     spec: &DeviceSpec,
     requested: MappingVariant,
     m: usize,
@@ -130,26 +97,6 @@ fn pthomas_decision(layout: Layout) -> Decision {
     }
 }
 
-/// The hybrid (k > 0) decision under `config` at step count `k`.
-fn hybrid_decision(
-    spec: &DeviceSpec,
-    config: &GpuSolverConfig,
-    m: usize,
-    n: usize,
-    elem_bytes: usize,
-    k: u32,
-) -> Decision {
-    let c = config.sub_tile_scale.max(1);
-    let st = c << k;
-    let mapping = resolve_mapping(spec, config.mapping, m, n, k, st, elem_bytes);
-    Decision {
-        layout: Layout::Contiguous,
-        mapping,
-        fused: config.fused && matches!(mapping, MappingVariant::BlockPerSystem),
-        k,
-    }
-}
-
 /// p-Thomas global transactions for `m` systems of `n` rows stored in
 /// `layout`: 9 accesses per row (forward: load a/b/c/d + store c'/d';
 /// backward: load c'/d' + store x), each by `m` lanes.
@@ -179,83 +126,16 @@ pub fn pthomas_transactions(
     9 * n as u64 * per_access
 }
 
-/// Price every candidate pipeline for the geometry under `choice`, in
-/// the fixed enumeration order the argmin tie-breaks on: interleaved
-/// p-Thomas, contiguous strawman p-Thomas, then the hybrid at each
-/// admissible `k ≥ 1`.
-pub fn candidates(
-    spec: &DeviceSpec,
-    config: &GpuSolverConfig,
-    m: usize,
-    n: usize,
-    elem_bytes: usize,
-    choice: LayoutChoice,
-) -> Vec<Candidate> {
-    let p = spec.parallelism();
-    let seg = spec.transaction_bytes as u64;
-    let warp = spec.warp_size as usize;
-    let transfer = (5 * m * n * elem_bytes) as u64 / seg;
-    // A pipeline serialized over `rounds` with `active` threads leaves
-    // the rest of the device's parallelism P idle; weight each round
-    // by that idleness so a fully-occupied round costs 1.
-    let serialization = |rounds: u64, active: u64| rounds * (p / active.max(1)).max(1);
-
-    let mut out = Vec::new();
-    if choice != LayoutChoice::Contiguous {
-        out.push(Candidate {
-            decision: pthomas_decision(Layout::Interleaved),
-            transactions: pthomas_transactions(spec, Layout::Interleaved, m, n, elem_bytes),
-            serialization: serialization(9 * n as u64, m as u64),
-            transfer,
-        });
-    }
-    if choice != LayoutChoice::Interleaved {
-        out.push(Candidate {
-            decision: pthomas_decision(Layout::Contiguous),
-            transactions: pthomas_transactions(spec, Layout::Contiguous, m, n, elem_bytes),
-            serialization: serialization(9 * n as u64, m as u64),
-            transfer,
-        });
-        let c = config.sub_tile_scale.max(1);
-        let k_cap = clamp_k(spec, c, elem_bytes, n, u32::MAX);
-        for k in 1..=k_cap {
-            let decision = hybrid_decision(spec, config, m, n, elem_bytes, k);
-            // PCR reads and writes the four coefficient arrays once
-            // each, fully coalesced; p-Thomas then sweeps m·2^k
-            // interleaved subsystems of n/2^k rows.
-            let arrays = (m * n) as u64;
-            let pcr_txn = 8 * (arrays * elem_bytes as u64).div_ceil(seg);
-            let sub_m = m << k;
-            let sub_n = (n >> k).max(1);
-            let pth_txn = 9
-                * sub_n as u64
-                * coalesced_minimum(sub_m, warp, elem_bytes, spec.transaction_bytes);
-            out.push(Candidate {
-                decision,
-                transactions: pcr_txn + pth_txn,
-                // k PCR levels (4 coefficient updates each) plus the
-                // Thomas sweep's rows.
-                serialization: serialization(4 * k as u64 + 9 * sub_n as u64, sub_m as u64),
-                transfer,
-            });
-        }
-    }
-    out
-}
-
-/// Resolve every pipeline decision for one solve, deterministically.
+/// Resolve every pipeline decision for one solve, deterministically:
+/// `k` from the transition policy (Table III, §III-D), clamped to the
+/// device, and the layout implied by `k` — interleaved p-Thomas iff
+/// `k = 0`, the contiguous hybrid otherwise.
 ///
-/// - [`CostModel::Legacy`] replays the pre-cost-model procedure: `k`
-///   from the transition policy (device-clamped), layout implied by
-///   `k` (interleaved iff `k = 0`).
-/// - [`CostModel::Transactions`] prices every candidate via
-///   [`candidates`] and takes the strict argmin (first wins on ties).
-///
-/// An explicit [`GpuSolverConfig::layout`] restricts the candidate
-/// set under either model: `Interleaved` forces the pure coalesced
-/// p-Thomas pipeline (`k = 0` — tiled PCR addresses contiguous
-/// systems), `Contiguous` forces system-major buffers (under `Legacy`
-/// with `k = 0` that is the uncoalesced strawman p-Thomas).
+/// An explicit [`GpuSolverConfig::layout`] restricts the choice:
+/// `Interleaved` forces the pure coalesced p-Thomas pipeline (`k = 0`
+/// — tiled PCR addresses contiguous systems), `Contiguous` forces
+/// system-major buffers (with `k = 0` that is the uncoalesced strawman
+/// p-Thomas).
 pub fn decide(
     spec: &DeviceSpec,
     config: &GpuSolverConfig,
@@ -266,27 +146,20 @@ pub fn decide(
     if config.layout == LayoutChoice::Interleaved {
         return pthomas_decision(Layout::Interleaved);
     }
-    match config.cost {
-        CostModel::Legacy => {
-            let c = config.sub_tile_scale.max(1);
-            let k = clamp_k(spec, c, elem_bytes, n, choose_k(config.policy, m, n));
-            if k == 0 {
-                let layout = match config.layout {
-                    LayoutChoice::Contiguous => Layout::Contiguous,
-                    _ => Layout::Interleaved,
-                };
-                pthomas_decision(layout)
-            } else {
-                hybrid_decision(spec, config, m, n, elem_bytes, k)
-            }
-        }
-        CostModel::Transactions => {
-            let all = candidates(spec, config, m, n, elem_bytes, config.layout);
-            all.iter()
-                .min_by_key(|cand| cand.cost())
-                .map(|cand| cand.decision)
-                .unwrap_or_else(|| pthomas_decision(Layout::Interleaved))
-        }
+    let c = config.sub_tile_scale.max(1);
+    let k = clamp_k(spec, c, elem_bytes, n, choose_k(config.policy, m, n));
+    if k == 0 {
+        return pthomas_decision(match config.layout {
+            LayoutChoice::Contiguous => Layout::Contiguous,
+            _ => Layout::Interleaved,
+        });
+    }
+    let mapping = resolve_mapping(spec, config.mapping, m, n, k, c << k, elem_bytes);
+    Decision {
+        layout: Layout::Contiguous,
+        mapping,
+        fused: config.fused && matches!(mapping, MappingVariant::BlockPerSystem),
+        k,
     }
 }
 
@@ -299,7 +172,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_matches_the_historical_rule() {
+    fn decide_follows_the_transition_rule() {
         let cfg = GpuSolverConfig::default();
         // m = 2048 → heuristic k = 0 → interleaved p-Thomas.
         let d = decide(&spec(), &cfg, 2048, 128, 8);
@@ -339,46 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn transactions_model_picks_interleaved_at_large_m() {
-        let cfg = GpuSolverConfig {
-            cost: CostModel::Transactions,
-            ..Default::default()
-        };
-        let d = decide(&spec(), &cfg, 1024, 512, 8);
-        assert_eq!(d.layout, Layout::Interleaved);
-        assert_eq!(d.k, 0);
-        // A lone huge system keeps the hybrid: serializing one thread
-        // over 16384 rows would idle the whole device.
-        let d = decide(&spec(), &cfg, 1, 16384, 8);
-        assert_eq!(d.layout, Layout::Contiguous);
-        assert!(d.k > 0);
-    }
-
-    #[test]
-    fn transactions_model_never_picks_the_strawman() {
-        let cfg = GpuSolverConfig {
-            cost: CostModel::Transactions,
-            ..Default::default()
-        };
-        for (m, n) in [
-            (1usize, 16384usize),
-            (16, 1024),
-            (64, 512),
-            (256, 512),
-            (1024, 512),
-            (2048, 64),
-        ] {
-            for eb in [4usize, 8] {
-                let d = decide(&spec(), &cfg, m, n, eb);
-                assert!(
-                    d.k > 0 || d.layout == Layout::Interleaved,
-                    "m={m} n={n} eb={eb}: strawman chosen ({d:?})"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn interleaved_wins_modeled_transactions_at_large_m() {
         for m in [64usize, 256, 1024] {
             let i = pthomas_transactions(&spec(), Layout::Interleaved, m, 512, 8);
@@ -390,22 +223,5 @@ mod tests {
             pthomas_transactions(&spec(), Layout::Interleaved, 1, 64, 8),
             pthomas_transactions(&spec(), Layout::Contiguous, 1, 64, 8),
         );
-    }
-
-    #[test]
-    fn candidate_enumeration_is_deterministic_and_ordered() {
-        let cfg = GpuSolverConfig {
-            cost: CostModel::Transactions,
-            ..Default::default()
-        };
-        let a = candidates(&spec(), &cfg, 64, 512, 8, LayoutChoice::Auto);
-        let b = candidates(&spec(), &cfg, 64, 512, 8, LayoutChoice::Auto);
-        assert_eq!(a, b);
-        assert_eq!(a[0].decision.layout, Layout::Interleaved);
-        assert_eq!(a[1].decision.layout, Layout::Contiguous);
-        assert_eq!(a[1].decision.k, 0);
-        assert!(a.len() > 2, "hybrid candidates missing");
-        let only_inter = candidates(&spec(), &cfg, 64, 512, 8, LayoutChoice::Interleaved);
-        assert_eq!(only_inter.len(), 1);
     }
 }

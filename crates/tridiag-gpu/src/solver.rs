@@ -29,7 +29,7 @@ use gpu_sim::{
     SanitizerViolation,
 };
 use tridiag_core::transition::TransitionPolicy;
-use tridiag_core::SystemBatch;
+use tridiag_core::{Layout, SystemBatch};
 
 /// How tiled-PCR work maps onto the grid (Fig. 11).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,26 +45,11 @@ pub enum MappingVariant {
     MultiSystemPerBlock(usize),
 }
 
-/// How the planner scores candidate `(layout, mapping, fused, k)`
-/// tuples (see [`crate::plan::cost`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CostModel {
-    /// The pre-cost-model decision procedure: `k` from the transition
-    /// policy, layout implied by `k` (interleaved iff `k = 0`). Pinned
-    /// byte-exactly by the golden plan snapshots.
-    #[default]
-    Legacy,
-    /// Enumerate every candidate tuple and pick the argmin of the
-    /// closed-form 128-byte-transaction + serialization + transfer
-    /// estimate (deterministic tie-break: first candidate in
-    /// enumeration order wins).
-    Transactions,
-}
-
 /// Requested device-side memory layout for the coefficient buffers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LayoutChoice {
-    /// Let the cost model pick.
+    /// Follow the transition rule: interleaved when it picks `k = 0`,
+    /// contiguous otherwise.
     #[default]
     Auto,
     /// Force system-major buffers (the hybrid PCR + p-Thomas pipeline;
@@ -75,18 +60,6 @@ pub enum LayoutChoice {
     /// p-Thomas path (`k` is forced to 0 — tiled PCR addresses
     /// contiguous systems).
     Interleaved,
-}
-
-impl LayoutChoice {
-    /// The pin for an already-decided device layout (used by
-    /// [`crate::plan::ShardedPlan::build`] and the service's
-    /// per-geometry decision pinning).
-    pub fn pin(layout: tridiag_core::Layout) -> Self {
-        match layout {
-            tridiag_core::Layout::Contiguous => LayoutChoice::Contiguous,
-            tridiag_core::Layout::Interleaved => LayoutChoice::Interleaved,
-        }
-    }
 }
 
 /// Solver configuration.
@@ -101,9 +74,7 @@ pub struct GpuSolverConfig {
     pub fused: bool,
     /// Grid mapping for the tiled PCR stage.
     pub mapping: MappingVariant,
-    /// Cost model the planner prices candidate pipelines with.
-    pub cost: CostModel,
-    /// Device-side layout request (`Auto` lets the cost model pick).
+    /// Device-side layout request (`Auto` follows the transition rule).
     pub layout: LayoutChoice,
     /// p-Thomas threads per block.
     pub pthomas_block: u32,
@@ -120,10 +91,30 @@ impl Default for GpuSolverConfig {
             sub_tile_scale: 1,
             fused: false,
             mapping: MappingVariant::Auto,
-            cost: CostModel::Legacy,
             layout: LayoutChoice::Auto,
             pthomas_block: PTHOMAS_BLOCK,
             exec: ExecConfig::default(),
+        }
+    }
+}
+
+impl GpuSolverConfig {
+    /// `plan.config` with every decision `plan` made pinned — `k` (as
+    /// [`TransitionPolicy::Fixed`]), the resolved mapping, fusion and
+    /// the device layout — so planning any other batch size under it
+    /// replays the same pipeline. The target device's own clamps still
+    /// apply. Shards of a [`crate::plan::ShardedPlan`] and every batch
+    /// the solve service coalesces at one geometry plan under this.
+    pub fn pinned_to(plan: &SolvePlan) -> GpuSolverConfig {
+        GpuSolverConfig {
+            policy: TransitionPolicy::Fixed(plan.k),
+            mapping: plan.mapping,
+            fused: plan.fused,
+            layout: match plan.layout {
+                Layout::Contiguous => LayoutChoice::Contiguous,
+                Layout::Interleaved => LayoutChoice::Interleaved,
+            },
+            ..plan.config
         }
     }
 }

@@ -3,9 +3,9 @@
 //! Three properties, executed on the simulator (never just asserted on
 //! the model's own arithmetic):
 //!
-//! 1. Whenever the transaction cost model selects the interleaved
-//!    p-Thomas path for a sweep geometry, the *measured* global
-//!    transaction count of the executed kernel equals the closed-form
+//! 1. Whenever the planner selects the interleaved p-Thomas path for
+//!    a sweep geometry (the transition rule's `k = 0`), the *measured*
+//!    global transaction count of the executed kernel equals the closed-form
 //!    coalesced minimum exactly — forward `6·n·cm(m)`, backward
 //!    `3·n·cm(m)` with `cm` = [`coalesced_minimum`] per 128-byte
 //!    segment.
@@ -21,7 +21,7 @@ use gpu_sim::lint::coalesce::coalesced_minimum;
 use gpu_sim::{DeviceGroup, DeviceSpec};
 use tridiag_core::generators::random_batch;
 use tridiag_core::Layout;
-use tridiag_gpu::solver::{CostModel, GpuSolverConfig, GpuTridiagSolver, LayoutChoice};
+use tridiag_gpu::solver::{GpuSolverConfig, GpuTridiagSolver, LayoutChoice};
 use tridiag_gpu::GpuScalar;
 
 /// The CLI sweep geometries (Fig. 12/13).
@@ -37,11 +37,10 @@ const GEOMETRIES: &[(usize, usize)] = &[
     (1, 16384),
 ];
 
-fn transactions_solver(spec: DeviceSpec) -> GpuTridiagSolver {
+fn linted_solver(spec: DeviceSpec) -> GpuTridiagSolver {
     GpuTridiagSolver::new(
         spec,
         GpuSolverConfig {
-            cost: CostModel::Transactions,
             // Lint every launch so the static predictions cross-check
             // the measured counters on the same run.
             exec: gpu_sim::ExecConfig::planned(),
@@ -54,7 +53,7 @@ fn transactions_solver(spec: DeviceSpec) -> GpuTridiagSolver {
 /// p-Thomas transaction counts against the closed-form floor.
 fn check_coalesced_floor<S: GpuScalar>(m: usize, n: usize) {
     let spec = DeviceSpec::gtx480();
-    let solver = transactions_solver(spec.clone());
+    let solver = linted_solver(spec.clone());
     let batch = random_batch::<S>(m, n, 42);
     let (_, report) = solver.solve_batch(&batch).unwrap();
     assert!(
@@ -86,14 +85,14 @@ fn check_coalesced_floor<S: GpuScalar>(m: usize, n: usize) {
     }
 }
 
-/// Property 1: every sweep geometry the cost model routes to the
+/// Property 1: every sweep geometry the planner routes to the
 /// interleaved p-Thomas path hits the coalesced floor exactly, at both
 /// scalar widths.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "slow simulation; run with --release")]
 fn interleaved_choices_hit_the_coalesced_floor() {
     let spec = DeviceSpec::gtx480();
-    let solver = transactions_solver(spec.clone());
+    let solver = linted_solver(spec.clone());
     let mut interleaved_points = 0usize;
     for &(m, n) in GEOMETRIES {
         for bytes in [8usize, 4] {
@@ -112,7 +111,7 @@ fn interleaved_choices_hit_the_coalesced_floor() {
     }
     assert!(
         interleaved_points >= 2,
-        "cost model never picked interleaved on the sweep — gate is vacuous"
+        "planner never picked interleaved on the sweep — gate is vacuous"
     );
 }
 

@@ -6,10 +6,14 @@
 //! plan/execute split; the suite therefore proves the refactor is
 //! bit-identical — same kernel sequence, same counters, same modeled
 //! microseconds, same solution bits.
+//!
+//! The planner half also pins the `describe()` of the CLI `plan
+//! --sweep` f32 points the figure sweep lacks, and checks that planning
+//! is pure: execution switches and rebuilds never perturb a plan.
 
 use std::fmt::Write as _;
 use tridiag_core::generators::random_batch;
-use tridiag_gpu::solver::{GpuSolveReport, GpuTridiagSolver};
+use tridiag_gpu::solver::{GpuSolveReport, GpuSolverConfig, GpuTridiagSolver};
 use tridiag_gpu::{GpuScalar, PlanExecutor};
 
 /// The Fig. 12/13 sweep: (label, precision, m, n) — the same points the
@@ -26,6 +30,18 @@ const SWEEP: &[(&str, &str, usize, usize)] = &[
     ("fig13", "f64", 1, 16384),
     ("fig12", "f32", 256, 512),
     ("fig13", "f32", 16, 1024),
+];
+
+/// The CLI `plan --sweep` geometries at f32 that [`SWEEP`] lacks; their
+/// plans are pinned in [`GOLDEN_F32_PLANS`].
+const F32_PLAN_POINTS: &[(usize, usize)] = &[
+    (64, 512),
+    (1024, 512),
+    (64, 2048),
+    (256, 2048),
+    (2048, 64),
+    (256, 256),
+    (1, 16384),
 ];
 
 const SEED: u64 = 42;
@@ -173,6 +189,65 @@ fn sweep_plan_descriptions_match_goldens() {
     for ((key, snap), (gkey, gsnap)) in actual.iter().zip(&golden) {
         assert_eq!(key, gkey, "sweep order");
         assert_eq!(snap, gsnap, "solve plan drifted for {key}");
+    }
+}
+
+#[test]
+fn f32_sweep_plan_descriptions_match_goldens() {
+    let golden = parse_golden(GOLDEN_F32_PLANS);
+    assert_eq!(golden.len(), F32_PLAN_POINTS.len(), "sweep size");
+    for (&(m, n), (gkey, gsnap)) in F32_PLAN_POINTS.iter().zip(&golden) {
+        let key = format!("plan f32 m={m} n={n}");
+        assert_eq!(&key, gkey, "sweep order");
+        let plan = GpuTridiagSolver::gtx480()
+            .plan_geometry(m, n, 4)
+            .unwrap_or_else(|e| panic!("{key}: {e}"));
+        assert_eq!(&plan.describe(), gsnap, "solve plan drifted for {key}");
+    }
+}
+
+/// Planning is pure: no execution-config switch may perturb a plan's
+/// description or JSON, and rebuilding yields the same plan, on every
+/// pinned point.
+#[test]
+fn plans_ignore_exec_config_and_rebuild_identically() {
+    let points = SWEEP
+        .iter()
+        .map(|&(_, prec, m, n)| (m, n, if prec == "f32" { 4 } else { 8 }))
+        .chain(F32_PLAN_POINTS.iter().map(|&(m, n)| (m, n, 4)));
+    for (m, n, bytes) in points {
+        let solver = GpuTridiagSolver::gtx480();
+        let base = solver.plan_geometry(m, n, bytes).unwrap();
+        assert_eq!(
+            solver.plan_geometry(m, n, bytes).unwrap(),
+            base,
+            "m={m} n={n} bytes={bytes}: rebuild drifted"
+        );
+        for exec in [
+            gpu_sim::ExecConfig::checked(),
+            gpu_sim::ExecConfig::sanitized(),
+            gpu_sim::ExecConfig::planned(),
+        ] {
+            let noisy = GpuTridiagSolver::new(
+                gpu_sim::DeviceSpec::gtx480(),
+                GpuSolverConfig {
+                    exec,
+                    ..Default::default()
+                },
+            )
+            .plan_geometry(m, n, bytes)
+            .unwrap();
+            assert_eq!(
+                noisy.describe(),
+                base.describe(),
+                "m={m} n={n} bytes={bytes}: exec config perturbed the plan"
+            );
+            assert_eq!(
+                noisy.to_json().to_string(),
+                base.to_json().to_string(),
+                "m={m} n={n} bytes={bytes}: exec config perturbed the plan JSON"
+            );
+        }
     }
 }
 
@@ -469,6 +544,155 @@ plan: m=16 n=1024 f32 on GTX480
     12. alloc buf[9] c_prime (16384 elems)
     13. alloc buf[10] d_prime (16384 elems)
     14. launch p_thomas grid=16 threads=128 regs=24 binds=[5, 6, 7, 8, 9, 10, 4] map=HybridSubsystems { m: 16, n: 1024, k: 7 }
+    15. download buf[4] x
+    16. convert-back <- Contiguous
+=== end ===
+"#;
+
+/// Pinned `SolvePlan::describe()` output for [`F32_PLAN_POINTS`].
+const GOLDEN_F32_PLANS: &str = r#"
+=== plan f32 m=64 n=512 ===
+plan: m=64 n=512 f32 on GTX480
+  k=6 mapping=BlockPerSystem fused=false layout=Contiguous
+  buffers: 11 (360448 elems, 1441792 bytes device footprint)
+  kernels: tiled_pcr -> p_thomas
+  steps:
+     1. convert -> Contiguous
+     2. upload a -> buf[0] a (32768 elems)
+     3. upload b -> buf[1] b (32768 elems)
+     4. upload c -> buf[2] c (32768 elems)
+     5. upload d -> buf[3] d (32768 elems)
+     6. alloc buf[4] x (32768 elems)
+     7. alloc buf[5] out_a (32768 elems)
+     8. alloc buf[6] out_b (32768 elems)
+     9. alloc buf[7] out_c (32768 elems)
+    10. alloc buf[8] out_d (32768 elems)
+    11. launch tiled_pcr grid=64 threads=64 regs=32 binds=[0, 1, 2, 3, 5, 6, 7, 8] k=6 sub_tile=64
+    12. alloc buf[9] c_prime (32768 elems)
+    13. alloc buf[10] d_prime (32768 elems)
+    14. launch p_thomas grid=32 threads=128 regs=24 binds=[5, 6, 7, 8, 9, 10, 4] map=HybridSubsystems { m: 64, n: 512, k: 6 }
+    15. download buf[4] x
+    16. convert-back <- Contiguous
+=== plan f32 m=1024 n=512 ===
+plan: m=1024 n=512 f32 on GTX480
+  k=0 mapping=BlockPerSystem fused=false layout=Interleaved
+  buffers: 7 (3670016 elems, 14680064 bytes device footprint)
+  kernels: p_thomas
+  steps:
+     1. convert -> Interleaved
+     2. upload a -> buf[0] a (524288 elems)
+     3. upload b -> buf[1] b (524288 elems)
+     4. upload c -> buf[2] c (524288 elems)
+     5. upload d -> buf[3] d (524288 elems)
+     6. alloc buf[4] x (524288 elems)
+     7. alloc buf[5] c_prime (524288 elems)
+     8. alloc buf[6] d_prime (524288 elems)
+     9. launch p_thomas grid=8 threads=128 regs=24 binds=[0, 1, 2, 3, 5, 6, 4] map=Interleaved { m: 1024, n: 512 }
+    10. download buf[4] x
+    11. convert-back <- Interleaved
+=== plan f32 m=64 n=2048 ===
+plan: m=64 n=2048 f32 on GTX480
+  k=6 mapping=BlockPerSystem fused=false layout=Contiguous
+  buffers: 11 (1441792 elems, 5767168 bytes device footprint)
+  kernels: tiled_pcr -> p_thomas
+  steps:
+     1. convert -> Contiguous
+     2. upload a -> buf[0] a (131072 elems)
+     3. upload b -> buf[1] b (131072 elems)
+     4. upload c -> buf[2] c (131072 elems)
+     5. upload d -> buf[3] d (131072 elems)
+     6. alloc buf[4] x (131072 elems)
+     7. alloc buf[5] out_a (131072 elems)
+     8. alloc buf[6] out_b (131072 elems)
+     9. alloc buf[7] out_c (131072 elems)
+    10. alloc buf[8] out_d (131072 elems)
+    11. launch tiled_pcr grid=64 threads=64 regs=32 binds=[0, 1, 2, 3, 5, 6, 7, 8] k=6 sub_tile=64
+    12. alloc buf[9] c_prime (131072 elems)
+    13. alloc buf[10] d_prime (131072 elems)
+    14. launch p_thomas grid=32 threads=128 regs=24 binds=[5, 6, 7, 8, 9, 10, 4] map=HybridSubsystems { m: 64, n: 2048, k: 6 }
+    15. download buf[4] x
+    16. convert-back <- Contiguous
+=== plan f32 m=256 n=2048 ===
+plan: m=256 n=2048 f32 on GTX480
+  k=6 mapping=BlockPerSystem fused=false layout=Contiguous
+  buffers: 11 (5767168 elems, 23068672 bytes device footprint)
+  kernels: tiled_pcr -> p_thomas
+  steps:
+     1. convert -> Contiguous
+     2. upload a -> buf[0] a (524288 elems)
+     3. upload b -> buf[1] b (524288 elems)
+     4. upload c -> buf[2] c (524288 elems)
+     5. upload d -> buf[3] d (524288 elems)
+     6. alloc buf[4] x (524288 elems)
+     7. alloc buf[5] out_a (524288 elems)
+     8. alloc buf[6] out_b (524288 elems)
+     9. alloc buf[7] out_c (524288 elems)
+    10. alloc buf[8] out_d (524288 elems)
+    11. launch tiled_pcr grid=256 threads=64 regs=32 binds=[0, 1, 2, 3, 5, 6, 7, 8] k=6 sub_tile=64
+    12. alloc buf[9] c_prime (524288 elems)
+    13. alloc buf[10] d_prime (524288 elems)
+    14. launch p_thomas grid=128 threads=128 regs=24 binds=[5, 6, 7, 8, 9, 10, 4] map=HybridSubsystems { m: 256, n: 2048, k: 6 }
+    15. download buf[4] x
+    16. convert-back <- Contiguous
+=== plan f32 m=2048 n=64 ===
+plan: m=2048 n=64 f32 on GTX480
+  k=0 mapping=BlockPerSystem fused=false layout=Interleaved
+  buffers: 7 (917504 elems, 3670016 bytes device footprint)
+  kernels: p_thomas
+  steps:
+     1. convert -> Interleaved
+     2. upload a -> buf[0] a (131072 elems)
+     3. upload b -> buf[1] b (131072 elems)
+     4. upload c -> buf[2] c (131072 elems)
+     5. upload d -> buf[3] d (131072 elems)
+     6. alloc buf[4] x (131072 elems)
+     7. alloc buf[5] c_prime (131072 elems)
+     8. alloc buf[6] d_prime (131072 elems)
+     9. launch p_thomas grid=16 threads=128 regs=24 binds=[0, 1, 2, 3, 5, 6, 4] map=Interleaved { m: 2048, n: 64 }
+    10. download buf[4] x
+    11. convert-back <- Interleaved
+=== plan f32 m=256 n=256 ===
+plan: m=256 n=256 f32 on GTX480
+  k=6 mapping=BlockPerSystem fused=false layout=Contiguous
+  buffers: 11 (720896 elems, 2883584 bytes device footprint)
+  kernels: tiled_pcr -> p_thomas
+  steps:
+     1. convert -> Contiguous
+     2. upload a -> buf[0] a (65536 elems)
+     3. upload b -> buf[1] b (65536 elems)
+     4. upload c -> buf[2] c (65536 elems)
+     5. upload d -> buf[3] d (65536 elems)
+     6. alloc buf[4] x (65536 elems)
+     7. alloc buf[5] out_a (65536 elems)
+     8. alloc buf[6] out_b (65536 elems)
+     9. alloc buf[7] out_c (65536 elems)
+    10. alloc buf[8] out_d (65536 elems)
+    11. launch tiled_pcr grid=256 threads=64 regs=32 binds=[0, 1, 2, 3, 5, 6, 7, 8] k=6 sub_tile=64
+    12. alloc buf[9] c_prime (65536 elems)
+    13. alloc buf[10] d_prime (65536 elems)
+    14. launch p_thomas grid=128 threads=128 regs=24 binds=[5, 6, 7, 8, 9, 10, 4] map=HybridSubsystems { m: 256, n: 256, k: 6 }
+    15. download buf[4] x
+    16. convert-back <- Contiguous
+=== plan f32 m=1 n=16384 ===
+plan: m=1 n=16384 f32 on GTX480
+  k=8 mapping=BlockGroupPerSystem(16) fused=false layout=Contiguous
+  buffers: 11 (180224 elems, 720896 bytes device footprint)
+  kernels: tiled_pcr -> p_thomas
+  steps:
+     1. convert -> Contiguous
+     2. upload a -> buf[0] a (16384 elems)
+     3. upload b -> buf[1] b (16384 elems)
+     4. upload c -> buf[2] c (16384 elems)
+     5. upload d -> buf[3] d (16384 elems)
+     6. alloc buf[4] x (16384 elems)
+     7. alloc buf[5] out_a (16384 elems)
+     8. alloc buf[6] out_b (16384 elems)
+     9. alloc buf[7] out_c (16384 elems)
+    10. alloc buf[8] out_d (16384 elems)
+    11. launch tiled_pcr grid=16 threads=256 regs=32 binds=[0, 1, 2, 3, 5, 6, 7, 8] k=8 sub_tile=256
+    12. alloc buf[9] c_prime (16384 elems)
+    13. alloc buf[10] d_prime (16384 elems)
+    14. launch p_thomas grid=2 threads=128 regs=24 binds=[5, 6, 7, 8, 9, 10, 4] map=HybridSubsystems { m: 1, n: 16384, k: 8 }
     15. download buf[4] x
     16. convert-back <- Contiguous
 === end ===

@@ -43,12 +43,6 @@ pub struct PlanKey {
     /// under (the service builds plans under *pinned* configs, which
     /// must not alias the base config's plans).
     pub config_fp: u64,
-    /// Row-split device count for a distributed single-system solve
-    /// ([`tridiag_gpu::DistributedPlan`]), `0` for the ordinary batch
-    /// path. Carried in the key so a batch plan for `m = 1` and a
-    /// distributed plan over the same geometry — even the `D = 1`
-    /// identity — can never alias each other's cache entries.
-    pub split_n: usize,
 }
 
 /// FNV-1a fingerprint of every config field that shapes a plan.
@@ -56,13 +50,12 @@ pub struct PlanKey {
 /// change the planned step sequence — so it is deliberately excluded.)
 pub fn config_fingerprint(config: &GpuSolverConfig) -> u64 {
     let text = format!(
-        "{:?}|{:?}|{}|{}|{}|{:?}|{:?}",
+        "{:?}|{:?}|{}|{}|{}|{:?}",
         config.policy,
         config.mapping,
         config.fused,
         config.sub_tile_scale,
         config.pthomas_block,
-        config.cost,
         config.layout
     );
     fnv1a_extend(FNV_OFFSET, text.bytes())
@@ -136,28 +129,6 @@ impl PlanCache {
             elem_bytes,
             group_fp: group.fingerprint(),
             config_fp: config_fingerprint(config),
-            split_n: 0,
-        }
-    }
-
-    /// The key a distributed single-system lookup would use: one
-    /// `n`-row system split across `split_n` devices. Distinct from
-    /// every batch key (including `m = 1` over the same geometry) by
-    /// construction.
-    pub fn key_for_split(
-        group: &DeviceGroup,
-        config: &GpuSolverConfig,
-        n: usize,
-        elem_bytes: usize,
-        split_n: usize,
-    ) -> PlanKey {
-        PlanKey {
-            m: 1,
-            n,
-            elem_bytes,
-            group_fp: group.fingerprint(),
-            config_fp: config_fingerprint(config),
-            split_n,
         }
     }
 
@@ -196,33 +167,5 @@ impl PlanCache {
             self.entries.push((key, Arc::clone(&plan)));
         }
         Ok((plan, false))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use gpu_sim::DeviceSpec;
-
-    /// A distributed-split key never collides with any batch key over
-    /// the same geometry — not even the `D = 1` identity split against
-    /// the `m = 1` batch plan, which solve identical systems through
-    /// different plan types.
-    #[test]
-    fn split_keys_never_alias_batch_keys() {
-        let group = DeviceGroup::single(DeviceSpec::gtx480());
-        let config = GpuSolverConfig::default();
-        let batch = PlanCache::key_for(&group, &config, 1, 4096, 8);
-        assert_eq!(batch.split_n, 0, "batch keys carry no split");
-        let identity = PlanCache::key_for_split(&group, &config, 4096, 8, 1);
-        assert_ne!(batch, identity);
-        let d2 = PlanCache::key_for_split(&group, &config, 4096, 8, 2);
-        let d4 = PlanCache::key_for_split(&group, &config, 4096, 8, 4);
-        assert_ne!(d2, d4, "different split counts are different plans");
-        assert_eq!(
-            d2,
-            PlanCache::key_for_split(&group, &config, 4096, 8, 2),
-            "equal lookups share one entry"
-        );
     }
 }

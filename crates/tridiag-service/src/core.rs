@@ -8,8 +8,9 @@
 //! with traffic — so the service never lets the rule see the fused
 //! `M`. Instead, per `(n, precision)` it plans once for a canonical
 //! batch of [`ServiceConfig::pin_m`] systems and pins that plan's
-//! decisions (`TransitionPolicy::Fixed(k)`, resolved mapping, fusion)
-//! into every solve at that geometry — fused *and* solo. Per-system
+//! decisions ([`GpuSolverConfig::pinned_to`]: `k`, resolved mapping,
+//! fusion, layout) into every solve at that geometry — fused *and*
+//! solo. Per-system
 //! arithmetic depends only on the pinned decisions (the property the
 //! sharded differential harness proves), so coalescing is bit-neutral
 //! by construction.
@@ -27,10 +28,9 @@ use std::sync::Arc;
 
 use gpu_sim::group::copy_us;
 use gpu_sim::{DeviceGroup, ExecConfig, Result, SimError};
-use tridiag_core::transition::TransitionPolicy;
-use tridiag_core::{Layout, SystemBatch};
+use tridiag_core::SystemBatch;
 use tridiag_gpu::buffers::GpuScalar;
-use tridiag_gpu::solver::{CostModel, GpuSolverConfig, LayoutChoice, MappingVariant};
+use tridiag_gpu::solver::GpuSolverConfig;
 use tridiag_gpu::{ShardedExecutor, ShardedPlan, SolvePlan};
 
 use crate::cache::{CacheStats, PlanCache};
@@ -53,8 +53,8 @@ pub struct ServiceConfig {
     /// Canonical batch size the per-geometry decisions are pinned
     /// from (see the module docs).
     pub pin_m: usize,
-    /// Base solver config; its `policy`/`mapping`/`fused` are
-    /// overridden by the pinned decisions per geometry.
+    /// Base solver config; its `policy`/`mapping`/`fused`/`layout`
+    /// are overridden by the pinned decisions per geometry.
     pub solver: GpuSolverConfig,
     /// Latency-objective targets for the report's SLO accounting.
     pub slo: SloConfig,
@@ -73,15 +73,6 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Decisions pinned for one `(n, elem_bytes)` geometry.
-#[derive(Debug, Clone, Copy)]
-struct Pin {
-    k: u32,
-    mapping: MappingVariant,
-    fused: bool,
-    layout: Layout,
-}
-
 /// The deterministic engine: device group, plan cache, pinned
 /// decisions, and the tick machinery. The threaded
 /// [`crate::service::SolveService`] and the modeled
@@ -91,7 +82,8 @@ pub struct ServiceCore {
     group: DeviceGroup,
     cfg: ServiceConfig,
     cache: PlanCache,
-    pins: BTreeMap<(usize, usize), Pin>,
+    /// Pinned solver config per `(n, elem_bytes)` geometry.
+    pins: BTreeMap<(usize, usize), GpuSolverConfig>,
     telemetry: Telemetry,
 }
 
@@ -155,41 +147,23 @@ impl ServiceCore {
     }
 
     /// The pinned solver config for `(n, elem_bytes)`: plan once at
-    /// the canonical `pin_m` geometry, then fix `(k, mapping, fused)`
-    /// for every solve at that geometry regardless of batch size.
+    /// the canonical `pin_m` geometry, then replay that plan's
+    /// decisions for every solve at that geometry regardless of batch
+    /// size.
     pub fn pinned_config(&mut self, n: usize, elem_bytes: usize) -> Result<GpuSolverConfig> {
-        let base = self.cfg.solver;
-        let pin = match self.pins.get(&(n, elem_bytes)) {
-            Some(p) => *p,
-            None => {
-                let reference = SolvePlan::build(
-                    self.group.primary(),
-                    &base,
-                    self.cfg.pin_m.max(1),
-                    n,
-                    elem_bytes,
-                )?;
-                let pin = Pin {
-                    k: reference.k,
-                    mapping: reference.mapping,
-                    fused: reference.fused,
-                    layout: reference.layout,
-                };
-                self.pins.insert((n, elem_bytes), pin);
-                pin
-            }
-        };
-        Ok(GpuSolverConfig {
-            policy: TransitionPolicy::Fixed(pin.k),
-            mapping: pin.mapping,
-            fused: pin.fused,
-            // The layout decided at pin_m replays verbatim at every
-            // batch size (bit-neutrality of coalescing), so the cost
-            // model must not re-score at the coalesced geometry.
-            cost: CostModel::Legacy,
-            layout: LayoutChoice::pin(pin.layout),
-            ..base
-        })
+        if let Some(config) = self.pins.get(&(n, elem_bytes)) {
+            return Ok(*config);
+        }
+        let reference = SolvePlan::build(
+            self.group.primary(),
+            &self.cfg.solver,
+            self.cfg.pin_m.max(1),
+            n,
+            elem_bytes,
+        )?;
+        let config = GpuSolverConfig::pinned_to(&reference);
+        self.pins.insert((n, elem_bytes), config);
+        Ok(config)
     }
 
     /// The group a batch of `m` systems actually shards over: the full
