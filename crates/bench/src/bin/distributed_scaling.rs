@@ -8,8 +8,10 @@
 //! — and the wall-clock stays below the serialized per-device sum (the
 //! chunk pipeline really overlaps). The split does *not* conserve work
 //! the way batch sharding does: each chunk solves three right-hand
-//! sides (y, u, w), so the summed device time grows ~3x; the win is
-//! capacity plus wall-clock, not total flops (DESIGN.md §15).
+//! sides (y, u, w), so the interior flops triple. Each chunk batches
+//! the three into one `m = 3` run, which costs far less than three
+//! `m = 1` runs, so the win is capacity plus wall-clock, not total
+//! flops (DESIGN.md §15).
 //!
 //! Run: `cargo run --release -p bench --bin distributed_scaling
 //!       [-- --fast] [-- --history FILE]`
@@ -100,8 +102,9 @@ fn main() {
     print!("{}", t.render());
     println!();
     println!(
-        "wall-clock falls with D (capacity + latency win); serialized sum grows ~3x \
-         because every chunk solves three right-hand sides (y, u, w)"
+        "wall-clock falls with D (capacity + latency win); every chunk solves its three \
+         right-hand sides (y, u, w) as one batched m=3 run, so the interior flops triple \
+         but the launches do not"
     );
     if let Some(path) = history.as_deref() {
         bench::history::record(path, "distributed", headline);

@@ -14,11 +14,15 @@
 //!    interface pair are moved to the right-hand side. Each device
 //!    solves that interior system for three right-hand sides — the
 //!    original interior RHS `y`, the unit load from the left interface
-//!    `u`, and the unit load from the right interface `w` — by running
-//!    **one** `m = 1` [`SolvePlan`] three times through a private
-//!    [`PlanExecutor`]. The peak resident footprint per device is then
-//!    that of an `n/D`-row plan, which is what lets a system that
-//!    overflows one device fit on `D`.
+//!    `u`, and the unit load from the right interface `w` — as **one**
+//!    3-system batch through an `m = 3` [`SolvePlan`] on a private
+//!    [`PlanExecutor`]: the paper's premise that independent systems
+//!    in one launch cost far less than the same systems one after
+//!    another. When the `m = 3` footprint does not fit the device, the
+//!    plan falls back to `m = 1` and the executor runs it once per
+//!    right-hand side; either way the peak resident footprint per
+//!    device is that of an `n/D`-row plan (times at most three), which
+//!    is what lets a system that overflows one device fit on `D`.
 //! 3. **Gather** the modified interface rows (two per chunk, four
 //!    coefficients each) to the primary device over the PCIe cost
 //!    model ([`StreamOp::CopyD2H`]).
@@ -43,9 +47,11 @@
 //! single-device pipeline, so for `D >= 2` the result matches the
 //! single-device solution to a condition-derived tolerance rather than
 //! bit-for-bit (see DESIGN.md §15); `D == 1` short-circuits to the
-//! identity path and *is* bit-identical. The 3-RHS formulation costs
-//! roughly 3x the interior flops of a plain Thomas sweep — the price
-//! of capacity, not a speedup at small `D`.
+//! identity path and *is* bit-identical. The 3-RHS formulation does
+//! roughly 3x the interior flops of a plain Thomas sweep; batching the
+//! three right-hand sides into one launch hides most of that on the
+//! modeled clock, but a 2-way split of a small system still loses to
+//! one device (DESIGN.md §16).
 
 use crate::buffers::GpuScalar;
 use crate::executor::PlanExecutor;
@@ -57,7 +63,7 @@ use crate::solver::{DistributedSummary, GpuSolveReport, GpuSolverConfig, ShardSu
 use gpu_sim::group::copy_us;
 use gpu_sim::json::schema::Check;
 use gpu_sim::{DeviceGroup, ExecConfig, GroupTimeline, Json, Result, SimError, StreamOp};
-use tridiag_core::{SystemBatch, TridiagonalSystem};
+use tridiag_core::{Layout, SystemBatch, TridiagonalSystem};
 
 /// One device's share of a distributed solve: which rows it owns and
 /// the interior-elimination [`SolvePlan`] (built against *its* spec)
@@ -73,8 +79,10 @@ pub struct ChunkPlan {
     pub row_start: usize,
     /// Number of rows this chunk owns (>= 2).
     pub row_count: usize,
-    /// `m = 1, n = row_count - 2` plan for the interior elimination,
-    /// run three times (RHS `y`, `u`, `w`). `None` iff `row_count == 2`.
+    /// `n = row_count - 2` plan for the interior elimination of the
+    /// three right-hand sides `y`, `u`, `w`: `m = 3` solves them as one
+    /// batched run; `m = 1` (when the batch does not fit the device)
+    /// runs once per right-hand side. `None` iff `row_count == 2`.
     pub interior: Option<SolvePlan>,
 }
 
@@ -83,6 +91,16 @@ impl ChunkPlan {
     pub fn interior_len(&self) -> usize {
         self.row_count - 2
     }
+}
+
+/// Right-hand sides each chunk's interior elimination solves: `y`, `u`
+/// and `w`.
+const INTERIOR_RHS: usize = 3;
+
+/// The interior plan's `m` is 3 (one batched run) or 1 (one run per
+/// right-hand side); anything else does not split the three evenly.
+pub(crate) fn valid_interior_m(m: usize) -> bool {
+    m == INTERIOR_RHS || m == 1
 }
 
 /// A single system of `n` rows split across a [`DeviceGroup`]: one
@@ -113,10 +131,15 @@ impl DistributedPlan {
     /// Pure, like [`SolvePlan::build`]. A single-device group yields
     /// the identity path.
     ///
+    /// Each chunk's interior plan batches its three right-hand sides
+    /// (`m = 3`); only when that plan fails to build — in practice, a
+    /// certified peak beyond the device's global memory — does the
+    /// chunk fall back to `m = 1`, so splitting never loses capacity.
+    ///
     /// Fails with [`SimError::InvalidPlan`] on an empty or too-small
     /// geometry (`n < 2D`), an unsupported scalar width, or any
     /// per-chunk plan failure (e.g. an interior footprint beyond its
-    /// device's global memory).
+    /// device's global memory even at `m = 1`).
     pub fn build(
         group: &DeviceGroup,
         config: &GpuSolverConfig,
@@ -153,17 +176,17 @@ impl DistributedPlan {
                 let interior = if row_count == 2 {
                     None
                 } else {
-                    Some(
-                        SolvePlan::build(spec, config, 1, row_count - 2, elem_bytes).map_err(
-                            |e| match e {
-                                SimError::InvalidPlan(msg) => SimError::InvalidPlan(format!(
-                                    "chunk {device_index} (rows [{row_start}, {})): {msg}",
-                                    row_start + row_count
-                                )),
-                                other => other,
-                            },
-                        )?,
-                    )
+                    let li = row_count - 2;
+                    let plan = SolvePlan::build(spec, config, INTERIOR_RHS, li, elem_bytes)
+                        .or_else(|_| SolvePlan::build(spec, config, 1, li, elem_bytes))
+                        .map_err(|e| match e {
+                            SimError::InvalidPlan(msg) => SimError::InvalidPlan(format!(
+                                "chunk {device_index} (rows [{row_start}, {})): {msg}",
+                                row_start + row_count
+                            )),
+                            other => other,
+                        })?;
+                    Some(plan)
                 };
                 Ok(ChunkPlan {
                     device_index,
@@ -241,10 +264,15 @@ impl DistributedPlan {
         for c in &self.chunks {
             match &c.interior {
                 Some(p) => {
+                    let rhs = if p.m == INTERIOR_RHS {
+                        "RHS y, u, w batched in one m=3 run"
+                    } else {
+                        "RHS y, u, w in three m=1 runs"
+                    };
                     let _ = writeln!(
                         s,
                         "  chunk {}: {} rows [{}, {}) interior n={} k={} kernels={} \
-                         device_bytes={} (x3 RHS: y, u, w)",
+                         device_bytes={} ({rhs})",
                         c.device_index,
                         c.device,
                         c.row_start,
@@ -330,8 +358,8 @@ pub const DISTRIBUTED_PLAN_SCHEMA: &str = "tridiag.distributed_plan/v1";
 /// [`crate::plan::validate_plan_json`]), and the partition invariants
 /// (contiguous full row coverage, every chunk >= 2 rows, balance
 /// within 1, `interior` present exactly when the chunk has interior
-/// rows, reduced size `2D`). Returns every problem found (empty =
-/// valid).
+/// rows and solving them with `m` 1 or 3, reduced size `2D`). Returns
+/// every problem found (empty = valid).
 pub fn validate_distributed_plan_json(doc: &Json) -> Vec<String> {
     use crate::plan::validate_plan_json;
     let mut c = Check::new(doc);
@@ -380,7 +408,13 @@ pub fn validate_distributed_plan_json(doc: &Json) -> Vec<String> {
                     );
                 }
                 if let Some(pm) = pnum("m") {
-                    chc.ensure(pm == 1.0, format!("interior plan has m = {pm}, not 1"));
+                    chc.ensure(
+                        valid_interior_m(pm as usize),
+                        format!(
+                            "interior plan has m = {pm}, not 1 (one run per RHS) or 3 \
+                             (y, u, w batched)"
+                        ),
+                    );
                 }
             }
             (None, _) => {}
@@ -416,18 +450,17 @@ pub fn validate_distributed_plan_json(doc: &Json) -> Vec<String> {
 /// What one chunk's worker thread hands back: the three interior
 /// solutions, the modified interface rows, and the per-run artifacts.
 struct ChunkRun<S> {
-    /// Interior solution for the original RHS (empty when `L == 2`).
-    y: Vec<S>,
-    /// Interior solution for the left-interface unit load.
-    u: Vec<S>,
-    /// Interior solution for the right-interface unit load.
-    w: Vec<S>,
+    /// Interior solutions for the original RHS `y` and the left and
+    /// right interface unit loads `u` and `w`, in that order (all empty
+    /// when `L == 2`).
+    x: [Vec<S>; INTERIOR_RHS],
     /// Modified first interface row `(a, b, c, d)` in reduced-system
     /// coefficients.
     row_first: (S, S, S, S),
     /// Modified last interface row.
     row_last: (S, S, S, S),
-    /// One report per interior run (`y`, `u`, `w`), empty when `L == 2`.
+    /// One report per interior run: one for a batched `m = 3` plan,
+    /// three (`y`, `u`, `w`) for `m = 1`; empty when `L == 2`.
     reports: Vec<GpuSolveReport>,
     /// Exact `(flops, global transactions, global bytes)` of the runs.
     totals: (u64, u64, u64),
@@ -505,8 +538,8 @@ impl DistributedExecutor {
         })?;
 
         // One worker per chunk: build the interior system, solve it for
-        // the three right-hand sides, fold the solutions into the
-        // chunk's two interface rows.
+        // the three right-hand sides (one batched run, or one run each),
+        // fold the solutions into the chunk's two interface rows.
         let runs = fan_out("chunk", plan.chunks.len(), |d| {
             chunk_eliminate(self.group.devices()[d].clone(), self.exec, &plan.chunks[d], batch)
         })?;
@@ -556,27 +589,33 @@ impl DistributedExecutor {
             let xe = xr[2 * j + 1];
             out[batch.index(0, ch.row_start)] = xs;
             out[batch.index(0, ch.row_start + ch.row_count - 1)] = xe;
+            let [y, u, w] = &run.x;
             for t in 0..ch.interior_len() {
-                out[batch.index(0, ch.row_start + 1 + t)] =
-                    run.y[t] - run.u[t] * xs - run.w[t] * xe;
+                out[batch.index(0, ch.row_start + 1 + t)] = y[t] - u[t] * xs - w[t] * xe;
             }
             backsub_flops += 4 * ch.interior_len() as u64;
         }
 
         // ---- modeled timeline -----------------------------------------
-        // Replay each chunk's three interior runs onto its device's
-        // in-order stream, then the interface gather (D2H), the reduced
-        // solve on the primary, and the PCIe-serialized scatter (H2D)
-        // followed by the back-substitution launch — the scatter
-        // serialization is what makes device 0's back-substitution
-        // overlap device D-1's interface wait.
+        // Replay each chunk's interior runs (one batched `#yuw` run, or
+        // `#y`, `#u`, `#w`) onto its device's in-order stream, then the
+        // interface gather (D2H), the reduced solve on the primary, and
+        // the PCIe-serialized scatter (H2D) followed by the
+        // back-substitution launch — the scatter serialization is what
+        // makes device 0's back-substitution overlap device D-1's
+        // interface wait.
         let gather_chunk_bytes = 8 * eb; // 2 interface rows x 4 coefficients
         let scatter_chunk_bytes = 2 * eb; // 2 interface values
         let mut timeline = GroupTimeline::new(&self.group);
         for (ch, run) in plan.chunks.iter().zip(&runs) {
             let stream = timeline.stream_mut(ch.device_index);
             if let Some(ip) = &ch.interior {
-                for (tag, report) in ["#y", "#u", "#w"].iter().zip(&run.reports) {
+                let tags: &[&str] = if ip.m == INTERIOR_RHS {
+                    &["#yuw"]
+                } else {
+                    &["#y", "#u", "#w"]
+                };
+                for (tag, report) in tags.iter().zip(&run.reports) {
                     replay_plan(stream, ip, &report.kernels, tag, "chunk")?;
                 }
             }
@@ -653,8 +692,8 @@ impl DistributedExecutor {
         for (ch, run) in plan.chunks.iter().zip(&runs) {
             let d = ch.device_index;
             let stream = &timeline.streams()[d];
-            // Device d's launch sequence on its stream: the three
-            // interior runs' kernels in order, then (device 0 only) the
+            // Device d's launch sequence on its stream: the interior
+            // runs' kernels in order, then (device 0 only) the
             // reduced kernels, then the back-substitution, which the
             // timeline prices without a kernel report.
             let mut launches: Vec<Launch> = run
@@ -723,8 +762,9 @@ impl DistributedExecutor {
 }
 
 /// One chunk's partial elimination, run on its own thread: solve the
-/// interior system for the three right-hand sides and fold the
-/// solutions into the chunk's two interface rows.
+/// interior system for the three right-hand sides — as one `m = 3`
+/// batch, or one `m = 1` run each — and fold the solutions into the
+/// chunk's two interface rows.
 fn chunk_eliminate<S: GpuScalar>(
     spec: gpu_sim::DeviceSpec,
     exec: ExecConfig,
@@ -741,60 +781,74 @@ fn chunk_eliminate<S: GpuScalar>(
         // x_first and x_last are adjacent in the reduced ordering, so
         // c_s couples x_first to x_last and a_e couples back.
         return Ok(ChunkRun {
-            y: Vec::new(),
-            u: Vec::new(),
-            w: Vec::new(),
+            x: Default::default(),
             row_first: (a_s, b_s, c_s, d_s),
             row_last: (a_e, b_e, c_e, d_e),
             reports: Vec::new(),
             totals: (0, 0, 0),
         });
     }
-    let ip = ch.interior.as_ref().ok_or_else(|| {
-        SimError::InvalidPlan(format!(
-            "chunk {} has {li} interior row(s) but no interior plan",
-            ch.device_index
-        ))
-    })?;
-    // Interior rows s+1 ..= e-1. The couplings to the interface pair
-    // (a_{s+1} on the first interior row, c_{e-1} on the last) move to
-    // the right-hand side as the unit-load RHS u and w;
-    // TridiagonalSystem::new zeroes lower[0] and upper[n-1], which is
-    // exactly that decoupling.
+    let ip = ch
+        .interior
+        .as_ref()
+        .filter(|p| valid_interior_m(p.m))
+        .ok_or_else(|| {
+            SimError::InvalidPlan(format!(
+                "chunk {} has {li} interior row(s) but no interior plan solving 1 or 3 \
+                 right-hand sides per run",
+                ch.device_index
+            ))
+        })?;
+    // Interior rows s+1 ..= e-1: one matrix shared by the three
+    // right-hand sides. The couplings to the interface pair (a_{s+1} on
+    // the first interior row, c_{e-1} on the last) move out of the
+    // matrix and into the unit-load right-hand sides u and w, which
+    // decouples the interior from the interface.
     let mut lower = Vec::with_capacity(li);
     let mut diag = Vec::with_capacity(li);
     let mut upper = Vec::with_capacity(li);
-    let mut rhs_y = Vec::with_capacity(li);
+    let mut rhs: [Vec<S>; INTERIOR_RHS] =
+        [Vec::with_capacity(li), vec![S::ZERO; li], vec![S::ZERO; li]];
     for t in 0..li {
         let (a, b, c, d) = batch.row(0, s + 1 + t);
         lower.push(a);
         diag.push(b);
         upper.push(c);
-        rhs_y.push(d);
+        rhs[0].push(d);
     }
-    let a_first = lower[0];
-    let c_last = upper[li - 1];
-    let mut rhs_u = vec![S::ZERO; li];
-    rhs_u[0] = a_first;
-    let mut rhs_w = vec![S::ZERO; li];
-    rhs_w[li - 1] = c_last;
+    rhs[1][0] = std::mem::replace(&mut lower[0], S::ZERO);
+    rhs[2][li - 1] = std::mem::replace(&mut upper[li - 1], S::ZERO);
 
+    // Each run solves `ip.m` of the right-hand sides against copies of
+    // the one matrix: a single batched run at m = 3, else y, u, w in
+    // turn.
     let mut ex = PlanExecutor::new(spec, exec);
-    let mut solve_one = |rhs: Vec<S>| -> Result<(Vec<S>, GpuSolveReport)> {
-        let sys = TridiagonalSystem::new(lower.clone(), diag.clone(), upper.clone(), rhs)
-            .map_err(|e| SimError::InvalidPlan(format!("building interior system: {e}")))?;
-        let sub = SystemBatch::from_systems(vec![sys])
-            .map_err(|e| SimError::InvalidPlan(format!("building interior batch: {e}")))?;
-        ex.run(ip, &sub)
-    };
-    let (y, r_y) = solve_one(rhs_y)?;
-    let (u, r_u) = solve_one(rhs_u)?;
-    let (w, r_w) = solve_one(rhs_w)?;
+    let mut x: [Vec<S>; INTERIOR_RHS] = Default::default();
+    let mut reports = Vec::with_capacity(INTERIOR_RHS / ip.m);
+    for (run, rhs) in rhs.chunks(ip.m).enumerate() {
+        let m = rhs.len();
+        let sub = SystemBatch::from_raw(
+            lower.repeat(m),
+            diag.repeat(m),
+            upper.repeat(m),
+            rhs.concat(),
+            m,
+            li,
+            Layout::Contiguous,
+        )
+        .map_err(|e| SimError::InvalidPlan(format!("building interior batch: {e}")))?;
+        let (xs, report) = ex.run(ip, &sub)?;
+        for (slot, sol) in x[run * m..].iter_mut().zip(xs.chunks(li)) {
+            *slot = sol.to_vec();
+        }
+        reports.push(report);
+    }
 
     // Fold the interior solutions into the interface rows:
     //   x_{s+1} = y[0]    - u[0]    x_s - w[0]    x_e
     //   x_{e-1} = y[li-1] - u[li-1] x_s - w[li-1] x_e
     // substituted into rows s and e of the original system.
+    let [y, u, w] = &x;
     let row_first = (
         a_s,
         b_s - c_s * u[0],
@@ -808,12 +862,10 @@ fn chunk_eliminate<S: GpuScalar>(
         d_e - a_e * y[li - 1],
     );
     Ok(ChunkRun {
-        y,
-        u,
-        w,
+        x,
         row_first,
         row_last,
-        reports: vec![r_y, r_u, r_w],
+        reports,
         totals: counter_totals(&ex),
     })
 }
@@ -871,6 +923,20 @@ mod tests {
             assert_eq!(dist.devices, d);
             assert_eq!(dist.reduced_n, 2 * d);
             assert!(batch.max_relative_residual(&x2).unwrap() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn full_memory_chunks_batch_their_three_rhs() {
+        for (d, n) in [(2usize, 1usize << 16), (4, 1 << 12), (8, 1 << 15)] {
+            let plan =
+                DistributedPlan::build(&group_of(d), &GpuSolverConfig::default(), n, 8).unwrap();
+            for c in &plan.chunks {
+                let ip = c.interior.as_ref().expect("interior plan");
+                let ctx = format!("D = {d} chunk {}", c.device_index);
+                assert_eq!((ip.m, ip.n), (3, c.interior_len()), "{ctx}");
+            }
+            assert!(plan.describe().contains("batched in one m=3 run"), "{}", plan.describe());
         }
     }
 

@@ -78,7 +78,9 @@ pub(crate) fn counter_totals(ex: &PlanExecutor) -> (u64, u64, u64) {
 }
 
 /// Record one run of `plan` onto `stream`: every upload and download as
-/// a modeled PCIe copy (names suffixed with `tag`, e.g. `#y`), every
+/// a modeled PCIe copy (names suffixed with `tag`: `#yuw` for a chunk's
+/// batched interior run, `#y`/`#u`/`#w` for its `m = 1` runs,
+/// `#reduced` for the interface solve), every
 /// launch at the modeled time of the matching entry of `kernels`.
 /// `owner` names the run when a kernel report is missing.
 pub(crate) fn replay_plan(

@@ -44,7 +44,7 @@
 //! `k`/mapping/fused/layout for shards; interface exchange and the
 //! reduced system for chunks).
 
-use crate::distributed::DistributedPlan;
+use crate::distributed::{valid_interior_m, DistributedPlan};
 use crate::plan::{Partition, ShardedPlan, Slot, SolvePlan, Step, TileWalk};
 use gpu_sim::{DeviceGroup, DeviceSpec, Json, Result, SimError};
 use std::fmt;
@@ -1152,10 +1152,11 @@ pub fn verify_sharded_plan(group: &DeviceGroup, plan: &ShardedPlan) -> GroupVeri
 /// chunk's interior rows and certifies clean on its own device), plus
 /// the interface dataflow — a chunk with interior rows *must* carry an
 /// interior elimination plan, else its interface coefficients are used
-/// before being defined — and the reduced system: exactly `2D`
-/// unknowns, planned and certified on the primary device. On the
-/// `D == 1` path the identity plan is verified and the chunk/reduced
-/// invariants are vacuous.
+/// before being defined — the interior plan's right-hand sides per run
+/// (`m = 3` batches y, u, w; `m = 1` runs three times), and the reduced
+/// system: exactly `2D` unknowns, planned and certified on the primary
+/// device. On the `D == 1` path the identity plan is verified and the
+/// chunk/reduced invariants are vacuous.
 pub fn verify_distributed_plan(group: &DeviceGroup, plan: &DistributedPlan) -> GroupVerifyReport {
     let of = Partition::Rows;
     let mut findings = Vec::new();
@@ -1222,6 +1223,17 @@ pub fn verify_distributed_plan(group: &DeviceGroup, plan: &DistributedPlan) -> G
             ),
             _ => {}
         }
+        if let Some(ip) = ch.interior.as_ref().filter(|p| !valid_interior_m(p.m)) {
+            push(
+                FindingKind::ChunkConsistency,
+                Some(i),
+                format!(
+                    "interior plan solves m = {} right-hand sides per run, but y, u, w \
+                     need m = 3 (one batched run) or m = 1 (three runs)",
+                    ip.m
+                ),
+            );
+        }
     }
     let d = plan.chunks.len();
     match &plan.reduced {
@@ -1268,7 +1280,8 @@ pub fn verify_distributed_plan(group: &DeviceGroup, plan: &DistributedPlan) -> G
             start: ch.row_start,
             count: ch.row_count,
             plan: ch.interior.as_ref(),
-            need: (1, ch.row_count.saturating_sub(2)),
+            // The interior plan's m is checked above; here only its n.
+            need: (ch.interior.as_ref().map_or(1, |p| p.m), ch.row_count.saturating_sub(2)),
         })
         .collect();
     let mut plans = check_parts(group, of, plan.n, plan.elem_bytes, &parts, &mut findings);

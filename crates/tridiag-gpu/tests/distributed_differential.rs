@@ -12,15 +12,17 @@
 //!   comparison is against a condition-derived tolerance, not bits,
 //!   and the residual must stay at single-device levels.
 //! * Counters must **reconcile**: each chunk's flops are exactly three
-//!   standalone interior solves (one per right-hand side y/u/w) plus
+//!   standalone interior solves (the y/u/w batch does the same
+//!   arithmetic as one run per right-hand side, in fewer launches) plus
 //!   `4·Li` back-substitution flops; the reduced solve's counters equal
 //!   a standalone `m = 1, n = 2D` run; gather/scatter PCIe bytes match
 //!   their closed forms.
 //!
-//! The capacity claim of the tentpole is also pinned here: an `N` whose
-//! single-device plan is a typed `InvalidPlan` (footprint beyond global
-//! memory, message naming the distributed option) must *solve* at
-//! `D >= 2` on the same devices.
+//! The capacity claim is also pinned here: an `N` whose single-device
+//! plan is a typed `InvalidPlan` (footprint beyond global memory,
+//! message naming the distributed option) must *solve* at `D >= 2` on
+//! the same devices, falling back to one `m = 1` run per right-hand
+//! side where the `m = 3` batch does not fit.
 
 use gpu_sim::{DeviceGroup, DeviceSpec, ExecConfig, SimError};
 use tridiag_core::generators::random_batch;
@@ -162,25 +164,25 @@ const SPLIT_PINS: &[SplitPin] = &[
     SplitPin {
         d: 2,
         solution: 0x7c9f_0f42_e93f_84e6,
-        total_us: 0x4071_256d_ab4e_607d,
-        wall_clock_us: 0x407a_fb8a_5756_91a6,
-        serialized_us: 0x408a_ef86_3ec3_1cea,
-        completions: &[0x407a_e382_262f_a82d, 0x407a_fb8a_5756_91a6],
-        trace: 0x0970_1400_429b_5586,
+        total_us: 0x4063_e6db_1139_1640,
+        wall_clock_us: 0x4072_d98a_34a4_bc49,
+        serialized_us: 0x4082_cd86_1c11_478c,
+        completions: &[0x4072_c182_037d_d2d0, 0x4072_d98a_34a4_bc49],
+        trace: 0x19d2_e269_8274_82e2,
     },
     SplitPin {
         d: 4,
         solution: 0xc591_cb6d_860e_71c5,
-        total_us: 0x4070_6340_21f5_00b9,
-        wall_clock_us: 0x4076_92b4_de5f_7fb0,
-        serialized_us: 0x4096_6ea8_94a5_217b,
+        total_us: 0x4058_c52a_a528_0e56,
+        wall_clock_us: 0x4066_e17e_cb69_0524,
+        serialized_us: 0x4086_9966_37f4_48b9,
         completions: &[
-            0x4076_4a9c_4aea_c345,
-            0x4076_62a4_7c11_acbe,
-            0x4076_7aac_ad38_9637,
-            0x4076_92b4_de5f_7fb0,
+            0x4066_514d_a47f_8c4e,
+            0x4066_815e_06cd_5f40,
+            0x4066_b16e_691b_3232,
+            0x4066_e17e_cb69_0524,
         ],
-        trace: 0xd928_e5ee_ddde_5d1a,
+        trace: 0x44e0_0c3d_5712_9d48,
     },
 ];
 
@@ -235,6 +237,15 @@ fn too_large_single_system_solves_when_split() {
     let (reference, _) = GpuTridiagSolver::gtx480().solve_batch(&batch).unwrap();
     for d in [2usize, 4] {
         let group = DeviceGroup::homogeneous(small.clone(), d).unwrap();
+        if d == 2 {
+            // A 16382-row interior batched three ways does not fit in
+            // 2 MiB: the chunks fall back to one m = 1 run per RHS.
+            let plan = solver.plan_geometry_split(&group, n, 8).unwrap();
+            for ch in &plan.chunks {
+                let m = ch.interior.as_ref().map(|p| p.m);
+                assert_eq!(m, Some(1), "D=2 chunk {}: expected m = 1", ch.device_index);
+            }
+        }
         let (x, report) = solver.solve_batch_split(&group, &batch).unwrap();
         let worst = worst_abs(&reference, &x);
         assert!(worst < 1e-9, "D={d}: max abs deviation {worst:.3e}");
@@ -272,4 +283,21 @@ fn four_way_split_beats_two_way_at_large_n() {
         wall[1],
         wall[0]
     );
+}
+
+/// The regression the batched interior fixes: at N = 131072 (f64,
+/// GTX480) a two-way split is no slower than one device on modeled
+/// wall-clock.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "slow simulation; run with --release")]
+fn two_way_split_is_no_slower_than_one_device_at_large_n() {
+    let n = 1usize << 17;
+    let batch = random_batch::<f64>(1, n, SEED);
+    let solver = GpuTridiagSolver::gtx480();
+    let wall = |d: usize| {
+        let group = DeviceGroup::homogeneous(DeviceSpec::gtx480(), d).unwrap();
+        solver.solve_batch_split(&group, &batch).unwrap().1.total_us
+    };
+    let (w1, w2) = (wall(1), wall(2));
+    assert!(w2 <= w1, "D=2 wall-clock {w2} us must not exceed D=1 {w1} us at n={n}");
 }

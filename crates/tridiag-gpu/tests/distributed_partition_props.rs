@@ -142,7 +142,7 @@ proptest! {
                     ),
                     Some(interior) => {
                         prop_assert!(chunk.row_count > 2);
-                        prop_assert_eq!(interior.m, 1);
+                        prop_assert_eq!(interior.m, 3, "y, u, w batched in one run");
                         prop_assert_eq!(interior.n, chunk.row_count - 2);
                         prop_assert_eq!(interior.elem_bytes, 8);
                     }

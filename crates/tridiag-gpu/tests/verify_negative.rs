@@ -16,8 +16,8 @@ use tridiag_core::Layout;
 use tridiag_gpu::plan::{BufferDecl, KernelOp, Step};
 use tridiag_gpu::solver::{GpuSolverConfig, GpuTridiagSolver};
 use tridiag_gpu::{
-    verify_distributed_plan, verify_plan, verify_sharded_plan, DistributedPlan, FindingKind,
-    PlanExecutor, SolvePlan,
+    validate_distributed_plan_json, verify_distributed_plan, verify_plan, verify_sharded_plan,
+    DistributedPlan, FindingKind, PlanExecutor, SolvePlan,
 };
 
 fn base_plan() -> (DeviceSpec, SolvePlan) {
@@ -258,6 +258,26 @@ fn dropped_interior_plan_fires_interface_exchange_on_its_chunk() {
         .expect("expected an interface-exchange finding");
     assert_eq!(f.chunk, Some(0));
     assert!(f.message.contains("used before being defined"), "{}", f.message);
+}
+
+#[test]
+fn interior_plan_with_wrong_rhs_count_fires_on_its_chunk() {
+    let (group, solver, mut plan) = split_plan();
+    let li = plan.chunks[1].interior_len();
+    plan.chunks[1].interior = Some(solver.plan_geometry(2, li, 8).unwrap());
+    let report = verify_distributed_plan(&group, &plan);
+    let f = report
+        .findings
+        .iter()
+        .find(|f| f.kind == FindingKind::ChunkConsistency)
+        .expect("expected a chunk-consistency finding");
+    assert_eq!(f.chunk, Some(1));
+    assert!(f.message.contains("m = 2"), "{}", f.message);
+    let problems = validate_distributed_plan_json(&plan.to_json());
+    assert!(
+        problems.iter().any(|p| p.contains("interior plan has m = 2")),
+        "the JSON validator must flag m = 2 too: {problems:?}"
+    );
 }
 
 #[test]

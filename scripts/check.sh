@@ -54,6 +54,9 @@ cargo test -q -p tridiag-gpu --test distributed_partition_props
 echo "== distributed differential harness (split(D) . reduce . back-sub vs single device) =="
 cargo test --release -q -p tridiag-gpu --test distributed_differential
 
+echo "== distributed scaling bench (D=4 must beat D=2) =="
+cargo run --release -q -p bench --bin distributed_scaling -- --fast
+
 echo "== service differential harness (coalesced == solo, bit-for-bit, 60 mixes) =="
 cargo test --release -q -p tridiag-service --test service_differential
 
