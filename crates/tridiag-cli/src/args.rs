@@ -63,6 +63,30 @@ impl Args {
         self.flags.iter().any(|f| f == key)
     }
 
+    /// Reject every option outside `opts` (`--key value`) and every flag
+    /// outside `flags` (`--key`), both space-separated key lists, naming
+    /// the first offender.
+    pub fn only(&self, opts: &str, flags: &str) -> Result<(), String> {
+        let listed = |list: &str, key: &str| list.split_whitespace().any(|k| k == key);
+        for (key, value) in &self.opts {
+            if listed(flags, key) {
+                return Err(format!("--{key} takes no value (got {value:?})"));
+            }
+            if !listed(opts, key) {
+                return Err(format!("unknown option --{key}"));
+            }
+        }
+        for key in &self.flags {
+            if listed(opts, key) {
+                return Err(format!("--{key} needs a value"));
+            }
+            if !listed(flags, key) {
+                return Err(format!("unknown option --{key}"));
+            }
+        }
+        Ok(())
+    }
+
     /// Comma-separated list option.
     pub fn get_list(&self, key: &str) -> Result<Option<Vec<usize>>, String> {
         match self.opts.get(key) {
@@ -108,6 +132,20 @@ mod tests {
         assert!(parse("tune --m-list 1,x").get_list("m-list").is_err());
         assert!(Args::parse(["solve".into(), "extra".into()]).is_err());
         assert!(parse("solve --n notanumber").get_or("n", 0usize).is_err());
+    }
+
+    #[test]
+    fn only_rejects_what_a_command_does_not_read() {
+        let a = parse("solve --m 4 --verbose");
+        assert!(a.only("m n", "verbose").is_ok());
+        let err = |s: &str| parse(s).only("m n", "verbose").unwrap_err();
+        assert_eq!(err("solve --preicsion f32"), "unknown option --preicsion");
+        assert_eq!(err("solve --sweep"), "unknown option --sweep");
+        assert_eq!(
+            err("solve --verbose yes"),
+            "--verbose takes no value (got \"yes\")"
+        );
+        assert_eq!(err("solve --m"), "--m needs a value");
     }
 
     #[test]

@@ -9,9 +9,7 @@
 //! tridiag solve --split-n 4 --n 1000000   # one huge system row-split
 //!                                         # across 4 devices
 //! tridiag plan --m 256 --n 1024 [--json] # print the solve plan, no execution
-//! tridiag plan --sweep                   # dry-run + schema-check sweep plans
 //! tridiag verify --m 256 --n 1024        # statically certify the plan
-//! tridiag verify --sweep                 # certify + execute + cross-check
 //! tridiag profile --m 256 --n 1024       # per-phase profile + Chrome trace
 //! tridiag profile --zoo --out zoo.json   # ...for every shipped kernel
 //! tridiag compare --m 64 --n 2048        # run every engine, check parity
@@ -20,10 +18,14 @@
 //! tridiag lint [--verbose]               # static-lint the kernel zoo
 //! tridiag serve --requests 8 --clients 4 # concurrent solves through the
 //!                                        # coalescing service, checked vs solo
-//! tridiag bench-service --n 256 --m 2    # modeled window sweep table
 //! tridiag stats --requests 48            # unified telemetry read-out:
 //!                                        # metrics, SLO account, replay checks
 //! ```
+//!
+//! Each command rejects any option it does not read. The figure-sweep
+//! plan, certificate and service-window sweeps live in the test suites
+//! (`plan_snapshots`, `layout_cost`, `verify_props`) and in
+//! `cargo run -p bench --bin service_throughput`.
 //!
 //! Exit codes: 0 = success, 1 = usage or solve error, 2 = lint or
 //! sanitizer findings (the solve itself succeeded, but a check found
@@ -269,24 +271,20 @@ fn print_plan(
 /// `plan` and `verify` for one geometry: parse it, resolve its route,
 /// build the plan without executing anything and print it through
 /// [`print_plan`].
-fn plan_geometry_cmd(
-    a: &Args,
-    device: &DeviceSpec,
-    show_plan: bool,
-    verify: bool,
-) -> Result<(), Failure> {
+fn plan_geometry_cmd(a: &Args, show_plan: bool, verify: bool) -> Result<(), Failure> {
+    let device = device_by_name(a.get("device").unwrap_or("gtx480"))?;
     let split = split_n_opt(a)?;
     let m: usize = a.get_or("m", if split.is_some() { 1 } else { 64 })?;
     let n: usize = a.get_or("n", 1024)?;
-    let elem_bytes = if a.get("precision").unwrap_or("f64") == "f32" { 4 } else { 8 };
+    let elem_bytes = elem_bytes(a)?;
     let config = GpuSolverConfig {
         layout: layout_choice(a)?,
         ..Default::default()
     };
     let solver = GpuTridiagSolver::new(device.clone(), config);
-    let route = resolve_route(&solver, device_group(a, device)?, split, m, n, elem_bytes)?;
+    let route = resolve_route(&solver, device_group(a, &device)?, split, m, n, elem_bytes)?;
     let plan = RoutePlan::build(route, &solver, m, n, elem_bytes)?;
-    print_plan(&plan, device, a.flag("json"), show_plan, verify)
+    print_plan(&plan, &device, a.flag("json"), show_plan, verify)
 }
 
 /// Parse `--layout`: the planner's memory-layout choice. `auto`
@@ -304,27 +302,36 @@ fn layout_choice(a: &Args) -> Result<LayoutChoice, String> {
     }
 }
 
+/// Parse `--precision` for `solve`, `plan`, `verify` and `profile`:
+/// the element width in bytes, 8 for `f64` (default) or 4 for `f32`.
+fn elem_bytes(a: &Args) -> Result<usize, String> {
+    match a.get("precision").unwrap_or("f64") {
+        "f64" => Ok(8),
+        "f32" => Ok(4),
+        other => Err(format!("--precision {other:?} (expected f64 or f32)")),
+    }
+}
+
 fn usage() -> &'static str {
     "usage:\n  tridiag solve   --m M --n N [--engine gpu|cpu|cpu-mt|davidson|zhang] \
      [--precision f64|f32] [--device gtx480|gtx280|c2050] [--devices G] \
      [--split-n D|auto] [--seed S] [--layout auto|contiguous|interleaved] \
      [--verbose] [--sanitize] [--lint] [--check] [--trace FILE] [--json] [--dry-run]\n  \
      tridiag plan    --m M --n N [--precision f64|f32] [--device D] [--devices G] \
-     [--split-n D|auto] [--layout L] [--json] [--verify] | --sweep [--device D]\n  \
+     [--split-n D|auto] [--layout L] [--json] [--verify]\n  \
      tridiag verify  --m M --n N [--precision f64|f32] [--device D] [--devices G] \
-     [--split-n D|auto] [--layout L] [--json] | --sweep [--device D]\n  \
+     [--split-n D|auto] [--layout L] [--json]\n  \
      tridiag profile --m M --n N [--precision f64|f32] [--device D] [--seed S] \
      [--out FILE] | --zoo [--out FILE]\n  \
      tridiag compare --m M --n N [--seed S]\n  \
-     tridiag tune    --n N [--m-list 1,16,256] [--k-max 8] [--devices G] [--layout L]\n  \
+     tridiag tune    --n N [--m-list 1,16,256] [--k-max 8] [--device D] [--devices G] \
+     [--layout L]\n  \
      tridiag info    [--device gtx480]\n  \
      tridiag lint    [--verbose]\n  \
      tridiag serve   [--requests R] [--clients C] [--window US] [--depth Q] \
      [--m M] [--n N]\n  \
      \u{20}           [--precision f64|f32|mixed] [--device D] [--devices G] [--seed S]\n  \
      \u{20}           [--telemetry DIR]\n  \
-     tridiag bench-service [--requests R] [--windows 0,4,16,64] [--m M] [--n N]\n  \
-     \u{20}           [--precision f64|f32] [--device D] [--devices G] [--seed S]\n  \
      tridiag stats   [--requests R] [--window US] [--m M] [--n N] [--seed S]\n  \
      \u{20}           [--precision f64|f32|mixed] [--device D] [--devices G] [--top K]\n  \
      \u{20}           [--json] [--out DIR]\n\n\
@@ -335,8 +342,6 @@ fn usage() -> &'static str {
      \u{20}           exits 2 when any answer drifts or a ticket is lost;\n  \
      \u{20}           --telemetry DIR also writes metrics.json, events.jsonl and\n  \
      \u{20}           trace.json there and validates all three (violations exit 2)\n  \
-     bench-service sweep the coalescing window on a modeled workload and print\n  \
-     \u{20}           requests/s, p50/p99 latency, batch and cache-hit counts\n  \
      stats       run a deterministic modeled workload and print the unified\n  \
      \u{20}           telemetry read-out: counter/gauge/histogram tables (top K\n  \
      \u{20}           labels per family), latency attribution, SLO account, and\n  \
@@ -376,20 +381,17 @@ fn usage() -> &'static str {
      \u{20}           trace) as one JSON document instead of the human summary\n  \
      --dry-run   plan the solve (k, mapping, kernel sequence, buffer footprint)\n  \
      \u{20}           and print it without launching any kernel\n  \
-     plan        build and print the solve plan for a geometry; --sweep plans\n  \
-     \u{20}           the figure-sweep geometries and validates each plan's JSON\n  \
-     \u{20}           against the schema, exiting 2 on drift (nothing executes);\n  \
-     \u{20}           --verify also runs the static plan verifier on the plan\n  \
+     plan        build and print the solve plan for a geometry (nothing\n  \
+     \u{20}           executes); --verify also runs the static plan verifier\n  \
      verify      statically certify a plan (slot dataflow, liveness, layout\n  \
      \u{20}           pairing, exact transfer/launch/peak-memory certificate)\n  \
-     \u{20}           without executing; --sweep certifies the figure-sweep and\n  \
-     \u{20}           sharded geometries AND executes each, cross-checking the\n  \
-     \u{20}           certificate against measured stats\n  \
+     \u{20}           without executing\n  \
      profile     run a solve (or, with --zoo, every zoo kernel), write the\n  \
      \u{20}           trace to --out (default trace.json) and print the per-phase\n  \
      \u{20}           profile; exits 2 on phase-sum or trace-schema violations\n\n\
-     exit codes: 0 = ok, 1 = usage/solve error, 2 = lint, sanitizer, phase-sum,\n  \
-     \u{20}           trace-schema, plan-schema, plan-verification or telemetry\n  \
+     exit codes: 0 = ok, 1 = usage/solve error (incl. an option the command\n  \
+     \u{20}           does not take), 2 = lint, sanitizer, phase-sum,\n  \
+     \u{20}           trace-schema, plan-verification or telemetry\n  \
      \u{20}           (metrics-schema, exact-partition, event-replay) findings"
 }
 
@@ -408,12 +410,22 @@ impl From<String> for Failure {
 }
 
 fn cmd_solve(a: &Args) -> Result<(), Failure> {
+    if elem_bytes(a)? == 4 {
+        solve_typed::<f32>(a)
+    } else {
+        solve_typed::<f64>(a)
+    }
+}
+
+/// `tridiag solve` at scalar type `S`: parse the options, solve one
+/// random batch on the chosen engine and route, print the summary (or
+/// the report JSON) and every requested check.
+fn solve_typed<S: tridiag_gpu::GpuScalar>(a: &Args) -> Result<(), Failure> {
     let split = split_n_opt(a)?;
     let m: usize = a.get_or("m", if split.is_some() { 1 } else { 64 })?;
     let n: usize = a.get_or("n", 1024)?;
     let seed: u64 = a.get_or("seed", 42u64)?;
     let engine = a.get("engine").unwrap_or("gpu");
-    let precision = a.get("precision").unwrap_or("f64");
     let device = device_by_name(a.get("device").unwrap_or("gtx480"))?;
     let check = a.flag("check");
     let sanitize = a.flag("sanitize") || check;
@@ -424,98 +436,23 @@ fn cmd_solve(a: &Args) -> Result<(), Failure> {
     let verify = a.flag("verify");
     let layout = layout_choice(a)?;
     let group = device_group(a, &device)?;
-    if group.is_some() && engine != "gpu" {
-        return Err(Failure::Error(format!(
-            "--devices only applies to the gpu engine (got {engine:?})"
-        )));
-    }
-    if split.is_some() && engine != "gpu" {
-        return Err(Failure::Error(format!(
-            "--split-n only applies to the gpu engine (got {engine:?})"
-        )));
-    }
-    if layout != LayoutChoice::Auto && engine != "gpu" {
-        return Err(Failure::Error(format!(
-            "--layout only applies to the gpu engine (got {engine:?})"
-        )));
-    }
-    if (sanitize || lint || trace.is_some() || json || dry_run || verify) && engine != "gpu" {
-        let flag = if check {
-            "--check"
-        } else if sanitize {
-            "--sanitize"
-        } else if lint {
-            "--lint"
-        } else if trace.is_some() {
-            "--trace"
-        } else if json {
-            "--json"
-        } else if dry_run {
-            "--dry-run"
-        } else {
-            "--verify"
-        };
+    let gpu_only = [
+        ("--devices", group.is_some()),
+        ("--split-n", split.is_some()),
+        ("--layout", layout != LayoutChoice::Auto),
+        ("--check", check),
+        ("--sanitize", sanitize),
+        ("--lint", lint),
+        ("--trace", trace.is_some()),
+        ("--json", json),
+        ("--dry-run", dry_run),
+        ("--verify", verify),
+    ];
+    if let Some((flag, _)) = gpu_only.iter().find(|&&(_, set)| set && engine != "gpu") {
         return Err(Failure::Error(format!(
             "{flag} only applies to the gpu engine (got {engine:?})"
         )));
     }
-    let opts = SolveOpts {
-        engine,
-        device,
-        group,
-        split,
-        verbose: a.flag("verbose"),
-        sanitize,
-        lint,
-        trace,
-        json,
-        dry_run,
-        verify,
-        layout,
-    };
-    if precision == "f32" {
-        solve_typed::<f32>(m, n, seed, &opts)
-    } else {
-        solve_typed::<f64>(m, n, seed, &opts)
-    }
-}
-
-/// Options shared by every `tridiag solve` invocation.
-struct SolveOpts<'a> {
-    engine: &'a str,
-    device: DeviceSpec,
-    group: Option<DeviceGroup>,
-    split: Option<SplitN>,
-    verbose: bool,
-    sanitize: bool,
-    lint: bool,
-    trace: Option<&'a str>,
-    json: bool,
-    dry_run: bool,
-    verify: bool,
-    layout: LayoutChoice,
-}
-
-fn solve_typed<S: tridiag_gpu::GpuScalar>(
-    m: usize,
-    n: usize,
-    seed: u64,
-    opts: &SolveOpts<'_>,
-) -> Result<(), Failure> {
-    let SolveOpts {
-        engine,
-        ref device,
-        ref group,
-        split,
-        verbose,
-        sanitize,
-        lint,
-        trace,
-        json,
-        dry_run,
-        verify,
-        layout,
-    } = *opts;
     let config = GpuSolverConfig {
         exec: match (sanitize, lint) {
             (true, true) => gpu_sim::ExecConfig::checked(),
@@ -528,7 +465,7 @@ fn solve_typed<S: tridiag_gpu::GpuScalar>(
     };
     let solver = GpuTridiagSolver::new(device.clone(), config);
     let elem_bytes = <S as gpu_sim::Elem>::BYTES;
-    let route = resolve_route(&solver, group.clone(), split, m, n, elem_bytes)?;
+    let route = resolve_route(&solver, group, split, m, n, elem_bytes)?;
     let fits_note = split.is_some() && matches!(route, Route::Single) && !json;
     if dry_run {
         // Plan only: print k, mapping, kernel sequence and buffer
@@ -537,7 +474,7 @@ fn solve_typed<S: tridiag_gpu::GpuScalar>(
             println!("split       : n = {n} fits on one device; no split needed");
         }
         let plan = RoutePlan::build(route, &solver, m, n, elem_bytes)?;
-        print_plan(&plan, device, json, true, false)?;
+        print_plan(&plan, &device, json, true, false)?;
         if !json {
             println!("dry run     : no kernels launched");
         }
@@ -553,8 +490,6 @@ fn solve_typed<S: tridiag_gpu::GpuScalar>(
         batch
     };
     let t0 = std::time::Instant::now();
-    let mut sanitizer_line: Option<Result<String, String>> = None;
-    let mut lint_line: Option<Result<String, String>> = None;
     let mut gpu_report = None;
     let (x, modeled_us): (Vec<S>, Option<f64>) = match engine {
         "gpu" => {
@@ -564,39 +499,8 @@ fn solve_typed<S: tridiag_gpu::GpuScalar>(
                 Route::Split(g) => solver.solve_batch_split(g, &batch),
             }
             .map_err(|e| e.to_string())?;
-            if verbose && !json {
+            if a.flag("verbose") && !json {
                 print!("{report}");
-            }
-            if sanitize {
-                sanitizer_line = Some(if report.is_sanitizer_clean() {
-                    Ok("clean (no races, OOB, uninit reads or divergent barriers)".into())
-                } else {
-                    Err(report
-                        .violations
-                        .iter()
-                        .map(|v| format!("  - {v}"))
-                        .collect::<Vec<_>>()
-                        .join("\n"))
-                });
-            }
-            if lint {
-                lint_line = Some(if report.is_lint_clean() {
-                    Ok(format!(
-                        "clean ({} kernel plan(s); static transaction predictions exact)",
-                        report.lints.len()
-                    ))
-                } else {
-                    let mut lines = Vec::new();
-                    for lr in &report.lints {
-                        for d in &lr.diagnostics {
-                            lines.push(format!("  - {d}"));
-                        }
-                    }
-                    for mm in &report.lint_mismatches {
-                        lines.push(format!("  - cross-check {mm}"));
-                    }
-                    Err(lines.join("\n"))
-                });
             }
             let us = report.total_us;
             gpu_report = Some(report);
@@ -612,12 +516,12 @@ fn solve_typed<S: tridiag_gpu::GpuScalar>(
             None,
         ),
         "davidson" => {
-            let (x, report) = davidson::solve_batch(device, &batch).map_err(|e| e.to_string())?;
+            let (x, report) = davidson::solve_batch(&device, &batch).map_err(|e| e.to_string())?;
             (x, Some(report.total_us))
         }
         "zhang" => {
             let (x, report) =
-                zhang::solve_batch(device, &batch, None).map_err(|e| e.to_string())?;
+                zhang::solve_batch(&device, &batch, None).map_err(|e| e.to_string())?;
             (x, Some(report.total_us))
         }
         other => return Err(Failure::Error(format!("unknown engine {other:?}"))),
@@ -671,68 +575,83 @@ fn solve_typed<S: tridiag_gpu::GpuScalar>(
         }
     }
     let mut findings = Vec::new();
-    if verify {
-        if let Some(rep) = &gpu_report {
-            if rep.is_verify_clean() {
-                if !json {
-                    println!(
-                        "verify      : clean (peak resident {} bytes; certificate matched \
-                         measured stats exactly)",
+    if let Some(rep) = &gpu_report {
+        // (requested, status line as (label, clean text, failure text),
+        // finding heading, problems); phase sums are always checked.
+        let checks = [
+            (
+                verify,
+                Some((
+                    "verify",
+                    format!(
+                        "clean (peak resident {} bytes; certificate matched measured stats \
+                         exactly)",
                         rep.verify.prediction.peak_resident_bytes
-                    );
-                }
-            } else {
-                if !json {
-                    println!("verify      : FINDINGS");
-                }
-                let mut lines: Vec<String> = rep
-                    .verify
+                    ),
+                    "FINDINGS",
+                )),
+                "plan verification",
+                rep.verify
                     .findings
                     .iter()
-                    .map(|f| format!("  - {f}"))
-                    .collect();
-                lines.extend(
-                    rep.verify_mismatches
-                        .iter()
-                        .map(|m| format!("  - cross-check {m}")),
-                );
-                findings.push(format!("plan verification:\n{}", lines.join("\n")));
-            }
-        }
-    }
-    if let Some(rep) = &gpu_report {
-        if !rep.is_phase_sum_clean() {
-            findings.push(format!(
-                "phase-sum violations:\n{}",
-                rep.phase_sum_mismatches
+                    .map(|f| f.to_string())
+                    .chain(
+                        rep.verify_mismatches
+                            .iter()
+                            .map(|m| format!("cross-check {m}")),
+                    )
+                    .collect::<Vec<_>>(),
+            ),
+            (
+                true,
+                None,
+                "phase-sum violations",
+                rep.phase_sum_mismatches.clone(),
+            ),
+            (
+                sanitize,
+                Some((
+                    "sanitizer",
+                    "clean (no races, OOB, uninit reads or divergent barriers)".into(),
+                    "VIOLATIONS",
+                )),
+                "sanitizer violations",
+                rep.violations.iter().map(|v| v.to_string()).collect(),
+            ),
+            (
+                lint,
+                Some((
+                    "lint",
+                    format!(
+                        "clean ({} kernel plan(s); static transaction predictions exact)",
+                        rep.lints.len()
+                    ),
+                    "FINDINGS",
+                )),
+                "lint findings",
+                rep.lints
                     .iter()
-                    .map(|l| format!("  - {l}"))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            ));
-        }
-    }
-    match sanitizer_line {
-        Some(Ok(msg)) if !json => println!("sanitizer   : {msg}"),
-        Some(Ok(_)) => {}
-        Some(Err(reports)) => {
-            if !json {
-                println!("sanitizer   : VIOLATIONS");
+                    .flat_map(|lr| lr.diagnostics.iter().map(|d| d.to_string()))
+                    .chain(
+                        rep.lint_mismatches
+                            .iter()
+                            .map(|m| format!("cross-check {m}")),
+                    )
+                    .collect(),
+            ),
+        ];
+        for (requested, status, heading, problems) in checks {
+            if !requested {
+                continue;
             }
-            findings.push(format!("sanitizer violations:\n{reports}"));
-        }
-        None => {}
-    }
-    match lint_line {
-        Some(Ok(msg)) if !json => println!("lint        : {msg}"),
-        Some(Ok(_)) => {}
-        Some(Err(reports)) => {
-            if !json {
-                println!("lint        : FINDINGS");
+            if let Some((label, clean, failed)) = status.filter(|_| !json) {
+                let state = if problems.is_empty() { &clean } else { failed };
+                println!("{label:<12}: {state}");
             }
-            findings.push(format!("lint findings:\n{reports}"));
+            if !problems.is_empty() {
+                findings.push(format!("{heading}:\n  - {}", problems.join("\n  - ")));
+            }
         }
-        None => {}
     }
     if !findings.is_empty() {
         return Err(Failure::Findings(findings.join("\n")));
@@ -744,376 +663,21 @@ fn solve_typed<S: tridiag_gpu::GpuScalar>(
 }
 
 /// `tridiag plan` — build and print the declarative solve plan for a
-/// geometry without launching a single kernel. With `--sweep`, plan the
-/// figure-sweep geometries at both precisions (plus both forced
-/// layouts at f64), round-trip each plan through the strict JSON
-/// parser, and validate it against the `tridiag.solve_plan/v3`
-/// schema — exit 2 on any drift.
+/// geometry without launching a single kernel; `--verify` also
+/// certifies it. The figure-sweep plans are schema-checked by the
+/// `plan_snapshots` test suite.
 fn cmd_plan(a: &Args) -> Result<(), Failure> {
-    let device = device_by_name(a.get("device").unwrap_or("gtx480"))?;
-    if a.flag("sweep") {
-        return plan_sweep(&device);
-    }
-    plan_geometry_cmd(a, &device, true, a.flag("verify"))
-}
-
-/// The `plan --sweep` smoke: the Fig. 12/13 sweep geometries, planned
-/// (never executed) at both scalar widths, each serialized plan
-/// re-parsed and schema-checked.
-fn plan_sweep(device: &DeviceSpec) -> Result<(), Failure> {
-    const GEOMETRIES: &[(usize, usize)] = &[
-        (64, 512),
-        (256, 512),
-        (1024, 512),
-        (64, 2048),
-        (256, 2048),
-        (2048, 64),
-        (256, 256),
-        (16, 1024),
-        (1, 16384),
-    ];
-    let solver = GpuTridiagSolver::new(device.clone(), GpuSolverConfig::default());
-    let mut problems = Vec::new();
-    let mut planned = 0usize;
-    for &(m, n) in GEOMETRIES {
-        for bytes in [8usize, 4] {
-            let prec = if bytes == 4 { "f32" } else { "f64" };
-            let plan = solver.plan_geometry(m, n, bytes).map_err(|e| e.to_string())?;
-            let text = plan.to_json().to_string();
-            match gpu_sim::json::parse(&text) {
-                Ok(doc) => {
-                    for p in tridiag_gpu::validate_plan_json(&doc) {
-                        problems.push(format!("m={m} n={n} {prec}: {p}"));
-                    }
-                }
-                Err(e) => {
-                    problems.push(format!("m={m} n={n} {prec}: JSON reparse failed: {e}"))
-                }
-            }
-            planned += 1;
-            println!(
-                "m={m:<5} n={n:<6} {prec}: k={} mapping={:?} fused={} layout={:?} \
-                 kernels=[{}] device_bytes={}",
-                plan.k,
-                plan.mapping,
-                plan.fused,
-                plan.layout,
-                plan.launches().map(|l| l.name).collect::<Vec<_>>().join(", "),
-                plan.device_bytes(),
-            );
-        }
-    }
-    // Forced-layout plans: the same geometries at f64 with the device
-    // layout pinned both ways — `--layout` must never produce a plan
-    // the v3 schema rejects, whatever the transition rule would pick.
-    for (label, choice) in [
-        ("contiguous", LayoutChoice::Contiguous),
-        ("interleaved", LayoutChoice::Interleaved),
-    ] {
-        let config = GpuSolverConfig {
-            layout: choice,
-            ..Default::default()
-        };
-        let forced = GpuTridiagSolver::new(device.clone(), config);
-        for &(m, n) in GEOMETRIES {
-            let plan = forced.plan_geometry(m, n, 8).map_err(|e| e.to_string())?;
-            let text = plan.to_json().to_string();
-            match gpu_sim::json::parse(&text) {
-                Ok(doc) => {
-                    for p in tridiag_gpu::validate_plan_json(&doc) {
-                        problems.push(format!("m={m} n={n} f64 --layout {label}: {p}"));
-                    }
-                }
-                Err(e) => problems.push(format!(
-                    "m={m} n={n} f64 --layout {label}: JSON reparse failed: {e}"
-                )),
-            }
-            planned += 1;
-            println!(
-                "m={m:<5} n={n:<6} f64 --layout {label}: k={} layout={:?} kernels=[{}]",
-                plan.k,
-                plan.layout,
-                plan.launches().map(|l| l.name).collect::<Vec<_>>().join(", "),
-            );
-        }
-    }
-    // Sharded plans: a representative subset of the sweep, partitioned
-    // across homogeneous 2- and 4-device groups, each serialized plan
-    // re-parsed and checked against the sharded-plan schema.
-    const SHARDED: &[(usize, usize)] = &[(64, 512), (256, 2048), (16, 1024), (2048, 64)];
-    for &devices in &[2usize, 4] {
-        let group = DeviceGroup::homogeneous(device.clone(), devices)
-            .map_err(|e| e.to_string())?;
-        for &(m, n) in SHARDED {
-            let plan = solver
-                .plan_geometry_group(&group, m, n, 8)
-                .map_err(|e| e.to_string())?;
-            let text = plan.to_json().to_string();
-            match gpu_sim::json::parse(&text) {
-                Ok(doc) => {
-                    for p in tridiag_gpu::validate_sharded_plan_json(&doc) {
-                        problems.push(format!("m={m} n={n} f64 D={devices}: {p}"));
-                    }
-                }
-                Err(e) => problems.push(format!(
-                    "m={m} n={n} f64 D={devices}: JSON reparse failed: {e}"
-                )),
-            }
-            planned += 1;
-            println!(
-                "m={m:<5} n={n:<6} f64 x{devices}: k={} shards=[{}] device_bytes={}",
-                plan.reference.k,
-                plan.shards
-                    .iter()
-                    .map(|s| s.sys_count.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                plan.device_bytes(),
-            );
-        }
-    }
-    // Distributed single-system plans: one N row-split across D ∈
-    // {1, 2, 4} devices, each serialized plan re-parsed and checked
-    // against the tridiag.distributed_plan/v1 schema (D = 1 is the
-    // identity path).
-    const SPLIT_N: &[usize] = &[512, 16384];
-    for &devices in &[1usize, 2, 4] {
-        let group = DeviceGroup::homogeneous(device.clone(), devices)
-            .map_err(|e| e.to_string())?;
-        for &n in SPLIT_N {
-            let plan = solver
-                .plan_geometry_split(&group, n, 8)
-                .map_err(|e| e.to_string())?;
-            let text = plan.to_json().to_string();
-            match gpu_sim::json::parse(&text) {
-                Ok(doc) => {
-                    for p in tridiag_gpu::validate_distributed_plan_json(&doc) {
-                        problems.push(format!("split n={n} f64 D={devices}: {p}"));
-                    }
-                }
-                Err(e) => problems.push(format!(
-                    "split n={n} f64 D={devices}: JSON reparse failed: {e}"
-                )),
-            }
-            planned += 1;
-            println!(
-                "n={n:<6} f64 split x{devices}: chunks=[{}] reduced_n={} device_bytes={}",
-                plan.chunks
-                    .iter()
-                    .map(|c| c.row_count.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                plan.reduced.as_ref().map_or(0, |r| r.n),
-                plan.device_bytes(),
-            );
-        }
-    }
-    println!("{planned} plans built and schema-validated, no kernels launched");
-    if !problems.is_empty() {
-        return Err(Failure::Findings(format!(
-            "plan schema drift:\n  - {}",
-            problems.join("\n  - ")
-        )));
-    }
-    Ok(())
+    plan_geometry_cmd(a, true, a.flag("verify"))
 }
 
 /// `tridiag verify` — statically certify a solve plan with the plan
 /// verifier ([`tridiag_gpu::verify`]): slot dataflow, liveness, layout
 /// pairing and the exact resource certificate, with no kernel launched.
-/// `--sweep` additionally *executes* every point and cross-checks the
-/// static [`tridiag_gpu::PlanPrediction`] against the measured
-/// transfer/launch/peak-memory stats — any discrepancy is a finding
-/// (exit 2). The corruption classes every diagnostic must catch live in
-/// the `verify_negative` test suite.
+/// The figure-sweep certificates are executed and cross-checked by the
+/// `layout_cost` and `verify_props` test suites; the corruption classes
+/// every diagnostic must catch live in the `verify_negative` suite.
 fn cmd_verify(a: &Args) -> Result<(), Failure> {
-    let device = device_by_name(a.get("device").unwrap_or("gtx480"))?;
-    if a.flag("sweep") {
-        return verify_sweep(&device);
-    }
-    plan_geometry_cmd(a, &device, false, true)
-}
-
-/// Execute a solve and return every verifier problem the run surfaced:
-/// static findings on the executed plan plus prediction-vs-measured
-/// cross-check mismatches. Empty = the certificate matched the run
-/// exactly.
-fn executed_verify_problems<S: tridiag_gpu::GpuScalar>(
-    device: &DeviceSpec,
-    group: Option<&DeviceGroup>,
-    config: GpuSolverConfig,
-    m: usize,
-    n: usize,
-) -> Result<Vec<String>, String> {
-    let solver = GpuTridiagSolver::new(device.clone(), config);
-    let batch: SystemBatch<S> = random_batch(m, n, 42);
-    // Forced-interleaved runs hand the batch over pre-interleaved so
-    // the executed plan is the conversion-elided one.
-    let batch = if config.layout == LayoutChoice::Interleaved {
-        batch.to_layout(Layout::Interleaved)
-    } else {
-        batch
-    };
-    let (_, report) = match group {
-        Some(g) => solver.solve_batch_group(g, &batch),
-        None => solver.solve_batch(&batch),
-    }
-    .map_err(|e| e.to_string())?;
-    let mut problems: Vec<String> =
-        report.verify.findings.iter().map(|f| f.to_string()).collect();
-    problems.extend(report.verify_mismatches.iter().cloned());
-    Ok(problems)
-}
-
-/// The `verify --sweep` smoke: the Fig. 12/13 sweep geometries at both
-/// precisions plus sharded D ∈ {2, 4} points, each plan statically
-/// certified *and* executed with the certificate cross-checked against
-/// the measured stats. A final section repeats representative points
-/// with the device layout force-pinned both ways (single-device and
-/// sharded), so `--layout` plans carry exact certificates too.
-fn verify_sweep(device: &DeviceSpec) -> Result<(), Failure> {
-    const GEOMETRIES: &[(usize, usize)] = &[
-        (64, 512),
-        (256, 512),
-        (1024, 512),
-        (64, 2048),
-        (256, 2048),
-        (2048, 64),
-        (256, 256),
-        (16, 1024),
-        (1, 16384),
-    ];
-    let solver = GpuTridiagSolver::new(device.clone(), GpuSolverConfig::default());
-    let mut problems = Vec::new();
-    let mut verified = 0usize;
-    for &(m, n) in GEOMETRIES {
-        for bytes in [8usize, 4] {
-            let prec = if bytes == 4 { "f32" } else { "f64" };
-            let plan = solver.plan_geometry(m, n, bytes).map_err(|e| e.to_string())?;
-            let report = tridiag_gpu::verify_plan(device, &plan);
-            let before = problems.len();
-            for f in &report.findings {
-                problems.push(format!("m={m} n={n} {prec}: {f}"));
-            }
-            let run = if bytes == 4 {
-                executed_verify_problems::<f32>(device, None, GpuSolverConfig::default(), m, n)
-            } else {
-                executed_verify_problems::<f64>(device, None, GpuSolverConfig::default(), m, n)
-            }
-            .map_err(Failure::Error)?;
-            for p in run {
-                problems.push(format!("m={m} n={n} {prec} (executed): {p}"));
-            }
-            verified += 1;
-            let launches: usize = report.prediction.launches.iter().map(|&(_, c)| c).sum();
-            println!(
-                "m={m:<5} n={n:<6} {prec}: peak={:>11} B  h2d={:>11} B  d2h={:>10} B  \
-                 launches={launches}  {}",
-                report.prediction.peak_resident_bytes,
-                report.prediction.h2d_total_bytes,
-                report.prediction.d2h_total_bytes,
-                if problems.len() == before { "prediction=exact" } else { "FINDINGS" },
-            );
-        }
-    }
-    // Sharded points: a representative subset of the sweep across
-    // homogeneous 2- and 4-device groups, every shard certified plus
-    // the cross-device partition/consistency invariants, then executed
-    // with per-device cross-checks.
-    const SHARDED: &[(usize, usize)] = &[(64, 512), (256, 2048), (16, 1024), (2048, 64)];
-    for &devices in &[2usize, 4] {
-        let group =
-            DeviceGroup::homogeneous(device.clone(), devices).map_err(|e| e.to_string())?;
-        for &(m, n) in SHARDED {
-            let plan = solver
-                .plan_geometry_group(&group, m, n, 8)
-                .map_err(|e| e.to_string())?;
-            let report = tridiag_gpu::verify_sharded_plan(&group, &plan);
-            let before = problems.len();
-            for msg in report.messages() {
-                problems.push(format!("m={m} n={n} f64 D={devices}: {msg}"));
-            }
-            let run =
-                executed_verify_problems::<f64>(device, Some(&group), GpuSolverConfig::default(), m, n)
-                    .map_err(Failure::Error)?;
-            for p in run {
-                problems.push(format!("m={m} n={n} f64 D={devices} (executed): {p}"));
-            }
-            verified += 1;
-            println!(
-                "m={m:<5} n={n:<6} f64 x{devices}: {} shard(s) certified  {}",
-                report.plans.len(),
-                if problems.len() == before { "prediction=exact" } else { "FINDINGS" },
-            );
-        }
-    }
-    // Forced-layout points: both pinned device layouts, certified AND
-    // executed with the certificate cross-checked against measured
-    // stats, single-device and sharded D ∈ {2, 4}. Interleaved points
-    // execute the conversion-elided plan (the batch is handed over
-    // pre-interleaved).
-    const LAYOUT_POINTS: &[(usize, usize)] = &[(64, 512), (1024, 512), (2048, 64)];
-    for (label, choice) in [
-        ("contiguous", LayoutChoice::Contiguous),
-        ("interleaved", LayoutChoice::Interleaved),
-    ] {
-        let config = GpuSolverConfig {
-            layout: choice,
-            ..Default::default()
-        };
-        let forced = GpuTridiagSolver::new(device.clone(), config);
-        for &(m, n) in LAYOUT_POINTS {
-            let before = problems.len();
-            let solo = forced.plan_geometry(m, n, 8).map_err(|e| e.to_string())?;
-            let report = tridiag_gpu::verify_plan(device, &solo);
-            for f in &report.findings {
-                problems.push(format!("m={m} n={n} f64 --layout {label}: {f}"));
-            }
-            let run = executed_verify_problems::<f64>(device, None, config, m, n)
-                .map_err(Failure::Error)?;
-            for p in run {
-                problems.push(format!("m={m} n={n} f64 --layout {label} (executed): {p}"));
-            }
-            verified += 1;
-            for &devices in &[2usize, 4] {
-                let group = DeviceGroup::homogeneous(device.clone(), devices)
-                    .map_err(|e| e.to_string())?;
-                let sharded = forced
-                    .plan_geometry_group(&group, m, n, 8)
-                    .map_err(|e| e.to_string())?;
-                let sreport = tridiag_gpu::verify_sharded_plan(&group, &sharded);
-                for msg in sreport.messages() {
-                    problems.push(format!(
-                        "m={m} n={n} f64 D={devices} --layout {label}: {msg}"
-                    ));
-                }
-                let run = executed_verify_problems::<f64>(device, Some(&group), config, m, n)
-                    .map_err(Failure::Error)?;
-                for p in run {
-                    problems.push(format!(
-                        "m={m} n={n} f64 D={devices} --layout {label} (executed): {p}"
-                    ));
-                }
-                verified += 1;
-            }
-            println!(
-                "m={m:<5} n={n:<6} f64 --layout {label}: layout={:?} D=1,2,4  {}",
-                solo.layout,
-                if problems.len() == before { "prediction=exact" } else { "FINDINGS" },
-            );
-        }
-    }
-    println!(
-        "{verified} plans statically certified and executed; \
-         certificates cross-checked against measured stats"
-    );
-    if !problems.is_empty() {
-        return Err(Failure::Findings(format!(
-            "verify sweep:\n  - {}",
-            problems.join("\n  - ")
-        )));
-    }
-    Ok(())
+    plan_geometry_cmd(a, false, true)
 }
 
 /// Validate and write a Chrome-trace document; schema violations are
@@ -1133,6 +697,7 @@ fn write_trace(out: &str, text: &str) -> Result<(), Failure> {
 /// violates the schema.
 fn cmd_profile(a: &Args) -> Result<(), Failure> {
     let out = a.get("out").unwrap_or("trace.json");
+    let elem_bytes = elem_bytes(a)?;
     if a.flag("zoo") {
         return profile_zoo(out);
     }
@@ -1140,7 +705,7 @@ fn cmd_profile(a: &Args) -> Result<(), Failure> {
     let n: usize = a.get_or("n", 1024)?;
     let seed: u64 = a.get_or("seed", 42u64)?;
     let device = device_by_name(a.get("device").unwrap_or("gtx480"))?;
-    if a.get("precision").unwrap_or("f64") == "f32" {
+    if elem_bytes == 4 {
         profile_typed::<f32>(m, n, seed, device, out)
     } else {
         profile_typed::<f64>(m, n, seed, device, out)
@@ -1280,7 +845,7 @@ fn cmd_lint(a: &Args) -> Result<(), Failure> {
     Ok(())
 }
 
-fn cmd_compare(a: &Args) -> Result<(), String> {
+fn cmd_compare(a: &Args) -> Result<(), Failure> {
     let m: usize = a.get_or("m", 16)?;
     let n: usize = a.get_or("n", 512)?;
     let seed: u64 = a.get_or("seed", 42u64)?;
@@ -1321,7 +886,7 @@ fn cmd_compare(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_tune(a: &Args) -> Result<(), String> {
+fn cmd_tune(a: &Args) -> Result<(), Failure> {
     let n: usize = a.get_or("n", 4096)?;
     let k_max: u32 = a.get_or("k-max", 8u32)?;
     let m_values = a
@@ -1347,7 +912,7 @@ fn cmd_tune(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_info(a: &Args) -> Result<(), String> {
+fn cmd_info(a: &Args) -> Result<(), Failure> {
     let device = device_by_name(a.get("device").unwrap_or("gtx480"))?;
     println!("device              : {}", device.name);
     println!("SMs                 : {}", device.num_sms);
@@ -1388,7 +953,7 @@ fn cmd_info(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Build the deterministic request payloads `serve`/`bench-service`
+/// Build the deterministic request payloads `serve`/`stats`
 /// submit: fixed geometry, seeds derived from `--seed`, precision
 /// `f64`, `f32` or `mixed` (alternating).
 fn service_payloads(
@@ -1535,70 +1100,6 @@ fn cmd_serve(a: &Args) -> Result<(), Failure> {
         return Err(Failure::Findings(format!(
             "only {ok}/{requests} requests verified"
         )));
-    }
-    Ok(())
-}
-
-fn cmd_bench_service(a: &Args) -> Result<(), Failure> {
-    use tridiag_service::{ServiceConfig, ServiceCore, SolveRequest};
-
-    let requests: usize = a.get_or("requests", 48)?;
-    let m: usize = a.get_or("m", 2)?;
-    let n: usize = a.get_or("n", 256)?;
-    let seed: u64 = a.get_or("seed", 42u64)?;
-    let precision = a.get("precision").unwrap_or("f64");
-    let windows = a
-        .get_list("windows")?
-        .unwrap_or_else(|| vec![0, 4, 16, 64]);
-    let device = device_by_name(a.get("device").unwrap_or("gtx480"))?;
-    let group = device_group(a, &device)?.unwrap_or_else(|| DeviceGroup::single(device));
-    let payloads = service_payloads(requests, m, n, seed, precision)?;
-
-    println!(
-        "bench-service: {requests} requests of m={m} n={n} {precision} on {}, \
-         arrivals 1 us apart",
-        group.label()
-    );
-    println!(
-        "  {:>9}  {:>7}  {:>7}  {:>10}  {:>9}  {:>9}  {:>11}",
-        "window_us", "batches", "fused", "cache_hits", "p50_us", "p99_us", "requests/s"
-    );
-    for w in windows {
-        let mut core = ServiceCore::new(group.clone(), ServiceConfig {
-            window_us: w as f64,
-            ..ServiceConfig::default()
-        });
-        let workload: Vec<SolveRequest> = payloads
-            .iter()
-            .enumerate()
-            .map(|(i, p)| SolveRequest {
-                id: i as u64,
-                arrival_us: i as f64,
-                payload: p.clone(),
-            })
-            .collect();
-        let report = core.run_workload(workload);
-        let (done, rejected, failed) = report.totals();
-        if done != requests {
-            return Err(Failure::Error(format!(
-                "window {w}: {done}/{requests} completed ({rejected} rejected, {failed} failed)"
-            )));
-        }
-        let fused = report
-            .batches
-            .iter()
-            .filter(|b| b.request_ids.len() > 1)
-            .count();
-        println!(
-            "  {:>9}  {:>7}  {:>7}  {:>10}  {:>9.2}  {:>9.2}  {:>11.0}",
-            w,
-            report.batches.len(),
-            fused,
-            report.cache.hits,
-            report.p50_us,
-            report.p99_us,
-            report.requests_per_s
-        );
     }
     Ok(())
 }
@@ -1824,6 +1325,48 @@ fn print_topk_row(
     }
 }
 
+/// A command's entry point.
+type Command = fn(&Args) -> Result<(), Failure>;
+
+/// The options `plan` and `verify` read to pick a geometry and route.
+const GEOMETRY_OPTS: &str = "m n precision device devices split-n layout";
+
+/// Every command: its name, the options (`--key value`) and flags
+/// (`--key`) it reads, space-separated, and its entry point. Anything
+/// else on its command line is a usage error.
+const COMMANDS: &[(&str, &str, &str, Command)] = &[
+    (
+        "solve",
+        "m n seed engine precision device devices split-n layout trace",
+        "verbose sanitize lint check json dry-run verify",
+        cmd_solve,
+    ),
+    ("plan", GEOMETRY_OPTS, "json verify", cmd_plan),
+    ("verify", GEOMETRY_OPTS, "json", cmd_verify),
+    (
+        "profile",
+        "m n seed precision device out",
+        "zoo",
+        cmd_profile,
+    ),
+    ("compare", "m n seed", "", cmd_compare),
+    ("tune", "n m-list k-max device devices layout", "", cmd_tune),
+    ("info", "device", "", cmd_info),
+    ("lint", "", "verbose", cmd_lint),
+    (
+        "serve",
+        "requests clients window depth m n seed precision device devices telemetry",
+        "",
+        cmd_serve,
+    ),
+    (
+        "stats",
+        "requests window m n seed precision device devices top out",
+        "json",
+        cmd_stats,
+    ),
+];
+
 fn main() -> ExitCode {
     let args = match Args::from_env() {
         Ok(a) => a,
@@ -1837,25 +1380,20 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     let result = match args.command.as_deref() {
-        Some("solve") => cmd_solve(&args),
-        Some("plan") => cmd_plan(&args),
-        Some("verify") => cmd_verify(&args),
-        Some("profile") => cmd_profile(&args),
-        Some("compare") => cmd_compare(&args).map_err(Failure::Error),
-        Some("tune") => cmd_tune(&args).map_err(Failure::Error),
-        Some("info") => cmd_info(&args).map_err(Failure::Error),
-        Some("lint") => cmd_lint(&args),
-        Some("serve") => cmd_serve(&args),
-        Some("bench-service") => cmd_bench_service(&args),
-        Some("stats") => cmd_stats(&args),
         Some("help") => {
             println!("{}", usage());
             return ExitCode::SUCCESS;
         }
-        Some(other) => Err(Failure::Error(format!(
-            "unknown command {other:?}\n{}",
-            usage()
-        ))),
+        Some(name) => match COMMANDS.iter().find(|c| c.0 == name) {
+            Some(&(_, opts, flags, run)) => args
+                .only(opts, flags)
+                .map_err(|e| Failure::Error(format!("{name}: {e}")))
+                .and_then(|()| run(&args)),
+            None => Err(Failure::Error(format!(
+                "unknown command {name:?}\n{}",
+                usage()
+            ))),
+        },
         None => Err(Failure::Error(usage().to_string())),
     };
     match result {

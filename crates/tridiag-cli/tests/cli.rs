@@ -55,17 +55,54 @@ fn info_prints_spec_for_every_device() {
     }
 }
 
+/// Usage errors exit non-zero and say what was wrong — including the
+/// retired `plan --sweep`, `verify --sweep` and `bench-service` (those
+/// sweeps now live in the test suites), any option a command does not
+/// read, and a `--precision` other than `f64`/`f32`.
 #[test]
 fn bad_input_fails_with_usage() {
-    let (ok, _, stderr) = run(&["frobnicate"]);
-    assert!(!ok);
-    assert!(stderr.contains("usage"), "{stderr}");
-    let (ok2, _, stderr2) = run(&["solve", "--engine", "abacus"]);
-    assert!(!ok2);
-    assert!(stderr2.contains("unknown engine"), "{stderr2}");
-    let (ok3, _, stderr3) = run(&["solve", "--n", "banana"]);
-    assert!(!ok3);
-    assert!(stderr3.contains("cannot parse"), "{stderr3}");
+    for (args, expected) in [
+        (&["frobnicate"][..], "usage"),
+        (&["bench-service"], "unknown command \"bench-service\""),
+        (&["solve", "--engine", "abacus"], "unknown engine"),
+        (&["solve", "--n", "banana"], "cannot parse"),
+        (
+            &["solve", "--preicsion", "f32"],
+            "unknown option --preicsion",
+        ),
+        (&["plan", "--sweep"], "unknown option --sweep"),
+        (&["verify", "--sweep"], "unknown option --sweep"),
+        (
+            &["verify", "--n", "512", "--sweeep"],
+            "unknown option --sweeep",
+        ),
+        (&["solve", "--precision", "f16"], "--precision \"f16\""),
+        (&["plan", "--precision", "f16"], "--precision \"f16\""),
+        (&["verify", "--precision", "F32"], "--precision \"F32\""),
+        (&["profile", "--precision", "f16"], "--precision \"f16\""),
+    ] {
+        let (ok, stdout, stderr) = run(args);
+        assert!(!ok, "{args:?} ran: {stdout}");
+        // `error:` is the exit-1 path; findings (exit 2) print `findings:`.
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(stderr.contains(expected), "{args:?}: {stderr}");
+    }
+}
+
+/// `--split-n auto` splits only when the single-device planner rejects
+/// the system as too large: both sides of that fallback, plan only.
+#[test]
+fn split_auto_plans_split_only_when_one_device_is_too_small() {
+    let (ok, stdout, stderr) = run(&["plan", "--split-n", "auto", "--n", "40000000"]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(
+        stdout.starts_with("distributed plan: n=40000000 f64 across 2 device(s)"),
+        "{stdout}"
+    );
+    let (ok, stdout, stderr) = run(&["plan", "--split-n", "auto", "--n", "4096"]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(stdout.starts_with("plan: m=1 n=4096 f64"), "{stdout}");
+    assert!(!stdout.contains("distributed"), "{stdout}");
 }
 
 #[test]

@@ -12,7 +12,9 @@
 //! 2. Forced-layout plans (both pins) carry exact resource
 //!    certificates: the static verifier is clean and the certificate
 //!    cross-checks against measured H2D/D2H/peak stats bit-exactly,
-//!    single-device and sharded D ∈ {2, 4}.
+//!    single-device and sharded D ∈ {2, 4}. Default-config plans do
+//!    too, on every sweep geometry at both widths and on the sharded
+//!    sweep points.
 //! 3. A batch handed over pre-interleaved solves through the
 //!    conversion-elided plan to the same bits as the contiguous-host
 //!    solve of the same systems.
@@ -24,7 +26,7 @@ use tridiag_core::Layout;
 use tridiag_gpu::solver::{GpuSolverConfig, GpuTridiagSolver, LayoutChoice};
 use tridiag_gpu::GpuScalar;
 
-/// The CLI sweep geometries (Fig. 12/13).
+/// The figure-sweep geometries (Fig. 12/13).
 const GEOMETRIES: &[(usize, usize)] = &[
     (64, 512),
     (256, 512),
@@ -116,8 +118,9 @@ fn interleaved_choices_hit_the_coalesced_floor() {
 }
 
 /// Run one point under `config` (the batch pre-interleaved when the
-/// layout pin asks for it) and demand a clean verifier report plus an
-/// exact certificate cross-check.
+/// layout pin asks for it) and demand a clean verifier report, an exact
+/// certificate cross-check and a residual within the precision's
+/// tolerance.
 fn assert_exact_certificate<S: GpuScalar>(
     config: GpuSolverConfig,
     group: Option<&DeviceGroup>,
@@ -125,6 +128,7 @@ fn assert_exact_certificate<S: GpuScalar>(
     n: usize,
 ) {
     let spec = DeviceSpec::gtx480();
+    let label = format!("m={m} n={n} {} {:?}", S::NAME, config.layout);
     let solver = GpuTridiagSolver::new(spec, config);
     let batch = random_batch::<S>(m, n, 42);
     let batch = if config.layout == LayoutChoice::Interleaved {
@@ -136,25 +140,20 @@ fn assert_exact_certificate<S: GpuScalar>(
         Some(g) => solver.solve_batch_group(g, &batch),
         None => solver.solve_batch(&batch),
     }
-    .unwrap_or_else(|e| panic!("m={m} n={n} {:?}: {e}", config.layout));
+    .unwrap_or_else(|e| panic!("{label}: {e}"));
     assert!(
         report.verify.findings.is_empty(),
-        "m={m} n={n} {:?}: static findings: {:?}",
-        config.layout,
+        "{label}: static findings: {:?}",
         report.verify.findings
     );
     assert!(
         report.verify_mismatches.is_empty(),
-        "m={m} n={n} {:?}: certificate drifted from measured stats: {:?}",
-        config.layout,
+        "{label}: certificate drifted from measured stats: {:?}",
         report.verify_mismatches
     );
     let resid = batch.max_relative_residual(&x).unwrap();
-    assert!(
-        resid < 1e-6,
-        "m={m} n={n} {:?}: residual {resid:.3e}",
-        config.layout
-    );
+    let tol = tridiag_core::verify::default_tolerance::<S>() * 1e3;
+    assert!(resid <= tol, "{label}: residual {resid:.3e} > {tol:.3e}");
 }
 
 /// Property 2: forced-layout plans certify exactly — both pins,
@@ -175,6 +174,27 @@ fn forced_layouts_carry_exact_certificates() {
                 let group = DeviceGroup::homogeneous(spec.clone(), devices).unwrap();
                 assert_exact_certificate::<f64>(config, Some(&group), m, n);
             }
+        }
+    }
+}
+
+/// Property 2, default config: every sweep geometry at both widths on
+/// one device, and the sharded sweep points at D ∈ {2, 4}, certify
+/// exactly.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "slow simulation; run with --release")]
+fn default_plans_carry_exact_certificates() {
+    const SHARDED: &[(usize, usize)] = &[(64, 512), (256, 2048), (16, 1024), (2048, 64)];
+    let spec = DeviceSpec::gtx480();
+    let config = GpuSolverConfig::default();
+    for &(m, n) in GEOMETRIES {
+        assert_exact_certificate::<f64>(config, None, m, n);
+        assert_exact_certificate::<f32>(config, None, m, n);
+    }
+    for devices in [2usize, 4] {
+        let group = DeviceGroup::homogeneous(spec.clone(), devices).unwrap();
+        for &(m, n) in SHARDED {
+            assert_exact_certificate::<f64>(config, Some(&group), m, n);
         }
     }
 }

@@ -7,14 +7,20 @@
 //! bit-identical — same kernel sequence, same counters, same modeled
 //! microseconds, same solution bits.
 //!
-//! The planner half also pins the `describe()` of the CLI `plan
-//! --sweep` f32 points the figure sweep lacks, and checks that planning
-//! is pure: execution switches and rebuilds never perturb a plan.
+//! The planner half also pins the `describe()` of the f32 points the
+//! figure sweep lacks, checks that planning is pure (execution switches
+//! and rebuilds never perturb a plan), and schema-validates every plan
+//! document the sweep builds: single-device at both widths and both
+//! forced layouts, sharded and row-split.
 
+use gpu_sim::DeviceGroup;
 use std::fmt::Write as _;
 use tridiag_core::generators::random_batch;
-use tridiag_gpu::solver::{GpuSolveReport, GpuSolverConfig, GpuTridiagSolver};
-use tridiag_gpu::{GpuScalar, PlanExecutor};
+use tridiag_gpu::solver::{GpuSolveReport, GpuSolverConfig, GpuTridiagSolver, LayoutChoice};
+use tridiag_gpu::{
+    validate_distributed_plan_json, validate_plan_json, validate_sharded_plan_json, GpuScalar,
+    PlanExecutor,
+};
 
 /// The Fig. 12/13 sweep: (label, precision, m, n) — the same points the
 /// committed `BENCH_solver.json` perf baseline covers.
@@ -32,8 +38,8 @@ const SWEEP: &[(&str, &str, usize, usize)] = &[
     ("fig13", "f32", 16, 1024),
 ];
 
-/// The CLI `plan --sweep` geometries at f32 that [`SWEEP`] lacks; their
-/// plans are pinned in [`GOLDEN_F32_PLANS`].
+/// The f64 geometries of [`SWEEP`] that have no f32 point there; their
+/// f32 plans are pinned in [`GOLDEN_F32_PLANS`].
 const F32_PLAN_POINTS: &[(usize, usize)] = &[
     (64, 512),
     (1024, 512),
@@ -206,16 +212,21 @@ fn f32_sweep_plan_descriptions_match_goldens() {
     }
 }
 
+/// Every default-config single-device point as `(m, n, elem_bytes)`:
+/// [`SWEEP`] at its own widths, then [`F32_PLAN_POINTS`] at f32.
+fn default_plan_points() -> impl Iterator<Item = (usize, usize, usize)> {
+    SWEEP
+        .iter()
+        .map(|&(_, prec, m, n)| (m, n, if prec == "f32" { 4 } else { 8 }))
+        .chain(F32_PLAN_POINTS.iter().map(|&(m, n)| (m, n, 4)))
+}
+
 /// Planning is pure: no execution-config switch may perturb a plan's
 /// description or JSON, and rebuilding yields the same plan, on every
 /// pinned point.
 #[test]
 fn plans_ignore_exec_config_and_rebuild_identically() {
-    let points = SWEEP
-        .iter()
-        .map(|&(_, prec, m, n)| (m, n, if prec == "f32" { 4 } else { 8 }))
-        .chain(F32_PLAN_POINTS.iter().map(|&(m, n)| (m, n, 4)));
-    for (m, n, bytes) in points {
+    for (m, n, bytes) in default_plan_points() {
         let solver = GpuTridiagSolver::gtx480();
         let base = solver.plan_geometry(m, n, bytes).unwrap();
         assert_eq!(
@@ -251,16 +262,56 @@ fn plans_ignore_exec_config_and_rebuild_identically() {
     }
 }
 
+/// Every plan document the figure sweep builds — the default config at
+/// both widths, the f64 geometries with the device layout pinned both
+/// ways, sharded D ∈ {2, 4} and row-split D ∈ {1, 2, 4} — round-tripped
+/// through the strict JSON parser and validated against its schema.
+/// Planning only: no kernel launches.
 #[test]
 fn sweep_plan_json_is_schema_valid() {
-    for &(_, prec, m, n) in SWEEP {
-        let bytes = if prec == "f32" { 4 } else { 8 };
-        let plan = GpuTridiagSolver::gtx480().plan_geometry(m, n, bytes).unwrap();
-        let text = plan.to_json().to_string();
-        let doc = gpu_sim::json::parse(&text)
-            .unwrap_or_else(|e| panic!("m={m} n={n} {prec}: reparse failed: {e}"));
-        let problems = tridiag_gpu::validate_plan_json(&doc);
-        assert!(problems.is_empty(), "m={m} n={n} {prec}: {problems:?}");
+    type Validator = fn(&gpu_sim::Json) -> Vec<String>;
+    let spec = gpu_sim::DeviceSpec::gtx480();
+    let solver = GpuTridiagSolver::gtx480();
+    let mut docs: Vec<(String, gpu_sim::Json, Validator)> = Vec::new();
+    for (m, n, bytes) in default_plan_points() {
+        let plan = solver.plan_geometry(m, n, bytes).unwrap();
+        let label = format!("m={m} n={n} bytes={bytes}");
+        docs.push((label, plan.to_json(), validate_plan_json));
+    }
+    for layout in [LayoutChoice::Contiguous, LayoutChoice::Interleaved] {
+        let config = GpuSolverConfig {
+            layout,
+            ..Default::default()
+        };
+        let forced = GpuTridiagSolver::new(spec.clone(), config);
+        for &(_, _, m, n) in SWEEP.iter().filter(|p| p.1 == "f64") {
+            let plan = forced.plan_geometry(m, n, 8).unwrap();
+            let label = format!("m={m} n={n} {layout:?}");
+            docs.push((label, plan.to_json(), validate_plan_json));
+        }
+    }
+    for devices in [2usize, 4] {
+        let group = DeviceGroup::homogeneous(spec.clone(), devices).unwrap();
+        for (m, n) in [(64, 512), (256, 2048), (16, 1024), (2048, 64)] {
+            let plan = solver.plan_geometry_group(&group, m, n, 8).unwrap();
+            let label = format!("m={m} n={n} D={devices}");
+            docs.push((label, plan.to_json(), validate_sharded_plan_json));
+        }
+    }
+    for devices in [1usize, 2, 4] {
+        let group = DeviceGroup::homogeneous(spec.clone(), devices).unwrap();
+        for n in [512, 16384] {
+            let plan = solver.plan_geometry_split(&group, n, 8).unwrap();
+            let label = format!("split n={n} D={devices}");
+            docs.push((label, plan.to_json(), validate_distributed_plan_json));
+        }
+    }
+    assert_eq!(docs.len(), 50, "sweep size");
+    for (label, doc, validate) in docs {
+        let doc = gpu_sim::json::parse(&doc.to_string())
+            .unwrap_or_else(|e| panic!("{label}: reparse failed: {e}"));
+        let problems = validate(&doc);
+        assert!(problems.is_empty(), "{label}: {problems:?}");
     }
 }
 
