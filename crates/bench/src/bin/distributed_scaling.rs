@@ -21,17 +21,24 @@ use gpu_sim::{DeviceGroup, DeviceSpec};
 use tridiag_core::generators::random_batch;
 use tridiag_gpu::solver::GpuTridiagSolver;
 
-fn main() {
+/// Parse `--fast` and `--history FILE` from `args` (program name
+/// already stripped). Anything else is an error naming it.
+fn parse_from(args: impl IntoIterator<Item = String>) -> Result<(bool, Option<String>), String> {
     let mut fast = false;
-    let mut history: Option<String> = None;
-    let mut args = std::env::args().skip(1);
+    let mut history = None;
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--fast" => fast = true,
-            "--history" => history = args.next(),
-            other => eprintln!("ignoring unknown argument {other:?}"),
+            "--history" => history = Some(args.next().ok_or("--history needs a file")?),
+            other => return Err(format!("unknown argument {other}")),
         }
     }
+    Ok((fast, history))
+}
+
+fn main() {
+    let (fast, history) = bench::exit_on_error(parse_from(std::env::args().skip(1)));
 
     let sizes: &[usize] = if fast { &[1 << 14] } else { &[1 << 15, 1 << 17] };
     let device_counts: &[usize] = if fast { &[1, 2, 4] } else { &[1, 2, 4, 8] };
@@ -108,5 +115,29 @@ fn main() {
     );
     if let Some(path) = history.as_deref() {
         bench::history::record(path, "distributed", headline);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_from;
+
+    fn parse(line: &str) -> Result<(bool, Option<String>), String> {
+        parse_from(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn parse_from_accepts_fast_and_history() {
+        assert_eq!(parse(""), Ok((false, None)));
+        assert_eq!(
+            parse("--fast --history BENCH_history.jsonl"),
+            Ok((true, Some("BENCH_history.jsonl".into())))
+        );
+    }
+
+    #[test]
+    fn parse_from_rejects_and_names_unknown_arguments() {
+        assert_eq!(parse("--fast --out dir"), Err("unknown argument --out".into()));
+        assert_eq!(parse("--history"), Err("--history needs a file".into()));
     }
 }

@@ -16,11 +16,11 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let mut csv_path = String::from("results/fig12.csv");
     while let Some(a) = args.next() {
-        if a == "--csv" {
-            if let Some(p) = args.next() {
-                csv_path = p;
-            }
-        }
+        let parsed = match a.as_str() {
+            "--csv" => args.next().ok_or_else(|| "--csv needs a file".to_string()),
+            other => Err(format!("unknown argument {other}")),
+        };
+        csv_path = bench::exit_on_error(parsed);
     }
     let text = match std::fs::read_to_string(&csv_path) {
         Ok(t) => t,

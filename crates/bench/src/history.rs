@@ -1,11 +1,12 @@
-//! Append-only perf ledger: one JSONL line per baseline run (schema
-//! `tridiag.bench_history/v1`), shared by the baseline binaries via
-//! their `--history FILE` flag.
+//! Append-only perf ledger: one JSONL line per harness run (schema
+//! `tridiag.bench_history/v1`), written by `distributed_scaling
+//! --history FILE`. The `solver` and `service` lines in
+//! `BENCH_history.jsonl` have no writer left; exact test pins in
+//! `plan_snapshots`, `layout_cost` and `service_differential` hold
+//! those modeled numbers.
 //!
-//! The committed `BENCH_*.json` files answer "did perf drift from the
-//! accepted baseline?"; the ledger answers "how did it get here?" —
-//! every run appends its headline numbers, so regressions that were
-//! individually inside tolerance but compound over time stay visible.
+//! The test pins answer "did perf drift?"; the ledger answers "how
+//! did it get here?" — every run appends its headline numbers.
 //! Entries carry a monotonically increasing per-bench `seq` instead of
 //! a timestamp: the modeled axes have no wall clock, and a counter
 //! keeps the file deterministic and diff-friendly.
@@ -27,7 +28,8 @@ pub const HISTORY_SCHEMA: &str = "tridiag.bench_history/v1";
 /// the run's headline `(label, value)` points.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistoryEntry {
-    /// Which baseline produced the entry (`"solver"`, `"service"`).
+    /// Which harness produced the entry (`"distributed"`; older lines
+    /// also carry `"solver"` and `"service"`).
     pub bench: String,
     /// Per-bench sequence number, 1-based, strictly increasing.
     pub seq: u64,
@@ -200,10 +202,10 @@ pub fn diff_lines(prev: &HistoryEntry, fresh: &HistoryEntry) -> Vec<String> {
     out
 }
 
-/// The `--history FILE` hook the baseline binaries share: append the
-/// fresh headline points and print the report-only diff against the
-/// previous run (never fails the run — the ledger is advisory; I/O or
-/// corruption problems go to stderr and are reported via the return).
+/// The `--history FILE` hook: append the fresh headline points and
+/// print the report-only diff against the previous run (never fails
+/// the run — the ledger is advisory; I/O or corruption problems go to
+/// stderr and are reported via the return).
 pub fn record(path: &str, bench: &str, points: Vec<(String, f64)>) -> bool {
     match append(path, bench, points) {
         Ok((entry, Some(prev))) => {

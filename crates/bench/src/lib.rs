@@ -22,23 +22,26 @@ pub struct HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parse from `std::env::args`.
+    /// Parse from `std::env::args`; exits 1 naming the argument when
+    /// one is unknown or lacks its value.
     pub fn parse() -> Self {
+        exit_on_error(Self::parse_from(std::env::args().skip(1)))
+    }
+
+    /// Parse `--fast` and `--out DIR` from `args` (program name
+    /// already stripped). Anything else is an error naming it.
+    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut fast = false;
         let mut out_dir = std::path::PathBuf::from("results");
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--fast" => fast = true,
-                "--out" => {
-                    if let Some(d) = args.next() {
-                        out_dir = d.into();
-                    }
-                }
-                other => eprintln!("ignoring unknown argument {other:?}"),
+                "--out" => out_dir = args.next().ok_or("--out needs a directory")?.into(),
+                other => return Err(format!("unknown argument {other}")),
             }
         }
-        Self { fast, out_dir }
+        Ok(Self { fast, out_dir })
     }
 
     /// Write `rows` as CSV to `<out_dir>/<name>.csv` (creating the
@@ -56,5 +59,43 @@ impl HarnessArgs {
         std::fs::write(&path, body)?;
         println!("\n[csv] {}", path.display());
         Ok(())
+    }
+}
+
+/// Unwrap a harness binary's parsed arguments, or print `error: ...`
+/// and exit 1.
+pub fn exit_on_error<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<HarnessArgs, String> {
+        HarnessArgs::parse_from(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn parse_from_accepts_fast_and_out() {
+        let a = parse("").unwrap();
+        assert!(!a.fast);
+        assert_eq!(a.out_dir, std::path::PathBuf::from("results"));
+        let a = parse("--out csv --fast").unwrap();
+        assert!(a.fast);
+        assert_eq!(a.out_dir, std::path::PathBuf::from("csv"));
+    }
+
+    #[test]
+    fn parse_from_rejects_and_names_unknown_arguments() {
+        assert_eq!(
+            parse("--fast --check baseline.json").unwrap_err(),
+            "unknown argument --check"
+        );
+        assert_eq!(parse("fast").unwrap_err(), "unknown argument fast");
+        assert_eq!(parse("--out").unwrap_err(), "--out needs a directory");
     }
 }

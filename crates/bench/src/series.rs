@@ -5,10 +5,9 @@
 use cpu_ref::CpuModel;
 use gpu_sim::DeviceSpec;
 use tridiag_core::generators::random_batch;
-use tridiag_core::transition::TransitionPolicy;
-use tridiag_core::{Layout, Scalar, SystemBatch};
+use tridiag_core::{Scalar, SystemBatch};
 use tridiag_gpu::buffers::GpuScalar;
-use tridiag_gpu::solver::{GpuSolveReport, GpuSolverConfig, GpuTridiagSolver, LayoutChoice};
+use tridiag_gpu::solver::{GpuSolveReport, GpuTridiagSolver};
 use tridiag_gpu::{davidson, zhang};
 
 /// Residual tolerance used when verifying a timed solve.
@@ -33,34 +32,6 @@ pub fn ours_us<S: GpuScalar>(m: usize, n: usize) -> (f64, GpuSolveReport) {
     assert!(
         resid < tolerance::<S>(),
         "M={m} N={n}: residual {resid} out of tolerance"
-    );
-    (report.total_us, report)
-}
-
-/// Pure p-Thomas (`k = 0`) with the device layout pinned: the layout
-/// ablation series. Contiguous is the strawman addressing (each thread
-/// strides through its own system), interleaved is the paper's
-/// coalesced layout. Verified like every other series.
-pub fn pthomas_layout_us<S: GpuScalar>(m: usize, n: usize, layout: Layout) -> (f64, GpuSolveReport) {
-    let batch = batch_for::<S>(m, n);
-    let solver = GpuTridiagSolver::new(
-        DeviceSpec::gtx480(),
-        GpuSolverConfig {
-            policy: TransitionPolicy::Fixed(0),
-            layout: match layout {
-                Layout::Contiguous => LayoutChoice::Contiguous,
-                Layout::Interleaved => LayoutChoice::Interleaved,
-            },
-            ..Default::default()
-        },
-    );
-    let (x, report) = solver
-        .solve_batch(&batch)
-        .unwrap_or_else(|e| panic!("p-thomas {layout:?} solve failed for M={m} N={n}: {e}"));
-    let resid = batch.max_relative_residual(&x).expect("residual");
-    assert!(
-        resid < tolerance::<S>(),
-        "p-thomas {layout:?} M={m} N={n}: residual {resid} out of tolerance"
     );
     (report.total_us, report)
 }
@@ -99,16 +70,6 @@ pub fn mkl_mt_us(m: usize, n: usize, elem_bytes: usize) -> f64 {
     CpuModel::i7_975().threaded_us(m, n, elem_bytes)
 }
 
-/// Host wall-clock of the *real* CPU reference (used by the Criterion
-/// benches; exposed here for the speedup summary's sanity column).
-pub fn host_cpu_seq_us<S: Scalar>(batch: &SystemBatch<S>) -> f64 {
-    let t0 = std::time::Instant::now();
-    let x = cpu_ref::solve_batch_sequential(batch).expect("host solve");
-    let dt = t0.elapsed().as_secs_f64() * 1e6;
-    std::hint::black_box(x);
-    dt
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,25 +85,8 @@ mod tests {
     }
 
     #[test]
-    fn layout_ablation_rows_are_pure_pthomas_and_interleaved_wins() {
-        let (contig_us, contig) = pthomas_layout_us::<f64>(64, 512, Layout::Contiguous);
-        let (inter_us, inter) = pthomas_layout_us::<f64>(64, 512, Layout::Interleaved);
-        assert_eq!(contig.k, 0);
-        assert_eq!(inter.k, 0);
-        assert_eq!(contig.plan.layout, Layout::Contiguous);
-        assert_eq!(inter.plan.layout, Layout::Interleaved);
-        assert!(inter_us < contig_us, "coalesced p-Thomas must model faster");
-    }
-
-    #[test]
     fn zhang_capacity_gate() {
         assert!(zhang_us::<f64>(4, 512).is_some());
         assert!(zhang_us::<f64>(1, 4096).is_none());
-    }
-
-    #[test]
-    fn host_cpu_measurement_runs() {
-        let batch = batch_for::<f64>(4, 128);
-        assert!(host_cpu_seq_us(&batch) > 0.0);
     }
 }

@@ -6,8 +6,8 @@
 //! figure come from the same kind of first-order model — matching the
 //! task's goal of reproducing the paper's shapes, not its absolute
 //! microseconds. (The real, runnable CPU implementations in
-//! [`crate::batched`] are benchmarked separately with Criterion on the
-//! host.)
+//! [`crate::batched`] are timed separately on the host clock by the
+//! repository benchmark, `benchmark/`.)
 //!
 //! The model: Thomas' forward sweep is a serial division-latency chain,
 //! so a core retires one row per ~`cycles_per_row` cycles; batching over

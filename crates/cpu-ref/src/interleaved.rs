@@ -9,11 +9,11 @@
 //! Contrast with the contiguous layout, where each system walks its own
 //! cache lines.
 //!
-//! This solver is observably faster than the scalar loop on wide
-//! batches (see the `cpu_batched` Criterion bench) while remaining
-//! bit-compatible *per system* with the scalar Thomas only up to
-//! rounding — it uses the identical recurrence, so results match to
-//! the last ulp in practice; the tests pin exact equality.
+//! No instrument in the repository times this solver against the
+//! scalar loop. It is bit-compatible *per system* with the scalar
+//! Thomas only up to rounding — it uses the identical recurrence, so
+//! results match to the last ulp in practice; the tests pin exact
+//! equality.
 
 use tridiag_core::{Layout, Result, Scalar, SystemBatch, TridiagError};
 

@@ -12,8 +12,9 @@
 //!   figure harness can put modeled CPU curves next to modeled GPU
 //!   curves.
 //!
-//! The runnable solvers are real and fast; Criterion benches in
-//! `crates/bench` measure them on the host.
+//! The runnable solvers are real and fast; the repository benchmark
+//! (`benchmark/`) times `solve_batch_sequential` on the host clock
+//! (`cpu-ref.solve.host_ms`).
 
 #![warn(missing_docs)]
 

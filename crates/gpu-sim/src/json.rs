@@ -3,7 +3,7 @@
 //!
 //! The offline dependency allowlist has no serde, so everything in the
 //! workspace that needs machine-readable output (the Chrome-trace
-//! exporter, `solve --json`, the `BENCH_solver.json` perf baseline)
+//! exporter, `solve --json`, the plan schemas, the perf ledger)
 //! goes through this module. It is deliberately small: a [`Json`] value
 //! enum, `Display` for serialization, [`parse`] for round-trips and
 //! validation. Numbers are `f64` (all our payloads fit); object keys

@@ -24,8 +24,8 @@
 //!
 //! Each command rejects any option it does not read. The figure-sweep
 //! plan, certificate and service-window sweeps live in the test suites
-//! (`plan_snapshots`, `layout_cost`, `verify_props`) and in
-//! `cargo run -p bench --bin service_throughput`.
+//! (`plan_snapshots`, `layout_cost`, `verify_props`,
+//! `service_differential`).
 //!
 //! Exit codes: 0 = success, 1 = usage or solve error, 2 = lint or
 //! sanitizer findings (the solve itself succeeded, but a check found

@@ -249,7 +249,9 @@ impl<S: Scalar> SystemBatch<S> {
     }
 
     /// Max relative residual across all systems for a flat solution `x`
-    /// (in this batch's layout).
+    /// (in this batch's layout). A system with any non-finite solution
+    /// or residual term scores `f64::INFINITY` (see
+    /// [`TridiagonalSystem::relative_residual`]), which the fold keeps.
     pub fn max_relative_residual(&self, x: &[S]) -> Result<f64> {
         let per_system = self.split_solution(x)?;
         let mut worst = 0.0f64;

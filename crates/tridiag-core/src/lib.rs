@@ -50,7 +50,6 @@
 
 pub mod batch;
 pub mod condition;
-pub mod cyclic;
 pub mod cost_model;
 pub mod cr;
 pub mod error;

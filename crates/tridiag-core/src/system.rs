@@ -160,12 +160,20 @@ impl<S: Scalar> TridiagonalSystem<S> {
     /// Relative residual `‖A x − d‖_∞ / max(‖d‖_∞, 1)` accumulated in
     /// `f64` regardless of `S` so that `f32` systems get a trustworthy
     /// measurement.
+    ///
+    /// Any non-finite `x_i`, `(A x)_i` or residual term scores
+    /// `f64::INFINITY`: `f64::max` drops NaN, so without this check a
+    /// NaN solution would score 0.0 and pass every tolerance.
     pub fn relative_residual(&self, x: &[S]) -> Result<f64> {
         let ax = self.apply(x)?;
         let mut num: f64 = 0.0;
         let mut den: f64 = 1.0;
-        for (axi, di) in ax.iter().zip(&self.rhs) {
-            num = num.max((axi.to_f64() - di.to_f64()).abs());
+        for ((xi, axi), di) in x.iter().zip(&ax).zip(&self.rhs) {
+            let term = (axi.to_f64() - di.to_f64()).abs();
+            if !(xi.is_finite() && axi.is_finite() && term.is_finite()) {
+                return Ok(f64::INFINITY);
+            }
+            num = num.max(term);
             den = den.max(di.to_f64().abs());
         }
         Ok(num / den)

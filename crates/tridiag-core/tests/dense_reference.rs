@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tridiag_core::generators::dominant_random;
-use tridiag_core::{cr, cyclic, pcr, pivoting, rd, thomas, TridiagonalSystem};
+use tridiag_core::{cr, pcr, pivoting, rd, thomas, TridiagonalSystem};
 
 /// Dense Gaussian elimination with partial pivoting (textbook, O(n³)).
 // The elimination loop reads row `col` while mutating row `row`; an
@@ -118,32 +118,6 @@ proptest! {
                     "row {}: {} vs {}", i, x[i], dense[i]
                 );
             }
-        }
-    }
-
-    /// Cyclic systems: Sherman–Morrison against dense elimination of the
-    /// full matrix with corners.
-    #[test]
-    fn cyclic_matches_dense(n in 3usize..60, seed in any::<u64>()) {
-        let core = dominant_random::<f64>(n, seed);
-        let (a, mut b, c, d) = core.into_parts();
-        for bi in &mut b { *bi += if *bi >= 0.0 { 0.7 } else { -0.7 }; }
-        let (tr, bl) = (0.3, -0.2);
-        let sys = cyclic::CyclicSystem::new(a.clone(), b.clone(), c.clone(), d.clone(), tr, bl).unwrap();
-        // Dense matrix including the corner entries.
-        let mut m = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            m[i][i] = b[i];
-            if i > 0 { m[i][i - 1] = a[i]; }
-            if i + 1 < n { m[i][i + 1] = c[i]; }
-        }
-        m[0][n - 1] += tr;
-        m[n - 1][0] += bl;
-        let dense = dense_solve(m, d).expect("shifted dominant");
-        let x = sys.solve().unwrap();
-        let scale = dense.iter().fold(1.0f64, |acc, v| acc.max(v.abs()));
-        for i in 0..n {
-            prop_assert!((x[i] - dense[i]).abs() < 1e-7 * scale);
         }
     }
 }

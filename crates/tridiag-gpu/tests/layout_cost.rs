@@ -22,7 +22,9 @@
 use gpu_sim::lint::coalesce::coalesced_minimum;
 use gpu_sim::{DeviceGroup, DeviceSpec};
 use tridiag_core::generators::random_batch;
+use tridiag_core::transition::TransitionPolicy;
 use tridiag_core::Layout;
+use tridiag_gpu::plan::cost;
 use tridiag_gpu::solver::{GpuSolverConfig, GpuTridiagSolver, LayoutChoice};
 use tridiag_gpu::GpuScalar;
 
@@ -196,6 +198,104 @@ fn default_plans_carry_exact_certificates() {
         for &(m, n) in SHARDED {
             assert_exact_certificate::<f64>(config, Some(&group), m, n);
         }
+    }
+}
+
+/// One row of the pinned p-Thomas layout ablation: global transactions
+/// and `total_us` bits for the contiguous strawman and for the
+/// coalesced interleaved layout.
+struct LayoutPin {
+    m: usize,
+    contiguous_txn: u64,
+    interleaved_txn: u64,
+    contiguous_us: u64,
+    interleaved_us: u64,
+}
+
+/// The layout ablation: forced-layout `k = 0` solves at N = 512, f64
+/// (1320.63/333.91, 2335.98/333.91 and 4666.97/333.91 µs).
+const LAYOUT_PINS: &[LayoutPin] = &[
+    LayoutPin {
+        m: 64,
+        contiguous_txn: 294912,
+        interleaved_txn: 18432,
+        contiguous_us: 0x4094_a286_da2c_f364,
+        interleaved_us: 0x4074_de86_da2c_f364,
+    },
+    LayoutPin {
+        m: 256,
+        contiguous_txn: 1179648,
+        interleaved_txn: 73728,
+        contiguous_us: 0x40a2_3ff8_29a5_3866,
+        interleaved_us: 0x4074_de86_da2c_f364,
+    },
+    LayoutPin {
+        m: 1024,
+        contiguous_txn: 4718592,
+        interleaved_txn: 294912,
+        contiguous_us: 0x40b2_3af8_29a5_3866,
+        interleaved_us: 0x4074_de86_da2c_f364,
+    },
+];
+
+/// Property 4: the layout ablation is pinned exactly. Each row is pure
+/// p-Thomas, its measured global transactions equal the closed form
+/// [`cost::pthomas_transactions`] and the pinned literal, its modeled
+/// time matches the pinned bits, its residual is within tolerance, and
+/// interleaved beats contiguous on both transactions and time.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "slow simulation; run with --release")]
+fn layout_ablation_matches_pins() {
+    const N: usize = 512;
+    let spec = DeviceSpec::gtx480();
+    let tol = tridiag_core::verify::default_tolerance::<f64>() * 1e3;
+    for pin in LAYOUT_PINS {
+        let m = pin.m;
+        let batch = random_batch::<f64>(m, N, 42);
+        let mut measured = [(0u64, 0.0f64); 2];
+        let rows = [
+            (LayoutChoice::Contiguous, Layout::Contiguous, pin.contiguous_txn, pin.contiguous_us),
+            (LayoutChoice::Interleaved, Layout::Interleaved, pin.interleaved_txn, pin.interleaved_us),
+        ];
+        for (i, (choice, layout, pinned_txn, pinned_us)) in rows.into_iter().enumerate() {
+            let label = format!("m={m} n={N} {layout:?}");
+            let solver = GpuTridiagSolver::new(
+                spec.clone(),
+                GpuSolverConfig {
+                    policy: TransitionPolicy::Fixed(0),
+                    layout: choice,
+                    ..Default::default()
+                },
+            );
+            let (x, report) = solver.solve_batch(&batch).unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_eq!(report.k, 0, "{label}: not pure p-Thomas");
+            assert_eq!(report.plan.layout, layout, "{label}");
+            let txn: u64 = report
+                .kernels
+                .iter()
+                .flat_map(|k| &k.timing.phases)
+                .map(|p| p.stats.global_transactions())
+                .sum();
+            assert_eq!(
+                txn,
+                cost::pthomas_transactions(&spec, layout, m, N, 8),
+                "{label}: measured transactions != closed form"
+            );
+            assert_eq!(txn, pinned_txn, "{label}: transactions drifted from the pin");
+            assert_eq!(
+                report.total_us.to_bits(),
+                pinned_us,
+                "{label}: total_us {:?} ({:#x}) drifted from the pin",
+                report.total_us,
+                report.total_us.to_bits()
+            );
+            let resid = batch.max_relative_residual(&x).unwrap();
+            assert!(resid <= tol, "{label}: residual {resid:.3e} > {tol:.3e}");
+            measured[i] = (txn, report.total_us);
+        }
+        let [contig, inter] = measured;
+        assert!(inter.0 < contig.0, "m={m}: interleaved must move fewer transactions");
+        assert!(inter.1 < contig.1, "m={m}: interleaved must model faster");
     }
 }
 

@@ -22,8 +22,10 @@ use tridiag_gpu::{
     PlanExecutor,
 };
 
-/// The Fig. 12/13 sweep: (label, precision, m, n) — the same points the
-/// committed `BENCH_solver.json` perf baseline covers.
+/// The Fig. 12/13 sweep: (label, precision, m, n). Its goldens in
+/// [`GOLDEN_REPORTS`] are the modeled-time pins for these points: `k`,
+/// `total_us` and every kernel's and phase's `us` at full `f64`
+/// precision.
 const SWEEP: &[(&str, &str, usize, usize)] = &[
     ("fig12", "f64", 64, 512),
     ("fig12", "f64", 256, 512),
@@ -120,6 +122,9 @@ fn run_point<S: GpuScalar>(m: usize, n: usize) -> String {
         .unwrap_or_else(|e| panic!("m={m} n={n}: {e}"));
     assert!(report.is_phase_sum_clean(), "m={m} n={n}");
     assert!(report.violations.is_empty(), "m={m} n={n}");
+    let resid = batch.max_relative_residual(&x).unwrap();
+    let tol = tridiag_core::verify::default_tolerance::<S>() * 1e3;
+    assert!(resid <= tol, "m={m} n={n}: residual {resid:.3e} > {tol:.3e}");
     report_snapshot(&x, &report)
 }
 

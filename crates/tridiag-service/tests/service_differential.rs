@@ -195,43 +195,145 @@ fn warm_cache_reproduces_answers_bit_for_bit() {
     assert!(stats.hits >= warm.batches.len() as u64);
 }
 
-/// The regime the service manufactures: with small per-request M, a
-/// non-zero coalescing window strictly beats window = 0 on modeled
-/// requests/s (launch overhead amortizes, occupancy rises).
+/// One window of the pinned coalescing-window sweep: the modeled times
+/// as `f64` bits, the counts exactly.
+struct WindowPin {
+    window_us: f64,
+    requests_per_s: u64,
+    p50_us: u64,
+    p99_us: u64,
+    makespan_us: u64,
+    batches: usize,
+    fused_batches: usize,
+    cache_hits: u64,
+    cache_misses: u64,
+}
+
+/// The coalescing-window sweep: 64 requests 1 µs apart, each an f64
+/// batch of M = 2 systems of N = 256 (seed `42 + i`). Window 0 is the
+/// solo baseline, one launch per request.
+const WINDOW_PINS: &[WindowPin] = &[
+    WindowPin {
+        window_us: 0.0,
+        requests_per_s: 0x40e6_0480_09d5_6855,
+        p50_us: 0x4085_3548_2754_203c,
+        p99_us: 0x4095_3148_2754_203e,
+        makespan_us: 0x4096_2d48_2754_203e,
+        batches: 64,
+        fused_batches: 0,
+        cache_hits: 63,
+        cache_misses: 1,
+    },
+    WindowPin {
+        window_us: 2.0,
+        requests_per_s: 0x410e_c3d8_9ae1_e908,
+        p50_us: 0x4063_d1d2_b253_ae9e,
+        p99_us: 0x4067_de1c_6cb1_e3de,
+        makespan_us: 0x406f_be1c_6cb1_e3de,
+        batches: 3,
+        fused_batches: 3,
+        cache_hits: 0,
+        cache_misses: 3,
+    },
+    WindowPin {
+        window_us: 4.0,
+        requests_per_s: 0x410e_75a8_953f_e271,
+        p50_us: 0x405d_25cc_1574_7f80,
+        p99_us: 0x4068_2f97_8f6e_2ba2,
+        makespan_us: 0x4070_07cb_c7b7_15d1,
+        batches: 3,
+        fused_batches: 3,
+        cache_hits: 0,
+        cache_misses: 3,
+    },
+    WindowPin {
+        window_us: 8.0,
+        requests_per_s: 0x410d_c36c_d5cf_8f7d,
+        p50_us: 0x4061_4dd0_f881_9328,
+        p99_us: 0x4068_ef95_7458_588a,
+        makespan_us: 0x4070_67ca_ba2c_2c45,
+        batches: 3,
+        fused_batches: 3,
+        cache_hits: 0,
+        cache_misses: 3,
+    },
+    WindowPin {
+        window_us: 16.0,
+        requests_per_s: 0x410e_2d92_fd5b_6280,
+        p50_us: 0x4064_6fe2_ca95_cb5a,
+        p99_us: 0x4068_7c2c_84f4_009a,
+        makespan_us: 0x4070_2e16_427a_004d,
+        batches: 2,
+        fused_batches: 2,
+        cache_hits: 0,
+        cache_misses: 2,
+    },
+    WindowPin {
+        window_us: 64.0,
+        requests_per_s: 0x410b_77bb_abc1_93fc,
+        p50_us: 0x4067_a14f_133c_bbbf,
+        p99_us: 0x406b_ad98_cd9a_f0ff,
+        makespan_us: 0x4071_c6cc_66cd_7880,
+        batches: 1,
+        fused_batches: 1,
+        cache_hits: 0,
+        cache_misses: 1,
+    },
+];
+
+/// The regime the service manufactures: with small per-request M,
+/// every non-zero coalescing window strictly beats window = 0 on
+/// modeled requests/s (launch overhead amortizes, occupancy rises).
+/// Every cell of the sweep is pinned exactly.
 #[test]
-fn coalescing_window_beats_no_window_on_modeled_throughput() {
+fn coalescing_window_sweep_matches_pins() {
+    const REQUESTS: usize = 64;
     let group = DeviceGroup::single(DeviceSpec::gtx480());
-    let make_requests = || -> Vec<SolveRequest> {
-        (0..48u64)
-            .map(|i| SolveRequest {
-                id: i,
-                arrival_us: i as f64,
-                payload: Payload::F64(random_batch::<f64>(2, 256, 1000 + i)),
-            })
-            .collect()
-    };
-    let mut solo_core = ServiceCore::new(group.clone(), service_config(0.0));
-    let solo = solo_core.run_workload(make_requests());
-    let mut coal_core = ServiceCore::new(group, service_config(16.0));
-    let coal = coal_core.run_workload(make_requests());
-    let (solo_done, _, _) = solo.totals();
-    let (coal_done, _, _) = coal.totals();
-    assert_eq!(solo_done, 48);
-    assert_eq!(coal_done, 48);
+    let requests: Vec<SolveRequest> = (0..REQUESTS)
+        .map(|i| SolveRequest {
+            id: i as u64,
+            arrival_us: i as f64,
+            payload: Payload::F64(random_batch::<f64>(2, 256, 42 + i as u64)),
+        })
+        .collect();
+    let mut rps = Vec::new();
+    for pin in WINDOW_PINS {
+        let w = pin.window_us;
+        let mut core = ServiceCore::new(
+            group.clone(),
+            ServiceConfig {
+                window_us: w,
+                queue_depth: REQUESTS,
+                ..ServiceConfig::default()
+            },
+        );
+        let report = core.run_workload(requests.clone());
+        let (done, rejected, failed) = report.totals();
+        assert_eq!(done, REQUESTS, "window {w}: {rejected} rejected, {failed} failed");
+        let fused = report.batches.iter().filter(|b| b.request_ids.len() > 1).count();
+        for (name, actual, pinned) in [
+            ("requests_per_s", report.requests_per_s, pin.requests_per_s),
+            ("p50_us", report.p50_us, pin.p50_us),
+            ("p99_us", report.p99_us, pin.p99_us),
+            ("makespan_us", report.makespan_us, pin.makespan_us),
+        ] {
+            assert_eq!(
+                actual.to_bits(),
+                pinned,
+                "window {w}: {name} {actual:?} ({:#x}) drifted from the pin",
+                actual.to_bits()
+            );
+        }
+        assert_eq!(report.batches.len(), pin.batches, "window {w}: batches");
+        assert_eq!(fused, pin.fused_batches, "window {w}: fused batches");
+        assert_eq!(report.cache.hits, pin.cache_hits, "window {w}: cache hits");
+        assert_eq!(report.cache.misses, pin.cache_misses, "window {w}: cache misses");
+        rps.push(report.requests_per_s);
+    }
     assert!(
-        coal.requests_per_s > solo.requests_per_s,
-        "window=16 must beat window=0: {:.0} vs {:.0} req/s",
-        coal.requests_per_s,
-        solo.requests_per_s
+        rps[1..].iter().all(|&r| r > rps[0]),
+        "every non-zero window must beat window = 0 on requests/s: {rps:?}"
     );
-    assert!(
-        coal.batches.len() < solo.batches.len(),
-        "coalescing must reduce launches: {} vs {}",
-        coal.batches.len(),
-        solo.batches.len()
-    );
-    // window=0 means one request per batch, always.
-    assert!(solo.batches.iter().all(|b| b.request_ids.len() == 1));
 }
 
 /// Mixed layouts don't break identity: a request whose batch is

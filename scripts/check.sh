@@ -7,7 +7,7 @@ cd "$(dirname "$0")/.."
 
 # First-party crates (vendored shims under vendor/ are exempt from the
 # clippy gate).
-FIRST_PARTY=(-p tridiag-core -p gpu-sim -p tridiag-gpu -p cpu-ref -p tridiag-service -p tridiag-cli)
+FIRST_PARTY=(-p tridiag-core -p gpu-sim -p tridiag-gpu -p cpu-ref -p tridiag-service -p tridiag-cli -p bench)
 
 echo "== tier-1: build =="
 cargo build --release
@@ -36,7 +36,7 @@ cargo test -q -p tridiag-gpu --test phase_sums
 echo "== trace export (Chrome-trace schema + round-trip) =="
 cargo test -q -p tridiag-gpu --test trace_roundtrip
 
-echo "== plan snapshots (golden describe() + plan-then-execute bit-identity) =="
+echo "== plan snapshots (golden describe() + plan-then-execute bit-identity; Fig. 12/13 modeled-time pins) =="
 cargo test --release -q -p tridiag-gpu --test plan_snapshots
 
 echo "== sharded partition properties (coverage, balance, typed degenerate errors) =="
@@ -54,10 +54,16 @@ cargo test -q -p tridiag-gpu --test distributed_partition_props
 echo "== distributed differential harness (split(D) . reduce . back-sub vs single device) =="
 cargo test --release -q -p tridiag-gpu --test distributed_differential
 
+echo "== bench harness unit tests (history ledger parser, argument parsing, series) =="
+cargo test --release -q -p bench
+
+echo "== repository benchmark unit tests (benchmark/, host-clock instrument) =="
+cargo test --release -q --manifest-path benchmark/Cargo.toml
+
 echo "== distributed scaling bench (D=4 must beat D=2) =="
 cargo run --release -q -p bench --bin distributed_scaling -- --fast
 
-echo "== service differential harness (coalesced == solo, bit-for-bit, 60 mixes) =="
+echo "== service differential harness (coalesced == solo, bit-for-bit, 60 mixes; pinned window sweep) =="
 cargo test --release -q -p tridiag-service --test service_differential
 
 echo "== service plan-cache properties (hit == fresh build byte-for-byte) =="
@@ -94,7 +100,7 @@ grep -q "verify      : clean" <<<"$out"
 out="$(cargo run --release -q -p tridiag-cli -- solve --m 64 --n 512 --layout contiguous --check)"
 grep -q "sanitizer   : clean" <<<"$out"
 
-echo "== layout acceptance gate (interleaved hits the coalesced floor exactly) =="
+echo "== layout acceptance gate (coalesced floor exactly, pinned layout ablation) =="
 cargo test --release -q -p tridiag-gpu --test layout_cost
 
 echo "== interleaved differential (GPU vs cpu-ref lane reference) =="

@@ -9,8 +9,8 @@
 //! Re-exports the four member crates; see each for details:
 //!
 //! - [`tridiag_core`] — the algorithms (Thomas, CR, PCR, RD, tiled PCR
-//!   with the buffered sliding window, the hybrid, cyclic systems, the
-//!   cost model, conditioning diagnostics).
+//!   with the buffered sliding window, the hybrid, the cost model,
+//!   conditioning diagnostics).
 //! - [`gpu_sim`] — the GPU simulator substrate.
 //! - [`tridiag_gpu`] — the paper's kernels and solver on the simulator,
 //!   plus the Davidson and Zhang baselines.

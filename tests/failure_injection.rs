@@ -98,6 +98,23 @@ fn nan_input_is_caught_not_propagated_silently() {
 }
 
 #[test]
+fn non_finite_solution_never_scores_a_passing_residual() {
+    let s = generators::dominant_random::<f64>(512, 11);
+    let good = thomas::solve_typed(&s).unwrap();
+    assert!(s.relative_residual(&good).unwrap() < 1e-12);
+    let mut x = good.clone();
+    x[300] = f64::NAN;
+    assert_eq!(s.relative_residual(&x).unwrap(), f64::INFINITY);
+    let batch = SystemBatch::from_systems(vec![s.clone(), s]).unwrap();
+    let mut xs = [good.clone(), good].concat();
+    assert!(batch.max_relative_residual(&xs).unwrap() < 1e-12);
+    xs[512 + 300] = f64::NAN;
+    assert_eq!(batch.max_relative_residual(&xs).unwrap(), f64::INFINITY);
+    xs[512 + 300] = f64::INFINITY;
+    assert_eq!(batch.max_relative_residual(&xs).unwrap(), f64::INFINITY);
+}
+
+#[test]
 fn nearly_singular_still_solves_but_residual_tells() {
     // A tiny-but-nonzero pivot: pivot-free elimination goes through;
     // the residual check is the user's guard.
