@@ -16,7 +16,7 @@
 
 use crate::counters::{BlockStats, KernelStats, PhaseStats, PRELUDE_PHASE};
 use crate::error::{Result, SimError};
-use crate::memory::{shared_conflict_cycles_dense, warp_transactions_dense, InitMask};
+use crate::memory::{shared_conflict_cycles, warp_transactions, InitMask};
 use crate::occupancy::{occupancy, Occupancy};
 use crate::plan::{AccessKind, AccessPlan, PlanRecorder};
 use crate::sanitizer::{MemSpace, Sanitizer, SanitizerViolation};
@@ -385,7 +385,7 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
         }
         let mut transactions = 0u64;
         for warp in idx.chunks(self.warp_size) {
-            transactions += warp_transactions_dense(warp, S::BYTES, self.transaction_bytes);
+            transactions += warp_transactions(warp, S::BYTES, self.transaction_bytes);
         }
         let bytes = idx.len() as u64 * S::BYTES as u64;
         self.bump(|s| {
@@ -482,7 +482,7 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
         }
         let mut replays = 0u64;
         for warp in idx.chunks(self.warp_size) {
-            replays += shared_conflict_cycles_dense(warp, S::BYTES, self.banks) - 1;
+            replays += shared_conflict_cycles(warp, S::BYTES, self.banks) - 1;
         }
         self.bump(|s| {
             s.shared_accesses += 1;

@@ -140,17 +140,6 @@ impl<'a> Check<'a> {
         }
     }
 
-    /// Require a strictly positive integer-valued number.
-    pub fn req_pos_int(&mut self, key: &str) -> Option<u64> {
-        match self.doc.get(key).and_then(Json::as_num) {
-            Some(v) if v > 0.0 && v.fract() == 0.0 => Some(v as u64),
-            _ => {
-                self.problem(format!("missing positive integer {key:?}"));
-                None
-            }
-        }
-    }
-
     /// Require a finite number `>= min`.
     pub fn num_ge(&mut self, key: &str, min: f64) -> Option<f64> {
         match self.doc.get(key).and_then(Json::as_num) {
@@ -257,10 +246,9 @@ mod tests {
         c.req_bool("on");
         c.req_arr("items");
         c.req_obj("meta");
-        c.req_pos_int("count");
         c.num_ge("count", 0.0);
         let problems = c.finish();
-        assert_eq!(problems.len(), 9, "{problems:?}");
+        assert_eq!(problems.len(), 8, "{problems:?}");
         assert!(problems[0].contains("expected \"x/v1\""));
         assert!(problems.iter().any(|p| p.contains("\"kind\" is \"zebra\"")));
     }

@@ -106,7 +106,7 @@ pub(crate) fn run(plan: &AccessPlan, cfg: &LintConfig, sink: &mut DiagSink, pred
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::shared_conflict_cycles_dense;
+    use crate::memory::shared_conflict_cycles;
     use crate::plan::{compress, AccessKind};
 
     fn access(idx: &[usize]) -> PlannedAccess {
@@ -142,7 +142,7 @@ mod tests {
                 let a = access(&idx);
                 let mut dynamic = 0u64;
                 for warp in idx.chunks(32) {
-                    dynamic += shared_conflict_cycles_dense(warp, eb, 32) - 1;
+                    dynamic += shared_conflict_cycles(warp, eb, 32) - 1;
                 }
                 let mut stat = 0u64;
                 let mut w0 = 0;

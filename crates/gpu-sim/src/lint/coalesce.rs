@@ -139,7 +139,7 @@ pub(crate) fn run(plan: &AccessPlan, cfg: &LintConfig, sink: &mut DiagSink, pred
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::warp_transactions_dense;
+    use crate::memory::warp_transactions;
     use crate::plan::{compress, AccessKind};
 
     fn access(idx: &[usize]) -> PlannedAccess {
@@ -175,7 +175,7 @@ mod tests {
                 let a = access(&idx);
                 let mut dynamic = 0u64;
                 for warp in idx.chunks(32) {
-                    dynamic += warp_transactions_dense(warp, eb, 128);
+                    dynamic += warp_transactions(warp, eb, 128);
                 }
                 assert_eq!(
                     access_transactions(&a, 32, eb, 128),

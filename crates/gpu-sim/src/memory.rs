@@ -46,10 +46,9 @@ impl InitMask {
 
 /// Count the transactions a single warp-wide access costs: the number
 /// of distinct `segment_bytes`-aligned segments covered by the given
-/// element indices (`elem_bytes` each). `None` lanes are inactive
-/// (predicated off) and cost nothing.
+/// element indices (`elem_bytes` each), one per active lane.
 pub fn warp_transactions(
-    lane_elem_indices: &[Option<usize>],
+    lane_elem_indices: &[usize],
     elem_bytes: usize,
     segment_bytes: usize,
 ) -> u64 {
@@ -61,32 +60,21 @@ pub fn warp_transactions(
     // Warps touch a handful of segments; a tiny sorted set beats hashing.
     let mut segments: [u64; 64] = [u64::MAX; 64];
     let mut count = 0usize;
-    for idx in lane_elem_indices.iter().flatten() {
+    for &idx in lane_elem_indices {
         let seg = (idx * elem_bytes / segment_bytes) as u64;
         if !segments[..count].contains(&seg) {
-            if count < segments.len() {
-                segments[count] = seg;
-            }
+            segments[count] = seg;
             count += 1;
         }
     }
     count as u64
 }
 
-/// Useful bytes a warp-wide access moves (active lanes × element size).
-pub fn warp_useful_bytes(lane_elem_indices: &[Option<usize>], elem_bytes: usize) -> u64 {
-    lane_elem_indices.iter().flatten().count() as u64 * elem_bytes as u64
-}
-
 /// Shared-memory bank-conflict analysis: returns the number of
 /// *processing cycles* the access takes (1 = conflict-free; `d` = d-way
 /// conflict serialised into `d` replays). Lanes reading the **same**
 /// address broadcast and do not conflict.
-pub fn shared_conflict_cycles(
-    lane_elem_indices: &[Option<usize>],
-    elem_bytes: usize,
-    banks: u32,
-) -> u64 {
+pub fn shared_conflict_cycles(lane_elem_indices: &[usize], elem_bytes: usize, banks: u32) -> u64 {
     debug_assert!(banks.is_power_of_two());
     debug_assert!(
         lane_elem_indices.len() <= 64,
@@ -101,7 +89,7 @@ pub fn shared_conflict_cycles(
     let mut seen_count = 0usize;
     let mut per_bank: [u8; 64] = [0; 64];
     let mask = (banks - 1) as u64;
-    for idx in lane_elem_indices.iter().flatten() {
+    for &idx in lane_elem_indices {
         let word = (idx * elem_bytes / 4) as u64;
         if !seen_words[..seen_count].contains(&word) {
             seen_words[seen_count] = word;
@@ -116,8 +104,8 @@ pub fn shared_conflict_cycles(
 mod tests {
     use super::*;
 
-    fn lanes(v: impl IntoIterator<Item = usize>) -> Vec<Option<usize>> {
-        v.into_iter().map(Some).collect()
+    fn lanes(v: impl IntoIterator<Item = usize>) -> Vec<usize> {
+        v.into_iter().collect()
     }
 
     #[test]
@@ -169,20 +157,10 @@ mod tests {
     }
 
     #[test]
-    fn inactive_lanes_cost_nothing() {
-        let mut idx = lanes(0..32);
-        for lane in idx.iter_mut().skip(1) {
-            *lane = None;
-        }
-        assert_eq!(warp_transactions(&idx, 4, 128), 1);
-        assert_eq!(warp_useful_bytes(&idx, 4), 4);
-        let none: Vec<Option<usize>> = vec![None; 32];
-        assert_eq!(warp_transactions(&none, 4, 128), 0);
-    }
-
-    #[test]
-    fn useful_bytes_counts_active_lanes() {
-        assert_eq!(warp_useful_bytes(&lanes(0..32), 8), 256);
+    fn only_active_lanes_cost_transactions() {
+        // A partial warp pays for the lanes it has; an empty one, nothing.
+        assert_eq!(warp_transactions(&lanes(0..1), 4, 128), 1);
+        assert_eq!(warp_transactions(&[], 4, 128), 0);
     }
 
     #[test]
@@ -218,64 +196,6 @@ mod tests {
 
     #[test]
     fn empty_access_costs_one_cycle_floor() {
-        let none: Vec<Option<usize>> = vec![None; 32];
-        assert_eq!(shared_conflict_cycles(&none, 4, 32), 1);
-    }
-}
-
-/// [`warp_transactions`] for a fully-active warp (no predication) —
-/// avoids the `Option` wrapping on the simulator's hottest path.
-pub fn warp_transactions_dense(lane_elem_indices: &[usize], elem_bytes: usize, segment_bytes: usize) -> u64 {
-    debug_assert!(segment_bytes.is_power_of_two());
-    debug_assert!(lane_elem_indices.len() <= 64);
-    let mut segments: [u64; 64] = [u64::MAX; 64];
-    let mut count = 0usize;
-    for &idx in lane_elem_indices {
-        let seg = (idx * elem_bytes / segment_bytes) as u64;
-        if !segments[..count].contains(&seg) {
-            segments[count] = seg;
-            count += 1;
-        }
-    }
-    count as u64
-}
-
-/// [`shared_conflict_cycles`] for a fully-active warp.
-pub fn shared_conflict_cycles_dense(lane_elem_indices: &[usize], elem_bytes: usize, banks: u32) -> u64 {
-    debug_assert!(banks.is_power_of_two());
-    debug_assert!(lane_elem_indices.len() <= 64);
-    let mut seen_words: [u64; 64] = [0; 64];
-    let mut seen_count = 0usize;
-    let mut per_bank: [u8; 64] = [0; 64];
-    let mask = (banks - 1) as u64;
-    for &idx in lane_elem_indices {
-        let word = (idx * elem_bytes / 4) as u64;
-        if !seen_words[..seen_count].contains(&word) {
-            seen_words[seen_count] = word;
-            seen_count += 1;
-            per_bank[(word & mask) as usize] += 1;
-        }
-    }
-    per_bank.iter().map(|&c| c as u64).max().unwrap_or(0).max(1)
-}
-
-#[cfg(test)]
-mod dense_tests {
-    use super::*;
-
-    #[test]
-    fn dense_variants_agree_with_masked() {
-        let idx: Vec<usize> = (0..32).map(|l| l * 3 + 5).collect();
-        let masked: Vec<Option<usize>> = idx.iter().map(|&i| Some(i)).collect();
-        for eb in [4usize, 8] {
-            assert_eq!(
-                warp_transactions_dense(&idx, eb, 128),
-                warp_transactions(&masked, eb, 128)
-            );
-            assert_eq!(
-                shared_conflict_cycles_dense(&idx, eb, 32),
-                shared_conflict_cycles(&masked, eb, 32)
-            );
-        }
+        assert_eq!(shared_conflict_cycles(&[], 4, 32), 1);
     }
 }

@@ -2,10 +2,7 @@
 //! analyzer, the bank-conflict model and the occupancy calculator obey
 //! the monotonicity/invariance laws the real hardware does.
 
-use gpu_sim::memory::{
-    shared_conflict_cycles, shared_conflict_cycles_dense, warp_transactions,
-    warp_transactions_dense,
-};
+use gpu_sim::memory::{shared_conflict_cycles, warp_transactions};
 use gpu_sim::{occupancy, DeviceSpec};
 use proptest::prelude::*;
 
@@ -18,24 +15,24 @@ proptest! {
     /// invariant.
     #[test]
     fn transactions_permutation_invariant(mut lanes in lane_vec(), seed in any::<u64>()) {
-        let before = warp_transactions_dense(&lanes, 8, 128);
+        let before = warp_transactions(&lanes, 8, 128);
         // Deterministic shuffle.
         let n = lanes.len();
         for i in (1..n).rev() {
             let j = (seed as usize).wrapping_mul(i).wrapping_add(17) % (i + 1);
             lanes.swap(i, j);
         }
-        prop_assert_eq!(warp_transactions_dense(&lanes, 8, 128), before);
+        prop_assert_eq!(warp_transactions(&lanes, 8, 128), before);
     }
 
     /// Adding a lane can only add transactions (or reuse a segment).
     #[test]
     fn transactions_monotone_in_lanes(lanes in lane_vec(), extra in 0usize..10_000) {
         prop_assume!(lanes.len() < 32);
-        let before = warp_transactions_dense(&lanes, 4, 128);
+        let before = warp_transactions(&lanes, 4, 128);
         let mut more = lanes.clone();
         more.push(extra);
-        let after = warp_transactions_dense(&more, 4, 128);
+        let after = warp_transactions(&more, 4, 128);
         prop_assert!(after >= before);
         prop_assert!(after <= before + 1);
     }
@@ -47,34 +44,20 @@ proptest! {
     fn contiguous_is_optimal(start in 0usize..1000, lanes in lane_vec()) {
         let w = lanes.len();
         let contiguous: Vec<usize> = (start * 32..start * 32 + w).collect();
-        let best = warp_transactions_dense(&contiguous, 4, 128);
+        let best = warp_transactions(&contiguous, 4, 128);
         prop_assert!(best <= w.div_ceil(32) as u64 + 1);
-        prop_assert!(warp_transactions_dense(&lanes, 4, 128) >= 1);
-    }
-
-    /// Dense and masked analyzers always agree on fully-active warps.
-    #[test]
-    fn dense_equals_masked(lanes in lane_vec(), elem in prop::sample::select(vec![4usize, 8])) {
-        let masked: Vec<Option<usize>> = lanes.iter().map(|&l| Some(l)).collect();
-        prop_assert_eq!(
-            warp_transactions_dense(&lanes, elem, 128),
-            warp_transactions(&masked, elem, 128)
-        );
-        prop_assert_eq!(
-            shared_conflict_cycles_dense(&lanes, elem, 32),
-            shared_conflict_cycles(&masked, elem, 32)
-        );
+        prop_assert!(warp_transactions(&lanes, 4, 128) >= 1);
     }
 
     /// Conflict degree is bounded by the lane count and at least 1, and
     /// a broadcast (all same address) is always conflict-free.
     #[test]
     fn conflict_bounds(lanes in lane_vec(), addr in 0usize..1000) {
-        let c = shared_conflict_cycles_dense(&lanes, 4, 32);
+        let c = shared_conflict_cycles(&lanes, 4, 32);
         prop_assert!(c >= 1);
         prop_assert!(c <= lanes.len() as u64);
         let broadcast = vec![addr; lanes.len()];
-        prop_assert_eq!(shared_conflict_cycles_dense(&broadcast, 4, 32), 1);
+        prop_assert_eq!(shared_conflict_cycles(&broadcast, 4, 32), 1);
     }
 
     /// Occupancy never improves when a block's footprint grows.

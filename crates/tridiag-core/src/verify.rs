@@ -1,7 +1,7 @@
 //! Solution-verification helpers shared by tests, benches and examples.
 
 use crate::batch::SystemBatch;
-use crate::error::Result;
+use crate::error::{Result, TridiagError};
 use crate::scalar::Scalar;
 use crate::system::TridiagonalSystem;
 use crate::thomas;
@@ -23,20 +23,32 @@ pub struct Comparison {
     pub residual: f64,
 }
 
-/// Compare `x` against a fresh Thomas solve of `system`.
+/// Compare `x` against a fresh Thomas solve of `system`. A non-finite
+/// difference scores `max_relative_error = f64::INFINITY` (as
+/// [`TridiagonalSystem::relative_residual`] does), never a pass; an `x`
+/// of the wrong length is a [`TridiagError::LengthMismatch`].
 pub fn compare_with_thomas<S: Scalar>(
     system: &TridiagonalSystem<S>,
     x: &[S],
 ) -> Result<Comparison> {
+    if x.len() != system.len() {
+        return Err(TridiagError::LengthMismatch {
+            expected: system.len(),
+            found: x.len(),
+            what: "x",
+        });
+    }
     let reference = thomas::solve_typed(system)?;
     let mut err: f64 = 0.0;
     let mut scale: f64 = 1.0;
-    for i in 0..system.len() {
-        err = err.max((x[i].to_f64() - reference[i].to_f64()).abs());
-        scale = scale.max(reference[i].to_f64().abs());
+    for (xi, ri) in x.iter().zip(&reference) {
+        // `f64::max` drops NaN, so a non-finite term is scored directly.
+        let term = (xi.to_f64() - ri.to_f64()).abs();
+        err = if term.is_finite() { err.max(term) } else { f64::INFINITY };
+        scale = scale.max(ri.to_f64().abs());
     }
     Ok(Comparison {
-        max_relative_error: err / scale,
+        max_relative_error: if err.is_finite() { err / scale } else { f64::INFINITY },
         residual: system.relative_residual(x)?,
     })
 }
@@ -49,7 +61,7 @@ pub fn check_solution<S: Scalar>(
 ) -> Result<Comparison> {
     let cmp = compare_with_thomas(system, x)?;
     if cmp.residual > tol {
-        return Err(crate::error::TridiagError::InvalidConfig(format!(
+        return Err(TridiagError::InvalidConfig(format!(
             "residual {} exceeds tolerance {tol}",
             cmp.residual
         )));
@@ -66,7 +78,7 @@ pub fn check_batch_solution<S: Scalar>(
 ) -> Result<f64> {
     let residual = batch.max_relative_residual(x)?;
     if residual > tol {
-        return Err(crate::error::TridiagError::InvalidConfig(format!(
+        return Err(TridiagError::InvalidConfig(format!(
             "batch residual {residual} exceeds tolerance {tol}"
         )));
     }
@@ -100,6 +112,32 @@ mod tests {
         assert!(check_solution(&s, &x, default_tolerance::<f64>()).is_err());
         let cmp = compare_with_thomas(&s, &x).unwrap();
         assert!(cmp.max_relative_error > 0.1);
+    }
+
+    #[test]
+    fn non_finite_solution_scores_infinite_error() {
+        let s = dominant_random::<f64>(64, 3);
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut x = thomas::solve_typed(&s).unwrap();
+            x[10] = bad;
+            let cmp = compare_with_thomas(&s, &x).unwrap();
+            assert_eq!(cmp.max_relative_error, f64::INFINITY, "x[10] = {bad}");
+            assert!(check_solution(&s, &x, default_tolerance::<f64>()).is_err());
+        }
+    }
+
+    #[test]
+    fn short_solution_is_a_typed_error() {
+        let s = dominant_random::<f64>(64, 4);
+        let x = thomas::solve_typed(&s).unwrap();
+        assert_eq!(
+            compare_with_thomas(&s, &x[..63]).unwrap_err(),
+            TridiagError::LengthMismatch {
+                expected: 64,
+                found: 63,
+                what: "x"
+            }
+        );
     }
 
     #[test]

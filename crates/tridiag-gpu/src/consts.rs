@@ -11,7 +11,7 @@ pub const THOMAS_FWD_FLOPS: u64 = 8;
 /// FLOPs charged per Thomas backward-substitution row (Eq. 4).
 pub const THOMAS_BWD_FLOPS: u64 = 2;
 
-/// Default p-Thomas threads per block.
+/// p-Thomas threads per block.
 pub const PTHOMAS_BLOCK: u32 = 128;
 
 /// Register estimates fed to the occupancy model (what `nvcc -v` would

@@ -58,7 +58,7 @@ use crate::executor::PlanExecutor;
 use crate::multi_device::{
     counter_totals, device_track, fan_out, group_trace, replay_plan, Launch, Merged,
 };
-use crate::plan::{check_parts_json, partition, Partition, SolvePlan};
+use crate::plan::{partition, Partition, SolvePlan};
 use crate::solver::{DistributedSummary, GpuSolveReport, GpuSolverConfig, ShardSummary};
 use gpu_sim::group::copy_us;
 use gpu_sim::json::schema::Check;
@@ -352,99 +352,39 @@ impl DistributedPlan {
 /// Schema identifier emitted by [`DistributedPlan::to_json`].
 pub const DISTRIBUTED_PLAN_SCHEMA: &str = "tridiag.distributed_plan/v1";
 
-/// Validate a parsed distributed-plan document against the
-/// `tridiag.distributed_plan/v1` schema: field shapes, the embedded
-/// identity/interior/reduced plans (via
-/// [`crate::plan::validate_plan_json`]), and the partition invariants
-/// (contiguous full row coverage, every chunk >= 2 rows, balance
-/// within 1, `interior` present exactly when the chunk has interior
-/// rows and solving them with `m` 1 or 3, reduced size `2D`). Returns
-/// every problem found (empty = valid).
+/// Check a parsed distributed-plan document's shape against the
+/// `tridiag.distributed_plan/v1` schema: field shapes, each chunk's
+/// fields, and the embedded identity/interior/reduced plans, each
+/// `null` or a plan document (via [`crate::plan::validate_plan_json`]).
+/// Which plans are present, the row partition and every plan's geometry
+/// are certified by [`crate::verify::verify_distributed_plan`] on the
+/// typed plan. Returns every problem found (empty = valid).
 pub fn validate_distributed_plan_json(doc: &Json) -> Vec<String> {
-    use crate::plan::validate_plan_json;
     let mut c = Check::new(doc);
     c.schema(DISTRIBUTED_PLAN_SCHEMA);
     c.req_str("precision");
     c.req_uints(&["n", "elem_bytes", "devices", "device_bytes"]);
-    let n = doc.get("n").and_then(Json::as_num).unwrap_or(0.0) as usize;
-    let identity = doc.get("identity").filter(|j| !matches!(j, Json::Null));
-    let reduced = doc.get("reduced").filter(|j| !matches!(j, Json::Null));
-    if let Some(ident) = identity {
-        // Identity path: D == 1, no chunks, no reduced system.
-        c.absorb_with("identity: ", validate_plan_json(ident));
-        let devices = doc.get("devices").and_then(Json::as_num);
-        c.ensure(devices == Some(1.0), "identity plan present but \"devices\" != 1");
-        c.ensure(
-            doc.get("chunks").and_then(Json::as_arr).is_none_or(|a| a.is_empty()),
-            "identity plan present but chunks are listed",
-        );
-        c.ensure(
-            reduced.is_none(),
-            "identity plan present but a reduced plan is listed",
-        );
-        return c.finish();
+    nullable_plan(&mut c, "identity");
+    for (i, chunk) in c.req_arr("chunks").iter().enumerate() {
+        let mut cc = c.child(chunk, format!("chunks[{i}] "));
+        cc.req_str("device");
+        cc.req_uints(&["device_index", "row_start", "row_count"]);
+        nullable_plan(&mut cc, "interior");
+        c.absorb(cc);
     }
-    let chunks = check_parts_json(&mut c, "chunks", Partition::Rows, n, |chc, ch, count| {
-        let interior = ch.get("interior").filter(|j| !matches!(j, Json::Null));
-        match (interior, count) {
-            (None, Some(cnt)) if cnt > 2 => chc.problem(format!(
-                "has {cnt} rows but no interior plan (interface \
-                 coefficients would be used before being defined)"
-            )),
-            (Some(_), Some(2)) => {
-                chc.problem("is interface-only (2 rows) but lists an interior plan")
-            }
-            (Some(plan), _) => {
-                chc.absorb_with("interior: ", validate_plan_json(plan));
-                let pnum = |key: &str| plan.get(key).and_then(Json::as_num);
-                if let (Some(pn), Some(cnt)) = (pnum("n"), count) {
-                    chc.ensure(
-                        pn as usize + 2 == cnt,
-                        format!(
-                            "interior plan solves n = {pn} but the chunk has {} \
-                             interior row(s)",
-                            cnt.saturating_sub(2)
-                        ),
-                    );
-                }
-                if let Some(pm) = pnum("m") {
-                    chc.ensure(
-                        valid_interior_m(pm as usize),
-                        format!(
-                            "interior plan has m = {pm}, not 1 (one run per RHS) or 3 \
-                             (y, u, w batched)"
-                        ),
-                    );
-                }
-            }
-            (None, _) => {}
-        }
-    });
-    if chunks.is_empty() {
-        c.problem("no identity plan and no chunks");
-    }
-    match reduced {
-        Some(plan) => {
-            c.absorb_with("reduced: ", validate_plan_json(plan));
-            let pnum = |key: &str| plan.get(key).and_then(Json::as_num);
-            if let Some(rn) = pnum("n") {
-                c.ensure(
-                    rn as usize == 2 * chunks.len(),
-                    format!(
-                        "reduced plan solves n = {rn} but {} chunks need {} \
-                         interface unknowns",
-                        chunks.len(),
-                        2 * chunks.len()
-                    ),
-                );
-            }
-            if let Some(rm) = pnum("m") {
-                c.ensure(rm == 1.0, format!("reduced plan has m = {rm}, not 1"));
-            }
-        }
-        None => c.problem("missing reduced interface plan"),
-    }
+    nullable_plan(&mut c, "reduced");
     c.finish()
+}
+
+/// Require `key` to be `null` or a valid plan document.
+fn nullable_plan(c: &mut Check<'_>, key: &str) {
+    match c.doc().get(key) {
+        Some(Json::Null) => {}
+        Some(plan @ Json::Obj(_)) => {
+            c.absorb_with(&format!("{key}: "), crate::plan::validate_plan_json(plan))
+        }
+        _ => c.problem(format!("missing object-or-null field {key:?}")),
+    }
 }
 
 /// What one chunk's worker thread hands back: the three interior
@@ -999,6 +939,31 @@ mod tests {
             let problems = validate_distributed_plan_json(&doc);
             assert!(problems.is_empty(), "D = {d}: {problems:?}");
         }
+    }
+
+    #[test]
+    fn json_validator_checks_embedded_plan_shapes() {
+        let plan = DistributedPlan::build(&group_of(2), &GpuSolverConfig::default(), 128, 8)
+            .unwrap();
+        let mut doc = plan.to_json();
+        if let Json::Obj(fields) = &mut doc {
+            for (k, v) in fields.iter_mut() {
+                match k.as_str() {
+                    "identity" => *v = Json::str("none"),
+                    "reduced" => *v = Json::Obj(vec![]),
+                    _ => {}
+                }
+            }
+        }
+        let problems = validate_distributed_plan_json(&doc);
+        assert!(
+            problems.iter().any(|p| p.contains("object-or-null field \"identity\"")),
+            "{problems:?}"
+        );
+        assert!(
+            problems.iter().any(|p| p.starts_with("reduced: ") && p.contains("schema")),
+            "{problems:?}"
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::kernels::fused::FusedKernel;
 use crate::kernels::p_thomas::PThomasKernel;
 use crate::kernels::tiled_pcr::TiledPcrKernel;
 use crate::multi_device::kernel_spans;
-use crate::plan::{KernelOp, SolvePlan, Step};
+use crate::plan::{KernelOp, Slot, SolvePlan, Step};
 use crate::solver::{GpuSolveReport, KernelReport};
 use crate::verify::DynamicPlanStats;
 use gpu_sim::timing::{time_kernel, TrafficSummary};
@@ -149,8 +149,7 @@ impl PlanExecutor {
                 plan.m, plan.n
             )));
         }
-        plan.validate().map_err(SimError::InvalidPlan)?;
-        // Static certification gates execution: a plan with findings
+        // Static certification is the one gate: a plan with findings
         // never launches. The surviving report's prediction is then
         // cross-checked exactly against what this run measures.
         let verify = crate::verify::verify_plan(&self.spec, plan);
@@ -182,7 +181,10 @@ impl PlanExecutor {
         let first_phase_sum = self.phase_sum_mismatches.len();
 
         let mut mem: GpuMemory<S> = GpuMemory::new();
-        let mut slots: Vec<BufId> = Vec::with_capacity(plan.buffers.len());
+        // Device buffer per slot, filled as each slot is created; the
+        // verifier guarantees every bound slot is created exactly once
+        // before use, in whatever order the plan creates them.
+        let mut slots: Vec<Option<BufId>> = vec![None; plan.buffers.len()];
         let mut host: Option<SystemBatch<S>> = None;
         let mut downloaded: Option<Vec<S>> = None;
         let mut out: Option<Vec<S>> = None;
@@ -212,13 +214,11 @@ impl PlanExecutor {
                         crate::plan::CoefArray::Upper => c,
                         crate::plan::CoefArray::Rhs => d,
                     };
-                    debug_assert_eq!(slots.len(), *slot);
                     dynamic.h2d.push((i, arr.len() * <S as gpu_sim::Elem>::BYTES));
-                    slots.push(mem.alloc_from(arr.to_vec()));
+                    slots[*slot] = Some(mem.alloc_from(arr.to_vec()));
                 }
                 Step::Alloc { slot } => {
-                    debug_assert_eq!(slots.len(), *slot);
-                    slots.push(mem.alloc(plan.buffers[*slot].elems));
+                    slots[*slot] = Some(mem.alloc(plan.buffers[*slot].elems));
                 }
                 Step::Launch(ls) => {
                     let cfg = LaunchConfig::new(ls.name, ls.grid_blocks, ls.threads_per_block)
@@ -235,13 +235,13 @@ impl PlanExecutor {
                             map,
                         } => {
                             let kernel = PThomasKernel {
-                                a: slots[*a],
-                                b: slots[*b],
-                                c: slots[*c],
-                                d: slots[*d],
-                                c_prime: slots[*c_prime],
-                                d_prime: slots[*d_prime],
-                                x: slots[*x],
+                                a: bound(&slots, *a)?,
+                                b: bound(&slots, *b)?,
+                                c: bound(&slots, *c)?,
+                                d: bound(&slots, *d)?,
+                                c_prime: bound(&slots, *c_prime)?,
+                                d_prime: bound(&slots, *d_prime)?,
+                                x: bound(&slots, *x)?,
                                 map: *map,
                             };
                             self.launch(&cfg, &kernel, &mut mem)?;
@@ -255,8 +255,8 @@ impl PlanExecutor {
                             assignments,
                         } => {
                             let kernel = TiledPcrKernel {
-                                input: input.map(|s| slots[s]),
-                                output: output.map(|s| slots[s]),
+                                input: bound4(&slots, *input)?,
+                                output: bound4(&slots, *output)?,
                                 n: *n,
                                 k: *k,
                                 sub_tile: *sub_tile,
@@ -275,10 +275,10 @@ impl PlanExecutor {
                             m,
                         } => {
                             let kernel = FusedKernel {
-                                input: input.map(|s| slots[s]),
-                                c_prime: slots[*c_prime],
-                                d_prime: slots[*d_prime],
-                                x: slots[*x],
+                                input: bound4(&slots, *input)?,
+                                c_prime: bound(&slots, *c_prime)?,
+                                d_prime: bound(&slots, *d_prime)?,
+                                x: bound(&slots, *x)?,
                                 n: *n,
                                 k: *k,
                                 sub_tile: *sub_tile,
@@ -293,7 +293,7 @@ impl PlanExecutor {
                     }
                 }
                 Step::Download { slot } => {
-                    let xs = mem.read(slots[*slot])?.to_vec();
+                    let xs = mem.read(bound(&slots, *slot)?)?.to_vec();
                     dynamic.d2h.push((i, xs.len() * <S as gpu_sim::Elem>::BYTES));
                     downloaded = Some(xs);
                 }
@@ -314,7 +314,7 @@ impl PlanExecutor {
             }
             // Release every buffer whose last use was this step.
             for &s in &free_at[i] {
-                mem.free(slots[s])?;
+                mem.free(bound(&slots, s)?)?;
             }
         }
         let out = out.or(downloaded).ok_or_else(|| {
@@ -345,6 +345,24 @@ impl PlanExecutor {
         };
         Ok((out, report))
     }
+}
+
+/// The device buffer created for `slot`; a typed error for a slot no
+/// step has created yet.
+fn bound(slots: &[Option<BufId>], slot: Slot) -> Result<BufId> {
+    slots.get(slot).copied().flatten().ok_or_else(|| {
+        SimError::InvalidPlan(format!("slot {slot} is used before any step creates it"))
+    })
+}
+
+/// [`bound`] for a launch's four coefficient slots.
+fn bound4(slots: &[Option<BufId>], quad: [Slot; 4]) -> Result<[BufId; 4]> {
+    Ok([
+        bound(slots, quad[0])?,
+        bound(slots, quad[1])?,
+        bound(slots, quad[2])?,
+        bound(slots, quad[3])?,
+    ])
 }
 
 /// Build the solve's span/event trace from the finished kernel
@@ -438,13 +456,86 @@ mod tests {
 
     #[test]
     fn malformed_plan_is_rejected_before_any_launch() {
-        let mut plan = plan_for(8, 64, 8);
-        plan.steps.retain(|s| !matches!(s, Step::Download { .. }));
+        let base = plan_for(8, 64, 8);
+        let download_at = base
+            .steps
+            .iter()
+            .position(|s| matches!(s, Step::Download { .. }))
+            .unwrap();
+        let corrupt = |f: &dyn Fn(&mut SolvePlan)| {
+            let mut plan = base.clone();
+            f(&mut plan);
+            plan
+        };
+        let cases = [
+            (
+                "no download",
+                corrupt(&|p| {
+                    p.steps.remove(download_at);
+                }),
+            ),
+            (
+                "two downloads",
+                corrupt(&|p| p.steps.insert(download_at, p.steps[download_at].clone())),
+            ),
+            ("no buffers", corrupt(&|p| p.buffers.clear())),
+            ("zero-element buffer", corrupt(&|p| p.buffers[0].elems = 0)),
+            (
+                "empty grid",
+                corrupt(&|p| {
+                    for s in &mut p.steps {
+                        if let Step::Launch(ls) = s {
+                            ls.grid_blocks = 0;
+                        }
+                    }
+                }),
+            ),
+            (
+                "no launch",
+                corrupt(&|p| p.steps.retain(|s| !matches!(s, Step::Launch(_)))),
+            ),
+        ];
         let batch = random_batch::<f64>(8, 64, 1);
+        for (what, plan) in cases {
+            let mut ex = PlanExecutor::new(DeviceSpec::gtx480(), ExecConfig::default());
+            match ex.run(&plan, &batch).unwrap_err() {
+                SimError::InvalidPlan(msg) => {
+                    assert!(msg.contains("malformed-plan"), "{what}: {msg}")
+                }
+                other => panic!("{what}: expected InvalidPlan, got {other:?}"),
+            }
+            assert!(ex.kernels.is_empty(), "{what}: a kernel launched");
+        }
+    }
+
+    #[test]
+    fn out_of_order_slot_creation_executes_correctly() {
+        let plan = plan_for(64, 512, 8);
+        let batch = random_batch::<f64>(64, 512, 3);
         let mut ex = PlanExecutor::new(DeviceSpec::gtx480(), ExecConfig::default());
-        let err = ex.run(&plan, &batch).unwrap_err();
-        assert!(matches!(err, SimError::InvalidPlan(_)), "{err:?}");
-        assert!(ex.kernels.is_empty());
+        let (want, _) = ex.run(&plan, &batch).unwrap();
+        // Create slot 1 before slot 0, and allocate the last scratch
+        // slot before its neighbour.
+        let mut shuffled = plan.clone();
+        let first = |p: &SolvePlan, slot: Slot| {
+            p.steps.iter().position(|s| {
+                matches!(s, Step::Upload { slot: t, .. } | Step::Alloc { slot: t } if *t == slot)
+            })
+        };
+        let last = plan.buffers.len() - 1;
+        for (x, y) in [(0, 1), (last - 1, last)] {
+            let (i, j) = (first(&shuffled, x).unwrap(), first(&shuffled, y).unwrap());
+            shuffled.steps.swap(i, j);
+        }
+        assert_ne!(shuffled.steps, plan.steps);
+        let (got, report) = ex.run(&shuffled, &batch).unwrap();
+        assert!(report.verify.is_clean(), "{}", report.verify);
+        assert!(
+            report.verify_mismatches.is_empty(),
+            "{:?}",
+            report.verify_mismatches
+        );
+        assert_eq!(got, want, "slot order changed the solution");
     }
 
     #[test]

@@ -19,7 +19,6 @@
 //! figure harness prints.
 
 use crate::buffers::GpuScalar;
-use crate::consts::PTHOMAS_BLOCK;
 use crate::executor::PlanExecutor;
 use crate::plan::SolvePlan;
 use gpu_sim::timing::TrafficSummary;
@@ -76,8 +75,6 @@ pub struct GpuSolverConfig {
     pub mapping: MappingVariant,
     /// Device-side layout request (`Auto` follows the transition rule).
     pub layout: LayoutChoice,
-    /// p-Thomas threads per block.
-    pub pthomas_block: u32,
     /// Execution options — set `exec.sanitize` to run every kernel in
     /// the pipeline under the memory/race sanitizer (compute-sanitizer
     /// analog); violations land in [`GpuSolveReport::violations`].
@@ -92,7 +89,6 @@ impl Default for GpuSolverConfig {
             fused: false,
             mapping: MappingVariant::Auto,
             layout: LayoutChoice::Auto,
-            pthomas_block: PTHOMAS_BLOCK,
             exec: ExecConfig::default(),
         }
     }

@@ -1,11 +1,15 @@
 //! Plan-level static verifier: abstract interpretation of a
 //! [`SolvePlan`]'s step sequence.
 //!
-//! [`SolvePlan::validate`] checks *structure* (slots created once, in
-//! order; exactly one download). This module checks *meaning*: it walks
-//! the step sequence with an abstract machine whose state is, per slot,
+//! This module is the one place plan invariants are checked: the
+//! executors gate on it before any kernel launches, and the plan-JSON
+//! validators check only a serialized document's shape. It walks the
+//! step sequence with an abstract machine whose state is, per slot,
 //! "created? written? last used where?", and certifies
 //!
+//! - **skeleton** — at least one buffer, none of zero elements, at
+//!   least one launch and none with an empty grid, exactly one download
+//!   ([`FindingKind::MalformedPlan`]);
 //! - **dataflow** — every slot a launch binds or a download reads was
 //!   `Upload`ed/`Alloc`ed first ([`FindingKind::UseBeforeDef`]), and
 //!   `Alloc`-only scratch is written by some kernel before anything
@@ -93,6 +97,10 @@ pub enum FindingKind {
     /// The reduced interface system is missing or its size does not
     /// match `2·D` interface unknowns.
     ReducedSystem,
+    /// The plan's skeleton is degenerate: no buffers, a zero-element
+    /// buffer, a launch with an empty grid, no launch at all, or other
+    /// than exactly one download.
+    MalformedPlan,
 }
 
 impl FindingKind {
@@ -113,6 +121,7 @@ impl FindingKind {
             FindingKind::ChunkConsistency => "chunk-consistency",
             FindingKind::InterfaceExchange => "interface-exchange",
             FindingKind::ReducedSystem => "reduced-system",
+            FindingKind::MalformedPlan => "malformed-plan",
         }
     }
 }
@@ -588,6 +597,14 @@ pub fn verify_plan(spec: &DeviceSpec, plan: &SolvePlan) -> VerifyReport {
     let mut d2h: Vec<(usize, usize)> = Vec::new();
     let mut launches: Vec<(&'static str, usize)> = Vec::new();
 
+    if nslots == 0 {
+        push(
+            &mut findings,
+            FindingKind::MalformedPlan,
+            None,
+            "plan declares no buffers".into(),
+        );
+    }
     for (i, step) in plan.steps.iter().enumerate() {
         match step {
             Step::Convert { to } => {
@@ -672,6 +689,17 @@ pub fn verify_plan(spec: &DeviceSpec, plan: &SolvePlan) -> VerifyReport {
                 }
             }
             Step::Launch(ls) => {
+                if ls.grid_blocks == 0 || ls.threads_per_block == 0 {
+                    push(
+                        &mut findings,
+                        FindingKind::MalformedPlan,
+                        Some(i),
+                        format!(
+                            "{} launches an empty grid ({} blocks x {} threads)",
+                            ls.name, ls.grid_blocks, ls.threads_per_block
+                        ),
+                    );
+                }
                 let reads = ls.op.reads();
                 let writes = ls.op.writes();
                 for &s in &reads {
@@ -768,6 +796,14 @@ pub fn verify_plan(spec: &DeviceSpec, plan: &SolvePlan) -> VerifyReport {
                 }
             }
             Step::Download { slot } => {
+                if let Some(first) = download_at {
+                    push(
+                        &mut findings,
+                        FindingKind::MalformedPlan,
+                        Some(i),
+                        format!("second download (first at step {first})"),
+                    );
+                }
                 download_at.get_or_insert(i);
                 if *slot >= nslots {
                     push(
@@ -837,6 +873,22 @@ pub fn verify_plan(spec: &DeviceSpec, plan: &SolvePlan) -> VerifyReport {
         }
     }
 
+    if launches.is_empty() {
+        push(
+            &mut findings,
+            FindingKind::MalformedPlan,
+            None,
+            "plan schedules no kernel launches".into(),
+        );
+    }
+    if download_at.is_none() {
+        push(
+            &mut findings,
+            FindingKind::MalformedPlan,
+            None,
+            "plan never downloads the solution".into(),
+        );
+    }
     // Conversion pairing is only required when the caller's layout
     // differs from the device layout; elided plans legitimately have
     // neither step (the download already is the caller's layout).
@@ -859,6 +911,14 @@ pub fn verify_plan(spec: &DeviceSpec, plan: &SolvePlan) -> VerifyReport {
         }
     }
     for (s, st) in slots.iter().enumerate() {
+        if plan.buffers[s].elems == 0 {
+            push(
+                &mut findings,
+                FindingKind::MalformedPlan,
+                st.created,
+                format!("slot {s} ({}) has zero elements", name(s)),
+            );
+        }
         match st.created {
             Some(def) if !st.used => push(
                 &mut findings,

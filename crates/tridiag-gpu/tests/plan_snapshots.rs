@@ -18,8 +18,8 @@ use std::fmt::Write as _;
 use tridiag_core::generators::random_batch;
 use tridiag_gpu::solver::{GpuSolveReport, GpuSolverConfig, GpuTridiagSolver, LayoutChoice};
 use tridiag_gpu::{
-    validate_distributed_plan_json, validate_plan_json, validate_sharded_plan_json, GpuScalar,
-    PlanExecutor,
+    validate_distributed_plan_json, validate_plan_json, validate_sharded_plan_json,
+    verify_distributed_plan, verify_plan, verify_sharded_plan, GpuScalar, PlanExecutor,
 };
 
 /// The Fig. 12/13 sweep: (label, precision, m, n). Its goldens in
@@ -270,18 +270,41 @@ fn plans_ignore_exec_config_and_rebuild_identically() {
 /// Every plan document the figure sweep builds — the default config at
 /// both widths, the f64 geometries with the device layout pinned both
 /// ways, sharded D ∈ {2, 4} and row-split D ∈ {1, 2, 4} — round-tripped
-/// through the strict JSON parser and validated against its schema.
-/// Planning only: no kernel launches.
+/// through the strict JSON parser and shape-checked against its schema.
+/// Every typed plan certifies clean under its verifier, and every
+/// multi-device document lists each part's `device_index`, start and
+/// count exactly as the typed plan has them. Planning only: no kernel
+/// launches.
 #[test]
 fn sweep_plan_json_is_schema_valid() {
     type Validator = fn(&gpu_sim::Json) -> Vec<String>;
+    /// A document, its shape validator, and the `(device_index, start,
+    /// count)` per part it must list under `parts_key` (`sys_*` fields
+    /// for shards, `row_*` for chunks).
+    struct Doc {
+        label: String,
+        json: gpu_sim::Json,
+        validate: Validator,
+        parts_key: &'static str,
+        parts: Vec<(usize, usize, usize)>,
+    }
     let spec = gpu_sim::DeviceSpec::gtx480();
     let solver = GpuTridiagSolver::gtx480();
-    let mut docs: Vec<(String, gpu_sim::Json, Validator)> = Vec::new();
+    let mut docs: Vec<Doc> = Vec::new();
+    let mut single = |label: String, plan: &tridiag_gpu::SolvePlan| {
+        let report = verify_plan(&spec, plan);
+        assert!(report.is_clean(), "{label}: {report}");
+        docs.push(Doc {
+            label,
+            json: plan.to_json(),
+            validate: validate_plan_json,
+            parts_key: "",
+            parts: Vec::new(),
+        });
+    };
     for (m, n, bytes) in default_plan_points() {
         let plan = solver.plan_geometry(m, n, bytes).unwrap();
-        let label = format!("m={m} n={n} bytes={bytes}");
-        docs.push((label, plan.to_json(), validate_plan_json));
+        single(format!("m={m} n={n} bytes={bytes}"), &plan);
     }
     for layout in [LayoutChoice::Contiguous, LayoutChoice::Interleaved] {
         let config = GpuSolverConfig {
@@ -291,8 +314,7 @@ fn sweep_plan_json_is_schema_valid() {
         let forced = GpuTridiagSolver::new(spec.clone(), config);
         for &(_, _, m, n) in SWEEP.iter().filter(|p| p.1 == "f64") {
             let plan = forced.plan_geometry(m, n, 8).unwrap();
-            let label = format!("m={m} n={n} {layout:?}");
-            docs.push((label, plan.to_json(), validate_plan_json));
+            single(format!("m={m} n={n} {layout:?}"), &plan);
         }
     }
     for devices in [2usize, 4] {
@@ -300,7 +322,19 @@ fn sweep_plan_json_is_schema_valid() {
         for (m, n) in [(64, 512), (256, 2048), (16, 1024), (2048, 64)] {
             let plan = solver.plan_geometry_group(&group, m, n, 8).unwrap();
             let label = format!("m={m} n={n} D={devices}");
-            docs.push((label, plan.to_json(), validate_sharded_plan_json));
+            let report = verify_sharded_plan(&group, &plan);
+            assert!(report.is_clean(), "{label}: {report}");
+            docs.push(Doc {
+                label,
+                json: plan.to_json(),
+                validate: validate_sharded_plan_json,
+                parts_key: "shards",
+                parts: plan
+                    .shards
+                    .iter()
+                    .map(|s| (s.device_index, s.sys_start, s.sys_count))
+                    .collect(),
+            });
         }
     }
     for devices in [1usize, 2, 4] {
@@ -308,15 +342,51 @@ fn sweep_plan_json_is_schema_valid() {
         for n in [512, 16384] {
             let plan = solver.plan_geometry_split(&group, n, 8).unwrap();
             let label = format!("split n={n} D={devices}");
-            docs.push((label, plan.to_json(), validate_distributed_plan_json));
+            let report = verify_distributed_plan(&group, &plan);
+            assert!(report.is_clean(), "{label}: {report}");
+            docs.push(Doc {
+                label,
+                json: plan.to_json(),
+                validate: validate_distributed_plan_json,
+                parts_key: "chunks",
+                parts: plan
+                    .chunks
+                    .iter()
+                    .map(|c| (c.device_index, c.row_start, c.row_count))
+                    .collect(),
+            });
         }
     }
     assert_eq!(docs.len(), 50, "sweep size");
-    for (label, doc, validate) in docs {
-        let doc = gpu_sim::json::parse(&doc.to_string())
+    for doc in docs {
+        let label = doc.label;
+        let json = gpu_sim::json::parse(&doc.json.to_string())
             .unwrap_or_else(|e| panic!("{label}: reparse failed: {e}"));
-        let problems = validate(&doc);
+        let problems = (doc.validate)(&json);
         assert!(problems.is_empty(), "{label}: {problems:?}");
+        if doc.parts_key.is_empty() {
+            continue;
+        }
+        let prefix = if doc.parts_key == "shards" { "sys" } else { "row" };
+        let field = |part: &gpu_sim::Json, key: &str| {
+            part.get(key)
+                .and_then(gpu_sim::Json::as_num)
+                .unwrap_or_else(|| panic!("{label}: part without {key}")) as usize
+        };
+        let listed: Vec<(usize, usize, usize)> = json
+            .get(doc.parts_key)
+            .and_then(gpu_sim::Json::as_arr)
+            .unwrap_or_else(|| panic!("{label}: no {} array", doc.parts_key))
+            .iter()
+            .map(|p| {
+                (
+                    field(p, "device_index"),
+                    field(p, &format!("{prefix}_start")),
+                    field(p, &format!("{prefix}_count")),
+                )
+            })
+            .collect();
+        assert_eq!(listed, doc.parts, "{label}: {} drifted from the typed plan", doc.parts_key);
     }
 }
 

@@ -16,8 +16,8 @@ use tridiag_core::Layout;
 use tridiag_gpu::plan::{BufferDecl, KernelOp, Step};
 use tridiag_gpu::solver::{GpuSolverConfig, GpuTridiagSolver};
 use tridiag_gpu::{
-    validate_distributed_plan_json, verify_distributed_plan, verify_plan, verify_sharded_plan,
-    DistributedPlan, FindingKind, PlanExecutor, SolvePlan,
+    verify_distributed_plan, verify_plan, verify_sharded_plan, DistributedPlan, FindingKind,
+    GroupVerifyReport, PlanExecutor, SolvePlan,
 };
 
 fn base_plan() -> (DeviceSpec, SolvePlan) {
@@ -146,6 +146,13 @@ fn dangling_slot_fires_for_an_allocated_but_unused_buffer() {
     let report = verify_plan(&device, &plan);
     let msg = expect_finding(&report, FindingKind::DanglingSlot, Some(x_alloc));
     assert!(msg.contains("orphan"), "unexpected message: {msg}");
+
+    // Declared but never created at all.
+    let mut plan = base.clone();
+    plan.buffers.push(BufferDecl { name: "orphan", elems: 64 });
+    let report = verify_plan(&device, &plan);
+    let msg = expect_finding(&report, FindingKind::DanglingSlot, None);
+    assert!(msg.contains("declared but never created"), "unexpected message: {msg}");
 }
 
 #[test]
@@ -159,6 +166,47 @@ fn slot_out_of_range_fires_at_the_binding_step() {
     let report = verify_plan(&device, &plan);
     let msg = expect_finding(&report, FindingKind::SlotOutOfRange, Some(down_at));
     assert!(msg.contains("99"), "unexpected message: {msg}");
+}
+
+/// Every degenerate plan skeleton is a `malformed-plan` finding, at the
+/// step that causes it when one does.
+#[test]
+fn malformed_plan_fires_for_every_degenerate_skeleton() {
+    let (device, base) = base_plan();
+    let down_at = step_index(&base, |s| matches!(s, Step::Download { .. }));
+    let tiled_at = tiled_launch_at(&base);
+    let a_upload = step_index(&base, |s| matches!(s, Step::Upload { slot: 0, .. }));
+    let malformed = |plan: &SolvePlan, step: Option<usize>, says: &str| {
+        let report = verify_plan(&device, plan);
+        let msg = expect_finding(&report, FindingKind::MalformedPlan, step);
+        assert!(msg.contains(says), "unexpected message: {msg}");
+    };
+
+    let mut plan = base.clone();
+    plan.buffers.clear();
+    malformed(&plan, None, "no buffers");
+
+    let mut plan = base.clone();
+    plan.buffers[0].elems = 0;
+    malformed(&plan, Some(a_upload), "zero elements");
+
+    let mut plan = base.clone();
+    if let Step::Launch(l) = &mut plan.steps[tiled_at] {
+        l.threads_per_block = 0;
+    }
+    malformed(&plan, Some(tiled_at), "empty grid");
+
+    let mut plan = base.clone();
+    plan.steps.retain(|s| !matches!(s, Step::Launch(_)));
+    malformed(&plan, None, "no kernel launches");
+
+    let mut plan = base.clone();
+    plan.steps.remove(down_at);
+    malformed(&plan, None, "never downloads");
+
+    let mut plan = base.clone();
+    plan.steps.insert(down_at + 1, base.steps[down_at].clone());
+    malformed(&plan, Some(down_at + 1), "second download");
 }
 
 #[test]
@@ -236,6 +284,23 @@ fn shard_consistency_violations_fire_for_unpinned_decisions() {
     );
 }
 
+#[test]
+fn shard_plan_geometry_drift_fires_shard_consistency() {
+    let group = DeviceGroup::homogeneous(DeviceSpec::gtx480(), 2).unwrap();
+    let solver = GpuTridiagSolver::new(DeviceSpec::gtx480(), GpuSolverConfig::default());
+    let mut plan = solver.plan_geometry_group(&group, 64, 512, 8).unwrap();
+    // Shard 0's plan claims to solve the whole batch, not its 32 systems.
+    plan.shards[0].plan.m = 64;
+    let report = verify_sharded_plan(&group, &plan);
+    let f = report
+        .findings
+        .iter()
+        .find(|f| f.kind == FindingKind::ShardConsistency)
+        .expect("expected a shard-consistency finding");
+    assert_eq!(f.shard, Some(0));
+    assert!(f.message.contains("m = 64"), "{}", f.message);
+}
+
 /// A 512-row system split across two GTX480s: two 256-row chunks, each
 /// with an interior plan, and a 4-unknown reduced plan.
 fn split_plan() -> (DeviceGroup, GpuTridiagSolver, DistributedPlan) {
@@ -273,11 +338,6 @@ fn interior_plan_with_wrong_rhs_count_fires_on_its_chunk() {
         .expect("expected a chunk-consistency finding");
     assert_eq!(f.chunk, Some(1));
     assert!(f.message.contains("m = 2"), "{}", f.message);
-    let problems = validate_distributed_plan_json(&plan.to_json());
-    assert!(
-        problems.iter().any(|p| p.contains("interior plan has m = 2")),
-        "the JSON validator must flag m = 2 too: {problems:?}"
-    );
 }
 
 #[test]
@@ -307,6 +367,94 @@ fn wrong_size_reduced_plan_fires_reduced_system() {
     );
 }
 
+/// Assert a cross-device finding of `kind` on `part` (a shard or chunk
+/// index; `None` for the whole plan) whose message contains `says`.
+fn expect_group_finding(
+    report: &GroupVerifyReport,
+    kind: FindingKind,
+    part: Option<usize>,
+    says: &str,
+) {
+    assert!(
+        report
+            .findings
+            .iter()
+            .any(|f| f.kind == kind && f.shard.or(f.chunk) == part && f.message.contains(says)),
+        "expected {kind} on {part:?} saying {says:?}: {:?}",
+        report.findings
+    );
+}
+
+/// The part-list invariants only the typed verifier checks: one part
+/// per device, in device order, and at least one part.
+#[test]
+fn shard_list_violations_fire_on_the_typed_plan() {
+    let group = DeviceGroup::homogeneous(DeviceSpec::gtx480(), 2).unwrap();
+    let solver = GpuTridiagSolver::new(DeviceSpec::gtx480(), GpuSolverConfig::default());
+    let base = solver.plan_geometry_group(&group, 64, 512, 8).unwrap();
+    let check = |mutate: &dyn Fn(&mut tridiag_gpu::ShardedPlan), kind, part, says: &str| {
+        let mut plan = base.clone();
+        mutate(&mut plan);
+        expect_group_finding(&verify_sharded_plan(&group, &plan), kind, part, says);
+    };
+    let consistency = FindingKind::ShardConsistency;
+    check(&|p| drop(p.shards.pop()), consistency, None, "the group has 2 device(s)");
+    check(&|p| p.shards[1].device_index = 0, consistency, Some(1), "device order");
+    check(&|p| p.shards.clear(), FindingKind::ShardPartition, None, "no shards");
+}
+
+/// The same part-list invariants for row-split chunks, plus what only
+/// a distributed plan has: the identity path excludes chunks, a chunk's
+/// interior plan solves exactly its interior rows, a 2-row chunk has no
+/// interior plan, and the reduced plan is present.
+#[test]
+fn chunk_list_violations_fire_on_the_typed_plan() {
+    let (group, solver, base) = split_plan();
+    let check = |base: &DistributedPlan,
+                 mutate: &dyn Fn(&mut DistributedPlan),
+                 kind,
+                 part,
+                 says: &str| {
+        let mut plan = base.clone();
+        mutate(&mut plan);
+        expect_group_finding(&verify_distributed_plan(&group, &plan), kind, part, says);
+    };
+    let consistency = FindingKind::ChunkConsistency;
+    check(&base, &|p| drop(p.chunks.pop()), consistency, None, "the group has 2 device(s)");
+    check(&base, &|p| p.chunks[0].device_index = 1, consistency, Some(0), "device order");
+    check(&base, &|p| p.chunks.clear(), FindingKind::ChunkPartition, None, "no chunks");
+    let identity = solver.plan_geometry(1, 512, 8).unwrap();
+    check(
+        &base,
+        &|p| p.identity = Some(identity.clone()),
+        consistency,
+        None,
+        "identity plan present but 2 chunk(s)",
+    );
+    check(&base, &|p| p.reduced = None, FindingKind::ReducedSystem, None, "no reduced");
+    let li = base.chunks[1].interior_len();
+    let long = solver.plan_geometry(3, li + 1, 8).unwrap();
+    check(
+        &base,
+        &|p| p.chunks[1].interior = Some(long.clone()),
+        consistency,
+        Some(1),
+        "but the chunk needs",
+    );
+
+    // Two 2-row chunks: interface only, so no interior plan.
+    let tiny = solver.plan_geometry_split(&group, 4, 8).unwrap();
+    assert!(verify_distributed_plan(&group, &tiny).is_clean());
+    let interior = solver.plan_geometry(3, 2, 8).unwrap();
+    check(
+        &tiny,
+        &|p| p.chunks[0].interior = Some(interior.clone()),
+        FindingKind::InterfaceExchange,
+        Some(0),
+        "interface-only",
+    );
+}
+
 /// The executor refuses to run a plan the verifier rejects — the gate
 /// is load-bearing, not advisory.
 #[test]
@@ -316,8 +464,7 @@ fn executor_refuses_an_uncertified_plan() {
     let mut plan = base.clone();
     if let Step::Launch(l) = &mut plan.steps[at] {
         if let KernelOp::TiledPcr { input, .. } = &mut l.op {
-            // Slot 4 (x) exists at launch time, so the executor's own
-            // structural validate() passes — only the verifier's
+            // Slot 4 (x) exists at launch time — only the verifier's
             // dataflow pass can see the read of unwritten scratch.
             input[0] = 4;
         }

@@ -50,12 +50,11 @@ pub struct PlanKey {
 /// change the planned step sequence — so it is deliberately excluded.)
 pub fn config_fingerprint(config: &GpuSolverConfig) -> u64 {
     let text = format!(
-        "{:?}|{:?}|{}|{}|{}|{:?}",
+        "{:?}|{:?}|{}|{}|{:?}",
         config.policy,
         config.mapping,
         config.fused,
         config.sub_tile_scale,
-        config.pthomas_block,
         config.layout
     );
     fnv1a_extend(FNV_OFFSET, text.bytes())

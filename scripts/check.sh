@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Repo health check: tier-1 (build + root-package tests) plus the
-# sanitizer and static-lint suites. Run from anywhere; exits non-zero
-# on any failure.
+# Repo health check: tier-1 (build + root-package tests), clippy, every
+# workspace test once, the benchmark's unit tests, API docs and the CLI
+# smokes. Run from anywhere; exits non-zero on any failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,65 +18,14 @@ cargo test -q
 echo "== clippy (first-party, warnings are errors) =="
 cargo clippy "${FIRST_PARTY[@]}" --all-targets -- -D warnings
 
-echo "== sanitizer: negative suite (violations must fire) =="
-cargo test -q -p gpu-sim --test sanitizer_negative
-
-echo "== lint: negative suite (every diagnostic class must fire) =="
-cargo test -q -p gpu-sim --test lint_negative
-
-echo "== sanitizer: kernel zoo must run clean =="
-cargo test -q -p tridiag-gpu --test sanitizer_clean
-
-echo "== golden counters (incl. static-vs-dynamic cross-check) =="
-cargo test -q -p tridiag-gpu --test golden_counters
-
-echo "== phase sums (per-phase counters partition kernel totals) =="
-cargo test -q -p tridiag-gpu --test phase_sums
-
-echo "== trace export (Chrome-trace schema + round-trip) =="
-cargo test -q -p tridiag-gpu --test trace_roundtrip
-
-echo "== plan snapshots (golden describe() + plan-then-execute bit-identity; Fig. 12/13 modeled-time pins) =="
-cargo test --release -q -p tridiag-gpu --test plan_snapshots
-
-echo "== sharded partition properties (coverage, balance, typed degenerate errors) =="
-cargo test -q -p tridiag-gpu --test sharded_partition
-
-echo "== sharded trace merge (Chrome schema, per-device tracks, bit-exact phase sums) =="
-cargo test -q -p tridiag-gpu --test sharded_trace
-
-echo "== sharded differential harness (shard(D) . merge == single device, bit-for-bit) =="
-cargo test --release -q -p tridiag-gpu --test sharded_differential
-
-echo "== distributed partition properties (row coverage, interface bijection, mixed groups) =="
-cargo test -q -p tridiag-gpu --test distributed_partition_props
-
-echo "== distributed differential harness (split(D) . reduce . back-sub vs single device) =="
-cargo test --release -q -p tridiag-gpu --test distributed_differential
-
-echo "== bench harness unit tests (history ledger parser, argument parsing, series) =="
-cargo test --release -q -p bench
+echo "== every workspace test, once (lib units; sanitizer/lint/verifier negative suites; golden counters, plan snapshots, layout, differential and service pins; properties; CLI) =="
+cargo test --release -q --workspace
 
 echo "== repository benchmark unit tests (benchmark/, host-clock instrument) =="
 cargo test --release -q --manifest-path benchmark/Cargo.toml
 
 echo "== distributed scaling bench (D=4 must beat D=2) =="
 cargo run --release -q -p bench --bin distributed_scaling -- --fast
-
-echo "== service differential harness (coalesced == solo, bit-for-bit, 60 mixes; pinned window sweep) =="
-cargo test --release -q -p tridiag-service --test service_differential
-
-echo "== service plan-cache properties (hit == fresh build byte-for-byte) =="
-cargo test --release -q -p tridiag-service --test plan_cache_props
-
-echo "== service concurrency stress (bounded queue, typed overload, fault isolation) =="
-cargo test --release -q -p tridiag-service --test service_stress
-
-echo "== seed-era release suites (engine parity + scalability under --release) =="
-cargo test --release -q --test engine_parity --test scalability
-
-echo "== CLI end-to-end tests (usage errors, rejected options, --split-n auto) =="
-cargo test --release -q -p tridiag-cli
 
 echo "== CLI lint over the kernel zoo (exit 0 = no findings) =="
 cargo run --release -q -p tridiag-cli -- lint
@@ -99,21 +48,6 @@ out="$(cargo run --release -q -p tridiag-cli -- solve --m 64 --n 512 --layout in
 grep -q "verify      : clean" <<<"$out"
 out="$(cargo run --release -q -p tridiag-cli -- solve --m 64 --n 512 --layout contiguous --check)"
 grep -q "sanitizer   : clean" <<<"$out"
-
-echo "== layout acceptance gate (coalesced floor exactly, pinned layout ablation) =="
-cargo test --release -q -p tridiag-gpu --test layout_cost
-
-echo "== interleaved differential (GPU vs cpu-ref lane reference) =="
-cargo test --release -q -p tridiag-gpu --test interleaved_differential
-
-echo "== layout properties (bijection, round-trip) =="
-cargo test -q -p tridiag-core --test layout_properties
-
-echo "== plan verifier: negative suite (every diagnostic class must fire) =="
-cargo test -q -p tridiag-gpu --test verify_negative
-
-echo "== plan verifier: properties (planner-built certifies clean, prediction exact) =="
-cargo test --release -q -p tridiag-gpu --test verify_props
 
 echo "== CLI verify smoke (static certificate; executed cross-check on a solve) =="
 out="$(cargo run --release -q -p tridiag-cli -- verify --m 64 --n 512)"
@@ -152,10 +86,6 @@ cargo run --release -q -p tridiag-cli -- profile --m 8 --n 256 --out "$tracedir/
 test -s "$tracedir/trace.json"
 cargo run --release -q -p tridiag-cli -- profile --zoo --out "$tracedir/zoo.json" > /dev/null
 test -s "$tracedir/zoo.json"
-
-echo "== telemetry: metrics registry + event-log replay + determinism properties =="
-cargo test -q -p gpu-sim --lib metrics
-cargo test --release -q -p tridiag-service --test telemetry_props
 
 echo "== CLI stats smoke (snapshot tables + every telemetry invariant, exit 2 on violation) =="
 out="$(cargo run --release -q -p tridiag-cli -- stats --requests 24)"
