@@ -53,11 +53,9 @@ pub enum SimError {
     /// plan/batch mismatch at execution time. Raised by the planner
     /// and the plan executor instead of panicking.
     InvalidPlan(String),
-    /// A sanitizer finding severe enough to abort the launch: every
-    /// out-of-bounds access (the functional read would be undefined),
-    /// or the first violation of any class under
-    /// [`crate::exec::ExecConfig::fail_fast`]. Carries full
-    /// kernel/block/warp/lane/address attribution.
+    /// A sanitizer finding severe enough to abort the launch: an
+    /// out-of-bounds access (the functional read would be undefined).
+    /// Carries full kernel/block/warp/lane/address attribution.
     Sanitizer(SanitizerViolation),
 }
 

@@ -164,49 +164,23 @@ impl<S: Elem> GpuMemory<S> {
 /// Execution options orthogonal to the launch geometry — the sanitizer
 /// toggles and the access-plan recorder. Pass to [`launch_with`];
 /// [`launch`] uses the default (everything off).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecConfig {
-    /// Run the kernel under the sanitizer (see [`crate::sanitizer`]).
+    /// Run the kernel under the sanitizer (see [`crate::sanitizer`]),
+    /// collecting its findings into [`LaunchResult::violations`].
+    /// Out-of-bounds accesses abort the launch.
     pub sanitize: bool,
-    /// Abort the launch with [`SimError::Sanitizer`] at the first
-    /// violation instead of collecting them into
-    /// [`LaunchResult::violations`]. Out-of-bounds accesses always
-    /// abort regardless.
-    pub fail_fast: bool,
-    /// Cap on *recorded* violation reports per block (counters in
-    /// [`crate::counters::SanitizerCounts`] are never capped).
-    pub max_violations: usize,
     /// Record every access's affine index expression into an
     /// [`AccessPlan`] attached to [`LaunchResult::plan`], as input for
-    /// the static lint passes in [`crate::lint`](mod@crate::lint).
+    /// the lint's counter model in [`crate::lint`](mod@crate::lint).
     pub record_plan: bool,
 }
 
-impl Default for ExecConfig {
-    fn default() -> Self {
-        Self {
-            sanitize: false,
-            fail_fast: false,
-            max_violations: 64,
-            record_plan: false,
-        }
-    }
-}
-
 impl ExecConfig {
-    /// Sanitizer on, collect-all mode.
+    /// Sanitizer on.
     pub fn sanitized() -> Self {
         Self {
             sanitize: true,
-            ..Self::default()
-        }
-    }
-
-    /// Sanitizer on, abort at the first violation.
-    pub fn fail_fast() -> Self {
-        Self {
-            sanitize: true,
-            fail_fast: true,
             ..Self::default()
         }
     }
@@ -225,7 +199,6 @@ impl ExecConfig {
         Self {
             sanitize: true,
             record_plan: true,
-            ..Self::default()
         }
     }
 }
@@ -316,7 +289,7 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
     pub fn ld(&mut self, buf: BufId, idx: &[usize], out: &mut Vec<S>) -> Result<()> {
         self.account_global(buf, idx, true)?;
         if let Some(rec) = self.rec.as_mut() {
-            rec.access(AccessKind::GlobalLoad, Some(buf.0), self.mem.buffers[buf.0].len(), idx);
+            rec.access(AccessKind::GlobalLoad, Some(buf.0), idx);
         }
         if let Some(san) = self.san.as_mut() {
             let mask = &self.mem.init[buf.0];
@@ -347,7 +320,7 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
         }
         self.account_global(buf, idx, false)?;
         if let Some(rec) = self.rec.as_mut() {
-            rec.access(AccessKind::GlobalStore, Some(buf.0), self.mem.buffers[buf.0].len(), idx);
+            rec.access(AccessKind::GlobalStore, Some(buf.0), idx);
         }
         let data = self
             .mem
@@ -428,7 +401,7 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
     pub fn sh_ld(&mut self, idx: &[usize], out: &mut Vec<S>) -> Result<()> {
         self.account_shared(idx)?;
         if let Some(rec) = self.rec.as_mut() {
-            rec.access(AccessKind::SharedLoad, None, self.shared.len(), idx);
+            rec.access(AccessKind::SharedLoad, None, idx);
         }
         if let Some(san) = self.san.as_mut() {
             san.shared_access(idx, false);
@@ -451,7 +424,7 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
         }
         self.account_shared(idx)?;
         if let Some(rec) = self.rec.as_mut() {
-            rec.access(AccessKind::SharedStore, None, self.shared.len(), idx);
+            rec.access(AccessKind::SharedStore, None, idx);
         }
         if let Some(san) = self.san.as_mut() {
             san.shared_access(idx, true);
@@ -495,7 +468,7 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
     pub fn sync(&mut self) {
         self.bump(|s| s.barriers += 1);
         if let Some(rec) = self.rec.as_mut() {
-            rec.barrier(self.threads, self.threads);
+            rec.barrier();
         }
         if let Some(san) = self.san.as_mut() {
             san.barrier();
@@ -510,15 +483,7 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
     pub fn sync_arrive(&mut self, arrived: &[usize]) {
         self.bump(|s| s.barriers += 1);
         if let Some(rec) = self.rec.as_mut() {
-            let mut seen = vec![false; self.threads];
-            let mut count = 0usize;
-            for &l in arrived {
-                if l < self.threads && !seen[l] {
-                    seen[l] = true;
-                    count += 1;
-                }
-            }
-            rec.barrier(count, self.threads);
+            rec.barrier();
         }
         if let Some(san) = self.san.as_mut() {
             san.barrier_arrive(arrived);
@@ -565,8 +530,8 @@ pub struct LaunchResult {
     pub shared_bytes_per_block: usize,
     /// Echo of the launch configuration.
     pub config: LaunchConfig,
-    /// Sanitizer violation reports, capped per block by
-    /// [`ExecConfig::max_violations`]; empty when the sanitizer was off
+    /// Sanitizer violation reports, capped per block at
+    /// [`crate::sanitizer::MAX_VIOLATIONS`]; empty when the sanitizer was off
     /// or the kernel is clean. Uncapped tallies live in
     /// `stats.total.sanitizer`.
     pub violations: Vec<SanitizerViolation>,
@@ -649,7 +614,6 @@ pub fn launch_with<S: Elem, K: BlockKernel<S>>(
                     block_id,
                     cfg.threads_per_block as usize,
                     spec.warp_size as usize,
-                    exec.max_violations,
                 )
             }),
             rec: exec.record_plan.then(|| PlanRecorder::new(block_id)),
@@ -662,11 +626,7 @@ pub fn launch_with<S: Elem, K: BlockKernel<S>>(
         }
         if let Some(mut san) = ctx.san {
             b.sanitizer = san.counts();
-            let mut v = san.take_violations();
-            if exec.fail_fast && !v.is_empty() {
-                return Err(SimError::Sanitizer(v.remove(0)));
-            }
-            violations.append(&mut v);
+            violations.append(&mut san.take_violations());
         }
         shared_peak = shared_peak.max(b.shared_bytes_peak as usize);
         stats.rounds_per_block.push(b.global_access_rounds);
@@ -899,7 +859,7 @@ mod tests {
         let plan = res.plan.as_ref().expect("plan recorded");
         assert_eq!(plan.kernel, "rev");
         assert_eq!(plan.blocks.len(), 1);
-        let report = crate::lint::lint(plan, &crate::lint::LintConfig::default());
+        let report = crate::lint::lint(plan);
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.cross_check(&res.stats), Vec::<String>::new());
     }

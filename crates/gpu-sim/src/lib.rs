@@ -18,16 +18,18 @@
 //! - FLOPs, barriers, and dependent global-access **rounds**.
 //!
 //! A [`sanitizer`] (opt-in via [`exec::ExecConfig`] and
-//! [`exec::launch_with`]) additionally checks the accesses the way
-//! `compute-sanitizer` would: shared-memory races between barriers,
-//! out-of-bounds lanes, uninitialized reads and divergent barriers.
+//! [`exec::launch_with`]) is the one checker of kernel correctness: it
+//! checks the accesses the way `compute-sanitizer` would — shared-memory
+//! races between barriers, out-of-bounds lanes, uninitialized reads and
+//! divergent barriers.
 //!
 //! Orthogonally, [`exec::ExecConfig::record_plan`] captures every
 //! access as an affine index expression in a small IR ([`plan`]); the
-//! static [`lint`](mod@lint) passes then *prove* coalescing, bank-conflict,
-//! barrier, race and bounds properties from the expressions alone and
-//! predict the transaction counters in closed form — predictions the
-//! golden-counter suite cross-checks against the dynamic counters.
+//! [`lint`](mod@lint) is the counter model over it: its coalescing and
+//! bank-conflict passes predict the nine counters in closed form —
+//! predictions the golden-counter suite cross-checks against the
+//! dynamic counters — and flag uncoalesced or fully serialized
+//! accesses.
 //!
 //! [`occupancy::occupancy`] computes residency from the block footprint
 //! and [`timing::time_kernel`] turns counters + residency into modeled
@@ -93,7 +95,7 @@ pub use exec::{
     LaunchResult,
 };
 pub use group::{DeviceGroup, DeviceStream, GroupTimeline, StreamEvent, StreamOp};
-pub use lint::{lint, Diagnostic, DiagClass, LintConfig, LintReport, Prediction, Severity};
+pub use lint::{lint, Diagnostic, DiagClass, LintReport, Prediction, Severity};
 pub use plan::{AccessKind, AccessPlan, AffinePiece, BlockPlan, PlanEvent, PlannedAccess};
 pub use sanitizer::{AccessSite, MemSpace, RaceKind, SanitizerViolation};
 pub use occupancy::{occupancy, Limiter, Occupancy};

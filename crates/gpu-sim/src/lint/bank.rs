@@ -12,7 +12,7 @@
 //! and never conflict, matching
 //! [`crate::memory::shared_conflict_cycles`] cycle for cycle.
 
-use super::{DiagClass, DiagSink, LintConfig, Prediction, Severity};
+use super::{DiagClass, DiagSink, Prediction, Severity, BANK_CONFLICT_THRESHOLD};
 use crate::plan::{AccessPlan, PlanEvent, PlannedAccess};
 
 fn gcd(mut a: u64, mut b: u64) -> u64 {
@@ -69,7 +69,7 @@ fn fragment_cycles(a: &PlannedAccess, w0: usize, w1: usize, elem_bytes: usize, b
     per_bank.into_iter().max().unwrap_or(0).max(1)
 }
 
-pub(crate) fn run(plan: &AccessPlan, cfg: &LintConfig, sink: &mut DiagSink, pred: &mut Prediction) {
+pub(crate) fn run(plan: &AccessPlan, sink: &mut DiagSink, pred: &mut Prediction) {
     for block in &plan.blocks {
         for ev in &block.events {
             let a = match ev {
@@ -86,7 +86,7 @@ pub(crate) fn run(plan: &AccessPlan, cfg: &LintConfig, sink: &mut DiagSink, pred
                 worst = worst.max(cycles);
                 w0 = w1;
             }
-            if worst >= cfg.bank_conflict_threshold && worst > 1 {
+            if worst >= BANK_CONFLICT_THRESHOLD {
                 sink.push(
                     DiagClass::BankConflict,
                     Severity::Error,
@@ -114,7 +114,6 @@ mod tests {
             kind: AccessKind::SharedLoad,
             phase: "t",
             buffer: None,
-            bound: usize::MAX,
             lanes: idx.len(),
             pieces: compress(idx),
         }

@@ -18,7 +18,7 @@
 //! provably, and checked by the golden cross-check — to what the
 //! dynamic counter measures.
 
-use super::{floor_div, DiagClass, DiagSink, LintConfig, Prediction, Severity};
+use super::{floor_div, DiagClass, DiagSink, Prediction, Severity, GLOBAL_STRIDE_THRESHOLD};
 use crate::plan::{AccessPlan, PlanEvent, PlannedAccess};
 
 /// Exact transaction count for one block-wide access (all warps).
@@ -91,7 +91,7 @@ pub fn coalesced_minimum(
         }
 }
 
-pub(crate) fn run(plan: &AccessPlan, cfg: &LintConfig, sink: &mut DiagSink, pred: &mut Prediction) {
+pub(crate) fn run(plan: &AccessPlan, sink: &mut DiagSink, pred: &mut Prediction) {
     for block in &plan.blocks {
         for ev in &block.events {
             let a = match ev {
@@ -111,7 +111,7 @@ pub(crate) fn run(plan: &AccessPlan, cfg: &LintConfig, sink: &mut DiagSink, pred
             if let Some(p) = a
                 .pieces
                 .iter()
-                .find(|p| p.lanes >= 2 && p.stride.abs() > cfg.global_stride_threshold)
+                .find(|p| p.lanes >= 2 && p.stride.abs() > GLOBAL_STRIDE_THRESHOLD)
             {
                 let min_t =
                     coalesced_minimum(a.lanes, plan.warp_size, plan.elem_bytes, plan.segment_bytes);
@@ -147,7 +147,6 @@ mod tests {
             kind: AccessKind::GlobalLoad,
             phase: "t",
             buffer: Some(0),
-            bound: usize::MAX,
             lanes: idx.len(),
             pieces: compress(idx),
         }

@@ -1,7 +1,6 @@
-//! Static kernel lint: symbolic passes over an [`AccessPlan`] that
-//! prove memory-structure properties without executing anything.
+//! Static kernel lint: the counter model of an [`AccessPlan`].
 //!
-//! Five passes run over the affine IR recorded (or hand-built) in
+//! Two passes run over the affine IR recorded (or hand-built) in
 //! [`crate::plan`]:
 //!
 //! - [`coalesce`] — computes the **exact** number of 128-byte global
@@ -9,36 +8,28 @@
 //!   pieces, and flags any stride > 1 global traffic.
 //! - [`bank`] — computes n-way shared-memory bank conflicts from the
 //!   word stride modulo the bank count (`degree = ceil(L / (banks /
-//!   gcd(|word_stride|, banks)))`), and flags conflicts at or above a
-//!   configurable degree.
-//! - [`barrier`] — checks structural sync matching: a barrier reached
-//!   by a strict subset of the block's lanes is divergence.
-//! - [`race`] — segments each block's events into barrier epochs and
-//!   runs a GCD/interval overlap test (a linear Diophantine solve)
-//!   between every write and the epoch's other accesses; a solution on
-//!   *distinct* lanes is a data race. This is the static mirror of the
-//!   dynamic sanitizer's racecheck, but it proves the property for the
-//!   whole affine family instead of the executed indices only.
-//! - [`bounds`] — interval-checks every piece's element range against
-//!   the addressed region's length (buffer length or shared extent).
+//!   gcd(|word_stride|, banks)))`), and flags full 32-way
+//!   serialization.
 //!
-//! The passes double as a counter *model*: [`Prediction`] accumulates
-//! the exact transaction/replay/barrier totals the passes derive, and
+//! Together with the barrier count and the shared-memory peak (both
+//! read straight off the plan's events) they form a counter *model*:
+//! [`Prediction`] accumulates the nine totals, and
 //! [`Prediction::cross_check`] compares them — field by field, exact
 //! equality — against the dynamically measured
 //! [`BlockStats`](struct@crate::counters::BlockStats). The golden-counter
 //! suite runs this cross-check for every kernel at several geometries:
 //! a mismatch means the static math or the dynamic counter is wrong,
 //! which keeps both honest.
+//!
+//! Correctness properties — shared-memory races, out-of-bounds lanes,
+//! divergent barriers — are the [`crate::sanitizer`]'s job: it checks
+//! them on the same executed accesses a recorded plan compresses.
 
 pub mod bank;
-pub mod barrier;
-pub mod bounds;
 pub mod coalesce;
-pub mod race;
 
 use crate::counters::{BlockStats, KernelStats};
-use crate::plan::AccessPlan;
+use crate::plan::{AccessPlan, PlanEvent};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -67,13 +58,6 @@ pub enum DiagClass {
     UncoalescedGlobal,
     /// Shared access serialized by an n-way bank conflict.
     BankConflict,
-    /// Two affine ranges overlap on distinct lanes in one barrier
-    /// epoch with at least one write.
-    SharedRace,
-    /// A barrier a strict subset of the block's lanes reaches.
-    BarrierDivergence,
-    /// An index range exceeding the addressed region.
-    OutOfBounds,
 }
 
 impl fmt::Display for DiagClass {
@@ -81,9 +65,6 @@ impl fmt::Display for DiagClass {
         match self {
             DiagClass::UncoalescedGlobal => write!(f, "uncoalesced-global"),
             DiagClass::BankConflict => write!(f, "bank-conflict"),
-            DiagClass::SharedRace => write!(f, "shared-race"),
-            DiagClass::BarrierDivergence => write!(f, "barrier-divergence"),
-            DiagClass::OutOfBounds => write!(f, "out-of-bounds"),
         }
     }
 }
@@ -101,10 +82,9 @@ pub struct Diagnostic {
     pub block: usize,
     /// Phase label of the offending event.
     pub phase: &'static str,
-    /// The affine index expression (or barrier shape) at fault.
+    /// The affine index expression at fault.
     pub expr: String,
-    /// Human-readable explanation, including the predicted cost or the
-    /// overlap witness.
+    /// Human-readable explanation, including the predicted cost.
     pub message: String,
     /// How many events across all blocks produced this same
     /// (class, phase, expression) finding.
@@ -125,29 +105,16 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Lint pass thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LintConfig {
-    /// Conflict degree at which the bank pass diagnoses. The default
-    /// (32) only fires on full serialization: the shipped f64 kernels
-    /// legitimately carry benign 2-way conflicts (8-byte elements on
-    /// 4-byte banks), which the replay *prediction* still counts
-    /// exactly. Lower it to hunt milder conflicts.
-    pub bank_conflict_threshold: u64,
-    /// Element stride magnitude above which a global access is
-    /// diagnosed as uncoalesced (default 1: stride-1 and broadcast are
-    /// fine, anything wider is flagged).
-    pub global_stride_threshold: i64,
-}
+/// Conflict degree at which the bank pass diagnoses: only full
+/// serialization. The shipped f64 kernels legitimately carry benign
+/// 2-way conflicts (8-byte elements on 4-byte banks), which the replay
+/// *prediction* still counts exactly.
+pub const BANK_CONFLICT_THRESHOLD: u64 = 32;
 
-impl Default for LintConfig {
-    fn default() -> Self {
-        Self {
-            bank_conflict_threshold: 32,
-            global_stride_threshold: 1,
-        }
-    }
-}
+/// Element stride magnitude above which a global access is diagnosed
+/// as uncoalesced: stride-1 and broadcast are fine, anything wider is
+/// flagged.
+pub const GLOBAL_STRIDE_THRESHOLD: i64 = 1;
 
 /// The counter totals the passes predict, structured to compare 1:1
 /// with [`BlockStats`] aggregated over blocks.
@@ -242,7 +209,7 @@ pub struct LintReport {
 }
 
 impl LintReport {
-    /// `true` when no pass found anything.
+    /// `true` when neither pass found anything.
     pub fn is_clean(&self) -> bool {
         self.diagnostics.is_empty()
     }
@@ -337,20 +304,28 @@ pub(crate) fn floor_div(a: i128, b: i128) -> i128 {
     }
 }
 
-/// Ceiling division on `i128`.
-pub(crate) fn ceil_div(a: i128, b: i128) -> i128 {
-    -floor_div(-a, b)
-}
-
-/// Run all five passes over a plan.
-pub fn lint(plan: &AccessPlan, cfg: &LintConfig) -> LintReport {
+/// Run both passes over a plan and total its barriers and
+/// shared-memory peak.
+pub fn lint(plan: &AccessPlan) -> LintReport {
     let mut sink = DiagSink::new(plan.kernel);
     let mut pred = Prediction::default();
-    coalesce::run(plan, cfg, &mut sink, &mut pred);
-    bank::run(plan, cfg, &mut sink, &mut pred);
-    bounds::run(plan, &mut sink, &mut pred);
-    barrier::run(plan, &mut sink, &mut pred);
-    race::run(plan, &mut sink);
+    coalesce::run(plan, &mut sink, &mut pred);
+    bank::run(plan, &mut sink, &mut pred);
+    for block in &plan.blocks {
+        // Peak shared footprint mirrors `BlockCtx::shared_alloc`'s
+        // accounting: max (base + len) · elem over blocks.
+        let mut peak_elems = 0usize;
+        for ev in &block.events {
+            match ev {
+                PlanEvent::Barrier { .. } => pred.barriers += 1,
+                PlanEvent::SharedAlloc { base, len, .. } => peak_elems = peak_elems.max(base + len),
+                PlanEvent::Access(_) => {}
+            }
+        }
+        pred.shared_bytes_peak = pred
+            .shared_bytes_peak
+            .max((peak_elems * plan.elem_bytes) as u64);
+    }
     LintReport {
         kernel: plan.kernel,
         grid_blocks: plan.grid_blocks,
@@ -364,17 +339,39 @@ pub fn lint(plan: &AccessPlan, cfg: &LintConfig) -> LintReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::AccessKind;
 
     #[test]
-    fn floor_and_ceil_division() {
+    fn floor_division() {
         assert_eq!(floor_div(7, 2), 3);
         assert_eq!(floor_div(-7, 2), -4);
         assert_eq!(floor_div(7, -2), -4);
         assert_eq!(floor_div(-7, -2), 3);
         assert_eq!(floor_div(6, 3), 2);
-        assert_eq!(ceil_div(7, 2), 4);
-        assert_eq!(ceil_div(-7, 2), -3);
-        assert_eq!(ceil_div(6, 3), 2);
+    }
+
+    #[test]
+    fn full_barriers_are_counted_not_flagged() {
+        let mut plan = AccessPlan::synthetic("s", 64, 8);
+        let b = plan.block_mut(0);
+        b.push_barrier("a");
+        b.push_barrier("b");
+        let r = lint(&plan);
+        assert!(r.is_clean());
+        assert_eq!(r.prediction.barriers, 2);
+    }
+
+    #[test]
+    fn shared_peak_is_the_furthest_alloc_end() {
+        let mut plan = AccessPlan::synthetic("b", 32, 8);
+        let b = plan.block_mut(0);
+        b.push_alloc("main", 0, 64);
+        b.push_alloc("main", 64, 32);
+        let idx: Vec<usize> = (0..32).map(|l| l + 64).collect();
+        b.push_access(AccessKind::SharedStore, "main", None, &idx);
+        let r = lint(&plan);
+        assert!(r.is_clean(), "{r}");
+        assert_eq!(r.prediction.shared_bytes_peak, 96 * 8);
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! over a contiguous lane range — or a short concatenation of such
 //! runs (a ragged tail, a clamp lane, a carry splice). The IR captures
 //! each operation as a list of [`AffinePiece`]s plus its barrier and
-//! allocation structure, which is exactly enough for the static lint
-//! passes in [`crate::lint`](mod@crate::lint) to *prove* coalescing, bank-conflict,
-//! race, bounds and barrier properties as closed forms — no execution,
-//! no data.
+//! allocation structure, which is exactly enough for the lint's
+//! counter model in [`crate::lint`](mod@crate::lint) to compute
+//! transaction, bank-conflict, barrier and shared-footprint counts as
+//! closed forms — no execution, no data.
 //!
 //! Plans come from two sources:
 //!
@@ -53,24 +53,6 @@ impl AffinePiece {
     #[inline]
     pub fn elem(&self, x: usize) -> i64 {
         self.base + self.stride * x as i64
-    }
-
-    /// Smallest element index the piece touches.
-    pub fn min_elem(&self) -> i64 {
-        if self.stride < 0 {
-            self.elem(self.lanes - 1)
-        } else {
-            self.base
-        }
-    }
-
-    /// Largest element index the piece touches.
-    pub fn max_elem(&self) -> i64 {
-        if self.stride < 0 {
-            self.base
-        } else {
-            self.elem(self.lanes - 1)
-        }
     }
 }
 
@@ -178,10 +160,6 @@ pub struct PlannedAccess {
     pub phase: &'static str,
     /// Global buffer handle index (`None` for shared memory).
     pub buffer: Option<usize>,
-    /// Length of the addressed region in elements — the buffer length
-    /// for global accesses, the shared extent at issue time for shared
-    /// accesses. The bounds pass checks pieces against this.
-    pub bound: usize,
     /// Active lanes in the op (`idx.len()` at record time).
     pub lanes: usize,
     /// The affine index expression, as maximal lane runs.
@@ -205,15 +183,10 @@ impl PlannedAccess {
 pub enum PlanEvent {
     /// A block-wide memory operation.
     Access(PlannedAccess),
-    /// A barrier; `arrived < expected` models divergent arrival
-    /// (`sync_arrive` with a strict lane subset).
+    /// A barrier (`sync`, or `sync_arrive` with any lane set).
     Barrier {
         /// Phase label active at the barrier.
         phase: &'static str,
-        /// Lanes that arrived (distinct).
-        arrived: usize,
-        /// Lanes the block has.
-        expected: usize,
     },
     /// A `shared_alloc` carving `len` elements at offset `base`.
     SharedAlloc {
@@ -242,47 +215,20 @@ impl BlockPlan {
         kind: AccessKind,
         phase: &'static str,
         buffer: Option<usize>,
-        bound: usize,
         idx: &[usize],
     ) {
         self.events.push(PlanEvent::Access(PlannedAccess {
             kind,
             phase,
             buffer,
-            bound,
             lanes: idx.len(),
             pieces: compress(idx),
         }));
     }
 
-    /// Append an access from explicit pieces (for synthetic plans whose
-    /// expressions need not come from an index vector).
-    pub fn push_access_pieces(
-        &mut self,
-        kind: AccessKind,
-        phase: &'static str,
-        buffer: Option<usize>,
-        bound: usize,
-        pieces: Vec<AffinePiece>,
-    ) {
-        let lanes = pieces.iter().map(|p| p.lanes).sum();
-        self.events.push(PlanEvent::Access(PlannedAccess {
-            kind,
-            phase,
-            buffer,
-            bound,
-            lanes,
-            pieces,
-        }));
-    }
-
     /// Append a barrier.
-    pub fn push_barrier(&mut self, phase: &'static str, arrived: usize, expected: usize) {
-        self.events.push(PlanEvent::Barrier {
-            phase,
-            arrived,
-            expected,
-        });
+    pub fn push_barrier(&mut self, phase: &'static str) {
+        self.events.push(PlanEvent::Barrier { phase });
     }
 
     /// Append a shared allocation.
@@ -375,15 +321,15 @@ impl PlanRecorder {
     }
 
     /// Record a memory operation.
-    pub fn access(&mut self, kind: AccessKind, buffer: Option<usize>, bound: usize, idx: &[usize]) {
+    pub fn access(&mut self, kind: AccessKind, buffer: Option<usize>, idx: &[usize]) {
         let phase = self.phase;
-        self.plan.push_access(kind, phase, buffer, bound, idx);
+        self.plan.push_access(kind, phase, buffer, idx);
     }
 
-    /// Record a barrier (`arrived == expected` for a full `sync`).
-    pub fn barrier(&mut self, arrived: usize, expected: usize) {
+    /// Record a barrier.
+    pub fn barrier(&mut self) {
         let phase = self.phase;
-        self.plan.push_barrier(phase, arrived, expected);
+        self.plan.push_barrier(phase);
     }
 
     /// Record a shared allocation.
@@ -459,18 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn piece_extrema_handle_negative_stride() {
-        let p = AffinePiece {
-            lane0: 0,
-            lanes: 8,
-            base: 70,
-            stride: -10,
-        };
-        assert_eq!(p.min_elem(), 0);
-        assert_eq!(p.max_elem(), 70);
-    }
-
-    #[test]
     fn expressions_render_for_diagnostics() {
         let p = AffinePiece {
             lane0: 4,
@@ -483,7 +417,6 @@ mod tests {
             kind: AccessKind::GlobalLoad,
             phase: "load",
             buffer: Some(3),
-            bound: 4096,
             lanes: 28,
             pieces: vec![p],
         };
@@ -493,10 +426,10 @@ mod tests {
     #[test]
     fn recorder_builds_a_block_plan() {
         let mut r = PlanRecorder::new(2);
-        r.access(AccessKind::GlobalLoad, Some(0), 256, &[0, 1, 2, 3]);
+        r.access(AccessKind::GlobalLoad, Some(0), &[0, 1, 2, 3]);
         r.set_phase("store");
-        r.barrier(32, 32);
-        r.access(AccessKind::SharedStore, None, 64, &[0, 2, 4]);
+        r.barrier();
+        r.access(AccessKind::SharedStore, None, &[0, 2, 4]);
         r.alloc(0, 64);
         let b = r.finish();
         assert_eq!(b.block_id, 2);

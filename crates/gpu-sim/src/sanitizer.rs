@@ -209,6 +209,10 @@ struct WordHist {
     reported: bool,
 }
 
+/// Cap on *recorded* violation reports per block; the tallies in
+/// [`crate::counters::SanitizerCounts`] are never capped.
+pub const MAX_VIOLATIONS: usize = 64;
+
 /// Per-block sanitizer state, owned by [`crate::exec::BlockCtx`] when
 /// the launch's [`crate::exec::ExecConfig::sanitize`] flag is set.
 #[derive(Debug)]
@@ -217,7 +221,6 @@ pub struct Sanitizer {
     block: usize,
     threads: usize,
     warp_size: usize,
-    max_violations: usize,
     epoch: u64,
     barriers: u64,
     shared_hist: Vec<WordHist>,
@@ -231,19 +234,12 @@ pub struct Sanitizer {
 
 impl Sanitizer {
     /// Fresh state for one block of `kernel`.
-    pub fn new(
-        kernel: &'static str,
-        block: usize,
-        threads: usize,
-        warp_size: usize,
-        max_violations: usize,
-    ) -> Self {
+    pub fn new(kernel: &'static str, block: usize, threads: usize, warp_size: usize) -> Self {
         Self {
             kernel,
             block,
             threads,
             warp_size,
-            max_violations,
             // Start at 1 so zero-initialized (stale) histories never
             // match the live epoch.
             epoch: 1,
@@ -270,7 +266,7 @@ impl Sanitizer {
     }
 
     fn record(&mut self, v: SanitizerViolation) {
-        if self.violations.len() < self.max_violations {
+        if self.violations.len() < MAX_VIOLATIONS {
             self.violations.push(v);
         }
     }
@@ -425,7 +421,7 @@ mod tests {
     use super::*;
 
     fn san() -> Sanitizer {
-        let mut s = Sanitizer::new("test", 0, 32, 32, 64);
+        let mut s = Sanitizer::new("test", 0, 32, 32);
         s.on_shared_alloc(64);
         s
     }
@@ -533,7 +529,7 @@ mod tests {
 
     #[test]
     fn divergent_barrier_names_missing_lane() {
-        let mut s = Sanitizer::new("div", 2, 8, 4, 64);
+        let mut s = Sanitizer::new("div", 2, 8, 4);
         s.barrier(); // full barrier 0
         s.barrier_arrive(&[0, 1, 2, 3, 5, 6, 7]); // lane 4 missing
         assert_eq!(s.counts().barrier_divergence, 1);
@@ -576,13 +572,14 @@ mod tests {
 
     #[test]
     fn violation_cap_bounds_reports_not_counts() {
-        let mut s = Sanitizer::new("cap", 0, 32, 32, 2);
-        s.on_shared_alloc(32);
-        for w in 0..8 {
+        let mut s = Sanitizer::new("cap", 0, 32, 32);
+        let words = MAX_VIOLATIONS + 8;
+        s.on_shared_alloc(words);
+        for w in 0..words {
             s.shared_access(&[w, w], true);
         }
-        assert_eq!(s.counts().shared_races, 8);
-        assert_eq!(s.take_violations().len(), 2);
+        assert_eq!(s.counts().shared_races, words as u64);
+        assert_eq!(s.take_violations().len(), MAX_VIOLATIONS);
     }
 
     #[test]

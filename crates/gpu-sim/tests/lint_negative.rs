@@ -1,18 +1,16 @@
-//! Negative lint tests: seeded bad access plans (and two deliberately
-//! bad kernels recorded end-to-end) that each violate exactly one
-//! property, asserting the matching pass fires its diagnostic — and
-//! only its diagnostic — with correct kernel/phase attribution.
+//! Negative lint tests: seeded bad access plans (and a deliberately
+//! bad kernel recorded end-to-end) that each violate exactly one
+//! memory-structure property, asserting the matching pass fires its
+//! diagnostic — and only its diagnostic — with correct kernel/phase
+//! attribution, while the counter prediction stays exact. Races, bounds
+//! and barrier divergence belong to the sanitizer (`sanitizer_negative`).
 
 use gpu_sim::exec::launch_with;
 use gpu_sim::plan::AccessKind;
 use gpu_sim::{
     lint, AccessPlan, BlockCtx, BlockKernel, DeviceSpec, DiagClass, ExecConfig, GpuMemory,
-    LaunchConfig, LintConfig, LintReport, Result, Severity,
+    LaunchConfig, LintReport, Result, Severity,
 };
-
-fn lint_default(plan: &AccessPlan) -> LintReport {
-    lint(plan, &LintConfig::default())
-}
 
 /// Exactly one diagnostic of `class`, and return it.
 fn the_one(report: &LintReport, class: DiagClass) -> &gpu_sim::Diagnostic {
@@ -37,8 +35,8 @@ fn stride_2_global_load_fires_uncoalesced() {
     let mut plan = AccessPlan::synthetic("gather_k", 32, 8);
     let idx: Vec<usize> = (0..32).map(|l| l * 2).collect();
     plan.block_mut(0)
-        .push_access(AccessKind::GlobalLoad, "gather", Some(0), 1 << 20, &idx);
-    let r = lint_default(&plan);
+        .push_access(AccessKind::GlobalLoad, "gather", Some(0), &idx);
+    let r = lint(&plan);
     let d = the_one(&r, DiagClass::UncoalescedGlobal);
     assert_eq!(d.kernel, "gather_k");
     assert_eq!(d.phase, "gather");
@@ -53,31 +51,19 @@ fn stride_2_global_load_fires_uncoalesced() {
 }
 
 #[test]
-fn two_way_bank_conflict_fires_only_at_lowered_threshold() {
+fn two_way_bank_conflict_is_predicted_not_flagged() {
     // f64 at unit stride: element l starts at word 2l — a benign 2-way
     // conflict every f64 kernel carries.
     let mut plan = AccessPlan::synthetic("axpy_k", 32, 8);
     let idx: Vec<usize> = (0..32).collect();
     plan.block_mut(0)
-        .push_access(AccessKind::SharedLoad, "fold", None, 64, &idx);
+        .push_access(AccessKind::SharedLoad, "fold", None, &idx);
 
-    // Default threshold (32): prediction counts the replay, no finding.
-    let relaxed = lint_default(&plan);
-    assert!(relaxed.is_clean(), "{relaxed}");
-    assert_eq!(relaxed.prediction.bank_conflict_replays, 1);
-
-    // Hunting mode: threshold 2 turns the same plan into a finding.
-    let strict = lint(
-        &plan,
-        &LintConfig {
-            bank_conflict_threshold: 2,
-            ..LintConfig::default()
-        },
-    );
-    let d = the_one(&strict, DiagClass::BankConflict);
-    assert_eq!(d.kernel, "axpy_k");
-    assert_eq!(d.phase, "fold");
-    assert!(d.message.contains("2-way"), "{}", d.message);
+    // Below the 32-way threshold: the prediction counts the replay,
+    // no finding.
+    let r = lint(&plan);
+    assert!(r.is_clean(), "{r}");
+    assert_eq!(r.prediction.bank_conflict_replays, 1);
 }
 
 #[test]
@@ -86,87 +72,13 @@ fn thirty_two_way_bank_conflict_fires_at_default_threshold() {
     let mut plan = AccessPlan::synthetic("transpose_k", 32, 8);
     let idx: Vec<usize> = (0..32).map(|l| l * 16).collect();
     plan.block_mut(0)
-        .push_access(AccessKind::SharedStore, "scatter", None, 512, &idx);
-    let r = lint_default(&plan);
+        .push_access(AccessKind::SharedStore, "scatter", None, &idx);
+    let r = lint(&plan);
     let d = the_one(&r, DiagClass::BankConflict);
     assert_eq!(d.phase, "scatter");
     assert!(d.expr.contains("sh_st"), "{}", d.expr);
     assert!(d.message.contains("32-way"), "{}", d.message);
     assert_eq!(r.prediction.bank_conflict_replays, 31);
-}
-
-#[test]
-fn missing_barrier_between_overlapping_write_and_read_is_a_race() {
-    let t = 32usize;
-    let write: Vec<usize> = (0..t).collect();
-    let read: Vec<usize> = (0..t).map(|l| (l + 1) % t).collect();
-
-    // Producer writes [0, 32), consumer reads the shifted range with no
-    // barrier in between: lane l reads the word lane l+1 wrote.
-    let mut racy = AccessPlan::synthetic("shift_k", t, 8);
-    let b = racy.block_mut(0);
-    b.push_alloc("produce", 0, t);
-    b.push_access(AccessKind::SharedStore, "produce", None, t, &write);
-    b.push_access(AccessKind::SharedLoad, "consume", None, t, &read);
-    let r = lint_default(&racy);
-    let d = the_one(&r, DiagClass::SharedRace);
-    assert_eq!(d.kernel, "shift_k");
-    assert_eq!(d.phase, "consume", "attributed to the later access");
-    assert!(d.message.contains("read-after-write"), "{}", d.message);
-    assert!(d.message.contains("phase `produce`"), "{}", d.message);
-
-    // The identical plan with the barrier is clean.
-    let mut fixed = AccessPlan::synthetic("shift_k", t, 8);
-    let b = fixed.block_mut(0);
-    b.push_alloc("produce", 0, t);
-    b.push_access(AccessKind::SharedStore, "produce", None, t, &write);
-    b.push_barrier("produce", t, t);
-    b.push_access(AccessKind::SharedLoad, "consume", None, t, &read);
-    assert!(lint_default(&fixed).is_clean());
-}
-
-#[test]
-fn overlapping_affine_writes_without_barrier_are_a_waw_race() {
-    // Two stores in one epoch whose ranges intersect on distinct lanes:
-    // lane l writes 2l, then lane l writes 3l — element 6 is hit by
-    // lane 3 and lane 2.
-    let mut plan = AccessPlan::synthetic("overlap_k", 16, 8);
-    let b = plan.block_mut(0);
-    b.push_alloc("main", 0, 64);
-    let first: Vec<usize> = (0..16).map(|l| l * 2).collect();
-    let second: Vec<usize> = (0..16).map(|l| l * 3).collect();
-    b.push_access(AccessKind::SharedStore, "main", None, 64, &first);
-    b.push_access(AccessKind::SharedStore, "main", None, 64, &second);
-    let r = lint_default(&plan);
-    let d = the_one(&r, DiagClass::SharedRace);
-    assert!(d.message.contains("write-after-write"), "{}", d.message);
-}
-
-#[test]
-fn shared_oob_extent_fires_out_of_bounds() {
-    let mut plan = AccessPlan::synthetic("spill_k", 32, 8);
-    let b = plan.block_mut(0);
-    b.push_alloc("load", 0, 64);
-    // Max element 2·31 = 62 + offset 8 = 70 ≥ 64.
-    let idx: Vec<usize> = (0..32).map(|l| 8 + l * 2).collect();
-    b.push_access(AccessKind::SharedLoad, "load", None, 64, &idx);
-    let r = lint_default(&plan);
-    let d = the_one(&r, DiagClass::OutOfBounds);
-    assert_eq!(d.kernel, "spill_k");
-    assert_eq!(d.phase, "load");
-    assert!(d.message.contains("[8, 70]"), "{}", d.message);
-    assert!(d.message.contains("length 64"), "{}", d.message);
-}
-
-#[test]
-fn subset_barrier_arrival_fires_divergence() {
-    let mut plan = AccessPlan::synthetic("ragged_k", 64, 8);
-    plan.block_mut(0).push_barrier("reduce", 63, 64);
-    let r = lint_default(&plan);
-    let d = the_one(&r, DiagClass::BarrierDivergence);
-    assert_eq!(d.kernel, "ragged_k");
-    assert_eq!(d.phase, "reduce");
-    assert!(d.expr.contains("63/64"), "{}", d.expr);
 }
 
 #[test]
@@ -177,15 +89,15 @@ fn repeated_bad_expression_dedups_into_one_finding() {
     let idx: Vec<usize> = (0..32).map(|l| l * 2).collect();
     for _ in 0..50 {
         plan.block_mut(0)
-            .push_access(AccessKind::GlobalLoad, "stream", Some(0), 1 << 20, &idx);
+            .push_access(AccessKind::GlobalLoad, "stream", Some(0), &idx);
     }
-    let r = lint_default(&plan);
+    let r = lint(&plan);
     let d = the_one(&r, DiagClass::UncoalescedGlobal);
     assert_eq!(d.occurrences, 50);
 }
 
 // ---------------------------------------------------------------------
-// End-to-end: bad kernels recorded by the harness, not hand-seeded.
+// End-to-end: a bad kernel recorded by the harness, not hand-seeded.
 // ---------------------------------------------------------------------
 
 /// Reads global memory at element stride 8 — the classic
@@ -217,7 +129,7 @@ fn recorded_strided_kernel_fires_uncoalesced_with_exact_prediction() {
     )
     .unwrap();
     let plan = res.plan.expect("plan recorded");
-    let r = lint_default(&plan);
+    let r = lint(&plan);
     let d = the_one(&r, DiagClass::UncoalescedGlobal);
     assert_eq!(d.kernel, "aos_gather");
     assert_eq!(d.phase, "gather");
@@ -225,42 +137,4 @@ fn recorded_strided_kernel_fires_uncoalesced_with_exact_prediction() {
     // A bad kernel still cross-checks exactly: the diagnostics and the
     // counter model are independent outputs of the same pass.
     assert_eq!(r.cross_check(&res.stats), Vec::<String>::new());
-}
-
-/// The missing-barrier producer/consumer bug, recorded end-to-end: the
-/// static race pass must convict it from the affine plan alone.
-struct MissingBarrierKernel;
-impl BlockKernel<f64> for MissingBarrierKernel {
-    fn run_block(&self, ctx: &mut BlockCtx<'_, f64>) -> Result<()> {
-        let t = ctx.threads;
-        let base = ctx.shared_alloc(t)?;
-        ctx.phase("produce");
-        let idx: Vec<usize> = (0..t).map(|i| base + i).collect();
-        ctx.sh_st(&idx, &vec![2.0; t])?;
-        // BUG: no ctx.sync() before the shifted read.
-        ctx.phase("consume");
-        let shifted: Vec<usize> = (0..t).map(|i| base + (i + 1) % t).collect();
-        let mut out = Vec::new();
-        ctx.sh_ld(&shifted, &mut out)?;
-        Ok(())
-    }
-}
-
-#[test]
-fn recorded_missing_barrier_kernel_fires_static_race() {
-    let mut mem = GpuMemory::<f64>::new();
-    let cfg = LaunchConfig::new("missing_barrier", 1, 32);
-    let res = launch_with(
-        &DeviceSpec::gtx480(),
-        &cfg,
-        &ExecConfig::planned(),
-        &MissingBarrierKernel,
-        &mut mem,
-    )
-    .unwrap();
-    let r = lint_default(&res.plan.expect("plan recorded"));
-    let d = the_one(&r, DiagClass::SharedRace);
-    assert_eq!(d.kernel, "missing_barrier");
-    assert_eq!(d.phase, "consume");
-    assert!(d.message.contains("read-after-write"), "{}", d.message);
 }

@@ -15,7 +15,7 @@
 //! tridiag compare --m 64 --n 2048        # run every engine, check parity
 //! tridiag tune --n 4096 --m-list 1,16,256,1024 [--k-max 8]
 //! tridiag info [--device gtx480]         # device spec + occupancy sheet
-//! tridiag lint [--verbose]               # static-lint the kernel zoo
+//! tridiag lint [--verbose]               # sanitize + lint the kernel zoo
 //! tridiag serve --requests 8 --clients 4 # concurrent solves through the
 //!                                        # coalescing service, checked vs solo
 //! tridiag stats --requests 48            # unified telemetry read-out:
@@ -371,9 +371,13 @@ fn usage() -> &'static str {
      \u{20}           interleaved also hands the batch over pre-interleaved,\n  \
      \u{20}           eliding both layout conversions\n\n\
      checks (gpu engine only):\n  \
-     --sanitize  run every kernel under the dynamic memory/race sanitizer\n  \
-     --lint      record each kernel's affine access plan, run the static lint\n  \
-     \u{20}           passes, and cross-check predicted vs measured counters\n  \
+     --sanitize  run every kernel under the sanitizer, the one checker of\n  \
+     \u{20}           shared-memory races, out-of-bounds lanes, uninitialized\n  \
+     \u{20}           reads and divergent barriers\n  \
+     --lint      record each kernel's affine access plan, run the lint's\n  \
+     \u{20}           counter model (uncoalesced and 32-way bank-conflict\n  \
+     \u{20}           findings), and cross-check predicted vs measured counters;\n  \
+     \u{20}           it does not report races (use --sanitize or --check)\n  \
      --check     umbrella: --sanitize and --lint together\n\n\
      observability (gpu engine only):\n  \
      --trace F   write the solve's span/phase trace as Chrome trace-event JSON\n  \
@@ -792,8 +796,8 @@ fn profile_zoo(out: &str) -> Result<(), Failure> {
     Ok(())
 }
 
-/// `tridiag lint` — run the static analyzer over the kernel zoo: every
-/// shipped kernel at several launch geometries, each linted from its
+/// `tridiag lint` — run the kernel zoo under `--check`: every shipped
+/// kernel at several launch geometries, each sanitized, linted from its
 /// recorded affine access plan and cross-checked against the dynamic
 /// counters the same run measured.
 fn cmd_lint(a: &Args) -> Result<(), Failure> {
@@ -806,13 +810,17 @@ fn cmd_lint(a: &Args) -> Result<(), Failure> {
         } else {
             bad += 1;
             format!(
-                "{} diagnostic(s), {} counter mismatch(es)",
+                "{} sanitizer violation(s), {} diagnostic(s), {} counter mismatch(es)",
+                e.violations.len(),
                 e.report.diagnostics.len(),
                 e.mismatches.len()
             )
         };
         println!("{:<18} {:<28} {status}", e.kernel, e.geometry);
         if verbose || !e.is_clean() {
+            for v in &e.violations {
+                println!("    {v}");
+            }
             for d in &e.report.diagnostics {
                 println!("    {d}");
             }
@@ -832,13 +840,13 @@ fn cmd_lint(a: &Args) -> Result<(), Failure> {
         }
     }
     println!(
-        "{} kernel/geometry entries linted, {} with findings",
+        "{} kernel/geometry entries checked, {} with findings",
         entries.len(),
         bad
     );
     if bad > 0 {
         return Err(Failure::Findings(format!(
-            "{bad} zoo entr{} with lint findings",
+            "{bad} zoo entr{} with findings",
             if bad == 1 { "y" } else { "ies" }
         )));
     }

@@ -23,7 +23,7 @@ use gpu_sim::timing::{time_kernel, TrafficSummary};
 use gpu_sim::trace::Trace;
 use gpu_sim::{
     launch_with, BlockKernel, BufId, DeviceSpec, ExecConfig, GpuMemory, Json, KernelStats,
-    LaunchConfig, LintConfig, LintReport, Precision, Result, SanitizerViolation, SimError,
+    LaunchConfig, LintReport, Precision, Result, SanitizerViolation, SimError,
 };
 use tridiag_core::SystemBatch;
 
@@ -86,7 +86,7 @@ impl PlanExecutor {
         let mut res = launch_with(&self.spec, cfg, &self.exec, kernel, mem)?;
         self.violations.append(&mut res.violations);
         if let Some(plan) = res.plan.take() {
-            let lr = gpu_sim::lint(&plan, &LintConfig::default());
+            let lr = gpu_sim::lint(&plan);
             self.lint_mismatches.extend(lr.cross_check(&res.stats));
             self.lints.push(lr);
         }
@@ -129,7 +129,9 @@ impl PlanExecutor {
     /// kernel through [`PlanExecutor::launch`], and assemble the
     /// [`GpuSolveReport`] (carrying the plan itself) from this run's
     /// artifacts. The executor's collections keep accumulating across
-    /// runs; the report only covers this one.
+    /// runs; the report only covers this one. A solution holding NaN or
+    /// Inf is a [`SimError::KernelFault`] naming the first non-finite
+    /// system and row, never an `Ok` answer.
     pub fn run<S: GpuScalar>(
         &mut self,
         plan: &SolvePlan,
@@ -320,6 +322,17 @@ impl PlanExecutor {
         let out = out.or(downloaded).ok_or_else(|| {
             SimError::InvalidPlan("plan produced no solution".into())
         })?;
+        // The kernels are pivot-free and only trap exact zero pivots, so
+        // a NaN or Inf in the input sweeps straight through to `x`.
+        if !out.iter().all(|v| v.is_finite()) {
+            let (sys, row) = (0..m)
+                .flat_map(|sys| (0..n).map(move |row| (sys, row)))
+                .find(|&(sys, row)| !out[batch.index(sys, row)].is_finite())
+                .unwrap_or_default();
+            return Err(SimError::KernelFault(format!(
+                "non-finite solution at system {sys}, row {row}"
+            )));
+        }
         dynamic.peak_resident_bytes = mem.peak_resident_bytes();
         let verify_mismatches = verify.prediction.cross_check(&dynamic);
 

@@ -1,14 +1,16 @@
 //! The kernel zoo: every shipped kernel at several launch geometries,
-//! run under plan recording and statically linted.
+//! run under the sanitizer with plan recording.
 //!
-//! This is the harness behind `tridiag --lint` and the static-vs-
-//! dynamic golden-counter cross-check: each entry launches one kernel
-//! configuration with [`ExecConfig::planned`], records its affine
-//! access plan, runs the five lint passes over it, and compares the
-//! predicted counters field-by-field against the measured
-//! [`KernelStats`]. A shipped kernel must produce **zero diagnostics**
-//! and **zero cross-check mismatches** at every geometry here — the
-//! zoo is the executable statement of that contract.
+//! This is the harness behind `tridiag lint` and the static-vs-dynamic
+//! golden-counter cross-check: each entry launches one kernel
+//! configuration with [`ExecConfig::checked`], so the sanitizer checks
+//! races, bounds, uninitialized reads and barriers on the executed
+//! accesses, while the lint's counter model runs over the recorded
+//! affine access plan and its predicted counters are compared
+//! field-by-field against the measured [`KernelStats`]. A shipped
+//! kernel must produce **zero sanitizer violations**, **zero lint
+//! diagnostics** and **zero cross-check mismatches** at every geometry
+//! here — the zoo is the executable statement of that contract.
 
 use crate::buffers::{upload, GpuScalar};
 use crate::executor::PlanExecutor;
@@ -21,20 +23,23 @@ use crate::multi_device::fan_out;
 use crate::plan::{partition, Partition};
 use gpu_sim::{
     BlockKernel, DeviceGroup, DeviceSpec, ExecConfig, GpuMemory, KernelStats, KernelTiming,
-    LaunchConfig, LintReport, Result,
+    LaunchConfig, LintReport, Result, SanitizerViolation,
 };
 use tridiag_core::generators::random_batch;
 use tridiag_core::Layout;
 
-/// One zoo run: a kernel at one geometry, with its static lint report,
-/// measured counters, and the static-vs-dynamic mismatch lines.
+/// One zoo run: a kernel at one geometry, with its sanitizer findings,
+/// lint report, measured counters, and the static-vs-dynamic mismatch
+/// lines.
 #[derive(Debug, Clone)]
 pub struct ZooEntry {
     /// Kernel name (the launch config's name).
     pub kernel: &'static str,
     /// Human-readable geometry description.
     pub geometry: String,
-    /// Static analysis of the recorded access plan.
+    /// Sanitizer findings from the launch.
+    pub violations: Vec<SanitizerViolation>,
+    /// The lint's counter model over the recorded access plan.
     pub report: LintReport,
     /// Dynamically measured counters from the same launch.
     pub stats: KernelStats,
@@ -46,10 +51,10 @@ pub struct ZooEntry {
 }
 
 impl ZooEntry {
-    /// `true` when the entry has no diagnostics and no counter
-    /// mismatches.
+    /// `true` when the entry has no sanitizer violations, no lint
+    /// diagnostics and no counter mismatches.
     pub fn is_clean(&self) -> bool {
-        self.report.is_clean() && self.mismatches.is_empty()
+        self.violations.is_empty() && self.report.is_clean() && self.mismatches.is_empty()
     }
 }
 
@@ -60,9 +65,10 @@ fn run_entry<S: GpuScalar, K: BlockKernel<S>>(
     kernel: &K,
     mem: &mut GpuMemory<S>,
 ) -> Result<ZooEntry> {
-    // One launch through the shared plan executor: it owns the lint,
-    // cross-check and timing bookkeeping the zoo used to duplicate.
-    let mut ex = PlanExecutor::new(spec.clone(), ExecConfig::planned());
+    // One launch through the shared plan executor: it owns the
+    // sanitizer, lint, cross-check and timing bookkeeping the zoo used
+    // to duplicate.
+    let mut ex = PlanExecutor::new(spec.clone(), ExecConfig::checked());
     ex.launch(cfg, kernel, mem)?;
     let report = ex.take_last_lint()?;
     let (kernel_report, stats) = ex.take_last_launch()?;
@@ -70,6 +76,7 @@ fn run_entry<S: GpuScalar, K: BlockKernel<S>>(
     Ok(ZooEntry {
         kernel: report.kernel,
         geometry,
+        violations: std::mem::take(&mut ex.violations),
         report,
         stats,
         mismatches,
@@ -263,8 +270,8 @@ const BUILDERS: [EntryBuilder; 6] = [
 
 /// Run all six kernels at three geometries each (18 entries) on `spec`.
 ///
-/// The lint cross-check contract (zero diagnostics, zero mismatches)
-/// is asserted for the GTX480 the kernels are tuned for; on other
+/// The zoo contract (zero violations, zero diagnostics, zero
+/// mismatches) is asserted for the GTX480 the kernels are tuned for; on other
 /// specs the entries still run and report, but coalescing/bank
 /// predictions are calibrated per device and may legitimately differ.
 pub fn run_zoo_on(spec: &DeviceSpec) -> Result<Vec<ZooEntry>> {
@@ -326,6 +333,27 @@ mod tests {
                 "{name} geometries"
             );
         }
+    }
+
+    #[test]
+    fn every_entry_is_clean_and_a_sanitizer_violation_is_not() {
+        let entries = run_zoo().unwrap();
+        for e in &entries {
+            assert!(e.violations.is_empty(), "{} {}: {:?}", e.kernel, e.geometry, e.violations);
+            assert!(e.is_clean(), "{} {}", e.kernel, e.geometry);
+        }
+        // Lint-clean and prediction-exact, but divergent: not clean.
+        let mut divergent = entries[0].clone();
+        divergent.violations.push(SanitizerViolation::BarrierDivergence {
+            kernel: divergent.kernel,
+            block: 0,
+            barrier_index: 0,
+            missing_lane: 1,
+            arrived: 1,
+            expected: 2,
+        });
+        assert!(divergent.report.is_clean() && divergent.mismatches.is_empty());
+        assert!(!divergent.is_clean());
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! The service report: per-request outcomes, batch summaries,
-//! throughput/latency rollups, SLO accounting, a per-request trace,
-//! and the JSON export + schema validator
-//! (`tridiag.service_report/v1`).
+//! throughput/latency rollups, SLO accounting, and the JSON export +
+//! schema validator (`tridiag.service_report/v1`).
 
 use gpu_sim::json::schema::Check;
-use gpu_sim::{Json, Trace};
+use gpu_sim::Json;
 
 use crate::cache::CacheStats;
 use crate::request::{RequestSpans, Response, ServiceError};
@@ -126,10 +125,6 @@ pub struct ServiceReport {
     pub attributed: RequestSpans,
     /// Latency-objective accounting.
     pub slo: SloSummary,
-    /// Merged trace on the modeled axis: batch spans (tid 0),
-    /// per-device shard tracks, and one track per request with its
-    /// cid-tagged queue → coalesce → kernel → scatter chain.
-    pub trace: Trace,
 }
 
 /// Nearest-rank percentile of an ascending-sorted slice: the smallest
@@ -145,8 +140,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 }
 
 impl ServiceReport {
-    /// Assemble the rollups, SLO accounting, and trace from raw
-    /// outcomes.
+    /// Assemble the rollups and SLO accounting from raw outcomes.
     pub fn build(
         device: String,
         window_us: f64,
@@ -193,63 +187,6 @@ impl ServiceReport {
 
         let slo = slo_accounting(&responses, slo_cfg);
 
-        let mut trace = Trace::new("tridiag-service");
-        for batch in &batches {
-            trace.span(
-                format!("batch[{}] n={} m={}", batch.index, batch.n, batch.m_total),
-                "service",
-                0,
-                batch.start_us,
-                batch.kernel_us,
-                vec![
-                    ("cache_hit".into(), Json::Bool(batch.cache_hit)),
-                    ("isolated".into(), Json::Bool(batch.isolated)),
-                    (
-                        "requests".into(),
-                        Json::num(batch.request_ids.len() as f64),
-                    ),
-                ],
-            );
-            for d in &batch.devices {
-                trace.span(
-                    format!("batch[{}]/dev{}", batch.index, d.device_index),
-                    "device",
-                    crate::telemetry::DEVICE_TRACK_BASE + d.device_index as u32,
-                    batch.start_us,
-                    d.completion_us,
-                    vec![
-                        ("kernel_us".into(), Json::num(d.kernel_us)),
-                        ("sys_count".into(), Json::num(d.sys_count as f64)),
-                    ],
-                );
-            }
-        }
-        for r in &responses {
-            if r.result.is_err() {
-                continue;
-            }
-            // Track per request; spans tile [arrival, completion].
-            let tid = crate::telemetry::request_track(r.id);
-            let arrival = r.completed_us - r.spans.latency_us();
-            let mut cursor = arrival;
-            for (name, dur) in [
-                ("queue", r.spans.queue_us),
-                ("coalesce", r.spans.coalesce_us),
-                ("kernel", r.spans.kernel_us),
-                ("scatter", r.spans.scatter_us),
-            ] {
-                trace.span(
-                    format!("req[{}]/{name}", r.id),
-                    "request",
-                    tid,
-                    cursor,
-                    dur,
-                    vec![("cid".into(), Json::num(r.id as f64))],
-                );
-                cursor += dur;
-            }
-        }
-
         ServiceReport {
             device,
             window_us,
@@ -263,7 +200,6 @@ impl ServiceReport {
             cache,
             makespan_us,
             requests_per_s,
-            trace,
         }
     }
 

@@ -742,7 +742,7 @@ pub fn validate_event_log(text: &str) -> Result<ReplaySummary, Vec<String>> {
 }
 
 /// Validate the per-request span chains of a merged Chrome trace (the
-/// [`Telemetry::to_trace`] / [`ServiceReport`] format). Every
+/// [`Telemetry::to_trace`] format). Every
 /// cat-`"request"` span must carry a numeric `cid` argument; per cid
 /// there must be exactly one chain of four spans — queue, coalesce,
 /// kernel, scatter, in that order, on one track — whose spans tile

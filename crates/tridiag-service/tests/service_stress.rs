@@ -201,6 +201,48 @@ fn faulted_coalesced_batch_is_attributed_to_the_bad_request_only() {
     assert_eq!(stats.failed, 1);
 }
 
+/// A NaN right-hand side sweeps through the pivot-free kernels
+/// without tripping a zero pivot, so the fused solve itself must
+/// reject the non-finite answer: the poisoned request fails typed and
+/// its healthy co-tenants still complete bit-identical to solo.
+#[test]
+fn nan_co_tenant_fails_typed_and_healthy_co_tenants_complete() {
+    let n = 128;
+    let service = SolveService::start(group(), service_config(8.0, 16));
+    service.pause();
+
+    let good_a = healthy(2, n, 11);
+    let mut poisoned = generators::dominant_random::<f64>(n, 12);
+    poisoned.rhs_mut()[40] = f64::NAN;
+    let bad = Payload::F64(SystemBatch::from_systems(vec![poisoned]).unwrap());
+    let good_b = healthy(1, n, 13);
+    let t_a = service.submit(good_a.clone()).unwrap();
+    let t_bad = service.submit(bad).unwrap();
+    let t_b = service.submit(good_b.clone()).unwrap();
+    service.resume();
+
+    let (ra, rbad, rb) = (t_a.wait(), t_bad.wait(), t_b.wait());
+    for r in [&ra, &rbad, &rb] {
+        assert_eq!(r.coalesced_with, 3, "the three requests must co-batch");
+    }
+    match &rbad.result {
+        Err(ServiceError::Solve(msg)) => assert!(msg.contains("non-finite"), "{msg}"),
+        other => panic!("NaN request must fail typed, got {other:?}"),
+    }
+    for (resp, payload, tag) in [(&ra, &good_a, "a"), (&rb, &good_b, "b")] {
+        let got = resp
+            .result
+            .as_ref()
+            .unwrap_or_else(|e| panic!("healthy co-tenant {tag} failed: {e}"));
+        let solo = solo_solution(&group(), service_config(8.0, 16), payload).unwrap();
+        assert_eq!(got.hash(), solo.hash(), "co-tenant {tag} drifted from solo");
+    }
+
+    let stats = service.shutdown();
+    assert_eq!(stats.completed, 2);
+    assert_eq!(stats.failed, 1);
+}
+
 /// Shutdown drains: requests still queued when shutdown begins get a
 /// typed `ShuttingDown` response instead of hanging their tickets, and
 /// later submissions are refused outright.

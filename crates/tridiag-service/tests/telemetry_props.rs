@@ -97,8 +97,8 @@ proptest! {
     }
 
     /// Every workload's event log replays cleanly, its counts match
-    /// the report, and the report's own trace chains every completed
-    /// cid exactly once.
+    /// the report, and the trace derived from the log chains every
+    /// completed cid exactly once.
     #[test]
     fn every_run_replays_and_chains(
         mix in proptest::collection::vec((0usize..3, 0usize..3, 0u8..20), 1..10)
@@ -112,7 +112,8 @@ proptest! {
         prop_assert_eq!(summary.faulted.len(), failed);
         prop_assert_eq!(summary.rejected.len(), rejected);
 
-        let chained = validate_request_chains(&report.trace.to_chrome_json())
+        let trace = core.telemetry().to_trace("telemetry-props");
+        let chained = validate_request_chains(&trace.to_chrome_json())
             .unwrap_or_else(|p| panic!("chains invalid: {p:#?}"));
         let mut expected = summary.completed.clone();
         expected.sort_unstable();

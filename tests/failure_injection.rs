@@ -95,6 +95,38 @@ fn nan_input_is_caught_not_propagated_silently() {
     ));
     // Thomas detects the NaN during the sweep.
     assert!(thomas::solve_typed(&s).is_err());
+
+    // The pivot-free GPU paths sweep straight through a NaN right-hand
+    // side; each must still come back as a typed kernel fault naming
+    // the poisoned system, never `Ok` with NaN in `x`.
+    let n = 256;
+    let mut poisoned = generators::dominant_random::<f64>(n, 4);
+    poisoned.rhs_mut()[100] = f64::NAN;
+    let healthy = |seed: u64| generators::dominant_random::<f64>(n, seed);
+    let solver = GpuTridiagSolver::gtx480();
+    let non_finite = |err: &gpu_sim::SimError| {
+        matches!(err, gpu_sim::SimError::KernelFault(_)) && err.to_string().contains("non-finite")
+    };
+
+    let batch = SystemBatch::from_systems(vec![healthy(5), poisoned.clone(), healthy(6)]).unwrap();
+    let err = solver.solve_batch(&batch).unwrap_err();
+    assert!(non_finite(&err), "{err}");
+    assert!(err.to_string().contains("system 1"), "{err}");
+
+    // Four systems over two devices: the poisoned one lands in shard 1.
+    let group = gpu_sim::DeviceGroup::homogeneous(gpu_sim::DeviceSpec::gtx480(), 2).unwrap();
+    let batch = SystemBatch::from_systems(vec![healthy(7), healthy(8), poisoned, healthy(9)])
+        .unwrap();
+    let err = solver.solve_batch_group::<f64>(&group, &batch).unwrap_err();
+    assert!(non_finite(&err), "{err}");
+    assert!(err.to_string().contains("shard 1"), "{err}");
+
+    // One system row-split across the group.
+    let mut single = generators::dominant_random::<f64>(4096, 10);
+    single.rhs_mut()[3000] = f64::NAN;
+    let batch = SystemBatch::from_systems(vec![single]).unwrap();
+    let err = solver.solve_batch_split::<f64>(&group, &batch).unwrap_err();
+    assert!(non_finite(&err), "{err}");
 }
 
 #[test]
