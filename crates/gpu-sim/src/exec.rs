@@ -2,11 +2,22 @@
 //!
 //! Kernels are written in explicit SIMT style: a [`BlockKernel`]
 //! describes what *one thread block* does, and every memory operation is
-//! block-wide — a slice of per-thread indices (one per active thread,
-//! chunked into warps internally). This keeps the functional semantics
-//! exact, makes coalescing/bank-conflict analysis cheap and precise, and
-//! matches how the paper's kernels are actually structured (lockstep
-//! phases separated by `__syncthreads()`).
+//! block-wide — one index per active thread, chunked into warps
+//! internally. This keeps the functional semantics exact, makes
+//! coalescing/bank-conflict analysis cheap and precise, and matches how
+//! the paper's kernels are actually structured (lockstep phases
+//! separated by `__syncthreads()`).
+//!
+//! Each operation comes in two forms with identical semantics and
+//! counters. The slice forms (`ld`, `st`, `sh_ld`, `sh_st`) take an
+//! index per lane, for irregular lanes. The affine forms (`ld_affine`,
+//! …) take the lanes as [`AffinePiece`]s — the shape almost every
+//! access of the paper's kernels has — and count them in closed form
+//! ([`crate::memory::access_transactions`],
+//! [`crate::memory::access_conflict_cycles`]) and move unit-stride data
+//! with slice copies. Under the sanitizer or plan recording the affine
+//! forms expand their pieces and take the slice path, so checked
+//! launches see exactly the per-lane indices.
 //!
 //! Blocks execute sequentially on the host, which is one of the valid
 //! CUDA interleavings: CUDA guarantees nothing about cross-block
@@ -16,9 +27,12 @@
 
 use crate::counters::{BlockStats, KernelStats, PhaseStats, PRELUDE_PHASE};
 use crate::error::{Result, SimError};
-use crate::memory::{shared_conflict_cycles, warp_transactions, InitMask};
+use crate::memory::{
+    access_conflict_cycles, access_transactions, shared_conflict_cycles, warp_transactions,
+    InitMask,
+};
 use crate::occupancy::{occupancy, Occupancy};
-use crate::plan::{AccessKind, AccessPlan, PlanRecorder};
+use crate::plan::{expand, AccessKind, AccessPlan, AffinePiece, PlanRecorder};
 use crate::sanitizer::{MemSpace, Sanitizer, SanitizerViolation};
 use crate::spec::DeviceSpec;
 use std::fmt::Debug;
@@ -50,7 +64,7 @@ pub struct BufId(usize);
 /// upload. The sanitizer's initcheck reads it; maintenance is cheap
 /// enough to run unconditionally, so the shadow stays accurate even
 /// when only some launches are sanitized.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct GpuMemory<S: Elem> {
     buffers: Vec<Vec<S>>,
     init: Vec<InitMask>,
@@ -257,9 +271,86 @@ pub struct BlockCtx<'a, S: Elem> {
     max_shared_bytes: usize,
     stats: BlockStats,
     cur_phase: &'static str,
+    /// Index of `cur_phase`'s entry in `phase_stats`, once it exists.
+    cur_phase_idx: Option<usize>,
     phase_stats: Vec<PhaseStats>,
     san: Option<Sanitizer>,
     rec: Option<PlanRecorder>,
+    /// Scratch for the affine entry points' expanded lanes.
+    expanded: Vec<usize>,
+}
+
+/// Lane count of a piece list in lane order, and whether every lane's
+/// element lies in `0..len`.
+fn piece_extent(pieces: &[AffinePiece], len: usize) -> Result<(usize, bool)> {
+    let mut lanes = 0usize;
+    let mut in_bounds = true;
+    for p in pieces {
+        if p.lane0 != lanes || p.lanes == 0 {
+            return Err(SimError::InvalidLaunch(format!(
+                "affine piece {p} is not the next lane run after lane {lanes}"
+            )));
+        }
+        let (a, b) = (p.base, p.elem(p.lanes - 1));
+        in_bounds &= a.min(b) >= 0 && (a.max(b) as usize) < len;
+        lanes += p.lanes;
+    }
+    Ok((lanes, in_bounds))
+}
+
+/// Error unless `vals` holds one value per lane of `pieces`.
+fn check_values<S>(pieces: &[AffinePiece], vals: &[S]) -> Result<()> {
+    let lanes: usize = pieces.iter().map(|p| p.lanes).sum();
+    if lanes != vals.len() {
+        return Err(SimError::LaneMismatch {
+            indices: lanes,
+            values: vals.len(),
+        });
+    }
+    Ok(())
+}
+
+/// Replace `out` with `src` read at every lane of `pieces`.
+fn gather<S: Copy>(src: &[S], pieces: &[AffinePiece], out: &mut Vec<S>) {
+    out.clear();
+    for p in pieces {
+        let b = p.base as usize;
+        if p.stride == 1 {
+            out.extend_from_slice(&src[b..b + p.lanes]);
+        } else {
+            out.extend((0..p.lanes).map(|x| src[p.elem(x) as usize]));
+        }
+    }
+}
+
+/// Write `vals` (one per lane) to `dst` at every lane of `pieces`, in
+/// lane order, marking each written element in `mask`.
+fn scatter<S: Copy>(
+    dst: &mut [S],
+    mut mask: Option<&mut InitMask>,
+    pieces: &[AffinePiece],
+    vals: &[S],
+) {
+    let mut vals = vals;
+    for p in pieces {
+        let (v, rest) = vals.split_at(p.lanes);
+        vals = rest;
+        let b = p.base as usize;
+        if p.stride == 1 {
+            dst[b..b + p.lanes].copy_from_slice(v);
+            if let Some(m) = mask.as_deref_mut() {
+                m.set_range(b, b + p.lanes);
+            }
+        } else {
+            for (x, &val) in v.iter().enumerate() {
+                let i = p.elem(x) as usize;
+                dst[i] = val;
+                if let Some(m) = mask.as_deref_mut() {
+                    m.set(i);
+                }
+            }
+        }
+    }
 }
 
 impl<'a, S: Elem> BlockCtx<'a, S> {
@@ -268,18 +359,39 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
     /// breakdown invariant ([`KernelStats::phase_sum_mismatches`]).
     fn bump(&mut self, f: impl Fn(&mut BlockStats)) {
         f(&mut self.stats);
-        let cur = self.cur_phase;
-        let idx = match self.phase_stats.iter().position(|p| p.label == cur) {
+        let idx = match self.cur_phase_idx {
             Some(i) => i,
             None => {
                 self.phase_stats.push(PhaseStats {
-                    label: cur,
+                    label: self.cur_phase,
                     stats: BlockStats::default(),
                 });
-                self.phase_stats.len() - 1
+                let i = self.phase_stats.len() - 1;
+                self.cur_phase_idx = Some(i);
+                i
             }
         };
         f(&mut self.phase_stats[idx].stats);
+    }
+
+    /// Is the sanitizer or the plan recorder on? Their per-lane checks
+    /// and records need the index slice, so the affine entry points
+    /// expand their pieces and take the slice path.
+    fn checked(&self) -> bool {
+        self.san.is_some() || self.rec.is_some()
+    }
+
+    /// Run a slice-form access on `pieces` expanded to their indices.
+    fn with_expanded<R>(
+        &mut self,
+        pieces: &[AffinePiece],
+        f: impl FnOnce(&mut Self, &[usize]) -> R,
+    ) -> R {
+        let mut idx = std::mem::take(&mut self.expanded);
+        expand(pieces, &mut idx);
+        let r = f(self, &idx);
+        self.expanded = idx;
+        r
     }
 
     /// Block-wide global load: `idx[t]` is the element index thread `t`
@@ -349,18 +461,28 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
                 len,
             });
         }
-        if idx.len() > self.threads {
-            return Err(SimError::InvalidLaunch(format!(
-                "{} lanes exceed block size {}",
-                idx.len(),
-                self.threads
-            )));
-        }
+        self.check_width(idx.len())?;
         let mut transactions = 0u64;
         for warp in idx.chunks(self.warp_size) {
             transactions += warp_transactions(warp, S::BYTES, self.transaction_bytes);
         }
-        let bytes = idx.len() as u64 * S::BYTES as u64;
+        self.count_global(idx.len(), transactions, is_load);
+        Ok(())
+    }
+
+    /// One access has at most one lane per thread of the block.
+    fn check_width(&self, lanes: usize) -> Result<()> {
+        if lanes > self.threads {
+            return Err(SimError::InvalidLaunch(format!(
+                "{} lanes exceed block size {}",
+                lanes, self.threads
+            )));
+        }
+        Ok(())
+    }
+
+    fn count_global(&mut self, lanes: usize, transactions: u64, is_load: bool) {
+        let bytes = lanes as u64 * S::BYTES as u64;
         self.bump(|s| {
             if is_load {
                 s.global_load_transactions += transactions;
@@ -371,6 +493,59 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
             }
             s.global_access_rounds += 1;
         });
+    }
+
+    /// Validate and count an unchecked affine global access; `false`
+    /// when it must take the slice path instead (checked launch, or a
+    /// lane out of bounds or beyond the block, which the slice path
+    /// reports).
+    fn account_global_affine(
+        &mut self,
+        buf: BufId,
+        pieces: &[AffinePiece],
+        is_load: bool,
+    ) -> Result<bool> {
+        let len = self.mem.len(buf)?;
+        let (lanes, in_bounds) = piece_extent(pieces, len)?;
+        if self.checked() || !in_bounds || lanes > self.threads {
+            return Ok(false);
+        }
+        let transactions = access_transactions(
+            pieces,
+            lanes,
+            self.warp_size,
+            S::BYTES,
+            self.transaction_bytes,
+        );
+        self.count_global(lanes, transactions, is_load);
+        Ok(true)
+    }
+
+    /// [`Self::ld`] with the lanes given as affine pieces in lane order
+    /// (lane `p.lane0 + x` reads element `p.elem(x)`): the same access,
+    /// data and counters, counted in closed form.
+    pub fn ld_affine(
+        &mut self,
+        buf: BufId,
+        pieces: &[AffinePiece],
+        out: &mut Vec<S>,
+    ) -> Result<()> {
+        if !self.account_global_affine(buf, pieces, true)? {
+            return self.with_expanded(pieces, |ctx, idx| ctx.ld(buf, idx, out));
+        }
+        gather(&self.mem.buffers[buf.0], pieces, out);
+        Ok(())
+    }
+
+    /// [`Self::st`] with the lanes given as affine pieces in lane order:
+    /// the same access, data and counters, counted in closed form.
+    pub fn st_affine(&mut self, buf: BufId, pieces: &[AffinePiece], vals: &[S]) -> Result<()> {
+        check_values(pieces, vals)?;
+        if !self.account_global_affine(buf, pieces, false)? {
+            return self.with_expanded(pieces, |ctx, idx| ctx.st(buf, idx, vals));
+        }
+        let mask = Some(&mut self.mem.init[buf.0]);
+        scatter(&mut self.mem.buffers[buf.0], mask, pieces, vals);
         Ok(())
     }
 
@@ -453,14 +628,54 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
                 len,
             });
         }
+        self.check_width(idx.len())?;
         let mut replays = 0u64;
         for warp in idx.chunks(self.warp_size) {
             replays += shared_conflict_cycles(warp, S::BYTES, self.banks) - 1;
         }
+        self.count_shared(replays);
+        Ok(())
+    }
+
+    fn count_shared(&mut self, replays: u64) {
         self.bump(|s| {
             s.shared_accesses += 1;
             s.bank_conflict_replays += replays;
         });
+    }
+
+    /// The shared-memory twin of [`Self::account_global_affine`].
+    fn account_shared_affine(&mut self, pieces: &[AffinePiece]) -> Result<bool> {
+        let (lanes, in_bounds) = piece_extent(pieces, self.shared.len())?;
+        if self.checked() || !in_bounds || lanes > self.threads {
+            return Ok(false);
+        }
+        let (replays, _) =
+            access_conflict_cycles(pieces, lanes, self.warp_size, S::BYTES, self.banks);
+        self.count_shared(replays);
+        Ok(true)
+    }
+
+    /// [`Self::sh_ld`] with the lanes given as affine pieces in lane
+    /// order: the same access, data and counters, counted in closed
+    /// form.
+    pub fn sh_ld_affine(&mut self, pieces: &[AffinePiece], out: &mut Vec<S>) -> Result<()> {
+        if !self.account_shared_affine(pieces)? {
+            return self.with_expanded(pieces, |ctx, idx| ctx.sh_ld(idx, out));
+        }
+        gather(&self.shared, pieces, out);
+        Ok(())
+    }
+
+    /// [`Self::sh_st`] with the lanes given as affine pieces in lane
+    /// order: the same access, data and counters, counted in closed
+    /// form.
+    pub fn sh_st_affine(&mut self, pieces: &[AffinePiece], vals: &[S]) -> Result<()> {
+        check_values(pieces, vals)?;
+        if !self.account_shared_affine(pieces)? {
+            return self.with_expanded(pieces, |ctx, idx| ctx.sh_st(idx, vals));
+        }
+        scatter(&mut self.shared, None, pieces, vals);
         Ok(())
     }
 
@@ -499,6 +714,7 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
     /// [`ExecConfig::record_plan`] is on.
     pub fn phase(&mut self, label: &'static str) {
         self.cur_phase = label;
+        self.cur_phase_idx = self.phase_stats.iter().position(|p| p.label == label);
         if let Some(rec) = self.rec.as_mut() {
             rec.set_phase(label);
         }
@@ -607,6 +823,7 @@ pub fn launch_with<S: Elem, K: BlockKernel<S>>(
             max_shared_bytes: spec.max_shared_per_block,
             stats: BlockStats::default(),
             cur_phase: PRELUDE_PHASE,
+            cur_phase_idx: None,
             phase_stats: Vec::new(),
             san: exec.sanitize.then(|| {
                 Sanitizer::new(
@@ -617,6 +834,7 @@ pub fn launch_with<S: Elem, K: BlockKernel<S>>(
                 )
             }),
             rec: exec.record_plan.then(|| PlanRecorder::new(block_id)),
+            expanded: Vec::new(),
         };
         kernel.run_block(&mut ctx)?;
         stats.merge_block_phases(&ctx.phase_stats);
@@ -877,6 +1095,157 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, SimError::GlobalOutOfBounds { .. }));
+    }
+
+    #[test]
+    fn accesses_wider_than_the_block_are_rejected() {
+        /// 300 lanes of shared memory in a 64-thread block, through the
+        /// slice or the affine entry point.
+        struct Wide {
+            affine: bool,
+        }
+        impl BlockKernel<f64> for Wide {
+            fn run_block(&self, ctx: &mut BlockCtx<'_, f64>) -> Result<()> {
+                let base = ctx.shared_alloc(300)?;
+                let mut vals = Vec::new();
+                if self.affine {
+                    let mut lanes = crate::plan::Lanes::new();
+                    lanes.push(base, 1, 300);
+                    ctx.sh_ld_affine(lanes.pieces(), &mut vals)
+                } else {
+                    let idx: Vec<usize> = (base..base + 300).collect();
+                    ctx.sh_ld(&idx, &mut vals)
+                }
+            }
+        }
+        for affine in [false, true] {
+            let mut mem = GpuMemory::<f64>::new();
+            let cfg = LaunchConfig::new("wide", 1, 64);
+            let err = launch(&gtx480(), &cfg, &Wide { affine }, &mut mem).unwrap_err();
+            assert!(
+                matches!(err, SimError::InvalidLaunch(_)),
+                "affine={affine}: {err:?}"
+            );
+        }
+    }
+
+    /// Every access shape through both entry points: unit, strided,
+    /// broadcast, negative-stride and multi-piece lanes, global and
+    /// shared, loads and stores, with partial warps.
+    struct Shapes {
+        input: BufId,
+        output: BufId,
+        affine: bool,
+    }
+    impl BlockKernel<f64> for Shapes {
+        fn run_block(&self, ctx: &mut BlockCtx<'_, f64>) -> Result<()> {
+            let sh = ctx.shared_alloc(512)?;
+            let off = ctx.block_id * 7;
+            let runs: [&[(usize, i64, usize)]; 5] = [
+                &[(off, 1, 100)],
+                &[(off + 3, 3, 45)],
+                &[(off + 9, 0, 40)],
+                &[(off + 200, -2, 70)],
+                &[
+                    (off, 1, 5),
+                    (off + 64, 16, 20),
+                    (off + 40, 1, 30),
+                    (off + 7, 0, 3),
+                ],
+            ];
+            let mut lanes = crate::plan::Lanes::new();
+            let mut idx = Vec::new();
+            let mut vals = Vec::new();
+            for (i, shape) in runs.iter().enumerate() {
+                ctx.phase(["a", "b", "a", "c", "b"][i]);
+                lanes.clear();
+                for &(base, stride, count) in *shape {
+                    lanes.push(base, stride, count);
+                }
+                crate::plan::expand(lanes.pieces(), &mut idx);
+                let sh_idx: Vec<usize> = idx.iter().map(|&e| sh + e).collect();
+                let mut sh_lanes = crate::plan::Lanes::new();
+                for p in lanes.pieces() {
+                    sh_lanes.push(sh + p.base as usize, p.stride, p.lanes);
+                }
+                if self.affine {
+                    ctx.ld_affine(self.input, lanes.pieces(), &mut vals)?;
+                    ctx.sh_st_affine(sh_lanes.pieces(), &vals)?;
+                    ctx.sync();
+                    ctx.sh_ld_affine(sh_lanes.pieces(), &mut vals)?;
+                    ctx.st_affine(self.output, lanes.pieces(), &vals)?;
+                } else {
+                    ctx.ld(self.input, &idx, &mut vals)?;
+                    ctx.sh_st(&sh_idx, &vals)?;
+                    ctx.sync();
+                    ctx.sh_ld(&sh_idx, &mut vals)?;
+                    ctx.st(self.output, &idx, &vals)?;
+                }
+                ctx.sync();
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn affine_entry_points_match_the_slice_forms() {
+        let spec = gtx480();
+        let run = |affine: bool, exec: ExecConfig| {
+            let mut mem = GpuMemory::<f64>::new();
+            let input = mem.alloc_from((0..400).map(|i| i as f64 * 0.5).collect());
+            let output = mem.alloc(400);
+            let cfg = LaunchConfig::new("shapes", 3, 128);
+            let k = Shapes {
+                input,
+                output,
+                affine,
+            };
+            let res = launch_with(&spec, &cfg, &exec, &k, &mut mem).unwrap();
+            let init: Vec<bool> = (0..400).map(|i| mem.is_word_init(output, i)).collect();
+            (res.stats, mem.read(output).unwrap().to_vec(), init)
+        };
+        let reference = run(false, ExecConfig::default());
+        assert!(reference.0.total.bank_conflict_replays > 0);
+        assert_eq!(run(true, ExecConfig::default()), reference);
+        assert_eq!(
+            run(true, ExecConfig::checked()),
+            run(false, ExecConfig::checked())
+        );
+    }
+
+    #[test]
+    fn affine_out_of_bounds_matches_the_slice_error() {
+        struct Oob {
+            input: BufId,
+            affine: bool,
+        }
+        impl BlockKernel<f64> for Oob {
+            fn run_block(&self, ctx: &mut BlockCtx<'_, f64>) -> Result<()> {
+                let mut vals = Vec::new();
+                if self.affine {
+                    let mut lanes = crate::plan::Lanes::new();
+                    lanes.push(4, 3, 8);
+                    ctx.ld_affine(self.input, lanes.pieces(), &mut vals)
+                } else {
+                    let idx: Vec<usize> = (0..8).map(|x| 4 + 3 * x).collect();
+                    ctx.ld(self.input, &idx, &mut vals)
+                }
+            }
+        }
+        let errs: Vec<SimError> = [false, true]
+            .into_iter()
+            .map(|affine| {
+                let mut mem = GpuMemory::<f64>::new();
+                let input = mem.alloc_from(vec![1.0; 20]);
+                let cfg = LaunchConfig::new("oob", 1, 32);
+                launch(&gtx480(), &cfg, &Oob { input, affine }, &mut mem).unwrap_err()
+            })
+            .collect();
+        assert_eq!(errs[0], errs[1]);
+        assert!(matches!(
+            errs[0],
+            SimError::GlobalOutOfBounds { index: 22, .. }
+        ));
     }
 
     #[test]

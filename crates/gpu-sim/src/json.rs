@@ -150,9 +150,14 @@ impl fmt::Display for JsonError {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts: deeper input is an
+/// error rather than a stack overflow of the recursive descent.
+pub const MAX_DEPTH: usize = 256;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -275,6 +280,16 @@ impl<'a> Parser<'a> {
     }
 
     fn value(&mut self) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return self.err(format!("nesting deeper than {MAX_DEPTH}"));
+        }
+        self.depth += 1;
+        let v = self.nested_value();
+        self.depth -= 1;
+        v
+    }
+
+    fn nested_value(&mut self) -> Result<Json, JsonError> {
         self.skip_ws();
         match self.peek() {
             None => self.err("unexpected end of input"),
@@ -344,6 +359,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -356,6 +372,16 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        assert!(parse(&deep).unwrap_err().msg.contains("nesting deeper"));
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH - 1), "]".repeat(MAX_DEPTH - 1));
+        assert!(parse(&ok).is_ok());
+        let too_deep = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&too_deep).unwrap_err().msg.contains("nesting deeper"));
+    }
 
     #[test]
     fn round_trips_every_value_kind() {

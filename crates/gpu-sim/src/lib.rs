@@ -17,6 +17,11 @@
 //! - shared-memory **bank conflicts** ([`memory::shared_conflict_cycles`]),
 //! - FLOPs, barriers, and dependent global-access **rounds**.
 //!
+//! Transactions and bank conflicts are counted in closed form when a
+//! kernel hands over its lanes as affine pieces
+//! ([`memory::access_transactions`], [`memory::access_conflict_cycles`];
+//! see [`exec`]).
+//!
 //! A [`sanitizer`] (opt-in via [`exec::ExecConfig`] and
 //! [`exec::launch_with`]) is the one checker of kernel correctness: it
 //! checks the accesses the way `compute-sanitizer` would — shared-memory
@@ -96,7 +101,7 @@ pub use exec::{
 };
 pub use group::{DeviceGroup, DeviceStream, GroupTimeline, StreamEvent, StreamOp};
 pub use lint::{lint, Diagnostic, DiagClass, LintReport, Prediction, Severity};
-pub use plan::{AccessKind, AccessPlan, AffinePiece, BlockPlan, PlanEvent, PlannedAccess};
+pub use plan::{AccessKind, AccessPlan, AffinePiece, BlockPlan, Lanes, PlanEvent, PlannedAccess};
 pub use sanitizer::{AccessSite, MemSpace, RaceKind, SanitizerViolation};
 pub use occupancy::{occupancy, Limiter, Occupancy};
 pub use spec::{DeviceSpec, Precision};

@@ -2,72 +2,16 @@
 //! pieces, and stride > 1 global-traffic diagnostics.
 //!
 //! The transaction count of one warp access is the number of distinct
-//! `segment_bytes`-aligned segments the warp's lanes touch
-//! ([`crate::memory::warp_transactions`]). For an affine piece the
-//! segment ids form a closed shape:
-//!
-//! - stride 0 — every lane hits one segment: **1**;
-//! - `|stride| · elem ≤ segment` — consecutive lanes move less than a
-//!   segment per step, so the touched segments are the *full interval*
-//!   `[floor(min·e/seg), floor(max·e/seg)]`;
-//! - `|stride| · elem > segment` — lanes can skip segments, and with a
-//!   warp bounded at 32 lanes enumeration is exact and O(32).
-//!
-//! Warps holding several pieces (ragged tails, clamp lanes) take the
-//! exact union of the per-piece segment sets. The result is equal —
-//! provably, and checked by the golden cross-check — to what the
-//! dynamic counter measures.
+//! `segment_bytes`-aligned segments the warp's lanes touch. The closed
+//! form over affine pieces lives in
+//! [`crate::memory::access_transactions`], which the executor's affine
+//! entry points call too; it is equal — provably, and checked by the
+//! golden cross-check and the model property tests — to the dense
+//! per-warp counter [`crate::memory::warp_transactions`].
 
-use super::{floor_div, DiagClass, DiagSink, Prediction, Severity, GLOBAL_STRIDE_THRESHOLD};
-use crate::plan::{AccessPlan, PlanEvent, PlannedAccess};
-
-/// Exact transaction count for one block-wide access (all warps).
-pub fn access_transactions(
-    a: &PlannedAccess,
-    warp_size: usize,
-    elem_bytes: usize,
-    segment_bytes: usize,
-) -> u64 {
-    let e = elem_bytes as i128;
-    let seg = segment_bytes as i128;
-    let mut total = 0u64;
-    let mut w0 = 0usize;
-    while w0 < a.lanes {
-        let w1 = (w0 + warp_size).min(a.lanes);
-        let mut segs: Vec<i128> = Vec::new();
-        for p in &a.pieces {
-            let lo = p.lane0.max(w0);
-            let hi = (p.lane0 + p.lanes).min(w1);
-            if lo >= hi {
-                continue;
-            }
-            let x0 = (lo - p.lane0) as i128;
-            let x1 = (hi - p.lane0) as i128; // exclusive
-            let s = p.stride as i128;
-            let b = p.base as i128;
-            let first = b + s * x0;
-            let last = b + s * (x1 - 1);
-            if s == 0 {
-                segs.push(floor_div(first * e, seg));
-            } else if s.abs() * e <= seg {
-                // No segment can be skipped: full contiguous id range.
-                let (mn, mx) = (first.min(last), first.max(last));
-                let s0 = floor_div(mn * e, seg);
-                let s1 = floor_div(mx * e, seg);
-                segs.extend(s0..=s1);
-            } else {
-                for x in x0..x1 {
-                    segs.push(floor_div((b + s * x) * e, seg));
-                }
-            }
-        }
-        segs.sort_unstable();
-        segs.dedup();
-        total += segs.len() as u64;
-        w0 = w1;
-    }
-    total
-}
+use super::{DiagClass, DiagSink, Prediction, Severity, GLOBAL_STRIDE_THRESHOLD};
+use crate::memory::access_transactions;
+use crate::plan::{AccessPlan, PlanEvent};
 
 /// Fewest transactions `lanes` active lanes could cost (perfectly
 /// coalesced, aligned) — the denominator in diagnostics, and the
@@ -98,7 +42,13 @@ pub(crate) fn run(plan: &AccessPlan, sink: &mut DiagSink, pred: &mut Prediction)
                 PlanEvent::Access(a) if a.kind.is_global() => a,
                 _ => continue,
             };
-            let t = access_transactions(a, plan.warp_size, plan.elem_bytes, plan.segment_bytes);
+            let t = access_transactions(
+                &a.pieces,
+                a.lanes,
+                plan.warp_size,
+                plan.elem_bytes,
+                plan.segment_bytes,
+            );
             let bytes = (a.lanes * plan.elem_bytes) as u64;
             if a.kind.is_store() {
                 pred.global_store_transactions += t;
@@ -140,17 +90,7 @@ pub(crate) fn run(plan: &AccessPlan, sink: &mut DiagSink, pred: &mut Prediction)
 mod tests {
     use super::*;
     use crate::memory::warp_transactions;
-    use crate::plan::{compress, AccessKind};
-
-    fn access(idx: &[usize]) -> PlannedAccess {
-        PlannedAccess {
-            kind: AccessKind::GlobalLoad,
-            phase: "t",
-            buffer: Some(0),
-            lanes: idx.len(),
-            pieces: compress(idx),
-        }
-    }
+    use crate::plan::compress;
 
     /// The closed form must agree with the dynamic per-warp counter on
     /// every index shape kernels produce.
@@ -171,13 +111,12 @@ mod tests {
         ];
         for idx in shapes {
             for eb in [4usize, 8] {
-                let a = access(&idx);
                 let mut dynamic = 0u64;
                 for warp in idx.chunks(32) {
                     dynamic += warp_transactions(warp, eb, 128);
                 }
                 assert_eq!(
-                    access_transactions(&a, 32, eb, 128),
+                    access_transactions(&compress(&idx), idx.len(), 32, eb, 128),
                     dynamic,
                     "idx={idx:?} eb={eb}"
                 );

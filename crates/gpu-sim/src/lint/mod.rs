@@ -294,16 +294,6 @@ impl DiagSink {
     }
 }
 
-/// Floor division on `i128` (Rust's `/` truncates toward zero).
-pub(crate) fn floor_div(a: i128, b: i128) -> i128 {
-    let q = a / b;
-    if a % b != 0 && (a < 0) != (b < 0) {
-        q - 1
-    } else {
-        q
-    }
-}
-
 /// Run both passes over a plan and total its barriers and
 /// shared-memory peak.
 pub fn lint(plan: &AccessPlan) -> LintReport {
@@ -340,15 +330,6 @@ pub fn lint(plan: &AccessPlan) -> LintReport {
 mod tests {
     use super::*;
     use crate::plan::AccessKind;
-
-    #[test]
-    fn floor_division() {
-        assert_eq!(floor_div(7, 2), 3);
-        assert_eq!(floor_div(-7, 2), -4);
-        assert_eq!(floor_div(7, -2), -4);
-        assert_eq!(floor_div(-7, -2), 3);
-        assert_eq!(floor_div(6, 3), 2);
-    }
 
     #[test]
     fn full_barriers_are_counted_not_flagged() {

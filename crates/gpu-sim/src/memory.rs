@@ -1,5 +1,6 @@
-//! Global-memory access analysis: coalescing, plus the word-granular
-//! initialization shadow the sanitizer's initcheck uses.
+//! Memory access analysis: global coalescing, shared-memory bank
+//! conflicts, and the word-granular initialization shadow the
+//! sanitizer's initcheck uses.
 //!
 //! Fermi-class GPUs service a warp's global access as one transaction
 //! per distinct 128-byte segment the warp's lanes touch. Adjacent lanes
@@ -7,6 +8,16 @@
 //! transactions (fully coalesced), while lanes striding by a large pitch
 //! cost one transaction *each* — the difference between the paper's
 //! interleaved and contiguous p-Thomas layouts (Section III-B).
+//!
+//! Each counter exists in two forms. The dense ones
+//! ([`warp_transactions`], [`shared_conflict_cycles`]) take one warp's
+//! lane indices and are the oracle. The closed forms
+//! ([`access_transactions`], [`access_conflict_cycles`]) take the same
+//! lanes as [`AffinePiece`]s and count a warp held by one piece in O(1);
+//! the executor's affine entry points and the lint's counter model both
+//! call them.
+
+use crate::plan::AffinePiece;
 
 /// Word-granular initialization shadow for one buffer: which elements a
 /// store (or host upload) has ever written. `Full` is the common case —
@@ -40,6 +51,25 @@ impl InitMask {
     pub fn set(&mut self, i: usize) {
         if let InitMask::Partial(bits) = self {
             bits[i / 64] |= 1u64 << (i % 64);
+        }
+    }
+
+    /// Mark elements `lo..hi` initialized (a unit-stride store).
+    pub fn set_range(&mut self, lo: usize, hi: usize) {
+        let InitMask::Partial(bits) = self else {
+            return;
+        };
+        let mut i = lo;
+        while i < hi {
+            let bit = i % 64;
+            let n = (64 - bit).min(hi - i);
+            let run = if n == 64 {
+                u64::MAX
+            } else {
+                ((1u64 << n) - 1) << bit
+            };
+            bits[i / 64] |= run;
+            i += n;
         }
     }
 }
@@ -82,9 +112,9 @@ pub fn shared_conflict_cycles(lane_elem_indices: &[usize], elem_bytes: usize, ba
     );
     // bank of an element = (byte_addr / 4) % banks; a conflict is two
     // lanes on the same bank with *different* words. A warp has at most
-    // 64 lanes, so fixed-size scratch + linear scans beat any hashing
-    // (this function runs once per warp access — the simulator's
-    // hottest path).
+    // 64 lanes, so fixed-size scratch + linear scans beat any hashing.
+    // The executor calls this per warp only for index-slice accesses and
+    // for warps that span several affine pieces.
     let mut seen_words: [u64; 64] = [0; 64];
     let mut seen_count = 0usize;
     let mut per_bank: [u8; 64] = [0; 64];
@@ -98,6 +128,171 @@ pub fn shared_conflict_cycles(lane_elem_indices: &[usize], elem_bytes: usize, ba
         }
     }
     per_bank.iter().map(|&c| c as u64).max().unwrap_or(0).max(1)
+}
+
+/// Most lanes one warp access may have (the dense counters' scratch).
+const MAX_WARP: usize = 64;
+
+/// Call `f(covering, w0, w1)` for each warp `[w0, w1)` of a
+/// `lanes`-lane access, where `covering` is the run of `pieces` that
+/// overlaps the warp. `pieces` are in lane order.
+fn for_each_warp(
+    pieces: &[AffinePiece],
+    lanes: usize,
+    warp_size: usize,
+    mut f: impl FnMut(&[AffinePiece], usize, usize),
+) {
+    let mut first = 0usize;
+    let mut w0 = 0usize;
+    while w0 < lanes {
+        let w1 = (w0 + warp_size).min(lanes);
+        while first < pieces.len() && pieces[first].lane0 + pieces[first].lanes <= w0 {
+            first += 1;
+        }
+        let mut end = first;
+        while end < pieces.len() && pieces[end].lane0 < w1 {
+            end += 1;
+        }
+        f(&pieces[first..end], w0, w1);
+        w0 = w1;
+    }
+}
+
+/// The lanes of `p` inside the warp `[w0, w1)`, as relative lane
+/// offsets `x0..x1` into `p`.
+fn clip(p: &AffinePiece, w0: usize, w1: usize) -> (usize, usize) {
+    let lo = p.lane0.max(w0);
+    let hi = (p.lane0 + p.lanes).min(w1).max(lo);
+    (lo - p.lane0, hi - p.lane0)
+}
+
+/// Expand the lanes of `pieces` inside `[w0, w1)` into `out`; returns
+/// the lane count.
+fn enumerate_warp(
+    pieces: &[AffinePiece],
+    w0: usize,
+    w1: usize,
+    out: &mut [usize; MAX_WARP],
+) -> usize {
+    let mut n = 0usize;
+    for p in pieces {
+        let (x0, x1) = clip(p, w0, w1);
+        for x in x0..x1 {
+            out[n] = p.elem(x) as usize;
+            n += 1;
+        }
+    }
+    n
+}
+
+/// [`warp_transactions`] of the warp `[w0, w1)` of an access given as
+/// affine pieces (every element index non-negative). One covering
+/// piece is counted in closed form: a broadcast touches one segment; a
+/// step of at most one segment touches the whole interval between the
+/// first and last lane's segments; a longer step touches a new segment
+/// on every lane. Several covering pieces are enumerated.
+fn warp_transactions_affine(
+    pieces: &[AffinePiece],
+    w0: usize,
+    w1: usize,
+    elem_bytes: usize,
+    segment_bytes: usize,
+) -> u64 {
+    debug_assert!(w1 - w0 <= MAX_WARP, "a warp access has at most 64 lanes");
+    if let [p] = pieces {
+        let (x0, x1) = clip(p, w0, w1);
+        if x0 == x1 {
+            return 0;
+        }
+        let (e, seg) = (elem_bytes as i64, segment_bytes as i64);
+        return if p.stride == 0 {
+            1
+        } else if p.stride.abs() * e <= seg {
+            let (a, b) = (p.elem(x0), p.elem(x1 - 1));
+            ((a.max(b) * e).div_euclid(seg) - (a.min(b) * e).div_euclid(seg) + 1) as u64
+        } else {
+            (x1 - x0) as u64
+        };
+    }
+    let mut idx = [0usize; MAX_WARP];
+    let n = enumerate_warp(pieces, w0, w1, &mut idx);
+    warp_transactions(&idx[..n], elem_bytes, segment_bytes)
+}
+
+/// [`shared_conflict_cycles`] of the warp `[w0, w1)` of an access given
+/// as affine pieces (every element index non-negative). One covering
+/// piece of element stride `s` is counted in closed form: its lanes
+/// touch distinct words at word stride `W = s·elem/4`, which repeat a
+/// bank every `period = banks / gcd(|W|, banks)` lanes, so `L` lanes
+/// take `ceil(L / period)` cycles (one for a broadcast). Several
+/// covering pieces are enumerated.
+fn warp_conflict_cycles_affine(
+    pieces: &[AffinePiece],
+    w0: usize,
+    w1: usize,
+    elem_bytes: usize,
+    banks: u32,
+) -> u64 {
+    debug_assert!(w1 - w0 <= MAX_WARP, "a warp access has at most 64 lanes");
+    if let [p] = pieces {
+        if elem_bytes.is_multiple_of(4) {
+            let (x0, x1) = clip(p, w0, w1);
+            if p.stride == 0 || x1 - x0 <= 1 {
+                return 1;
+            }
+            let w = p.stride.unsigned_abs() * (elem_bytes as u64 / 4);
+            let period = banks as u64 / gcd(w, banks as u64);
+            return ((x1 - x0) as u64).div_ceil(period);
+        }
+    }
+    let mut idx = [0usize; MAX_WARP];
+    let n = enumerate_warp(pieces, w0, w1, &mut idx);
+    shared_conflict_cycles(&idx[..n], elem_bytes, banks)
+}
+
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// Transactions of one block-wide global access of `lanes` lanes given
+/// as affine pieces in lane order: the sum over its warps of the
+/// per-warp closed form (see [`warp_transactions`] for the counting
+/// rule).
+pub fn access_transactions(
+    pieces: &[AffinePiece],
+    lanes: usize,
+    warp_size: usize,
+    elem_bytes: usize,
+    segment_bytes: usize,
+) -> u64 {
+    let mut total = 0u64;
+    for_each_warp(pieces, lanes, warp_size, |p, w0, w1| {
+        total += warp_transactions_affine(p, w0, w1, elem_bytes, segment_bytes);
+    });
+    total
+}
+
+/// Bank-conflict cost of one block-wide shared access of `lanes` lanes
+/// given as affine pieces in lane order: `(replays, worst)`, the replay
+/// cycles summed over its warps and the largest per-warp cycle count
+/// (see [`shared_conflict_cycles`] for the counting rule).
+pub fn access_conflict_cycles(
+    pieces: &[AffinePiece],
+    lanes: usize,
+    warp_size: usize,
+    elem_bytes: usize,
+    banks: u32,
+) -> (u64, u64) {
+    let (mut replays, mut worst) = (0u64, 1u64);
+    for_each_warp(pieces, lanes, warp_size, |p, w0, w1| {
+        let cycles = warp_conflict_cycles_affine(p, w0, w1, elem_bytes, banks);
+        replays += cycles - 1;
+        worst = worst.max(cycles);
+    });
+    (replays, worst)
 }
 
 #[cfg(test)]

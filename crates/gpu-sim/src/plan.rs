@@ -25,6 +25,12 @@
 //!    directly via [`AccessPlan::synthetic`] and the `push_*` methods
 //!    on [`BlockPlan`].
 //!
+//! The pieces are also how kernels describe their lanes to the
+//! executor: they build them with [`Lanes`] and pass them to
+//! `BlockCtx::ld_affine` and friends, which count them in closed form
+//! (and, when recording, [`expand`] them into the index slice the
+//! recorder compresses, so the recorded plan is the same either way).
+//!
 //! The same-trip [`crate::lint`](mod@crate::lint) passes recompute transaction and
 //! replay counts from the pieces alone; the golden-counter suite then
 //! asserts those static predictions equal the dynamically measured
@@ -112,6 +118,86 @@ pub fn compress(idx: &[usize]) -> Vec<AffinePiece> {
         i = j + 1;
     }
     pieces
+}
+
+/// Expand pieces (in lane order) into their index slice, the inverse
+/// of [`compress`]. Element indices must be non-negative.
+pub fn expand(pieces: &[AffinePiece], out: &mut Vec<usize>) {
+    out.clear();
+    for p in pieces {
+        out.extend((0..p.lanes).map(|x| p.elem(x) as usize));
+    }
+}
+
+/// A block-wide lane list built run by run as [`AffinePiece`]s — the
+/// form the affine entry points of [`crate::exec::BlockCtx`] take
+/// (`ld_affine` and friends). A run that continues the previous piece
+/// extends it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Lanes {
+    pieces: Vec<AffinePiece>,
+    len: usize,
+}
+
+impl Lanes {
+    /// Empty lane list.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Remove every lane.
+    pub fn clear(&mut self) {
+        self.pieces.clear();
+        self.len = 0;
+    }
+
+    /// Lane count.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when the list has no lanes.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The pieces, in lane order.
+    pub fn pieces(&self) -> &[AffinePiece] {
+        &self.pieces
+    }
+
+    /// Append `count` lanes touching `base + stride·x` for
+    /// `x ∈ [0, count)`.
+    pub fn push(&mut self, base: usize, stride: i64, count: usize) {
+        if count == 0 {
+            return;
+        }
+        match self.pieces.last_mut() {
+            Some(last) if last.stride == stride && last.elem(last.lanes) == base as i64 => {
+                last.lanes += count;
+            }
+            _ => self.pieces.push(AffinePiece {
+                lane0: self.len,
+                lanes: count,
+                base: base as i64,
+                stride,
+            }),
+        }
+        self.len += count;
+    }
+
+    /// Replace `out` with lanes `lo..hi` of this list (renumbered from
+    /// lane 0).
+    pub fn slice_into(&self, lo: usize, hi: usize, out: &mut Lanes) {
+        out.clear();
+        for p in &self.pieces {
+            let x0 = lo.max(p.lane0) - p.lane0;
+            let x1 = hi.min(p.lane0 + p.lanes).saturating_sub(p.lane0);
+            if x0 < x1 {
+                out.push(p.elem(x0) as usize, p.stride, x1 - x0);
+            }
+        }
+    }
 }
 
 /// The kind of memory operation a [`PlannedAccess`] describes.
@@ -379,6 +465,26 @@ mod tests {
                 assert_eq!(*e, idx[lane] as i64, "lane {lane} of {idx:?}");
             }
         }
+    }
+
+    #[test]
+    fn lanes_merge_runs_and_slice_into_chunks() {
+        let mut l = Lanes::new();
+        l.push(10, 1, 4);
+        l.push(14, 1, 4); // continues the run
+        l.push(100, 3, 3);
+        l.push(0, 1, 0); // no lanes
+        assert_eq!(l.len(), 11);
+        assert_eq!(l.pieces().len(), 2);
+        let mut flat = Vec::new();
+        super::expand(l.pieces(), &mut flat);
+        assert_eq!(flat, vec![10, 11, 12, 13, 14, 15, 16, 17, 100, 103, 106]);
+        assert_eq!(compress(&flat), l.pieces());
+        let mut part = Lanes::new();
+        l.slice_into(6, 10, &mut part);
+        super::expand(part.pieces(), &mut flat);
+        assert_eq!(flat, vec![16, 17, 100, 103]);
+        assert_eq!(part.pieces()[1].lane0, 2);
     }
 
     #[test]

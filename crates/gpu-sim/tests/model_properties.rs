@@ -1,10 +1,37 @@
 //! Property tests for the simulator's analytic models: the coalescing
 //! analyzer, the bank-conflict model and the occupancy calculator obey
-//! the monotonicity/invariance laws the real hardware does.
+//! the monotonicity/invariance laws the real hardware does; the closed
+//! forms over affine pieces equal the dense counters; and the init
+//! mask's range write equals per-element writes.
 
-use gpu_sim::memory::{shared_conflict_cycles, warp_transactions};
-use gpu_sim::{occupancy, DeviceSpec};
+use gpu_sim::memory::{
+    access_conflict_cycles, access_transactions, shared_conflict_cycles, warp_transactions,
+    InitMask,
+};
+use gpu_sim::plan::expand;
+use gpu_sim::{occupancy, DeviceSpec, Lanes};
 use proptest::prelude::*;
+
+/// Element strides the piece lists draw from: broadcast, unit, small,
+/// bank- and segment-sized, large, and negative.
+const STRIDES: [i64; 12] = [0, 1, 2, 3, 16, 32, 33, 1000, -1, -2, -17, -32];
+
+/// Random piece lists: `(base, stride index, lanes)` per piece.
+fn piece_specs() -> impl Strategy<Value = Vec<(usize, usize, usize)>> {
+    prop::collection::vec((0usize..5000, 0usize..STRIDES.len(), 1usize..48), 1..=6)
+}
+
+/// Build the lane list (negative-stride pieces start high enough that
+/// every element is non-negative).
+fn lanes_of(specs: &[(usize, usize, usize)]) -> Lanes {
+    let mut lanes = Lanes::new();
+    for &(base, si, count) in specs {
+        let stride = STRIDES[si];
+        let start = base + (stride.unsigned_abs() as usize) * (count - 1) * usize::from(stride < 0);
+        lanes.push(start, stride, count);
+    }
+    lanes
+}
 
 fn lane_vec() -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(0usize..10_000, 1..=32)
@@ -77,5 +104,84 @@ proptest! {
         }
         prop_assert!(base.warps_per_sm >= threads.div_ceil(spec.warp_size));
         prop_assert!(base.fraction(&spec) <= 1.0 + 1e-12);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    /// The closed-form transaction count of a piece list equals the
+    /// dense counter summed over the expanded lanes' warps — unit and
+    /// large strides, broadcasts, negative strides, misaligned bases,
+    /// partial warps and warps spanning pieces, 4- and 8-byte elements.
+    #[test]
+    fn closed_form_transactions_equal_dense(
+        specs in piece_specs(),
+        elem_bytes in prop::sample::select(vec![4usize, 8]),
+        warp in prop::sample::select(vec![32usize, 16]),
+    ) {
+        let lanes = lanes_of(&specs);
+        let mut idx = Vec::new();
+        expand(lanes.pieces(), &mut idx);
+        let dense: u64 = idx.chunks(warp).map(|w| warp_transactions(w, elem_bytes, 128)).sum();
+        let closed = access_transactions(lanes.pieces(), lanes.len(), warp, elem_bytes, 128);
+        prop_assert_eq!(closed, dense, "pieces {:?} elem {}", lanes.pieces(), elem_bytes);
+    }
+
+    /// The closed-form bank-conflict cost of a piece list equals the
+    /// dense counter: the same replay total and the same worst warp.
+    #[test]
+    fn closed_form_conflicts_equal_dense(
+        specs in piece_specs(),
+        elem_bytes in prop::sample::select(vec![4usize, 8]),
+        warp in prop::sample::select(vec![32usize, 16]),
+    ) {
+        let lanes = lanes_of(&specs);
+        let mut idx = Vec::new();
+        expand(lanes.pieces(), &mut idx);
+        let cycles: Vec<u64> =
+            idx.chunks(warp).map(|w| shared_conflict_cycles(w, elem_bytes, 32)).collect();
+        let dense = (
+            cycles.iter().map(|c| c - 1).sum::<u64>(),
+            cycles.iter().copied().max().unwrap_or(1),
+        );
+        let closed = access_conflict_cycles(lanes.pieces(), lanes.len(), warp, elem_bytes, 32);
+        prop_assert_eq!(closed, dense, "pieces {:?} elem {}", lanes.pieces(), elem_bytes);
+    }
+
+    /// Slicing a lane list into chunks and expanding each chunk gives
+    /// the chunks of the expanded list.
+    #[test]
+    fn lane_slices_expand_to_index_chunks(specs in piece_specs(), size in 1usize..70) {
+        let lanes = lanes_of(&specs);
+        let (mut idx, mut part_idx) = (Vec::new(), Vec::new());
+        expand(lanes.pieces(), &mut idx);
+        let mut part = Lanes::new();
+        for (c, chunk) in idx.chunks(size).enumerate() {
+            lanes.slice_into(c * size, c * size + chunk.len(), &mut part);
+            expand(part.pieces(), &mut part_idx);
+            prop_assert_eq!(&part_idx[..], chunk);
+        }
+    }
+
+    /// `InitMask::set_range` marks exactly what per-element `set` does.
+    #[test]
+    fn init_mask_range_write_equals_element_writes(
+        len in 1usize..400,
+        a in 0usize..400,
+        b in 0usize..400,
+        pre in prop::collection::vec(0usize..400, 0..8),
+    ) {
+        let (lo, hi) = (a.min(b) % len, (a.max(b) % len).max(a.min(b) % len));
+        let mut ranged = InitMask::uninit(len);
+        for &i in &pre {
+            ranged.set(i % len);
+        }
+        let mut single = ranged.clone();
+        ranged.set_range(lo, hi);
+        for i in lo..hi {
+            single.set(i);
+        }
+        prop_assert_eq!(ranged, single);
     }
 }

@@ -40,6 +40,35 @@ impl Layout {
             Layout::Interleaved => row * m + sys,
         }
     }
+
+    /// Re-store `src`, an array of `m` systems of `n` rows in layout
+    /// `self`, into `dst` in layout `target`: `dst[target.index(s, r)] =
+    /// src[self.index(s, r)]` for every `(s, r)`. The two layouts are
+    /// transposes of each other, so a change of layout is a transpose,
+    /// done in cache-sized tiles. Panics unless both arrays hold `m·n`
+    /// elements.
+    pub fn convert<T: Copy>(self, target: Layout, src: &[T], m: usize, n: usize, dst: &mut [T]) {
+        assert!(
+            src.len() == m * n && dst.len() == m * n,
+            "arrays hold m·n elements"
+        );
+        // `src` is a rows × cols row-major matrix.
+        let (rows, cols) = match (self, target) {
+            _ if self == target => return dst.copy_from_slice(src),
+            (Layout::Contiguous, _) => (m, n),
+            (Layout::Interleaved, _) => (n, m),
+        };
+        const TILE: usize = 32;
+        for r0 in (0..rows).step_by(TILE) {
+            for c0 in (0..cols).step_by(TILE) {
+                for r in r0..(r0 + TILE).min(rows) {
+                    for c in c0..(c0 + TILE).min(cols) {
+                        dst[c * rows + r] = src[r * cols + c];
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// `M` independent tridiagonal systems of uniform size `N`, stored as
@@ -206,27 +235,20 @@ impl<S: Scalar> SystemBatch<S> {
         if self.layout == target {
             return self.clone();
         }
-        let total = self.m * self.n;
-        let mut out = Self {
-            a: vec![S::ZERO; total],
-            b: vec![S::ZERO; total],
-            c: vec![S::ZERO; total],
-            d: vec![S::ZERO; total],
+        let convert = |src: &[S]| {
+            let mut dst = vec![S::ZERO; src.len()];
+            self.layout.convert(target, src, self.m, self.n, &mut dst);
+            dst
+        };
+        Self {
+            a: convert(&self.a),
+            b: convert(&self.b),
+            c: convert(&self.c),
+            d: convert(&self.d),
             m: self.m,
             n: self.n,
             layout: target,
-        };
-        for sys in 0..self.m {
-            for row in 0..self.n {
-                let src = self.index(sys, row);
-                let dst = target.index(sys, row, self.m, self.n);
-                out.a[dst] = self.a[src];
-                out.b[dst] = self.b[src];
-                out.c[dst] = self.c[src];
-                out.d[dst] = self.d[src];
-            }
         }
-        out
     }
 
     /// Gather a solution vector stored in `layout` order into per-system

@@ -306,11 +306,7 @@ impl PlanExecutor {
                         )
                     })?;
                     let mut o = vec![S::ZERO; batch.total_len()];
-                    for sys in 0..m {
-                        for row in 0..n {
-                            o[batch.index(sys, row)] = xs[from.index(sys, row, m, n)];
-                        }
-                    }
+                    from.convert(batch.layout(), xs, m, n, &mut o);
                     out = Some(o);
                 }
             }

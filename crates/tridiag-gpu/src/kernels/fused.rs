@@ -22,7 +22,7 @@
 use super::window::{StreamSlot, WindowEngine};
 use crate::buffers::GpuScalar;
 use crate::consts::{THOMAS_BWD_FLOPS, THOMAS_FWD_FLOPS};
-use gpu_sim::{BlockCtx, BlockKernel, BufId, Result, SimError};
+use gpu_sim::{BlockCtx, BlockKernel, BufId, Lanes, Result, SimError};
 
 /// The fused kernel: one block per system, `2^k` threads each.
 #[derive(Debug, Clone)]
@@ -64,37 +64,26 @@ impl<S: GpuScalar> BlockKernel<S> for FusedKernel {
         let mut dp_reg = vec![S::ZERO; stride];
         let mut started = vec![false; stride];
 
-        // Register tile of pending (position, c', d') triples awaiting an
-        // aligned store — the paper's "previous results ... in registers".
-        let mut pending: Vec<(usize, S, S)> = Vec::with_capacity(st + f);
+        // Register tile of pending c'/d' values for the consecutive
+        // positions `pend_p0 ..` awaiting an aligned store — the paper's
+        // "previous results ... in registers".
+        let mut pend_p0 = 0usize;
+        let mut pend_cp: Vec<S> = Vec::with_capacity(st + f);
+        let mut pend_dp: Vec<S> = Vec::with_capacity(st + f);
 
-        let mut tmp: Vec<S> = Vec::new();
-        let mut sh_idx: Vec<usize> = Vec::new();
-        let mut g_idx: Vec<usize> = Vec::new();
-        let mut cp_vals: Vec<S> = Vec::new();
-        let mut dp_vals: Vec<S> = Vec::new();
+        let mut lanes = Lanes::new();
+        let mut rows: [Vec<S>; 4] = Default::default();
 
-        loop {
-            let active = engine.advance(ctx, self.input)?;
-            if active.is_empty() {
-                break;
-            }
+        while engine.advance(ctx, self.input)? {
             let t0 = engine.slots[0].t0;
 
             // ---- read this sub-tile's reduced rows from shared ------
             // (positions t0 − f .. t0 + st − f, already in the window).
             ctx.phase("window_read");
-            let mut rows: [Vec<S>; 4] = Default::default();
-            for arr in 0..4 {
-                sh_idx.clear();
-                for i in 0..st {
-                    sh_idx.push(engine.slots[0].buf[arr] + i);
-                }
-                rows[arr].clear();
-                for chunk in sh_idx.chunks(ctx.threads) {
-                    ctx.sh_ld(chunk, &mut tmp)?;
-                    rows[arr].extend_from_slice(&tmp);
-                }
+            for (arr, out) in rows.iter_mut().enumerate() {
+                lanes.clear();
+                lanes.push(engine.slots[0].buf[arr], 1, st);
+                engine.io.load(ctx, None, &lanes, out)?;
             }
             // All lanes must finish reading the window before the next
             // advance() overwrites it: the fresh region [2f, 2f + st)
@@ -131,7 +120,12 @@ impl<S: GpuScalar> BlockKernel<S> for FusedKernel {
                 };
                 cp_reg[j] = cp;
                 dp_reg[j] = dp;
-                pending.push((p, cp, dp));
+                if pend_cp.is_empty() {
+                    pend_p0 = p;
+                }
+                debug_assert_eq!(p, pend_p0 + pend_cp.len(), "positions stream in order");
+                pend_cp.push(cp);
+                pend_dp.push(dp);
                 folded += 1;
             }
             ctx.flops(folded * THOMAS_FWD_FLOPS);
@@ -140,78 +134,56 @@ impl<S: GpuScalar> BlockKernel<S> for FusedKernel {
             // Flush pending in st-sized chunks, keeping the tail for
             // alignment (the register tile).
             ctx.phase("cprime_store");
-            while pending.len() >= st {
-                g_idx.clear();
-                cp_vals.clear();
-                dp_vals.clear();
-                for &(p, cp, dp) in pending.iter().take(st) {
-                    g_idx.push(base + p);
-                    cp_vals.push(cp);
-                    dp_vals.push(dp);
-                }
-                pending.drain(..st);
-                for (gi, cv) in g_idx.chunks(ctx.threads).zip(cp_vals.chunks(ctx.threads)) {
-                    ctx.st(self.c_prime, gi, cv)?;
-                }
-                for (gi, dv) in g_idx.chunks(ctx.threads).zip(dp_vals.chunks(ctx.threads)) {
-                    ctx.st(self.d_prime, gi, dv)?;
-                }
+            while pend_cp.len() >= st {
+                lanes.clear();
+                lanes.push(base + pend_p0, 1, st);
+                engine
+                    .io
+                    .store(ctx, Some(self.c_prime), &lanes, &pend_cp[..st])?;
+                engine
+                    .io
+                    .store(ctx, Some(self.d_prime), &lanes, &pend_dp[..st])?;
+                pend_cp.drain(..st);
+                pend_dp.drain(..st);
+                pend_p0 += st;
             }
-            engine.step(&active);
+            engine.step();
         }
 
         // Flush the register-tile remainder.
         ctx.phase("cprime_store");
-        if !pending.is_empty() {
-            g_idx.clear();
-            cp_vals.clear();
-            dp_vals.clear();
-            for &(p, cp, dp) in &pending {
-                g_idx.push(base + p);
-                cp_vals.push(cp);
-                dp_vals.push(dp);
-            }
-            for (gi, cv) in g_idx.chunks(ctx.threads).zip(cp_vals.chunks(ctx.threads)) {
-                ctx.st(self.c_prime, gi, cv)?;
-            }
-            for (gi, dv) in g_idx.chunks(ctx.threads).zip(dp_vals.chunks(ctx.threads)) {
-                ctx.st(self.d_prime, gi, dv)?;
-            }
-            pending.clear();
-        }
+        lanes.clear();
+        lanes.push(base + pend_p0, 1, pend_cp.len());
+        engine.io.store(ctx, Some(self.c_prime), &lanes, &pend_cp)?;
+        engine.io.store(ctx, Some(self.d_prime), &lanes, &pend_dp)?;
 
         // ---- backward substitution per thread -----------------------
-        // Thread j owns rows j, j + 2^k, … (interleaved → coalesced).
+        // Thread j owns rows j, j + 2^k, … (interleaved → coalesced):
+        // row r of every thread j < min(2^k, n − r·2^k) is one run.
         ctx.phase("backward");
         let max_rows = n.div_ceil(stride);
         let mut x_reg = vec![S::ZERO; stride];
+        let (mut cp_vals, mut dp_vals) = (Vec::new(), Vec::new());
         let mut xv: Vec<S> = Vec::with_capacity(stride);
-        let mut lane_j: Vec<usize> = Vec::with_capacity(stride);
         for r in (0..max_rows).rev() {
-            g_idx.clear();
-            lane_j.clear();
-            for j in 0..stride {
-                let p = j + r * stride;
-                if p < n {
-                    g_idx.push(base + p);
-                    lane_j.push(j);
-                }
-            }
-            ctx.ld(self.c_prime, &g_idx, &mut cp_vals)?;
-            ctx.ld(self.d_prime, &g_idx, &mut dp_vals)?;
+            let live = stride.min(n - r * stride);
+            lanes.clear();
+            lanes.push(base + r * stride, 1, live);
+            ctx.ld_affine(self.c_prime, lanes.pieces(), &mut cp_vals)?;
+            ctx.ld_affine(self.d_prime, lanes.pieces(), &mut dp_vals)?;
             xv.clear();
-            for (lane, &j) in lane_j.iter().enumerate() {
+            for j in 0..live {
                 let rows_j = (n - j).div_ceil(stride);
                 let x = if r + 1 == rows_j {
-                    dp_vals[lane]
+                    dp_vals[j]
                 } else {
-                    dp_vals[lane] - cp_vals[lane] * x_reg[j]
+                    dp_vals[j] - cp_vals[j] * x_reg[j]
                 };
                 x_reg[j] = x;
                 xv.push(x);
             }
-            ctx.flops(g_idx.len() as u64 * THOMAS_BWD_FLOPS);
-            ctx.st(self.x, &g_idx, &xv)?;
+            ctx.flops(live as u64 * THOMAS_BWD_FLOPS);
+            ctx.st_affine(self.x, lanes.pieces(), &xv)?;
         }
         Ok(())
     }

@@ -12,7 +12,8 @@
 //! register file.
 
 use crate::consts::{THOMAS_BWD_FLOPS, THOMAS_FWD_FLOPS};
-use gpu_sim::{BlockCtx, BlockKernel, BufId, Result};
+use gpu_sim::{BlockCtx, BlockKernel, BufId, Lanes, Result};
+use std::ops::Range;
 
 use crate::buffers::GpuScalar;
 
@@ -85,6 +86,48 @@ impl AddrMap {
             }
         }
     }
+
+    /// Row `r`'s lanes for threads `threads`, as affine pieces: one
+    /// piece per run of adjacent threads that have row `r`. That is the
+    /// whole range with element step 1 (`Interleaved`) or `n`
+    /// (`Contiguous`); for `HybridSubsystems` it is, per outer system,
+    /// the prefix of subsystems `j < n − r·2^k`, with step 1. The runs
+    /// of thread ids go to `runs`.
+    pub(crate) fn row_lanes(
+        &self,
+        r: usize,
+        threads: Range<usize>,
+        lanes: &mut Lanes,
+        runs: &mut Vec<Range<usize>>,
+    ) {
+        lanes.clear();
+        runs.clear();
+        let step = match *self {
+            AddrMap::Interleaved { .. } => 1,
+            AddrMap::Contiguous { n, .. } => n,
+            AddrMap::HybridSubsystems { n, k, .. } => {
+                let width = 1usize << k;
+                let live = n.saturating_sub(r << k).min(width);
+                let mut t = threads.start;
+                while t < threads.end {
+                    let sys0 = (t >> k) << k;
+                    let end = (sys0 + live).min(threads.end);
+                    if t < end {
+                        runs.push(t..end);
+                    }
+                    t = sys0 + width;
+                }
+                for run in runs.iter() {
+                    lanes.push(self.index(run.start, r), 1, run.len());
+                }
+                return;
+            }
+        };
+        if r < self.rows(threads.start) && !threads.is_empty() {
+            lanes.push(self.index(threads.start, r), step as i64, threads.len());
+            runs.push(threads);
+        }
+    }
 }
 
 /// The p-Thomas kernel: buffers for the coefficients, two scratch
@@ -117,48 +160,43 @@ impl<S: GpuScalar> BlockKernel<S> for PThomasKernel {
         if count == 0 {
             return Ok(());
         }
-        let threads: Vec<usize> = (base..base + count).collect();
-        let max_rows = threads.iter().map(|&t| self.map.rows(t)).max().unwrap_or(0);
+        let threads = base..base + count;
+        let max_rows = threads.clone().map(|t| self.map.rows(t)).max().unwrap_or(0);
 
-        // Per-thread recurrence registers.
+        // Per-thread recurrence registers, indexed by `t − base`.
         let mut cp_reg = vec![S::ZERO; count];
         let mut dp_reg = vec![S::ZERO; count];
 
-        let mut idx: Vec<usize> = Vec::with_capacity(count);
+        let mut lanes = Lanes::new();
+        // Runs of thread ids with row `r`, in lane order — fewer than
+        // `count` lanes once some threads' shorter systems have ended.
+        let mut runs: Vec<Range<usize>> = Vec::new();
         let mut av = Vec::new();
         let mut bv = Vec::new();
         let mut cv = Vec::new();
         let mut dv = Vec::new();
         let mut cp_out = Vec::with_capacity(count);
         let mut dp_out = Vec::with_capacity(count);
-        // Lane (within `idx`) -> thread slot, for rows where some
-        // threads' shorter systems have already ended.
-        let mut lane_thread: Vec<usize> = Vec::with_capacity(count);
 
         // ---- forward reduction (Eqs. 2–3) ---------------------------
         ctx.phase("forward");
         for r in 0..max_rows {
-            idx.clear();
-            lane_thread.clear();
-            for (slot, &t) in threads.iter().enumerate() {
-                if r < self.map.rows(t) {
-                    idx.push(self.map.index(t, r));
-                    lane_thread.push(slot);
-                }
-            }
-            ctx.ld(self.a, &idx, &mut av)?;
-            ctx.ld(self.b, &idx, &mut bv)?;
-            ctx.ld(self.c, &idx, &mut cv)?;
-            ctx.ld(self.d, &idx, &mut dv)?;
+            self.map
+                .row_lanes(r, threads.clone(), &mut lanes, &mut runs);
+            let idx = lanes.pieces();
+            ctx.ld_affine(self.a, idx, &mut av)?;
+            ctx.ld_affine(self.b, idx, &mut bv)?;
+            ctx.ld_affine(self.c, idx, &mut cv)?;
+            ctx.ld_affine(self.d, idx, &mut dv)?;
             cp_out.clear();
             dp_out.clear();
-            for (lane, &slot) in lane_thread.iter().enumerate() {
+            for (lane, t) in runs.iter().cloned().flatten().enumerate() {
+                let slot = t - base;
                 let (a, b, c, d) = (av[lane], bv[lane], cv[lane], dv[lane]);
                 let (cp, dp) = if r == 0 {
                     if b == S::ZERO {
                         return Err(gpu_sim::SimError::KernelFault(format!(
-                            "zero pivot, system {} row 0",
-                            threads[slot]
+                            "zero pivot, system {t} row 0"
                         )));
                     }
                     (c / b, d / b)
@@ -166,8 +204,7 @@ impl<S: GpuScalar> BlockKernel<S> for PThomasKernel {
                     let denom = b - cp_reg[slot] * a;
                     if denom == S::ZERO {
                         return Err(gpu_sim::SimError::KernelFault(format!(
-                            "zero pivot, system {} row {r}",
-                            threads[slot]
+                            "zero pivot, system {t} row {r}"
                         )));
                     }
                     let inv = S::ONE / denom;
@@ -178,9 +215,9 @@ impl<S: GpuScalar> BlockKernel<S> for PThomasKernel {
                 cp_out.push(cp);
                 dp_out.push(dp);
             }
-            ctx.flops(idx.len() as u64 * THOMAS_FWD_FLOPS);
-            ctx.st(self.c_prime, &idx, &cp_out)?;
-            ctx.st(self.d_prime, &idx, &dp_out)?;
+            ctx.flops(lanes.len() as u64 * THOMAS_FWD_FLOPS);
+            ctx.st_affine(self.c_prime, idx, &cp_out)?;
+            ctx.st_affine(self.d_prime, idx, &dp_out)?;
         }
 
         // ---- backward substitution (Eq. 4) --------------------------
@@ -189,20 +226,15 @@ impl<S: GpuScalar> BlockKernel<S> for PThomasKernel {
         let mut x_reg = vec![S::ZERO; count];
         let mut xv = Vec::with_capacity(count);
         for r in (0..max_rows).rev() {
-            idx.clear();
-            lane_thread.clear();
-            for (slot, &t) in threads.iter().enumerate() {
-                if r < self.map.rows(t) {
-                    idx.push(self.map.index(t, r));
-                    lane_thread.push(slot);
-                }
-            }
-            ctx.ld(self.c_prime, &idx, &mut cv)?;
-            ctx.ld(self.d_prime, &idx, &mut dv)?;
+            self.map
+                .row_lanes(r, threads.clone(), &mut lanes, &mut runs);
+            let idx = lanes.pieces();
+            ctx.ld_affine(self.c_prime, idx, &mut cv)?;
+            ctx.ld_affine(self.d_prime, idx, &mut dv)?;
             xv.clear();
-            for (lane, &slot) in lane_thread.iter().enumerate() {
-                let rows_t = self.map.rows(threads[slot]);
-                let x = if r + 1 == rows_t {
+            for (lane, t) in runs.iter().cloned().flatten().enumerate() {
+                let slot = t - base;
+                let x = if r + 1 == self.map.rows(t) {
                     dv[lane]
                 } else {
                     dv[lane] - cv[lane] * x_reg[slot]
@@ -210,8 +242,8 @@ impl<S: GpuScalar> BlockKernel<S> for PThomasKernel {
                 x_reg[slot] = x;
                 xv.push(x);
             }
-            ctx.flops(idx.len() as u64 * THOMAS_BWD_FLOPS);
-            ctx.st(self.x, &idx, &xv)?;
+            ctx.flops(lanes.len() as u64 * THOMAS_BWD_FLOPS);
+            ctx.st_affine(self.x, idx, &xv)?;
         }
         Ok(())
     }
@@ -353,6 +385,36 @@ mod tests {
         assert_eq!(map.rows(2), 2); // rows 2,6
         assert_eq!(map.rows(3), 2); // rows 3,7
         assert_eq!(map.index(5, 1), 10 + 1 + 4); // sys 1, j=1, r=1
+    }
+
+    /// `row_lanes` yields exactly the threads with row `r`, in thread
+    /// order, at `index(t, r)` — for all three maps and block ranges
+    /// that start and end mid-system.
+    #[test]
+    fn row_lanes_enumerate_the_live_threads() {
+        let maps = [
+            AddrMap::Interleaved { m: 10, n: 7 },
+            AddrMap::Contiguous { m: 10, n: 7 },
+            AddrMap::HybridSubsystems { m: 3, n: 10, k: 2 },
+            AddrMap::HybridSubsystems { m: 2, n: 3, k: 2 },
+        ];
+        let mut lanes = Lanes::new();
+        let mut runs = Vec::new();
+        let mut idx = Vec::new();
+        for map in maps {
+            let total = map.num_threads();
+            for (lo, hi) in [(0, total), (1, total - 1), (3, 6), (5, 5)] {
+                for r in 0..8 {
+                    map.row_lanes(r, lo..hi, &mut lanes, &mut runs);
+                    let want: Vec<usize> = (lo..hi).filter(|&t| r < map.rows(t)).collect();
+                    let got: Vec<usize> = runs.iter().cloned().flatten().collect();
+                    assert_eq!(got, want, "{map:?} threads {lo}..{hi} row {r}");
+                    gpu_sim::plan::expand(lanes.pieces(), &mut idx);
+                    let want_idx: Vec<usize> = want.iter().map(|&t| map.index(t, r)).collect();
+                    assert_eq!(idx, want_idx, "{map:?} threads {lo}..{hi} row {r}");
+                }
+            }
+        }
     }
 
     #[test]

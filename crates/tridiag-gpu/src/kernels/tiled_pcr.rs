@@ -36,10 +36,10 @@
 //!   lockstep phase by phase (independent loads in flight — the latency
 //!   hiding the paper credits this variant with).
 
-use super::window::WindowEngine;
 pub use super::window::StreamSlot;
+use super::window::{slot_runs, WindowEngine};
 use crate::buffers::GpuScalar;
-use gpu_sim::{BlockCtx, BlockKernel, BufId, Result};
+use gpu_sim::{BlockCtx, BlockKernel, BufId, Lanes, Result};
 
 /// The tiled PCR kernel (see module docs).
 #[derive(Debug, Clone)]
@@ -131,62 +131,47 @@ impl<S: GpuScalar> BlockKernel<S> for TiledPcrKernel {
             carry.push(c);
         }
 
-        let mut sh_idx: Vec<usize> = Vec::new();
-        let mut g_idx: Vec<usize> = Vec::new();
-        let mut tmp: Vec<S> = Vec::new();
+        let mut sh_lanes = Lanes::new();
+        let mut g_lanes = Lanes::new();
         // Per-array register tile staging the carry roll across the
         // barrier that separates it from the emit reads.
         let mut roll_vals: [Vec<S>; 4] = Default::default();
 
-        loop {
-            let active = engine.advance(ctx, self.input)?;
-            if active.is_empty() {
-                break;
-            }
-
+        while engine.advance(ctx, self.input)? {
             // ---- emit the *aligned* chunk [t0 − st, t0) -------------
             // Fresh level-k rows cover [t0 − f, t0 + st − f); the carry
-            // holds [t0 − st, t0 − f) from the previous sub-tile.
+            // holds [t0 − st, t0 − f) from the previous sub-tile. Lane i
+            // of a slot emits position t0 − st + i from carry[i] when
+            // i < st − f, else from buf[i − (st − f)].
             ctx.phase("emit");
             for arr in 0..4 {
-                sh_idx.clear();
-                g_idx.clear();
-                for &g in &active {
+                sh_lanes.clear();
+                g_lanes.clear();
+                for &g in &engine.active {
                     let s = &engine.slots[g];
-                    for i in 0..st {
-                        let p = s.t0 - sti + i as isize;
-                        if p >= s.emit_lo && p < s.emit_hi {
-                            let sh = if i < st - f {
-                                carry[g][arr] + i
-                            } else {
-                                s.buf[arr] + (i - (st - f))
-                            };
-                            sh_idx.push(sh);
-                            g_idx.push(s.system * self.n + p as usize);
-                        }
-                    }
+                    let first = s.t0 - sti;
+                    let lo = (s.emit_lo - first).clamp(0, sti) as usize;
+                    let hi = (s.emit_hi - first).clamp(lo as isize, sti) as usize;
+                    let split = (st - f).clamp(lo, hi);
+                    sh_lanes.push(carry[g][arr] + lo, 1, split - lo);
+                    sh_lanes.push(s.buf[arr] + split.saturating_sub(st - f), 1, hi - split);
+                    g_lanes.push(
+                        s.system * self.n + (first + lo as isize) as usize,
+                        1,
+                        hi - lo,
+                    );
                 }
-                if !g_idx.is_empty() {
-                    for (si, gi) in sh_idx.chunks(ctx.threads).zip(g_idx.chunks(ctx.threads)) {
-                        ctx.sh_ld(si, &mut tmp)?;
-                        ctx.st(self.output[arr], gi, &tmp)?;
-                    }
-                }
+                engine
+                    .io
+                    .shared_to_global(ctx, &sh_lanes, self.output[arr], &g_lanes)?;
 
                 // Read the next chunk's carry head [t0, t0 + st − f) —
                 // this sub-tile's buf[f .. st) — into registers.
                 if st > f {
-                    sh_idx.clear();
-                    for &g in &active {
-                        for e in 0..st - f {
-                            sh_idx.push(engine.slots[g].buf[arr] + f + e);
-                        }
-                    }
-                    roll_vals[arr].clear();
-                    for chunk in sh_idx.chunks(ctx.threads) {
-                        ctx.sh_ld(chunk, &mut tmp)?;
-                        roll_vals[arr].extend_from_slice(&tmp);
-                    }
+                    slot_runs(&mut sh_lanes, &engine.active, st - f, |g| {
+                        engine.slots[g].buf[arr] + f
+                    });
+                    engine.io.load(ctx, None, &sh_lanes, &mut roll_vals[arr])?;
                 }
             }
             // The emit phase *read* the carry words the roll below
@@ -197,43 +182,35 @@ impl<S: GpuScalar> BlockKernel<S> for TiledPcrKernel {
             ctx.phase("carry_roll");
             if st > f {
                 for (arr, vals) in roll_vals.iter().enumerate() {
-                    sh_idx.clear();
-                    for &g in &active {
-                        for e in 0..st - f {
-                            sh_idx.push(carry[g][arr] + e);
-                        }
-                    }
-                    for (ci, cv) in sh_idx.chunks(ctx.threads).zip(vals.chunks(ctx.threads)) {
-                        ctx.sh_st(ci, cv)?;
-                    }
+                    slot_runs(&mut sh_lanes, &engine.active, st - f, |g| carry[g][arr]);
+                    engine.io.store(ctx, None, &sh_lanes, vals)?;
                 }
             }
             ctx.sync();
-            engine.step(&active);
+            engine.step();
         }
 
         // ---- final flush: each slot's carry holds [t0 − st, t0 − f),
         // which covers everything not yet stored.
         ctx.phase("flush");
         for arr in 0..4 {
-            g_idx.clear();
-            sh_idx.clear();
+            sh_lanes.clear();
+            g_lanes.clear();
             for (g, s) in engine.slots.iter().enumerate() {
                 let last_t = s.t0 - sti;
-                for e in 0..st - f {
-                    let p = last_t + e as isize;
-                    if p >= s.emit_lo && p < s.emit_hi {
-                        sh_idx.push(carry[g][arr] + e);
-                        g_idx.push(s.system * self.n + p as usize);
-                    }
-                }
+                let tail = (st - f) as isize;
+                let lo = (s.emit_lo - last_t).clamp(0, tail) as usize;
+                let hi = (s.emit_hi - last_t).clamp(lo as isize, tail) as usize;
+                sh_lanes.push(carry[g][arr] + lo, 1, hi - lo);
+                g_lanes.push(
+                    s.system * self.n + (last_t + lo as isize) as usize,
+                    1,
+                    hi - lo,
+                );
             }
-            if !g_idx.is_empty() {
-                for (si, gi) in sh_idx.chunks(ctx.threads).zip(g_idx.chunks(ctx.threads)) {
-                    ctx.sh_ld(si, &mut tmp)?;
-                    ctx.st(self.output[arr], gi, &tmp)?;
-                }
-            }
+            engine
+                .io
+                .shared_to_global(ctx, &sh_lanes, self.output[arr], &g_lanes)?;
         }
         Ok(())
     }

@@ -10,10 +10,15 @@
 //! `[t0 − f, t0 + st − f)`; the caller emits them however it likes
 //! (store to global, or feed the Thomas recurrence directly in the
 //! fused kernel), then calls [`WindowEngine::step`].
+//!
+//! Every access is one unit-stride lane run per active slot, handed to
+//! the simulator as affine pieces ([`Lanes`]) and issued through
+//! [`Chunked`] in accesses of at most one lane per thread.
 
 use crate::buffers::GpuScalar;
 use crate::consts::PCR_FLOPS_PER_ROW;
-use gpu_sim::{BlockCtx, BufId, Result, SimError};
+use gpu_sim::{AffinePiece, BlockCtx, BufId, Lanes, Result, SimError};
+use std::ops::Range;
 use tridiag_core::cr::{reduce_row, Row};
 
 /// One PCR stream: a thread group reducing rows `[emit_lo, emit_hi)` of
@@ -60,25 +65,154 @@ impl SlotState {
     }
 }
 
+/// Block-wide accesses over lane lists of any length: a list is issued
+/// in chunks of at most `ctx.threads` lanes, one access per chunk, as a
+/// block that loops over its data would.
+pub(crate) struct Chunked<S> {
+    part: Lanes,
+    part_g: Lanes,
+    tmp: Vec<S>,
+}
+
+impl<S> Default for Chunked<S> {
+    fn default() -> Self {
+        Self {
+            part: Lanes::new(),
+            part_g: Lanes::new(),
+            tmp: Vec::new(),
+        }
+    }
+}
+
+/// Call `f(pieces, lanes)` for each chunk of at most `threads` lanes of
+/// `lanes` (none for an empty list).
+fn for_chunks(
+    threads: usize,
+    lanes: &Lanes,
+    part: &mut Lanes,
+    mut f: impl FnMut(&[AffinePiece], Range<usize>) -> Result<()>,
+) -> Result<()> {
+    let n = lanes.len();
+    if n <= threads {
+        return if n == 0 {
+            Ok(())
+        } else {
+            f(lanes.pieces(), 0..n)
+        };
+    }
+    for lo in (0..n).step_by(threads) {
+        let hi = (lo + threads).min(n);
+        lanes.slice_into(lo, hi, part);
+        f(part.pieces(), lo..hi)?;
+    }
+    Ok(())
+}
+
+impl<S: GpuScalar> Chunked<S> {
+    /// Load `lanes` of global buffer `Some(buf)` or of shared memory
+    /// (`None`) into `out`.
+    pub fn load(
+        &mut self,
+        ctx: &mut BlockCtx<'_, S>,
+        src: Option<BufId>,
+        lanes: &Lanes,
+        out: &mut Vec<S>,
+    ) -> Result<()> {
+        out.clear();
+        let tmp = &mut self.tmp;
+        for_chunks(ctx.threads, lanes, &mut self.part, |pieces, _| {
+            match src {
+                Some(buf) => ctx.ld_affine(buf, pieces, tmp)?,
+                None => ctx.sh_ld_affine(pieces, tmp)?,
+            }
+            out.extend_from_slice(tmp);
+            Ok(())
+        })
+    }
+
+    /// Store `vals` (one per lane) to `lanes` of global buffer
+    /// `Some(buf)` or of shared memory (`None`).
+    pub fn store(
+        &mut self,
+        ctx: &mut BlockCtx<'_, S>,
+        dst: Option<BufId>,
+        lanes: &Lanes,
+        vals: &[S],
+    ) -> Result<()> {
+        if vals.len() != lanes.len() {
+            return Err(SimError::LaneMismatch {
+                indices: lanes.len(),
+                values: vals.len(),
+            });
+        }
+        for_chunks(ctx.threads, lanes, &mut self.part, |pieces, r| match dst {
+            Some(buf) => ctx.st_affine(buf, pieces, &vals[r]),
+            None => ctx.sh_st_affine(pieces, &vals[r]),
+        })
+    }
+
+    /// Copy shared lanes `sh` to global lanes `g` of `dst`, chunk by
+    /// chunk: each chunk is a shared load then a global store.
+    pub fn shared_to_global(
+        &mut self,
+        ctx: &mut BlockCtx<'_, S>,
+        sh: &Lanes,
+        dst: BufId,
+        g: &Lanes,
+    ) -> Result<()> {
+        let n = g.len();
+        for lo in (0..n).step_by(ctx.threads) {
+            let hi = (lo + ctx.threads).min(n);
+            sh.slice_into(lo, hi, &mut self.part);
+            g.slice_into(lo, hi, &mut self.part_g);
+            ctx.sh_ld_affine(self.part.pieces(), &mut self.tmp)?;
+            ctx.st_affine(dst, self.part_g.pieces(), &self.tmp)?;
+        }
+        Ok(())
+    }
+}
+
+/// Replace `lanes` with one unit-stride run of `count` lanes per slot
+/// `g` of `slots`, starting at element `base(g)`.
+pub(crate) fn slot_runs(
+    lanes: &mut Lanes,
+    slots: &[usize],
+    count: usize,
+    base: impl Fn(usize) -> usize,
+) {
+    lanes.clear();
+    for &g in slots {
+        lanes.push(base(g), 1, count);
+    }
+}
+
 /// The streaming engine (see module docs).
-pub(crate) struct WindowEngine {
+pub(crate) struct WindowEngine<S> {
     pub n: usize,
     pub k: usize,
     pub st: usize,
     pub f: usize,
     two_f: usize,
     pub slots: Vec<SlotState>,
-    // Reusable lane scratch (indices only; element values are typed per
-    // method so the engine stays scalar-generic).
-    g_idx: Vec<usize>,
-    g_lane: Vec<usize>,
-    sh_idx: Vec<usize>,
+    /// Slots still streaming, as of the last [`Self::advance`].
+    pub active: Vec<usize>,
+    /// Access scratch, shared with the kernel driving the engine.
+    pub io: Chunked<S>,
+    // Reusable scratch: lane lists, the fresh rows' offsets within the
+    // staged sub-tile, and per-array value tiles.
+    g_lanes: Lanes,
+    sh_lanes: Lanes,
+    fresh: Vec<(usize, usize)>,
+    vals: Vec<S>,
+    loaded: [Vec<S>; 4],
+    tri: [Vec<S>; 12],
+    out_vals: [Vec<S>; 4],
 }
 
-impl WindowEngine {
+impl<S: GpuScalar> WindowEngine<S> {
     /// Carve shared memory for the given slots and initialise the
     /// dependency caches with identity rows.
-    pub fn new<S: GpuScalar>(
+    pub fn new(
         ctx: &mut BlockCtx<'_, S>,
         n: usize,
         k: u32,
@@ -129,20 +263,17 @@ impl WindowEngine {
         }
 
         // Identity rows for the positions preceding each stream.
-        let mut idx: Vec<usize> = Vec::new();
-        let mut val: Vec<S> = Vec::new();
+        let mut lanes = Lanes::new();
+        let mut vals: Vec<S> = Vec::new();
         for slot in &slots {
             for arr in 0..4 {
                 let ident = if arr == 1 { S::ONE } else { S::ZERO };
-                for e in 0..two_f {
-                    idx.push(slot.cache[arr] + e);
-                    val.push(ident);
-                }
+                lanes.push(slot.cache[arr], 1, two_f);
+                vals.resize(vals.len() + two_f, ident);
             }
         }
-        for (ci, cv) in idx.chunks(ctx.threads).zip(val.chunks(ctx.threads)) {
-            ctx.sh_st(ci, cv)?;
-        }
+        let mut io = Chunked::default();
+        io.store(ctx, None, &lanes, &vals)?;
         ctx.sync();
 
         Ok(Self {
@@ -152,83 +283,71 @@ impl WindowEngine {
             f,
             two_f,
             slots,
-            g_idx: Vec::new(),
-            g_lane: Vec::new(),
-            sh_idx: Vec::new(),
+            active: Vec::new(),
+            io,
+            g_lanes: Lanes::new(),
+            sh_lanes: lanes,
+            fresh: Vec::new(),
+            vals,
+            loaded: Default::default(),
+            tri: Default::default(),
+            out_vals: Default::default(),
         })
     }
 
-    /// Slot indices still streaming.
-    pub fn active(&self) -> Vec<usize> {
-        let f = self.f as isize;
-        (0..self.slots.len())
-            .filter(|&g| !self.slots[g].done(f))
-            .collect()
-    }
-
     /// Load the next sub-tile for every active slot and run the `k`
-    /// lockstep PCR levels. Returns the active slot list (empty = all
-    /// streams finished; nothing was done).
-    pub fn advance<S: GpuScalar>(
-        &mut self,
-        ctx: &mut BlockCtx<'_, S>,
-        input: [BufId; 4],
-    ) -> Result<Vec<usize>> {
-        let active = self.active();
-        if active.is_empty() {
-            return Ok(active);
+    /// lockstep PCR levels. Refreshes [`Self::active`] and returns
+    /// whether any slot is still streaming (`false`: nothing was done).
+    pub fn advance(&mut self, ctx: &mut BlockCtx<'_, S>, input: [BufId; 4]) -> Result<bool> {
+        let f = self.f as isize;
+        self.active.clear();
+        self.active
+            .extend((0..self.slots.len()).filter(|&g| !self.slots[g].done(f)));
+        if self.active.is_empty() {
+            return Ok(false);
         }
         let st = self.st;
         let two_f = self.two_f;
         let n = self.n;
-
-        let mut tmp: Vec<S> = Vec::new();
-        let mut sh_val: Vec<S> = Vec::new();
-        let mut loaded: [Vec<S>; 4] = Default::default();
+        let active = &self.active;
+        let slots = &self.slots;
 
         // ---- 1. coalesced global loads of the fresh sub-tile --------
+        // Slot rank r's positions t0 + i, i ∈ [lo, hi), are the real
+        // input rows; they land at lanes r·st + i of the staged tile.
         ctx.phase("window_load");
-        self.g_idx.clear();
-        self.g_lane.clear();
+        self.g_lanes.clear();
+        self.fresh.clear();
         for (rank, &g) in active.iter().enumerate() {
-            let s = &self.slots[g];
-            for i in 0..st {
-                let p = s.t0 + i as isize;
-                if p >= 0 && p < s.in_end {
-                    self.g_idx.push(s.system * n + p as usize);
-                    self.g_lane.push(rank * st + i);
-                }
-            }
+            let s = &slots[g];
+            let lo = (-s.t0).clamp(0, st as isize);
+            let hi = (s.in_end - s.t0).clamp(lo, st as isize);
+            let (lo, hi) = (lo as usize, hi as usize);
+            self.g_lanes
+                .push(s.system * n + (s.t0 + lo as isize) as usize, 1, hi - lo);
+            self.fresh.push((rank * st + lo, hi - lo));
         }
         for arr in 0..4 {
-            loaded[arr].clear();
-            for chunk in self.g_idx.chunks(ctx.threads) {
-                ctx.ld(input[arr], chunk, &mut tmp)?;
-                loaded[arr].extend_from_slice(&tmp);
-            }
+            self.io
+                .load(ctx, Some(input[arr]), &self.g_lanes, &mut self.loaded[arr])?;
         }
         for arr in 0..4 {
             let ident = if arr == 1 { S::ONE } else { S::ZERO };
-            self.sh_idx.clear();
-            sh_val.clear();
-            for &g in &active {
-                for i in 0..st {
-                    self.sh_idx.push(self.slots[g].buf[arr] + two_f + i);
-                    sh_val.push(ident);
-                }
+            self.vals.clear();
+            self.vals.resize(active.len() * st, ident);
+            let mut src = 0usize;
+            for &(dst, len) in &self.fresh {
+                self.vals[dst..dst + len].copy_from_slice(&self.loaded[arr][src..src + len]);
+                src += len;
             }
-            for (pos, &lane) in self.g_lane.iter().enumerate() {
-                sh_val[lane] = loaded[arr][pos];
-            }
-            for (ci, cv) in self.sh_idx.chunks(ctx.threads).zip(sh_val.chunks(ctx.threads)) {
-                ctx.sh_st(ci, cv)?;
-            }
+            slot_runs(&mut self.sh_lanes, active, st, |g| {
+                slots[g].buf[arr] + two_f
+            });
+            self.io.store(ctx, None, &self.sh_lanes, &self.vals)?;
         }
         ctx.sync();
 
         // ---- 2. k lockstep PCR levels -------------------------------
-        let mut tri: Vec<Vec<S>> = (0..12).map(|_| Vec::new()).collect();
-        let mut out_vals: [Vec<S>; 4] = Default::default();
         for j in 1..=self.k {
             let s_half = 1usize << (j - 1);
             let two_s = 2 * s_half;
@@ -238,26 +357,14 @@ impl WindowEngine {
             // (a) splice cache_{j-1} in front of the fresh region.
             ctx.phase("splice");
             for arr in 0..4 {
-                self.sh_idx.clear();
-                for &g in &active {
-                    for e in 0..two_s {
-                        self.sh_idx.push(self.slots[g].cache[arr] + cache_off + e);
-                    }
-                }
-                sh_val.clear();
-                for chunk in self.sh_idx.chunks(ctx.threads) {
-                    ctx.sh_ld(chunk, &mut tmp)?;
-                    sh_val.extend_from_slice(&tmp);
-                }
-                self.sh_idx.clear();
-                for &g in &active {
-                    for e in 0..two_s {
-                        self.sh_idx.push(self.slots[g].buf[arr] + off_j + e);
-                    }
-                }
-                for (ci, cv) in self.sh_idx.chunks(ctx.threads).zip(sh_val.chunks(ctx.threads)) {
-                    ctx.sh_st(ci, cv)?;
-                }
+                slot_runs(&mut self.sh_lanes, active, two_s, |g| {
+                    slots[g].cache[arr] + cache_off
+                });
+                self.io.load(ctx, None, &self.sh_lanes, &mut self.vals)?;
+                slot_runs(&mut self.sh_lanes, active, two_s, |g| {
+                    slots[g].buf[arr] + off_j
+                });
+                self.io.store(ctx, None, &self.sh_lanes, &self.vals)?;
             }
             ctx.sync();
 
@@ -265,27 +372,20 @@ impl WindowEngine {
             ctx.phase("pcr_level");
             for arr in 0..4 {
                 for (d, dist) in [0usize, s_half, two_s].into_iter().enumerate() {
-                    let dst = &mut tri[arr * 3 + d];
-                    dst.clear();
-                    self.sh_idx.clear();
-                    for &g in &active {
-                        for i in 0..st {
-                            self.sh_idx.push(self.slots[g].buf[arr] + off_j + dist + i);
-                        }
-                    }
-                    for chunk in self.sh_idx.chunks(ctx.threads) {
-                        ctx.sh_ld(chunk, &mut tmp)?;
-                        dst.extend_from_slice(&tmp);
-                    }
+                    slot_runs(&mut self.sh_lanes, active, st, |g| {
+                        slots[g].buf[arr] + off_j + dist
+                    });
+                    self.io
+                        .load(ctx, None, &self.sh_lanes, &mut self.tri[arr * 3 + d])?;
                 }
             }
             ctx.sync();
 
             // Combine (Eqs. 5–6) per lane.
             let lane_count = active.len() * st;
-            for ov in out_vals.iter_mut() {
+            let tri = &self.tri;
+            for ov in self.out_vals.iter_mut() {
                 ov.clear();
-                ov.reserve(lane_count);
             }
             for lane in 0..lane_count {
                 let row_at = |d: usize| Row {
@@ -296,59 +396,38 @@ impl WindowEngine {
                 };
                 let r = reduce_row(row_at(0), row_at(1), row_at(2), lane)
                     .map_err(|e| SimError::KernelFault(e.to_string()))?;
-                out_vals[0].push(r.a);
-                out_vals[1].push(r.b);
-                out_vals[2].push(r.c);
-                out_vals[3].push(r.d);
+                self.out_vals[0].push(r.a);
+                self.out_vals[1].push(r.b);
+                self.out_vals[2].push(r.c);
+                self.out_vals[3].push(r.d);
             }
             ctx.flops(lane_count as u64 * PCR_FLOPS_PER_ROW);
 
             // (c) in-place write, then refresh cache_{j-1} from the
             // untouched span tail.
             for arr in 0..4 {
-                self.sh_idx.clear();
-                for &g in &active {
-                    for i in 0..st {
-                        self.sh_idx.push(self.slots[g].buf[arr] + off_j + i);
-                    }
-                }
-                for (ci, cv) in self
-                    .sh_idx
-                    .chunks(ctx.threads)
-                    .zip(out_vals[arr].chunks(ctx.threads))
-                {
-                    ctx.sh_st(ci, cv)?;
-                }
-
-                self.sh_idx.clear();
-                for &g in &active {
-                    for e in 0..two_s {
-                        self.sh_idx.push(self.slots[g].buf[arr] + off_j + st + e);
-                    }
-                }
-                sh_val.clear();
-                for chunk in self.sh_idx.chunks(ctx.threads) {
-                    ctx.sh_ld(chunk, &mut tmp)?;
-                    sh_val.extend_from_slice(&tmp);
-                }
-                self.sh_idx.clear();
-                for &g in &active {
-                    for e in 0..two_s {
-                        self.sh_idx.push(self.slots[g].cache[arr] + cache_off + e);
-                    }
-                }
-                for (ci, cv) in self.sh_idx.chunks(ctx.threads).zip(sh_val.chunks(ctx.threads)) {
-                    ctx.sh_st(ci, cv)?;
-                }
+                slot_runs(&mut self.sh_lanes, active, st, |g| {
+                    slots[g].buf[arr] + off_j
+                });
+                self.io
+                    .store(ctx, None, &self.sh_lanes, &self.out_vals[arr])?;
+                slot_runs(&mut self.sh_lanes, active, two_s, |g| {
+                    slots[g].buf[arr] + off_j + st
+                });
+                self.io.load(ctx, None, &self.sh_lanes, &mut self.vals)?;
+                slot_runs(&mut self.sh_lanes, active, two_s, |g| {
+                    slots[g].cache[arr] + cache_off
+                });
+                self.io.store(ctx, None, &self.sh_lanes, &self.vals)?;
             }
             ctx.sync();
         }
-        Ok(active)
+        Ok(true)
     }
 
     /// Advance every active slot's stream position by one sub-tile.
-    pub fn step(&mut self, active: &[usize]) {
-        for &g in active {
+    pub fn step(&mut self) {
+        for &g in &self.active {
             self.slots[g].t0 += self.st as isize;
         }
     }

@@ -58,33 +58,54 @@ impl ZooEntry {
     }
 }
 
-fn run_entry<S: GpuScalar, K: BlockKernel<S>>(
-    spec: &DeviceSpec,
-    geometry: String,
-    cfg: &LaunchConfig,
-    kernel: &K,
-    mem: &mut GpuMemory<S>,
-) -> Result<ZooEntry> {
-    // One launch through the shared plan executor: it owns the
-    // sanitizer, lint, cross-check and timing bookkeeping the zoo used
-    // to duplicate.
-    let mut ex = PlanExecutor::new(spec.clone(), ExecConfig::checked());
-    ex.launch(cfg, kernel, mem)?;
-    let report = ex.take_last_lint()?;
-    let (kernel_report, stats) = ex.take_last_launch()?;
-    let mismatches = std::mem::take(&mut ex.lint_mismatches);
-    Ok(ZooEntry {
-        kernel: report.kernel,
-        geometry,
-        violations: std::mem::take(&mut ex.violations),
-        report,
-        stats,
-        mismatches,
-        timing: kernel_report.timing,
-    })
+/// What a zoo builder does with each kernel configuration it sets up.
+trait ZooRun {
+    fn run<S: GpuScalar, K: BlockKernel<S>>(
+        &mut self,
+        geometry: String,
+        cfg: &LaunchConfig,
+        kernel: &K,
+        mem: &mut GpuMemory<S>,
+    ) -> Result<()>;
 }
 
-fn pcr_shared_entries(spec: &DeviceSpec, out: &mut Vec<ZooEntry>) -> Result<()> {
+/// The zoo proper: one checked launch per configuration, collected as
+/// [`ZooEntry`]s.
+struct Checked<'a> {
+    spec: &'a DeviceSpec,
+    out: Vec<ZooEntry>,
+}
+
+impl ZooRun for Checked<'_> {
+    fn run<S: GpuScalar, K: BlockKernel<S>>(
+        &mut self,
+        geometry: String,
+        cfg: &LaunchConfig,
+        kernel: &K,
+        mem: &mut GpuMemory<S>,
+    ) -> Result<()> {
+        // One launch through the shared plan executor: it owns the
+        // sanitizer, lint, cross-check and timing bookkeeping the zoo used
+        // to duplicate.
+        let mut ex = PlanExecutor::new(self.spec.clone(), ExecConfig::checked());
+        ex.launch(cfg, kernel, mem)?;
+        let report = ex.take_last_lint()?;
+        let (kernel_report, stats) = ex.take_last_launch()?;
+        let mismatches = std::mem::take(&mut ex.lint_mismatches);
+        self.out.push(ZooEntry {
+            kernel: report.kernel,
+            geometry,
+            violations: std::mem::take(&mut ex.violations),
+            report,
+            stats,
+            mismatches,
+            timing: kernel_report.timing,
+        });
+        Ok(())
+    }
+}
+
+fn pcr_shared_entries(r: &mut impl ZooRun) -> Result<()> {
     for (m, n, steps) in [(4usize, 128usize, None), (2, 64, None), (1, 256, Some(2u32))] {
         let host = random_batch::<f64>(m, n, 41);
         let mut mem = GpuMemory::new();
@@ -98,18 +119,17 @@ fn pcr_shared_entries(spec: &DeviceSpec, out: &mut Vec<ZooEntry>) -> Result<()> 
         let threads = (n as u32).min(256);
         let cfg = LaunchConfig::new("pcr_shared", m, threads);
         let steps_txt = steps.map_or("full".into(), |s| s.to_string());
-        out.push(run_entry(
-            spec,
+        r.run(
             format!("m={m} n={n} steps={steps_txt} t={threads} f64"),
             &cfg,
             &kernel,
             &mut mem,
-        )?);
+        )?;
     }
     Ok(())
 }
 
-fn cr_shared_entries(spec: &DeviceSpec, out: &mut Vec<ZooEntry>) -> Result<()> {
+fn cr_shared_entries(r: &mut impl ZooRun) -> Result<()> {
     for (m, n) in [(2usize, 256usize), (1, 64), (4, 128)] {
         let host = random_batch::<f64>(m, n, 43);
         let mut mem = GpuMemory::new();
@@ -122,18 +142,17 @@ fn cr_shared_entries(spec: &DeviceSpec, out: &mut Vec<ZooEntry>) -> Result<()> {
         };
         let threads = (n as u32 / 2).clamp(32, 512);
         let cfg = LaunchConfig::new("cr_shared", m, threads);
-        out.push(run_entry(
-            spec,
+        r.run(
             format!("m={m} n={n} t={threads} padded f64"),
             &cfg,
             &kernel,
             &mut mem,
-        )?);
+        )?;
     }
     Ok(())
 }
 
-fn tiled_pcr_entries(spec: &DeviceSpec, out: &mut Vec<ZooEntry>) -> Result<()> {
+fn tiled_pcr_entries(r: &mut impl ZooRun) -> Result<()> {
     for (m, n, k, c) in [(3usize, 100usize, 3u32, 2usize), (1, 64, 2, 1), (2, 96, 4, 1)] {
         let host = random_batch::<f64>(m, n, 47);
         let mut mem = GpuMemory::new();
@@ -155,18 +174,17 @@ fn tiled_pcr_entries(spec: &DeviceSpec, out: &mut Vec<ZooEntry>) -> Result<()> {
             assignments,
         };
         let cfg = LaunchConfig::new("tiled_pcr", blocks, 1 << k);
-        out.push(run_entry(
-            spec,
+        r.run(
             format!("m={m} n={n} k={k} c={c} (11a) f64"),
             &cfg,
             &kernel,
             &mut mem,
-        )?);
+        )?;
     }
     Ok(())
 }
 
-fn window_multi_slot_entries(spec: &DeviceSpec, out: &mut Vec<ZooEntry>) -> Result<()> {
+fn window_multi_slot_entries(r: &mut impl ZooRun) -> Result<()> {
     for (m, n, k, q) in [(6usize, 96usize, 2u32, 3usize), (4, 64, 2, 2), (5, 80, 3, 2)] {
         let host = random_batch::<f32>(m, n, 61);
         let mut mem = GpuMemory::new();
@@ -188,18 +206,17 @@ fn window_multi_slot_entries(spec: &DeviceSpec, out: &mut Vec<ZooEntry>) -> Resu
             assignments,
         };
         let cfg = LaunchConfig::new("window_multi_slot", blocks, (q as u32) << k);
-        out.push(run_entry(
-            spec,
+        r.run(
             format!("m={m} n={n} k={k} q={q} (11c) f32"),
             &cfg,
             &kernel,
             &mut mem,
-        )?);
+        )?;
     }
     Ok(())
 }
 
-fn p_thomas_entries(spec: &DeviceSpec, out: &mut Vec<ZooEntry>) -> Result<()> {
+fn p_thomas_entries(r: &mut impl ZooRun) -> Result<()> {
     for (m, n) in [(64usize, 64usize), (37, 50), (128, 32)] {
         let host = random_batch::<f64>(m, n, 53).to_layout(Layout::Interleaved);
         let mut mem = GpuMemory::new();
@@ -217,18 +234,17 @@ fn p_thomas_entries(spec: &DeviceSpec, out: &mut Vec<ZooEntry>) -> Result<()> {
             map: AddrMap::Interleaved { m, n },
         };
         let cfg = LaunchConfig::new("p_thomas", m.div_ceil(32), 32);
-        out.push(run_entry(
-            spec,
+        r.run(
             format!("m={m} n={n} interleaved f64"),
             &cfg,
             &kernel,
             &mut mem,
-        )?);
+        )?;
     }
     Ok(())
 }
 
-fn fused_entries(spec: &DeviceSpec, out: &mut Vec<ZooEntry>) -> Result<()> {
+fn fused_entries(r: &mut impl ZooRun) -> Result<()> {
     for (m, n, k, c) in [(2usize, 200usize, 3u32, 2usize), (1, 64, 2, 1), (3, 128, 4, 1)] {
         let host = random_batch::<f64>(m, n, 59);
         let mut mem = GpuMemory::new();
@@ -246,27 +262,33 @@ fn fused_entries(spec: &DeviceSpec, out: &mut Vec<ZooEntry>) -> Result<()> {
             m,
         };
         let cfg = LaunchConfig::new("fused", m, 1 << k);
-        out.push(run_entry(
-            spec,
+        r.run(
             format!("m={m} n={n} k={k} c={c} f64"),
             &cfg,
             &kernel,
             &mut mem,
-        )?);
+        )?;
     }
     Ok(())
 }
 
-/// The six per-kernel entry builders, in canonical zoo order.
-type EntryBuilder = fn(&DeviceSpec, &mut Vec<ZooEntry>) -> Result<()>;
-const BUILDERS: [EntryBuilder; 6] = [
-    pcr_shared_entries,
-    cr_shared_entries,
-    tiled_pcr_entries,
-    window_multi_slot_entries,
-    p_thomas_entries,
-    fused_entries,
-];
+/// Number of per-kernel entry builders.
+const BUILDERS: usize = 6;
+
+/// Run builders `range` (of the six, in canonical zoo order).
+fn run_builders(r: &mut impl ZooRun, range: std::ops::Range<usize>) -> Result<()> {
+    for i in range {
+        match i {
+            0 => pcr_shared_entries(r)?,
+            1 => cr_shared_entries(r)?,
+            2 => tiled_pcr_entries(r)?,
+            3 => window_multi_slot_entries(r)?,
+            4 => p_thomas_entries(r)?,
+            _ => fused_entries(r)?,
+        }
+    }
+    Ok(())
+}
 
 /// Run all six kernels at three geometries each (18 entries) on `spec`.
 ///
@@ -275,11 +297,12 @@ const BUILDERS: [EntryBuilder; 6] = [
 /// specs the entries still run and report, but coalescing/bank
 /// predictions are calibrated per device and may legitimately differ.
 pub fn run_zoo_on(spec: &DeviceSpec) -> Result<Vec<ZooEntry>> {
-    let mut out = Vec::with_capacity(18);
-    for builder in BUILDERS {
-        builder(spec, &mut out)?;
-    }
-    Ok(out)
+    let mut r = Checked {
+        spec,
+        out: Vec::with_capacity(18),
+    };
+    run_builders(&mut r, 0..BUILDERS)?;
+    Ok(r.out)
 }
 
 /// Run all six kernels at three geometries each (18 entries) on the
@@ -298,15 +321,16 @@ pub fn run_zoo() -> Result<Vec<ZooEntry>> {
 /// [`gpu_sim::SimError::KernelFault`]; the first failing device (by
 /// index) wins.
 pub fn run_zoo_group(group: &DeviceGroup) -> Result<Vec<ZooEntry>> {
-    let workers = group.len().min(BUILDERS.len());
-    let ranges = partition(BUILDERS.len(), workers, Partition::Systems)?;
+    let workers = group.len().min(BUILDERS);
+    let ranges = partition(BUILDERS, workers, Partition::Systems)?;
     let per_device = fan_out("device", ranges.len(), |d| {
         let (start, count) = ranges[d];
-        let mut out = Vec::new();
-        for builder in &BUILDERS[start..start + count] {
-            builder(&group.devices()[d], &mut out)?;
-        }
-        Ok(out)
+        let mut r = Checked {
+            spec: &group.devices()[d],
+            out: Vec::new(),
+        };
+        run_builders(&mut r, start..start + count)?;
+        Ok(r.out)
     })?;
     Ok(per_device.into_iter().flatten().collect())
 }
@@ -314,6 +338,53 @@ pub fn run_zoo_group(group: &DeviceGroup) -> Result<Vec<ZooEntry>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Launches each zoo configuration unchecked and under
+    /// [`ExecConfig::checked`] on copies of the same memory.
+    struct ModesAgree {
+        spec: DeviceSpec,
+        configs: usize,
+    }
+
+    impl ZooRun for ModesAgree {
+        fn run<S: GpuScalar, K: BlockKernel<S>>(
+            &mut self,
+            geometry: String,
+            cfg: &LaunchConfig,
+            kernel: &K,
+            mem: &mut GpuMemory<S>,
+        ) -> Result<()> {
+            let mut plain_mem = mem.clone();
+            let plain = gpu_sim::launch(&self.spec, cfg, kernel, &mut plain_mem)?;
+            let checked =
+                gpu_sim::launch_with(&self.spec, cfg, &ExecConfig::checked(), kernel, mem)?;
+            let at = format!("{} {geometry}", cfg.name);
+            assert_eq!(plain.stats.total, checked.stats.total, "{at}: totals");
+            assert_eq!(plain.stats.phases, checked.stats.phases, "{at}: phases");
+            assert_eq!(plain.stats, checked.stats, "{at}: per-block counters");
+            // `{:?}` prints every element in shortest round-trip form,
+            // so equal text is bit-identical memory (and init shadow).
+            assert!(
+                format!("{plain_mem:?}") == format!("{mem:?}"),
+                "{at}: memory differs"
+            );
+            self.configs += 1;
+            Ok(())
+        }
+    }
+
+    /// The unchecked executor (closed-form counts over affine pieces)
+    /// and the checked one (per-lane counts, sanitizer, plan recording)
+    /// agree on every counter and every output bit of every zoo entry.
+    #[test]
+    fn every_entry_runs_identically_unchecked_and_checked() {
+        let mut r = ModesAgree {
+            spec: DeviceSpec::gtx480(),
+            configs: 0,
+        };
+        run_builders(&mut r, 0..BUILDERS).unwrap();
+        assert_eq!(r.configs, 18);
+    }
 
     #[test]
     fn zoo_covers_six_kernels_at_three_geometries() {
