@@ -139,7 +139,7 @@ fn main() {
         let cfg = LaunchConfig::new("cr_shared", m, 256);
         let res = launch(&DeviceSpec::gtx480(), &cfg, &kernel, &mut mem).expect("cr");
         assert!(
-            host.max_relative_residual(mem.read(dev.x).expect("x")).expect("resid") < 1e-9
+            host.max_relative_residual(&mem.read(dev.x).expect("x")).expect("resid") < 1e-9
         );
         let timing = gpu_sim::time_kernel(&DeviceSpec::gtx480(), &res, Precision::F64);
         t.row([

@@ -87,6 +87,7 @@ pub mod lint;
 pub mod memory;
 pub mod metrics;
 pub mod occupancy;
+pub mod par;
 pub mod plan;
 pub mod sanitizer;
 pub mod spec;

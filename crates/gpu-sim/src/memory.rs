@@ -18,23 +18,58 @@
 //! call them.
 
 use crate::plan::AffinePiece;
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::Ordering::Relaxed;
 
 /// Word-granular initialization shadow for one buffer: which elements a
 /// store (or host upload) has ever written. `Full` is the common case —
 /// buffers uploaded from host data — and costs nothing; `Partial` is a
-/// bitmap, one bit per element, for device-side allocations.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// bitmap, one bit per element, for device-side allocations. Its words
+/// are atomic so blocks running on several host threads can mark
+/// elements through a shared reference; the marks publish no other
+/// data, so they are `Relaxed`.
+#[derive(Debug)]
 pub enum InitMask {
     /// Every word is initialized (host-uploaded buffers).
     Full,
     /// Bitmap of initialized words (`bit i` = element `i` written).
-    Partial(Vec<u64>),
+    Partial(Vec<AtomicU64>),
 }
+
+impl Clone for InitMask {
+    fn clone(&self) -> Self {
+        match self {
+            InitMask::Full => InitMask::Full,
+            InitMask::Partial(bits) => InitMask::Partial(
+                bits.iter()
+                    .map(|w| AtomicU64::new(w.load(Relaxed)))
+                    .collect(),
+            ),
+        }
+    }
+}
+
+impl PartialEq for InitMask {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (InitMask::Full, InitMask::Full) => true,
+            (InitMask::Partial(a), InitMask::Partial(b)) => {
+                a.len() == b.len()
+                    && a.iter()
+                        .zip(b)
+                        .all(|(x, y)| x.load(Relaxed) == y.load(Relaxed))
+            }
+            _ => false,
+        }
+    }
+}
+
+impl Eq for InitMask {}
 
 impl InitMask {
     /// A mask with every word uninitialized (fresh `cudaMalloc`).
     pub fn uninit(len: usize) -> Self {
-        InitMask::Partial(vec![0u64; len.div_ceil(64)])
+        InitMask::Partial((0..len.div_ceil(64)).map(|_| AtomicU64::new(0)).collect())
     }
 
     /// Is element `i` initialized?
@@ -42,20 +77,20 @@ impl InitMask {
     pub fn is_set(&self, i: usize) -> bool {
         match self {
             InitMask::Full => true,
-            InitMask::Partial(bits) => bits[i / 64] & (1u64 << (i % 64)) != 0,
+            InitMask::Partial(bits) => bits[i / 64].load(Relaxed) & (1u64 << (i % 64)) != 0,
         }
     }
 
     /// Mark element `i` initialized.
     #[inline]
-    pub fn set(&mut self, i: usize) {
+    pub fn set(&self, i: usize) {
         if let InitMask::Partial(bits) = self {
-            bits[i / 64] |= 1u64 << (i % 64);
+            bits[i / 64].fetch_or(1u64 << (i % 64), Relaxed);
         }
     }
 
     /// Mark elements `lo..hi` initialized (a unit-stride store).
-    pub fn set_range(&mut self, lo: usize, hi: usize) {
+    pub fn set_range(&self, lo: usize, hi: usize) {
         let InitMask::Partial(bits) = self else {
             return;
         };
@@ -68,7 +103,7 @@ impl InitMask {
             } else {
                 ((1u64 << n) - 1) << bit
             };
-            bits[i / 64] |= run;
+            bits[i / 64].fetch_or(run, Relaxed);
             i += n;
         }
     }
@@ -185,12 +220,53 @@ fn enumerate_warp(
     n
 }
 
+/// Segments the lanes `x0..x1` (non-empty) of one piece touch. A
+/// broadcast touches one segment; a step of at most one segment touches
+/// the whole interval between the first and last lane's segments; a
+/// longer step touches a new segment on every lane. `segment_bytes` is
+/// a power of two (see [`crate::spec::DeviceSpec::validate`]), so the
+/// segment of a byte address is a shift.
+fn piece_segments(
+    p: &AffinePiece,
+    x0: usize,
+    x1: usize,
+    elem_bytes: usize,
+    segment_bytes: usize,
+) -> u64 {
+    let e = elem_bytes as i64;
+    if p.stride == 0 {
+        1
+    } else if p.stride.abs() * e <= segment_bytes as i64 {
+        let shift = segment_bytes.trailing_zeros();
+        let (a, b) = (p.elem(x0), p.elem(x1 - 1));
+        (((a.max(b) * e) >> shift) - ((a.min(b) * e) >> shift) + 1) as u64
+    } else {
+        (x1 - x0) as u64
+    }
+}
+
+/// Bank cycles `len ≥ 1` lanes of one piece take, or `None` for
+/// elements narrower than a bank word. Its lanes touch distinct words
+/// at word stride `W = s·elem/4`, which repeat a bank every
+/// `period = banks / gcd(|W|, banks)` lanes, so they take
+/// `ceil(len / period)` cycles (one for a broadcast). `banks` is a
+/// power of two, so the gcd is `2^min(tz(W), log2 banks)` and both
+/// divisions are shifts.
+fn piece_cycles(p: &AffinePiece, len: usize, elem_bytes: usize, banks: u32) -> Option<u64> {
+    if !elem_bytes.is_multiple_of(4) {
+        return None;
+    }
+    if p.stride == 0 {
+        return Some(1);
+    }
+    let w = p.stride.unsigned_abs() * (elem_bytes as u64 / 4);
+    let period_log2 = banks.trailing_zeros() - w.trailing_zeros().min(banks.trailing_zeros());
+    Some((len as u64 + (1u64 << period_log2) - 1) >> period_log2)
+}
+
 /// [`warp_transactions`] of the warp `[w0, w1)` of an access given as
-/// affine pieces (every element index non-negative). One covering
-/// piece is counted in closed form: a broadcast touches one segment; a
-/// step of at most one segment touches the whole interval between the
-/// first and last lane's segments; a longer step touches a new segment
-/// on every lane. Several covering pieces are enumerated.
+/// affine pieces (every element index non-negative): one covering
+/// piece in closed form ([`piece_segments`]), several enumerated.
 fn warp_transactions_affine(
     pieces: &[AffinePiece],
     w0: usize,
@@ -201,17 +277,10 @@ fn warp_transactions_affine(
     debug_assert!(w1 - w0 <= MAX_WARP, "a warp access has at most 64 lanes");
     if let [p] = pieces {
         let (x0, x1) = clip(p, w0, w1);
-        if x0 == x1 {
-            return 0;
-        }
-        let (e, seg) = (elem_bytes as i64, segment_bytes as i64);
-        return if p.stride == 0 {
-            1
-        } else if p.stride.abs() * e <= seg {
-            let (a, b) = (p.elem(x0), p.elem(x1 - 1));
-            ((a.max(b) * e).div_euclid(seg) - (a.min(b) * e).div_euclid(seg) + 1) as u64
+        return if x0 == x1 {
+            0
         } else {
-            (x1 - x0) as u64
+            piece_segments(p, x0, x1, elem_bytes, segment_bytes)
         };
     }
     let mut idx = [0usize; MAX_WARP];
@@ -220,12 +289,8 @@ fn warp_transactions_affine(
 }
 
 /// [`shared_conflict_cycles`] of the warp `[w0, w1)` of an access given
-/// as affine pieces (every element index non-negative). One covering
-/// piece of element stride `s` is counted in closed form: its lanes
-/// touch distinct words at word stride `W = s·elem/4`, which repeat a
-/// bank every `period = banks / gcd(|W|, banks)` lanes, so `L` lanes
-/// take `ceil(L / period)` cycles (one for a broadcast). Several
-/// covering pieces are enumerated.
+/// as affine pieces (every element index non-negative): one covering
+/// piece in closed form ([`piece_cycles`]), several enumerated.
 fn warp_conflict_cycles_affine(
     pieces: &[AffinePiece],
     w0: usize,
@@ -235,14 +300,9 @@ fn warp_conflict_cycles_affine(
 ) -> u64 {
     debug_assert!(w1 - w0 <= MAX_WARP, "a warp access has at most 64 lanes");
     if let [p] = pieces {
-        if elem_bytes.is_multiple_of(4) {
-            let (x0, x1) = clip(p, w0, w1);
-            if p.stride == 0 || x1 - x0 <= 1 {
-                return 1;
-            }
-            let w = p.stride.unsigned_abs() * (elem_bytes as u64 / 4);
-            let period = banks as u64 / gcd(w, banks as u64);
-            return ((x1 - x0) as u64).div_ceil(period);
+        let (x0, x1) = clip(p, w0, w1);
+        if let Some(cycles) = piece_cycles(p, (x1 - x0).max(1), elem_bytes, banks) {
+            return cycles;
         }
     }
     let mut idx = [0usize; MAX_WARP];
@@ -250,17 +310,21 @@ fn warp_conflict_cycles_affine(
     shared_conflict_cycles(&idx[..n], elem_bytes, banks)
 }
 
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        (a, b) = (b, a % b);
+/// The one piece of `pieces` when it holds every lane of a `lanes`-lane
+/// access.
+fn whole_piece(pieces: &[AffinePiece], lanes: usize) -> Option<&AffinePiece> {
+    match pieces {
+        [p] if p.lane0 == 0 && p.lanes == lanes => Some(p),
+        _ => None,
     }
-    a
 }
 
 /// Transactions of one block-wide global access of `lanes` lanes given
 /// as affine pieces in lane order: the sum over its warps of the
 /// per-warp closed form (see [`warp_transactions`] for the counting
-/// rule).
+/// rule). An access held by one piece is counted once for all its
+/// full warps when a warp's span is a whole number of segments, so
+/// every full warp sits alike on the segment grid.
 pub fn access_transactions(
     pieces: &[AffinePiece],
     lanes: usize,
@@ -268,6 +332,20 @@ pub fn access_transactions(
     elem_bytes: usize,
     segment_bytes: usize,
 ) -> u64 {
+    if let Some(p) = whole_piece(pieces, lanes) {
+        let span = p.stride.unsigned_abs() * (elem_bytes * warp_size) as u64;
+        if span & (segment_bytes as u64 - 1) == 0 {
+            let (full, tail) = (lanes / warp_size, lanes % warp_size);
+            let mut total = 0;
+            if full > 0 {
+                total += full as u64 * piece_segments(p, 0, warp_size, elem_bytes, segment_bytes);
+            }
+            if tail > 0 {
+                total += piece_segments(p, lanes - tail, lanes, elem_bytes, segment_bytes);
+            }
+            return total;
+        }
+    }
     let mut total = 0u64;
     for_each_warp(pieces, lanes, warp_size, |p, w0, w1| {
         total += warp_transactions_affine(p, w0, w1, elem_bytes, segment_bytes);
@@ -278,7 +356,9 @@ pub fn access_transactions(
 /// Bank-conflict cost of one block-wide shared access of `lanes` lanes
 /// given as affine pieces in lane order: `(replays, worst)`, the replay
 /// cycles summed over its warps and the largest per-warp cycle count
-/// (see [`shared_conflict_cycles`] for the counting rule).
+/// (see [`shared_conflict_cycles`] for the counting rule). An access
+/// held by one piece is counted once: its full warps all take the same
+/// cycles.
 pub fn access_conflict_cycles(
     pieces: &[AffinePiece],
     lanes: usize,
@@ -286,6 +366,22 @@ pub fn access_conflict_cycles(
     elem_bytes: usize,
     banks: u32,
 ) -> (u64, u64) {
+    if let Some(p) = whole_piece(pieces, lanes) {
+        let (full, tail) = (lanes / warp_size, lanes % warp_size);
+        let cycles = |len| piece_cycles(p, len, elem_bytes, banks);
+        if let (Some(per_full), Some(per_tail)) = (cycles(warp_size), cycles(tail.max(1))) {
+            let (mut replays, mut worst) = (0u64, 1u64);
+            if full > 0 {
+                replays += full as u64 * (per_full - 1);
+                worst = per_full;
+            }
+            if tail > 0 {
+                replays += per_tail - 1;
+                worst = worst.max(per_tail);
+            }
+            return (replays, worst);
+        }
+    }
     let (mut replays, mut worst) = (0u64, 1u64);
     for_each_warp(pieces, lanes, warp_size, |p, w0, w1| {
         let cycles = warp_conflict_cycles_affine(p, w0, w1, elem_bytes, banks);
@@ -305,7 +401,7 @@ mod tests {
 
     #[test]
     fn init_mask_tracks_words() {
-        let mut m = InitMask::uninit(130);
+        let m = InitMask::uninit(130);
         assert!(!m.is_set(0) && !m.is_set(129));
         m.set(0);
         m.set(64);

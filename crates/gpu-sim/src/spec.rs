@@ -198,6 +198,11 @@ impl DeviceSpec {
         if self.global_mem_bytes == 0 {
             return Err("zero global memory capacity".into());
         }
+        // The coalescing and bank-conflict counters divide by these
+        // with shifts and masks.
+        if !self.shared_banks.is_power_of_two() || !self.transaction_bytes.is_power_of_two() {
+            return Err("shared banks and transaction bytes must be powers of two".into());
+        }
         Ok(())
     }
 }
@@ -252,6 +257,12 @@ mod tests {
         assert!(d.validate().is_err());
         let mut d = DeviceSpec::gtx480();
         d.max_shared_per_block = d.shared_mem_per_sm + 1;
+        assert!(d.validate().is_err());
+        let mut d = DeviceSpec::gtx480();
+        d.shared_banks = 24;
+        assert!(d.validate().is_err());
+        let mut d = DeviceSpec::gtx480();
+        d.transaction_bytes = 96;
         assert!(d.validate().is_err());
     }
 }

@@ -173,11 +173,11 @@ proptest! {
         pre in prop::collection::vec(0usize..400, 0..8),
     ) {
         let (lo, hi) = (a.min(b) % len, (a.max(b) % len).max(a.min(b) % len));
-        let mut ranged = InitMask::uninit(len);
+        let ranged = InitMask::uninit(len);
         for &i in &pre {
             ranged.set(i % len);
         }
-        let mut single = ranged.clone();
+        let single = ranged.clone();
         ranged.set_range(lo, hi);
         for i in lo..hi {
             single.set(i);

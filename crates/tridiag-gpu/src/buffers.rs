@@ -65,7 +65,7 @@ pub fn download_solution<S: GpuScalar>(
     mem: &GpuMemory<S>,
     batch: &DeviceBatch,
 ) -> gpu_sim::Result<Vec<S>> {
-    Ok(mem.read(batch.x)?.to_vec())
+    mem.read(batch.x)
 }
 
 #[cfg(test)]

@@ -192,7 +192,11 @@ impl PlanExecutor {
         let mut out: Option<Vec<S>> = None;
         for (i, step) in plan.steps.iter().enumerate() {
             match step {
-                Step::Convert { to } => host = Some(batch.to_layout(*to)),
+                // Converting to the batch's own layout is a no-op: the
+                // uploads read the batch itself.
+                Step::Convert { to } => {
+                    host = (*to != batch.layout()).then(|| batch.to_layout(*to));
+                }
                 Step::Upload { slot, source } => {
                     // Elided plans (host layout == device layout) have
                     // no Convert step: the batch uploads as-is, but
@@ -295,19 +299,30 @@ impl PlanExecutor {
                     }
                 }
                 Step::Download { slot } => {
-                    let xs = mem.read(bound(&slots, *slot)?)?.to_vec();
+                    // A download that is the buffer's last use moves
+                    // the buffer out instead of copying it.
+                    let buf = bound(&slots, *slot)?;
+                    let xs = if free_at[i].contains(slot) {
+                        mem.take(buf)?
+                    } else {
+                        mem.read(buf)?
+                    };
                     dynamic.d2h.push((i, xs.len() * <S as gpu_sim::Elem>::BYTES));
                     downloaded = Some(xs);
                 }
                 Step::ConvertBack { from } => {
-                    let xs = downloaded.as_ref().ok_or_else(|| {
+                    let xs = downloaded.take().ok_or_else(|| {
                         SimError::InvalidPlan(
                             "convert-back step before the download".into(),
                         )
                     })?;
-                    let mut o = vec![S::ZERO; batch.total_len()];
-                    from.convert(batch.layout(), xs, m, n, &mut o);
-                    out = Some(o);
+                    out = Some(if *from == batch.layout() {
+                        xs
+                    } else {
+                        let mut o = vec![S::ZERO; batch.total_len()];
+                        from.convert(batch.layout(), &xs, m, n, &mut o);
+                        o
+                    });
                 }
             }
             // Release every buffer whose last use was this step.

@@ -231,7 +231,7 @@ mod tests {
         let cfg = LaunchConfig::new("cr_shared", m, (n as u32 / 2).clamp(32, 512));
         let res = launch(&DeviceSpec::gtx480(), &cfg, &kernel, &mut mem).unwrap();
         let x = mem.read(dev.x).unwrap();
-        (host.max_relative_residual(x).unwrap(), res)
+        (host.max_relative_residual(&x).unwrap(), res)
     }
 
     #[test]

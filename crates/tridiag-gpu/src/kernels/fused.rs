@@ -216,7 +216,7 @@ mod tests {
         let cfg = LaunchConfig::new("fused", m, 1 << k).with_regs(REGS_FUSED);
         let res = launch(&DeviceSpec::gtx480(), &cfg, &kernel, &mut mem).unwrap();
         let x = mem.read(dev.x).unwrap();
-        (host.max_relative_residual(x).unwrap(), res)
+        (host.max_relative_residual(&x).unwrap(), res)
     }
 
     #[test]

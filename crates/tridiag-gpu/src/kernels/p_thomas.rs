@@ -282,7 +282,7 @@ mod tests {
         .with_regs(REGS_PTHOMAS);
         launch(&DeviceSpec::gtx480(), &cfg, &kernel, &mut mem).unwrap();
         let x = mem.read(dev.x).unwrap();
-        host.max_relative_residual(x).unwrap()
+        host.max_relative_residual(&x).unwrap()
     }
 
     #[test]
@@ -321,7 +321,7 @@ mod tests {
             };
             let cfg = LaunchConfig::new("p_thomas", 1, m as u32).with_regs(REGS_PTHOMAS);
             let res = launch(&spec, &cfg, &kernel, &mut mem).unwrap();
-            assert!(host.max_relative_residual(mem.read(dev.x).unwrap()).unwrap() < 1e-10);
+            assert!(host.max_relative_residual(&mem.read(dev.x).unwrap()).unwrap() < 1e-10);
             results.push(res.stats.total);
         }
         let good = results[0];
@@ -372,7 +372,7 @@ mod tests {
         let cfg = LaunchConfig::new("p_thomas", 1, 8).with_regs(REGS_PTHOMAS);
         launch(&DeviceSpec::gtx480(), &cfg, &kernel, &mut mem).unwrap();
         let xs = mem.read(x).unwrap();
-        assert!(sys.relative_residual(xs).unwrap() < 1e-10);
+        assert!(sys.relative_residual(&xs).unwrap() < 1e-10);
     }
 
     #[test]

@@ -231,7 +231,7 @@ mod tests {
         let cfg = LaunchConfig::new("pcr_shared", m, (n as u32).min(256));
         let res = launch(&DeviceSpec::gtx480(), &cfg, &kernel, &mut mem).unwrap();
         let x = mem.read(dev.x).unwrap();
-        (host.max_relative_residual(x).unwrap(), res)
+        (host.max_relative_residual(&x).unwrap(), res)
     }
 
     #[test]

@@ -257,7 +257,7 @@ mod tests {
         let res = launch(&DeviceSpec::gtx480(), &cfg, &kernel, &mut mem).unwrap();
         let arrays = out
             .iter()
-            .map(|&b| mem.read(b).unwrap().to_vec())
+            .map(|&b| mem.read(b).unwrap())
             .collect();
         (arrays, res)
     }

@@ -118,13 +118,22 @@ impl<S: GpuScalar> Chunked<S> {
         lanes: &Lanes,
         out: &mut Vec<S>,
     ) -> Result<()> {
+        let load = |ctx: &mut BlockCtx<'_, S>, pieces: &[AffinePiece], out: &mut Vec<S>| match src {
+            Some(buf) => ctx.ld_affine(buf, pieces, out),
+            None => ctx.sh_ld_affine(pieces, out),
+        };
         out.clear();
+        // A list that fits one access loads straight into `out`.
+        if lanes.len() <= ctx.threads {
+            return if lanes.is_empty() {
+                Ok(())
+            } else {
+                load(ctx, lanes.pieces(), out)
+            };
+        }
         let tmp = &mut self.tmp;
         for_chunks(ctx.threads, lanes, &mut self.part, |pieces, _| {
-            match src {
-                Some(buf) => ctx.ld_affine(buf, pieces, tmp)?,
-                None => ctx.sh_ld_affine(pieces, tmp)?,
-            }
+            load(ctx, pieces, tmp)?;
             out.extend_from_slice(tmp);
             Ok(())
         })

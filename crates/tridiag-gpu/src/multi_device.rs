@@ -24,6 +24,7 @@ use crate::executor::PlanExecutor;
 use crate::plan::{Partition, SolvePlan, Step};
 use crate::solver::{DistributedSummary, GpuSolveReport, KernelReport, ShardSummary};
 use gpu_sim::group::copy_us;
+use gpu_sim::par::Permits;
 use gpu_sim::trace::Trace;
 use gpu_sim::{
     DeviceGroup, DeviceSpec, DeviceStream, GroupTimeline, Json, LintReport, Result,
@@ -36,6 +37,11 @@ use gpu_sim::{
 /// into the caller. When several workers fail, the lowest device index
 /// wins; a kernel fault is prefixed `"{unit} {d}: "` so the message
 /// names the part that failed.
+///
+/// While the device threads run, `workers − 1` helper permits (as many
+/// as are free) are held from the process-wide budget of
+/// [`gpu_sim::par`], so the launches inside fan their blocks out only
+/// to cores the device threads leave idle.
 pub(crate) fn fan_out<T, F>(unit: &str, workers: usize, work: F) -> Result<Vec<T>>
 where
     T: Send,
@@ -43,6 +49,7 @@ where
 {
     let panicked = || SimError::KernelFault(format!("{unit} worker thread panicked"));
     let work = &work;
+    let _device_threads = Permits::take(workers.saturating_sub(1));
     let joined: Vec<Result<T>> = crossbeam::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|d| scope.spawn(move |_| work(d)))
@@ -338,6 +345,54 @@ mod tests {
     fn fan_out_returns_results_in_device_order() {
         let got = fan_out("device", 4, |d| Ok(d * 10)).unwrap();
         assert_eq!(got, vec![0, 10, 20, 30]);
+    }
+
+    #[test]
+    fn device_threads_and_block_helpers_share_one_thread_budget() {
+        use gpu_sim::{launch, BlockCtx, BlockKernel, GpuMemory, LaunchConfig};
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        use std::time::{Duration, Instant};
+        /// Blocks that each work for 200 µs, long enough for a launch
+        /// to fan out, recording how many run at once.
+        struct Busy {
+            running: AtomicUsize,
+            peak: AtomicUsize,
+        }
+        impl BlockKernel<f64> for Busy {
+            fn run_block(&self, ctx: &mut BlockCtx<'_, f64>) -> Result<()> {
+                let now = self.running.fetch_add(1, SeqCst) + 1;
+                self.peak.fetch_max(now, SeqCst);
+                let t = Instant::now();
+                while t.elapsed() < Duration::from_micros(200) {
+                    std::hint::spin_loop();
+                }
+                ctx.flops(1);
+                self.running.fetch_sub(1, SeqCst);
+                Ok(())
+            }
+        }
+        let busy = Busy {
+            running: AtomicUsize::new(0),
+            peak: AtomicUsize::new(0),
+        };
+        let spec = DeviceSpec::gtx480();
+        let cfg = LaunchConfig::new("busy", 128, 32);
+        // Both devices enter their launches together, so the launches
+        // overlap.
+        let both = std::sync::Barrier::new(2);
+        let flops = fan_out("device", 2, |_| {
+            let mut mem = GpuMemory::<f64>::new();
+            both.wait();
+            Ok(launch(&spec, &cfg, &busy, &mut mem)?.stats.total.flops)
+        })
+        .unwrap();
+        assert_eq!(flops, vec![128, 128]);
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        let peak = busy.peak.load(SeqCst);
+        assert!(
+            peak <= cores.max(2),
+            "{peak} threads ran blocks at once on {cores} cores"
+        );
     }
 
     #[test]

@@ -338,9 +338,10 @@ impl SolvePlan {
         let k = decision.k;
         // Elide conversions when the batch arrives already interleaved
         // and the pipeline wants it interleaved. The hybrid pipeline's
-        // contiguous->contiguous Convert is a no-op but is *kept*: the
+        // contiguous->contiguous Convert and ConvertBack are *kept*: the
         // legacy plan shapes are pinned byte-exactly by the golden
-        // snapshots, and the executor's no-op clone costs nothing.
+        // snapshots. The executor skips a conversion to the batch's own
+        // layout, so they copy nothing.
         let elide = host_layout == decision.layout && host_layout == Layout::Interleaved;
 
         let total = m * n;

@@ -362,8 +362,9 @@ mod tests {
             assert_eq!(plain.stats.total, checked.stats.total, "{at}: totals");
             assert_eq!(plain.stats.phases, checked.stats.phases, "{at}: phases");
             assert_eq!(plain.stats, checked.stats, "{at}: per-block counters");
-            // `{:?}` prints every element in shortest round-trip form,
-            // so equal text is bit-identical memory (and init shadow).
+            // `{:?}` prints every element's bits (global memory holds
+            // atomic cells), so equal text is bit-identical memory (and
+            // init shadow).
             assert!(
                 format!("{plain_mem:?}") == format!("{mem:?}"),
                 "{at}: memory differs"

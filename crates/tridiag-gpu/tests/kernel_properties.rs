@@ -82,7 +82,7 @@ proptest! {
         let tpb = 128u32.min(m as u32).max(1);
         let cfg = LaunchConfig::new("p_thomas", m.div_ceil(tpb as usize), tpb);
         let res = launch(&DeviceSpec::gtx480(), &cfg, &kernel, &mut mem).unwrap();
-        prop_assert!(host.max_relative_residual(mem.read(dev.x).unwrap()).unwrap() < 1e-8);
+        prop_assert!(host.max_relative_residual(&mem.read(dev.x).unwrap()).unwrap() < 1e-8);
         let rows = (m * n) as u64;
         prop_assert_eq!(res.stats.total.global_bytes(), 9 * rows * 8);
     }

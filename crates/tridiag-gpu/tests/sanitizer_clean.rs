@@ -47,7 +47,7 @@ fn pcr_shared_is_clean() {
     let cfg = LaunchConfig::new("pcr_shared", m, 128);
     let res = launch_with(&DeviceSpec::gtx480(), &cfg, &exec(), &kernel, &mut mem).unwrap();
     assert_clean(&res, "pcr_shared");
-    assert!(host.max_relative_residual(mem.read(dev.x).unwrap()).unwrap() < 1e-9);
+    assert!(host.max_relative_residual(&mem.read(dev.x).unwrap()).unwrap() < 1e-9);
 }
 
 #[test]
@@ -168,7 +168,7 @@ fn fused_is_clean() {
     let cfg = LaunchConfig::new("fused", m, 1 << k);
     let res = launch_with(&DeviceSpec::gtx480(), &cfg, &exec(), &kernel, &mut mem).unwrap();
     assert_clean(&res, "fused");
-    assert!(host.max_relative_residual(mem.read(dev.x).unwrap()).unwrap() < 1e-9);
+    assert!(host.max_relative_residual(&mem.read(dev.x).unwrap()).unwrap() < 1e-9);
 }
 
 #[test]
