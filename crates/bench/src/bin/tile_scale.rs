@@ -45,6 +45,9 @@ fn main() {
                 policy: TransitionPolicy::Fixed(k),
                 sub_tile_scale: c,
                 mapping: MappingVariant::BlockPerSystem,
+                // The study reads the tiled-PCR launch (`kernels[0]`,
+                // `REGS_TILED_PCR`), so it keeps the split pipeline.
+                fused: false,
                 ..Default::default()
             },
         );

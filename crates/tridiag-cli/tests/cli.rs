@@ -20,7 +20,7 @@ fn solve_reports_residual_and_model_time() {
     assert!(ok, "stderr: {stderr}");
     assert!(stdout.contains("residual"), "{stdout}");
     assert!(stdout.contains("modeled time"), "{stdout}");
-    assert!(stdout.contains("tiled_pcr") || stdout.contains("p_thomas"), "{stdout}");
+    assert!(stdout.contains("fused_pcr_thomas"), "{stdout}");
 }
 
 #[test]

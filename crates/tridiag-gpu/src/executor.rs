@@ -25,7 +25,7 @@ use gpu_sim::{
     launch_with, BlockKernel, BufId, DeviceSpec, ExecConfig, GpuMemory, Json, KernelStats,
     LaunchConfig, LintReport, Precision, Result, SanitizerViolation, SimError,
 };
-use tridiag_core::SystemBatch;
+use tridiag_core::{Layout, SystemBatch};
 
 /// Runs plans (and standalone launches) against one device, collecting
 /// every launch's artifacts in arrival order.
@@ -187,23 +187,21 @@ impl PlanExecutor {
         // verifier guarantees every bound slot is created exactly once
         // before use, in whatever order the plan creates them.
         let mut slots: Vec<Option<BufId>> = vec![None; plan.buffers.len()];
-        let mut host: Option<SystemBatch<S>> = None;
+        // Device layout a `Convert` step asked for; each upload
+        // transposes its array straight from the caller's batch.
+        let mut convert_to: Option<Layout> = None;
         let mut downloaded: Option<Vec<S>> = None;
         let mut out: Option<Vec<S>> = None;
         for (i, step) in plan.steps.iter().enumerate() {
             match step {
-                // Converting to the batch's own layout is a no-op: the
-                // uploads read the batch itself.
-                Step::Convert { to } => {
-                    host = (*to != batch.layout()).then(|| batch.to_layout(*to));
-                }
+                Step::Convert { to } => convert_to = Some(*to),
                 Step::Upload { slot, source } => {
                     // Elided plans (host layout == device layout) have
                     // no Convert step: the batch uploads as-is, but
                     // only if it really is in the plan's device layout.
-                    let src = match host.as_ref() {
-                        Some(converted) => converted,
-                        None if batch.layout() == plan.layout => batch,
+                    let to = match convert_to {
+                        Some(to) => to,
+                        None if batch.layout() == plan.layout => plan.layout,
                         None => {
                             return Err(SimError::InvalidPlan(format!(
                                 "plan elides layout conversion but the batch is \
@@ -213,15 +211,23 @@ impl PlanExecutor {
                             )))
                         }
                     };
-                    let (a, b, c, d) = src.arrays();
+                    let (a, b, c, d) = batch.arrays();
                     let arr = match source {
                         crate::plan::CoefArray::Lower => a,
                         crate::plan::CoefArray::Diag => b,
                         crate::plan::CoefArray::Upper => c,
                         crate::plan::CoefArray::Rhs => d,
                     };
+                    // Converting to the batch's own layout is a copy.
+                    let dev = if to == batch.layout() {
+                        arr.to_vec()
+                    } else {
+                        let mut dev = vec![S::ZERO; arr.len()];
+                        batch.layout().convert(to, arr, m, n, &mut dev);
+                        dev
+                    };
                     dynamic.h2d.push((i, arr.len() * <S as gpu_sim::Elem>::BYTES));
-                    slots[*slot] = Some(mem.alloc_from(arr.to_vec()));
+                    slots[*slot] = Some(mem.alloc_from(dev));
                 }
                 Step::Alloc { slot } => {
                     slots[*slot] = Some(mem.alloc(plan.buffers[*slot].elems));

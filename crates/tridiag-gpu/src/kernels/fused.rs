@@ -24,6 +24,11 @@ use crate::buffers::GpuScalar;
 use crate::consts::{THOMAS_BWD_FLOPS, THOMAS_FWD_FLOPS};
 use gpu_sim::{BlockCtx, BlockKernel, BufId, Lanes, Result, SimError};
 
+/// The fused kernel's phases that do the tiled-PCR stage's work — the
+/// window engine's — as opposed to the Thomas fold, the `c'`/`d'`
+/// stores and the backward sweep.
+pub const PCR_PHASES: [&str; 4] = ["window_init", "window_load", "splice", "pcr_level"];
+
 /// The fused kernel: one block per system, `2^k` threads each.
 #[derive(Debug, Clone)]
 pub struct FusedKernel {
@@ -43,6 +48,16 @@ pub struct FusedKernel {
     pub sub_tile: usize,
     /// Number of systems (block `b` handles system `b`).
     pub m: usize,
+}
+
+impl FusedKernel {
+    /// Shared-memory elements per block: 4 arrays of window `2f + st`
+    /// plus dependency cache `2f` — the tiled-PCR footprint without its
+    /// store-alignment carry, which this kernel keeps in registers.
+    pub fn shared_elems(k: u32, sub_tile: usize) -> usize {
+        let f = (1usize << k) - 1;
+        4 * (4 * f + sub_tile)
+    }
 }
 
 impl<S: GpuScalar> BlockKernel<S> for FusedKernel {

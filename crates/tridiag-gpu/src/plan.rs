@@ -1211,6 +1211,15 @@ mod tests {
         .unwrap()
     }
 
+    /// The split pipeline (tiled PCR, then p-Thomas) where `k > 0`.
+    fn gtx480_split_plan(m: usize, n: usize, bytes: usize) -> SolvePlan {
+        let config = GpuSolverConfig {
+            fused: false,
+            ..Default::default()
+        };
+        SolvePlan::build(&DeviceSpec::gtx480(), &config, m, n, bytes).unwrap()
+    }
+
     fn assert_certified(plan: &SolvePlan) {
         let report = crate::verify::verify_plan(&DeviceSpec::gtx480(), plan);
         assert!(report.is_clean(), "{report}");
@@ -1233,7 +1242,7 @@ mod tests {
 
     #[test]
     fn split_plan_is_two_kernels_eleven_buffers() {
-        let plan = gtx480_plan(64, 512, 8);
+        let plan = gtx480_split_plan(64, 512, 8);
         assert!(plan.k > 0);
         assert!(!plan.fused);
         assert_eq!(plan.buffers.len(), 11);
@@ -1339,7 +1348,7 @@ mod tests {
 
     #[test]
     fn validate_catches_malformed_plans() {
-        let mut plan = gtx480_plan(16, 128, 8);
+        let mut plan = gtx480_split_plan(16, 128, 8);
         // Bind a slot past the table.
         if let Some(Step::Launch(ls)) = plan
             .steps
@@ -1352,7 +1361,7 @@ mod tests {
         }
         assert!(rejected(&plan));
 
-        let mut plan = gtx480_plan(16, 128, 8);
+        let mut plan = gtx480_split_plan(16, 128, 8);
         plan.steps.retain(|s| !matches!(s, Step::Download { .. }));
         assert!(rejected(&plan));
     }

@@ -4,15 +4,24 @@
 //! `k` comes from the transition policy (Table III, §III-D), clamped to
 //! the device; the layout follows `k` — interleaved p-Thomas when
 //! `k = 0`, the many-systems regime where coalesced lanes pay off, the
-//! contiguous hybrid otherwise. The byte-exact shape of every plan this
-//! rule produces on the sweep geometries is pinned by the golden plan
-//! snapshots.
+//! contiguous hybrid otherwise. A hybrid decision runs the fused
+//! tiled-PCR + p-Thomas kernel (§III-C) wherever the mapping is one
+//! block per system and the fused launch fits the device
+//! ([`fused_fits`]); elsewhere it runs the split pipeline. Setting
+//! [`GpuSolverConfig::fused`] to `false` forces the split pipeline for
+//! ablations. Fusion saves the reduced-coefficient DRAM round trip and
+//! one launch, and loses to split at no probed geometry, device or
+//! precision (the `fusion_never_loses_to_split` test holds that). The
+//! byte-exact shape of every plan this rule produces on the sweep
+//! geometries is pinned by the golden plan snapshots.
 //!
 //! [`pthomas_transactions`] is the closed-form 128-byte-segment count
 //! of a p-Thomas sweep in either layout — the same formula the
 //! coalesce lint certifies ([`gpu_sim::lint::coalesce::coalesced_minimum`]);
 //! the layout ablation table prices its two columns with it.
 
+use crate::consts::REGS_FUSED;
+use crate::kernels::fused::FusedKernel;
 use crate::kernels::tiled_pcr::TiledPcrKernel;
 use crate::solver::{GpuSolverConfig, LayoutChoice, MappingVariant};
 use gpu_sim::lint::coalesce::coalesced_minimum;
@@ -87,6 +96,16 @@ fn resolve_mapping(
     }
 }
 
+/// Whether the fused kernel at `k` PCR steps and sub-tile `st` can
+/// launch on `spec`: its `2^k` threads fit a block, `REGS_FUSED`
+/// registers for each of them fit one SM's register file, and its
+/// window fits a block's shared memory — the checks
+/// [`gpu_sim::occupancy()`] enforces at launch.
+pub fn fused_fits(spec: &DeviceSpec, k: u32, st: usize, elem_bytes: usize) -> bool {
+    let shared = FusedKernel::shared_elems(k, st) * elem_bytes;
+    gpu_sim::occupancy(spec, 1 << k, shared, REGS_FUSED).is_ok()
+}
+
 /// The pure-p-Thomas decision at a forced layout.
 fn pthomas_decision(layout: Layout) -> Decision {
     Decision {
@@ -129,7 +148,9 @@ pub fn pthomas_transactions(
 /// Resolve every pipeline decision for one solve, deterministically:
 /// `k` from the transition policy (Table III, §III-D), clamped to the
 /// device, and the layout implied by `k` — interleaved p-Thomas iff
-/// `k = 0`, the contiguous hybrid otherwise.
+/// `k = 0`, the contiguous hybrid otherwise. A hybrid decision fuses
+/// iff [`GpuSolverConfig::fused`] allows it, the mapping is one block
+/// per system, and the fused launch [fits](fused_fits) the device.
 ///
 /// An explicit [`GpuSolverConfig::layout`] restricts the choice:
 /// `Interleaved` forces the pure coalesced p-Thomas pipeline (`k = 0`
@@ -154,11 +175,14 @@ pub fn decide(
             _ => Layout::Interleaved,
         });
     }
-    let mapping = resolve_mapping(spec, config.mapping, m, n, k, c << k, elem_bytes);
+    let st = c << k;
+    let mapping = resolve_mapping(spec, config.mapping, m, n, k, st, elem_bytes);
     Decision {
         layout: Layout::Contiguous,
         mapping,
-        fused: config.fused && matches!(mapping, MappingVariant::BlockPerSystem),
+        fused: config.fused
+            && mapping == MappingVariant::BlockPerSystem
+            && fused_fits(spec, k, st, elem_bytes),
         k,
     }
 }
@@ -173,7 +197,10 @@ mod tests {
 
     #[test]
     fn decide_follows_the_transition_rule() {
-        let cfg = GpuSolverConfig::default();
+        let cfg = GpuSolverConfig {
+            fused: false,
+            ..Default::default()
+        };
         // m = 2048 → heuristic k = 0 → interleaved p-Thomas.
         let d = decide(&spec(), &cfg, 2048, 128, 8);
         assert_eq!(d, pthomas_decision(Layout::Interleaved));
@@ -183,6 +210,65 @@ mod tests {
         assert_eq!(d.layout, Layout::Contiguous);
         assert_eq!(d.mapping, MappingVariant::BlockPerSystem);
         assert!(!d.fused);
+    }
+
+    #[test]
+    fn default_decision_fuses_block_per_system_hybrids_only() {
+        let cfg = GpuSolverConfig::default();
+        let d = decide(&spec(), &cfg, 64, 512, 8);
+        assert_eq!(
+            (d.k, d.mapping, d.fused),
+            (6, MappingVariant::BlockPerSystem, true)
+        );
+        // k = 0: nothing to fuse.
+        assert_eq!(
+            decide(&spec(), &cfg, 2048, 128, 8),
+            pthomas_decision(Layout::Interleaved)
+        );
+        // A lone large system is partitioned across block groups.
+        let d = decide(&spec(), &cfg, 1, 16384, 8);
+        assert!(matches!(d.mapping, MappingVariant::BlockGroupPerSystem(_)) && !d.fused);
+    }
+
+    #[test]
+    fn a_fused_kernel_that_does_not_fit_plans_split_and_solves() {
+        use crate::solver::GpuTridiagSolver;
+        use tridiag_core::generators::random_batch;
+        use tridiag_core::transition::TransitionPolicy;
+        // A register file that holds tiled PCR's and p-Thomas' blocks
+        // at k = 7 but not the fused kernel's 40 x 128 registers.
+        let mut small = spec();
+        small.registers_per_sm = 4096;
+        let batch = random_batch::<f64>(4, 512, 3);
+        for (k, fits) in [(7u32, false), (6, true)] {
+            assert_eq!(fused_fits(&small, k, 1 << k, 8), fits, "k={k}");
+            let cfg = GpuSolverConfig {
+                policy: TransitionPolicy::Fixed(k),
+                mapping: MappingVariant::BlockPerSystem,
+                ..Default::default()
+            };
+            let d = decide(&small, &cfg, 4, 512, 8);
+            assert_eq!((d.k, d.fused), (k, fits), "k={k}");
+            let (x, report) = GpuTridiagSolver::new(small.clone(), cfg)
+                .solve_batch(&batch)
+                .unwrap();
+            assert!(batch.max_relative_residual(&x).unwrap() < 1e-9, "k={k}");
+            assert_eq!(report.kernels.len(), if fits { 1 } else { 2 }, "k={k}");
+            if fits {
+                // The fit rule prices the launch's real footprint.
+                let elems = FusedKernel::shared_elems(k, 1 << k);
+                assert_eq!(report.kernels[0].shared_bytes, elems * 8);
+            }
+        }
+        // The stock specs fit every fused kernel a clamped k allows.
+        for (spec, bytes) in [
+            (DeviceSpec::gtx280(), 8),
+            (DeviceSpec::gtx280(), 4),
+            (spec(), 8),
+        ] {
+            let k = clamp_k(&spec, 1, bytes, 1 << 20, 20);
+            assert!(fused_fits(&spec, k, 1 << k, bytes), "{} k={k}", spec.name);
+        }
     }
 
     #[test]

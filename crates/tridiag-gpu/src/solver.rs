@@ -69,7 +69,8 @@ pub struct GpuSolverConfig {
     /// Sub-tile scale `c` (sub-tile = `c·2^k`).
     pub sub_tile_scale: usize,
     /// Fuse tiled PCR and p-Thomas into one kernel where the mapping
-    /// allows (Section III-C).
+    /// allows and the fused kernel fits the device (Section III-C; on
+    /// by default). `false` forces the split pipeline.
     pub fused: bool,
     /// Grid mapping for the tiled PCR stage.
     pub mapping: MappingVariant,
@@ -86,7 +87,7 @@ impl Default for GpuSolverConfig {
         Self {
             policy: TransitionPolicy::default(),
             sub_tile_scale: 1,
-            fused: false,
+            fused: true,
             mapping: MappingVariant::Auto,
             layout: LayoutChoice::Auto,
             exec: ExecConfig::default(),
@@ -270,13 +271,24 @@ impl GpuSolveReport {
         self.lints.iter().all(LintReport::is_clean) && self.lint_mismatches.is_empty()
     }
 
-    /// Modeled time of the tiled PCR stage alone (0 when `k = 0`).
+    /// Modeled time of the tiled PCR stage alone (0 when `k = 0`): the
+    /// whole tiled-PCR launch in the split pipeline, the fused kernel's
+    /// window phases ([`crate::kernels::fused::PCR_PHASES`]) when fused.
     pub fn pcr_us(&self) -> f64 {
-        if self.fused || self.k == 0 {
-            0.0
-        } else {
-            self.kernels.first().map(|k| k.timing.total_us).unwrap_or(0.0)
+        let first = match self.kernels.first() {
+            Some(kr) if self.k > 0 => kr,
+            _ => return 0.0,
+        };
+        if !self.fused {
+            return first.timing.total_us;
         }
+        first
+            .timing
+            .phases
+            .iter()
+            .filter(|ph| crate::kernels::fused::PCR_PHASES.contains(&ph.label))
+            .map(|ph| ph.us)
+            .sum()
     }
 
     /// `true` when every kernel's per-phase counters summed exactly to
@@ -683,7 +695,13 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "slow simulation; run with --release")]
     fn hybrid_path_is_two_kernels_fused_is_one() {
         let batch = random_batch::<f64>(64, 1024, 9);
-        let split = GpuTridiagSolver::new(DeviceSpec::gtx480(), GpuSolverConfig::default());
+        let split = GpuTridiagSolver::new(
+            DeviceSpec::gtx480(),
+            GpuSolverConfig {
+                fused: false,
+                ..Default::default()
+            },
+        );
         let (_, r_split) = split.solve_batch(&batch).unwrap();
         assert_eq!(r_split.kernels.len(), 2);
         assert!(!r_split.fused);
@@ -705,6 +723,54 @@ mod tests {
         let split_launches = 2.0 * spec.launch_overhead_us;
         let fused_launches = spec.launch_overhead_us;
         assert!(split_launches > fused_launches);
+    }
+
+    #[test]
+    fn pcr_us_counts_the_fused_kernels_window_phases() {
+        let batch = random_batch::<f64>(8, 256, 5);
+        let run = |fused| {
+            let config = GpuSolverConfig {
+                policy: TransitionPolicy::Fixed(5),
+                fused,
+                mapping: MappingVariant::BlockPerSystem,
+                ..Default::default()
+            };
+            let solver = GpuTridiagSolver::new(DeviceSpec::gtx480(), config);
+            solver.solve_batch(&batch).unwrap().1
+        };
+        let split = run(false);
+        assert_eq!(split.pcr_us(), split.kernels[0].timing.total_us);
+        let fused = run(true);
+        assert!(fused.fused);
+        let labels: Vec<&str> = fused.kernels[0].timing.phases.iter().map(|p| p.label).collect();
+        for phase in crate::kernels::fused::PCR_PHASES {
+            assert!(labels.contains(&phase), "no {phase} phase in {labels:?}");
+        }
+        let pcr = fused.pcr_us();
+        assert!(pcr > 0.0 && pcr < fused.total_us, "{pcr} of {}", fused.total_us);
+    }
+
+    #[test]
+    fn pinned_to_replays_the_fusion_choice() {
+        let spec = DeviceSpec::gtx480();
+        for fused in [true, false] {
+            let config = GpuSolverConfig {
+                fused,
+                ..Default::default()
+            };
+            let plan = SolvePlan::build(&spec, &config, 64, 512, 8).unwrap();
+            assert_eq!(plan.fused, fused);
+            // m = 8 alone would plan a different k.
+            let pinned = GpuSolverConfig::pinned_to(&plan);
+            let replay = SolvePlan::build(&spec, &pinned, 8, 512, 8).unwrap();
+            assert_eq!(
+                (replay.k, replay.mapping, replay.fused, replay.layout),
+                (plan.k, plan.mapping, plan.fused, plan.layout),
+                "fused={fused}"
+            );
+            let unpinned = SolvePlan::build(&spec, &config, 8, 512, 8).unwrap();
+            assert_ne!(unpinned.k, plan.k);
+        }
     }
 
     #[test]
@@ -910,7 +976,14 @@ mod display_tests {
     #[test]
     fn report_display_is_informative() {
         let batch = random_batch::<f64>(32, 512, 1);
-        let (_, report) = solve_batch_gtx480(&batch).unwrap();
+        let split = GpuTridiagSolver::new(
+            DeviceSpec::gtx480(),
+            GpuSolverConfig {
+                fused: false,
+                ..Default::default()
+            },
+        );
+        let (_, report) = split.solve_batch(&batch).unwrap();
         let text = report.to_string();
         assert!(text.contains("k = 6"), "{text}");
         assert!(text.contains("tiled_pcr"), "{text}");

@@ -1369,7 +1369,7 @@ mod tests {
     fn planner_built_plans_verify_clean() {
         for (m, n, bytes) in [
             (2048usize, 128usize, 8usize), // k = 0: pure p-Thomas
-            (64, 512, 8),                  // split pipeline
+            (64, 512, 8),                  // fused hybrid
             (16, 1024, 4),
             (1, 16384, 8),
         ] {
@@ -1409,7 +1409,17 @@ mod tests {
         // Split pipeline: 11 buffers total, but a..d die at the PCR
         // launch before c'/d' are allocated — peak is 9 buffers, at the
         // last out-buffer alloc.
-        let p = plan(64, 512, 8);
+        let p = SolvePlan::build(
+            &DeviceSpec::gtx480(),
+            &GpuSolverConfig {
+                fused: false,
+                ..Default::default()
+            },
+            64,
+            512,
+            8,
+        )
+        .unwrap();
         assert_eq!(p.buffers.len(), 11);
         let (peak, step) = peak_resident_bytes(&p);
         assert_eq!(peak, 9 * 64 * 512 * 8);

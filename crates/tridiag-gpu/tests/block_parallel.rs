@@ -39,7 +39,11 @@ impl<S: Elem, K: BlockKernel<S>> BlockKernel<S> for Recording<K> {
 fn hybrid_tiled_pcr_runs_on_several_threads_and_matches_a_checked_launch() {
     let spec = DeviceSpec::gtx480();
     let (m, n) = (64, 2048);
-    let plan = SolvePlan::build(&spec, &GpuSolverConfig::default(), m, n, 8).unwrap();
+    let config = GpuSolverConfig {
+        fused: false,
+        ..Default::default()
+    };
+    let plan = SolvePlan::build(&spec, &config, m, n, 8).unwrap();
     let ls = plan
         .steps
         .iter()

@@ -164,25 +164,25 @@ const SPLIT_PINS: &[SplitPin] = &[
     SplitPin {
         d: 2,
         solution: 0x7c9f_0f42_e93f_84e6,
-        total_us: 0x4063_e6db_1139_1640,
-        wall_clock_us: 0x4072_d98a_34a4_bc49,
-        serialized_us: 0x4082_cd86_1c11_478c,
-        completions: &[0x4072_c182_037d_d2d0, 0x4072_d98a_34a4_bc49],
-        trace: 0x19d2_e269_8274_82e2,
+        total_us: 0x4063_3495_4405_6012,
+        wall_clock_us: 0x4072_8067_4e0a_e132,
+        serialized_us: 0x4082_7463_3577_6c76,
+        completions: &[0x4072_685f_1ce3_f7b9, 0x4072_8067_4e0a_e132],
+        trace: 0xd233_a541_72c0_60d4,
     },
     SplitPin {
         d: 4,
         solution: 0xc591_cb6d_860e_71c5,
-        total_us: 0x4058_c52a_a528_0e56,
-        wall_clock_us: 0x4066_e17e_cb69_0524,
-        serialized_us: 0x4086_9966_37f4_48b9,
+        total_us: 0x4057_609f_0ac0_a1fb,
+        wall_clock_us: 0x4066_2f38_fe35_4ef6,
+        serialized_us: 0x4085_e720_6ac0_928c,
         completions: &[
-            0x4066_514d_a47f_8c4e,
-            0x4066_815e_06cd_5f40,
-            0x4066_b16e_691b_3232,
-            0x4066_e17e_cb69_0524,
+            0x4065_9f07_d74b_d620,
+            0x4065_cf18_3999_a912,
+            0x4065_ff28_9be7_7c04,
+            0x4066_2f38_fe35_4ef6,
         ],
-        trace: 0x44e0_0c3d_5712_9d48,
+        trace: 0xffe5_1151_0863_6bf7,
     },
 ];
 

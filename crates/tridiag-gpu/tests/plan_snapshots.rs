@@ -2,10 +2,12 @@
 //! end-to-end, with the full per-kernel / per-phase counter and timing
 //! breakdown plus a bit-exact solution hash pinned as text.
 //!
-//! The pinned strings were captured from the solver *before* the
-//! plan/execute split; the suite therefore proves the refactor is
+//! The split-pipeline strings were captured from the solver *before*
+//! the plan/execute split; the suite therefore proves the refactor is
 //! bit-identical — same kernel sequence, same counters, same modeled
-//! microseconds, same solution bits.
+//! microseconds, same solution bits. The default config fuses tiled
+//! PCR into p-Thomas at the block-per-system hybrid points; those
+//! fused solves are pinned separately.
 //!
 //! The planner half also pins the `describe()` of the f32 points the
 //! figure sweep lacks, checks that planning is pure (execution switches
@@ -23,9 +25,10 @@ use tridiag_gpu::{
 };
 
 /// The Fig. 12/13 sweep: (label, precision, m, n). Its goldens in
-/// [`GOLDEN_REPORTS`] are the modeled-time pins for these points: `k`,
-/// `total_us` and every kernel's and phase's `us` at full `f64`
-/// precision.
+/// [`GOLDEN_REPORTS`] (split pipeline) and [`GOLDEN_FUSED_REPORTS`]
+/// (the default config, at the points it fuses) are the modeled-time
+/// pins for these points: `k`, `total_us` and every kernel's and
+/// phase's `us` at full `f64` precision.
 const SWEEP: &[(&str, &str, usize, usize)] = &[
     ("fig12", "f64", 64, 512),
     ("fig12", "f64", 256, 512),
@@ -115,9 +118,17 @@ fn report_snapshot<S: GpuScalar>(x: &[S], report: &GpuSolveReport) -> String {
     s
 }
 
-fn run_point<S: GpuScalar>(m: usize, n: usize) -> String {
+/// The split pipeline: fusion off.
+fn split() -> GpuSolverConfig {
+    GpuSolverConfig {
+        fused: false,
+        ..Default::default()
+    }
+}
+
+fn run_point<S: GpuScalar>(config: GpuSolverConfig, m: usize, n: usize) -> String {
     let batch = random_batch::<S>(m, n, SEED);
-    let (x, report) = GpuTridiagSolver::gtx480()
+    let (x, report) = GpuTridiagSolver::new(gpu_sim::DeviceSpec::gtx480(), config)
         .solve_batch(&batch)
         .unwrap_or_else(|e| panic!("m={m} n={n}: {e}"));
     assert!(report.is_phase_sum_clean(), "m={m} n={n}");
@@ -128,13 +139,20 @@ fn run_point<S: GpuScalar>(m: usize, n: usize) -> String {
     report_snapshot(&x, &report)
 }
 
-fn run_sweep() -> Vec<(String, String)> {
+/// Every [`SWEEP`] point solved under `config`; with `fused_only`,
+/// just the points whose plan fuses.
+fn run_sweep(config: GpuSolverConfig, fused_only: bool) -> Vec<(String, String)> {
+    let solver = GpuTridiagSolver::new(gpu_sim::DeviceSpec::gtx480(), config);
     SWEEP
         .iter()
+        .filter(|&&(_, prec, m, n)| {
+            let bytes = if prec == "f32" { 4 } else { 8 };
+            !fused_only || solver.plan_geometry(m, n, bytes).unwrap().fused
+        })
         .map(|&(fig, prec, m, n)| {
             let snap = match prec {
-                "f32" => run_point::<f32>(m, n),
-                _ => run_point::<f64>(m, n),
+                "f32" => run_point::<f32>(config, m, n),
+                _ => run_point::<f64>(config, m, n),
             };
             (format!("{fig} {prec} m={m} n={n}"), snap)
         })
@@ -143,27 +161,43 @@ fn run_sweep() -> Vec<(String, String)> {
 
 /// Regeneration helper: `cargo test --release -p tridiag-gpu --test
 /// plan_snapshots regenerate -- --ignored --nocapture` prints the
-/// current snapshots in the exact golden format.
+/// current snapshots in the exact golden format: the split sweep, then
+/// the default config's fused points.
 #[test]
 #[ignore = "generator, not a check"]
 fn regenerate() {
-    for (key, snap) in run_sweep() {
-        println!("=== {key} ===");
-        print!("{snap}");
+    for sweep in [
+        run_sweep(split(), false),
+        run_sweep(GpuSolverConfig::default(), true),
+    ] {
+        for (key, snap) in sweep {
+            println!("=== {key} ===");
+            print!("{snap}");
+        }
+        println!("=== end ===");
     }
-    println!("=== end ===");
 }
 
-#[test]
-#[cfg_attr(debug_assertions, ignore = "slow simulation; run with --release")]
-fn sweep_reports_match_pre_refactor_goldens() {
-    let golden = parse_golden(GOLDEN_REPORTS);
-    let actual = run_sweep();
+fn assert_matches_golden(actual: &[(String, String)], golden: &str) {
+    let golden = parse_golden(golden);
     assert_eq!(actual.len(), golden.len(), "sweep size");
     for ((key, snap), (gkey, gsnap)) in actual.iter().zip(&golden) {
         assert_eq!(key, gkey, "sweep order");
         assert_eq!(snap, gsnap, "solve report drifted for {key}");
     }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "slow simulation; run with --release")]
+fn sweep_reports_match_pre_refactor_goldens() {
+    assert_matches_golden(&run_sweep(split(), false), GOLDEN_REPORTS);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "slow simulation; run with --release")]
+fn fused_sweep_reports_match_goldens() {
+    let actual = run_sweep(GpuSolverConfig::default(), true);
+    assert_matches_golden(&actual, GOLDEN_FUSED_REPORTS);
 }
 
 /// The planner half of the sweep: `SolvePlan::describe()` per point.
@@ -442,9 +476,9 @@ fn parse_golden(blob: &str) -> Vec<(String, String)> {
 const GOLDEN_PLANS: &str = r#"
 === fig12 f64 m=64 n=512 ===
 plan: m=64 n=512 f64 on GTX480
-  k=6 mapping=BlockPerSystem fused=false layout=Contiguous
-  buffers: 11 (360448 elems, 2883584 bytes device footprint)
-  kernels: tiled_pcr -> p_thomas
+  k=6 mapping=BlockPerSystem fused=true layout=Contiguous
+  buffers: 7 (229376 elems, 1835008 bytes device footprint)
+  kernels: fused_pcr_thomas
   steps:
      1. convert -> Contiguous
      2. upload a -> buf[0] a (32768 elems)
@@ -452,21 +486,16 @@ plan: m=64 n=512 f64 on GTX480
      4. upload c -> buf[2] c (32768 elems)
      5. upload d -> buf[3] d (32768 elems)
      6. alloc buf[4] x (32768 elems)
-     7. alloc buf[5] out_a (32768 elems)
-     8. alloc buf[6] out_b (32768 elems)
-     9. alloc buf[7] out_c (32768 elems)
-    10. alloc buf[8] out_d (32768 elems)
-    11. launch tiled_pcr grid=64 threads=64 regs=32 binds=[0, 1, 2, 3, 5, 6, 7, 8] k=6 sub_tile=64
-    12. alloc buf[9] c_prime (32768 elems)
-    13. alloc buf[10] d_prime (32768 elems)
-    14. launch p_thomas grid=32 threads=128 regs=24 binds=[5, 6, 7, 8, 9, 10, 4] map=HybridSubsystems { m: 64, n: 512, k: 6 }
-    15. download buf[4] x
-    16. convert-back <- Contiguous
+     7. alloc buf[5] c_prime (32768 elems)
+     8. alloc buf[6] d_prime (32768 elems)
+     9. launch fused_pcr_thomas grid=64 threads=64 regs=40 binds=[0, 1, 2, 3, 5, 6, 4] k=6 sub_tile=64
+    10. download buf[4] x
+    11. convert-back <- Contiguous
 === fig12 f64 m=256 n=512 ===
 plan: m=256 n=512 f64 on GTX480
-  k=6 mapping=BlockPerSystem fused=false layout=Contiguous
-  buffers: 11 (1441792 elems, 11534336 bytes device footprint)
-  kernels: tiled_pcr -> p_thomas
+  k=6 mapping=BlockPerSystem fused=true layout=Contiguous
+  buffers: 7 (917504 elems, 7340032 bytes device footprint)
+  kernels: fused_pcr_thomas
   steps:
      1. convert -> Contiguous
      2. upload a -> buf[0] a (131072 elems)
@@ -474,16 +503,11 @@ plan: m=256 n=512 f64 on GTX480
      4. upload c -> buf[2] c (131072 elems)
      5. upload d -> buf[3] d (131072 elems)
      6. alloc buf[4] x (131072 elems)
-     7. alloc buf[5] out_a (131072 elems)
-     8. alloc buf[6] out_b (131072 elems)
-     9. alloc buf[7] out_c (131072 elems)
-    10. alloc buf[8] out_d (131072 elems)
-    11. launch tiled_pcr grid=256 threads=64 regs=32 binds=[0, 1, 2, 3, 5, 6, 7, 8] k=6 sub_tile=64
-    12. alloc buf[9] c_prime (131072 elems)
-    13. alloc buf[10] d_prime (131072 elems)
-    14. launch p_thomas grid=128 threads=128 regs=24 binds=[5, 6, 7, 8, 9, 10, 4] map=HybridSubsystems { m: 256, n: 512, k: 6 }
-    15. download buf[4] x
-    16. convert-back <- Contiguous
+     7. alloc buf[5] c_prime (131072 elems)
+     8. alloc buf[6] d_prime (131072 elems)
+     9. launch fused_pcr_thomas grid=256 threads=64 regs=40 binds=[0, 1, 2, 3, 5, 6, 4] k=6 sub_tile=64
+    10. download buf[4] x
+    11. convert-back <- Contiguous
 === fig12 f64 m=1024 n=512 ===
 plan: m=1024 n=512 f64 on GTX480
   k=0 mapping=BlockPerSystem fused=false layout=Interleaved
@@ -503,9 +527,9 @@ plan: m=1024 n=512 f64 on GTX480
     11. convert-back <- Interleaved
 === fig12 f64 m=64 n=2048 ===
 plan: m=64 n=2048 f64 on GTX480
-  k=6 mapping=BlockPerSystem fused=false layout=Contiguous
-  buffers: 11 (1441792 elems, 11534336 bytes device footprint)
-  kernels: tiled_pcr -> p_thomas
+  k=6 mapping=BlockPerSystem fused=true layout=Contiguous
+  buffers: 7 (917504 elems, 7340032 bytes device footprint)
+  kernels: fused_pcr_thomas
   steps:
      1. convert -> Contiguous
      2. upload a -> buf[0] a (131072 elems)
@@ -513,21 +537,16 @@ plan: m=64 n=2048 f64 on GTX480
      4. upload c -> buf[2] c (131072 elems)
      5. upload d -> buf[3] d (131072 elems)
      6. alloc buf[4] x (131072 elems)
-     7. alloc buf[5] out_a (131072 elems)
-     8. alloc buf[6] out_b (131072 elems)
-     9. alloc buf[7] out_c (131072 elems)
-    10. alloc buf[8] out_d (131072 elems)
-    11. launch tiled_pcr grid=64 threads=64 regs=32 binds=[0, 1, 2, 3, 5, 6, 7, 8] k=6 sub_tile=64
-    12. alloc buf[9] c_prime (131072 elems)
-    13. alloc buf[10] d_prime (131072 elems)
-    14. launch p_thomas grid=32 threads=128 regs=24 binds=[5, 6, 7, 8, 9, 10, 4] map=HybridSubsystems { m: 64, n: 2048, k: 6 }
-    15. download buf[4] x
-    16. convert-back <- Contiguous
+     7. alloc buf[5] c_prime (131072 elems)
+     8. alloc buf[6] d_prime (131072 elems)
+     9. launch fused_pcr_thomas grid=64 threads=64 regs=40 binds=[0, 1, 2, 3, 5, 6, 4] k=6 sub_tile=64
+    10. download buf[4] x
+    11. convert-back <- Contiguous
 === fig12 f64 m=256 n=2048 ===
 plan: m=256 n=2048 f64 on GTX480
-  k=6 mapping=BlockPerSystem fused=false layout=Contiguous
-  buffers: 11 (5767168 elems, 46137344 bytes device footprint)
-  kernels: tiled_pcr -> p_thomas
+  k=6 mapping=BlockPerSystem fused=true layout=Contiguous
+  buffers: 7 (3670016 elems, 29360128 bytes device footprint)
+  kernels: fused_pcr_thomas
   steps:
      1. convert -> Contiguous
      2. upload a -> buf[0] a (524288 elems)
@@ -535,16 +554,11 @@ plan: m=256 n=2048 f64 on GTX480
      4. upload c -> buf[2] c (524288 elems)
      5. upload d -> buf[3] d (524288 elems)
      6. alloc buf[4] x (524288 elems)
-     7. alloc buf[5] out_a (524288 elems)
-     8. alloc buf[6] out_b (524288 elems)
-     9. alloc buf[7] out_c (524288 elems)
-    10. alloc buf[8] out_d (524288 elems)
-    11. launch tiled_pcr grid=256 threads=64 regs=32 binds=[0, 1, 2, 3, 5, 6, 7, 8] k=6 sub_tile=64
-    12. alloc buf[9] c_prime (524288 elems)
-    13. alloc buf[10] d_prime (524288 elems)
-    14. launch p_thomas grid=128 threads=128 regs=24 binds=[5, 6, 7, 8, 9, 10, 4] map=HybridSubsystems { m: 256, n: 2048, k: 6 }
-    15. download buf[4] x
-    16. convert-back <- Contiguous
+     7. alloc buf[5] c_prime (524288 elems)
+     8. alloc buf[6] d_prime (524288 elems)
+     9. launch fused_pcr_thomas grid=256 threads=64 regs=40 binds=[0, 1, 2, 3, 5, 6, 4] k=6 sub_tile=64
+    10. download buf[4] x
+    11. convert-back <- Contiguous
 === fig13 f64 m=2048 n=64 ===
 plan: m=2048 n=64 f64 on GTX480
   k=0 mapping=BlockPerSystem fused=false layout=Interleaved
@@ -564,9 +578,9 @@ plan: m=2048 n=64 f64 on GTX480
     11. convert-back <- Interleaved
 === fig13 f64 m=256 n=256 ===
 plan: m=256 n=256 f64 on GTX480
-  k=6 mapping=BlockPerSystem fused=false layout=Contiguous
-  buffers: 11 (720896 elems, 5767168 bytes device footprint)
-  kernels: tiled_pcr -> p_thomas
+  k=6 mapping=BlockPerSystem fused=true layout=Contiguous
+  buffers: 7 (458752 elems, 3670016 bytes device footprint)
+  kernels: fused_pcr_thomas
   steps:
      1. convert -> Contiguous
      2. upload a -> buf[0] a (65536 elems)
@@ -574,16 +588,11 @@ plan: m=256 n=256 f64 on GTX480
      4. upload c -> buf[2] c (65536 elems)
      5. upload d -> buf[3] d (65536 elems)
      6. alloc buf[4] x (65536 elems)
-     7. alloc buf[5] out_a (65536 elems)
-     8. alloc buf[6] out_b (65536 elems)
-     9. alloc buf[7] out_c (65536 elems)
-    10. alloc buf[8] out_d (65536 elems)
-    11. launch tiled_pcr grid=256 threads=64 regs=32 binds=[0, 1, 2, 3, 5, 6, 7, 8] k=6 sub_tile=64
-    12. alloc buf[9] c_prime (65536 elems)
-    13. alloc buf[10] d_prime (65536 elems)
-    14. launch p_thomas grid=128 threads=128 regs=24 binds=[5, 6, 7, 8, 9, 10, 4] map=HybridSubsystems { m: 256, n: 256, k: 6 }
-    15. download buf[4] x
-    16. convert-back <- Contiguous
+     7. alloc buf[5] c_prime (65536 elems)
+     8. alloc buf[6] d_prime (65536 elems)
+     9. launch fused_pcr_thomas grid=256 threads=64 regs=40 binds=[0, 1, 2, 3, 5, 6, 4] k=6 sub_tile=64
+    10. download buf[4] x
+    11. convert-back <- Contiguous
 === fig13 f64 m=16 n=1024 ===
 plan: m=16 n=1024 f64 on GTX480
   k=7 mapping=BlockGroupPerSystem(2) fused=false layout=Contiguous
@@ -630,9 +639,9 @@ plan: m=1 n=16384 f64 on GTX480
     16. convert-back <- Contiguous
 === fig12 f32 m=256 n=512 ===
 plan: m=256 n=512 f32 on GTX480
-  k=6 mapping=BlockPerSystem fused=false layout=Contiguous
-  buffers: 11 (1441792 elems, 5767168 bytes device footprint)
-  kernels: tiled_pcr -> p_thomas
+  k=6 mapping=BlockPerSystem fused=true layout=Contiguous
+  buffers: 7 (917504 elems, 3670016 bytes device footprint)
+  kernels: fused_pcr_thomas
   steps:
      1. convert -> Contiguous
      2. upload a -> buf[0] a (131072 elems)
@@ -640,16 +649,11 @@ plan: m=256 n=512 f32 on GTX480
      4. upload c -> buf[2] c (131072 elems)
      5. upload d -> buf[3] d (131072 elems)
      6. alloc buf[4] x (131072 elems)
-     7. alloc buf[5] out_a (131072 elems)
-     8. alloc buf[6] out_b (131072 elems)
-     9. alloc buf[7] out_c (131072 elems)
-    10. alloc buf[8] out_d (131072 elems)
-    11. launch tiled_pcr grid=256 threads=64 regs=32 binds=[0, 1, 2, 3, 5, 6, 7, 8] k=6 sub_tile=64
-    12. alloc buf[9] c_prime (131072 elems)
-    13. alloc buf[10] d_prime (131072 elems)
-    14. launch p_thomas grid=128 threads=128 regs=24 binds=[5, 6, 7, 8, 9, 10, 4] map=HybridSubsystems { m: 256, n: 512, k: 6 }
-    15. download buf[4] x
-    16. convert-back <- Contiguous
+     7. alloc buf[5] c_prime (131072 elems)
+     8. alloc buf[6] d_prime (131072 elems)
+     9. launch fused_pcr_thomas grid=256 threads=64 regs=40 binds=[0, 1, 2, 3, 5, 6, 4] k=6 sub_tile=64
+    10. download buf[4] x
+    11. convert-back <- Contiguous
 === fig13 f32 m=16 n=1024 ===
 plan: m=16 n=1024 f32 on GTX480
   k=7 mapping=BlockGroupPerSystem(2) fused=false layout=Contiguous
@@ -679,9 +683,9 @@ plan: m=16 n=1024 f32 on GTX480
 const GOLDEN_F32_PLANS: &str = r#"
 === plan f32 m=64 n=512 ===
 plan: m=64 n=512 f32 on GTX480
-  k=6 mapping=BlockPerSystem fused=false layout=Contiguous
-  buffers: 11 (360448 elems, 1441792 bytes device footprint)
-  kernels: tiled_pcr -> p_thomas
+  k=6 mapping=BlockPerSystem fused=true layout=Contiguous
+  buffers: 7 (229376 elems, 917504 bytes device footprint)
+  kernels: fused_pcr_thomas
   steps:
      1. convert -> Contiguous
      2. upload a -> buf[0] a (32768 elems)
@@ -689,16 +693,11 @@ plan: m=64 n=512 f32 on GTX480
      4. upload c -> buf[2] c (32768 elems)
      5. upload d -> buf[3] d (32768 elems)
      6. alloc buf[4] x (32768 elems)
-     7. alloc buf[5] out_a (32768 elems)
-     8. alloc buf[6] out_b (32768 elems)
-     9. alloc buf[7] out_c (32768 elems)
-    10. alloc buf[8] out_d (32768 elems)
-    11. launch tiled_pcr grid=64 threads=64 regs=32 binds=[0, 1, 2, 3, 5, 6, 7, 8] k=6 sub_tile=64
-    12. alloc buf[9] c_prime (32768 elems)
-    13. alloc buf[10] d_prime (32768 elems)
-    14. launch p_thomas grid=32 threads=128 regs=24 binds=[5, 6, 7, 8, 9, 10, 4] map=HybridSubsystems { m: 64, n: 512, k: 6 }
-    15. download buf[4] x
-    16. convert-back <- Contiguous
+     7. alloc buf[5] c_prime (32768 elems)
+     8. alloc buf[6] d_prime (32768 elems)
+     9. launch fused_pcr_thomas grid=64 threads=64 regs=40 binds=[0, 1, 2, 3, 5, 6, 4] k=6 sub_tile=64
+    10. download buf[4] x
+    11. convert-back <- Contiguous
 === plan f32 m=1024 n=512 ===
 plan: m=1024 n=512 f32 on GTX480
   k=0 mapping=BlockPerSystem fused=false layout=Interleaved
@@ -718,9 +717,9 @@ plan: m=1024 n=512 f32 on GTX480
     11. convert-back <- Interleaved
 === plan f32 m=64 n=2048 ===
 plan: m=64 n=2048 f32 on GTX480
-  k=6 mapping=BlockPerSystem fused=false layout=Contiguous
-  buffers: 11 (1441792 elems, 5767168 bytes device footprint)
-  kernels: tiled_pcr -> p_thomas
+  k=6 mapping=BlockPerSystem fused=true layout=Contiguous
+  buffers: 7 (917504 elems, 3670016 bytes device footprint)
+  kernels: fused_pcr_thomas
   steps:
      1. convert -> Contiguous
      2. upload a -> buf[0] a (131072 elems)
@@ -728,21 +727,16 @@ plan: m=64 n=2048 f32 on GTX480
      4. upload c -> buf[2] c (131072 elems)
      5. upload d -> buf[3] d (131072 elems)
      6. alloc buf[4] x (131072 elems)
-     7. alloc buf[5] out_a (131072 elems)
-     8. alloc buf[6] out_b (131072 elems)
-     9. alloc buf[7] out_c (131072 elems)
-    10. alloc buf[8] out_d (131072 elems)
-    11. launch tiled_pcr grid=64 threads=64 regs=32 binds=[0, 1, 2, 3, 5, 6, 7, 8] k=6 sub_tile=64
-    12. alloc buf[9] c_prime (131072 elems)
-    13. alloc buf[10] d_prime (131072 elems)
-    14. launch p_thomas grid=32 threads=128 regs=24 binds=[5, 6, 7, 8, 9, 10, 4] map=HybridSubsystems { m: 64, n: 2048, k: 6 }
-    15. download buf[4] x
-    16. convert-back <- Contiguous
+     7. alloc buf[5] c_prime (131072 elems)
+     8. alloc buf[6] d_prime (131072 elems)
+     9. launch fused_pcr_thomas grid=64 threads=64 regs=40 binds=[0, 1, 2, 3, 5, 6, 4] k=6 sub_tile=64
+    10. download buf[4] x
+    11. convert-back <- Contiguous
 === plan f32 m=256 n=2048 ===
 plan: m=256 n=2048 f32 on GTX480
-  k=6 mapping=BlockPerSystem fused=false layout=Contiguous
-  buffers: 11 (5767168 elems, 23068672 bytes device footprint)
-  kernels: tiled_pcr -> p_thomas
+  k=6 mapping=BlockPerSystem fused=true layout=Contiguous
+  buffers: 7 (3670016 elems, 14680064 bytes device footprint)
+  kernels: fused_pcr_thomas
   steps:
      1. convert -> Contiguous
      2. upload a -> buf[0] a (524288 elems)
@@ -750,16 +744,11 @@ plan: m=256 n=2048 f32 on GTX480
      4. upload c -> buf[2] c (524288 elems)
      5. upload d -> buf[3] d (524288 elems)
      6. alloc buf[4] x (524288 elems)
-     7. alloc buf[5] out_a (524288 elems)
-     8. alloc buf[6] out_b (524288 elems)
-     9. alloc buf[7] out_c (524288 elems)
-    10. alloc buf[8] out_d (524288 elems)
-    11. launch tiled_pcr grid=256 threads=64 regs=32 binds=[0, 1, 2, 3, 5, 6, 7, 8] k=6 sub_tile=64
-    12. alloc buf[9] c_prime (524288 elems)
-    13. alloc buf[10] d_prime (524288 elems)
-    14. launch p_thomas grid=128 threads=128 regs=24 binds=[5, 6, 7, 8, 9, 10, 4] map=HybridSubsystems { m: 256, n: 2048, k: 6 }
-    15. download buf[4] x
-    16. convert-back <- Contiguous
+     7. alloc buf[5] c_prime (524288 elems)
+     8. alloc buf[6] d_prime (524288 elems)
+     9. launch fused_pcr_thomas grid=256 threads=64 regs=40 binds=[0, 1, 2, 3, 5, 6, 4] k=6 sub_tile=64
+    10. download buf[4] x
+    11. convert-back <- Contiguous
 === plan f32 m=2048 n=64 ===
 plan: m=2048 n=64 f32 on GTX480
   k=0 mapping=BlockPerSystem fused=false layout=Interleaved
@@ -779,9 +768,9 @@ plan: m=2048 n=64 f32 on GTX480
     11. convert-back <- Interleaved
 === plan f32 m=256 n=256 ===
 plan: m=256 n=256 f32 on GTX480
-  k=6 mapping=BlockPerSystem fused=false layout=Contiguous
-  buffers: 11 (720896 elems, 2883584 bytes device footprint)
-  kernels: tiled_pcr -> p_thomas
+  k=6 mapping=BlockPerSystem fused=true layout=Contiguous
+  buffers: 7 (458752 elems, 1835008 bytes device footprint)
+  kernels: fused_pcr_thomas
   steps:
      1. convert -> Contiguous
      2. upload a -> buf[0] a (65536 elems)
@@ -789,16 +778,11 @@ plan: m=256 n=256 f32 on GTX480
      4. upload c -> buf[2] c (65536 elems)
      5. upload d -> buf[3] d (65536 elems)
      6. alloc buf[4] x (65536 elems)
-     7. alloc buf[5] out_a (65536 elems)
-     8. alloc buf[6] out_b (65536 elems)
-     9. alloc buf[7] out_c (65536 elems)
-    10. alloc buf[8] out_d (65536 elems)
-    11. launch tiled_pcr grid=256 threads=64 regs=32 binds=[0, 1, 2, 3, 5, 6, 7, 8] k=6 sub_tile=64
-    12. alloc buf[9] c_prime (65536 elems)
-    13. alloc buf[10] d_prime (65536 elems)
-    14. launch p_thomas grid=128 threads=128 regs=24 binds=[5, 6, 7, 8, 9, 10, 4] map=HybridSubsystems { m: 256, n: 256, k: 6 }
-    15. download buf[4] x
-    16. convert-back <- Contiguous
+     7. alloc buf[5] c_prime (65536 elems)
+     8. alloc buf[6] d_prime (65536 elems)
+     9. launch fused_pcr_thomas grid=256 threads=64 regs=40 binds=[0, 1, 2, 3, 5, 6, 4] k=6 sub_tile=64
+    10. download buf[4] x
+    11. convert-back <- Contiguous
 === plan f32 m=1 n=16384 ===
 plan: m=1 n=16384 f32 on GTX480
   k=8 mapping=BlockGroupPerSystem(16) fused=false layout=Contiguous
@@ -953,5 +937,71 @@ kernel=tiled_pcr blocks=32 shared=10192 total_us=17.382774208898404 launch_us=5.
 kernel=p_thomas blocks=16 shared=0 total_us=10.139186295503212 launch_us=5.0 bound=Latency
   phase=forward us=3.426124197002141 flops=131072 gbytes=393216 gtxn=3072 rounds=768 sh=0 replays=0 barriers=0
   phase=backward us=1.7130620985010707 flops=32768 gbytes=196608 gtxn=1536 rounds=384 sh=0 replays=0 barriers=0
+=== end ===
+"#;
+
+/// The default config's solves at the [`SWEEP`] points it fuses
+/// (seed 42).
+const GOLDEN_FUSED_REPORTS: &str = r#"
+=== fig12 f64 m=64 n=512 ===
+k=6 mapping=BlockPerSystem fused=true precision=f64 total_us=77.1627408993576 sol=0x812ca342a79bb1cb
+kernel=fused_pcr_thomas blocks=64 shared=10112 total_us=77.1627408993576 launch_us=5.0 bound=Compute
+  phase=window_init us=0.1427551748750892 flops=0 gbytes=0 gtxn=0 rounds=0 sh=512 replays=1216 barriers=64
+  phase=window_load us=0.6745182012847966 flops=0 gbytes=1048576 gtxn=8192 rounds=2048 sh=2304 replays=4608 barriers=576
+  phase=splice us=4.817987152034261 flops=0 gbytes=0 gtxn=0 rounds=0 sh=27648 replays=13824 barriers=3456
+  phase=pcr_level us=61.2847965738758 flops=3096576 gbytes=0 gtxn=0 rounds=0 sh=82944 replays=124416 barriers=6912
+  phase=window_read us=4.32905067808708 flops=262144 gbytes=0 gtxn=0 rounds=0 sh=2304 replays=4608 barriers=576
+  phase=cprime_store us=0.0 flops=0 gbytes=524288 gtxn=4096 rounds=1024 sh=0 replays=0 barriers=0
+  phase=backward us=0.9136331192005684 flops=65536 gbytes=786432 gtxn=6144 rounds=1536 sh=0 replays=0 barriers=0
+=== fig12 f64 m=256 n=512 ===
+k=6 mapping=BlockPerSystem fused=true precision=f64 total_us=251.31548893647394 sol=0x0f90dddcead52439
+kernel=fused_pcr_thomas blocks=256 shared=10112 total_us=251.31548893647394 launch_us=5.0 bound=Compute
+  phase=window_init us=0.4872709969069712 flops=0 gbytes=0 gtxn=0 rounds=0 sh=2048 replays=4864 barriers=256
+  phase=window_load us=2.3023554603854386 flops=0 gbytes=4194304 gtxn=32768 rounds=8192 sh=9216 replays=18432 barriers=2304
+  phase=splice us=16.445396145610278 flops=0 gbytes=0 gtxn=0 rounds=0 sh=110592 replays=55296 barriers=13824
+  phase=pcr_level us=209.18543897216276 flops=12386304 gbytes=0 gtxn=0 rounds=0 sh=331776 replays=497664 barriers=27648
+  phase=window_read us=14.776492981203901 flops=1048576 gbytes=0 gtxn=0 rounds=0 sh=9216 replays=18432 barriers=2304
+  phase=cprime_store us=0.0 flops=0 gbytes=2097152 gtxn=16384 rounds=4096 sh=0 replays=0 barriers=0
+  phase=backward us=3.1185343802045793 flops=262144 gbytes=3145728 gtxn=24576 rounds=6144 sh=0 replays=0 barriers=0
+=== fig12 f64 m=64 n=2048 ===
+k=6 mapping=BlockPerSystem fused=true precision=f64 total_us=270.7387580299786 sol=0xb608ad9d2a5287f4
+kernel=fused_pcr_thomas blocks=64 shared=10112 total_us=270.7387580299786 launch_us=5.0 bound=Compute
+  phase=window_init us=0.14275517487508924 flops=0 gbytes=0 gtxn=0 rounds=0 sh=512 replays=1216 barriers=64
+  phase=window_load us=2.473233404710921 flops=0 gbytes=4194304 gtxn=32768 rounds=8192 sh=8448 replays=16896 barriers=2112
+  phase=splice us=17.665952890792294 flops=0 gbytes=0 gtxn=0 rounds=0 sh=101376 replays=50688 barriers=12672
+  phase=pcr_level us=224.71092077087798 flops=11354112 gbytes=0 gtxn=0 rounds=0 sh=304128 replays=456192 barriers=25344
+  phase=window_read us=17.09136331192006 flops=1048576 gbytes=0 gtxn=0 rounds=0 sh=8448 replays=16896 barriers=2112
+  phase=cprime_store us=0.0 flops=0 gbytes=2097152 gtxn=16384 rounds=4096 sh=0 replays=0 barriers=0
+  phase=backward us=3.6545324768022738 flops=262144 gbytes=3145728 gtxn=24576 rounds=6144 sh=0 replays=0 barriers=0
+=== fig12 f64 m=256 n=2048 ===
+k=6 mapping=BlockPerSystem fused=true precision=f64 total_us=912.0549607423269 sol=0xb03456b6654f3cda
+kernel=fused_pcr_thomas blocks=256 shared=10112 total_us=912.0549607423269 launch_us=5.0 bound=Compute
+  phase=window_init us=0.48727099690697123 flops=0 gbytes=0 gtxn=0 rounds=0 sh=2048 replays=4864 barriers=256
+  phase=window_load us=8.441970021413276 flops=0 gbytes=16777216 gtxn=131072 rounds=32768 sh=33792 replays=67584 barriers=8448
+  phase=splice us=60.29978586723769 flops=0 gbytes=0 gtxn=0 rounds=0 sh=405504 replays=202752 barriers=50688
+  phase=pcr_level us=767.0132762312634 flops=45416448 gbytes=0 gtxn=0 rounds=0 sh=1216512 replays=1824768 barriers=101376
+  phase=window_read us=58.33852010468712 flops=4194304 gbytes=0 gtxn=0 rounds=0 sh=33792 replays=67584 barriers=8448
+  phase=cprime_store us=0.0 flops=0 gbytes=8388608 gtxn=65536 rounds=16384 sh=0 replays=0 barriers=0
+  phase=backward us=12.474137520818545 flops=1048576 gbytes=12582912 gtxn=98304 rounds=24576 sh=0 replays=0 barriers=0
+=== fig13 f64 m=256 n=256 ===
+k=6 mapping=BlockPerSystem fused=true precision=f64 total_us=141.19224363549847 sol=0xb7922e19655b7571
+kernel=fused_pcr_thomas blocks=256 shared=10112 total_us=141.19224363549847 launch_us=5.0 bound=Compute
+  phase=window_init us=0.4872709969069713 flops=0 gbytes=0 gtxn=0 rounds=0 sh=2048 replays=4864 barriers=256
+  phase=window_load us=1.2790863668807997 flops=0 gbytes=2097152 gtxn=16384 rounds=4096 sh=5120 replays=10240 barriers=1280
+  phase=splice us=9.136331192005711 flops=0 gbytes=0 gtxn=0 rounds=0 sh=61440 replays=30720 barriers=7680
+  phase=pcr_level us=116.21413276231266 flops=6881280 gbytes=0 gtxn=0 rounds=0 sh=184320 replays=276480 barriers=15360
+  phase=window_read us=7.516155127290031 flops=524288 gbytes=0 gtxn=0 rounds=0 sh=5120 replays=10240 barriers=1280
+  phase=cprime_store us=0.0 flops=0 gbytes=1048576 gtxn=8192 rounds=2048 sh=0 replays=0 barriers=0
+  phase=backward us=1.5592671901023039 flops=131072 gbytes=1572864 gtxn=12288 rounds=3072 sh=0 replays=0 barriers=0
+=== fig12 f32 m=256 n=512 ===
+k=6 mapping=BlockPerSystem fused=true precision=f32 total_us=74.96602426837973 sol=0x5fd9a62fbcfdf5ea
+kernel=fused_pcr_thomas blocks=256 shared=5056 total_us=74.96602426837973 launch_us=5.0 bound=Compute
+  phase=window_init us=0.261908160837497 flops=0 gbytes=0 gtxn=0 rounds=0 sh=2048 replays=768 barriers=256
+  phase=window_load us=1.1511777301927193 flops=0 gbytes=2097152 gtxn=16384 rounds=8192 sh=9216 replays=0 barriers=2304
+  phase=splice us=12.169593147751605 flops=0 gbytes=0 gtxn=0 rounds=0 sh=110592 replays=0 barriers=13824
+  phase=pcr_level us=53.2830835117773 flops=12386304 gbytes=0 gtxn=0 rounds=0 sh=331776 replays=0 barriers=27648
+  phase=window_read us=2.710444920295027 flops=1048576 gbytes=0 gtxn=0 rounds=0 sh=9216 replays=0 barriers=2304
+  phase=cprime_store us=0.0 flops=0 gbytes=1048576 gtxn=8192 rounds=4096 sh=0 replays=0 barriers=0
+  phase=backward us=0.38981679752556886 flops=262144 gbytes=1572864 gtxn=12288 rounds=6144 sh=0 replays=0 barriers=0
 === end ===
 "#;

@@ -145,20 +145,20 @@ fn sharded_solves_are_bit_identical_across_the_sweep() {
 const TIMELINE_PINS: &[(usize, u64, &[u64], u64)] = &[
     (
         2,
-        0x4046_e51e_06da_4020,
-        &[0x4060_e6b8_258d_9a46, 0x4060_e6b8_258d_9a46],
-        0x4d6d_f3b6_2a01_bdd1,
+        0x4041_e50c_3e20_867c,
+        &[0x405f_4d67_66be_57b9, 0x405f_4d67_66be_57b9],
+        0xc541_a100_ab80_2dce,
     ),
     (
         4,
-        0x403d_b597_fdf4_1613,
+        0x4034_650c_3e20_867c,
         &[
-            0x4053_8ad6_a354_0fc2,
-            0x4053_8ad6_a354_0fc2,
-            0x4053_8ad6_a354_0fc2,
-            0x4053_8ad6_a354_0fc2,
+            0x4051_36b3_b35f_2bdc,
+            0x4051_36b3_b35f_2bdc,
+            0x4051_36b3_b35f_2bdc,
+            0x4051_36b3_b35f_2bdc,
         ],
-        0x2519_8679_92c2_1c79,
+        0xcaed_85a8_c582_29be,
     ),
 ];
 

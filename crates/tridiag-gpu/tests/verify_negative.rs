@@ -7,8 +7,10 @@
 //!
 //! The base plan is 64 x 512 f64 on the GTX480: the split pipeline
 //! (tiled PCR then pThomas), 11 slots, two launches — enough structure
-//! to break in every direction. Step indices are located by matching,
-//! not hard-coded, so planner layout changes don't rot the suite.
+//! to break in every direction. The fused plan the default config
+//! builds there (7 slots, one launch) gets the dataflow corruptions
+//! that apply to it too. Step indices are located by matching, not
+//! hard-coded, so planner layout changes don't rot the suite.
 
 use gpu_sim::{DeviceGroup, DeviceSpec, ExecConfig, SimError};
 use tridiag_core::generators::random_batch;
@@ -22,7 +24,11 @@ use tridiag_gpu::{
 
 fn base_plan() -> (DeviceSpec, SolvePlan) {
     let device = DeviceSpec::gtx480();
-    let solver = GpuTridiagSolver::new(device.clone(), GpuSolverConfig::default());
+    let config = GpuSolverConfig {
+        fused: false,
+        ..Default::default()
+    };
+    let solver = GpuTridiagSolver::new(device.clone(), config);
     let plan = solver.plan_geometry(64, 512, 8).unwrap();
     assert_eq!(
         plan.launches().count(),
@@ -30,6 +36,24 @@ fn base_plan() -> (DeviceSpec, SolvePlan) {
         "the negative suite expects the split pipeline at 64x512 f64"
     );
     (device, plan)
+}
+
+/// The default plan at 64 x 512 f64: the fused pipeline.
+fn fused_base_plan() -> (DeviceSpec, SolvePlan) {
+    let device = DeviceSpec::gtx480();
+    let solver = GpuTridiagSolver::new(device.clone(), GpuSolverConfig::default());
+    let plan = solver.plan_geometry(64, 512, 8).unwrap();
+    assert!(
+        plan.fused,
+        "the fused cases expect the fused pipeline at 64x512 f64"
+    );
+    (device, plan)
+}
+
+fn fused_launch_at(plan: &SolvePlan) -> usize {
+    step_index(plan, |s| {
+        matches!(s, Step::Launch(l) if matches!(l.op, KernelOp::Fused { .. }))
+    })
 }
 
 fn step_index(plan: &SolvePlan, pred: impl Fn(&Step) -> bool) -> usize {
@@ -128,6 +152,51 @@ fn alias_hazard_fires_when_an_output_aliases_an_input() {
     if let Step::Launch(l) = &mut plan.steps[at] {
         if let KernelOp::PThomas { a, x, .. } = &mut l.op {
             *x = *a;
+        }
+    }
+    let report = verify_plan(&device, &plan);
+    let msg = expect_finding(&report, FindingKind::AliasHazard, Some(at));
+    assert!(msg.contains("both input and output"), "unexpected message: {msg}");
+}
+
+#[test]
+fn fused_use_before_def_fires_at_the_reading_launch() {
+    let (device, base) = fused_base_plan();
+    let d_upload = step_index(&base, |s| matches!(s, Step::Upload { slot: 3, .. }));
+    let mut plan = base.clone();
+    // Upload d only after the launch that reads it.
+    let upload = plan.steps.remove(d_upload);
+    let at = fused_launch_at(&plan);
+    plan.steps.insert(at + 1, upload);
+    let report = verify_plan(&device, &plan);
+    let msg = expect_finding(&report, FindingKind::UseBeforeDef, Some(at));
+    assert!(msg.contains("before it is created"), "unexpected message: {msg}");
+}
+
+#[test]
+fn fused_unwritten_c_prime_read_fires_at_the_reading_launch() {
+    let (device, base) = fused_base_plan();
+    let at = fused_launch_at(&base);
+    let mut plan = base.clone();
+    if let Step::Launch(l) = &mut plan.steps[at] {
+        if let KernelOp::Fused { input, c_prime, .. } = &mut l.op {
+            // c': allocated before the launch, but nothing wrote it yet.
+            input[0] = *c_prime;
+        }
+    }
+    let report = verify_plan(&device, &plan);
+    let msg = expect_finding(&report, FindingKind::UnwrittenScratchRead, Some(at));
+    assert!(msg.contains("c_prime"), "unexpected message: {msg}");
+}
+
+#[test]
+fn fused_alias_hazard_fires_when_the_solution_aliases_an_input() {
+    let (device, base) = fused_base_plan();
+    let at = fused_launch_at(&base);
+    let mut plan = base.clone();
+    if let Step::Launch(l) = &mut plan.steps[at] {
+        if let KernelOp::Fused { input, x, .. } = &mut l.op {
+            *x = input[0];
         }
     }
     let report = verify_plan(&device, &plan);

@@ -215,10 +215,10 @@ struct WindowPin {
 const WINDOW_PINS: &[WindowPin] = &[
     WindowPin {
         window_us: 0.0,
-        requests_per_s: 0x40e6_0480_09d5_6855,
-        p50_us: 0x4085_3548_2754_203c,
-        p99_us: 0x4095_3148_2754_203e,
-        makespan_us: 0x4096_2d48_2754_203e,
+        requests_per_s: 0x40f0_48e2_d7c7_ea9e,
+        p50_us: 0x407c_0be9_4b8d_0682,
+        p99_us: 0x408c_03e9_4b8d_0682,
+        makespan_us: 0x408d_fbe9_4b8d_0681,
         batches: 64,
         fused_batches: 0,
         cache_hits: 63,
@@ -226,10 +226,10 @@ const WINDOW_PINS: &[WindowPin] = &[
     },
     WindowPin {
         window_us: 2.0,
-        requests_per_s: 0x410e_c3d8_9ae1_e908,
-        p50_us: 0x4063_d1d2_b253_ae9e,
-        p99_us: 0x4067_de1c_6cb1_e3de,
-        makespan_us: 0x406f_be1c_6cb1_e3de,
+        requests_per_s: 0x4111_8b4f_a8c6_3296,
+        p50_us: 0x405f_d129_0c56_938e,
+        p99_us: 0x4063_f4de_4089_7f07,
+        makespan_us: 0x406b_d4de_4089_7f07,
         batches: 3,
         fused_batches: 3,
         cache_hits: 0,
@@ -237,10 +237,10 @@ const WINDOW_PINS: &[WindowPin] = &[
     },
     WindowPin {
         window_us: 4.0,
-        requests_per_s: 0x410e_75a8_953f_e271,
-        p50_us: 0x405d_25cc_1574_7f80,
-        p99_us: 0x4068_2f97_8f6e_2ba2,
-        makespan_us: 0x4070_07cb_c7b7_15d1,
+        requests_per_s: 0x4110_cf5e_2c30_4278,
+        p50_us: 0x4056_05e4_6765_9ef0,
+        p99_us: 0x4065_2c09_508e_5e70,
+        makespan_us: 0x406d_0c09_508e_5e70,
         batches: 3,
         fused_batches: 3,
         cache_hits: 0,
@@ -248,10 +248,10 @@ const WINDOW_PINS: &[WindowPin] = &[
     },
     WindowPin {
         window_us: 8.0,
-        requests_per_s: 0x410d_c36c_d5cf_8f7d,
-        p50_us: 0x4061_4dd0_f881_9328,
-        p99_us: 0x4068_ef95_7458_588a,
-        makespan_us: 0x4070_67ca_ba2c_2c45,
+        requests_per_s: 0x4110_8fba_ab99_99a0,
+        p50_us: 0x405b_e149_3544_da16,
+        p99_us: 0x4065_9ba6_e2cc_5fc8,
+        makespan_us: 0x406d_7ba6_e2cc_5fc8,
         batches: 3,
         fused_batches: 3,
         cache_hits: 0,
@@ -259,10 +259,10 @@ const WINDOW_PINS: &[WindowPin] = &[
     },
     WindowPin {
         window_us: 16.0,
-        requests_per_s: 0x410e_2d92_fd5b_6280,
-        p50_us: 0x4064_6fe2_ca95_cb5a,
-        p99_us: 0x4068_7c2c_84f4_009a,
-        makespan_us: 0x4070_2e16_427a_004d,
+        requests_per_s: 0x4110_5a7b_054d_549a,
+        p50_us: 0x4061_ef5d_286e_2a88,
+        p99_us: 0x4065_fba6_e2cc_5fc8,
+        makespan_us: 0x406d_dba6_e2cc_5fc8,
         batches: 2,
         fused_batches: 2,
         cache_hits: 0,
@@ -270,10 +270,10 @@ const WINDOW_PINS: &[WindowPin] = &[
     },
     WindowPin {
         window_us: 64.0,
-        requests_per_s: 0x410b_77bb_abc1_93fc,
-        p50_us: 0x4067_a14f_133c_bbbf,
-        p99_us: 0x406b_ad98_cd9a_f0ff,
-        makespan_us: 0x4071_c6cc_66cd_7880,
+        requests_per_s: 0x410c_fab9_6bc9_820d,
+        p50_us: 0x4065_c688_3873_09f1,
+        p99_us: 0x4069_d2d1_f2d1_3f32,
+        makespan_us: 0x4070_d968_f968_9f98,
         batches: 1,
         fused_batches: 1,
         cache_hits: 0,

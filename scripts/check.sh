@@ -41,6 +41,12 @@ grep -q "dry run     : no kernels launched" <<<"$out"
 out="$(cargo run --release -q -p tridiag-cli -- plan --m 64 --n 512 --json)"
 grep -q "tridiag.solve_plan/v3" <<<"$out"
 
+echo "== CLI fusion smoke (the planner fuses block-per-system hybrids, never k = 0) =="
+out="$(cargo run --release -q -p tridiag-cli -- plan --m 64 --n 512)"
+grep -q "fused=true" <<<"$out"
+out="$(cargo run --release -q -p tridiag-cli -- plan --m 2048 --n 64)"
+grep -q "fused=false" <<<"$out"
+
 echo "== CLI layout smoke (forced layouts plan, solve and certify) =="
 out="$(cargo run --release -q -p tridiag-cli -- plan --m 64 --n 512 --layout interleaved)"
 grep -q "layout=Interleaved" <<<"$out"

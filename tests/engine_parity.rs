@@ -62,7 +62,13 @@ fn gpu_engines_agree_with_cpu_reference() {
 #[test]
 fn fused_and_split_pipelines_agree() {
     let batch = generators::random_batch::<f64>(16, 768, 23);
-    let split = GpuTridiagSolver::new(gpu_sim::DeviceSpec::gtx480(), GpuSolverConfig::default());
+    let split = GpuTridiagSolver::new(
+        gpu_sim::DeviceSpec::gtx480(),
+        GpuSolverConfig {
+            fused: false,
+            ..Default::default()
+        },
+    );
     let fused = GpuTridiagSolver::new(
         gpu_sim::DeviceSpec::gtx480(),
         GpuSolverConfig {
