@@ -44,6 +44,12 @@ pub enum SimError {
         /// The unknown handle's index.
         buffer: usize,
     },
+    /// A store (from a kernel or the host) into a buffer that borrows
+    /// a read-only host array (see `GpuMemory::borrow`).
+    ReadOnlyBuffer {
+        /// The borrowed buffer's handle index.
+        buffer: usize,
+    },
     /// The kernel itself failed (numerical error etc.); carries the
     /// kernel's message.
     KernelFault(String),
@@ -82,6 +88,10 @@ impl fmt::Display for SimError {
                 "warp op lane mismatch: {indices} indices vs {values} values"
             ),
             SimError::BadBuffer { buffer } => write!(f, "unknown buffer handle {buffer}"),
+            SimError::ReadOnlyBuffer { buffer } => write!(
+                f,
+                "store to read-only buffer {buffer} (it borrows a host array)"
+            ),
             SimError::KernelFault(msg) => write!(f, "kernel fault: {msg}"),
             SimError::InvalidPlan(msg) => write!(f, "invalid plan: {msg}"),
             SimError::Sanitizer(v) => write!(f, "sanitizer: {v}"),

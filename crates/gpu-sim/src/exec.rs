@@ -24,7 +24,8 @@
 //! workspace communicates across blocks. An unchecked launch therefore
 //! runs its blocks on several host threads when they are long enough
 //! to pay for it ([`launch_with`]), against a global memory of atomic
-//! cells ([`Elem::Cell`]); each block counts into its own
+//! cells ([`Elem::Cell`]) and read-only borrowed host arrays
+//! ([`GpuMemory::borrow`]); each block counts into its own
 //! [`BlockCtx`], and the launch merges the blocks' counters, phases,
 //! per-block vectors and errors in block order. Checked launches run
 //! their blocks one after another. Determinism is total — every run of
@@ -104,30 +105,59 @@ impl_elem!(
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BufId(usize);
 
+/// Storage of one buffer: device cells the arena owns, or a read-only
+/// host array it borrows.
+#[derive(Debug)]
+enum Storage<'h, S: Elem> {
+    /// Device cells, written by uploads, kernel stores and the host.
+    Owned(Vec<S::Cell>),
+    /// The caller's host array, used in place ("a `const` device
+    /// pointer"): loads read it, stores are a typed error.
+    Borrowed(&'h [S]),
+}
+
+impl<S: Elem> Storage<'_, S> {
+    fn len(&self) -> usize {
+        match self {
+            Storage::Owned(cells) => cells.len(),
+            Storage::Borrowed(host) => host.len(),
+        }
+    }
+}
+
 /// Simulated device global memory: an arena of typed buffers.
 ///
-/// Each element lives in an atomic cell ([`Elem::Cell`]), so a
-/// launch's blocks can run on several host threads against a shared
-/// `&GpuMemory`. Every buffer carries a word-granular [`InitMask`]
-/// shadow recording which elements have ever been written — by a kernel
-/// store or a host upload. The sanitizer's initcheck reads it;
-/// maintenance is cheap enough to run unconditionally, so the shadow
-/// stays accurate even when only some launches are sanitized.
+/// A buffer either owns its elements, each in an atomic cell
+/// ([`Elem::Cell`]) so a launch's blocks can run on several host
+/// threads against a shared `&GpuMemory`, or borrows a read-only host
+/// array for the arena's lifetime `'h` ([`GpuMemory::borrow`]), which
+/// is how an upload needing no layout change costs no copy. Stores to
+/// a borrowed buffer fail with [`SimError::ReadOnlyBuffer`]. Every
+/// buffer carries a word-granular [`InitMask`] shadow recording which
+/// elements have ever been written — by a kernel store or a host
+/// upload. The sanitizer's initcheck reads it; maintenance is cheap
+/// enough to run unconditionally, so the shadow stays accurate even
+/// when only some launches are sanitized.
 #[derive(Debug, Default)]
-pub struct GpuMemory<S: Elem> {
-    buffers: Vec<Vec<S::Cell>>,
+pub struct GpuMemory<'h, S: Elem> {
+    buffers: Vec<Storage<'h, S>>,
     init: Vec<InitMask>,
     resident_bytes: usize,
     peak_resident_bytes: usize,
 }
 
-impl<S: Elem> Clone for GpuMemory<S> {
+impl<S: Elem> Clone for GpuMemory<'_, S> {
     fn clone(&self) -> Self {
         Self {
             buffers: self
                 .buffers
                 .iter()
-                .map(|b| b.iter().map(|c| S::load(c).into_cell()).collect())
+                .map(|b| match b {
+                    Storage::Owned(cells) => {
+                        Storage::Owned(cells.iter().map(|c| S::load(c).into_cell()).collect())
+                    }
+                    Storage::Borrowed(host) => Storage::Borrowed(host),
+                })
                 .collect(),
             init: self.init.clone(),
             resident_bytes: self.resident_bytes,
@@ -136,7 +166,7 @@ impl<S: Elem> Clone for GpuMemory<S> {
     }
 }
 
-impl<S: Elem> GpuMemory<S> {
+impl<'h, S: Elem> GpuMemory<'h, S> {
     /// Empty arena.
     pub fn new() -> Self {
         Self {
@@ -147,10 +177,10 @@ impl<S: Elem> GpuMemory<S> {
         }
     }
 
-    fn push(&mut self, cells: Vec<S::Cell>, init: InitMask) -> BufId {
-        self.resident_bytes += cells.len() * S::BYTES;
+    fn push(&mut self, storage: Storage<'h, S>, init: InitMask) -> BufId {
+        self.resident_bytes += storage.len() * S::BYTES;
         self.peak_resident_bytes = self.peak_resident_bytes.max(self.resident_bytes);
-        self.buffers.push(cells);
+        self.buffers.push(storage);
         self.init.push(init);
         BufId(self.buffers.len() - 1)
     }
@@ -160,27 +190,36 @@ impl<S: Elem> GpuMemory<S> {
     /// `cudaMalloc`, whose contents are undefined.
     pub fn alloc(&mut self, len: usize) -> BufId {
         let cells = (0..len).map(|_| S::default().into_cell()).collect();
-        self.push(cells, InitMask::uninit(len))
+        self.push(Storage::Owned(cells), InitMask::uninit(len))
     }
 
     /// Upload host data ("cudaMemcpy host→device"); fully initialized.
     /// The vector's allocation becomes the buffer's storage.
     pub fn alloc_from(&mut self, data: Vec<S>) -> BufId {
         let cells = data.into_iter().map(S::into_cell).collect();
-        self.push(cells, InitMask::Full)
+        self.push(Storage::Owned(cells), InitMask::Full)
+    }
+
+    /// Upload a host array without copying it: the buffer reads `data`
+    /// in place for the arena's lifetime. It is fully initialized and
+    /// counts its bytes as resident exactly like [`Self::alloc_from`],
+    /// but it is read-only — a kernel or host store into it fails with
+    /// [`SimError::ReadOnlyBuffer`].
+    pub fn borrow(&mut self, data: &'h [S]) -> BufId {
+        self.push(Storage::Borrowed(data), InitMask::Full)
     }
 
     /// Drop a buffer's storage and take its bytes out of the resident
     /// set, keeping its index slot; returns the storage.
-    fn release(&mut self, id: BufId) -> Result<Vec<S::Cell>> {
+    fn release(&mut self, id: BufId) -> Result<Storage<'h, S>> {
         let buf = self
             .buffers
             .get_mut(id.0)
             .ok_or(SimError::BadBuffer { buffer: id.0 })?;
-        let cells = std::mem::take(buf);
-        self.resident_bytes = self.resident_bytes.saturating_sub(cells.len() * S::BYTES);
+        let storage = std::mem::replace(buf, Storage::Owned(Vec::new()));
+        self.resident_bytes = self.resident_bytes.saturating_sub(storage.len() * S::BYTES);
         self.init[id.0] = InitMask::uninit(0);
-        Ok(cells)
+        Ok(storage)
     }
 
     /// Release a buffer ("cudaFree"): its storage is dropped and its
@@ -192,10 +231,14 @@ impl<S: Elem> GpuMemory<S> {
     }
 
     /// Read back a buffer and release it in one step — a download that
-    /// is the buffer's last use. The buffer's storage becomes the
-    /// returned vector, so nothing is copied.
+    /// is the buffer's last use. An owned buffer's storage becomes the
+    /// returned vector, so nothing is copied; a borrowed one returns a
+    /// copy of its host array.
     pub fn take(&mut self, id: BufId) -> Result<Vec<S>> {
-        Ok(self.release(id)?.into_iter().map(|c| S::load(&c)).collect())
+        Ok(match self.release(id)? {
+            Storage::Owned(cells) => cells.into_iter().map(|c| S::load(&c)).collect(),
+            Storage::Borrowed(host) => host.to_vec(),
+        })
     }
 
     /// Bytes currently allocated across live (un-freed) buffers.
@@ -215,21 +258,32 @@ impl<S: Elem> GpuMemory<S> {
         self.init.get(id.0).is_some_and(|m| m.is_set(i))
     }
 
-    fn cells(&self, id: BufId) -> Result<&[S::Cell]> {
+    fn storage(&self, id: BufId) -> Result<&Storage<'h, S>> {
         self.buffers
             .get(id.0)
-            .map(|v| v.as_slice())
             .ok_or(SimError::BadBuffer { buffer: id.0 })
+    }
+
+    /// The cells of an owned buffer, to store into; a typed error for a
+    /// borrowed one.
+    fn writable(&self, id: BufId) -> Result<&[S::Cell]> {
+        match self.storage(id)? {
+            Storage::Owned(cells) => Ok(cells),
+            Storage::Borrowed(_) => Err(SimError::ReadOnlyBuffer { buffer: id.0 }),
+        }
     }
 
     /// Read back a buffer ("cudaMemcpy device→host").
     pub fn read(&self, id: BufId) -> Result<Vec<S>> {
-        Ok(self.cells(id)?.iter().map(S::load).collect())
+        Ok(match self.storage(id)? {
+            Storage::Owned(cells) => cells.iter().map(S::load).collect(),
+            Storage::Borrowed(host) => host.to_vec(),
+        })
     }
 
     /// Length of a buffer.
     pub fn len(&self, id: BufId) -> Result<usize> {
-        Ok(self.cells(id)?.len())
+        Ok(self.storage(id)?.len())
     }
 
     /// `true` if the arena holds no buffers.
@@ -238,9 +292,10 @@ impl<S: Elem> GpuMemory<S> {
     }
 
     /// Host-side mutable access (outside kernels; e.g. to refresh an RHS
-    /// between solves without re-alloc).
+    /// between solves without re-alloc). A borrowed buffer is a
+    /// [`SimError::ReadOnlyBuffer`].
     pub fn write(&mut self, id: BufId, data: &[S]) -> Result<()> {
-        let buf = self.cells(id)?;
+        let buf = self.writable(id)?;
         if buf.len() != data.len() {
             return Err(SimError::LaneMismatch {
                 indices: buf.len(),
@@ -254,11 +309,20 @@ impl<S: Elem> GpuMemory<S> {
         Ok(())
     }
 
-    /// Write `vals` (one per lane, all in bounds) to buffer `buf` at
-    /// every lane of `pieces`, in lane order, marking each written
-    /// element initialized.
-    fn scatter(&self, buf: BufId, pieces: &[AffinePiece], vals: &[S]) {
-        scatter(&self.buffers[buf.0], pieces, vals, S::store);
+    /// `out` replaced by buffer `buf` (owned or borrowed) read at every
+    /// lane of `pieces` (all in bounds).
+    fn gather(&self, buf: BufId, pieces: &[AffinePiece], out: &mut Vec<S>) {
+        match &self.buffers[buf.0] {
+            Storage::Owned(cells) => gather(cells, pieces, out, S::load),
+            Storage::Borrowed(host) => gather(host, pieces, out, |&v| v),
+        }
+    }
+
+    /// Write `vals` (one per lane, all in bounds) to the owned buffer
+    /// `buf` at every lane of `pieces`, in lane order, marking each
+    /// written element initialized.
+    fn scatter(&self, buf: BufId, pieces: &[AffinePiece], vals: &[S]) -> Result<()> {
+        scatter(self.writable(buf)?, pieces, vals, S::store);
         let mask = &self.init[buf.0];
         for p in pieces {
             let b = p.base as usize;
@@ -268,6 +332,7 @@ impl<S: Elem> GpuMemory<S> {
                 (0..p.lanes).for_each(|x| mask.set(p.elem(x) as usize));
             }
         }
+        Ok(())
     }
 }
 
@@ -362,7 +427,7 @@ pub struct BlockCtx<'a, S: Elem> {
     pub grid_blocks: usize,
     /// Threads in this block.
     pub threads: usize,
-    mem: &'a GpuMemory<S>,
+    mem: &'a GpuMemory<'a, S>,
     shared: Vec<S>,
     warp_size: usize,
     transaction_bytes: usize,
@@ -411,7 +476,8 @@ fn check_values<S>(pieces: &[AffinePiece], vals: &[S]) -> Result<()> {
 
 /// Replace `out` with `src` read at every lane of `pieces` (all in
 /// bounds), one element at a time through `load`: plain copies from
-/// shared memory, [`Elem::load`] from global memory's cells.
+/// shared memory and borrowed host arrays, [`Elem::load`] from global
+/// memory's cells.
 fn gather<T, S>(src: &[T], pieces: &[AffinePiece], out: &mut Vec<S>, load: impl Fn(&T) -> S) {
     out.clear();
     for p in pieces {
@@ -504,15 +570,18 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
                 }
             }
         }
-        let data = self.mem.cells(buf)?;
         out.clear();
-        out.extend(idx.iter().map(|&i| S::load(&data[i])));
+        match self.mem.storage(buf)? {
+            Storage::Owned(cells) => out.extend(idx.iter().map(|&i| S::load(&cells[i]))),
+            Storage::Borrowed(host) => out.extend(idx.iter().map(|&i| host[i])),
+        }
         Ok(())
     }
 
     /// Block-wide global store: thread `t` writes `vals[t]` to
     /// `idx[t]`. Duplicate indices within one store are a data race in
-    /// real CUDA; here the last lane deterministically wins.
+    /// real CUDA; here the last lane deterministically wins. A store to
+    /// a borrowed host array is a [`SimError::ReadOnlyBuffer`].
     pub fn st(&mut self, buf: BufId, idx: &[usize], vals: &[S]) -> Result<()> {
         if idx.len() != vals.len() {
             return Err(SimError::LaneMismatch {
@@ -524,7 +593,7 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
         if let Some(rec) = self.rec.as_mut() {
             rec.access(AccessKind::GlobalStore, Some(buf.0), idx);
         }
-        let data = self.mem.cells(buf)?;
+        let data = self.mem.writable(buf)?;
         let mask = &self.mem.init[buf.0];
         for (&i, &v) in idx.iter().zip(vals) {
             S::store(&data[i], v);
@@ -617,7 +686,7 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
         if !self.account_global_affine(buf, pieces, true)? {
             return self.with_expanded(pieces, |ctx, idx| ctx.ld(buf, idx, out));
         }
-        gather(&self.mem.buffers[buf.0], pieces, out, S::load);
+        self.mem.gather(buf, pieces, out);
         Ok(())
     }
 
@@ -628,8 +697,7 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
         if !self.account_global_affine(buf, pieces, false)? {
             return self.with_expanded(pieces, |ctx, idx| ctx.st(buf, idx, vals));
         }
-        self.mem.scatter(buf, pieces, vals);
-        Ok(())
+        self.mem.scatter(buf, pieces, vals)
     }
 
     /// Allocate `len` elements of shared memory; returns the base offset
@@ -849,7 +917,7 @@ pub fn launch<S: Elem, K: BlockKernel<S>>(
     spec: &DeviceSpec,
     cfg: &LaunchConfig,
     kernel: &K,
-    mem: &mut GpuMemory<S>,
+    mem: &mut GpuMemory<'_, S>,
 ) -> Result<LaunchResult> {
     launch_with(spec, cfg, &ExecConfig::default(), kernel, mem)
 }
@@ -868,7 +936,7 @@ fn run_block<S: Elem, K: BlockKernel<S>>(
     cfg: &LaunchConfig,
     exec: &ExecConfig,
     kernel: &K,
-    mem: &GpuMemory<S>,
+    mem: &GpuMemory<'_, S>,
     block_id: usize,
 ) -> Result<BlockOut> {
     let mut ctx = BlockCtx {
@@ -936,7 +1004,7 @@ pub fn launch_with<S: Elem, K: BlockKernel<S>>(
     cfg: &LaunchConfig,
     exec: &ExecConfig,
     kernel: &K,
-    mem: &mut GpuMemory<S>,
+    mem: &mut GpuMemory<'_, S>,
 ) -> Result<LaunchResult> {
     if cfg.grid_blocks == 0 {
         return Err(SimError::InvalidLaunch("empty grid".into()));
@@ -982,7 +1050,7 @@ pub fn launch_with<S: Elem, K: BlockKernel<S>>(
         stats.total.merge(&b);
     };
 
-    let mem: &GpuMemory<S> = mem;
+    let mem: &GpuMemory<'_, S> = mem;
     let run = |block_id| run_block(spec, cfg, exec, kernel, mem, block_id);
     let started = Instant::now();
     merge(run(0)?);
@@ -1494,6 +1562,114 @@ mod tests {
         assert_eq!(mem.read(a).unwrap(), &[1.0, 2.0, 3.0, 4.0]);
         assert!(mem.write(a, &[1.0]).is_err());
         assert!(mem.read(BufId(9)).is_err());
+    }
+
+    /// Copies `input` to `output` over one block-sized chunk per block,
+    /// with unit-stride affine pieces (`affine`) or index slices.
+    struct CopyKernel {
+        input: BufId,
+        output: BufId,
+        n: usize,
+        affine: bool,
+    }
+
+    impl BlockKernel<f64> for CopyKernel {
+        fn run_block(&self, ctx: &mut BlockCtx<'_, f64>) -> Result<()> {
+            let base = ctx.block_id * ctx.threads;
+            let lanes = ctx.threads.min(self.n - base);
+            let mut vals = Vec::new();
+            if self.affine {
+                let piece = [AffinePiece {
+                    lane0: 0,
+                    lanes,
+                    base: base as i64,
+                    stride: 1,
+                }];
+                ctx.ld_affine(self.input, &piece, &mut vals)?;
+                ctx.st_affine(self.output, &piece, &vals)
+            } else {
+                let idx: Vec<usize> = (base..base + lanes).collect();
+                ctx.ld(self.input, &idx, &mut vals)?;
+                ctx.st(self.output, &idx, &vals)
+            }
+        }
+    }
+
+    #[test]
+    fn borrowed_buffers_read_the_host_array_and_count_like_owned_ones() {
+        let host: Vec<f64> = (0..300).map(|i| i as f64 * 0.5).collect();
+        let cfg = LaunchConfig::new("copy", 2, 256);
+        for exec in [ExecConfig::default(), ExecConfig::checked()] {
+            for affine in [false, true] {
+                let run = |borrow: bool| {
+                    let mut mem = GpuMemory::new();
+                    let input = if borrow {
+                        mem.borrow(&host)
+                    } else {
+                        mem.alloc_from(host.clone())
+                    };
+                    let output = mem.alloc(host.len());
+                    assert_eq!(mem.resident_bytes(), 2 * host.len() * 8);
+                    let k = CopyKernel {
+                        input,
+                        output,
+                        n: host.len(),
+                        affine,
+                    };
+                    let res = launch_with(&gtx480(), &cfg, &exec, &k, &mut mem).unwrap();
+                    assert!(res.violations.is_empty(), "{:?}", res.violations);
+                    assert_eq!(mem.read(input).unwrap(), host);
+                    assert_eq!(mem.take(input).unwrap(), host);
+                    assert_eq!(mem.resident_bytes(), host.len() * 8);
+                    (mem.read(output).unwrap(), res.stats)
+                };
+                let (owned_out, owned_stats) = run(false);
+                let (borrowed_out, borrowed_stats) = run(true);
+                assert_eq!(borrowed_out, host);
+                assert_eq!(borrowed_out, owned_out);
+                assert_eq!(borrowed_stats, owned_stats, "affine = {affine}");
+            }
+        }
+    }
+
+    #[test]
+    fn stores_to_a_borrowed_buffer_are_typed_errors() {
+        let host = vec![1.0f64; 64];
+        let cfg = LaunchConfig::new("copy", 1, 64);
+        for exec in [
+            ExecConfig::default(),
+            ExecConfig::sanitized(),
+            ExecConfig::checked(),
+        ] {
+            for affine in [false, true] {
+                let mut mem = GpuMemory::new();
+                let input = mem.alloc_from(vec![2.0; 64]);
+                let output = mem.borrow(&host);
+                let k = CopyKernel {
+                    input,
+                    output,
+                    n: 64,
+                    affine,
+                };
+                let err = launch_with(&gtx480(), &cfg, &exec, &k, &mut mem).unwrap_err();
+                assert_eq!(err, SimError::ReadOnlyBuffer { buffer: output.0 });
+                assert_eq!(
+                    mem.read(output).unwrap(),
+                    host,
+                    "the host array is untouched"
+                );
+            }
+        }
+        let mut mem = GpuMemory::new();
+        let id = mem.borrow(&host);
+        assert_eq!(
+            mem.write(id, &host).unwrap_err(),
+            SimError::ReadOnlyBuffer { buffer: id.0 }
+        );
+        assert!(
+            mem.is_word_init(id, 63),
+            "a borrowed array is fully initialized"
+        );
     }
 }
 

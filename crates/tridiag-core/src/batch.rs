@@ -20,6 +20,7 @@
 use crate::error::{Result, TridiagError};
 use crate::scalar::Scalar;
 use crate::system::TridiagonalSystem;
+use std::ops::Range;
 
 /// Memory layout of a [`SystemBatch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,9 +45,13 @@ impl Layout {
     /// Re-store `src`, an array of `m` systems of `n` rows in layout
     /// `self`, into `dst` in layout `target`: `dst[target.index(s, r)] =
     /// src[self.index(s, r)]` for every `(s, r)`. The two layouts are
-    /// transposes of each other, so a change of layout is a transpose,
-    /// done in cache-sized tiles. Panics unless both arrays hold `m·n`
-    /// elements.
+    /// transposes of each other, so a change of layout is a transpose.
+    /// It is staged through a `TILE × TILE` buffer on the stack: each
+    /// tile's rows are copied contiguously into it, and its columns are
+    /// then written out contiguously, so only the cache-resident tile is
+    /// walked across rows — never memory at a (usually power-of-two)
+    /// row pitch, which aliases cache sets and TLB entries.
+    /// Panics unless both arrays hold `m·n` elements.
     pub fn convert<T: Copy>(self, target: Layout, src: &[T], m: usize, n: usize, dst: &mut [T]) {
         assert!(
             src.len() == m * n && dst.len() == m * n,
@@ -58,12 +63,23 @@ impl Layout {
             (Layout::Contiguous, _) => (m, n),
             (Layout::Interleaved, _) => (n, m),
         };
+        let Some(&fill) = src.first() else {
+            return;
+        };
         const TILE: usize = 32;
+        // `tile[r * TILE + c]` holds `src[(r0 + r) * cols + c0 + c]`.
+        let mut tile = [fill; TILE * TILE];
         for r0 in (0..rows).step_by(TILE) {
+            let h = TILE.min(rows - r0);
             for c0 in (0..cols).step_by(TILE) {
-                for r in r0..(r0 + TILE).min(rows) {
-                    for c in c0..(c0 + TILE).min(cols) {
-                        dst[c * rows + r] = src[r * cols + c];
+                let w = TILE.min(cols - c0);
+                for r in 0..h {
+                    tile[r * TILE..][..w].copy_from_slice(&src[(r0 + r) * cols + c0..][..w]);
+                }
+                for c in 0..w {
+                    let col = &mut dst[(c0 + c) * rows + r0..][..h];
+                    for (r, d) in col.iter_mut().enumerate() {
+                        *d = tile[r * TILE + c];
                     }
                 }
             }
@@ -220,6 +236,41 @@ impl<S: Scalar> SystemBatch<S> {
             d.push(self.d[i]);
         }
         TridiagonalSystem::new(a, b, c, d)
+    }
+
+    /// Systems `systems` of this batch as a batch of their own, in this
+    /// batch's layout: one range copy per array when it is contiguous,
+    /// one run per row when it is interleaved. An empty or out-of-range
+    /// range is an error.
+    pub fn sub_batch(&self, systems: Range<usize>) -> Result<Self> {
+        if systems.is_empty() {
+            return Err(TridiagError::EmptySystem);
+        }
+        if systems.end > self.m {
+            return Err(TridiagError::IndexOutOfBounds {
+                index: systems.end - 1,
+                len: self.m,
+            });
+        }
+        let pick = |arr: &[S]| match self.layout {
+            Layout::Contiguous => arr[systems.start * self.n..systems.end * self.n].to_vec(),
+            Layout::Interleaved => {
+                let mut out = Vec::with_capacity(systems.len() * self.n);
+                for row in arr.chunks_exact(self.m) {
+                    out.extend_from_slice(&row[systems.clone()]);
+                }
+                out
+            }
+        };
+        Ok(Self {
+            a: pick(&self.a),
+            b: pick(&self.b),
+            c: pick(&self.c),
+            d: pick(&self.d),
+            m: systems.len(),
+            n: self.n,
+            layout: self.layout,
+        })
     }
 
     /// Extract all systems.
@@ -383,6 +434,28 @@ mod tests {
         assert_eq!(parts.len(), 3);
         assert_eq!(parts[0].len(), 8);
         assert!(inter.split_solution(&x[1..]).is_err());
+    }
+
+    #[test]
+    fn sub_batch_matches_the_extracted_systems_in_both_layouts() {
+        let contig = batch(7, 5);
+        for b in [contig.clone(), contig.to_layout(Layout::Interleaved)] {
+            let sub = b.sub_batch(2..6).unwrap();
+            assert_eq!(sub.layout(), b.layout());
+            assert_eq!((sub.num_systems(), sub.system_len()), (4, 5));
+            for sys in 0..4 {
+                assert_eq!(sub.system(sys).unwrap(), b.system(2 + sys).unwrap());
+            }
+            assert_eq!(b.sub_batch(0..7).unwrap(), b);
+            assert!(matches!(
+                b.sub_batch(3..3).unwrap_err(),
+                TridiagError::EmptySystem
+            ));
+            assert!(matches!(
+                b.sub_batch(5..8).unwrap_err(),
+                TridiagError::IndexOutOfBounds { index: 7, len: 7 }
+            ));
+        }
     }
 
     #[test]

@@ -1,10 +1,37 @@
 //! Property tests for the layout dimension: `Layout::index` is a
-//! bijection onto `0..m*n` for both layouts, and `to_layout`
-//! round-trips are bit-exact identities.
+//! bijection onto `0..m*n` for both layouts, `Layout::convert` (the
+//! tiled transpose) equals its element-wise definition, and
+//! `to_layout` round-trips are bit-exact identities.
 
 use proptest::prelude::*;
 use tridiag_core::generators::random_batch;
 use tridiag_core::Layout;
+
+/// `Layout::convert` of an `m × n` array of distinct values, in both
+/// directions, against its definition `dst[to.index(s, r)] =
+/// src[from.index(s, r)]`.
+fn check_convert<T: Copy + Default + PartialEq + std::fmt::Debug>(
+    m: usize,
+    n: usize,
+    value: impl Fn(usize) -> T,
+) {
+    let src: Vec<T> = (0..m * n).map(value).collect();
+    for (from, to) in [
+        (Layout::Contiguous, Layout::Interleaved),
+        (Layout::Interleaved, Layout::Contiguous),
+        (Layout::Contiguous, Layout::Contiguous),
+    ] {
+        let mut want = vec![T::default(); m * n];
+        for sys in 0..m {
+            for row in 0..n {
+                want[to.index(sys, row, m, n)] = src[from.index(sys, row, m, n)];
+            }
+        }
+        let mut got = vec![T::default(); m * n];
+        from.convert(to, &src, m, n, &mut got);
+        assert!(got == want, "{from:?} -> {to:?} at m = {m}, n = {n}");
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -62,5 +89,26 @@ proptest! {
         // Same-layout conversion is a plain clone.
         prop_assert_eq!(&contig.to_layout(Layout::Contiguous), &contig);
         prop_assert_eq!(&inter.to_layout(Layout::Interleaved), &inter);
+    }
+
+    /// The tiled transpose equals the element-wise definition on ragged
+    /// shapes that straddle the tile edge, for f32 and f64.
+    #[test]
+    fn convert_matches_its_definition(m in 1usize..100, n in 1usize..100) {
+        check_convert(m, n, |i| i as f64 + 0.5);
+        check_convert(m, n, |i| i as f32 - 0.25);
+    }
+
+    /// ... and on degenerate (one system, one row, one tile off by one)
+    /// and wide benchmark shapes.
+    #[test]
+    fn convert_matches_its_definition_on_edge_and_wide_shapes(
+        (m, n) in prop::sample::select(vec![
+            (1, 1), (1, 257), (300, 1), (31, 33), (33, 31), (32, 32),
+            (1024, 512), (8192, 64),
+        ])
+    ) {
+        check_convert(m, n, |i| i as f64 + 0.5);
+        check_convert(m, n, |i| i as f32 - 0.25);
     }
 }

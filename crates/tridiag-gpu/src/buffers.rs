@@ -45,14 +45,20 @@ impl DeviceBatch {
     }
 }
 
-/// Upload a host batch ("cudaMemcpy H→D"), preserving its layout.
-pub fn upload<S: GpuScalar>(mem: &mut GpuMemory<S>, batch: &SystemBatch<S>) -> DeviceBatch {
+/// Upload a host batch ("cudaMemcpy H→D"), preserving its layout: the
+/// four coefficient arrays are borrowed read-only, as the plan executor
+/// borrows every upload that needs no change of layout, and only the
+/// solution buffer is allocated.
+pub fn upload<'h, S: GpuScalar>(
+    mem: &mut GpuMemory<'h, S>,
+    batch: &'h SystemBatch<S>,
+) -> DeviceBatch {
     let (a, b, c, d) = batch.arrays();
     DeviceBatch {
-        a: mem.alloc_from(a.to_vec()),
-        b: mem.alloc_from(b.to_vec()),
-        c: mem.alloc_from(c.to_vec()),
-        d: mem.alloc_from(d.to_vec()),
+        a: mem.borrow(a),
+        b: mem.borrow(b),
+        c: mem.borrow(c),
+        d: mem.borrow(d),
         x: mem.alloc(batch.total_len()),
         m: batch.num_systems(),
         n: batch.system_len(),
@@ -62,7 +68,7 @@ pub fn upload<S: GpuScalar>(mem: &mut GpuMemory<S>, batch: &SystemBatch<S>) -> D
 
 /// Read the solution buffer back to the host ("cudaMemcpy D→H").
 pub fn download_solution<S: GpuScalar>(
-    mem: &GpuMemory<S>,
+    mem: &GpuMemory<'_, S>,
     batch: &DeviceBatch,
 ) -> gpu_sim::Result<Vec<S>> {
     mem.read(batch.x)

@@ -297,14 +297,19 @@ pub fn solve_batch<S: GpuScalar>(
     let dev = upload(&mut mem, &contig);
     let mut kernels = Vec::new();
 
-    // Ping-pong buffers for the global steps.
+    // Ping-pong buffers for the global steps. The uploaded input is
+    // borrowed read-only, so the first step reads it and the rest
+    // alternate between two device-owned sets.
+    let alloc4 = |mem: &mut GpuMemory<S>| {
+        [
+            mem.alloc(m * n),
+            mem.alloc(m * n),
+            mem.alloc(m * n),
+            mem.alloc(m * n),
+        ]
+    };
     let mut src = [dev.a, dev.b, dev.c, dev.d];
-    let mut dst = [
-        mem.alloc(m * n),
-        mem.alloc(m * n),
-        mem.alloc(m * n),
-        mem.alloc(m * n),
-    ];
+    let mut dst = alloc4(&mut mem);
     let threads = 256u32;
     for step in 0..q {
         let kernel = GlobalPcrStepKernel {
@@ -327,7 +332,12 @@ pub fn solve_batch<S: GpuScalar>(
             shared_bytes: res.shared_bytes_per_block,
             blocks: res.stats.blocks,
         });
-        std::mem::swap(&mut src, &mut dst);
+        let spare = if step == 0 && q > 1 {
+            alloc4(&mut mem)
+        } else {
+            src
+        };
+        src = std::mem::replace(&mut dst, spare);
     }
 
     // Coarse-grained shared-memory finish: one block per subsystem.

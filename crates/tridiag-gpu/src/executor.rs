@@ -76,7 +76,7 @@ impl PlanExecutor {
         &mut self,
         cfg: &LaunchConfig,
         kernel: &K,
-        mem: &mut GpuMemory<S>,
+        mem: &mut GpuMemory<'_, S>,
     ) -> Result<()> {
         let precision = if <S as gpu_sim::Elem>::BYTES == 4 {
             Precision::F32
@@ -182,13 +182,14 @@ impl PlanExecutor {
         let first_lint_mismatch = self.lint_mismatches.len();
         let first_phase_sum = self.phase_sum_mismatches.len();
 
-        let mut mem: GpuMemory<S> = GpuMemory::new();
+        let mut mem: GpuMemory<'_, S> = GpuMemory::new();
         // Device buffer per slot, filled as each slot is created; the
         // verifier guarantees every bound slot is created exactly once
         // before use, in whatever order the plan creates them.
         let mut slots: Vec<Option<BufId>> = vec![None; plan.buffers.len()];
         // Device layout a `Convert` step asked for; each upload
-        // transposes its array straight from the caller's batch.
+        // transposes its array straight from the caller's batch, or
+        // borrows it when the layouts already agree.
         let mut convert_to: Option<Layout> = None;
         let mut downloaded: Option<Vec<S>> = None;
         let mut out: Option<Vec<S>> = None;
@@ -197,8 +198,9 @@ impl PlanExecutor {
                 Step::Convert { to } => convert_to = Some(*to),
                 Step::Upload { slot, source } => {
                     // Elided plans (host layout == device layout) have
-                    // no Convert step: the batch uploads as-is, but
-                    // only if it really is in the plan's device layout.
+                    // no Convert step: the batch's arrays are borrowed
+                    // as-is, but only if it really is in the plan's
+                    // device layout.
                     let to = match convert_to {
                         Some(to) => to,
                         None if batch.layout() == plan.layout => plan.layout,
@@ -218,16 +220,17 @@ impl PlanExecutor {
                         crate::plan::CoefArray::Upper => c,
                         crate::plan::CoefArray::Rhs => d,
                     };
-                    // Converting to the batch's own layout is a copy.
-                    let dev = if to == batch.layout() {
-                        arr.to_vec()
+                    // An array already in the device layout is used in
+                    // place, read-only; only a change of layout copies.
+                    let buf = if to == batch.layout() {
+                        mem.borrow(arr)
                     } else {
                         let mut dev = vec![S::ZERO; arr.len()];
                         batch.layout().convert(to, arr, m, n, &mut dev);
-                        dev
+                        mem.alloc_from(dev)
                     };
                     dynamic.h2d.push((i, arr.len() * <S as gpu_sim::Elem>::BYTES));
-                    slots[*slot] = Some(mem.alloc_from(dev));
+                    slots[*slot] = Some(buf);
                 }
                 Step::Alloc { slot } => {
                     slots[*slot] = Some(mem.alloc(plan.buffers[*slot].elems));

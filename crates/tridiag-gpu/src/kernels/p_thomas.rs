@@ -254,7 +254,7 @@ mod tests {
     use super::*;
     use crate::buffers::upload;
     use crate::consts::{PTHOMAS_BLOCK, REGS_PTHOMAS};
-    use gpu_sim::{launch, DeviceSpec, GpuMemory, LaunchConfig};
+    use gpu_sim::{launch, launch_with, DeviceSpec, ExecConfig, GpuMemory, LaunchConfig, SimError};
     use tridiag_core::generators::random_batch;
     use tridiag_core::Layout;
 
@@ -283,6 +283,36 @@ mod tests {
         launch(&DeviceSpec::gtx480(), &cfg, &kernel, &mut mem).unwrap();
         let x = mem.read(dev.x).unwrap();
         host.max_relative_residual(&x).unwrap()
+    }
+
+    #[test]
+    fn a_store_into_an_uploaded_input_is_a_typed_error() {
+        // `upload` borrows the host arrays: binding `c'` to the uploaded
+        // sub-diagonal makes the forward sweep's first store fail, on
+        // checked and unchecked launches alike, and leaves the host
+        // batch untouched.
+        let (m, n) = (64, 32);
+        let host = random_batch::<f64>(m, n, 5).to_layout(Layout::Interleaved);
+        for exec in [ExecConfig::default(), ExecConfig::checked()] {
+            let mut mem = GpuMemory::new();
+            let dev = upload(&mut mem, &host);
+            let dp = mem.alloc(dev.total());
+            let kernel = PThomasKernel {
+                a: dev.a,
+                b: dev.b,
+                c: dev.c,
+                d: dev.d,
+                c_prime: dev.a,
+                d_prime: dp,
+                x: dev.x,
+                map: AddrMap::Interleaved { m, n },
+            };
+            let cfg = LaunchConfig::new("p_thomas", 1, m as u32).with_regs(REGS_PTHOMAS);
+            let err =
+                launch_with(&DeviceSpec::gtx480(), &cfg, &exec, &kernel, &mut mem).unwrap_err();
+            assert!(matches!(err, SimError::ReadOnlyBuffer { .. }), "{err:?}");
+            assert_eq!(mem.read(dev.a).unwrap(), host.arrays().0);
+        }
     }
 
     #[test]

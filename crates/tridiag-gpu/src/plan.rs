@@ -205,7 +205,9 @@ pub enum Step {
         /// Target layout.
         to: Layout,
     },
-    /// Upload one coefficient array ("cudaMemcpy H→D") into a slot.
+    /// Upload one coefficient array ("cudaMemcpy H→D") into a slot: a
+    /// read-only device input, which no launch may write (the executor
+    /// borrows the caller's array when the layouts agree).
     Upload {
         /// Destination slot.
         slot: Slot,
@@ -260,7 +262,7 @@ pub struct SolvePlan {
     pub layout: Layout,
     /// Layout the caller's batch arrives (and leaves) in. When it
     /// equals [`SolvePlan::layout`] the `Convert`/`ConvertBack` steps
-    /// are elided — the batch is uploaded as-is.
+    /// are elided — the executor borrows the batch's arrays in place.
     pub host_layout: Layout,
     /// Buffers the plan creates, indexed by slot.
     pub buffers: Vec<BufferDecl>,
@@ -306,9 +308,9 @@ impl SolvePlan {
     /// The pipeline decisions are identical — `host_layout` is not a
     /// preference, it is a fact about the caller's buffers — but when
     /// it matches the decided device layout the `Convert` and
-    /// `ConvertBack` steps are elided: the coefficient arrays upload
-    /// as-is and the solution downloads straight into the caller's
-    /// layout. [`SolvePlan::build`] is the `Contiguous` special case
+    /// `ConvertBack` steps are elided: the executor borrows the
+    /// coefficient arrays in place, read-only, and the solution
+    /// downloads straight into the caller's layout. [`SolvePlan::build`] is the `Contiguous` special case
     /// (what [`tridiag_core::SystemBatch::from_systems`] produces).
     pub fn build_for_host(
         spec: &DeviceSpec,
@@ -340,8 +342,8 @@ impl SolvePlan {
         // and the pipeline wants it interleaved. The hybrid pipeline's
         // contiguous->contiguous Convert and ConvertBack are *kept*: the
         // legacy plan shapes are pinned byte-exactly by the golden
-        // snapshots. The executor skips a conversion to the batch's own
-        // layout, so they copy nothing.
+        // snapshots. An upload to the batch's own layout borrows the
+        // caller's array, so they copy nothing.
         let elide = host_layout == decision.layout && host_layout == Layout::Interleaved;
 
         let total = m * n;
@@ -1441,7 +1443,7 @@ mod tests {
     #[test]
     fn matching_host_layout_elides_conversions() {
         // k = 0 geometry: device layout is interleaved, so an
-        // interleaved host batch uploads as-is.
+        // interleaved host batch is borrowed as-is.
         let plan = SolvePlan::build_for_host(
             &DeviceSpec::gtx480(),
             &GpuSolverConfig::default(),

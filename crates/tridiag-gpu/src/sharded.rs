@@ -5,7 +5,8 @@
 //! reference plan's pipeline decisions into every shard — see
 //! [`crate::plan::ShardedPlan::build`]) and:
 //!
-//! 1. slices the caller's batch into per-shard sub-batches,
+//! 1. slices the caller's batch into per-shard sub-batches by system
+//!    range ([`SystemBatch::sub_batch`]), in the caller's layout,
 //! 2. drives each shard's [`SolvePlan`](crate::plan::SolvePlan) on its
 //!    own thread (vendored crossbeam scoped threads) with a private
 //!    [`PlanExecutor`] against that shard's device spec,
@@ -13,8 +14,8 @@
 //!    deterministic — as one typed [`SimError`], discarding the other
 //!    shards' partial results; a worker panic is converted to
 //!    [`SimError::KernelFault`], never propagated,
-//! 4. scatter-merges the per-shard solutions back into the caller's
-//!    batch layout (bit-identical to the single-device path on a
+//! 4. merges the per-shard solutions back into the caller's batch
+//!    layout by ranges (bit-identical to the single-device path on a
 //!    homogeneous group),
 //! 5. replays each shard's steps onto its device's in-order stream
 //!    ([`GroupTimeline`]) — modeled H2D copies, kernel launches, the
@@ -39,7 +40,7 @@ use crate::multi_device::{
 use crate::plan::{Partition, ShardedPlan};
 use crate::solver::{GpuSolveReport, ShardSummary};
 use gpu_sim::{DeviceGroup, ExecConfig, GroupTimeline, Json, Result, SimError};
-use tridiag_core::SystemBatch;
+use tridiag_core::{Layout, SystemBatch};
 
 /// Drives a [`ShardedPlan`] across a [`DeviceGroup`], one thread per
 /// shard, and merges the results.
@@ -102,22 +103,20 @@ impl ShardedExecutor {
             return ex.run(&plan.shards[0].plan, batch);
         }
 
-        // Slice the batch into per-shard sub-batches (contiguous
-        // layout; each shard re-converts to its plan's layout itself).
+        // Slice the batch into per-shard sub-batches, each in the
+        // caller's layout (its shard plan converts it as needed).
         let mut subs = Vec::with_capacity(plan.shards.len());
         for sh in &plan.shards {
-            let mut systems = Vec::with_capacity(sh.sys_count);
-            for sys in sh.sys_start..sh.sys_start + sh.sys_count {
-                systems.push(batch.system(sys).map_err(|e| {
-                    SimError::InvalidPlan(format!("extracting system {sys}: {e}"))
-                })?);
-            }
-            subs.push(SystemBatch::from_systems(systems).map_err(|e| {
-                SimError::InvalidPlan(format!(
-                    "building shard {} sub-batch: {e}",
-                    sh.device_index
-                ))
-            })?);
+            subs.push(
+                batch
+                    .sub_batch(sh.sys_start..sh.sys_start + sh.sys_count)
+                    .map_err(|e| {
+                        SimError::InvalidPlan(format!(
+                            "building shard {} sub-batch: {e}",
+                            sh.device_index
+                        ))
+                    })?,
+            );
         }
 
         // One worker per shard, each with a private executor against
@@ -128,12 +127,19 @@ impl ShardedExecutor {
             Ok((x, report, counter_totals(&ex)))
         })?;
 
-        // Scatter-merge the shard solutions into the caller's layout.
+        // Merge the shard solutions into the caller's layout by ranges:
+        // a shard's systems are one run of a contiguous batch, and one
+        // run per row of an interleaved one.
+        let (m, n) = (plan.m, plan.n);
         let mut out = vec![S::ZERO; batch.total_len()];
-        for (sh, (sub, (x, _, _))) in plan.shards.iter().zip(subs.iter().zip(&runs)) {
-            for local in 0..sh.sys_count {
-                for row in 0..plan.n {
-                    out[batch.index(sh.sys_start + local, row)] = x[sub.index(local, row)];
+        for (sh, (x, _, _)) in plan.shards.iter().zip(&runs) {
+            let (start, count) = (sh.sys_start, sh.sys_count);
+            match batch.layout() {
+                Layout::Contiguous => out[start * n..][..count * n].copy_from_slice(x),
+                Layout::Interleaved => {
+                    for (row, xs) in x.chunks_exact(count).enumerate() {
+                        out[row * m + start..][..count].copy_from_slice(xs);
+                    }
                 }
             }
         }
@@ -240,14 +246,18 @@ mod tests {
 
     #[test]
     fn small_sharded_solve_is_bit_identical_to_single_device() {
-        let batch = random_batch::<f64>(8, 64, 21);
+        let contig = random_batch::<f64>(8, 64, 21);
         let solver = GpuTridiagSolver::gtx480();
-        let (x1, r1) = solver.solve_batch(&batch).unwrap();
-        let (x2, r2) = solver.solve_batch_group(&group_of(2), &batch).unwrap();
-        assert_eq!(x1, x2, "sharded solutions must be bit-identical");
-        assert_eq!(r2.shards.len(), 2);
-        assert_eq!(r2.k, r1.k);
-        assert!(r2.total_us <= r1.total_us + 1e-9);
+        let (x1, r1) = solver.solve_batch(&contig).unwrap();
+        // Both layouts slice and merge by ranges.
+        for batch in [contig.clone(), contig.to_layout(Layout::Interleaved)] {
+            let (x2, r2) = solver.solve_batch_group(&group_of(2), &batch).unwrap();
+            let x2 = batch.split_solution(&x2).unwrap().concat();
+            assert_eq!(x1, x2, "sharded solutions must be bit-identical");
+            assert_eq!(r2.shards.len(), 2);
+            assert_eq!(r2.k, r1.k);
+            assert!(r2.total_us <= r1.total_us + 1e-9);
+        }
     }
 
     #[test]

@@ -28,6 +28,9 @@
 //! - **aliasing** — no slot bound as both input and output of a single
 //!   launch, and no output bound twice
 //!   ([`FindingKind::AliasHazard`]);
+//! - **read-only inputs** — no launch writes an `Upload`ed slot: the
+//!   executor borrows an upload that needs no change of layout straight
+//!   from the caller's batch, read-only ([`FindingKind::InputWrite`]);
 //! - **memory** — a liveness-based high-water mark: buffers become
 //!   resident at their `Upload`/`Alloc` step and die after their last
 //!   use, and the exact peak must fit the device's global memory
@@ -72,6 +75,11 @@ pub enum FindingKind {
     /// A slot bound as both input and output of one launch, or bound
     /// twice as output.
     AliasHazard,
+    /// A launch writes a slot that an `Upload` step created. Uploads
+    /// are read-only device inputs (the executor may borrow the
+    /// caller's array for one), unlike [`FindingKind::AliasHazard`],
+    /// which covers one launch's own inputs only.
+    InputWrite,
     /// The liveness-based peak resident bytes exceed the device's
     /// global memory.
     PeakMemoryOverflow,
@@ -113,6 +121,7 @@ impl FindingKind {
             FindingKind::DanglingSlot => "dangling-slot",
             FindingKind::LayoutMismatch => "layout-mismatch",
             FindingKind::AliasHazard => "alias-hazard",
+            FindingKind::InputWrite => "input-write",
             FindingKind::PeakMemoryOverflow => "peak-memory-overflow",
             FindingKind::SlotOutOfRange => "slot-out-of-range",
             FindingKind::ShardPartition => "shard-partition",
@@ -572,6 +581,7 @@ pub fn verify_plan(spec: &DeviceSpec, plan: &SolvePlan) -> VerifyReport {
     #[derive(Clone, Copy, Default)]
     struct SlotState {
         created: Option<usize>,
+        uploaded: bool,
         written: bool,
         used: bool,
     }
@@ -662,6 +672,7 @@ pub fn verify_plan(spec: &DeviceSpec, plan: &SolvePlan) -> VerifyReport {
                     );
                 } else {
                     slots[*slot].created = Some(i);
+                    slots[*slot].uploaded = true;
                     slots[*slot].written = true;
                     h2d.push((i, bytes(*slot)));
                 }
@@ -768,6 +779,18 @@ pub fn verify_plan(spec: &DeviceSpec, plan: &SolvePlan) -> VerifyReport {
                             Some(i),
                             format!(
                                 "{} binds slot {s} ({}) as both input and output",
+                                ls.name,
+                                name(s)
+                            ),
+                        );
+                    }
+                    if slots[s].uploaded {
+                        push(
+                            &mut findings,
+                            FindingKind::InputWrite,
+                            Some(i),
+                            format!(
+                                "{} writes slot {s} ({}), an uploaded read-only input",
                                 ls.name,
                                 name(s)
                             ),

@@ -10,6 +10,9 @@ use tridiag_gpu::kernels::fused::FusedKernel;
 use tridiag_gpu::kernels::p_thomas::{AddrMap, PThomasKernel};
 use tridiag_gpu::kernels::pcr_shared::PcrSharedKernel;
 use tridiag_gpu::kernels::tiled_pcr::TiledPcrKernel;
+use tridiag_gpu::plan::Step;
+use tridiag_gpu::solver::GpuSolverConfig;
+use tridiag_gpu::{PlanExecutor, SolvePlan};
 use tridiag_core::generators::random_batch;
 use tridiag_core::Layout;
 
@@ -200,4 +203,37 @@ fn window_engine_is_clean_under_multi_slot_streaming() {
     let cfg = LaunchConfig::new("window_multi_slot", blocks, 3 << k);
     let res = launch_with(&DeviceSpec::gtx480(), &cfg, &exec(), &kernel, &mut mem).unwrap();
     assert_clean(&res, "window multi-slot f32");
+}
+
+#[test]
+fn elided_solve_on_borrowed_inputs_is_clean() {
+    // An interleaved host batch under a k = 0 interleaved plan needs no
+    // layout change, so the executor borrows all four coefficient
+    // arrays; initcheck must see them as fully initialized.
+    let (m, n) = (2048usize, 64usize);
+    let spec = DeviceSpec::gtx480();
+    let plan = SolvePlan::build_for_host(
+        &spec,
+        &GpuSolverConfig::default(),
+        Layout::Interleaved,
+        m,
+        n,
+        8,
+    )
+    .unwrap();
+    assert_eq!((plan.k, plan.layout), (0, Layout::Interleaved));
+    assert!(
+        !plan.steps.iter().any(|s| matches!(s, Step::Convert { .. })),
+        "the plan should elide its layout conversion"
+    );
+    let host = random_batch::<f64>(m, n, 31).to_layout(Layout::Interleaved);
+    let mut ex = PlanExecutor::new(spec, exec());
+    let (x, report) = ex.run(&plan, &host).unwrap();
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
+    assert!(
+        report.verify_mismatches.is_empty(),
+        "{:?}",
+        report.verify_mismatches
+    );
+    assert!(host.max_relative_residual(&x).unwrap() < 1e-9);
 }

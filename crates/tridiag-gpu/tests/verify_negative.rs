@@ -160,6 +160,36 @@ fn alias_hazard_fires_when_an_output_aliases_an_input() {
 }
 
 #[test]
+fn input_write_fires_when_scratch_is_bound_to_an_uploaded_input() {
+    let (device, base) = base_plan();
+    let at = thomas_launch_at(&base);
+    let mut plan = base.clone();
+    if let Step::Launch(l) = &mut plan.steps[at] {
+        if let KernelOp::PThomas { c_prime, .. } = &mut l.op {
+            // Slot 0 is the uploaded sub-diagonal, which p-Thomas (reading
+            // the tiled-PCR outputs) does not bind as an input.
+            *c_prime = 0;
+        }
+    }
+    let report = verify_plan(&device, &plan);
+    let msg = expect_finding(&report, FindingKind::InputWrite, Some(at));
+    assert!(msg.contains("uploaded read-only input"), "unexpected message: {msg}");
+    assert!(
+        !report.findings.iter().any(|f| f.kind == FindingKind::AliasHazard),
+        "not an alias of the launch's own inputs: {:?}",
+        report.findings
+    );
+    // The gate holds: no kernel ever stores into the borrowed array.
+    let batch = random_batch::<f64>(64, 512, 7);
+    let mut exec = PlanExecutor::new(device, ExecConfig::default());
+    match exec.run(&plan, &batch).unwrap_err() {
+        SimError::InvalidPlan(msg) => assert!(msg.contains("input-write"), "{msg}"),
+        other => panic!("expected InvalidPlan, got {other:?}"),
+    }
+    assert!(exec.kernels.is_empty(), "a kernel launched");
+}
+
+#[test]
 fn fused_use_before_def_fires_at_the_reading_launch() {
     let (device, base) = fused_base_plan();
     let d_upload = step_index(&base, |s| matches!(s, Step::Upload { slot: 3, .. }));

@@ -52,6 +52,10 @@ out="$(cargo run --release -q -p tridiag-cli -- plan --m 64 --n 512 --layout int
 grep -q "layout=Interleaved" <<<"$out"
 out="$(cargo run --release -q -p tridiag-cli -- solve --m 64 --n 512 --layout interleaved --verify)"
 grep -q "verify      : clean" <<<"$out"
+# An interleaved host batch under an interleaved plan: an elided solve
+# whose coefficient arrays are borrowed, under the sanitizer.
+out="$(cargo run --release -q -p tridiag-cli -- solve --m 64 --n 512 --layout interleaved --check)"
+grep -q "sanitizer   : clean" <<<"$out"
 out="$(cargo run --release -q -p tridiag-cli -- solve --m 64 --n 512 --layout contiguous --check)"
 grep -q "sanitizer   : clean" <<<"$out"
 
