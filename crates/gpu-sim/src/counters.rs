@@ -1,4 +1,7 @@
-//! Instrumentation counters collected during functional execution.
+//! Instrumentation counters collected during functional execution,
+//! and the performance findings read off them ([`KernelStats::findings`]).
+
+use std::fmt;
 
 /// Sanitizer violation tallies (all zero when the sanitizer is off, or
 /// when the kernel is clean). Unlike the capped violation *reports* in
@@ -59,6 +62,13 @@ pub struct BlockStats {
     pub shared_accesses: u64,
     /// Extra shared-memory cycles from bank conflicts (replays).
     pub bank_conflict_replays: u64,
+    /// Worst bank-conflict degree of any warp of any shared access: the
+    /// cycles it serialized into (1 = conflict-free, 0 = no shared
+    /// access).
+    pub bank_conflict_degree_peak: u64,
+    /// Global access instructions with a lane run wider than unit
+    /// stride ([`crate::memory::uncoalesced`]).
+    pub uncoalesced_global_accesses: u64,
     /// `__syncthreads()` barriers executed.
     pub barriers: u64,
     /// Peak shared memory the block allocated, in bytes.
@@ -79,6 +89,10 @@ impl BlockStats {
         self.global_access_rounds += o.global_access_rounds;
         self.shared_accesses += o.shared_accesses;
         self.bank_conflict_replays += o.bank_conflict_replays;
+        self.bank_conflict_degree_peak = self
+            .bank_conflict_degree_peak
+            .max(o.bank_conflict_degree_peak);
+        self.uncoalesced_global_accesses += o.uncoalesced_global_accesses;
         self.barriers += o.barriers;
         self.shared_bytes_peak = self.shared_bytes_peak.max(o.shared_bytes_peak);
         self.sanitizer.merge(&o.sanitizer);
@@ -165,10 +179,10 @@ impl KernelStats {
 
     /// Cross-check the phase attribution invariant: every summable
     /// counter summed over `phases` must equal its value in `total`
-    /// exactly, and the per-phase shared peaks must max to the total
-    /// peak. Returns one human-readable line per violated counter
-    /// (empty = exact). Sanitizer tallies are whole-block (set after
-    /// the block ran) and are excluded.
+    /// exactly, and the per-phase peaks (shared bytes, bank-conflict
+    /// degree) must max to the total peaks. Returns one human-readable
+    /// line per violated counter (empty = exact). Sanitizer tallies are
+    /// whole-block (set after the block ran) and are excluded.
     pub fn phase_sum_mismatches(&self) -> Vec<String> {
         let mut sum = BlockStats::default();
         for ph in &self.phases {
@@ -208,14 +222,96 @@ impl KernelStats {
             sum.bank_conflict_replays,
             self.total.bank_conflict_replays,
         );
+        chk(
+            "uncoalesced_global_accesses",
+            sum.uncoalesced_global_accesses,
+            self.total.uncoalesced_global_accesses,
+        );
         chk("barriers", sum.barriers, self.total.barriers);
-        if sum.shared_bytes_peak != self.total.shared_bytes_peak {
-            out.push(format!(
-                "shared_bytes_peak: phases max to {}, total is {}",
-                sum.shared_bytes_peak, self.total.shared_bytes_peak
-            ));
+        for (name, got, want) in [
+            (
+                "shared_bytes_peak",
+                sum.shared_bytes_peak,
+                self.total.shared_bytes_peak,
+            ),
+            (
+                "bank_conflict_degree_peak",
+                sum.bank_conflict_degree_peak,
+                self.total.bank_conflict_degree_peak,
+            ),
+        ] {
+            if got != want {
+                out.push(format!("{name}: phases max to {got}, total is {want}"));
+            }
         }
         out
+    }
+
+    /// The launch's performance findings, phase by phase in phase
+    /// order: uncoalesced global accesses, and shared accesses
+    /// serialized by a bank conflict of [`BANK_CONFLICT_THRESHOLD`] or
+    /// more ways. Empty for a kernel that is coalesced and free of full
+    /// serialization.
+    pub fn findings(&self) -> Vec<Finding> {
+        let mut out = Vec::new();
+        for ph in &self.phases {
+            let (phase, s) = (ph.label, &ph.stats);
+            if s.uncoalesced_global_accesses > 0 {
+                out.push(Finding::UncoalescedGlobal {
+                    phase,
+                    accesses: s.uncoalesced_global_accesses,
+                });
+            }
+            if s.bank_conflict_degree_peak >= BANK_CONFLICT_THRESHOLD {
+                out.push(Finding::BankConflict {
+                    phase,
+                    degree: s.bank_conflict_degree_peak,
+                });
+            }
+        }
+        out
+    }
+}
+
+/// Bank-conflict degree at which a shared access is a finding: only
+/// full serialization. The shipped f64 kernels carry benign 2-way
+/// conflicts (8-byte elements on 4-byte banks), which
+/// [`BlockStats::bank_conflict_replays`] still counts.
+pub const BANK_CONFLICT_THRESHOLD: u64 = 32;
+
+/// A performance finding of one kernel phase ([`KernelStats::findings`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Finding {
+    /// Global accesses with a lane run wider than unit stride.
+    UncoalescedGlobal {
+        /// Phase label.
+        phase: &'static str,
+        /// Such accesses in the phase, summed over blocks.
+        accesses: u64,
+    },
+    /// A shared access serialized by an n-way bank conflict.
+    BankConflict {
+        /// Phase label.
+        phase: &'static str,
+        /// The worst conflict degree in the phase.
+        degree: u64,
+    },
+}
+
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Finding::UncoalescedGlobal { phase, accesses } => write!(
+                f,
+                "uncoalesced-global in phase `{phase}`: {accesses} global access(es) \
+                 with a lane run wider than unit stride"
+            ),
+            Finding::BankConflict { phase, degree } => write!(
+                f,
+                "bank-conflict in phase `{phase}`: a shared access serializes \
+                 {degree}-way"
+            ),
+        }
     }
 }
 
@@ -234,6 +330,8 @@ mod tests {
             global_access_rounds: 3,
             shared_accesses: 4,
             bank_conflict_replays: 1,
+            bank_conflict_degree_peak: 4,
+            uncoalesced_global_accesses: 1,
             barriers: 2,
             shared_bytes_peak: 1024,
             sanitizer: SanitizerCounts::default(),
@@ -241,11 +339,15 @@ mod tests {
         let b = BlockStats {
             flops: 5,
             shared_bytes_peak: 2048,
+            bank_conflict_degree_peak: 2,
+            uncoalesced_global_accesses: 2,
             ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.flops, 15);
         assert_eq!(a.shared_bytes_peak, 2048);
+        assert_eq!(a.bank_conflict_degree_peak, 4);
+        assert_eq!(a.uncoalesced_global_accesses, 3);
         assert_eq!(a.global_transactions(), 3);
         assert_eq!(a.global_bytes(), 150);
     }

@@ -14,10 +14,11 @@
 //! …) take the lanes as [`AffinePiece`]s — the shape almost every
 //! access of the paper's kernels has — and count them in closed form
 //! ([`crate::memory::access_transactions`],
-//! [`crate::memory::access_conflict_cycles`]) and move unit-stride data
-//! with slice copies. Under the sanitizer or plan recording the affine
-//! forms expand their pieces and take the slice path, so checked
-//! launches see exactly the per-lane indices.
+//! [`crate::memory::access_conflict_cycles`],
+//! [`crate::memory::access_uncoalesced`]) and move unit-stride data with
+//! slice copies. Under the sanitizer the affine forms expand their
+//! pieces and take the slice path, so checked launches see exactly the
+//! per-lane indices.
 //!
 //! Blocks are independent, as CUDA requires: CUDA guarantees nothing
 //! about cross-block ordering within a launch, and no kernel in this
@@ -34,13 +35,13 @@
 
 use crate::counters::{BlockStats, KernelStats, PhaseStats, PRELUDE_PHASE};
 use crate::error::{Result, SimError};
+use crate::lanes::{expand, AffinePiece};
 use crate::memory::{
-    access_conflict_cycles, access_transactions, shared_conflict_cycles, warp_transactions,
-    InitMask,
+    access_conflict_cycles, access_transactions, access_uncoalesced, shared_conflict_cycles,
+    uncoalesced, warp_transactions, InitMask,
 };
 use crate::occupancy::{occupancy, Occupancy};
 use crate::par::{for_each_ordered, Permits};
-use crate::plan::{expand, AccessKind, AccessPlan, AffinePiece, BlockPlan, PlanRecorder};
 use crate::sanitizer::{MemSpace, Sanitizer, SanitizerViolation};
 use crate::spec::DeviceSpec;
 use std::cell::Cell;
@@ -336,45 +337,20 @@ impl<'h, S: Elem> GpuMemory<'h, S> {
     }
 }
 
-/// Execution options orthogonal to the launch geometry — the sanitizer
-/// toggles and the access-plan recorder. Pass to [`launch_with`];
-/// [`launch`] uses the default (everything off).
+/// Execution options orthogonal to the launch geometry. Pass to
+/// [`launch_with`]; [`launch`] uses the default (sanitizer off).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecConfig {
     /// Run the kernel under the sanitizer (see [`crate::sanitizer`]),
     /// collecting its findings into [`LaunchResult::violations`].
     /// Out-of-bounds accesses abort the launch.
     pub sanitize: bool,
-    /// Record every access's affine index expression into an
-    /// [`AccessPlan`] attached to [`LaunchResult::plan`], as input for
-    /// the lint's counter model in [`crate::lint`](mod@crate::lint).
-    pub record_plan: bool,
 }
 
 impl ExecConfig {
     /// Sanitizer on.
     pub fn sanitized() -> Self {
-        Self {
-            sanitize: true,
-            ..Self::default()
-        }
-    }
-
-    /// Plan recording on (sanitizer off).
-    pub fn planned() -> Self {
-        Self {
-            record_plan: true,
-            ..Self::default()
-        }
-    }
-
-    /// Everything on: sanitizer plus plan recording — the `--check`
-    /// configuration.
-    pub fn checked() -> Self {
-        Self {
-            sanitize: true,
-            record_plan: true,
-        }
+        Self { sanitize: true }
     }
 }
 
@@ -439,7 +415,6 @@ pub struct BlockCtx<'a, S: Elem> {
     cur_phase_idx: Option<usize>,
     phase_stats: Vec<PhaseStats>,
     san: Option<Sanitizer>,
-    rec: Option<PlanRecorder>,
     /// Scratch for the affine entry points' expanded lanes.
     expanded: Vec<usize>,
 }
@@ -533,11 +508,11 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
         f(&mut self.phase_stats[idx].stats);
     }
 
-    /// Is the sanitizer or the plan recorder on? Their per-lane checks
-    /// and records need the index slice, so the affine entry points
-    /// expand their pieces and take the slice path.
+    /// Is the sanitizer on? Its per-lane checks need the index slice,
+    /// so the affine entry points expand their pieces and take the
+    /// slice path.
     fn checked(&self) -> bool {
-        self.san.is_some() || self.rec.is_some()
+        self.san.is_some()
     }
 
     /// Run a slice-form access on `pieces` expanded to their indices.
@@ -555,13 +530,12 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
 
     /// Block-wide global load: `idx[t]` is the element index thread `t`
     /// reads. `idx.len()` may be any count up to the block size (tail
-    /// threads simply idle). Counts one dependent access round, and one
-    /// transaction per distinct 128-byte segment per warp.
+    /// threads simply idle). Counts one dependent access round, one
+    /// transaction per distinct 128-byte segment per warp, and the
+    /// access as uncoalesced if it has a lane run wider than unit
+    /// stride.
     pub fn ld(&mut self, buf: BufId, idx: &[usize], out: &mut Vec<S>) -> Result<()> {
         self.account_global(buf, idx, true)?;
-        if let Some(rec) = self.rec.as_mut() {
-            rec.access(AccessKind::GlobalLoad, Some(buf.0), idx);
-        }
         if let Some(san) = self.san.as_mut() {
             let mask = &self.mem.init[buf.0];
             for (lane, &i) in idx.iter().enumerate() {
@@ -590,9 +564,6 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
             });
         }
         self.account_global(buf, idx, false)?;
-        if let Some(rec) = self.rec.as_mut() {
-            rec.access(AccessKind::GlobalStore, Some(buf.0), idx);
-        }
         let data = self.mem.writable(buf)?;
         let mask = &self.mem.init[buf.0];
         for (&i, &v) in idx.iter().zip(vals) {
@@ -619,7 +590,7 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
         for warp in idx.chunks(self.warp_size) {
             transactions += warp_transactions(warp, S::BYTES, self.transaction_bytes);
         }
-        self.count_global(idx.len(), transactions, is_load);
+        self.count_global(idx.len(), transactions, uncoalesced(idx), is_load);
         Ok(())
     }
 
@@ -634,9 +605,10 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
         Ok(())
     }
 
-    fn count_global(&mut self, lanes: usize, transactions: u64, is_load: bool) {
+    fn count_global(&mut self, lanes: usize, transactions: u64, uncoalesced: bool, is_load: bool) {
         let bytes = lanes as u64 * S::BYTES as u64;
         self.bump(|s| {
+            s.uncoalesced_global_accesses += u64::from(uncoalesced);
             if is_load {
                 s.global_load_transactions += transactions;
                 s.global_load_bytes += bytes;
@@ -670,7 +642,7 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
             S::BYTES,
             self.transaction_bytes,
         );
-        self.count_global(lanes, transactions, is_load);
+        self.count_global(lanes, transactions, access_uncoalesced(pieces), is_load);
         Ok(true)
     }
 
@@ -717,18 +689,12 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
         if let Some(san) = self.san.as_mut() {
             san.on_shared_alloc(base + len);
         }
-        if let Some(rec) = self.rec.as_mut() {
-            rec.alloc(base, len);
-        }
         Ok(base)
     }
 
     /// Block-wide shared load with bank-conflict accounting.
     pub fn sh_ld(&mut self, idx: &[usize], out: &mut Vec<S>) -> Result<()> {
         self.account_shared(idx)?;
-        if let Some(rec) = self.rec.as_mut() {
-            rec.access(AccessKind::SharedLoad, None, idx);
-        }
         if let Some(san) = self.san.as_mut() {
             san.shared_access(idx, false);
         }
@@ -749,9 +715,6 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
             });
         }
         self.account_shared(idx)?;
-        if let Some(rec) = self.rec.as_mut() {
-            rec.access(AccessKind::SharedStore, None, idx);
-        }
         if let Some(san) = self.san.as_mut() {
             san.shared_access(idx, true);
         }
@@ -780,18 +743,21 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
             });
         }
         self.check_width(idx.len())?;
-        let mut replays = 0u64;
+        let (mut replays, mut worst) = (0u64, 1u64);
         for warp in idx.chunks(self.warp_size) {
-            replays += shared_conflict_cycles(warp, S::BYTES, self.banks) - 1;
+            let cycles = shared_conflict_cycles(warp, S::BYTES, self.banks);
+            replays += cycles - 1;
+            worst = worst.max(cycles);
         }
-        self.count_shared(replays);
+        self.count_shared(replays, worst);
         Ok(())
     }
 
-    fn count_shared(&mut self, replays: u64) {
+    fn count_shared(&mut self, replays: u64, worst: u64) {
         self.bump(|s| {
             s.shared_accesses += 1;
             s.bank_conflict_replays += replays;
+            s.bank_conflict_degree_peak = s.bank_conflict_degree_peak.max(worst);
         });
     }
 
@@ -801,9 +767,9 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
         if self.checked() || !in_bounds || lanes > self.threads {
             return Ok(false);
         }
-        let (replays, _) =
+        let (replays, worst) =
             access_conflict_cycles(pieces, lanes, self.warp_size, S::BYTES, self.banks);
-        self.count_shared(replays);
+        self.count_shared(replays, worst);
         Ok(true)
     }
 
@@ -834,9 +800,6 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
     /// `__syncthreads()` — every lane of the block arrives.
     pub fn sync(&mut self) {
         self.bump(|s| s.barriers += 1);
-        if let Some(rec) = self.rec.as_mut() {
-            rec.barrier();
-        }
         if let Some(san) = self.san.as_mut() {
             san.barrier();
         }
@@ -849,9 +812,6 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
     /// identical to [`BlockCtx::sync`] (the simulator cannot hang).
     pub fn sync_arrive(&mut self, arrived: &[usize]) {
         self.bump(|s| s.barriers += 1);
-        if let Some(rec) = self.rec.as_mut() {
-            rec.barrier();
-        }
         if let Some(san) = self.san.as_mut() {
             san.barrier_arrive(arrived);
         }
@@ -861,15 +821,10 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
     /// after this call are attributed to `label` in
     /// [`KernelStats::phases`] (in addition to the totals); activity
     /// before the first call lands in
-    /// [`crate::counters::PRELUDE_PHASE`]. The label also tags plan
-    /// recording and lint attribution when
-    /// [`ExecConfig::record_plan`] is on.
+    /// [`crate::counters::PRELUDE_PHASE`].
     pub fn phase(&mut self, label: &'static str) {
         self.cur_phase = label;
         self.cur_phase_idx = self.phase_stats.iter().position(|p| p.label == label);
-        if let Some(rec) = self.rec.as_mut() {
-            rec.set_phase(label);
-        }
     }
 
     /// Account `n` floating-point operations (block-wide total).
@@ -903,9 +858,6 @@ pub struct LaunchResult {
     /// or the kernel is clean. Uncapped tallies live in
     /// `stats.total.sanitizer`.
     pub violations: Vec<SanitizerViolation>,
-    /// The recorded affine access plan (input for [`crate::lint`](mod@crate::lint));
-    /// `None` unless [`ExecConfig::record_plan`] was set.
-    pub plan: Option<AccessPlan>,
 }
 
 /// Launch `kernel` over `cfg.grid_blocks` blocks against `mem` with the
@@ -926,7 +878,6 @@ pub fn launch<S: Elem, K: BlockKernel<S>>(
 struct BlockOut {
     stats: BlockStats,
     phases: Vec<PhaseStats>,
-    plan: Option<BlockPlan>,
     violations: Vec<SanitizerViolation>,
 }
 
@@ -961,14 +912,12 @@ fn run_block<S: Elem, K: BlockKernel<S>>(
                 spec.warp_size as usize,
             )
         }),
-        rec: exec.record_plan.then(|| PlanRecorder::new(block_id)),
         expanded: Vec::new(),
     };
     kernel.run_block(&mut ctx)?;
     let mut out = BlockOut {
         stats: ctx.stats,
         phases: ctx.phase_stats,
-        plan: ctx.rec.map(PlanRecorder::finish),
         violations: Vec::new(),
     };
     if let Some(mut san) = ctx.san {
@@ -986,7 +935,7 @@ const FAN_OUT_MIN_NS: u128 = 1_000_000;
 /// [`launch`] with explicit [`ExecConfig`] execution options — the
 /// entry point for sanitized runs.
 ///
-/// An unchecked launch (sanitizer and plan recording off) may run its
+/// An unchecked launch (sanitizer off) may run its
 /// blocks on several host threads: block 0 runs on the calling thread
 /// and is timed, and if the remaining blocks would take at least
 /// 1 ms at that rate, they are shared between the calling thread and
@@ -996,8 +945,8 @@ const FAN_OUT_MIN_NS: u128 = 1_000_000;
 /// block order, so the result is bit-identical to running the blocks
 /// one after another; a failing launch returns the error of its lowest
 /// failing block. Checked launches always run their blocks in order on
-/// the calling thread, so sanitizer reports and recorded plans come out
-/// the same on every run. Memory contents after a failed launch are
+/// the calling thread, so sanitizer reports come out the same on every
+/// run. Memory contents after a failed launch are
 /// unspecified.
 pub fn launch_with<S: Elem, K: BlockKernel<S>>(
     spec: &DeviceSpec,
@@ -1026,22 +975,9 @@ pub fn launch_with<S: Elem, K: BlockKernel<S>>(
     };
     let mut shared_peak = 0usize;
     let mut violations: Vec<SanitizerViolation> = Vec::new();
-    let mut plan = exec.record_plan.then(|| AccessPlan {
-        kernel: cfg.name,
-        grid_blocks: cfg.grid_blocks,
-        threads_per_block: cfg.threads_per_block as usize,
-        elem_bytes: S::BYTES,
-        warp_size: spec.warp_size as usize,
-        segment_bytes: spec.transaction_bytes,
-        banks: spec.shared_banks,
-        blocks: Vec::with_capacity(cfg.grid_blocks),
-    });
     let mut merge = |mut out: BlockOut| {
         stats.merge_block_phases(&out.phases);
         let b = out.stats;
-        if let (Some(plan), Some(bp)) = (plan.as_mut(), out.plan) {
-            plan.blocks.push(bp);
-        }
         violations.append(&mut out.violations);
         shared_peak = shared_peak.max(b.shared_bytes_peak as usize);
         stats.rounds_per_block.push(b.global_access_rounds);
@@ -1055,13 +991,12 @@ pub fn launch_with<S: Elem, K: BlockKernel<S>>(
     let started = Instant::now();
     merge(run(0)?);
     let rest = 1..cfg.grid_blocks;
-    let checked = exec.sanitize || exec.record_plan;
     // One helper per `FAN_OUT_MIN_NS` of estimated remaining work; the
     // calling thread works too, so `rest.len() − 1` helpers give every
     // remaining block a thread.
     let estimated_ns = started.elapsed().as_nanos() * rest.len() as u128;
     let wanted = (estimated_ns / FAN_OUT_MIN_NS).min(rest.len().saturating_sub(1) as u128);
-    let helpers = Permits::take(if checked { 0 } else { wanted as usize });
+    let helpers = Permits::take(if exec.sanitize { 0 } else { wanted as usize });
     for_each_ordered(rest, helpers.count(), run, &mut merge)?;
 
     let occ = occupancy(spec, cfg.threads_per_block, shared_peak, cfg.regs_per_thread)?;
@@ -1072,7 +1007,6 @@ pub fn launch_with<S: Elem, K: BlockKernel<S>>(
         shared_bytes_per_block: shared_peak,
         config: cfg.clone(),
         violations,
-        plan,
     })
 }
 
@@ -1273,27 +1207,6 @@ mod tests {
     }
 
     #[test]
-    fn recorded_plan_lints_clean_and_predicts_counters() {
-        let mut mem = GpuMemory::new();
-        let buf = mem.alloc_from((0..64).map(|i| i as f64).collect());
-        let cfg = LaunchConfig::new("rev", 1, 64);
-        let res = launch_with(
-            &gtx480(),
-            &cfg,
-            &ExecConfig::planned(),
-            &SharedReverse { buf },
-            &mut mem,
-        )
-        .unwrap();
-        let plan = res.plan.as_ref().expect("plan recorded");
-        assert_eq!(plan.kernel, "rev");
-        assert_eq!(plan.blocks.len(), 1);
-        let report = crate::lint::lint(plan);
-        assert!(report.is_clean(), "{report}");
-        assert_eq!(report.cross_check(&res.stats), Vec::<String>::new());
-    }
-
-    #[test]
     fn out_of_bounds_detected() {
         let mut mem = GpuMemory::new();
         let input = mem.alloc(8);
@@ -1320,7 +1233,7 @@ mod tests {
                 let base = ctx.shared_alloc(300)?;
                 let mut vals = Vec::new();
                 if self.affine {
-                    let mut lanes = crate::plan::Lanes::new();
+                    let mut lanes = crate::lanes::Lanes::new();
                     lanes.push(base, 1, 300);
                     ctx.sh_ld_affine(lanes.pieces(), &mut vals)
                 } else {
@@ -1364,7 +1277,7 @@ mod tests {
                     (off + 7, 0, 3),
                 ],
             ];
-            let mut lanes = crate::plan::Lanes::new();
+            let mut lanes = crate::lanes::Lanes::new();
             let mut idx = Vec::new();
             let mut vals = Vec::new();
             for (i, shape) in runs.iter().enumerate() {
@@ -1373,9 +1286,9 @@ mod tests {
                 for &(base, stride, count) in *shape {
                     lanes.push(base, stride, count);
                 }
-                crate::plan::expand(lanes.pieces(), &mut idx);
+                crate::lanes::expand(lanes.pieces(), &mut idx);
                 let sh_idx: Vec<usize> = idx.iter().map(|&e| sh + e).collect();
-                let mut sh_lanes = crate::plan::Lanes::new();
+                let mut sh_lanes = crate::lanes::Lanes::new();
                 for p in lanes.pieces() {
                     sh_lanes.push(sh + p.base as usize, p.stride, p.lanes);
                 }
@@ -1417,10 +1330,12 @@ mod tests {
         };
         let reference = run(false, ExecConfig::default());
         assert!(reference.0.total.bank_conflict_replays > 0);
+        assert!(reference.0.total.bank_conflict_degree_peak > 2);
+        assert!(reference.0.total.uncoalesced_global_accesses > 0);
         assert_eq!(run(true, ExecConfig::default()), reference);
         assert_eq!(
-            run(true, ExecConfig::checked()),
-            run(false, ExecConfig::checked())
+            run(true, ExecConfig::sanitized()),
+            run(false, ExecConfig::sanitized())
         );
     }
 
@@ -1434,7 +1349,7 @@ mod tests {
             fn run_block(&self, ctx: &mut BlockCtx<'_, f64>) -> Result<()> {
                 let mut vals = Vec::new();
                 if self.affine {
-                    let mut lanes = crate::plan::Lanes::new();
+                    let mut lanes = crate::lanes::Lanes::new();
                     lanes.push(4, 3, 8);
                     ctx.ld_affine(self.input, lanes.pieces(), &mut vals)
                 } else {
@@ -1491,7 +1406,7 @@ mod tests {
                 }
             }
         }
-        for exec in [ExecConfig::default(), ExecConfig::checked()] {
+        for exec in [ExecConfig::default(), ExecConfig::sanitized()] {
             let mut mem = GpuMemory::<f64>::new();
             let cfg = LaunchConfig::new("fails", 16, 32);
             let k = FailsAt3And7 {
@@ -1599,7 +1514,7 @@ mod tests {
     fn borrowed_buffers_read_the_host_array_and_count_like_owned_ones() {
         let host: Vec<f64> = (0..300).map(|i| i as f64 * 0.5).collect();
         let cfg = LaunchConfig::new("copy", 2, 256);
-        for exec in [ExecConfig::default(), ExecConfig::checked()] {
+        for exec in [ExecConfig::default(), ExecConfig::sanitized()] {
             for affine in [false, true] {
                 let run = |borrow: bool| {
                     let mut mem = GpuMemory::new();
@@ -1636,11 +1551,7 @@ mod tests {
     fn stores_to_a_borrowed_buffer_are_typed_errors() {
         let host = vec![1.0f64; 64];
         let cfg = LaunchConfig::new("copy", 1, 64);
-        for exec in [
-            ExecConfig::default(),
-            ExecConfig::sanitized(),
-            ExecConfig::checked(),
-        ] {
+        for exec in [ExecConfig::default(), ExecConfig::sanitized()] {
             for affine in [false, true] {
                 let mut mem = GpuMemory::new();
                 let input = mem.alloc_from(vec![2.0; 64]);

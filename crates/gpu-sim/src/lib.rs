@@ -15,26 +15,21 @@
 //! - global-memory **transactions** via a per-warp coalescing analyzer
 //!   ([`memory::warp_transactions`]),
 //! - shared-memory **bank conflicts** ([`memory::shared_conflict_cycles`]),
-//! - FLOPs, barriers, and dependent global-access **rounds**.
+//! - FLOPs, barriers, and dependent global-access **rounds**,
+//! - uncoalesced global accesses and the worst bank-conflict degree,
+//!   from which [`counters::KernelStats::findings`] reads a launch's
+//!   performance findings per phase.
 //!
-//! Transactions and bank conflicts are counted in closed form when a
-//! kernel hands over its lanes as affine pieces
-//! ([`memory::access_transactions`], [`memory::access_conflict_cycles`];
-//! see [`exec`]).
+//! Every counter is counted in closed form when a kernel hands over its
+//! lanes as affine pieces ([`lanes`]; [`memory::access_transactions`],
+//! [`memory::access_conflict_cycles`], [`memory::access_uncoalesced`];
+//! see [`exec`]), and per lane otherwise; the two agree exactly.
 //!
 //! A [`sanitizer`] (opt-in via [`exec::ExecConfig`] and
 //! [`exec::launch_with`]) is the one checker of kernel correctness: it
 //! checks the accesses the way `compute-sanitizer` would — shared-memory
 //! races between barriers, out-of-bounds lanes, uninitialized reads and
 //! divergent barriers.
-//!
-//! Orthogonally, [`exec::ExecConfig::record_plan`] captures every
-//! access as an affine index expression in a small IR ([`plan`]); the
-//! [`lint`](mod@lint) is the counter model over it: its coalescing and
-//! bank-conflict passes predict the nine counters in closed form —
-//! predictions the golden-counter suite cross-checks against the
-//! dynamic counters — and flag uncoalesced or fully serialized
-//! accesses.
 //!
 //! [`occupancy::occupancy`] computes residency from the block footprint
 //! and [`timing::time_kernel`] turns counters + residency into modeled
@@ -83,26 +78,27 @@ pub mod error;
 pub mod exec;
 pub mod group;
 pub mod json;
-pub mod lint;
+pub mod lanes;
 pub mod memory;
 pub mod metrics;
 pub mod occupancy;
 pub mod par;
-pub mod plan;
 pub mod sanitizer;
 pub mod spec;
 pub mod timing;
 pub mod trace;
 
-pub use counters::{BlockStats, KernelStats, PhaseStats, SanitizerCounts, PRELUDE_PHASE};
+pub use counters::{
+    BlockStats, Finding, KernelStats, PhaseStats, SanitizerCounts, BANK_CONFLICT_THRESHOLD,
+    PRELUDE_PHASE,
+};
 pub use error::{Result, SimError};
 pub use exec::{
     launch, launch_with, BlockCtx, BlockKernel, BufId, Elem, ExecConfig, GpuMemory, LaunchConfig,
     LaunchResult,
 };
 pub use group::{DeviceGroup, DeviceStream, GroupTimeline, StreamEvent, StreamOp};
-pub use lint::{lint, Diagnostic, DiagClass, LintReport, Prediction, Severity};
-pub use plan::{AccessKind, AccessPlan, AffinePiece, BlockPlan, Lanes, PlanEvent, PlannedAccess};
+pub use lanes::{AffinePiece, Lanes};
 pub use sanitizer::{AccessSite, MemSpace, RaceKind, SanitizerViolation};
 pub use occupancy::{occupancy, Limiter, Occupancy};
 pub use spec::{DeviceSpec, Precision};

@@ -14,10 +14,11 @@
 //! lane indices and are the oracle. The closed forms
 //! ([`access_transactions`], [`access_conflict_cycles`]) take the same
 //! lanes as [`AffinePiece`]s and count a warp held by one piece in O(1);
-//! the executor's affine entry points and the lint's counter model both
-//! call them.
+//! the executor's affine entry points call them. [`uncoalesced`] and
+//! [`access_uncoalesced`] are the same pair for the uncoalesced-access
+//! count.
 
-use crate::plan::AffinePiece;
+use crate::lanes::{compress, AffinePiece};
 use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering::Relaxed;
 
@@ -391,6 +392,78 @@ pub fn access_conflict_cycles(
     (replays, worst)
 }
 
+/// Fewest transactions `lanes` active lanes could cost (perfectly
+/// coalesced, aligned) — the per-access term of the planner's
+/// closed-form p-Thomas transaction count (an access that hits this
+/// bound exactly is provably coalesced).
+pub fn coalesced_minimum(
+    lanes: usize,
+    warp_size: usize,
+    elem_bytes: usize,
+    segment_bytes: usize,
+) -> u64 {
+    let per_full = (warp_size * elem_bytes).div_ceil(segment_bytes) as u64;
+    let full = (lanes / warp_size) as u64;
+    let rem = lanes % warp_size;
+    full * per_full
+        + if rem > 0 {
+            (rem * elem_bytes).div_ceil(segment_bytes) as u64
+        } else {
+            0
+        }
+}
+
+/// Element stride magnitude above which a lane run of a global access
+/// is uncoalesced: stride 1 and broadcast are fine, anything wider is
+/// counted in [`crate::counters::BlockStats::uncoalesced_global_accesses`].
+pub const GLOBAL_STRIDE_THRESHOLD: i64 = 1;
+
+/// Is a global access with lane indices `idx` uncoalesced: does a lane
+/// run of its maximal-run form ([`compress`]) span two or more lanes
+/// at a stride wider than [`GLOBAL_STRIDE_THRESHOLD`]? The dense form,
+/// the oracle for [`access_uncoalesced`].
+pub fn uncoalesced(idx: &[usize]) -> bool {
+    compress(idx)
+        .iter()
+        .any(|p| p.lanes >= 2 && p.stride.abs() > GLOBAL_STRIDE_THRESHOLD)
+}
+
+/// [`uncoalesced`] of the lanes of `pieces` (in lane order, split into
+/// runs any way), without expanding them. [`compress`] opens a lane run
+/// at the step between two lanes, extends it over every equal step that
+/// follows, and ends it with the first different step, which belongs to
+/// no run; this walks the same steps, `count` at a time — each piece's
+/// own stride, then the jump to the next piece.
+pub fn access_uncoalesced(pieces: &[AffinePiece]) -> bool {
+    if let [p] = pieces {
+        return p.lanes >= 2 && p.stride.abs() > GLOBAL_STRIDE_THRESHOLD;
+    }
+    let next = pieces.iter().skip(1).map(Some).chain([None]);
+    let steps = pieces.iter().zip(next).flat_map(|(p, q)| {
+        let jump = q.map(|q| (q.base - p.elem(p.lanes - 1), 1));
+        std::iter::once((p.stride, p.lanes - 1)).chain(jump)
+    });
+    // The stride of the lane run in progress, if any.
+    let mut run: Option<i64> = None;
+    for (step, mut count) in steps.filter(|&(_, count)| count > 0) {
+        match run {
+            Some(stride) if stride == step => continue,
+            Some(_) => {
+                run = None;
+                count -= 1;
+            }
+            None => {}
+        }
+        if count > 0 {
+            if step.abs() > GLOBAL_STRIDE_THRESHOLD {
+                return true;
+            }
+            run = Some(step);
+        }
+    }
+    false
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,5 +561,113 @@ mod tests {
     #[test]
     fn empty_access_costs_one_cycle_floor() {
         assert_eq!(shared_conflict_cycles(&[], 4, 32), 1);
+    }
+
+    /// The closed form must agree with the dynamic per-warp counter on
+    /// every index shape kernels produce.
+    #[test]
+    fn closed_form_transactions_match_dynamic_counter() {
+        let shapes: Vec<Vec<usize>> = vec![
+            (0..32).collect(),                       // aligned unit stride
+            (1..33).collect(),                       // misaligned
+            (0..32).map(|l| l * 2).collect(),        // stride 2
+            (0..32).map(|l| l * 17 + 3).collect(),   // prime stride
+            (0..32).map(|l| l * 512).collect(),      // huge stride
+            (0..32).rev().collect(),                 // negative stride
+            vec![7; 32],                             // broadcast
+            (0..40).collect(),                       // spills into 2nd warp
+            vec![0, 1, 2, 3, 100, 101, 102, 4000],   // multi-piece
+            (0..13).map(|l| 5 + l * 3).collect(),    // ragged tail
+            (0..64).map(|l| (l % 7) * 19).collect(), // many short pieces
+        ];
+        for idx in shapes {
+            for eb in [4usize, 8] {
+                let mut dynamic = 0u64;
+                for warp in idx.chunks(32) {
+                    dynamic += warp_transactions(warp, eb, 128);
+                }
+                assert_eq!(
+                    access_transactions(&compress(&idx), idx.len(), 32, eb, 128),
+                    dynamic,
+                    "idx={idx:?} eb={eb}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn coalesced_minimum_math() {
+        assert_eq!(coalesced_minimum(32, 32, 4, 128), 1);
+        assert_eq!(coalesced_minimum(32, 32, 8, 128), 2);
+        assert_eq!(coalesced_minimum(64, 32, 8, 128), 4);
+        assert_eq!(coalesced_minimum(33, 32, 4, 128), 2);
+        assert_eq!(coalesced_minimum(1, 32, 8, 128), 1);
+    }
+
+    /// The closed form (and the enumeration fallback) must agree with
+    /// the dynamic per-warp counter on every shape kernels produce.
+    #[test]
+    fn closed_form_conflicts_match_dynamic_counter() {
+        let shapes: Vec<Vec<usize>> = vec![
+            (0..32).collect(),                      // unit stride
+            (0..32).map(|l| l * 2).collect(),       // 2-way f32
+            (0..32).map(|l| l * 32).collect(),      // 32-way
+            (0..32).map(|l| l * 16).collect(),      // 16-way f32
+            (0..32).map(|l| l * 3).collect(),       // coprime stride
+            vec![7; 32],                            // broadcast
+            (0..32).map(|l| l + l / 32).collect(),  // padded
+            (0..24).map(|l| 100 + l * 5).collect(), // ragged offset
+            vec![0, 2, 4, 6, 3, 3, 3, 64, 96, 128], // multi-piece
+            (0..32).rev().map(|l| l * 2).collect(), // negative stride
+            (0..48).map(|l| l * 2).collect(),       // two warps
+        ];
+        for idx in shapes {
+            for eb in [4usize, 8] {
+                let mut dynamic = 0u64;
+                for warp in idx.chunks(32) {
+                    dynamic += shared_conflict_cycles(warp, eb, 32) - 1;
+                }
+                let (stat, _) = access_conflict_cycles(&compress(&idx), idx.len(), 32, eb, 32);
+                assert_eq!(stat, dynamic, "idx={idx:?} eb={eb}");
+            }
+        }
+    }
+
+    #[test]
+    fn worst_conflict_degree_of_f64_unit_and_stride_32_f32() {
+        let worst =
+            |idx: &[usize], eb| access_conflict_cycles(&compress(idx), idx.len(), 32, eb, 32).1;
+        assert_eq!(worst(&lanes(0..32), 8), 2);
+        assert_eq!(worst(&lanes((0..32).map(|l| l * 32)), 4), 32);
+    }
+
+    #[test]
+    fn only_runs_wider_than_unit_stride_are_uncoalesced() {
+        let piece = |lane0, lanes, base, stride| AffinePiece {
+            lane0,
+            lanes,
+            base,
+            stride,
+        };
+        assert!(!uncoalesced(&lanes(0..32)));
+        assert!(!uncoalesced(&[7; 32]));
+        assert!(!uncoalesced(&lanes((0..32).rev())));
+        assert!(uncoalesced(&lanes((0..32).map(|l| l * 2))));
+        // A jump between two unit-stride runs is not a run of its own...
+        assert!(!uncoalesced(&[0, 1, 2, 100, 101, 102]));
+        // ...but a lone lane before a run opens a two-lane run across
+        // the jump, however the kernel split its lanes.
+        assert!(uncoalesced(&[0, 100, 101, 102]));
+        assert!(access_uncoalesced(&[
+            piece(0, 1, 0, 0),
+            piece(1, 3, 100, 1)
+        ]));
+        assert!(!access_uncoalesced(&[
+            piece(0, 3, 0, 1),
+            piece(3, 3, 100, 1)
+        ]));
+        // A run split into pieces of one stride is one run.
+        assert!(!access_uncoalesced(&[piece(0, 4, 0, 1), piece(4, 4, 4, 1)]));
+        assert!(access_uncoalesced(&[piece(0, 1, 5, 9), piece(1, 2, 8, 2)]));
     }
 }

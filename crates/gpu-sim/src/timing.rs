@@ -380,7 +380,6 @@ mod tests {
             shared_bytes_per_block: shared_bytes,
             config: LaunchConfig::new("fake", blocks, threads),
             violations: Vec::new(),
-            plan: None,
         }
     }
 

@@ -1,140 +1,197 @@
-//! Negative lint tests: seeded bad access plans (and a deliberately
-//! bad kernel recorded end-to-end) that each violate exactly one
-//! memory-structure property, asserting the matching pass fires its
-//! diagnostic — and only its diagnostic — with correct kernel/phase
-//! attribution, while the counter prediction stays exact. Races, bounds
-//! and barrier divergence belong to the sanitizer (`sanitizer_negative`).
+//! Negative counter-finding tests: real launches of deliberately bad
+//! kernels, each violating exactly one memory-structure property,
+//! asserting [`KernelStats::findings`] reports it — and only it — in
+//! the right phase, through both the per-lane and the affine entry
+//! points, with the sanitizer on and off. Races, bounds and barrier
+//! divergence belong to the sanitizer (`sanitizer_negative`).
 
 use gpu_sim::exec::launch_with;
-use gpu_sim::plan::AccessKind;
 use gpu_sim::{
-    lint, AccessPlan, BlockCtx, BlockKernel, DeviceSpec, DiagClass, ExecConfig, GpuMemory,
-    LaunchConfig, LintReport, Result, Severity,
+    BlockCtx, BlockKernel, BufId, DeviceSpec, ExecConfig, Finding, GpuMemory, KernelStats, Lanes,
+    LaunchConfig, Result,
 };
 
-/// Exactly one diagnostic of `class`, and return it.
-fn the_one(report: &LintReport, class: DiagClass) -> &gpu_sim::Diagnostic {
-    assert_eq!(
-        report.diagnostics.len(),
-        1,
-        "expected exactly one diagnostic, got {:#?}",
-        report.diagnostics
-    );
-    let d = &report.diagnostics[0];
-    assert_eq!(d.class, class);
-    assert_eq!(d.severity, Severity::Error);
-    d
+/// One access of `lanes` element indices `stride · l`, through the
+/// slice or the affine entry point.
+#[derive(Clone, Copy)]
+struct Access {
+    stride: usize,
+    lanes: usize,
+    affine: bool,
 }
 
-// ---------------------------------------------------------------------
-// Seeded plans, one per diagnostic class.
-// ---------------------------------------------------------------------
-
-#[test]
-fn stride_2_global_load_fires_uncoalesced() {
-    let mut plan = AccessPlan::synthetic("gather_k", 32, 8);
-    let idx: Vec<usize> = (0..32).map(|l| l * 2).collect();
-    plan.block_mut(0)
-        .push_access(AccessKind::GlobalLoad, "gather", Some(0), &idx);
-    let r = lint(&plan);
-    let d = the_one(&r, DiagClass::UncoalescedGlobal);
-    assert_eq!(d.kernel, "gather_k");
-    assert_eq!(d.phase, "gather");
-    assert!(d.expr.contains("ld"), "{}", d.expr);
-    assert!(d.expr.contains("2*"), "{}", d.expr);
-    assert!(d.message.contains("stride-2"), "{}", d.message);
-    // Stride-2 f64 touches 64 elements = 512 B = 4 segments; coalesced
-    // minimum for 32 × 8 B is 2 — both numbers appear in the message.
-    assert!(d.message.contains("costs 4 transactions"), "{}", d.message);
-    assert!(d.message.contains("minimum 2"), "{}", d.message);
-    assert_eq!(r.prediction.global_load_transactions, 4);
-}
-
-#[test]
-fn two_way_bank_conflict_is_predicted_not_flagged() {
-    // f64 at unit stride: element l starts at word 2l — a benign 2-way
-    // conflict every f64 kernel carries.
-    let mut plan = AccessPlan::synthetic("axpy_k", 32, 8);
-    let idx: Vec<usize> = (0..32).collect();
-    plan.block_mut(0)
-        .push_access(AccessKind::SharedLoad, "fold", None, &idx);
-
-    // Below the 32-way threshold: the prediction counts the replay,
-    // no finding.
-    let r = lint(&plan);
-    assert!(r.is_clean(), "{r}");
-    assert_eq!(r.prediction.bank_conflict_replays, 1);
-}
-
-#[test]
-fn thirty_two_way_bank_conflict_fires_at_default_threshold() {
-    // f64 stride 16: word stride 32 ≡ 0 (mod 32) — full serialization.
-    let mut plan = AccessPlan::synthetic("transpose_k", 32, 8);
-    let idx: Vec<usize> = (0..32).map(|l| l * 16).collect();
-    plan.block_mut(0)
-        .push_access(AccessKind::SharedStore, "scatter", None, &idx);
-    let r = lint(&plan);
-    let d = the_one(&r, DiagClass::BankConflict);
-    assert_eq!(d.phase, "scatter");
-    assert!(d.expr.contains("sh_st"), "{}", d.expr);
-    assert!(d.message.contains("32-way"), "{}", d.message);
-    assert_eq!(r.prediction.bank_conflict_replays, 31);
-}
-
-#[test]
-fn repeated_bad_expression_dedups_into_one_finding() {
-    // The same stride-2 load issued 50 times (a streaming loop) is one
-    // diagnostic with an occurrence count, not 50 findings.
-    let mut plan = AccessPlan::synthetic("stream_k", 32, 8);
-    let idx: Vec<usize> = (0..32).map(|l| l * 2).collect();
-    for _ in 0..50 {
-        plan.block_mut(0)
-            .push_access(AccessKind::GlobalLoad, "stream", Some(0), &idx);
+impl Access {
+    fn idx(&self) -> Vec<usize> {
+        (0..self.lanes).map(|l| l * self.stride).collect()
     }
-    let r = lint(&plan);
-    let d = the_one(&r, DiagClass::UncoalescedGlobal);
-    assert_eq!(d.occurrences, 50);
+
+    fn pieces(&self) -> Lanes {
+        let mut lanes = Lanes::new();
+        lanes.push(0, self.stride as i64, self.lanes);
+        lanes
+    }
+
+    fn sh_st(&self, ctx: &mut BlockCtx<'_, f64>, vals: &[f64]) -> Result<()> {
+        if self.affine {
+            ctx.sh_st_affine(self.pieces().pieces(), vals)
+        } else {
+            ctx.sh_st(&self.idx(), vals)
+        }
+    }
+
+    fn sh_ld(&self, ctx: &mut BlockCtx<'_, f64>, out: &mut Vec<f64>) -> Result<()> {
+        if self.affine {
+            ctx.sh_ld_affine(self.pieces().pieces(), out)
+        } else {
+            ctx.sh_ld(&self.idx(), out)
+        }
+    }
 }
 
-// ---------------------------------------------------------------------
-// End-to-end: a bad kernel recorded by the harness, not hand-seeded.
-// ---------------------------------------------------------------------
+/// Launch the kernel `make(buf, affine)` (one block of 32 threads,
+/// `buf` a global buffer of `len` elements) through both entry points,
+/// with the sanitizer on and off, and return its stats, which must
+/// agree across all four runs.
+fn stats_in_every_mode<K: BlockKernel<f64>>(
+    name: &'static str,
+    len: usize,
+    make: impl Fn(BufId, bool) -> K,
+) -> KernelStats {
+    let mut seen: Option<KernelStats> = None;
+    for affine in [false, true] {
+        for exec in [ExecConfig::default(), ExecConfig::sanitized()] {
+            let mut mem = GpuMemory::<f64>::new();
+            let kernel = make(mem.alloc_from(vec![1.0; len]), affine);
+            let cfg = LaunchConfig::new(name, 1, 32);
+            let res = launch_with(&DeviceSpec::gtx480(), &cfg, &exec, &kernel, &mut mem).unwrap();
+            assert!(res.violations.is_empty(), "{:?}", res.violations);
+            match &seen {
+                Some(s) => assert_eq!(&res.stats, s, "affine={affine} {exec:?}"),
+                None => seen = Some(res.stats),
+            }
+        }
+    }
+    seen.unwrap()
+}
 
 /// Reads global memory at element stride 8 — the classic
-/// array-of-structs mistake.
+/// array-of-structs mistake — three times, as a streaming loop would.
 struct StridedLoadKernel {
-    buf: gpu_sim::BufId,
+    buf: BufId,
+    access: Access,
 }
 impl BlockKernel<f64> for StridedLoadKernel {
     fn run_block(&self, ctx: &mut BlockCtx<'_, f64>) -> Result<()> {
         ctx.phase("gather");
-        let idx: Vec<usize> = (0..ctx.threads).map(|t| t * 8).collect();
         let mut out = Vec::new();
-        ctx.ld(self.buf, &idx, &mut out)?;
+        for _ in 0..3 {
+            if self.access.affine {
+                ctx.ld_affine(self.buf, self.access.pieces().pieces(), &mut out)?;
+            } else {
+                ctx.ld(self.buf, &self.access.idx(), &mut out)?;
+            }
+        }
         Ok(())
     }
 }
 
 #[test]
-fn recorded_strided_kernel_fires_uncoalesced_with_exact_prediction() {
-    let mut mem = GpuMemory::<f64>::new();
-    let buf = mem.alloc(32 * 8);
-    let cfg = LaunchConfig::new("aos_gather", 1, 32);
-    let res = launch_with(
-        &DeviceSpec::gtx480(),
-        &cfg,
-        &ExecConfig::planned(),
-        &StridedLoadKernel { buf },
-        &mut mem,
-    )
-    .unwrap();
-    let plan = res.plan.expect("plan recorded");
-    let r = lint(&plan);
-    let d = the_one(&r, DiagClass::UncoalescedGlobal);
-    assert_eq!(d.kernel, "aos_gather");
-    assert_eq!(d.phase, "gather");
-    assert!(d.message.contains("stride-8"), "{}", d.message);
-    // A bad kernel still cross-checks exactly: the diagnostics and the
-    // counter model are independent outputs of the same pass.
-    assert_eq!(r.cross_check(&res.stats), Vec::<String>::new());
+fn strided_gather_kernel_fires_uncoalesced_global_in_its_phase() {
+    let stats = stats_in_every_mode("aos_gather", 32 * 8, |buf, affine| {
+        let access = Access {
+            stride: 8,
+            lanes: 32,
+            affine,
+        };
+        StridedLoadKernel { buf, access }
+    });
+    // The repeated gather is one finding that counts its accesses.
+    assert_eq!(
+        stats.findings(),
+        vec![Finding::UncoalescedGlobal {
+            phase: "gather",
+            accesses: 3
+        }]
+    );
+    // Stride-8 f64 touches a new 128-byte segment every two lanes.
+    assert_eq!(stats.total.global_load_transactions, 3 * 16);
+    let text = stats.findings()[0].to_string();
+    assert!(
+        text.contains("uncoalesced-global in phase `gather`"),
+        "{text}"
+    );
+}
+
+/// Stores to shared memory at `access` in phase `phase`; with `load`,
+/// stores in the prelude instead and loads the same lanes back in
+/// `phase`.
+struct SharedKernel {
+    access: Access,
+    phase: &'static str,
+    load: bool,
+}
+impl BlockKernel<f64> for SharedKernel {
+    fn run_block(&self, ctx: &mut BlockCtx<'_, f64>) -> Result<()> {
+        ctx.shared_alloc(self.access.lanes * self.access.stride)?;
+        let mut vals = vec![0.5; self.access.lanes];
+        if self.load {
+            self.access.sh_st(ctx, &vals)?;
+            ctx.sync();
+        }
+        ctx.phase(self.phase);
+        if self.load {
+            self.access.sh_ld(ctx, &mut vals)
+        } else {
+            self.access.sh_st(ctx, &vals)
+        }
+    }
+}
+
+#[test]
+fn f64_stride_16_shared_store_fires_a_32_way_bank_conflict() {
+    // f64 stride 16: word stride 32 ≡ 0 (mod 32) — full serialization.
+    let stats = stats_in_every_mode("transpose", 1, |_, affine| {
+        let access = Access {
+            stride: 16,
+            lanes: 32,
+            affine,
+        };
+        SharedKernel {
+            access,
+            phase: "scatter",
+            load: false,
+        }
+    });
+    assert_eq!(
+        stats.findings(),
+        vec![Finding::BankConflict {
+            phase: "scatter",
+            degree: 32
+        }]
+    );
+    assert_eq!(stats.total.bank_conflict_replays, 31);
+}
+
+#[test]
+fn f64_unit_stride_shared_load_is_two_way_and_no_finding() {
+    // f64 at unit stride: element l starts at word 2l — a benign 2-way
+    // conflict every f64 kernel carries. The degree and its replays are
+    // counted; there is no finding.
+    let stats = stats_in_every_mode("axpy", 1, |_, affine| {
+        let access = Access {
+            stride: 1,
+            lanes: 32,
+            affine,
+        };
+        SharedKernel {
+            access,
+            phase: "fold",
+            load: true,
+        }
+    });
+    assert_eq!(stats.findings(), Vec::new());
+    let fold = stats.phases.iter().find(|p| p.label == "fold").unwrap();
+    assert_eq!(fold.stats.shared_accesses, 1);
+    assert_eq!(fold.stats.bank_conflict_degree_peak, 2);
+    assert_eq!(fold.stats.bank_conflict_replays, 1);
 }

@@ -4,11 +4,11 @@
 //! forms over affine pieces equal the dense counters; and the init
 //! mask's range write equals per-element writes.
 
+use gpu_sim::lanes::expand;
 use gpu_sim::memory::{
-    access_conflict_cycles, access_transactions, shared_conflict_cycles, warp_transactions,
-    InitMask,
+    access_conflict_cycles, access_transactions, access_uncoalesced, shared_conflict_cycles,
+    uncoalesced, warp_transactions, InitMask,
 };
-use gpu_sim::plan::expand;
 use gpu_sim::{occupancy, DeviceSpec, Lanes};
 use proptest::prelude::*;
 
@@ -147,6 +147,28 @@ proptest! {
         );
         let closed = access_conflict_cycles(lanes.pieces(), lanes.len(), warp, elem_bytes, 32);
         prop_assert_eq!(closed, dense, "pieces {:?} elem {}", lanes.pieces(), elem_bytes);
+    }
+
+    /// The closed-form uncoalesced test of a piece list equals the dense
+    /// one on the expanded lanes: however the kernel split its lanes,
+    /// the access is judged by its maximal runs. Also the same over the
+    /// lanes re-split at arbitrary chunk boundaries.
+    #[test]
+    fn closed_form_uncoalesced_equals_dense(specs in piece_specs(), size in 1usize..70) {
+        let lanes = lanes_of(&specs);
+        let mut idx = Vec::new();
+        expand(lanes.pieces(), &mut idx);
+        let dense = uncoalesced(&idx);
+        prop_assert_eq!(access_uncoalesced(lanes.pieces()), dense, "pieces {:?}", lanes.pieces());
+        let mut resplit = Lanes::new();
+        for c in (0..idx.len()).step_by(size) {
+            let mut part = Lanes::new();
+            lanes.slice_into(c, (c + size).min(idx.len()), &mut part);
+            for p in part.pieces() {
+                resplit.push(p.base as usize, p.stride, p.lanes);
+            }
+        }
+        prop_assert_eq!(access_uncoalesced(resplit.pieces()), dense);
     }
 
     /// Slicing a lane list into chunks and expanding each chunk gives

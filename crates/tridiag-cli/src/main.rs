@@ -4,7 +4,7 @@
 //! ```text
 //! tridiag solve --m 256 --n 1024 [--engine gpu|cpu|cpu-mt|davidson|zhang]
 //!               [--precision f64|f32] [--device gtx480|gtx280|c2050]
-//!               [--seed 42] [--verbose] [--sanitize] [--lint] [--check]
+//!               [--seed 42] [--verbose] [--sanitize]
 //!               [--trace trace.json] [--json] [--dry-run]
 //! tridiag solve --split-n 4 --n 1000000   # one huge system row-split
 //!                                         # across 4 devices
@@ -15,7 +15,8 @@
 //! tridiag compare --m 64 --n 2048        # run every engine, check parity
 //! tridiag tune --n 4096 --m-list 1,16,256,1024 [--k-max 8]
 //! tridiag info [--device gtx480]         # device spec + occupancy sheet
-//! tridiag lint [--verbose]               # sanitize + lint the kernel zoo
+//! tridiag lint [--verbose]               # sanitize the kernel zoo and
+//!                                        # read its counter findings
 //! tridiag serve --requests 8 --clients 4 # concurrent solves through the
 //!                                        # coalescing service, checked vs solo
 //! tridiag stats --requests 48            # unified telemetry read-out:
@@ -27,9 +28,9 @@
 //! (`plan_snapshots`, `layout_cost`, `verify_props`,
 //! `service_differential`).
 //!
-//! Exit codes: 0 = success, 1 = usage or solve error, 2 = lint or
-//! sanitizer findings (the solve itself succeeded, but a check found
-//! property violations).
+//! Exit codes: 0 = success, 1 = usage or solve error, 2 = sanitizer,
+//! counter or other check findings (the solve itself succeeded, but a
+//! check found property violations).
 
 mod args;
 
@@ -180,15 +181,19 @@ enum RoutePlan {
 }
 
 impl RoutePlan {
+    /// The plan `route` runs on a batch handed over in `host` layout.
     fn build(
         route: Route,
         solver: &GpuTridiagSolver,
+        host: Layout,
         m: usize,
         n: usize,
         elem_bytes: usize,
     ) -> Result<RoutePlan, Failure> {
         let plan = match route {
-            Route::Single => solver.plan_geometry(m, n, elem_bytes).map(RoutePlan::Single),
+            Route::Single => solver
+                .plan_geometry_for_host(host, m, n, elem_bytes)
+                .map(RoutePlan::Single),
             Route::Sharded(g) => solver
                 .plan_geometry_group(&g, m, n, elem_bytes)
                 .map(|p| RoutePlan::Sharded(g, p)),
@@ -277,13 +282,14 @@ fn plan_geometry_cmd(a: &Args, show_plan: bool, verify: bool) -> Result<(), Fail
     let m: usize = a.get_or("m", if split.is_some() { 1 } else { 64 })?;
     let n: usize = a.get_or("n", 1024)?;
     let elem_bytes = elem_bytes(a)?;
+    let layout = layout_choice(a)?;
     let config = GpuSolverConfig {
-        layout: layout_choice(a)?,
+        layout,
         ..Default::default()
     };
     let solver = GpuTridiagSolver::new(device.clone(), config);
     let route = resolve_route(&solver, device_group(a, &device)?, split, m, n, elem_bytes)?;
-    let plan = RoutePlan::build(route, &solver, m, n, elem_bytes)?;
+    let plan = RoutePlan::build(route, &solver, host_layout(layout), m, n, elem_bytes)?;
     print_plan(&plan, &device, a.flag("json"), show_plan, verify)
 }
 
@@ -302,6 +308,17 @@ fn layout_choice(a: &Args) -> Result<LayoutChoice, String> {
     }
 }
 
+/// The layout `solve` hands its batch over in: interleaved when
+/// `--layout interleaved` pins the device layout, so the planner elides
+/// both conversions; contiguous otherwise. `plan` and `verify` plan for
+/// the same host layout, so they show the plan the solve runs.
+fn host_layout(choice: LayoutChoice) -> Layout {
+    match choice {
+        LayoutChoice::Interleaved => Layout::Interleaved,
+        LayoutChoice::Auto | LayoutChoice::Contiguous => Layout::Contiguous,
+    }
+}
+
 /// Parse `--precision` for `solve`, `plan`, `verify` and `profile`:
 /// the element width in bytes, 8 for `f64` (default) or 4 for `f32`.
 fn elem_bytes(a: &Args) -> Result<usize, String> {
@@ -316,7 +333,7 @@ fn usage() -> &'static str {
     "usage:\n  tridiag solve   --m M --n N [--engine gpu|cpu|cpu-mt|davidson|zhang] \
      [--precision f64|f32] [--device gtx480|gtx280|c2050] [--devices G] \
      [--split-n D|auto] [--seed S] [--layout auto|contiguous|interleaved] \
-     [--verbose] [--sanitize] [--lint] [--check] [--trace FILE] [--json] [--dry-run]\n  \
+     [--verbose] [--sanitize] [--trace FILE] [--json] [--dry-run]\n  \
      tridiag plan    --m M --n N [--precision f64|f32] [--device D] [--devices G] \
      [--split-n D|auto] [--layout L] [--json] [--verify]\n  \
      tridiag verify  --m M --n N [--precision f64|f32] [--device D] [--devices G] \
@@ -369,19 +386,18 @@ fn usage() -> &'static str {
      \u{20}           the transition rule (interleaved iff k = 0), contiguous/\n  \
      \u{20}           interleaved pin the device layout; solve --layout\n  \
      \u{20}           interleaved also hands the batch over pre-interleaved,\n  \
-     \u{20}           eliding both layout conversions\n\n\
+     \u{20}           eliding both layout conversions (plan and verify show\n  \
+     \u{20}           that elided plan)\n\n\
      checks (gpu engine only):\n  \
      --sanitize  run every kernel under the sanitizer, the one checker of\n  \
      \u{20}           shared-memory races, out-of-bounds lanes, uninitialized\n  \
      \u{20}           reads and divergent barriers\n  \
-     --lint      record each kernel's affine access plan, run the lint's\n  \
-     \u{20}           counter model (uncoalesced and 32-way bank-conflict\n  \
-     \u{20}           findings), and cross-check predicted vs measured counters;\n  \
-     \u{20}           it does not report races (use --sanitize or --check)\n  \
-     --check     umbrella: --sanitize and --lint together\n\n\
+     lint        run every zoo kernel under the sanitizer and read its\n  \
+     \u{20}           counter findings (uncoalesced global accesses, 32-way\n  \
+     \u{20}           bank conflicts) per phase; any finding exits 2\n\n\
      observability (gpu engine only):\n  \
      --trace F   write the solve's span/phase trace as Chrome trace-event JSON\n  \
-     --json      print the full solve report (timings, phases, lints, plan,\n  \
+     --json      print the full solve report (timings, phases, plan,\n  \
      \u{20}           trace) as one JSON document instead of the human summary\n  \
      --dry-run   plan the solve (k, mapping, kernel sequence, buffer footprint)\n  \
      \u{20}           and print it without launching any kernel\n  \
@@ -394,14 +410,14 @@ fn usage() -> &'static str {
      \u{20}           trace to --out (default trace.json) and print the per-phase\n  \
      \u{20}           profile; exits 2 on phase-sum or trace-schema violations\n\n\
      exit codes: 0 = ok, 1 = usage/solve error (incl. an option the command\n  \
-     \u{20}           does not take), 2 = lint, sanitizer, phase-sum,\n  \
+     \u{20}           does not take), 2 = sanitizer, counter, phase-sum,\n  \
      \u{20}           trace-schema, plan-verification or telemetry\n  \
      \u{20}           (metrics-schema, exact-partition, event-replay) findings"
 }
 
 /// A command failure, split by exit code: plain errors exit 1, check
-/// findings (lint diagnostics, counter mismatches, sanitizer
-/// violations) exit 2.
+/// findings (sanitizer violations, counter findings, phase-sum or
+/// verification failures) exit 2.
 enum Failure {
     Error(String),
     Findings(String),
@@ -431,9 +447,7 @@ fn solve_typed<S: tridiag_gpu::GpuScalar>(a: &Args) -> Result<(), Failure> {
     let seed: u64 = a.get_or("seed", 42u64)?;
     let engine = a.get("engine").unwrap_or("gpu");
     let device = device_by_name(a.get("device").unwrap_or("gtx480"))?;
-    let check = a.flag("check");
-    let sanitize = a.flag("sanitize") || check;
-    let lint = a.flag("lint") || check;
+    let sanitize = a.flag("sanitize");
     let trace = a.get("trace");
     let json = a.flag("json");
     let dry_run = a.flag("dry-run");
@@ -444,9 +458,7 @@ fn solve_typed<S: tridiag_gpu::GpuScalar>(a: &Args) -> Result<(), Failure> {
         ("--devices", group.is_some()),
         ("--split-n", split.is_some()),
         ("--layout", layout != LayoutChoice::Auto),
-        ("--check", check),
         ("--sanitize", sanitize),
-        ("--lint", lint),
         ("--trace", trace.is_some()),
         ("--json", json),
         ("--dry-run", dry_run),
@@ -458,12 +470,7 @@ fn solve_typed<S: tridiag_gpu::GpuScalar>(a: &Args) -> Result<(), Failure> {
         )));
     }
     let config = GpuSolverConfig {
-        exec: match (sanitize, lint) {
-            (true, true) => gpu_sim::ExecConfig::checked(),
-            (true, false) => gpu_sim::ExecConfig::sanitized(),
-            (false, true) => gpu_sim::ExecConfig::planned(),
-            (false, false) => gpu_sim::ExecConfig::default(),
-        },
+        exec: gpu_sim::ExecConfig { sanitize },
         layout,
         ..Default::default()
     };
@@ -477,7 +484,7 @@ fn solve_typed<S: tridiag_gpu::GpuScalar>(a: &Args) -> Result<(), Failure> {
         if fits_note {
             println!("split       : n = {n} fits on one device; no split needed");
         }
-        let plan = RoutePlan::build(route, &solver, m, n, elem_bytes)?;
+        let plan = RoutePlan::build(route, &solver, host_layout(layout), m, n, elem_bytes)?;
         print_plan(&plan, &device, json, true, false)?;
         if !json {
             println!("dry run     : no kernels launched");
@@ -488,10 +495,11 @@ fn solve_typed<S: tridiag_gpu::GpuScalar>(a: &Args) -> Result<(), Failure> {
     // A forced interleaved layout also hands the batch over already
     // interleaved — the planner then elides both `Convert` steps, so
     // the solve exercises the conversion-free path end to end.
-    let batch = if layout == LayoutChoice::Interleaved {
-        batch.to_layout(Layout::Interleaved)
-    } else {
+    let host = host_layout(layout);
+    let batch = if batch.layout() == host {
         batch
+    } else {
+        batch.to_layout(host)
     };
     let t0 = std::time::Instant::now();
     let mut gpu_report = None;
@@ -621,27 +629,6 @@ fn solve_typed<S: tridiag_gpu::GpuScalar>(a: &Args) -> Result<(), Failure> {
                 )),
                 "sanitizer violations",
                 rep.violations.iter().map(|v| v.to_string()).collect(),
-            ),
-            (
-                lint,
-                Some((
-                    "lint",
-                    format!(
-                        "clean ({} kernel plan(s); static transaction predictions exact)",
-                        rep.lints.len()
-                    ),
-                    "FINDINGS",
-                )),
-                "lint findings",
-                rep.lints
-                    .iter()
-                    .flat_map(|lr| lr.diagnostics.iter().map(|d| d.to_string()))
-                    .chain(
-                        rep.lint_mismatches
-                            .iter()
-                            .map(|m| format!("cross-check {m}")),
-                    )
-                    .collect(),
             ),
         ];
         for (requested, status, heading, problems) in checks {
@@ -796,46 +783,43 @@ fn profile_zoo(out: &str) -> Result<(), Failure> {
     Ok(())
 }
 
-/// `tridiag lint` — run the kernel zoo under `--check`: every shipped
-/// kernel at several launch geometries, each sanitized, linted from its
-/// recorded affine access plan and cross-checked against the dynamic
-/// counters the same run measured.
+/// `tridiag lint` — run the kernel zoo under the sanitizer: every
+/// shipped kernel at several launch geometries, each checked for
+/// sanitizer violations and for the performance findings its measured
+/// counters carry ([`gpu_sim::KernelStats::findings`]).
 fn cmd_lint(a: &Args) -> Result<(), Failure> {
     let verbose = a.flag("verbose");
     let entries = tridiag_gpu::zoo::run_zoo().map_err(|e| e.to_string())?;
     let mut bad = 0usize;
     for e in &entries {
+        let findings = e.stats.findings();
         let status = if e.is_clean() {
-            "clean, predictions exact".to_string()
+            "clean".to_string()
         } else {
             bad += 1;
             format!(
-                "{} sanitizer violation(s), {} diagnostic(s), {} counter mismatch(es)",
+                "{} sanitizer violation(s), {} counter finding(s)",
                 e.violations.len(),
-                e.report.diagnostics.len(),
-                e.mismatches.len()
+                findings.len()
             )
         };
         println!("{:<18} {:<28} {status}", e.kernel, e.geometry);
-        if verbose || !e.is_clean() {
-            for v in &e.violations {
-                println!("    {v}");
-            }
-            for d in &e.report.diagnostics {
-                println!("    {d}");
-            }
-            for mm in &e.mismatches {
-                println!("    cross-check {mm}");
-            }
+        for v in &e.violations {
+            println!("    {v}");
+        }
+        for f in &findings {
+            println!("    {f}");
         }
         if verbose {
+            let t = &e.stats.total;
             println!(
-                "    events={} gld_t={} gst_t={} replays={} barriers={}",
-                e.report.events,
-                e.report.prediction.global_load_transactions,
-                e.report.prediction.global_store_transactions,
-                e.report.prediction.bank_conflict_replays,
-                e.report.prediction.barriers
+                "    gld_t={} gst_t={} uncoalesced={} replays={} worst_bank_degree={} barriers={}",
+                t.global_load_transactions,
+                t.global_store_transactions,
+                t.uncoalesced_global_accesses,
+                t.bank_conflict_replays,
+                t.bank_conflict_degree_peak,
+                t.barriers
             );
         }
     }
@@ -1346,7 +1330,7 @@ const COMMANDS: &[(&str, &str, &str, Command)] = &[
     (
         "solve",
         "m n seed engine precision device devices split-n layout trace",
-        "verbose sanitize lint check json dry-run verify",
+        "verbose sanitize json dry-run verify",
         cmd_solve,
     ),
     ("plan", GEOMETRY_OPTS, "json verify", cmd_plan),
@@ -1375,6 +1359,22 @@ const COMMANDS: &[(&str, &str, &str, Command)] = &[
     ),
 ];
 
+/// The entry point of `args`' command, once every option and flag on
+/// its command line is one the command reads; a usage error otherwise.
+fn command(args: &Args) -> Result<Command, Failure> {
+    let name = args
+        .command
+        .as_deref()
+        .ok_or_else(|| Failure::Error(usage().to_string()))?;
+    let &(_, opts, flags, run) = COMMANDS
+        .iter()
+        .find(|c| c.0 == name)
+        .ok_or_else(|| Failure::Error(format!("unknown command {name:?}\n{}", usage())))?;
+    args.only(opts, flags)
+        .map_err(|e| Failure::Error(format!("{name}: {e}")))?;
+    Ok(run)
+}
+
 fn main() -> ExitCode {
     let args = match Args::from_env() {
         Ok(a) => a,
@@ -1383,27 +1383,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if args.flag("help") {
+    if args.flag("help") || args.command.as_deref() == Some("help") {
         println!("{}", usage());
         return ExitCode::SUCCESS;
     }
-    let result = match args.command.as_deref() {
-        Some("help") => {
-            println!("{}", usage());
-            return ExitCode::SUCCESS;
-        }
-        Some(name) => match COMMANDS.iter().find(|c| c.0 == name) {
-            Some(&(_, opts, flags, run)) => args
-                .only(opts, flags)
-                .map_err(|e| Failure::Error(format!("{name}: {e}")))
-                .and_then(|()| run(&args)),
-            None => Err(Failure::Error(format!(
-                "unknown command {name:?}\n{}",
-                usage()
-            ))),
-        },
-        None => Err(Failure::Error(usage().to_string())),
-    };
+    let result = command(&args).and_then(|run| run(&args));
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(Failure::Error(e)) => {
@@ -1413,6 +1397,83 @@ fn main() -> ExitCode {
         Err(Failure::Findings(e)) => {
             eprintln!("findings: {e}");
             ExitCode::from(2)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Fuzzing the command line: arbitrary argv, biased towards the
+    //! commands' own names, options and flags, never panics in
+    //! [`Args::parse`] or in the per-command option check.
+
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Argument tokens besides random code points: malformed flags,
+    /// values that look like flags, numbers and the empty string.
+    const TOKENS: &[&str] = &[
+        "help", "--help", "--", "---", "-", "--=", "--m=3", "-m", "64", "-1", "0", "auto", "", " ",
+        "é", "𝄞", "\u{0}", "--lint", "--check",
+    ];
+
+    /// Every command name, option and flag in [`COMMANDS`], flags and
+    /// options prefixed `--`.
+    fn vocabulary() -> Vec<String> {
+        let mut words: Vec<String> = TOKENS.iter().map(|t| t.to_string()).collect();
+        for (name, opts, flags, _) in COMMANDS {
+            words.push(name.to_string());
+            let keys = opts.split_whitespace().chain(flags.split_whitespace());
+            words.extend(keys.map(|k| format!("--{k}")));
+        }
+        words
+    }
+
+    /// Build an argv from draws: each picks a vocabulary word or a
+    /// short string of code points.
+    fn fuzz_argv(words: &[String], draws: &[u32]) -> Vec<String> {
+        draws
+            .iter()
+            .map(|&d| match d % 4 {
+                0 => (0..d / 4 % 4)
+                    .filter_map(|i| char::from_u32((d >> (8 * i)) % 0x11_0000))
+                    .collect(),
+                _ => words[(d / 4) as usize % words.len()].clone(),
+            })
+            .collect()
+    }
+
+    fn check(line: &str) -> std::result::Result<(), String> {
+        let args = Args::parse(line.split_whitespace().map(String::from))?;
+        match command(&args) {
+            Ok(_) => Ok(()),
+            Err(Failure::Error(e) | Failure::Findings(e)) => Err(e),
+        }
+    }
+
+    #[test]
+    fn retired_check_switches_are_unknown_options() {
+        assert_eq!(
+            check("solve --lint"),
+            Err("solve: unknown option --lint".into())
+        );
+        assert_eq!(
+            check("solve --check"),
+            Err("solve: unknown option --check".into())
+        );
+        assert_eq!(check("solve --m 8 --sanitize"), Ok(()));
+        assert_eq!(check("lint --verbose"), Ok(()));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(5000))]
+
+        #[test]
+        fn arbitrary_argv_never_panics(draws in prop::collection::vec(any::<u32>(), 0..12)) {
+            let argv = fuzz_argv(&vocabulary(), &draws);
+            if let Ok(args) = Args::parse(argv) {
+                let _ = command(&args);
+            }
         }
     }
 }

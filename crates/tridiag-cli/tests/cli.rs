@@ -118,3 +118,30 @@ fn tune_single_device_matches_devices_1() {
         "--devices 1 must tune exactly like one device"
     );
 }
+
+/// `--layout interleaved` hands the batch over interleaved, so the
+/// solve runs the conversion-elided plan: the dry run and `plan` must
+/// show that plan, not a contiguous-host one with convert steps.
+#[test]
+fn interleaved_dry_run_shows_the_plan_the_solve_runs() {
+    let geometry = ["--m", "64", "--n", "512", "--layout", "interleaved"];
+    let (ok, dry, stderr) = run(&[&["solve"][..], &geometry, &["--dry-run"]].concat());
+    assert!(ok, "stderr: {stderr}");
+    assert!(!dry.contains("convert"), "{dry}");
+    assert!(dry.contains("layout=Interleaved host=Interleaved"), "{dry}");
+    let (ok, planned, stderr) = run(&[&["plan"][..], &geometry].concat());
+    assert!(ok, "stderr: {stderr}");
+    assert!(
+        dry.starts_with(&planned),
+        "plan:\n{planned}\ndry run:\n{dry}"
+    );
+
+    let json = |args: &[&str]| {
+        let (ok, stdout, stderr) = run(&[args, &geometry, &["--json"]].concat());
+        assert!(ok, "{args:?}: {stderr}");
+        gpu_sim::json::parse(&stdout).expect("valid JSON")
+    };
+    let dry_plan = json(&["solve", "--dry-run"]);
+    let report = json(&["solve"]);
+    assert_eq!(report.get("plan"), Some(&dry_plan));
+}

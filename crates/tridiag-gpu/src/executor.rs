@@ -4,8 +4,7 @@
 //! [`PlanExecutor::run`] walks a [`SolvePlan`] step by step — convert,
 //! upload, allocate, launch, download, convert back — and owns the
 //! per-launch bookkeeping the monolithic solver used to repeat at every
-//! call site: sanitizer-violation collection, access-plan lint plus its
-//! static-vs-dynamic counter cross-check, the phase-sum invariant
+//! call site: sanitizer-violation collection, the phase-sum invariant
 //! check, [`KernelReport`] construction, and finally the solve trace.
 //! The zoo and the autotuner drive the same [`PlanExecutor::launch`]
 //! path, so "how a launch's findings are gathered" is defined exactly
@@ -23,7 +22,7 @@ use gpu_sim::timing::{time_kernel, TrafficSummary};
 use gpu_sim::trace::Trace;
 use gpu_sim::{
     launch_with, BlockKernel, BufId, DeviceSpec, ExecConfig, GpuMemory, Json, KernelStats,
-    LaunchConfig, LintReport, Precision, Result, SanitizerViolation, SimError,
+    LaunchConfig, Precision, Result, SanitizerViolation, SimError,
 };
 use tridiag_core::{Layout, SystemBatch};
 
@@ -39,10 +38,6 @@ pub struct PlanExecutor {
     pub stats: Vec<KernelStats>,
     /// Sanitizer findings across every launch.
     pub violations: Vec<SanitizerViolation>,
-    /// Static lint reports, one per launch that recorded a plan.
-    pub lints: Vec<LintReport>,
-    /// Static-vs-dynamic counter disagreements.
-    pub lint_mismatches: Vec<String>,
     /// Phase-attribution counters that failed to sum to kernel totals,
     /// prefixed with the kernel name.
     pub phase_sum_mismatches: Vec<String>,
@@ -57,8 +52,6 @@ impl PlanExecutor {
             kernels: Vec::new(),
             stats: Vec::new(),
             violations: Vec::new(),
-            lints: Vec::new(),
-            lint_mismatches: Vec::new(),
             phase_sum_mismatches: Vec::new(),
         }
     }
@@ -69,9 +62,8 @@ impl PlanExecutor {
     }
 
     /// Launch one kernel and collect its artifacts: sanitizer
-    /// violations, the access-plan lint and counter cross-check (when
-    /// the exec config records plans), the phase-sum invariant, and the
-    /// timing/traffic report.
+    /// violations, the phase-sum invariant, and the timing/traffic
+    /// report.
     pub fn launch<S: GpuScalar, K: BlockKernel<S>>(
         &mut self,
         cfg: &LaunchConfig,
@@ -85,11 +77,6 @@ impl PlanExecutor {
         };
         let mut res = launch_with(&self.spec, cfg, &self.exec, kernel, mem)?;
         self.violations.append(&mut res.violations);
-        if let Some(plan) = res.plan.take() {
-            let lr = gpu_sim::lint(&plan);
-            self.lint_mismatches.extend(lr.cross_check(&res.stats));
-            self.lints.push(lr);
-        }
         for msg in res.stats.phase_sum_mismatches() {
             self.phase_sum_mismatches.push(format!("{}: {msg}", res.name));
         }
@@ -112,17 +99,6 @@ impl PlanExecutor {
                 "no launch recorded to take".into(),
             )),
         }
-    }
-
-    /// Pop the most recent launch's static lint report. Errors when the
-    /// launch ran without plan recording (`exec.record_plan` off), so
-    /// callers get a typed failure instead of a panic.
-    pub fn take_last_lint(&mut self) -> Result<LintReport> {
-        self.lints.pop().ok_or_else(|| {
-            SimError::InvalidPlan(
-                "no lint report recorded: launch ran without plan recording".into(),
-            )
-        })
     }
 
     /// Execute `plan` on `batch`: walk the step sequence, launch every
@@ -178,8 +154,6 @@ impl PlanExecutor {
         // This run's artifacts start here; earlier runs stay behind.
         let first_kernel = self.kernels.len();
         let first_violation = self.violations.len();
-        let first_lint = self.lints.len();
-        let first_lint_mismatch = self.lint_mismatches.len();
         let first_phase_sum = self.phase_sum_mismatches.len();
 
         let mut mem: GpuMemory<'_, S> = GpuMemory::new();
@@ -366,8 +340,6 @@ impl PlanExecutor {
             kernels,
             precision: plan.precision,
             violations: self.violations[first_violation..].to_vec(),
-            lints: self.lints[first_lint..].to_vec(),
-            lint_mismatches: self.lint_mismatches[first_lint_mismatch..].to_vec(),
             phase_sum_mismatches: self.phase_sum_mismatches[first_phase_sum..].to_vec(),
             verify,
             verify_mismatches,
@@ -572,16 +544,12 @@ mod tests {
     }
 
     #[test]
-    fn take_last_lint_without_plan_recording_is_a_typed_error() {
+    fn take_last_launch_once_drained_is_a_typed_error() {
         let plan = plan_for(32, 64, 8);
         let batch = random_batch::<f64>(32, 64, 1);
         let mut ex = PlanExecutor::new(DeviceSpec::gtx480(), ExecConfig::default());
         ex.run(&plan, &batch).unwrap();
-        let err = ex.take_last_lint().unwrap_err();
-        assert!(matches!(err, SimError::InvalidPlan(_)), "{err:?}");
-        // The launch itself was recorded.
         assert!(ex.take_last_launch().is_ok());
-        // ... and once drained, taking again is a typed error too.
         while ex.take_last_launch().is_ok() {}
         assert!(matches!(
             ex.take_last_launch().unwrap_err(),

@@ -293,7 +293,7 @@ mod tests {
         // batch untouched.
         let (m, n) = (64, 32);
         let host = random_batch::<f64>(m, n, 5).to_layout(Layout::Interleaved);
-        for exec in [ExecConfig::default(), ExecConfig::checked()] {
+        for exec in [ExecConfig::default(), ExecConfig::sanitized()] {
             let mut mem = GpuMemory::new();
             let dev = upload(&mut mem, &host);
             let dp = mem.alloc(dev.total());
@@ -439,7 +439,7 @@ mod tests {
                     let want: Vec<usize> = (lo..hi).filter(|&t| r < map.rows(t)).collect();
                     let got: Vec<usize> = runs.iter().cloned().flatten().collect();
                     assert_eq!(got, want, "{map:?} threads {lo}..{hi} row {r}");
-                    gpu_sim::plan::expand(lanes.pieces(), &mut idx);
+                    gpu_sim::lanes::expand(lanes.pieces(), &mut idx);
                     let want_idx: Vec<usize> = want.iter().map(|&t| map.index(t, r)).collect();
                     assert_eq!(idx, want_idx, "{map:?} threads {lo}..{hi} row {r}");
                 }

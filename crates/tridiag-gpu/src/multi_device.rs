@@ -27,8 +27,8 @@ use gpu_sim::group::copy_us;
 use gpu_sim::par::Permits;
 use gpu_sim::trace::Trace;
 use gpu_sim::{
-    DeviceGroup, DeviceSpec, DeviceStream, GroupTimeline, Json, LintReport, Result,
-    SanitizerViolation, SimError, StreamOp,
+    DeviceGroup, DeviceSpec, DeviceStream, GroupTimeline, Json, Result, SanitizerViolation,
+    SimError, StreamOp,
 };
 
 /// Run `work(d)` for every device `d in 0..workers`, each on its own
@@ -280,8 +280,6 @@ pub(crate) fn device_track(
 pub(crate) struct Merged {
     kernels: Vec<KernelReport>,
     violations: Vec<SanitizerViolation>,
-    lints: Vec<LintReport>,
-    lint_mismatches: Vec<String>,
     phase_sum_mismatches: Vec<String>,
     verify_mismatches: Vec<String>,
 }
@@ -295,8 +293,6 @@ impl Merged {
         };
         self.kernels.extend(r.kernels.iter().cloned());
         self.violations.extend(r.violations.iter().cloned());
-        self.lints.extend(r.lints.iter().cloned());
-        self.lint_mismatches.extend(tagged(&r.lint_mismatches));
         self.phase_sum_mismatches
             .extend(tagged(&r.phase_sum_mismatches));
         self.verify_mismatches.extend(tagged(&r.verify_mismatches));
@@ -324,8 +320,6 @@ impl Merged {
             total_us,
             precision: lead.precision,
             violations: self.violations,
-            lints: self.lints,
-            lint_mismatches: self.lint_mismatches,
             phase_sum_mismatches: self.phase_sum_mismatches,
             verify: crate::verify::verify_plan(spec, lead),
             verify_mismatches: self.verify_mismatches,

@@ -16,15 +16,15 @@
 //! geometries is pinned by the golden plan snapshots.
 //!
 //! [`pthomas_transactions`] is the closed-form 128-byte-segment count
-//! of a p-Thomas sweep in either layout — the same formula the
-//! coalesce lint certifies ([`gpu_sim::lint::coalesce::coalesced_minimum`]);
-//! the layout ablation table prices its two columns with it.
+//! of a p-Thomas sweep in either layout, built on
+//! [`gpu_sim::memory::coalesced_minimum`]; the layout ablation table
+//! prices its two columns with it.
 
 use crate::consts::REGS_FUSED;
 use crate::kernels::fused::FusedKernel;
 use crate::kernels::tiled_pcr::TiledPcrKernel;
 use crate::solver::{GpuSolverConfig, LayoutChoice, MappingVariant};
-use gpu_sim::lint::coalesce::coalesced_minimum;
+use gpu_sim::memory::coalesced_minimum;
 use gpu_sim::DeviceSpec;
 use tridiag_core::transition::{choose_k, max_k_for};
 use tridiag_core::Layout;
@@ -122,7 +122,7 @@ fn pthomas_decision(layout: Layout) -> Decision {
 ///
 /// Interleaved lanes are adjacent, so each access hits the
 /// [`coalesced_minimum`] exactly — the closed form the acceptance gate
-/// holds the lint's measured counts to. Contiguous lanes stride `n`
+/// holds the measured counts to. Contiguous lanes stride `n`
 /// apart: once `n·elem ≥ segment` every lane owns a segment and each
 /// access costs `m` transactions (the model charges that worst case —
 /// the strawman exists to lose).

@@ -22,7 +22,7 @@
 //!    D2H download — so the merged report's wall-clock is the **max**
 //!    over devices, and emits a merged Chrome trace with one track
 //!    (tid) per device,
-//! 6. concatenates sanitizer/lint/phase-sum artifacts (mismatch lines
+//! 6. concatenates sanitizer/phase-sum artifacts (mismatch lines
 //!    prefixed `dev{i}: `) and exact per-shard counter totals into
 //!    [`GpuSolveReport::shards`].
 //!

@@ -24,7 +24,7 @@ use crate::plan::SolvePlan;
 use gpu_sim::timing::TrafficSummary;
 use gpu_sim::trace::Trace;
 use gpu_sim::{
-    BoundKind, DeviceSpec, ExecConfig, Json, KernelTiming, LintReport, PhaseTiming, Result,
+    BoundKind, DeviceSpec, ExecConfig, Json, KernelTiming, PhaseTiming, Result,
     SanitizerViolation,
 };
 use tridiag_core::transition::TransitionPolicy;
@@ -214,12 +214,6 @@ pub struct GpuSolveReport {
     /// Sanitizer violation reports across every kernel in the pipeline
     /// (empty when the sanitizer is off or the run was clean).
     pub violations: Vec<SanitizerViolation>,
-    /// Static lint reports, one per kernel launch (empty unless
-    /// `exec.record_plan` is set).
-    pub lints: Vec<LintReport>,
-    /// Counters where a kernel's static prediction disagreed with its
-    /// dynamic measurement (empty = exact agreement, or lint off).
-    pub lint_mismatches: Vec<String>,
     /// Counters whose per-phase breakdown failed to sum exactly to the
     /// kernel total, prefixed with the kernel name (always checked;
     /// empty = the invariant held for every launch).
@@ -262,13 +256,6 @@ impl GpuSolveReport {
     /// with the sanitizer off).
     pub fn is_sanitizer_clean(&self) -> bool {
         self.violations.is_empty()
-    }
-
-    /// `true` when static analysis found no diagnostics and every
-    /// predicted counter matched its dynamic measurement (vacuously
-    /// true when plan recording is off).
-    pub fn is_lint_clean(&self) -> bool {
-        self.lints.iter().all(LintReport::is_clean) && self.lint_mismatches.is_empty()
     }
 
     /// Modeled time of the tiled PCR stage alone (0 when `k = 0`): the
@@ -374,7 +361,7 @@ impl GpuSolveReport {
     }
 
     /// Serialize the full report (timings, per-phase breakdowns,
-    /// sanitizer/lint findings, the plan, and the trace) as a JSON
+    /// sanitizer findings, the plan, and the trace) as a JSON
     /// object.
     pub fn to_json(&self) -> Json {
         let phase_json = |ph: &PhaseTiming| {
@@ -461,17 +448,6 @@ impl GpuSolveReport {
                 "violations".into(),
                 Json::Arr(self.violations.iter().map(|v| Json::str(v.to_string())).collect()),
             ),
-            (
-                "lint_diagnostics".into(),
-                Json::Arr(
-                    self.lints
-                        .iter()
-                        .flat_map(|l| &l.diagnostics)
-                        .map(|d| Json::str(d.to_string()))
-                        .collect(),
-                ),
-            ),
-            ("lint_mismatches".into(), strings(&self.lint_mismatches)),
             ("phase_sum_mismatches".into(), strings(&self.phase_sum_mismatches)),
             ("verify".into(), self.verify.to_json()),
             ("verify_mismatches".into(), strings(&self.verify_mismatches)),
@@ -533,10 +509,23 @@ impl GpuTridiagSolver {
     }
 
     /// Plan (but do not execute) a solve of `m` systems of `n` rows at
-    /// `elem_bytes` scalar width — the dry-run entry point behind
-    /// `tridiag plan` and `solve --dry-run`.
+    /// `elem_bytes` scalar width, handed over contiguous.
     pub fn plan_geometry(&self, m: usize, n: usize, elem_bytes: usize) -> Result<SolvePlan> {
         SolvePlan::build(&self.spec, &self.config, m, n, elem_bytes)
+    }
+
+    /// [`Self::plan_geometry`] for a batch that arrives in
+    /// `host_layout`: the plan [`Self::solve_batch`] runs on such a
+    /// batch (see [`SolvePlan::build_for_host`]) — the dry-run entry
+    /// point behind `tridiag plan` and `solve --dry-run`.
+    pub fn plan_geometry_for_host(
+        &self,
+        host_layout: Layout,
+        m: usize,
+        n: usize,
+        elem_bytes: usize,
+    ) -> Result<SolvePlan> {
+        SolvePlan::build_for_host(&self.spec, &self.config, host_layout, m, n, elem_bytes)
     }
 
     /// Solve every system in `batch` on the simulated device: build the
@@ -549,9 +538,7 @@ impl GpuTridiagSolver {
         &self,
         batch: &SystemBatch<S>,
     ) -> Result<(Vec<S>, GpuSolveReport)> {
-        let plan = SolvePlan::build_for_host(
-            &self.spec,
-            &self.config,
+        let plan = self.plan_geometry_for_host(
             batch.layout(),
             batch.num_systems(),
             batch.system_len(),
@@ -846,39 +833,6 @@ mod tests {
     }
 
     #[test]
-    fn planned_pipeline_lints_clean_with_exact_predictions() {
-        // Both solver paths under plan recording: every kernel's affine
-        // plan must lint clean and the static counter predictions must
-        // match the dynamic measurements exactly.
-        for fused in [false, true] {
-            let solver = GpuTridiagSolver::new(
-                DeviceSpec::gtx480(),
-                GpuSolverConfig {
-                    policy: TransitionPolicy::Fixed(3),
-                    fused,
-                    mapping: MappingVariant::BlockPerSystem,
-                    exec: ExecConfig::planned(),
-                    ..Default::default()
-                },
-            );
-            let batch = random_batch::<f64>(4, 256, 23);
-            let (x, report) = solver.solve_batch(&batch).unwrap();
-            assert!(batch.max_relative_residual(&x).unwrap() < 1e-9);
-            assert_eq!(report.lints.len(), report.kernels.len());
-            assert!(
-                report.is_lint_clean(),
-                "fused={fused}: diagnostics {:?}, mismatches {:?}",
-                report
-                    .lints
-                    .iter()
-                    .flat_map(|l| &l.diagnostics)
-                    .collect::<Vec<_>>(),
-                report.lint_mismatches
-            );
-        }
-    }
-
-    #[test]
     fn matches_host_hybrid_numerically() {
         use tridiag_core::hybrid::{solve_batch as host_solve, HybridConfig};
         let batch = random_batch::<f64>(4, 777, 19);
@@ -920,24 +874,6 @@ impl std::fmt::Display for GpuSolveReport {
             writeln!(f, "  sanitizer: {} violation(s)", self.violations.len())?;
             for v in &self.violations {
                 writeln!(f, "    - {v}")?;
-            }
-        }
-        if !self.lints.is_empty() {
-            let findings: usize = self.lints.iter().map(|l| l.diagnostics.len()).sum();
-            writeln!(
-                f,
-                "  lint: {} kernel plan(s), {} diagnostic(s), {} counter mismatch(es)",
-                self.lints.len(),
-                findings,
-                self.lint_mismatches.len()
-            )?;
-            for l in &self.lints {
-                for d in &l.diagnostics {
-                    writeln!(f, "    - {d}")?;
-                }
-            }
-            for m in &self.lint_mismatches {
-                writeln!(f, "    - cross-check {m}")?;
             }
         }
         if !self.phase_sum_mismatches.is_empty() {

@@ -41,8 +41,9 @@
 //! The verifier also emits a [`PlanPrediction`] — bytes H2D/D2H per
 //! step, peak resident bytes, launch counts per kernel — that
 //! [`crate::executor::PlanExecutor`] cross-checks **exactly** against
-//! the stats of the real run (mirroring the access-plan lint's
-//! "predicted == measured" discipline). [`verify_sharded_plan`] and
+//! the stats of the real run (the same "predicted == measured"
+//! discipline the executor's closed-form counters keep with the
+//! per-lane ones). [`verify_sharded_plan`] and
 //! [`verify_distributed_plan`] extend all of this across devices, both
 //! into one [`GroupVerifyReport`]: every embedded plan is verified
 //! against *its* device, plus the cross-device invariants one shared

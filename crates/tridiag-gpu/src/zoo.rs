@@ -1,16 +1,15 @@
 //! The kernel zoo: every shipped kernel at several launch geometries,
-//! run under the sanitizer with plan recording.
+//! run under the sanitizer.
 //!
-//! This is the harness behind `tridiag lint` and the static-vs-dynamic
-//! golden-counter cross-check: each entry launches one kernel
-//! configuration with [`ExecConfig::checked`], so the sanitizer checks
-//! races, bounds, uninitialized reads and barriers on the executed
-//! accesses, while the lint's counter model runs over the recorded
-//! affine access plan and its predicted counters are compared
-//! field-by-field against the measured [`KernelStats`]. A shipped
-//! kernel must produce **zero sanitizer violations**, **zero lint
-//! diagnostics** and **zero cross-check mismatches** at every geometry
-//! here — the zoo is the executable statement of that contract.
+//! This is the harness behind `tridiag lint`: each entry launches one
+//! kernel configuration with [`ExecConfig::sanitized`], so the
+//! sanitizer checks races, bounds, uninitialized reads and barriers on
+//! the executed accesses, and the launch's measured [`KernelStats`]
+//! yield its performance findings ([`KernelStats::findings`]:
+//! uncoalesced global accesses, 32-way bank conflicts). A shipped
+//! kernel must produce **zero sanitizer violations** and **zero counter
+//! findings** at every geometry here — the zoo is the executable
+//! statement of that contract.
 
 use crate::buffers::{upload, GpuScalar};
 use crate::executor::PlanExecutor;
@@ -23,14 +22,13 @@ use crate::multi_device::fan_out;
 use crate::plan::{partition, Partition};
 use gpu_sim::{
     BlockKernel, DeviceGroup, DeviceSpec, ExecConfig, GpuMemory, KernelStats, KernelTiming,
-    LaunchConfig, LintReport, Result, SanitizerViolation,
+    LaunchConfig, Result, SanitizerViolation,
 };
 use tridiag_core::generators::random_batch;
 use tridiag_core::Layout;
 
-/// One zoo run: a kernel at one geometry, with its sanitizer findings,
-/// lint report, measured counters, and the static-vs-dynamic mismatch
-/// lines.
+/// One zoo run: a kernel at one geometry, with its sanitizer findings
+/// and measured counters.
 #[derive(Debug, Clone)]
 pub struct ZooEntry {
     /// Kernel name (the launch config's name).
@@ -39,22 +37,17 @@ pub struct ZooEntry {
     pub geometry: String,
     /// Sanitizer findings from the launch.
     pub violations: Vec<SanitizerViolation>,
-    /// The lint's counter model over the recorded access plan.
-    pub report: LintReport,
-    /// Dynamically measured counters from the same launch.
+    /// Measured counters from the same launch.
     pub stats: KernelStats,
-    /// Counters where the static prediction disagrees with the dynamic
-    /// measurement (empty = exact agreement on all nine counters).
-    pub mismatches: Vec<String>,
     /// Modeled timing for the launch, including per-phase attribution.
     pub timing: KernelTiming,
 }
 
 impl ZooEntry {
-    /// `true` when the entry has no sanitizer violations, no lint
-    /// diagnostics and no counter mismatches.
+    /// `true` when the entry has no sanitizer violations and no counter
+    /// findings.
     pub fn is_clean(&self) -> bool {
-        self.violations.is_empty() && self.report.is_clean() && self.mismatches.is_empty()
+        self.violations.is_empty() && self.stats.findings().is_empty()
     }
 }
 
@@ -85,20 +78,15 @@ impl ZooRun for Checked<'_> {
         mem: &mut GpuMemory<S>,
     ) -> Result<()> {
         // One launch through the shared plan executor: it owns the
-        // sanitizer, lint, cross-check and timing bookkeeping the zoo used
-        // to duplicate.
-        let mut ex = PlanExecutor::new(self.spec.clone(), ExecConfig::checked());
+        // sanitizer and timing bookkeeping the zoo used to duplicate.
+        let mut ex = PlanExecutor::new(self.spec.clone(), ExecConfig::sanitized());
         ex.launch(cfg, kernel, mem)?;
-        let report = ex.take_last_lint()?;
         let (kernel_report, stats) = ex.take_last_launch()?;
-        let mismatches = std::mem::take(&mut ex.lint_mismatches);
         self.out.push(ZooEntry {
-            kernel: report.kernel,
+            kernel: cfg.name,
             geometry,
             violations: std::mem::take(&mut ex.violations),
-            report,
             stats,
-            mismatches,
             timing: kernel_report.timing,
         });
         Ok(())
@@ -292,10 +280,10 @@ fn run_builders(r: &mut impl ZooRun, range: std::ops::Range<usize>) -> Result<()
 
 /// Run all six kernels at three geometries each (18 entries) on `spec`.
 ///
-/// The zoo contract (zero violations, zero diagnostics, zero
-/// mismatches) is asserted for the GTX480 the kernels are tuned for; on other
-/// specs the entries still run and report, but coalescing/bank
-/// predictions are calibrated per device and may legitimately differ.
+/// The zoo contract (zero violations, zero counter findings) is
+/// asserted for the GTX480 the kernels are tuned for; on other specs the
+/// entries still run and report, but coalescing and bank counts depend
+/// on the device and may legitimately differ.
 pub fn run_zoo_on(spec: &DeviceSpec) -> Result<Vec<ZooEntry>> {
     let mut r = Checked {
         spec,
@@ -340,7 +328,7 @@ mod tests {
     use super::*;
 
     /// Launches each zoo configuration unchecked and under
-    /// [`ExecConfig::checked`] on copies of the same memory.
+    /// [`ExecConfig::sanitized`] on copies of the same memory.
     struct ModesAgree {
         spec: DeviceSpec,
         configs: usize,
@@ -357,7 +345,7 @@ mod tests {
             let mut plain_mem = mem.clone();
             let plain = gpu_sim::launch(&self.spec, cfg, kernel, &mut plain_mem)?;
             let checked =
-                gpu_sim::launch_with(&self.spec, cfg, &ExecConfig::checked(), kernel, mem)?;
+                gpu_sim::launch_with(&self.spec, cfg, &ExecConfig::sanitized(), kernel, mem)?;
             let at = format!("{} {geometry}", cfg.name);
             assert_eq!(plain.stats.total, checked.stats.total, "{at}: totals");
             assert_eq!(plain.stats.phases, checked.stats.phases, "{at}: phases");
@@ -375,8 +363,8 @@ mod tests {
     }
 
     /// The unchecked executor (closed-form counts over affine pieces)
-    /// and the checked one (per-lane counts, sanitizer, plan recording)
-    /// agree on every counter and every output bit of every zoo entry.
+    /// and the checked one (per-lane counts under the sanitizer) agree
+    /// on every counter and every output bit of every zoo entry.
     #[test]
     fn every_entry_runs_identically_unchecked_and_checked() {
         let mut r = ModesAgree {
@@ -414,7 +402,7 @@ mod tests {
             assert!(e.violations.is_empty(), "{} {}: {:?}", e.kernel, e.geometry, e.violations);
             assert!(e.is_clean(), "{} {}", e.kernel, e.geometry);
         }
-        // Lint-clean and prediction-exact, but divergent: not clean.
+        // Free of counter findings, but divergent: not clean.
         let mut divergent = entries[0].clone();
         divergent.violations.push(SanitizerViolation::BarrierDivergence {
             kernel: divergent.kernel,
@@ -424,7 +412,7 @@ mod tests {
             arrived: 1,
             expected: 2,
         });
-        assert!(divergent.report.is_clean() && divergent.mismatches.is_empty());
+        assert!(divergent.stats.findings().is_empty());
         assert!(!divergent.is_clean());
     }
 

@@ -92,7 +92,7 @@ fn hybrid_tiled_pcr_runs_on_several_threads_and_matches_a_checked_launch() {
     };
 
     let (stats, bits, threads) = run(ExecConfig::default());
-    let (checked_stats, checked_bits, checked_threads) = run(ExecConfig::checked());
+    let (checked_stats, checked_bits, checked_threads) = run(ExecConfig::sanitized());
     assert_eq!(checked_threads, 1, "a checked launch is sequential");
     assert_eq!(stats.total, checked_stats.total, "totals");
     assert_eq!(stats.phases, checked_stats.phases, "phases");

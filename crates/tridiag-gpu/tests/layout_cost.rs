@@ -19,7 +19,7 @@
 //!    conversion-elided plan to the same bits as the contiguous-host
 //!    solve of the same systems.
 
-use gpu_sim::lint::coalesce::coalesced_minimum;
+use gpu_sim::memory::coalesced_minimum;
 use gpu_sim::{DeviceGroup, DeviceSpec};
 use tridiag_core::generators::random_batch;
 use tridiag_core::transition::TransitionPolicy;
@@ -41,29 +41,13 @@ const GEOMETRIES: &[(usize, usize)] = &[
     (1, 16384),
 ];
 
-fn linted_solver(spec: DeviceSpec) -> GpuTridiagSolver {
-    GpuTridiagSolver::new(
-        spec,
-        GpuSolverConfig {
-            // Lint every launch so the static predictions cross-check
-            // the measured counters on the same run.
-            exec: gpu_sim::ExecConfig::planned(),
-            ..Default::default()
-        },
-    )
-}
-
 /// Execute one interleaved-chosen point and check the measured
 /// p-Thomas transaction counts against the closed-form floor.
 fn check_coalesced_floor<S: GpuScalar>(m: usize, n: usize) {
     let spec = DeviceSpec::gtx480();
-    let solver = linted_solver(spec.clone());
+    let solver = GpuTridiagSolver::new(spec.clone(), GpuSolverConfig::default());
     let batch = random_batch::<S>(m, n, 42);
     let (_, report) = solver.solve_batch(&batch).unwrap();
-    assert!(
-        report.is_lint_clean(),
-        "m={m} n={n}: lint predictions drifted from measured counters"
-    );
     let elem_bytes = <S as gpu_sim::Elem>::BYTES;
     let cm = coalesced_minimum(m, spec.warp_size as usize, elem_bytes, spec.transaction_bytes);
     let kr = report
@@ -95,8 +79,7 @@ fn check_coalesced_floor<S: GpuScalar>(m: usize, n: usize) {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "slow simulation; run with --release")]
 fn interleaved_choices_hit_the_coalesced_floor() {
-    let spec = DeviceSpec::gtx480();
-    let solver = linted_solver(spec.clone());
+    let solver = GpuTridiagSolver::gtx480();
     let mut interleaved_points = 0usize;
     for &(m, n) in GEOMETRIES {
         for bytes in [8usize, 4] {

@@ -1,8 +1,8 @@
 //! The executor's two modes agree exactly at the benchmark's nominal
 //! shapes. An unchecked launch counts affine accesses in closed form
 //! and moves unit-stride data with slice copies; a checked launch
-//! (sanitizer plus plan recording) expands every access to per-lane
-//! indices and counts them densely. Both must produce identical
+//! (under the sanitizer) expands every access to per-lane indices and
+//! counts them densely. Both must produce identical
 //! `KernelStats` for every kernel — totals, phases and the per-block
 //! vectors — and a bit-identical solution, in f32 and f64.
 //!
@@ -41,7 +41,7 @@ fn run<S: GpuScalar>(
     let batch = random_batch::<S>(m, n, 7);
     let mut ex = PlanExecutor::new(spec, exec);
     let (x, _) = ex.run(&plan, &batch).unwrap();
-    assert!(ex.violations.is_empty() && ex.lint_mismatches.is_empty());
+    assert!(ex.violations.is_empty());
     (solution_hash(&x), ex.stats)
 }
 
@@ -49,7 +49,7 @@ fn modes_agree<S: GpuScalar>() {
     for (m, n, layout) in SHAPES {
         let at = format!("({m}, {n}) {layout:?} {}-byte", <S as gpu_sim::Elem>::BYTES);
         let (plain_x, plain) = run::<S>(m, n, layout, ExecConfig::default());
-        let (checked_x, checked) = run::<S>(m, n, layout, ExecConfig::checked());
+        let (checked_x, checked) = run::<S>(m, n, layout, ExecConfig::sanitized());
         assert_eq!(plain.len(), checked.len(), "{at}: launches");
         for (p, c) in plain.iter().zip(&checked) {
             assert_eq!(p.total, c.total, "{at}: totals");

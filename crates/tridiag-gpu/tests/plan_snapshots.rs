@@ -273,31 +273,25 @@ fn plans_ignore_exec_config_and_rebuild_identically() {
             base,
             "m={m} n={n} bytes={bytes}: rebuild drifted"
         );
-        for exec in [
-            gpu_sim::ExecConfig::checked(),
-            gpu_sim::ExecConfig::sanitized(),
-            gpu_sim::ExecConfig::planned(),
-        ] {
-            let noisy = GpuTridiagSolver::new(
-                gpu_sim::DeviceSpec::gtx480(),
-                GpuSolverConfig {
-                    exec,
-                    ..Default::default()
-                },
-            )
-            .plan_geometry(m, n, bytes)
-            .unwrap();
-            assert_eq!(
-                noisy.describe(),
-                base.describe(),
-                "m={m} n={n} bytes={bytes}: exec config perturbed the plan"
-            );
-            assert_eq!(
-                noisy.to_json().to_string(),
-                base.to_json().to_string(),
-                "m={m} n={n} bytes={bytes}: exec config perturbed the plan JSON"
-            );
-        }
+        let noisy = GpuTridiagSolver::new(
+            gpu_sim::DeviceSpec::gtx480(),
+            GpuSolverConfig {
+                exec: gpu_sim::ExecConfig::sanitized(),
+                ..Default::default()
+            },
+        )
+        .plan_geometry(m, n, bytes)
+        .unwrap();
+        assert_eq!(
+            noisy.describe(),
+            base.describe(),
+            "m={m} n={n} bytes={bytes}: exec config perturbed the plan"
+        );
+        assert_eq!(
+            noisy.to_json().to_string(),
+            base.to_json().to_string(),
+            "m={m} n={n} bytes={bytes}: exec config perturbed the plan JSON"
+        );
     }
 }
 

@@ -46,7 +46,7 @@ pub struct PlanKey {
 }
 
 /// FNV-1a fingerprint of every config field that shapes a plan.
-/// (`exec` is execution-time only — sanitizer/lint switches do not
+/// (`exec` is execution-time only — the sanitizer switch does not
 /// change the planned step sequence — so it is deliberately excluded.)
 pub fn config_fingerprint(config: &GpuSolverConfig) -> u64 {
     let text = format!(

@@ -18,7 +18,7 @@ cargo test -q
 echo "== clippy (first-party, warnings are errors) =="
 cargo clippy "${FIRST_PARTY[@]}" --all-targets -- -D warnings
 
-echo "== every workspace test, once (lib units; sanitizer/lint/verifier negative suites; golden counters, plan snapshots, layout, differential and service pins; properties; CLI) =="
+echo "== every workspace test, once (lib units; sanitizer/counter-finding/verifier negative suites; golden counters, plan snapshots, layout, differential and service pins; properties; CLI) =="
 cargo test --release -q --workspace
 
 echo "== repository benchmark unit tests (benchmark/, host-clock instrument) =="
@@ -27,13 +27,12 @@ cargo test --release -q --manifest-path benchmark/Cargo.toml
 echo "== distributed scaling bench (D=4 must beat D=2) =="
 cargo run --release -q -p bench --bin distributed_scaling -- --fast
 
-echo "== CLI lint over the kernel zoo (exit 0 = no findings) =="
+echo "== CLI lint over the kernel zoo: sanitizer + counter findings (exit 0 = no findings) =="
 cargo run --release -q -p tridiag-cli -- lint
 
-echo "== CLI --check smoke (sanitizer + lint on a solve) =="
-out="$(cargo run --release -q -p tridiag-cli -- solve --m 8 --n 256 --check)"
+echo "== CLI --sanitize smoke (the sanitizer on a solve) =="
+out="$(cargo run --release -q -p tridiag-cli -- solve --m 8 --n 256 --sanitize)"
 grep -q "sanitizer   : clean" <<<"$out"
-grep -q "lint        : clean" <<<"$out"
 
 echo "== CLI plan smoke (dry-run planning, plan JSON) =="
 out="$(cargo run --release -q -p tridiag-cli -- solve --m 16 --n 1024 --dry-run)"
@@ -54,9 +53,9 @@ out="$(cargo run --release -q -p tridiag-cli -- solve --m 64 --n 512 --layout in
 grep -q "verify      : clean" <<<"$out"
 # An interleaved host batch under an interleaved plan: an elided solve
 # whose coefficient arrays are borrowed, under the sanitizer.
-out="$(cargo run --release -q -p tridiag-cli -- solve --m 64 --n 512 --layout interleaved --check)"
+out="$(cargo run --release -q -p tridiag-cli -- solve --m 64 --n 512 --layout interleaved --sanitize)"
 grep -q "sanitizer   : clean" <<<"$out"
-out="$(cargo run --release -q -p tridiag-cli -- solve --m 64 --n 512 --layout contiguous --check)"
+out="$(cargo run --release -q -p tridiag-cli -- solve --m 64 --n 512 --layout contiguous --sanitize)"
 grep -q "sanitizer   : clean" <<<"$out"
 
 echo "== CLI verify smoke (static certificate; executed cross-check on a solve) =="
