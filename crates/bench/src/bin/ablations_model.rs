@@ -48,12 +48,20 @@ fn main() {
     };
     for &(m, n) in configs {
         let batch = random_batch::<f64>(m, n, 1);
-        let (_, split) = solver(TransitionPolicy::Fixed(6), false, MappingVariant::BlockPerSystem)
-            .solve_batch(&batch)
-            .expect("split");
-        let (_, fused) = solver(TransitionPolicy::Fixed(6), true, MappingVariant::BlockPerSystem)
-            .solve_batch(&batch)
-            .expect("fused");
+        let (_, split) = solver(
+            TransitionPolicy::Fixed(6),
+            false,
+            MappingVariant::BlockPerSystem,
+        )
+        .solve_batch(&batch)
+        .expect("split");
+        let (_, fused) = solver(
+            TransitionPolicy::Fixed(6),
+            true,
+            MappingVariant::BlockPerSystem,
+        )
+        .solve_batch(&batch)
+        .expect("fused");
         t.row([
             m.to_string(),
             n.to_string(),
@@ -70,7 +78,12 @@ fn main() {
 
     // ---- 2. grid mappings ---------------------------------------------
     println!("\n== Ablation 2: Fig. 11 grid mappings ==");
-    let mut t = TextTable::new(["workload", "11a block/sys", "11b group/sys", "11c multi/blk"]);
+    let mut t = TextTable::new([
+        "workload",
+        "11a block/sys",
+        "11b group/sys",
+        "11c multi/blk",
+    ]);
     let workloads: &[(&str, usize, usize)] = if args.fast {
         &[("few huge (2 x 256K)", 2, 1 << 18)]
     } else {
@@ -116,7 +129,10 @@ fn main() {
             k.to_string(),
             w.rows_loaded.to_string(),
             nv.rows_loaded.to_string(),
-            format!("{:+.0}%", (nv.rows_loaded as f64 / w.rows_loaded as f64 - 1.0) * 100.0),
+            format!(
+                "{:+.0}%",
+                (nv.rows_loaded as f64 / w.rows_loaded as f64 - 1.0) * 100.0
+            ),
         ]);
         csv.push(format!("caching,{k},{},{}", w.rows_loaded, nv.rows_loaded));
     }
@@ -139,7 +155,9 @@ fn main() {
         let cfg = LaunchConfig::new("cr_shared", m, 256);
         let res = launch(&DeviceSpec::gtx480(), &cfg, &kernel, &mut mem).expect("cr");
         assert!(
-            host.max_relative_residual(&mem.read(dev.x).expect("x")).expect("resid") < 1e-9
+            host.max_relative_residual(&mem.read(dev.x).expect("x"))
+                .expect("resid")
+                < 1e-9
         );
         let timing = gpu_sim::time_kernel(&DeviceSpec::gtx480(), &res, Precision::F64);
         t.row([

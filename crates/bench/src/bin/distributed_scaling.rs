@@ -40,7 +40,11 @@ fn parse_from(args: impl IntoIterator<Item = String>) -> Result<(bool, Option<St
 fn main() {
     let (fast, history) = bench::exit_on_error(parse_from(std::env::args().skip(1)));
 
-    let sizes: &[usize] = if fast { &[1 << 14] } else { &[1 << 15, 1 << 17] };
+    let sizes: &[usize] = if fast {
+        &[1 << 14]
+    } else {
+        &[1 << 15, 1 << 17]
+    };
     let device_counts: &[usize] = if fast { &[1, 2, 4] } else { &[1, 2, 4, 8] };
 
     println!("== distributed single-system solve: modeled wall-clock vs device count (GTX480) ==");
@@ -137,7 +141,10 @@ mod tests {
 
     #[test]
     fn parse_from_rejects_and_names_unknown_arguments() {
-        assert_eq!(parse("--fast --out dir"), Err("unknown argument --out".into()));
+        assert_eq!(
+            parse("--fast --out dir"),
+            Err("unknown argument --out".into())
+        );
         assert_eq!(parse("--history"), Err("--history needs a file".into()));
     }
 }

@@ -41,10 +41,7 @@ fn sweep(n: usize, m_max: usize) -> Vec<String> {
             fmt_x(seq / ours),
             fmt_x(mt / ours),
         ]);
-        csv.push(format!(
-            "{n},{m},{seq:.3},{mt:.3},{ours:.3},{}",
-            report.k
-        ));
+        csv.push(format!("{n},{m},{seq:.3},{mt:.3},{ours:.3},{}", report.k));
         m *= 2;
     }
     print!("{}", t.render());

@@ -33,7 +33,11 @@ fn run_on<S: GpuScalar>(spec: &DeviceSpec, m: usize, n: usize) -> (f64, u32) {
 
 fn main() {
     let args = HarnessArgs::parse();
-    let devices = [DeviceSpec::gtx480(), DeviceSpec::gtx280(), DeviceSpec::c2050()];
+    let devices = [
+        DeviceSpec::gtx480(),
+        DeviceSpec::gtx280(),
+        DeviceSpec::c2050(),
+    ];
     let workloads: &[(usize, usize)] = if args.fast {
         &[(16, 2048)]
     } else {

@@ -69,8 +69,7 @@ fn main() {
     };
     for &(n, k) in checks {
         let sys = tridiag_core::generators::dominant_random::<f64>(n, 7);
-        let (_, stats) =
-            tridiag_core::tiled_pcr::reduce_streamed(&sys, k, 1 << k).expect("reduce");
+        let (_, stats) = tridiag_core::tiled_pcr::reduce_streamed(&sys, k, 1 << k).expect("reduce");
         let analytic = k as usize * n;
         // Flush work is the only excess; bounded by k·2·f(k), n-free.
         let excess = stats.eliminations - analytic;

@@ -63,14 +63,9 @@ fn main() {
             pcr.shared_bytes.to_string(),
             format!(
                 "{}",
-                gpu_sim::occupancy(
-                    &DeviceSpec::gtx480(),
-                    1 << k,
-                    pcr.shared_bytes,
-                    32
-                )
-                .map(|o| o.blocks_per_sm)
-                .unwrap_or(0)
+                gpu_sim::occupancy(&DeviceSpec::gtx480(), 1 << k, pcr.shared_bytes, 32)
+                    .map(|o| o.blocks_per_sm)
+                    .unwrap_or(0)
             ),
             pcr.timing.waves.to_string(),
             fmt_us(report.pcr_us()),
@@ -91,6 +86,10 @@ fn main() {
     if let Some((c, us)) = best {
         println!("\nbest c = {c} at {us:.1} us — small tiles keep occupancy, matching the paper's design choice");
     }
-    args.write_csv("tile_scale", "c,sub_tile,shared_bytes,pcr_us,total_us", &csv)
-        .expect("write csv");
+    args.write_csv(
+        "tile_scale",
+        "c,sub_tile,shared_bytes,pcr_us,total_us",
+        &csv,
+    )
+    .expect("write csv");
 }

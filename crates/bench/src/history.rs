@@ -219,7 +219,10 @@ pub fn record(path: &str, bench: &str, points: Vec<(String, f64)>) -> bool {
             true
         }
         Ok((entry, None)) => {
-            println!("\n[history] {path}: {bench} seq {} (first entry)", entry.seq);
+            println!(
+                "\n[history] {path}: {bench} seq {} (first entry)",
+                entry.seq
+            );
             true
         }
         Err(e) => {

@@ -123,7 +123,10 @@ mod tests {
         assert!(chart.contains("linear"));
         assert!(chart.contains("x: 1.000e0"));
         // The flat series stays on one row.
-        let x_rows: Vec<&str> = chart.lines().filter(|l| l.contains('x') && l.starts_with('|')).collect();
+        let x_rows: Vec<&str> = chart
+            .lines()
+            .filter(|l| l.contains('x') && l.starts_with('|'))
+            .collect();
         assert_eq!(x_rows.len(), 1, "{chart}");
     }
 

@@ -42,7 +42,10 @@ pub fn davidson_us<S: GpuScalar>(m: usize, n: usize) -> f64 {
     let (x, report) = davidson::solve_batch(&DeviceSpec::gtx480(), &batch)
         .unwrap_or_else(|e| panic!("davidson solve failed for M={m} N={n}: {e}"));
     let resid = batch.max_relative_residual(&x).expect("residual");
-    assert!(resid < tolerance::<S>(), "davidson M={m} N={n}: residual {resid}");
+    assert!(
+        resid < tolerance::<S>(),
+        "davidson M={m} N={n}: residual {resid}"
+    );
     report.total_us
 }
 
@@ -53,7 +56,10 @@ pub fn zhang_us<S: GpuScalar>(m: usize, n: usize) -> Option<f64> {
     match zhang::solve_batch(&DeviceSpec::gtx480(), &batch, None) {
         Ok((x, report)) => {
             let resid = batch.max_relative_residual(&x).expect("residual");
-            assert!(resid < tolerance::<S>(), "zhang M={m} N={n}: residual {resid}");
+            assert!(
+                resid < tolerance::<S>(),
+                "zhang M={m} N={n}: residual {resid}"
+            );
             Some(report.total_us)
         }
         Err(_) => None,

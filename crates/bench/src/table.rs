@@ -19,11 +19,7 @@ impl TextTable {
     /// Append one row (must match the header arity).
     pub fn row<I: IntoIterator<Item = T>, T: Into<String>>(&mut self, cells: I) {
         let row: Vec<String> = cells.into_iter().map(Into::into).collect();
-        assert_eq!(
-            row.len(),
-            self.header.len(),
-            "row arity must match header"
-        );
+        assert_eq!(row.len(), self.header.len(), "row arity must match header");
         self.rows.push(row);
     }
 

@@ -24,6 +24,6 @@ pub mod interleaved;
 pub mod pool;
 
 pub use batched::{solve_batch_sequential, solve_batch_threaded};
-pub use interleaved::solve_batch_interleaved;
 pub use cpu_model::CpuModel;
+pub use interleaved::solve_batch_interleaved;
 pub use pool::ThreadPool;

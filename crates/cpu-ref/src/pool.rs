@@ -81,8 +81,10 @@ impl ThreadPool {
         type Slot<'a, T> = std::sync::Mutex<Option<(usize, &'a mut [T])>>;
         assert!(chunk_len > 0, "chunk_len must be positive");
         let chunks: Vec<(usize, &mut [T])> = data.chunks_mut(chunk_len).enumerate().collect();
-        let slots: Vec<Slot<'_, T>> =
-            chunks.into_iter().map(|c| std::sync::Mutex::new(Some(c))).collect();
+        let slots: Vec<Slot<'_, T>> = chunks
+            .into_iter()
+            .map(|c| std::sync::Mutex::new(Some(c)))
+            .collect();
         self.for_each_index(slots.len(), |i| {
             let (idx, chunk) = slots[i].lock().unwrap().take().expect("chunk taken once");
             task(idx, chunk);

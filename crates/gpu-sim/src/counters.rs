@@ -205,7 +205,11 @@ impl KernelStats {
             sum.global_store_transactions,
             self.total.global_store_transactions,
         );
-        chk("global_load_bytes", sum.global_load_bytes, self.total.global_load_bytes);
+        chk(
+            "global_load_bytes",
+            sum.global_load_bytes,
+            self.total.global_load_bytes,
+        );
         chk(
             "global_store_bytes",
             sum.global_store_bytes,
@@ -216,7 +220,11 @@ impl KernelStats {
             sum.global_access_rounds,
             self.total.global_access_rounds,
         );
-        chk("shared_accesses", sum.shared_accesses, self.total.shared_accesses);
+        chk(
+            "shared_accesses",
+            sum.shared_accesses,
+            self.total.shared_accesses,
+        );
         chk(
             "bank_conflict_replays",
             sum.bank_conflict_replays,

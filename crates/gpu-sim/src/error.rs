@@ -74,7 +74,10 @@ impl fmt::Display for SimError {
                 "global access out of bounds: buffer {buffer}, index {index}, length {len}"
             ),
             SimError::SharedOutOfBounds { index, len } => {
-                write!(f, "shared access out of bounds: index {index}, length {len}")
+                write!(
+                    f,
+                    "shared access out of bounds: index {index}, length {len}"
+                )
             }
             SimError::SharedOverflow {
                 requested,
@@ -110,7 +113,9 @@ mod tests {
 
     #[test]
     fn messages_contain_context() {
-        assert!(SimError::InvalidLaunch("x".into()).to_string().contains("invalid launch"));
+        assert!(SimError::InvalidLaunch("x".into())
+            .to_string()
+            .contains("invalid launch"));
         assert!(SimError::GlobalOutOfBounds {
             buffer: 1,
             index: 9,

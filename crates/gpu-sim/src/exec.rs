@@ -999,7 +999,12 @@ pub fn launch_with<S: Elem, K: BlockKernel<S>>(
     let helpers = Permits::take(if exec.sanitize { 0 } else { wanted as usize });
     for_each_ordered(rest, helpers.count(), run, &mut merge)?;
 
-    let occ = occupancy(spec, cfg.threads_per_block, shared_peak, cfg.regs_per_thread)?;
+    let occ = occupancy(
+        spec,
+        cfg.threads_per_block,
+        shared_peak,
+        cfg.regs_per_thread,
+    )?;
     Ok(LaunchResult {
         name: cfg.name,
         stats,
@@ -1182,7 +1187,10 @@ mod tests {
         assert_eq!(prelude.shared_bytes_peak, 32 * 8);
         assert_eq!(prelude.global_access_rounds, 0);
         let load = &res.stats.phases[1].stats;
-        assert_eq!(load.global_load_transactions, res.stats.total.global_load_transactions);
+        assert_eq!(
+            load.global_load_transactions,
+            res.stats.total.global_load_transactions
+        );
         assert_eq!(load.barriers, res.stats.total.barriers);
         assert_eq!(load.flops, 0);
         let store = &res.stats.phases[2].stats;

@@ -283,8 +283,7 @@ mod tests {
         assert_eq!(g.label(), "GTX480 x4");
         assert_eq!(g.primary().name, "GTX480");
 
-        let h =
-            DeviceGroup::from_specs(vec![DeviceSpec::gtx480(), DeviceSpec::gtx280()]).unwrap();
+        let h = DeviceGroup::from_specs(vec![DeviceSpec::gtx480(), DeviceSpec::gtx280()]).unwrap();
         assert_eq!(h.label(), "GTX480+GTX280");
         assert_eq!(DeviceGroup::single(DeviceSpec::c2050()).len(), 1);
     }

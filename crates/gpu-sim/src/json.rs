@@ -244,11 +244,10 @@ impl<'a> Parser<'a> {
                 _ => {
                     // Re-decode UTF-8 starting at the lead byte.
                     let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| JsonError {
-                            msg: "invalid UTF-8".into(),
-                            at: start,
-                        })?;
+                    let s = std::str::from_utf8(&self.bytes[start..]).map_err(|_| JsonError {
+                        msg: "invalid UTF-8".into(),
+                        at: start,
+                    })?;
                     let c = s.chars().next().expect("non-empty");
                     if (c as u32) < 0x20 {
                         return self.err("unescaped control character");

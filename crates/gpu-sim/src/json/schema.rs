@@ -97,7 +97,9 @@ impl<'a> Check<'a> {
                     .map(|a| format!("{a:?}"))
                     .collect::<Vec<_>>()
                     .join(", ");
-                self.problem(format!("field {key:?} is {other:?}, expected one of {list}"));
+                self.problem(format!(
+                    "field {key:?} is {other:?}, expected one of {list}"
+                ));
                 None
             }
             None => {
@@ -145,7 +147,9 @@ impl<'a> Check<'a> {
         match self.doc.get(key).and_then(Json::as_num) {
             Some(v) if v.is_finite() && v >= min => Some(v),
             Some(v) => {
-                self.problem(format!("field {key:?} must be a finite number >= {min}, got {v}"));
+                self.problem(format!(
+                    "field {key:?} must be a finite number >= {min}, got {v}"
+                ));
                 None
             }
             None => {

@@ -98,11 +98,11 @@ pub use exec::{
     LaunchResult,
 };
 pub use group::{DeviceGroup, DeviceStream, GroupTimeline, StreamEvent, StreamOp};
+pub use json::Json;
 pub use lanes::{AffinePiece, Lanes};
-pub use sanitizer::{AccessSite, MemSpace, RaceKind, SanitizerViolation};
+pub use metrics::{validate_metrics_json, Histogram, MetricsRegistry, METRICS_SCHEMA};
 pub use occupancy::{occupancy, Limiter, Occupancy};
+pub use sanitizer::{AccessSite, MemSpace, RaceKind, SanitizerViolation};
 pub use spec::{DeviceSpec, Precision};
 pub use timing::{time_kernel, BoundKind, KernelTiming, PhaseTiming};
-pub use json::Json;
-pub use metrics::{validate_metrics_json, Histogram, MetricsRegistry, METRICS_SCHEMA};
 pub use trace::{validate_chrome_json, Trace, TraceEvent};

@@ -253,7 +253,11 @@ impl Sanitizer {
     }
 
     fn site(&self, lane: usize, addr: usize, space: MemSpace, buffer: Option<usize>) -> AccessSite {
-        let lane = if self.threads > 0 { lane % self.threads } else { lane };
+        let lane = if self.threads > 0 {
+            lane % self.threads
+        } else {
+            lane
+        };
         AccessSite {
             kernel: self.kernel,
             block: self.block,
@@ -442,7 +446,11 @@ mod tests {
         s.shared_access(&[7, 7], true);
         assert_eq!(s.counts().shared_races, 1);
         match &s.take_violations()[0] {
-            SanitizerViolation::SharedRace { site, kind, other_lane } => {
+            SanitizerViolation::SharedRace {
+                site,
+                kind,
+                other_lane,
+            } => {
                 assert_eq!(*kind, RaceKind::WriteAfterWrite);
                 assert_eq!(site.lane, 1);
                 assert_eq!(*other_lane, 0);

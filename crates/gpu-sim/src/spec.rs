@@ -213,8 +213,13 @@ mod tests {
 
     #[test]
     fn presets_are_valid() {
-        for spec in [DeviceSpec::gtx480(), DeviceSpec::gtx280(), DeviceSpec::c2050()] {
-            spec.validate().unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+        for spec in [
+            DeviceSpec::gtx480(),
+            DeviceSpec::gtx280(),
+            DeviceSpec::c2050(),
+        ] {
+            spec.validate()
+                .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
         }
     }
 

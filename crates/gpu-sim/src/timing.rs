@@ -107,10 +107,7 @@ pub fn time_kernel(spec: &DeviceSpec, launch: &LaunchResult, precision: Precisio
     let mut bandwidth_cycles = 0.0f64;
     let mut latency_cycles = 0.0f64;
 
-    let warps_per_block = launch
-        .config
-        .threads_per_block
-        .div_ceil(spec.warp_size) as f64;
+    let warps_per_block = launch.config.threads_per_block.div_ceil(spec.warp_size) as f64;
     let ops_per_cycle = spec.ops_per_cycle_sm(precision);
     let mlp = spec.loads_in_flight_per_warp as f64;
 
@@ -136,8 +133,8 @@ pub fn time_kernel(spec: &DeviceSpec, launch: &LaunchResult, precision: Precisio
             * shared_fraction;
         let barrier_cycles =
             stats.total.barriers as f64 * shared_fraction * 20.0 / occ.blocks_per_sm as f64;
-        let wave_compute =
-            wave_flops as f64 / (ops_per_cycle * active_sms) + (shared_cycles + barrier_cycles) / active_sms;
+        let wave_compute = wave_flops as f64 / (ops_per_cycle * active_sms)
+            + (shared_cycles + barrier_cycles) / active_sms;
 
         // --- bandwidth term ------------------------------------------
         let wave_traffic: f64 = {
@@ -146,13 +143,16 @@ pub fn time_kernel(spec: &DeviceSpec, launch: &LaunchResult, precision: Precisio
             // homogeneous, which the solver kernels are).
             let wave_bytes: u64 = stats.bytes_per_block[wave.clone()].iter().sum();
             let total_bytes = stats.total.global_bytes().max(1);
-            stats.total.global_transactions() as f64 * spec.transaction_bytes as f64
+            stats.total.global_transactions() as f64
+                * spec.transaction_bytes as f64
                 * (wave_bytes as f64 / total_bytes as f64)
         };
         let resident_warps = occ.warps_per_sm as f64 * active_sms;
         let achievable =
             resident_warps * mlp * spec.transaction_bytes as f64 / spec.dram_latency_cycles as f64;
-        let sm_share = (active_sms / spec.num_sms as f64).sqrt().max(1.0 / spec.num_sms as f64);
+        let sm_share = (active_sms / spec.num_sms as f64)
+            .sqrt()
+            .max(1.0 / spec.num_sms as f64);
         let effective_bw = (spec.bytes_per_cycle() * sm_share).min(achievable.max(1e-9));
         let wave_bandwidth = wave_traffic / effective_bw;
 
@@ -447,7 +447,11 @@ mod tests {
             ..Default::default()
         };
         let t8 = time_kernel(&spec, &fake_launch(&spec, 8, 64, 0, chainy), Precision::F64);
-        let t64 = time_kernel(&spec, &fake_launch(&spec, 64, 64, 0, chainy), Precision::F64);
+        let t64 = time_kernel(
+            &spec,
+            &fake_launch(&spec, 64, 64, 0, chainy),
+            Precision::F64,
+        );
         assert_eq!(t8.bound, BoundKind::Latency);
         // Same wave count, same chain: flat region.
         assert!((t8.total_us - t64.total_us).abs() / t8.total_us < 0.05);
@@ -499,8 +503,7 @@ mod tests {
         let spec = gtx480();
         let blk = bandwidth_block(32);
         let one_wave = time_kernel(&spec, &fake_launch(&spec, 120, 256, 0, blk), Precision::F32);
-        let four_waves =
-            time_kernel(&spec, &fake_launch(&spec, 480, 256, 0, blk), Precision::F32);
+        let four_waves = time_kernel(&spec, &fake_launch(&spec, 480, 256, 0, blk), Precision::F32);
         assert!(four_waves.waves >= 4 * one_wave.waves);
         assert!(four_waves.total_us > 2.0 * one_wave.total_us);
     }
@@ -538,9 +541,18 @@ mod tests {
         first.global_load_bytes -= third.global_load_bytes;
         first.global_access_rounds -= third.global_access_rounds;
         lr.stats.phases = vec![
-            PhaseStats { label: "load", stats: first },
-            PhaseStats { label: "mid", stats: BlockStats::default() },
-            PhaseStats { label: "store", stats: third },
+            PhaseStats {
+                label: "load",
+                stats: first,
+            },
+            PhaseStats {
+                label: "mid",
+                stats: BlockStats::default(),
+            },
+            PhaseStats {
+                label: "store",
+                stats: third,
+            },
         ];
         let timing = time_kernel(&spec, &lr, Precision::F64);
         assert_eq!(timing.phases.len(), 3);

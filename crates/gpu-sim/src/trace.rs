@@ -198,7 +198,10 @@ fn event_problems(
         ts.is_finite() && ts >= 0.0,
         format!("ts {ts} is not a finite non-negative number"),
     );
-    c.ensure(ts >= *last_ts, format!("ts {ts} decreases below {}", *last_ts));
+    c.ensure(
+        ts >= *last_ts,
+        format!("ts {ts} decreases below {}", *last_ts),
+    );
     *last_ts = last_ts.max(ts);
     match ph {
         "X" => match e.get("dur").and_then(Json::as_num) {
@@ -265,13 +268,23 @@ mod tests {
 
     fn sample() -> Trace {
         let mut t = Trace::new("test-solver");
-        t.span("solve", "solver", 0, 0.0, 100.0, vec![("k".into(), Json::num(3))]);
+        t.span(
+            "solve",
+            "solver",
+            0,
+            0.0,
+            100.0,
+            vec![("k".into(), Json::num(3))],
+        );
         t.instant(
             "transition",
             "solver",
             0,
             0.0,
-            vec![("m".into(), Json::num(64)), ("policy".into(), Json::str("heuristic"))],
+            vec![
+                ("m".into(), Json::num(64)),
+                ("policy".into(), Json::str("heuristic")),
+            ],
         );
         t.span("launch:tiled_pcr", "kernel", 0, 0.0, 60.0, vec![]);
         t.span("phase:window_load", "phase", 0, 5.0, 20.0, vec![]);

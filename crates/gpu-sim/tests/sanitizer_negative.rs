@@ -34,8 +34,14 @@ impl BlockKernel<f64> for RacyWriteKernel {
 fn shared_write_write_race_is_reported() {
     let mut mem = GpuMemory::<f64>::new();
     let cfg = LaunchConfig::new("racy_write", 1, 32);
-    let res = launch_with(&spec(), &cfg, &ExecConfig::sanitized(), &RacyWriteKernel, &mut mem)
-        .unwrap();
+    let res = launch_with(
+        &spec(),
+        &cfg,
+        &ExecConfig::sanitized(),
+        &RacyWriteKernel,
+        &mut mem,
+    )
+    .unwrap();
     assert_eq!(res.stats.total.sanitizer.shared_races, 1);
     match &res.violations[0] {
         SanitizerViolation::SharedRace {
@@ -47,8 +53,8 @@ fn shared_write_write_race_is_reported() {
             assert_eq!(site.block, 0);
             assert_eq!(site.space, MemSpace::Shared);
             assert_eq!(site.addr, 5); // base is 0 for the first alloc
-            // Lane 5's in-order store lands first, lane 1 dupes it...
-            // position order: lane 1 writes base+5 before lane 5 does.
+                                      // Lane 5's in-order store lands first, lane 1 dupes it...
+                                      // position order: lane 1 writes base+5 before lane 5 does.
             assert_eq!(*kind, RaceKind::WriteAfterWrite);
             assert_eq!(site.lane, 5);
             assert_eq!(*other_lane, 1);
@@ -193,7 +199,13 @@ fn global_oob_aborts_with_lane_attribution() {
     // Without the sanitizer the legacy (unattributed) error fires.
     let mut mem2 = GpuMemory::<f64>::new();
     let buf2 = mem2.alloc_from(vec![0.0; 32]);
-    let err2 = launch(&spec(), &cfg, &GlobalOobKernel { buf: buf2, n: 32 }, &mut mem2).unwrap_err();
+    let err2 = launch(
+        &spec(),
+        &cfg,
+        &GlobalOobKernel { buf: buf2, n: 32 },
+        &mut mem2,
+    )
+    .unwrap_err();
     assert!(matches!(err2, SimError::GlobalOutOfBounds { .. }));
 }
 
@@ -212,8 +224,14 @@ impl BlockKernel<f64> for SharedOobKernel {
 fn shared_oob_aborts_with_lane_attribution() {
     let mut mem = GpuMemory::<f64>::new();
     let cfg = LaunchConfig::new("shared_oob", 1, 32);
-    let err = launch_with(&spec(), &cfg, &ExecConfig::sanitized(), &SharedOobKernel, &mut mem)
-        .unwrap_err();
+    let err = launch_with(
+        &spec(),
+        &cfg,
+        &ExecConfig::sanitized(),
+        &SharedOobKernel,
+        &mut mem,
+    )
+    .unwrap_err();
     match err {
         SimError::Sanitizer(SanitizerViolation::OutOfBounds { site, len }) => {
             assert_eq!(site.kernel, "shared_oob");
@@ -287,7 +305,11 @@ fn uninit_global_read_is_reported_per_word() {
         &mut mem2,
     )
     .unwrap();
-    assert!(res2.stats.total.sanitizer.is_clean(), "{:?}", res2.violations);
+    assert!(
+        res2.stats.total.sanitizer.is_clean(),
+        "{:?}",
+        res2.violations
+    );
 }
 
 /// Reads shared memory before anything stored to it.
@@ -335,8 +357,14 @@ impl BlockKernel<f64> for DivergentKernel {
 fn divergent_barrier_is_reported_with_missing_lane() {
     let mut mem = GpuMemory::<f64>::new();
     let cfg = LaunchConfig::new("divergent", 2, 64);
-    let res = launch_with(&spec(), &cfg, &ExecConfig::sanitized(), &DivergentKernel, &mut mem)
-        .unwrap();
+    let res = launch_with(
+        &spec(),
+        &cfg,
+        &ExecConfig::sanitized(),
+        &DivergentKernel,
+        &mut mem,
+    )
+    .unwrap();
     assert_eq!(res.stats.total.sanitizer.barrier_divergence, 2); // one per block
     match &res.violations[0] {
         SanitizerViolation::BarrierDivergence {
@@ -380,8 +408,14 @@ fn violation_reports_are_capped_but_counts_are_not() {
             Ok(())
         }
     }
-    let res = launch_with(&spec(), &cfg, &ExecConfig::sanitized(), &WideUninit { buf }, &mut mem)
-        .unwrap();
+    let res = launch_with(
+        &spec(),
+        &cfg,
+        &ExecConfig::sanitized(),
+        &WideUninit { buf },
+        &mut mem,
+    )
+    .unwrap();
     // 256 uninitialized reads per block, reported up to the cap.
     const { assert!(8 * 32 > MAX_VIOLATIONS) };
     assert_eq!(res.stats.total.sanitizer.uninit_reads, 4 * 8 * 32);

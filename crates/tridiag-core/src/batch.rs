@@ -378,7 +378,10 @@ mod tests {
             Layout::Contiguous,
         )
         .unwrap_err();
-        assert!(matches!(err, TridiagError::LengthMismatch { what: "lower", .. }));
+        assert!(matches!(
+            err,
+            TridiagError::LengthMismatch { what: "lower", .. }
+        ));
     }
 
     #[test]

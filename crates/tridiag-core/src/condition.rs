@@ -38,7 +38,10 @@ pub fn dominance_margin<S: Scalar>(system: &TridiagonalSystem<S>) -> f64 {
 
 /// The transposed system (for the norm estimator's `Aᵀ y = w` solves):
 /// transposing a tridiagonal matrix swaps the sub/super diagonals.
-fn transpose<S: Scalar>(system: &TridiagonalSystem<S>, rhs: Vec<S>) -> Result<TridiagonalSystem<S>> {
+fn transpose<S: Scalar>(
+    system: &TridiagonalSystem<S>,
+    rhs: Vec<S>,
+) -> Result<TridiagonalSystem<S>> {
     let (a, b, c, _) = system.parts();
     let n = system.len();
     // New lower row i = old upper row i-1; new upper row i = old lower i+1.
@@ -81,7 +84,10 @@ pub fn inverse_norm_estimate<S: Scalar>(system: &TridiagonalSystem<S>) -> Result
             .iter()
             .enumerate()
             .map(|(i, &xi)| (xi.abs().to_f64(), i))
-            .fold((0.0, 0usize), |acc, (v, i)| if v > acc.0 { (v, i) } else { acc });
+            .fold(
+                (0.0, 0usize),
+                |acc, (v, i)| if v > acc.0 { (v, i) } else { acc },
+            );
         if norm <= best {
             break;
         }
@@ -105,13 +111,8 @@ mod tests {
 
     #[test]
     fn norm_of_identity_like() {
-        let s = TridiagonalSystem::new(
-            vec![0.0; 4],
-            vec![2.0; 4],
-            vec![0.0; 4],
-            vec![1.0; 4],
-        )
-        .unwrap();
+        let s =
+            TridiagonalSystem::new(vec![0.0; 4], vec![2.0; 4], vec![0.0; 4], vec![1.0; 4]).unwrap();
         assert_eq!(infinity_norm(&s), 2.0);
         // A = 2I: inverse norm 0.5, condition 1.
         let k = condition_estimate(&s).unwrap();
@@ -151,7 +152,10 @@ mod tests {
         // A genuinely near-singular matrix: the Poisson operator shifted
         // by (almost) its own smallest eigenvalue 4 sin²(π / (2(n+1))).
         let n = 128usize;
-        let lam1 = 4.0 * (std::f64::consts::PI / (2.0 * (n as f64 + 1.0))).sin().powi(2);
+        let lam1 = 4.0
+            * (std::f64::consts::PI / (2.0 * (n as f64 + 1.0)))
+                .sin()
+                .powi(2);
         let shifted = TridiagonalSystem::new(
             vec![-1.0; n],
             vec![2.0 - lam1 * (1.0 - 1e-9); n],

@@ -122,7 +122,11 @@ fn solve_level<S: Scalar>(rows: &[Row<S>], x: &mut [S]) -> Result<()> {
         let i = 2 * j + 1;
         let prev = rows[i - 1];
         let cur = rows[i];
-        let next = if i + 1 < n { rows[i + 1] } else { Row::identity() };
+        let next = if i + 1 < n {
+            rows[i + 1]
+        } else {
+            Row::identity()
+        };
         next_rows.push(reduce_row(prev, cur, next, i)?);
     }
 

@@ -69,12 +69,12 @@ impl fmt::Display for TridiagError {
                 expected,
                 found,
                 what,
-            } => write!(
-                f,
-                "array `{what}` has length {found}, expected {expected}"
-            ),
+            } => write!(f, "array `{what}` has length {found}, expected {expected}"),
             TridiagError::ZeroPivot { row } => {
-                write!(f, "zero pivot encountered at row {row} (system not solvable without pivoting)")
+                write!(
+                    f,
+                    "zero pivot encountered at row {row} (system not solvable without pivoting)"
+                )
             }
             TridiagError::NonFinite { row } => {
                 write!(f, "non-finite value at row {row}")
@@ -130,10 +130,7 @@ mod tests {
                 TridiagError::IndexOutOfBounds { index: 5, len: 2 },
                 "out of bounds",
             ),
-            (
-                TridiagError::InvalidConfig("tile".into()),
-                "configuration",
-            ),
+            (TridiagError::InvalidConfig("tile".into()), "configuration"),
         ];
         for (err, needle) in cases {
             let msg = err.to_string();

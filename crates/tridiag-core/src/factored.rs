@@ -148,7 +148,10 @@ mod tests {
             let xf = f.solve(s.rhs()).unwrap();
             let xt = thomas::solve_typed(&s).unwrap();
             for i in 0..n {
-                assert!((xf[i] - xt[i]).abs() < 1e-10 * xt[i].abs().max(1.0), "n={n} row {i}");
+                assert!(
+                    (xf[i] - xt[i]).abs() < 1e-10 * xt[i].abs().max(1.0),
+                    "n={n} row {i}"
+                );
             }
         }
     }

@@ -30,8 +30,16 @@ pub fn dominant_random_with<S: Scalar>(n: usize, rng: &mut StdRng) -> Tridiagona
     let mut upper = Vec::with_capacity(n);
     let mut rhs = Vec::with_capacity(n);
     for i in 0..n {
-        let a: f64 = if i == 0 { 0.0 } else { rng.gen_range(-1.0..1.0) };
-        let c: f64 = if i + 1 == n { 0.0 } else { rng.gen_range(-1.0..1.0) };
+        let a: f64 = if i == 0 {
+            0.0
+        } else {
+            rng.gen_range(-1.0..1.0)
+        };
+        let c: f64 = if i + 1 == n {
+            0.0
+        } else {
+            rng.gen_range(-1.0..1.0)
+        };
         let margin: f64 = rng.gen_range(0.5..1.5);
         let sign = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
         let b = sign * (a.abs() + c.abs() + margin);
@@ -79,13 +87,8 @@ pub fn cubic_spline_moments<S: Scalar>(values: &[S], h: f64) -> TridiagonalSyste
         let dd = (values[i + 1] - values[i] - values[i] + values[i - 1]) / hs;
         rhs.push(S::from_f64(6.0) * dd);
     }
-    TridiagonalSystem::new(
-        vec![hs; m],
-        vec![S::from_f64(4.0 * h); m],
-        vec![hs; m],
-        rhs,
-    )
-    .expect("spline invariants")
+    TridiagonalSystem::new(vec![hs; m], vec![S::from_f64(4.0 * h); m], vec![hs; m], rhs)
+        .expect("spline invariants")
 }
 
 /// A batch of `m` independent diagonally dominant random systems of
@@ -99,7 +102,12 @@ pub fn random_batch<S: Scalar>(m: usize, n: usize, seed: u64) -> SystemBatch<S> 
 
 /// A *nearly singular* system for failure-injection tests: diagonally
 /// dominant except one row where the diagonal is `epsilon`-sized.
-pub fn near_singular<S: Scalar>(n: usize, bad_row: usize, eps: f64, seed: u64) -> TridiagonalSystem<S> {
+pub fn near_singular<S: Scalar>(
+    n: usize,
+    bad_row: usize,
+    eps: f64,
+    seed: u64,
+) -> TridiagonalSystem<S> {
     assert!(bad_row < n);
     let s = dominant_random::<S>(n, seed);
     let (mut a, mut b, c, d) = s.into_parts();

@@ -42,7 +42,6 @@
 //! ```
 
 #![warn(missing_docs)]
-
 // Stencil and sweep loops index several parallel arrays by row number;
 // iterator rewrites of those loops hide the row-at-a-time recurrence
 // structure the algorithms are written to exhibit.

@@ -160,8 +160,16 @@ pub(crate) fn pcr_step<S: Scalar>(src: &[Row<S>], dst: &mut [Row<S>], stride: us
     let n = src.len();
     debug_assert_eq!(dst.len(), n);
     for i in 0..n {
-        let prev = if i >= stride { src[i - stride] } else { Row::identity() };
-        let next = if i + stride < n { src[i + stride] } else { Row::identity() };
+        let prev = if i >= stride {
+            src[i - stride]
+        } else {
+            Row::identity()
+        };
+        let next = if i + stride < n {
+            src[i + stride]
+        } else {
+            Row::identity()
+        };
         dst[i] = reduce_row(prev, src[i], next, i)?;
     }
     Ok(())

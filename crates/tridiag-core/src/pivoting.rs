@@ -200,7 +200,10 @@ mod tests {
             let x = lu.solve(s.rhs()).unwrap();
             let xt = thomas::solve_typed(&s).unwrap();
             for i in 0..n {
-                assert!((x[i] - xt[i]).abs() < 1e-9 * xt[i].abs().max(1.0), "n={n} row {i}");
+                assert!(
+                    (x[i] - xt[i]).abs() < 1e-9 * xt[i].abs().max(1.0),
+                    "n={n} row {i}"
+                );
             }
         }
     }

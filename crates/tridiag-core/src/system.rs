@@ -184,9 +184,7 @@ impl<S: Scalar> TridiagonalSystem<S> {
     /// used throughout the paper (Thomas, CR, PCR) are unconditionally
     /// stable on such systems.
     pub fn is_diagonally_dominant(&self) -> bool {
-        (0..self.len()).all(|i| {
-            self.diag[i].abs() > self.lower[i].abs() + self.upper[i].abs()
-        })
+        (0..self.len()).all(|i| self.diag[i].abs() > self.lower[i].abs() + self.upper[i].abs())
     }
 
     /// Check every coefficient is finite; returns the first bad row.
@@ -254,14 +252,18 @@ mod tests {
 
     #[test]
     fn construction_validates_lengths() {
-        let err = TridiagonalSystem::<f64>::new(vec![0.0], vec![1.0, 2.0], vec![0.0, 0.0], vec![1.0, 1.0])
-            .unwrap_err();
+        let err = TridiagonalSystem::<f64>::new(
+            vec![0.0],
+            vec![1.0, 2.0],
+            vec![0.0, 0.0],
+            vec![1.0, 1.0],
+        )
+        .unwrap_err();
         assert!(matches!(
             err,
             TridiagError::LengthMismatch { what: "lower", .. }
         ));
-        let err =
-            TridiagonalSystem::<f64>::new(vec![], vec![], vec![], vec![]).unwrap_err();
+        let err = TridiagonalSystem::<f64>::new(vec![], vec![], vec![], vec![]).unwrap_err();
         assert_eq!(err, TridiagError::EmptySystem);
     }
 
@@ -330,7 +332,10 @@ mod tests {
     fn check_finite_flags_bad_rows() {
         let mut s = sample();
         s.rhs_mut()[2] = f64::NAN;
-        assert_eq!(s.check_finite().unwrap_err(), TridiagError::NonFinite { row: 2 });
+        assert_eq!(
+            s.check_finite().unwrap_err(),
+            TridiagError::NonFinite { row: 2 }
+        );
     }
 
     #[test]

@@ -44,11 +44,19 @@ pub fn compare_with_thomas<S: Scalar>(
     for (xi, ri) in x.iter().zip(&reference) {
         // `f64::max` drops NaN, so a non-finite term is scored directly.
         let term = (xi.to_f64() - ri.to_f64()).abs();
-        err = if term.is_finite() { err.max(term) } else { f64::INFINITY };
+        err = if term.is_finite() {
+            err.max(term)
+        } else {
+            f64::INFINITY
+        };
         scale = scale.max(ri.to_f64().abs());
     }
     Ok(Comparison {
-        max_relative_error: if err.is_finite() { err / scale } else { f64::INFINITY },
+        max_relative_error: if err.is_finite() {
+            err / scale
+        } else {
+            f64::INFINITY
+        },
         residual: system.relative_residual(x)?,
     })
 }
@@ -71,11 +79,7 @@ pub fn check_solution<S: Scalar>(
 
 /// Worst-case comparison across a batch (solution `x` in the batch's
 /// layout).
-pub fn check_batch_solution<S: Scalar>(
-    batch: &SystemBatch<S>,
-    x: &[S],
-    tol: f64,
-) -> Result<f64> {
+pub fn check_batch_solution<S: Scalar>(batch: &SystemBatch<S>, x: &[S], tol: f64) -> Result<f64> {
     let residual = batch.max_relative_residual(x)?;
     if residual > tol {
         return Err(TridiagError::InvalidConfig(format!(

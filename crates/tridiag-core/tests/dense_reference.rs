@@ -18,9 +18,8 @@ fn dense_solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
     let n = b.len();
     for col in 0..n {
         // Pivot search.
-        let piv = (col..n).max_by(|&i, &j| {
-            a[i][col].abs().partial_cmp(&a[j][col].abs()).unwrap()
-        })?;
+        let piv =
+            (col..n).max_by(|&i, &j| a[i][col].abs().partial_cmp(&a[j][col].abs()).unwrap())?;
         if a[piv][col].abs() < 1e-300 {
             return None;
         }

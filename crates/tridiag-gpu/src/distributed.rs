@@ -197,13 +197,14 @@ impl DistributedPlan {
                 })
             })
             .collect::<Result<Vec<_>>>()?;
-        let reduced = SolvePlan::build(group.primary(), config, 1, 2 * d, elem_bytes)
-            .map_err(|e| match e {
+        let reduced = SolvePlan::build(group.primary(), config, 1, 2 * d, elem_bytes).map_err(
+            |e| match e {
                 SimError::InvalidPlan(msg) => {
                     SimError::InvalidPlan(format!("reduced interface system: {msg}"))
                 }
                 other => other,
-            })?;
+            },
+        )?;
         Ok(DistributedPlan {
             n,
             elem_bytes,
@@ -256,7 +257,10 @@ impl DistributedPlan {
                 "  identity: single-device path on {} k={} kernels={} device_bytes={}",
                 p.device,
                 p.k,
-                p.launches().map(|l| l.name).collect::<Vec<_>>().join(" -> "),
+                p.launches()
+                    .map(|l| l.name)
+                    .collect::<Vec<_>>()
+                    .join(" -> "),
                 p.device_bytes()
             );
             return s;
@@ -279,7 +283,10 @@ impl DistributedPlan {
                         c.row_start + c.row_count,
                         c.interior_len(),
                         p.k,
-                        p.launches().map(|l| l.name).collect::<Vec<_>>().join(" -> "),
+                        p.launches()
+                            .map(|l| l.name)
+                            .collect::<Vec<_>>()
+                            .join(" -> "),
                         p.device_bytes()
                     );
                 }
@@ -303,7 +310,10 @@ impl DistributedPlan {
                 r.n,
                 r.device,
                 r.k,
-                r.launches().map(|l| l.name).collect::<Vec<_>>().join(" -> "),
+                r.launches()
+                    .map(|l| l.name)
+                    .collect::<Vec<_>>()
+                    .join(" -> "),
                 r.device_bytes()
             );
         }
@@ -338,7 +348,9 @@ impl DistributedPlan {
             ("device_bytes".into(), Json::num(self.device_bytes() as f64)),
             (
                 "identity".into(),
-                self.identity.as_ref().map_or(Json::Null, SolvePlan::to_json),
+                self.identity
+                    .as_ref()
+                    .map_or(Json::Null, SolvePlan::to_json),
             ),
             ("chunks".into(), Json::Arr(chunks)),
             (
@@ -481,7 +493,12 @@ impl DistributedExecutor {
         // the three right-hand sides (one batched run, or one run each),
         // fold the solutions into the chunk's two interface rows.
         let runs = fan_out("chunk", plan.chunks.len(), |d| {
-            chunk_eliminate(self.group.devices()[d].clone(), self.exec, &plan.chunks[d], batch)
+            chunk_eliminate(
+                self.group.devices()[d].clone(),
+                self.exec,
+                &plan.chunks[d],
+                batch,
+            )
         })?;
 
         // Assemble the reduced interface system on the host (it is
@@ -598,9 +615,12 @@ impl DistributedExecutor {
             let bytes = 4 * ch.interior_len() * eb;
             let dur = spec.launch_overhead_us + bytes as f64 / (spec.dram_bandwidth_gbps * 1e3);
             backsub_us[ch.device_index] = dur;
-            timeline
-                .stream_mut(ch.device_index)
-                .record(StreamOp::Launch, "back_substitute", dur, 0);
+            timeline.stream_mut(ch.device_index).record(
+                StreamOp::Launch,
+                "back_substitute",
+                dur,
+                0,
+            );
         }
         let kernel_wall = timeline.kernel_wall_clock_us();
 
@@ -648,10 +668,7 @@ impl DistributedExecutor {
             if ch.interior_len() > 0 {
                 launches.push(Launch::Modeled(
                     "kernel:back_substitute",
-                    vec![(
-                        "interior_rows".into(),
-                        Json::num(ch.interior_len() as f64),
-                    )],
+                    vec![("interior_rows".into(), Json::num(ch.interior_len() as f64))],
                 ));
             }
             device_track(&mut trace, d as u32, stream, launches)?;
@@ -789,12 +806,7 @@ fn chunk_eliminate<S: GpuScalar>(
     //   x_{e-1} = y[li-1] - u[li-1] x_s - w[li-1] x_e
     // substituted into rows s and e of the original system.
     let [y, u, w] = &x;
-    let row_first = (
-        a_s,
-        b_s - c_s * u[0],
-        -(c_s * w[0]),
-        d_s - c_s * y[0],
-    );
+    let row_first = (a_s, b_s - c_s * u[0], -(c_s * w[0]), d_s - c_s * y[0]);
     let row_last = (
         -(a_e * u[li - 1]),
         b_e - a_e * w[li - 1],
@@ -827,8 +839,7 @@ mod tests {
         let solver = GpuTridiagSolver::gtx480();
         let (x1, r1) = solver.solve_batch(&batch).unwrap();
         let group = DeviceGroup::single(DeviceSpec::gtx480());
-        let plan =
-            DistributedPlan::build(&group, &GpuSolverConfig::default(), 64, 8).unwrap();
+        let plan = DistributedPlan::build(&group, &GpuSolverConfig::default(), 64, 8).unwrap();
         assert!(plan.identity.is_some());
         assert!(plan.chunks.is_empty() && plan.reduced.is_none());
         let (x2, r2) = DistributedExecutor::new(group, ExecConfig::default())
@@ -845,8 +856,7 @@ mod tests {
         let (x1, _) = solver.solve_batch(&batch).unwrap();
         for d in [2usize, 4] {
             let group = group_of(d);
-            let plan =
-                DistributedPlan::build(&group, &GpuSolverConfig::default(), 256, 8).unwrap();
+            let plan = DistributedPlan::build(&group, &GpuSolverConfig::default(), 256, 8).unwrap();
             let (x2, r2) = DistributedExecutor::new(group, ExecConfig::default())
                 .run(&plan, &batch)
                 .unwrap();
@@ -876,7 +886,11 @@ mod tests {
                 let ctx = format!("D = {d} chunk {}", c.device_index);
                 assert_eq!((ip.m, ip.n), (3, c.interior_len()), "{ctx}");
             }
-            assert!(plan.describe().contains("batched in one m=3 run"), "{}", plan.describe());
+            assert!(
+                plan.describe().contains("batched in one m=3 run"),
+                "{}",
+                plan.describe()
+            );
         }
     }
 
@@ -903,8 +917,7 @@ mod tests {
     #[test]
     fn geometry_mismatch_is_a_typed_error() {
         let group = group_of(2);
-        let plan =
-            DistributedPlan::build(&group, &GpuSolverConfig::default(), 64, 8).unwrap();
+        let plan = DistributedPlan::build(&group, &GpuSolverConfig::default(), 64, 8).unwrap();
         let wrong = random_batch::<f64>(1, 32, 17);
         let err = DistributedExecutor::new(group.clone(), ExecConfig::default())
             .run(&plan, &wrong)
@@ -916,13 +929,8 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, SimError::InvalidPlan(_)), "{err:?}");
         // Plan built for 2 devices, executor driving 4.
-        let plan2 = DistributedPlan::build(
-            &group_of(2),
-            &GpuSolverConfig::default(),
-            64,
-            8,
-        )
-        .unwrap();
+        let plan2 =
+            DistributedPlan::build(&group_of(2), &GpuSolverConfig::default(), 64, 8).unwrap();
         let err = DistributedExecutor::new(group_of(4), ExecConfig::default())
             .run(&plan2, &random_batch::<f64>(1, 64, 17))
             .unwrap_err();
@@ -933,8 +941,7 @@ mod tests {
     fn plan_json_round_trips_through_the_validator() {
         for d in [1usize, 2, 4] {
             let group = group_of(d);
-            let plan =
-                DistributedPlan::build(&group, &GpuSolverConfig::default(), 128, 8).unwrap();
+            let plan = DistributedPlan::build(&group, &GpuSolverConfig::default(), 128, 8).unwrap();
             let doc = gpu_sim::json::parse(&plan.to_json().to_string()).unwrap();
             let problems = validate_distributed_plan_json(&doc);
             assert!(problems.is_empty(), "D = {d}: {problems:?}");
@@ -943,8 +950,8 @@ mod tests {
 
     #[test]
     fn json_validator_checks_embedded_plan_shapes() {
-        let plan = DistributedPlan::build(&group_of(2), &GpuSolverConfig::default(), 128, 8)
-            .unwrap();
+        let plan =
+            DistributedPlan::build(&group_of(2), &GpuSolverConfig::default(), 128, 8).unwrap();
         let mut doc = plan.to_json();
         if let Json::Obj(fields) = &mut doc {
             for (k, v) in fields.iter_mut() {
@@ -957,11 +964,15 @@ mod tests {
         }
         let problems = validate_distributed_plan_json(&doc);
         assert!(
-            problems.iter().any(|p| p.contains("object-or-null field \"identity\"")),
+            problems
+                .iter()
+                .any(|p| p.contains("object-or-null field \"identity\"")),
             "{problems:?}"
         );
         assert!(
-            problems.iter().any(|p| p.starts_with("reduced: ") && p.contains("schema")),
+            problems
+                .iter()
+                .any(|p| p.starts_with("reduced: ") && p.contains("schema")),
             "{problems:?}"
         );
     }
@@ -969,8 +980,7 @@ mod tests {
     #[test]
     fn scatter_is_pcie_serialized_and_backsub_overlaps() {
         let group = group_of(4);
-        let plan =
-            DistributedPlan::build(&group, &GpuSolverConfig::default(), 1 << 12, 8).unwrap();
+        let plan = DistributedPlan::build(&group, &GpuSolverConfig::default(), 1 << 12, 8).unwrap();
         let batch = random_batch::<f64>(1, 1 << 12, 19);
         let (_, r) = DistributedExecutor::new(group, ExecConfig::default())
             .run(&plan, &batch)

@@ -78,7 +78,8 @@ impl PlanExecutor {
         let mut res = launch_with(&self.spec, cfg, &self.exec, kernel, mem)?;
         self.violations.append(&mut res.violations);
         for msg in res.stats.phase_sum_mismatches() {
-            self.phase_sum_mismatches.push(format!("{}: {msg}", res.name));
+            self.phase_sum_mismatches
+                .push(format!("{}: {msg}", res.name));
         }
         self.kernels.push(KernelReport {
             timing: time_kernel(&self.spec, &res, precision),
@@ -95,9 +96,7 @@ impl PlanExecutor {
     pub fn take_last_launch(&mut self) -> Result<(KernelReport, KernelStats)> {
         match (self.kernels.pop(), self.stats.pop()) {
             (Some(kr), Some(st)) => Ok((kr, st)),
-            _ => Err(SimError::InvalidPlan(
-                "no launch recorded to take".into(),
-            )),
+            _ => Err(SimError::InvalidPlan("no launch recorded to take".into())),
         }
     }
 
@@ -203,7 +202,9 @@ impl PlanExecutor {
                         batch.layout().convert(to, arr, m, n, &mut dev);
                         mem.alloc_from(dev)
                     };
-                    dynamic.h2d.push((i, arr.len() * <S as gpu_sim::Elem>::BYTES));
+                    dynamic
+                        .h2d
+                        .push((i, arr.len() * <S as gpu_sim::Elem>::BYTES));
                     slots[*slot] = Some(buf);
                 }
                 Step::Alloc { slot } => {
@@ -290,14 +291,14 @@ impl PlanExecutor {
                     } else {
                         mem.read(buf)?
                     };
-                    dynamic.d2h.push((i, xs.len() * <S as gpu_sim::Elem>::BYTES));
+                    dynamic
+                        .d2h
+                        .push((i, xs.len() * <S as gpu_sim::Elem>::BYTES));
                     downloaded = Some(xs);
                 }
                 Step::ConvertBack { from } => {
                     let xs = downloaded.take().ok_or_else(|| {
-                        SimError::InvalidPlan(
-                            "convert-back step before the download".into(),
-                        )
+                        SimError::InvalidPlan("convert-back step before the download".into())
                     })?;
                     out = Some(if *from == batch.layout() {
                         xs
@@ -313,9 +314,9 @@ impl PlanExecutor {
                 mem.free(bound(&slots, s)?)?;
             }
         }
-        let out = out.or(downloaded).ok_or_else(|| {
-            SimError::InvalidPlan("plan produced no solution".into())
-        })?;
+        let out = out
+            .or(downloaded)
+            .ok_or_else(|| SimError::InvalidPlan("plan produced no solution".into()))?;
         // The kernels are pivot-free and only trap exact zero pivots, so
         // a NaN or Inf in the input sweeps straight through to `x`.
         if !out.iter().all(|v| v.is_finite()) {
@@ -395,7 +396,10 @@ fn build_trace(spec: &DeviceSpec, plan: &SolvePlan, kernels: &[KernelReport]) ->
         0,
         0.0,
         vec![
-            ("policy".into(), Json::str(format!("{:?}", plan.config.policy))),
+            (
+                "policy".into(),
+                Json::str(format!("{:?}", plan.config.policy)),
+            ),
             ("m".into(), Json::num(plan.m as f64)),
             ("n".into(), Json::num(plan.n as f64)),
             ("parallelism".into(), Json::num(spec.parallelism() as f64)),
@@ -437,8 +441,14 @@ mod tests {
     use tridiag_core::generators::random_batch;
 
     fn plan_for(m: usize, n: usize, bytes: usize) -> SolvePlan {
-        SolvePlan::build(&DeviceSpec::gtx480(), &GpuSolverConfig::default(), m, n, bytes)
-            .unwrap()
+        SolvePlan::build(
+            &DeviceSpec::gtx480(),
+            &GpuSolverConfig::default(),
+            m,
+            n,
+            bytes,
+        )
+        .unwrap()
     }
 
     #[test]

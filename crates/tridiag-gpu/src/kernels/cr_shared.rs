@@ -68,8 +68,9 @@ impl<S: GpuScalar> BlockKernel<S> for CrSharedKernel {
         for arr in 0..4 {
             for (chunk, start) in g_idx.chunks(ctx.threads).zip((0..n).step_by(ctx.threads)) {
                 ctx.ld(self.input[arr], chunk, &mut tmp)?;
-                let si: Vec<usize> =
-                    (0..chunk.len()).map(|o| base[arr] + self.pad(start + o)).collect();
+                let si: Vec<usize> = (0..chunk.len())
+                    .map(|o| base[arr] + self.pad(start + o))
+                    .collect();
                 ctx.sh_st(&si, &tmp)?;
             }
         }
@@ -100,8 +101,9 @@ impl<S: GpuScalar> BlockKernel<S> for CrSharedKernel {
                             }
                         })
                         .collect();
-                    for (chunk, start) in
-                        si.chunks(ctx.threads).zip((0..si.len()).step_by(ctx.threads))
+                    for (chunk, start) in si
+                        .chunks(ctx.threads)
+                        .zip((0..si.len()).step_by(ctx.threads))
                     {
                         ctx.sh_ld(chunk, &mut tmp)?;
                         for (o, &v) in tmp.iter().enumerate() {
@@ -124,8 +126,16 @@ impl<S: GpuScalar> BlockKernel<S> for CrSharedKernel {
             // Mask out-of-range neighbours to identity.
             let mut out: Vec<Row<S>> = Vec::with_capacity(survivors.len());
             for (slot, &i) in survivors.iter().enumerate() {
-                let prev = if i >= stride { rows[slot][0] } else { Row::identity() };
-                let next = if i + stride < n { rows[slot][2] } else { Row::identity() };
+                let prev = if i >= stride {
+                    rows[slot][0]
+                } else {
+                    Row::identity()
+                };
+                let next = if i + stride < n {
+                    rows[slot][2]
+                } else {
+                    Row::identity()
+                };
                 out.push(
                     reduce_row(prev, rows[slot][1], next, i)
                         .map_err(|e| SimError::KernelFault(e.to_string()))?,
@@ -191,7 +201,11 @@ impl<S: GpuScalar> BlockKernel<S> for CrSharedKernel {
                 if ((i + 1) / stride) % 2 == 1 {
                     let r = row_at(&vals, i);
                     let left = if i >= stride { x[i - stride] } else { S::ZERO };
-                    let right = if i + stride < n { x[i + stride] } else { S::ZERO };
+                    let right = if i + stride < n {
+                        x[i + stride]
+                    } else {
+                        S::ZERO
+                    };
                     if r.b == S::ZERO {
                         return Err(SimError::KernelFault(format!("zero pivot row {i}")));
                     }

@@ -351,7 +351,11 @@ mod tests {
             };
             let cfg = LaunchConfig::new("p_thomas", 1, m as u32).with_regs(REGS_PTHOMAS);
             let res = launch(&spec, &cfg, &kernel, &mut mem).unwrap();
-            assert!(host.max_relative_residual(&mem.read(dev.x).unwrap()).unwrap() < 1e-10);
+            assert!(
+                host.max_relative_residual(&mem.read(dev.x).unwrap())
+                    .unwrap()
+                    < 1e-10
+            );
             results.push(res.stats.total);
         }
         let good = results[0];

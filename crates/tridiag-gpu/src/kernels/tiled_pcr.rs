@@ -255,10 +255,7 @@ mod tests {
         };
         let cfg = LaunchConfig::new("tiled_pcr", blocks, threads).with_regs(REGS_TILED_PCR);
         let res = launch(&DeviceSpec::gtx480(), &cfg, &kernel, &mut mem).unwrap();
-        let arrays = out
-            .iter()
-            .map(|&b| mem.read(b).unwrap())
-            .collect();
+        let arrays = out.iter().map(|&b| mem.read(b).unwrap()).collect();
         (arrays, res)
     }
 
@@ -297,7 +294,11 @@ mod tests {
 
     #[test]
     fn block_group_per_system_bit_exact() {
-        for (m, n, k, g) in [(1usize, 256usize, 3u32, 2usize), (2, 200, 2, 4), (1, 512, 4, 3)] {
+        for (m, n, k, g) in [
+            (1usize, 256usize, 3u32, 2usize),
+            (2, 200, 2, 4),
+            (1, 512, 4, 3),
+        ] {
             let st = 1usize << k;
             let assignments = TiledPcrKernel::assign_block_group_per_system(m, n, g);
             assert_eq!(assignments.len(), m * g);
@@ -308,7 +309,11 @@ mod tests {
 
     #[test]
     fn multi_system_per_block_bit_exact() {
-        for (m, n, k, q) in [(4usize, 64usize, 2u32, 2usize), (5, 128, 3, 3), (8, 96, 2, 4)] {
+        for (m, n, k, q) in [
+            (4usize, 64usize, 2u32, 2usize),
+            (5, 128, 3, 3),
+            (8, 96, 2, 4),
+        ] {
             let st = 1usize << k;
             let assignments = TiledPcrKernel::assign_multi_system_per_block(m, n, q);
             assert_eq!(assignments.len(), m.div_ceil(q));
@@ -340,7 +345,8 @@ mod tests {
         let split = TiledPcrKernel::assign_block_group_per_system(m, n, g);
         let (_, res_whole) = run(m, n, k, 1 << k, whole, 1 << k);
         let (_, res_split) = run(m, n, k, 1 << k, split, 1 << k);
-        let halo = res_split.stats.total.global_load_bytes - res_whole.stats.total.global_load_bytes;
+        let halo =
+            res_split.stats.total.global_load_bytes - res_whole.stats.total.global_load_bytes;
         // Up to 2·f(k) extra rows per internal boundary, 4 arrays × 8 B.
         let f = (1u64 << k) - 1;
         assert!(halo > 0, "partitioning must reload halos");

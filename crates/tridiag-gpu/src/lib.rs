@@ -6,7 +6,6 @@
 //! (Sections III and V of the paper).
 
 #![warn(missing_docs)]
-
 // Kernels index parallel coefficient arrays (`a, b, c, d`) by a small
 // integer `arr`; iterator rewrites of those loops obscure the SIMT
 // structure the code deliberately mirrors.
@@ -35,13 +34,13 @@ pub use distributed::{
 pub use executor::PlanExecutor;
 pub use hash::solution_hash;
 pub use plan::{
-    partition, validate_plan_json, validate_sharded_plan_json, Partition, ShardPlan,
-    ShardedPlan, SolvePlan, Step,
+    partition, validate_plan_json, validate_sharded_plan_json, Partition, ShardPlan, ShardedPlan,
+    SolvePlan, Step,
 };
 pub use sharded::ShardedExecutor;
 pub use solver::{
-    DistributedSummary, GpuSolveReport, GpuSolverConfig, GpuTridiagSolver,
-    LayoutChoice, MappingVariant, ShardSummary,
+    DistributedSummary, GpuSolveReport, GpuSolverConfig, GpuTridiagSolver, LayoutChoice,
+    MappingVariant, ShardSummary,
 };
 pub use verify::{
     verify_distributed_plan, verify_plan, verify_sharded_plan, DynamicPlanStats, FindingKind,

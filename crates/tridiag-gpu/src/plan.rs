@@ -172,11 +172,17 @@ impl KernelOp {
     pub fn writes(&self) -> Vec<Slot> {
         match self {
             KernelOp::PThomas {
-                c_prime, d_prime, x, ..
+                c_prime,
+                d_prime,
+                x,
+                ..
             } => vec![*c_prime, *d_prime, *x],
             KernelOp::TiledPcr { output, .. } => output.to_vec(),
             KernelOp::Fused {
-                c_prime, d_prime, x, ..
+                c_prime,
+                d_prime,
+                x,
+                ..
             } => vec![*c_prime, *d_prime, *x],
         }
     }
@@ -352,9 +358,9 @@ impl SolvePlan {
         // The five coefficient/solution buffers open every pipeline, in
         // upload order — slot i is the i-th device allocation.
         let create = |buffers: &mut Vec<BufferDecl>,
-                          steps: &mut Vec<Step>,
-                          name: &'static str,
-                          source: Option<CoefArray>|
+                      steps: &mut Vec<Step>,
+                      name: &'static str,
+                      source: Option<CoefArray>|
          -> Slot {
             let slot = buffers.len();
             buffers.push(BufferDecl { name, elems: total });
@@ -686,7 +692,10 @@ impl SolvePlan {
                         "threads_per_block".into(),
                         Json::num(ls.threads_per_block as f64),
                     ),
-                    ("regs_per_thread".into(), Json::num(ls.regs_per_thread as f64)),
+                    (
+                        "regs_per_thread".into(),
+                        Json::num(ls.regs_per_thread as f64),
+                    ),
                     (
                         "binds".into(),
                         Json::Arr(
@@ -863,9 +872,9 @@ pub fn partition(total: usize, d: usize, of: Partition) -> Result<Vec<(usize, us
     }
     if total < d * of.min_per_part() {
         return Err(SimError::InvalidPlan(match of {
-            Partition::Systems => format!(
-                "cannot shard {total} system(s) across {d} devices: a device would idle"
-            ),
+            Partition::Systems => {
+                format!("cannot shard {total} system(s) across {d} devices: a device would idle")
+            }
             Partition::Rows => format!(
                 "cannot split {total} row(s) across {d} device(s): each chunk needs at \
                  least 2 rows for its interface pair (n >= {})",
@@ -1278,14 +1287,8 @@ mod tests {
     #[test]
     fn empty_geometry_is_a_typed_error() {
         for (m, n) in [(0usize, 64usize), (64, 0), (0, 0)] {
-            let err = SolvePlan::build(
-                &DeviceSpec::gtx480(),
-                &GpuSolverConfig::default(),
-                m,
-                n,
-                8,
-            )
-            .unwrap_err();
+            let err = SolvePlan::build(&DeviceSpec::gtx480(), &GpuSolverConfig::default(), m, n, 8)
+                .unwrap_err();
             assert!(
                 matches!(err, SimError::InvalidPlan(_)),
                 "m={m} n={n}: {err:?}"
@@ -1295,9 +1298,8 @@ mod tests {
 
     #[test]
     fn bad_scalar_width_is_a_typed_error() {
-        let err =
-            SolvePlan::build(&DeviceSpec::gtx480(), &GpuSolverConfig::default(), 4, 64, 2)
-                .unwrap_err();
+        let err = SolvePlan::build(&DeviceSpec::gtx480(), &GpuSolverConfig::default(), 4, 64, 2)
+            .unwrap_err();
         assert!(matches!(err, SimError::InvalidPlan(_)), "{err:?}");
     }
 
@@ -1352,10 +1354,7 @@ mod tests {
     fn validate_catches_malformed_plans() {
         let mut plan = gtx480_split_plan(16, 128, 8);
         // Bind a slot past the table.
-        if let Some(Step::Launch(ls)) = plan
-            .steps
-            .iter_mut()
-            .find(|s| matches!(s, Step::Launch(_)))
+        if let Some(Step::Launch(ls)) = plan.steps.iter_mut().find(|s| matches!(s, Step::Launch(_)))
         {
             if let KernelOp::TiledPcr { input, .. } = &mut ls.op {
                 input[0] = 99;
@@ -1567,7 +1566,9 @@ mod tests {
         let Some((_, Json::Arr(steps))) = fields.iter_mut().find(|(k, _)| k == "steps") else {
             return;
         };
-        let step = steps.iter_mut().find(|s| s.get("op").and_then(Json::as_str) == Some(op));
+        let step = steps
+            .iter_mut()
+            .find(|s| s.get("op").and_then(Json::as_str) == Some(op));
         if let Some(Json::Obj(sf)) = step {
             if let Some((_, v)) = sf.iter_mut().find(|(k, _)| k == key) {
                 *v = value;
@@ -1604,7 +1605,9 @@ mod tests {
         set_step_field(&mut doc, "download", "slot", Json::num(-1.0));
         let problems = validate_plan_json(&doc);
         assert!(
-            problems.iter().any(|p| p.contains("\"slot\" is not a non-negative integer")),
+            problems
+                .iter()
+                .any(|p| p.contains("\"slot\" is not a non-negative integer")),
             "{problems:?}"
         );
 
@@ -1630,7 +1633,10 @@ mod tests {
         for of in [Partition::Systems, Partition::Rows] {
             for (total, d) in [(0usize, 2usize), (4, 0), (3, 4), (0, 0)] {
                 let err = partition(total, d, of).unwrap_err();
-                assert!(matches!(err, SimError::InvalidPlan(_)), "{of:?} {total}/{d}");
+                assert!(
+                    matches!(err, SimError::InvalidPlan(_)),
+                    "{of:?} {total}/{d}"
+                );
             }
         }
     }
@@ -1667,7 +1673,10 @@ mod tests {
         // BlockGroupPerSystem); pinning keeps every shard on the
         // reference decision so outputs stay bit-identical.
         let solo = gtx480_plan(16, 512, 8);
-        assert_ne!((solo.k, solo.mapping), (sp.reference.k, sp.reference.mapping));
+        assert_ne!(
+            (solo.k, solo.mapping),
+            (sp.reference.k, sp.reference.mapping)
+        );
         for sh in &sp.shards {
             assert_eq!(sh.plan.k, sp.reference.k);
             assert_eq!(sh.plan.mapping, sp.reference.mapping);

@@ -24,8 +24,7 @@ use crate::plan::SolvePlan;
 use gpu_sim::timing::TrafficSummary;
 use gpu_sim::trace::Trace;
 use gpu_sim::{
-    BoundKind, DeviceSpec, ExecConfig, Json, KernelTiming, PhaseTiming, Result,
-    SanitizerViolation,
+    BoundKind, DeviceSpec, ExecConfig, Json, KernelTiming, PhaseTiming, Result, SanitizerViolation,
 };
 use tridiag_core::transition::TransitionPolicy;
 use tridiag_core::{Layout, SystemBatch};
@@ -311,7 +310,11 @@ impl GpuSolveReport {
                 rows.push((format!("{}/{}", kr.timing.name, ph.label), ph));
             }
         }
-        rows.sort_by(|a, b| b.1.us.partial_cmp(&a.1.us).unwrap_or(std::cmp::Ordering::Equal));
+        rows.sort_by(|a, b| {
+            b.1.us
+                .partial_cmp(&a.1.us)
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
         let body_us: f64 = self
             .kernels
             .iter()
@@ -325,7 +328,11 @@ impl GpuSolveReport {
                 i + 1,
                 name,
                 ph.us,
-                if body_us > 0.0 { 100.0 * ph.us / body_us } else { 0.0 },
+                if body_us > 0.0 {
+                    100.0 * ph.us / body_us
+                } else {
+                    0.0
+                },
                 format!("{:?}", ph.bound),
                 ph.stats.global_bytes() as f64 / (1024.0 * 1024.0),
                 ph.stats.flops as f64 / 1e6,
@@ -339,15 +346,16 @@ impl GpuSolveReport {
             }
         }
         histo.sort_by_key(|h| std::cmp::Reverse(h.1));
-        let histo_txt: Vec<String> = histo
-            .iter()
-            .map(|(b, n)| format!("{b:?} x{n}"))
-            .collect();
+        let histo_txt: Vec<String> = histo.iter().map(|(b, n)| format!("{b:?} x{n}")).collect();
         let launch_us: f64 = self.kernels.iter().map(|k| k.timing.launch_us).sum();
         let _ = writeln!(
             out,
             "phase bound kinds: {}; launch overhead {:.1} us across {} launch(es)",
-            if histo_txt.is_empty() { "none".into() } else { histo_txt.join(", ") },
+            if histo_txt.is_empty() {
+                "none".into()
+            } else {
+                histo_txt.join(", ")
+            },
             launch_us,
             self.kernels.len()
         );
@@ -373,13 +381,22 @@ impl GpuSolveReport {
                 ("latency_us".into(), Json::num(ph.latency_us)),
                 ("bound".into(), Json::str(format!("{:?}", ph.bound))),
                 ("flops".into(), Json::num(ph.stats.flops as f64)),
-                ("global_bytes".into(), Json::num(ph.stats.global_bytes() as f64)),
+                (
+                    "global_bytes".into(),
+                    Json::num(ph.stats.global_bytes() as f64),
+                ),
                 (
                     "global_transactions".into(),
                     Json::num(ph.stats.global_transactions() as f64),
                 ),
-                ("rounds".into(), Json::num(ph.stats.global_access_rounds as f64)),
-                ("shared_accesses".into(), Json::num(ph.stats.shared_accesses as f64)),
+                (
+                    "rounds".into(),
+                    Json::num(ph.stats.global_access_rounds as f64),
+                ),
+                (
+                    "shared_accesses".into(),
+                    Json::num(ph.stats.shared_accesses as f64),
+                ),
                 (
                     "bank_conflict_replays".into(),
                     Json::num(ph.stats.bank_conflict_replays as f64),
@@ -414,8 +431,8 @@ impl GpuSolveReport {
             })
             .collect();
         let strings = |v: &[String]| Json::Arr(v.iter().map(Json::str).collect());
-        let trace = gpu_sim::json::parse(&self.trace.to_chrome_json())
-            .expect("exporter emits valid JSON");
+        let trace =
+            gpu_sim::json::parse(&self.trace.to_chrome_json()).expect("exporter emits valid JSON");
         let shards = self
             .shards
             .iter()
@@ -446,9 +463,17 @@ impl GpuSolveReport {
             ("kernels".into(), Json::Arr(kernels)),
             (
                 "violations".into(),
-                Json::Arr(self.violations.iter().map(|v| Json::str(v.to_string())).collect()),
+                Json::Arr(
+                    self.violations
+                        .iter()
+                        .map(|v| Json::str(v.to_string()))
+                        .collect(),
+                ),
             ),
-            ("phase_sum_mismatches".into(), strings(&self.phase_sum_mismatches)),
+            (
+                "phase_sum_mismatches".into(),
+                strings(&self.phase_sum_mismatches),
+            ),
             ("verify".into(), self.verify.to_json()),
             ("verify_mismatches".into(), strings(&self.verify_mismatches)),
             ("plan".into(), self.plan.to_json()),
@@ -607,11 +632,8 @@ impl GpuTridiagSolver {
         group: &gpu_sim::DeviceGroup,
         batch: &SystemBatch<S>,
     ) -> Result<(Vec<S>, GpuSolveReport)> {
-        let plan = self.plan_geometry_split(
-            group,
-            batch.system_len(),
-            <S as gpu_sim::Elem>::BYTES,
-        )?;
+        let plan =
+            self.plan_geometry_split(group, batch.system_len(), <S as gpu_sim::Elem>::BYTES)?;
         crate::distributed::DistributedExecutor::new(group.clone(), self.config.exec)
             .run(&plan, batch)
     }
@@ -636,7 +658,13 @@ mod tests {
     fn solves_across_the_table3_regimes() {
         // (m, n) pairs spanning every Table III row (k = 8, 7, 6, 5, 0),
         // sizes kept moderate for test speed.
-        for (m, n) in [(1usize, 2048usize), (16, 1024), (64, 512), (600, 256), (1100, 64)] {
+        for (m, n) in [
+            (1usize, 2048usize),
+            (16, 1024),
+            (64, 512),
+            (600, 256),
+            (1100, 64),
+        ] {
             let batch = random_batch::<f64>(m, n, 7 + m as u64);
             let (x, report) = solve_batch_gtx480(&batch).unwrap();
             let resid = batch.max_relative_residual(&x).unwrap();
@@ -729,12 +757,21 @@ mod tests {
         assert_eq!(split.pcr_us(), split.kernels[0].timing.total_us);
         let fused = run(true);
         assert!(fused.fused);
-        let labels: Vec<&str> = fused.kernels[0].timing.phases.iter().map(|p| p.label).collect();
+        let labels: Vec<&str> = fused.kernels[0]
+            .timing
+            .phases
+            .iter()
+            .map(|p| p.label)
+            .collect();
         for phase in crate::kernels::fused::PCR_PHASES {
             assert!(labels.contains(&phase), "no {phase} phase in {labels:?}");
         }
         let pcr = fused.pcr_us();
-        assert!(pcr > 0.0 && pcr < fused.total_us, "{pcr} of {}", fused.total_us);
+        assert!(
+            pcr > 0.0 && pcr < fused.total_us,
+            "{pcr} of {}",
+            fused.total_us
+        );
     }
 
     #[test]
@@ -787,7 +824,10 @@ mod tests {
         let (x, report) = solver.solve_batch(&batch).unwrap();
         assert!(batch.max_relative_residual(&x).unwrap() < 1e-9);
         assert_eq!(report.k, 4);
-        assert!(matches!(report.mapping, MappingVariant::MultiSystemPerBlock(2)));
+        assert!(matches!(
+            report.mapping,
+            MappingVariant::MultiSystemPerBlock(2)
+        ));
         // Half the blocks of block-per-system.
         assert_eq!(report.kernels[0].blocks, 4);
     }

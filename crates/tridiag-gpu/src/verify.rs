@@ -255,8 +255,14 @@ impl PlanPrediction {
             )
         };
         Json::Obj(vec![
-            ("h2d_total_bytes".into(), Json::num(self.h2d_total_bytes as f64)),
-            ("d2h_total_bytes".into(), Json::num(self.d2h_total_bytes as f64)),
+            (
+                "h2d_total_bytes".into(),
+                Json::num(self.h2d_total_bytes as f64),
+            ),
+            (
+                "d2h_total_bytes".into(),
+                Json::num(self.d2h_total_bytes as f64),
+            ),
             (
                 "peak_resident_bytes".into(),
                 Json::num(self.peak_resident_bytes as f64),
@@ -398,7 +404,12 @@ impl fmt::Display for VerifyReport {
                 launches
             )
         } else {
-            write!(f, "verify {}: {} finding(s)", self.device, self.findings.len())?;
+            write!(
+                f,
+                "verify {}: {} finding(s)",
+                self.device,
+                self.findings.len()
+            )?;
             for finding in &self.findings {
                 write!(f, "\n  {finding}")?;
             }
@@ -486,7 +497,12 @@ impl GroupVerifyReport {
 impl fmt::Display for GroupVerifyReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_clean() {
-            write!(f, "verify {}: clean across {} plan(s)", self.kind, self.plans.len())?;
+            write!(
+                f,
+                "verify {}: clean across {} plan(s)",
+                self.kind,
+                self.plans.len()
+            )?;
             for (label, r) in &self.plans {
                 write!(f, "\n  {label}: {r}")?;
             }
@@ -589,9 +605,9 @@ pub fn verify_plan(spec: &DeviceSpec, plan: &SolvePlan) -> VerifyReport {
     let mut slots = vec![SlotState::default(); nslots];
     let mut findings: Vec<PlanFinding> = Vec::new();
     let push = |findings: &mut Vec<PlanFinding>,
-                    kind: FindingKind,
-                    step: Option<usize>,
-                    message: String| {
+                kind: FindingKind,
+                step: Option<usize>,
+                message: String| {
         findings.push(PlanFinding {
             kind,
             step,
@@ -659,7 +675,9 @@ pub fn verify_plan(spec: &DeviceSpec, plan: &SolvePlan) -> VerifyReport {
                         &mut findings,
                         FindingKind::SlotOutOfRange,
                         Some(i),
-                        format!("upload targets slot {slot} but only {nslots} buffers are declared"),
+                        format!(
+                            "upload targets slot {slot} but only {nslots} buffers are declared"
+                        ),
                     );
                 } else if let Some(prev) = slots[*slot].created {
                     push(
@@ -732,7 +750,11 @@ pub fn verify_plan(spec: &DeviceSpec, plan: &SolvePlan) -> VerifyReport {
                             &mut findings,
                             FindingKind::UseBeforeDef,
                             Some(i),
-                            format!("{} reads slot {s} ({}) before it is created", ls.name, name(s)),
+                            format!(
+                                "{} reads slot {s} ({}) before it is created",
+                                ls.name,
+                                name(s)
+                            ),
                         ),
                         Some(_) if !slots[s].written => push(
                             &mut findings,
@@ -1205,9 +1227,17 @@ pub fn verify_sharded_plan(group: &DeviceGroup, plan: &ShardedPlan) -> GroupVeri
         }
         for (what, got, pinned) in [
             ("k", p.k.to_string(), r.k.to_string()),
-            ("mapping", format!("{:?}", p.mapping), format!("{:?}", r.mapping)),
+            (
+                "mapping",
+                format!("{:?}", p.mapping),
+                format!("{:?}", r.mapping),
+            ),
             ("fused", p.fused.to_string(), r.fused.to_string()),
-            ("layout", format!("{:?}", p.layout), format!("{:?}", r.layout)),
+            (
+                "layout",
+                format!("{:?}", p.layout),
+                format!("{:?}", r.layout),
+            ),
         ] {
             if got != pinned {
                 findings.push(group_finding(
@@ -1365,7 +1395,10 @@ pub fn verify_distributed_plan(group: &DeviceGroup, plan: &DistributedPlan) -> G
             count: ch.row_count,
             plan: ch.interior.as_ref(),
             // The interior plan's m is checked above; here only its n.
-            need: (ch.interior.as_ref().map_or(1, |p| p.m), ch.row_count.saturating_sub(2)),
+            need: (
+                ch.interior.as_ref().map_or(1, |p| p.m),
+                ch.row_count.saturating_sub(2),
+            ),
         })
         .collect();
     let mut plans = check_parts(group, of, plan.n, plan.elem_bytes, &parts, &mut findings);
@@ -1386,7 +1419,14 @@ mod tests {
     use crate::solver::MappingVariant;
 
     fn plan(m: usize, n: usize, bytes: usize) -> SolvePlan {
-        SolvePlan::build(&DeviceSpec::gtx480(), &GpuSolverConfig::default(), m, n, bytes).unwrap()
+        SolvePlan::build(
+            &DeviceSpec::gtx480(),
+            &GpuSolverConfig::default(),
+            m,
+            n,
+            bytes,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -1477,8 +1517,7 @@ mod tests {
     fn sharded_plans_verify_clean() {
         for d in [1usize, 2, 4] {
             let group = DeviceGroup::homogeneous(DeviceSpec::gtx480(), d).unwrap();
-            let sp =
-                ShardedPlan::build(&group, &GpuSolverConfig::default(), 64, 512, 8).unwrap();
+            let sp = ShardedPlan::build(&group, &GpuSolverConfig::default(), 64, 512, 8).unwrap();
             let report = verify_sharded_plan(&group, &sp);
             assert!(report.is_clean(), "d={d}: {report}");
             assert_eq!(report.plans.len(), d);

@@ -112,7 +112,11 @@ fn check_point<S: GpuScalar + Send + Sync>(prec: &str, n: usize, tol: f64) {
         );
         let eb = <S as gpu_sim::Elem>::BYTES as u64;
         assert_eq!(dist.gather_bytes, d as u64 * 8 * eb, "{ctx} D={d}: gather");
-        assert_eq!(dist.scatter_bytes, d as u64 * 2 * eb, "{ctx} D={d}: scatter");
+        assert_eq!(
+            dist.scatter_bytes,
+            d as u64 * 2 * eb,
+            "{ctx} D={d}: scatter"
+        );
         assert_eq!(report.shards.len(), d, "{ctx} D={d}");
         let mut covered = 0usize;
         for (j, sh) in report.shards.iter().enumerate() {
@@ -197,14 +201,28 @@ fn split_timeline_and_trace_are_pinned() {
         let group = DeviceGroup::homogeneous(DeviceSpec::gtx480(), d).unwrap();
         let (x, report) = solver.solve_batch_split(&group, &batch).unwrap();
         let dist = report.distributed.as_ref().expect("distributed summary");
-        let completions: Vec<u64> =
-            report.shards.iter().map(|s| s.completion_us.to_bits()).collect();
+        let completions: Vec<u64> = report
+            .shards
+            .iter()
+            .map(|s| s.completion_us.to_bits())
+            .collect();
         let trace = fnv1a_extend(FNV_OFFSET, report.trace.to_chrome_json().bytes());
         assert_eq!(solution_hash(&x), pin.solution, "D={d}: solution");
         assert_eq!(report.total_us.to_bits(), pin.total_us, "D={d}: total_us");
-        assert_eq!(dist.wall_clock_us.to_bits(), pin.wall_clock_us, "D={d}: wall-clock");
-        assert_eq!(dist.serialized_us.to_bits(), pin.serialized_us, "D={d}: serialized");
-        assert_eq!(completions, pin.completions, "D={d}: per-chunk completion_us");
+        assert_eq!(
+            dist.wall_clock_us.to_bits(),
+            pin.wall_clock_us,
+            "D={d}: wall-clock"
+        );
+        assert_eq!(
+            dist.serialized_us.to_bits(),
+            pin.serialized_us,
+            "D={d}: serialized"
+        );
+        assert_eq!(
+            completions, pin.completions,
+            "D={d}: per-chunk completion_us"
+        );
         assert_eq!(trace, pin.trace, "D={d}: trace text");
     }
 }
@@ -299,5 +317,8 @@ fn two_way_split_is_no_slower_than_one_device_at_large_n() {
         solver.solve_batch_split(&group, &batch).unwrap().1.total_us
     };
     let (w1, w2) = (wall(1), wall(2));
-    assert!(w2 <= w1, "D=2 wall-clock {w2} us must not exceed D=1 {w1} us at n={n}");
+    assert!(
+        w2 <= w1,
+        "D=2 wall-clock {w2} us must not exceed D=1 {w1} us at n={n}"
+    );
 }

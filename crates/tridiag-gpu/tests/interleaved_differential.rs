@@ -45,7 +45,13 @@ fn gpu_vs_interleaved_ref<S: GpuScalar>(m: usize, n: usize, seed: u64) -> f64 {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "slow simulation; run with --release")]
 fn interleaved_gpu_solves_match_the_cpu_lane_reference_f64() {
-    for &(m, n) in &[(64usize, 512usize), (1024, 512), (2048, 64), (37, 129), (1, 1024)] {
+    for &(m, n) in &[
+        (64usize, 512usize),
+        (1024, 512),
+        (2048, 64),
+        (37, 129),
+        (1, 1024),
+    ] {
         let err = gpu_vs_interleaved_ref::<f64>(m, n, 42);
         assert!(err < 1e-12, "m={m} n={n}: relative error {err:.3e}");
     }

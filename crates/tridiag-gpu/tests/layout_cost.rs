@@ -49,7 +49,12 @@ fn check_coalesced_floor<S: GpuScalar>(m: usize, n: usize) {
     let batch = random_batch::<S>(m, n, 42);
     let (_, report) = solver.solve_batch(&batch).unwrap();
     let elem_bytes = <S as gpu_sim::Elem>::BYTES;
-    let cm = coalesced_minimum(m, spec.warp_size as usize, elem_bytes, spec.transaction_bytes);
+    let cm = coalesced_minimum(
+        m,
+        spec.warp_size as usize,
+        elem_bytes,
+        spec.transaction_bytes,
+    );
     let kr = report
         .kernels
         .iter()
@@ -87,7 +92,10 @@ fn interleaved_choices_hit_the_coalesced_floor() {
             if plan.layout != Layout::Interleaved {
                 continue;
             }
-            assert_eq!(plan.k, 0, "m={m} n={n}: interleaved plans are pure p-Thomas");
+            assert_eq!(
+                plan.k, 0,
+                "m={m} n={n}: interleaved plans are pure p-Thomas"
+            );
             interleaved_points += 1;
             if bytes == 4 {
                 check_coalesced_floor::<f32>(m, n);
@@ -237,8 +245,18 @@ fn layout_ablation_matches_pins() {
         let batch = random_batch::<f64>(m, N, 42);
         let mut measured = [(0u64, 0.0f64); 2];
         let rows = [
-            (LayoutChoice::Contiguous, Layout::Contiguous, pin.contiguous_txn, pin.contiguous_us),
-            (LayoutChoice::Interleaved, Layout::Interleaved, pin.interleaved_txn, pin.interleaved_us),
+            (
+                LayoutChoice::Contiguous,
+                Layout::Contiguous,
+                pin.contiguous_txn,
+                pin.contiguous_us,
+            ),
+            (
+                LayoutChoice::Interleaved,
+                Layout::Interleaved,
+                pin.interleaved_txn,
+                pin.interleaved_us,
+            ),
         ];
         for (i, (choice, layout, pinned_txn, pinned_us)) in rows.into_iter().enumerate() {
             let label = format!("m={m} n={N} {layout:?}");
@@ -250,7 +268,9 @@ fn layout_ablation_matches_pins() {
                     ..Default::default()
                 },
             );
-            let (x, report) = solver.solve_batch(&batch).unwrap_or_else(|e| panic!("{label}: {e}"));
+            let (x, report) = solver
+                .solve_batch(&batch)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
             assert_eq!(report.k, 0, "{label}: not pure p-Thomas");
             assert_eq!(report.plan.layout, layout, "{label}");
             let txn: u64 = report
@@ -264,7 +284,10 @@ fn layout_ablation_matches_pins() {
                 cost::pthomas_transactions(&spec, layout, m, N, 8),
                 "{label}: measured transactions != closed form"
             );
-            assert_eq!(txn, pinned_txn, "{label}: transactions drifted from the pin");
+            assert_eq!(
+                txn, pinned_txn,
+                "{label}: transactions drifted from the pin"
+            );
             assert_eq!(
                 report.total_us.to_bits(),
                 pinned_us,
@@ -277,7 +300,10 @@ fn layout_ablation_matches_pins() {
             measured[i] = (txn, report.total_us);
         }
         let [contig, inter] = measured;
-        assert!(inter.0 < contig.0, "m={m}: interleaved must move fewer transactions");
+        assert!(
+            inter.0 < contig.0,
+            "m={m}: interleaved must move fewer transactions"
+        );
         assert!(inter.1 < contig.1, "m={m}: interleaved must model faster");
     }
 }
@@ -305,12 +331,10 @@ fn elided_interleaved_solve_matches_contiguous_bits() {
         let (x_inter, r_inter) = forced.solve_batch(&inter).unwrap();
         // The elided plan really elided: no layout conversions at all.
         assert!(
-            !r_inter
-                .plan
-                .steps
-                .iter()
-                .any(|s| matches!(s, tridiag_gpu::Step::Convert { .. }
-                    | tridiag_gpu::Step::ConvertBack { .. })),
+            !r_inter.plan.steps.iter().any(|s| matches!(
+                s,
+                tridiag_gpu::Step::Convert { .. } | tridiag_gpu::Step::ConvertBack { .. }
+            )),
             "m={m} n={n}: forced-interleaved plan kept its Convert steps"
         );
         // Same layout decision on the device either way at these

@@ -135,7 +135,10 @@ fn run_point<S: GpuScalar>(config: GpuSolverConfig, m: usize, n: usize) -> Strin
     assert!(report.violations.is_empty(), "m={m} n={n}");
     let resid = batch.max_relative_residual(&x).unwrap();
     let tol = tridiag_core::verify::default_tolerance::<S>() * 1e3;
-    assert!(resid <= tol, "m={m} n={n}: residual {resid:.3e} > {tol:.3e}");
+    assert!(
+        resid <= tol,
+        "m={m} n={n}: residual {resid:.3e} > {tol:.3e}"
+    );
     report_snapshot(&x, &report)
 }
 
@@ -395,7 +398,11 @@ fn sweep_plan_json_is_schema_valid() {
         if doc.parts_key.is_empty() {
             continue;
         }
-        let prefix = if doc.parts_key == "shards" { "sys" } else { "row" };
+        let prefix = if doc.parts_key == "shards" {
+            "sys"
+        } else {
+            "row"
+        };
         let field = |part: &gpu_sim::Json, key: &str| {
             part.get(key)
                 .and_then(gpu_sim::Json::as_num)
@@ -414,7 +421,11 @@ fn sweep_plan_json_is_schema_valid() {
                 )
             })
             .collect();
-        assert_eq!(listed, doc.parts, "{label}: {} drifted from the typed plan", doc.parts_key);
+        assert_eq!(
+            listed, doc.parts,
+            "{label}: {} drifted from the typed plan",
+            doc.parts_key
+        );
     }
 }
 
@@ -429,7 +440,10 @@ fn plan_then_execute_reproduces_solve_batch() {
         let batch = random_batch::<f64>(m, n, SEED);
         let (x1, r1) = solver.solve_batch(&batch).unwrap();
         let plan = solver.plan_geometry(m, n, 8).unwrap();
-        assert_eq!(r1.plan, plan, "m={m} n={n}: report carries a different plan");
+        assert_eq!(
+            r1.plan, plan,
+            "m={m} n={n}: report carries a different plan"
+        );
         let mut ex = PlanExecutor::new(solver.spec().clone(), gpu_sim::ExecConfig::default());
         let (x2, r2) = ex.run(&plan, &batch).unwrap();
         assert_eq!(
@@ -451,7 +465,10 @@ fn parse_golden(blob: &str) -> Vec<(String, String)> {
         if trimmed.is_empty() {
             continue;
         }
-        if let Some(k) = trimmed.strip_prefix("=== ").and_then(|r| r.strip_suffix(" ===")) {
+        if let Some(k) = trimmed
+            .strip_prefix("=== ")
+            .and_then(|r| r.strip_suffix(" ==="))
+        {
             if let Some(prev) = key.take() {
                 out.push((prev, std::mem::take(&mut body)));
             }

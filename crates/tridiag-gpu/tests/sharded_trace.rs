@@ -72,14 +72,20 @@ fn merged_trace_has_one_kernel_track_per_device() {
             .map(|e| e.tid)
             .collect();
         let expected: BTreeSet<u32> = (0..DEVICES as u32).collect();
-        assert_eq!(kernel_tids, expected, "{root_name}: one kernel track per device");
+        assert_eq!(
+            kernel_tids, expected,
+            "{root_name}: one kernel track per device"
+        );
         // Each device track also carries its modeled host<->device copies.
         for d in 0..DEVICES as u32 {
             let copies = spans(&report)
                 .iter()
                 .filter(|e| e.tid == d && e.cat == "copy")
                 .count();
-            assert!(copies >= 2, "{root_name} device {d}: expected h2d + d2h copy spans");
+            assert!(
+                copies >= 2,
+                "{root_name} device {d}: expected h2d + d2h copy spans"
+            );
         }
         // The root span lives on track 0 and bounds the whole timeline.
         let root = spans(&report)
@@ -93,7 +99,11 @@ fn merged_trace_has_one_kernel_track_per_device() {
             .iter()
             .map(|e| e.ts_us + e.dur_us)
             .fold(0.0f64, f64::max);
-        assert_eq!(root.ts_us + root.dur_us, end, "{root_name}: root span bounds the trace");
+        assert_eq!(
+            root.ts_us + root.dur_us,
+            end,
+            "{root_name}: root span bounds the trace"
+        );
     }
 }
 
@@ -111,9 +121,7 @@ fn phase_spans_sum_bit_exactly_within_each_kernel_span() {
             // zero-duration span could straddle the boundary into an
             // adjacent kernel, and those contribute nothing to the sums.)
             let contained = |e: &&&TraceEvent| {
-                e.tid == k.tid
-                    && e.ts_us >= k.ts_us
-                    && e.ts_us + e.dur_us <= k.ts_us + k.dur_us
+                e.tid == k.tid && e.ts_us >= k.ts_us && e.ts_us + e.dur_us <= k.ts_us + k.dur_us
             };
             let launch = all
                 .iter()

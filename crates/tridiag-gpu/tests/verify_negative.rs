@@ -51,25 +51,31 @@ fn fused_base_plan() -> (DeviceSpec, SolvePlan) {
 }
 
 fn fused_launch_at(plan: &SolvePlan) -> usize {
-    step_index(plan, |s| {
-        matches!(s, Step::Launch(l) if matches!(l.op, KernelOp::Fused { .. }))
-    })
+    step_index(
+        plan,
+        |s| matches!(s, Step::Launch(l) if matches!(l.op, KernelOp::Fused { .. })),
+    )
 }
 
 fn step_index(plan: &SolvePlan, pred: impl Fn(&Step) -> bool) -> usize {
-    plan.steps.iter().position(pred).expect("expected step missing from the base plan")
+    plan.steps
+        .iter()
+        .position(pred)
+        .expect("expected step missing from the base plan")
 }
 
 fn tiled_launch_at(plan: &SolvePlan) -> usize {
-    step_index(plan, |s| {
-        matches!(s, Step::Launch(l) if matches!(l.op, KernelOp::TiledPcr { .. }))
-    })
+    step_index(
+        plan,
+        |s| matches!(s, Step::Launch(l) if matches!(l.op, KernelOp::TiledPcr { .. })),
+    )
 }
 
 fn thomas_launch_at(plan: &SolvePlan) -> usize {
-    step_index(plan, |s| {
-        matches!(s, Step::Launch(l) if matches!(l.op, KernelOp::PThomas { .. }))
-    })
+    step_index(
+        plan,
+        |s| matches!(s, Step::Launch(l) if matches!(l.op, KernelOp::PThomas { .. })),
+    )
 }
 
 /// The one finding of `kind`, with its attribution checked.
@@ -100,7 +106,10 @@ fn use_before_def_fires_at_the_reading_launch() {
     }
     let report = verify_plan(&device, &plan);
     let msg = expect_finding(&report, FindingKind::UseBeforeDef, Some(at));
-    assert!(msg.contains("before it is created"), "unexpected message: {msg}");
+    assert!(
+        msg.contains("before it is created"),
+        "unexpected message: {msg}"
+    );
 }
 
 #[test]
@@ -116,7 +125,10 @@ fn unwritten_scratch_read_fires_at_the_reading_launch() {
     }
     let report = verify_plan(&device, &plan);
     let msg = expect_finding(&report, FindingKind::UnwrittenScratchRead, Some(at));
-    assert!(msg.contains("no prior step wrote"), "unexpected message: {msg}");
+    assert!(
+        msg.contains("no prior step wrote"),
+        "unexpected message: {msg}"
+    );
 }
 
 #[test]
@@ -156,7 +168,10 @@ fn alias_hazard_fires_when_an_output_aliases_an_input() {
     }
     let report = verify_plan(&device, &plan);
     let msg = expect_finding(&report, FindingKind::AliasHazard, Some(at));
-    assert!(msg.contains("both input and output"), "unexpected message: {msg}");
+    assert!(
+        msg.contains("both input and output"),
+        "unexpected message: {msg}"
+    );
 }
 
 #[test]
@@ -173,9 +188,15 @@ fn input_write_fires_when_scratch_is_bound_to_an_uploaded_input() {
     }
     let report = verify_plan(&device, &plan);
     let msg = expect_finding(&report, FindingKind::InputWrite, Some(at));
-    assert!(msg.contains("uploaded read-only input"), "unexpected message: {msg}");
     assert!(
-        !report.findings.iter().any(|f| f.kind == FindingKind::AliasHazard),
+        msg.contains("uploaded read-only input"),
+        "unexpected message: {msg}"
+    );
+    assert!(
+        !report
+            .findings
+            .iter()
+            .any(|f| f.kind == FindingKind::AliasHazard),
         "not an alias of the launch's own inputs: {:?}",
         report.findings
     );
@@ -200,7 +221,10 @@ fn fused_use_before_def_fires_at_the_reading_launch() {
     plan.steps.insert(at + 1, upload);
     let report = verify_plan(&device, &plan);
     let msg = expect_finding(&report, FindingKind::UseBeforeDef, Some(at));
-    assert!(msg.contains("before it is created"), "unexpected message: {msg}");
+    assert!(
+        msg.contains("before it is created"),
+        "unexpected message: {msg}"
+    );
 }
 
 #[test]
@@ -231,7 +255,10 @@ fn fused_alias_hazard_fires_when_the_solution_aliases_an_input() {
     }
     let report = verify_plan(&device, &plan);
     let msg = expect_finding(&report, FindingKind::AliasHazard, Some(at));
-    assert!(msg.contains("both input and output"), "unexpected message: {msg}");
+    assert!(
+        msg.contains("both input and output"),
+        "unexpected message: {msg}"
+    );
 }
 
 #[test]
@@ -239,7 +266,10 @@ fn dangling_slot_fires_for_an_allocated_but_unused_buffer() {
     let (device, base) = base_plan();
     let x_alloc = step_index(&base, |s| matches!(s, Step::Alloc { slot: 4 }));
     let mut plan = base.clone();
-    plan.buffers.push(BufferDecl { name: "orphan", elems: 64 });
+    plan.buffers.push(BufferDecl {
+        name: "orphan",
+        elems: 64,
+    });
     let orphan = plan.buffers.len() - 1;
     plan.steps.insert(x_alloc, Step::Alloc { slot: orphan });
     let report = verify_plan(&device, &plan);
@@ -248,10 +278,16 @@ fn dangling_slot_fires_for_an_allocated_but_unused_buffer() {
 
     // Declared but never created at all.
     let mut plan = base.clone();
-    plan.buffers.push(BufferDecl { name: "orphan", elems: 64 });
+    plan.buffers.push(BufferDecl {
+        name: "orphan",
+        elems: 64,
+    });
     let report = verify_plan(&device, &plan);
     let msg = expect_finding(&report, FindingKind::DanglingSlot, None);
-    assert!(msg.contains("declared but never created"), "unexpected message: {msg}");
+    assert!(
+        msg.contains("declared but never created"),
+        "unexpected message: {msg}"
+    );
 }
 
 #[test]
@@ -323,7 +359,11 @@ fn peak_memory_overflow_fires_at_the_peak_step() {
         f.step, report.prediction.peak_step,
         "overflow must be attributed to the step where the peak is reached"
     );
-    assert!(f.message.contains("global memory"), "unexpected message: {}", f.message);
+    assert!(
+        f.message.contains("global memory"),
+        "unexpected message: {}",
+        f.message
+    );
 }
 
 #[test]
@@ -349,7 +389,10 @@ fn shard_partition_violations_fire_with_shard_attribution() {
     plan.shards[1].sys_count += 1;
     let report = verify_sharded_plan(&group, &plan);
     assert!(
-        report.findings.iter().any(|f| f.kind == FindingKind::ShardPartition),
+        report
+            .findings
+            .iter()
+            .any(|f| f.kind == FindingKind::ShardPartition),
         "an overlapping partition must be rejected: {:?}",
         report.findings
     );
@@ -377,7 +420,10 @@ fn shard_consistency_violations_fire_for_unpinned_decisions() {
     plan.shards[1].plan.fused = !plan.shards[1].plan.fused;
     let report = verify_sharded_plan(&group, &plan);
     assert!(
-        report.findings.iter().any(|f| f.kind == FindingKind::ShardConsistency),
+        report
+            .findings
+            .iter()
+            .any(|f| f.kind == FindingKind::ShardConsistency),
         "a fusion flip must be rejected: {:?}",
         report.findings
     );
@@ -421,7 +467,11 @@ fn dropped_interior_plan_fires_interface_exchange_on_its_chunk() {
         .find(|f| f.kind == FindingKind::InterfaceExchange)
         .expect("expected an interface-exchange finding");
     assert_eq!(f.chunk, Some(0));
-    assert!(f.message.contains("used before being defined"), "{}", f.message);
+    assert!(
+        f.message.contains("used before being defined"),
+        "{}",
+        f.message
+    );
 }
 
 #[test]
@@ -460,7 +510,10 @@ fn wrong_size_reduced_plan_fires_reduced_system() {
     plan.reduced = Some(solver.plan_geometry(1, 2 * group.len() - 1, 8).unwrap());
     let report = verify_distributed_plan(&group, &plan);
     assert!(
-        report.findings.iter().any(|f| f.kind == FindingKind::ReducedSystem),
+        report
+            .findings
+            .iter()
+            .any(|f| f.kind == FindingKind::ReducedSystem),
         "expected a reduced-system finding: {:?}",
         report.findings
     );
@@ -497,9 +550,24 @@ fn shard_list_violations_fire_on_the_typed_plan() {
         expect_group_finding(&verify_sharded_plan(&group, &plan), kind, part, says);
     };
     let consistency = FindingKind::ShardConsistency;
-    check(&|p| drop(p.shards.pop()), consistency, None, "the group has 2 device(s)");
-    check(&|p| p.shards[1].device_index = 0, consistency, Some(1), "device order");
-    check(&|p| p.shards.clear(), FindingKind::ShardPartition, None, "no shards");
+    check(
+        &|p| drop(p.shards.pop()),
+        consistency,
+        None,
+        "the group has 2 device(s)",
+    );
+    check(
+        &|p| p.shards[1].device_index = 0,
+        consistency,
+        Some(1),
+        "device order",
+    );
+    check(
+        &|p| p.shards.clear(),
+        FindingKind::ShardPartition,
+        None,
+        "no shards",
+    );
 }
 
 /// The same part-list invariants for row-split chunks, plus what only
@@ -509,19 +577,34 @@ fn shard_list_violations_fire_on_the_typed_plan() {
 #[test]
 fn chunk_list_violations_fire_on_the_typed_plan() {
     let (group, solver, base) = split_plan();
-    let check = |base: &DistributedPlan,
-                 mutate: &dyn Fn(&mut DistributedPlan),
-                 kind,
-                 part,
-                 says: &str| {
-        let mut plan = base.clone();
-        mutate(&mut plan);
-        expect_group_finding(&verify_distributed_plan(&group, &plan), kind, part, says);
-    };
+    let check =
+        |base: &DistributedPlan, mutate: &dyn Fn(&mut DistributedPlan), kind, part, says: &str| {
+            let mut plan = base.clone();
+            mutate(&mut plan);
+            expect_group_finding(&verify_distributed_plan(&group, &plan), kind, part, says);
+        };
     let consistency = FindingKind::ChunkConsistency;
-    check(&base, &|p| drop(p.chunks.pop()), consistency, None, "the group has 2 device(s)");
-    check(&base, &|p| p.chunks[0].device_index = 1, consistency, Some(0), "device order");
-    check(&base, &|p| p.chunks.clear(), FindingKind::ChunkPartition, None, "no chunks");
+    check(
+        &base,
+        &|p| drop(p.chunks.pop()),
+        consistency,
+        None,
+        "the group has 2 device(s)",
+    );
+    check(
+        &base,
+        &|p| p.chunks[0].device_index = 1,
+        consistency,
+        Some(0),
+        "device order",
+    );
+    check(
+        &base,
+        &|p| p.chunks.clear(),
+        FindingKind::ChunkPartition,
+        None,
+        "no chunks",
+    );
     let identity = solver.plan_geometry(1, 512, 8).unwrap();
     check(
         &base,
@@ -530,7 +613,13 @@ fn chunk_list_violations_fire_on_the_typed_plan() {
         None,
         "identity plan present but 2 chunk(s)",
     );
-    check(&base, &|p| p.reduced = None, FindingKind::ReducedSystem, None, "no reduced");
+    check(
+        &base,
+        &|p| p.reduced = None,
+        FindingKind::ReducedSystem,
+        None,
+        "no reduced",
+    );
     let li = base.chunks[1].interior_len();
     let long = solver.plan_geometry(3, li + 1, 8).unwrap();
     check(
@@ -573,8 +662,14 @@ fn executor_refuses_an_uncertified_plan() {
     let err = exec.run(&plan, &batch).unwrap_err();
     match err {
         SimError::InvalidPlan(msg) => {
-            assert!(msg.contains("static verification"), "unexpected error: {msg}");
-            assert!(msg.contains("unwritten-scratch-read"), "unexpected error: {msg}");
+            assert!(
+                msg.contains("static verification"),
+                "unexpected error: {msg}"
+            );
+            assert!(
+                msg.contains("unwritten-scratch-read"),
+                "unexpected error: {msg}"
+            );
         }
         other => panic!("expected InvalidPlan, got {other:?}"),
     }
@@ -593,7 +688,10 @@ fn sharded_executor_refuses_an_uncertified_plan() {
     let err = exec.run(&plan, &batch).unwrap_err();
     match err {
         SimError::InvalidPlan(msg) => {
-            assert!(msg.contains("static verification"), "unexpected error: {msg}");
+            assert!(
+                msg.contains("static verification"),
+                "unexpected error: {msg}"
+            );
             assert!(msg.contains("shard-partition"), "unexpected error: {msg}");
         }
         other => panic!("expected InvalidPlan, got {other:?}"),
@@ -610,8 +708,14 @@ fn distributed_executor_refuses_an_uncertified_plan() {
     let err = exec.run(&plan, &batch).unwrap_err();
     match err {
         SimError::InvalidPlan(msg) => {
-            assert!(msg.contains("static verification"), "unexpected error: {msg}");
-            assert!(msg.contains("interface-exchange"), "unexpected error: {msg}");
+            assert!(
+                msg.contains("static verification"),
+                "unexpected error: {msg}"
+            );
+            assert!(
+                msg.contains("interface-exchange"),
+                "unexpected error: {msg}"
+            );
         }
         other => panic!("expected InvalidPlan, got {other:?}"),
     }

@@ -117,8 +117,7 @@ proptest! {
 /// finding.
 #[test]
 fn heterogeneous_groups_certify_clean() {
-    let group =
-        DeviceGroup::from_specs(vec![DeviceSpec::gtx480(), DeviceSpec::gtx280()]).unwrap();
+    let group = DeviceGroup::from_specs(vec![DeviceSpec::gtx480(), DeviceSpec::gtx280()]).unwrap();
     let solver = GpuTridiagSolver::new(DeviceSpec::gtx480(), GpuSolverConfig::default());
     let plan = solver.plan_geometry_group(&group, 32, 1024, 8).unwrap();
     let report = verify_sharded_plan(&group, &plan);

@@ -12,9 +12,9 @@
 use std::sync::Arc;
 
 use gpu_sim::{DeviceGroup, Result};
+use tridiag_gpu::hash::{fnv1a_extend, FNV_OFFSET};
 use tridiag_gpu::solver::GpuSolverConfig;
 use tridiag_gpu::ShardedPlan;
-use tridiag_gpu::hash::{fnv1a_extend, FNV_OFFSET};
 
 /// Statically certify `plan` against `group` with the plan verifier
 /// ([`tridiag_gpu::verify`]). `Ok(())` when clean; otherwise
@@ -51,11 +51,7 @@ pub struct PlanKey {
 pub fn config_fingerprint(config: &GpuSolverConfig) -> u64 {
     let text = format!(
         "{:?}|{:?}|{}|{}|{:?}",
-        config.policy,
-        config.mapping,
-        config.fused,
-        config.sub_tile_scale,
-        config.layout
+        config.policy, config.mapping, config.fused, config.sub_tile_scale, config.layout
     );
     fnv1a_extend(FNV_OFFSET, text.bytes())
 }

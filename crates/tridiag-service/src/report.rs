@@ -292,19 +292,10 @@ impl ServiceReport {
                                 .iter()
                                 .map(|d| {
                                     Json::Obj(vec![
-                                        (
-                                            "device".into(),
-                                            Json::num(d.device_index as f64),
-                                        ),
-                                        (
-                                            "sys_count".into(),
-                                            Json::num(d.sys_count as f64),
-                                        ),
+                                        ("device".into(), Json::num(d.device_index as f64)),
+                                        ("sys_count".into(), Json::num(d.sys_count as f64)),
                                         ("kernel_us".into(), Json::num(d.kernel_us)),
-                                        (
-                                            "completion_us".into(),
-                                            Json::num(d.completion_us),
-                                        ),
+                                        ("completion_us".into(), Json::num(d.completion_us)),
                                     ])
                                 })
                                 .collect(),
@@ -321,10 +312,7 @@ impl ServiceReport {
             (
                 "totals".into(),
                 Json::Obj(vec![
-                    (
-                        "submitted".into(),
-                        Json::num(self.responses.len() as f64),
-                    ),
+                    ("submitted".into(), Json::num(self.responses.len() as f64)),
                     ("completed".into(), Json::num(completed as f64)),
                     ("rejected".into(), Json::num(rejected as f64)),
                     ("failed".into(), Json::num(failed as f64)),
@@ -361,10 +349,7 @@ impl ServiceReport {
                         "good_buckets".into(),
                         Json::num(self.slo.good_buckets as f64),
                     ),
-                    (
-                        "bad_buckets".into(),
-                        Json::num(self.slo.bad_buckets as f64),
-                    ),
+                    ("bad_buckets".into(), Json::num(self.slo.bad_buckets as f64)),
                     ("budget_frac".into(), Json::num(self.slo.budget_frac)),
                     ("budget_burn".into(), Json::num(self.slo.budget_burn)),
                 ]),
@@ -497,9 +482,17 @@ pub fn validate_service_report_json(doc: &Json) -> Vec<String> {
                 .and_then(Json::as_num)
                 .unwrap_or(f64::NAN)
         };
-        let (q, co, k, s) = (span("queue"), span("coalesce"), span("kernel"), span("scatter"));
+        let (q, co, k, s) = (
+            span("queue"),
+            span("coalesce"),
+            span("kernel"),
+            span("scatter"),
+        );
         let sum = q + co + k + s;
-        let latency = r.get("latency_us").and_then(Json::as_num).unwrap_or(f64::NAN);
+        let latency = r
+            .get("latency_us")
+            .and_then(Json::as_num)
+            .unwrap_or(f64::NAN);
         if sum.is_nan() || latency.is_nan() || (sum - latency).abs() > 1e-6 * latency.abs().max(1.0)
         {
             rc.problem(format!("(id {id}): spans sum {sum} != latency {latency}"));

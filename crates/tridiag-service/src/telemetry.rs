@@ -102,8 +102,14 @@ impl Telemetry {
             &[50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0, 10000.0],
         );
         metrics.declare_histogram("kernel_us", &[25.0, 50.0, 100.0, 200.0, 500.0, 1000.0]);
-        metrics.declare_histogram("queue_depth", &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]);
-        metrics.declare_histogram("coalesce_batch_size", &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]);
+        metrics.declare_histogram(
+            "queue_depth",
+            &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0],
+        );
+        metrics.declare_histogram(
+            "coalesce_batch_size",
+            &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
+        );
         Telemetry {
             metrics,
             events: Vec::new(),
@@ -116,7 +122,13 @@ impl Telemetry {
         &self.events
     }
 
-    fn push(&mut self, kind: &'static str, t_us: f64, cid: Option<u64>, fields: Vec<(String, Json)>) {
+    fn push(
+        &mut self,
+        kind: &'static str,
+        t_us: f64,
+        cid: Option<u64>,
+        fields: Vec<(String, Json)>,
+    ) {
         self.events.push(Event {
             kind,
             t_us,
@@ -213,7 +225,8 @@ impl Telemetry {
                 ("kernel_us".into(), Json::num(kernel_us)),
             ],
         );
-        self.metrics.inc("cache", if cache_hit { "hit" } else { "miss" });
+        self.metrics
+            .inc("cache", if cache_hit { "hit" } else { "miss" });
         self.metrics.inc(
             "batches",
             if isolated {
@@ -248,7 +261,8 @@ impl Telemetry {
                 ],
             );
             self.metrics.inc("shards", &label);
-            self.metrics.add_gauge("device_kernel_us", &label, dev.kernel_us);
+            self.metrics
+                .add_gauge("device_kernel_us", &label, dev.kernel_us);
         }
     }
 
@@ -257,7 +271,8 @@ impl Telemetry {
     /// Records the terminal event and the attributed-time gauges whose
     /// additions [`Telemetry::cross_check`] replays.
     pub fn on_response(&mut self, r: &Response, precision: &'static str) {
-        self.metrics.add_gauge("attributed_us", "queue", r.spans.queue_us);
+        self.metrics
+            .add_gauge("attributed_us", "queue", r.spans.queue_us);
         self.metrics
             .add_gauge("attributed_us", "coalesce", r.spans.coalesce_us);
         self.metrics
@@ -347,7 +362,12 @@ impl Telemetry {
         let mut trace = Trace::new(process);
         let mut dispatches: Vec<(u64, u64, f64)> = Vec::new(); // (batch, device, t)
         for e in &self.events {
-            let get_u64 = |key: &str| e.to_json().get(key).and_then(Json::as_num).map(|v| v as u64);
+            let get_u64 = |key: &str| {
+                e.to_json()
+                    .get(key)
+                    .and_then(Json::as_num)
+                    .map(|v| v as u64)
+            };
             match e.kind {
                 "cache_hit" | "cache_miss" => {
                     let batch = get_u64("batch").unwrap_or(0);
@@ -368,7 +388,10 @@ impl Telemetry {
                             ("cache_hit".into(), Json::Bool(e.kind == "cache_hit")),
                             (
                                 "cids".into(),
-                                e.to_json().get("cids").cloned().unwrap_or(Json::Arr(vec![])),
+                                e.to_json()
+                                    .get("cids")
+                                    .cloned()
+                                    .unwrap_or(Json::Arr(vec![])),
                             ),
                         ],
                     );
@@ -414,7 +437,8 @@ impl Telemetry {
                     let tid = request_track(cid);
                     let arrival = e.t_us - (q + c + k + s);
                     let mut cursor = arrival;
-                    for (name, dur) in [("queue", q), ("coalesce", c), ("kernel", k), ("scatter", s)]
+                    for (name, dur) in
+                        [("queue", q), ("coalesce", c), ("kernel", k), ("scatter", s)]
                     {
                         trace.span(
                             format!("req[{cid}]/{name}"),
@@ -447,7 +471,11 @@ impl Telemetry {
         let mut problems = Vec::new();
         let att = &report.attributed;
         for (label, metric, reported) in [
-            ("queue", self.metrics.gauge("attributed_us", "queue"), att.queue_us),
+            (
+                "queue",
+                self.metrics.gauge("attributed_us", "queue"),
+                att.queue_us,
+            ),
             (
                 "coalesce",
                 self.metrics.gauge("attributed_us", "coalesce"),
@@ -473,8 +501,16 @@ impl Telemetry {
         }
         let (completed, _rejected, failed) = report.totals();
         let pairs = [
-            ("requests/completed", self.metrics.counter("requests", "completed"), completed as u64),
-            ("requests/failed", self.metrics.counter("requests", "failed"), failed as u64),
+            (
+                "requests/completed",
+                self.metrics.counter("requests", "completed"),
+                completed as u64,
+            ),
+            (
+                "requests/failed",
+                self.metrics.counter("requests", "failed"),
+                failed as u64,
+            ),
         ];
         for (name, metric, reported) in pairs {
             if metric != reported {
@@ -610,9 +646,9 @@ pub fn validate_event_log(text: &str) -> Result<ReplaySummary, Vec<String>> {
                     let l = entry(&mut life, &mut order, cid);
                     let completed = kind == "completion";
                     match l.admitted_at {
-                        None => c.problem(format!(
-                            "orphan {kind} for cid {cid} (no admission event)"
-                        )),
+                        None => {
+                            c.problem(format!("orphan {kind} for cid {cid} (no admission event)"))
+                        }
                         Some(at) if t < at => c.problem(format!(
                             "{kind} for cid {cid} at t {t} precedes its admission at {at}"
                         )),
@@ -632,9 +668,7 @@ pub fn validate_event_log(text: &str) -> Result<ReplaySummary, Vec<String>> {
                 if let Some(cid) = cid {
                     let l = entry(&mut life, &mut order, cid);
                     if l.admitted_at.is_some() || l.terminals > 0 {
-                        c.problem(format!(
-                            "cid {cid} has both a reject and lifecycle events"
-                        ));
+                        c.problem(format!("cid {cid} has both a reject and lifecycle events"));
                     }
                     l.rejected = true;
                 }
@@ -697,7 +731,9 @@ pub fn validate_event_log(text: &str) -> Result<ReplaySummary, Vec<String>> {
         problems.push(format!("coalesce_open for tick {tick} never closed"));
     }
     for (b, d) in &pending_dispatch {
-        problems.push(format!("shard_dispatch for batch {b} device {d} never joined"));
+        problems.push(format!(
+            "shard_dispatch for batch {b} device {d} never joined"
+        ));
     }
 
     let mut summary = ReplaySummary::default();
@@ -770,7 +806,11 @@ pub fn validate_request_chains(trace_text: &str) -> Result<Vec<u64>, Vec<String>
         let ts = c.req_num("ts").unwrap_or(0.0);
         let dur = c.req_num("dur").unwrap_or(0.0);
         let tid = c.req_uint("tid").unwrap_or(0);
-        let cid = match e.get("args").and_then(|a| a.get("cid")).and_then(Json::as_num) {
+        let cid = match e
+            .get("args")
+            .and_then(|a| a.get("cid"))
+            .and_then(Json::as_num)
+        {
             Some(v) => v as u64,
             None => {
                 c.problem("missing numeric args.cid");
@@ -793,7 +833,10 @@ pub fn validate_request_chains(trace_text: &str) -> Result<Vec<u64>, Vec<String>
         if spans.iter().any(|s| s.0 != tid) {
             problems.push(format!("cid {cid}: chain spans spread across tracks"));
         }
-        for (idx, stage) in ["queue", "coalesce", "kernel", "scatter"].iter().enumerate() {
+        for (idx, stage) in ["queue", "coalesce", "kernel", "scatter"]
+            .iter()
+            .enumerate()
+        {
             let expected = format!("req[{cid}]/{stage}");
             if spans[idx].1 != expected {
                 problems.push(format!(
@@ -838,11 +881,16 @@ mod tests {
         assert!(errs.iter().any(|p| p.contains("orphan")), "{errs:?}");
 
         let mut t = Telemetry::new();
-        t.push("admission", 0.0, Some(7), vec![
-            ("m".into(), Json::num(1)),
-            ("n".into(), Json::num(64)),
-            ("precision".into(), Json::str("f64")),
-        ]);
+        t.push(
+            "admission",
+            0.0,
+            Some(7),
+            vec![
+                ("m".into(), Json::num(1)),
+                ("n".into(), Json::num(64)),
+                ("precision".into(), Json::str("f64")),
+            ],
+        );
         t.push("completion", 5.0, Some(7), vec![]);
         t.push("completion", 6.0, Some(7), vec![]);
         let errs = validate_event_log(&t.to_jsonl()).unwrap_err();
@@ -855,11 +903,16 @@ mod tests {
     #[test]
     fn replay_rejects_missing_terminal_and_bad_header() {
         let mut t = Telemetry::new();
-        t.push("admission", 0.0, Some(3), vec![
-            ("m".into(), Json::num(1)),
-            ("n".into(), Json::num(64)),
-            ("precision".into(), Json::str("f32")),
-        ]);
+        t.push(
+            "admission",
+            0.0,
+            Some(3),
+            vec![
+                ("m".into(), Json::num(1)),
+                ("n".into(), Json::num(64)),
+                ("precision".into(), Json::str("f32")),
+            ],
+        );
         let errs = validate_event_log(&t.to_jsonl()).unwrap_err();
         assert!(errs.iter().any(|p| p.contains("no terminal")), "{errs:?}");
 

@@ -37,7 +37,9 @@ fn workspace_errors_box_as_dyn_error() {
 #[test]
 fn question_mark_lifts_into_dyn_error() {
     fn sim() -> Result<(), SimError> {
-        Err(SimError::InvalidPlan("peak resident exceeds global memory".into()))
+        Err(SimError::InvalidPlan(
+            "peak resident exceeds global memory".into(),
+        ))
     }
     fn app() -> Result<(), Box<dyn Error>> {
         sim()?;

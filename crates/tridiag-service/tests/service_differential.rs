@@ -18,8 +18,7 @@ use rand::{Rng, SeedableRng};
 use tridiag_core::generators::random_batch;
 use tridiag_core::SystemBatch;
 use tridiag_service::{
-    solo_solution, validate_service_report_json, Payload, ServiceConfig, ServiceCore,
-    SolveRequest,
+    solo_solution, validate_service_report_json, Payload, ServiceConfig, ServiceCore, SolveRequest,
 };
 
 const MIXES: usize = 60;
@@ -309,8 +308,15 @@ fn coalescing_window_sweep_matches_pins() {
         );
         let report = core.run_workload(requests.clone());
         let (done, rejected, failed) = report.totals();
-        assert_eq!(done, REQUESTS, "window {w}: {rejected} rejected, {failed} failed");
-        let fused = report.batches.iter().filter(|b| b.request_ids.len() > 1).count();
+        assert_eq!(
+            done, REQUESTS,
+            "window {w}: {rejected} rejected, {failed} failed"
+        );
+        let fused = report
+            .batches
+            .iter()
+            .filter(|b| b.request_ids.len() > 1)
+            .count();
         for (name, actual, pinned) in [
             ("requests_per_s", report.requests_per_s, pin.requests_per_s),
             ("p50_us", report.p50_us, pin.p50_us),
@@ -327,7 +333,10 @@ fn coalescing_window_sweep_matches_pins() {
         assert_eq!(report.batches.len(), pin.batches, "window {w}: batches");
         assert_eq!(fused, pin.fused_batches, "window {w}: fused batches");
         assert_eq!(report.cache.hits, pin.cache_hits, "window {w}: cache hits");
-        assert_eq!(report.cache.misses, pin.cache_misses, "window {w}: cache misses");
+        assert_eq!(
+            report.cache.misses, pin.cache_misses,
+            "window {w}: cache misses"
+        );
         rps.push(report.requests_per_s);
     }
     assert!(
@@ -360,12 +369,7 @@ fn interleaved_request_layout_is_bit_neutral() {
     let report = core.run_workload(requests);
     let resp = report.responses.iter().find(|r| r.id == 1).unwrap();
     assert_eq!(resp.coalesced_with, 2, "the two requests must coalesce");
-    let solo = solo_solution(
-        &group,
-        service_config(50.0),
-        &Payload::F64(interleaved),
-    )
-    .unwrap();
+    let solo = solo_solution(&group, service_config(50.0), &Payload::F64(interleaved)).unwrap();
     assert_eq!(resp.result.as_ref().unwrap().hash(), solo.hash());
 }
 

@@ -14,8 +14,7 @@ use gpu_sim::{validate_metrics_json, DeviceGroup, DeviceSpec};
 use proptest::prelude::*;
 use tridiag_core::generators;
 use tridiag_service::{
-    validate_event_log, validate_request_chains, Payload, ServiceConfig, ServiceCore,
-    SolveRequest,
+    validate_event_log, validate_request_chains, Payload, ServiceConfig, ServiceCore, SolveRequest,
 };
 
 fn gtx480_group() -> DeviceGroup {
@@ -128,7 +127,10 @@ fn replay_rejects_injected_orphans_and_duplicate_terminals() {
     let mut core = ServiceCore::new(gtx480_group(), ServiceConfig::default());
     core.run_workload(requests(&[(0, 0, 0), (1, 1, 2), (2, 2, 4)]));
     let log = core.telemetry().to_jsonl();
-    assert!(validate_event_log(&log).is_ok(), "baseline log must be clean");
+    assert!(
+        validate_event_log(&log).is_ok(),
+        "baseline log must be clean"
+    );
 
     // Orphan: a completion for a cid that was never admitted.
     let orphaned = format!(

@@ -57,12 +57,18 @@ fn main() {
     }
 
     println!("natural cubic spline through {knots} knots (h = {h})");
-    println!("  GPU hybrid used k = {} PCR steps, {:.1} us modeled", report.k, report.total_us);
+    println!(
+        "  GPU hybrid used k = {} PCR steps, {:.1} us modeled",
+        report.k, report.total_us
+    );
     println!("  max |host - gpu| moment difference: {diff:.2e}");
     println!("  max interpolation error at midpoints: {max_err:.3e}");
     assert!(diff < 1e-9, "engines disagree");
     // Natural boundary conditions impose zero end-moments, which costs
     // O(h^2) in a boundary layer even for smooth signals.
-    assert!(max_err < 5e-3, "spline error beyond the natural-boundary O(h^2) budget");
+    assert!(
+        max_err < 5e-3,
+        "spline error beyond the natural-boundary O(h^2) budget"
+    );
     println!("  OK");
 }

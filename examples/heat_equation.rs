@@ -64,8 +64,10 @@ fn main() {
     }
 
     println!("Crank-Nicolson heat equation: {n} interior points, {steps} steps");
-    println!("  wall-clock: {elapsed:?} ({:.1} ns/unknown/step)",
-        elapsed.as_nanos() as f64 / (n * steps) as f64);
+    println!(
+        "  wall-clock: {elapsed:?} ({:.1} ns/unknown/step)",
+        elapsed.as_nanos() as f64 / (n * steps) as f64
+    );
     println!("  analytic mode decay: {decay:.6}");
     println!("  max error vs exact Fourier solution: {max_err:.3e}");
     assert!(

@@ -92,7 +92,10 @@ fn main() {
         .collect();
     let mut u = vec![0.0f64; n * n];
 
-    println!("anisotropic Poisson (eps = {}), {n}x{n} grid, y-line smoothing", grid.eps);
+    println!(
+        "anisotropic Poisson (eps = {}), {n}x{n} grid, y-line smoothing",
+        grid.eps
+    );
     let r0 = norm(&grid.residual(&u, &f));
     println!("  initial residual: {r0:.3e}");
     let mut prev = r0;

@@ -57,7 +57,7 @@ fn cn_operator(
         let s = (i as f64 + 1.0) * ds;
         let a = 0.5 * sigma * sigma * s * s / (ds * ds); // diffusion
         let b = 0.5 * r * s / ds; // drift
-        // L v = a (v_{i-1} - 2 v_i + v_{i+1}) + b (v_{i+1} - v_{i-1}) - r v_i.
+                                  // L v = a (v_{i-1} - 2 v_i + v_{i+1}) + b (v_{i+1} - v_{i-1}) - r v_i.
         let (lo, mid, hi) = (a - b, -2.0 * a - r, a + b);
         // (I - dt/2 L) v^{new} = (I + dt/2 L) v^{old}.
         lower[i] = -0.5 * dt * lo;
@@ -70,15 +70,21 @@ fn cn_operator(
 }
 
 /// Price one put by CN time stepping; returns the grid of prices at t=0.
-fn price_put_fd(strike: f64, s_max: f64, n: usize, steps: usize, r: f64, sigma: f64, t: f64) -> Vec<f64> {
+fn price_put_fd(
+    strike: f64,
+    s_max: f64,
+    n: usize,
+    steps: usize,
+    r: f64,
+    sigma: f64,
+    t: f64,
+) -> Vec<f64> {
     let ds = s_max / (n as f64 + 1.0);
     let dt = t / steps as f64;
     let (lhs, explicit) = cn_operator(n, ds, dt, r, sigma);
 
     // Terminal payoff.
-    let mut v: Vec<f64> = (1..=n)
-        .map(|i| (strike - i as f64 * ds).max(0.0))
-        .collect();
+    let mut v: Vec<f64> = (1..=n).map(|i| (strike - i as f64 * ds).max(0.0)).collect();
     let mut sys = lhs.clone();
     let mut scratch = ThomasScratch::new(n);
     let mut x = vec![0.0f64; n];
@@ -121,7 +127,10 @@ fn main() {
     let exact = bs_put(spot, strike, r, sigma, t);
     println!("European put K={strike}, S0={spot}, r={r}, sigma={sigma}, T={t}");
     println!("  closed form : {exact:.4}");
-    println!("  CN grid     : {fd:.4}  (|err| = {:.2e})", (fd - exact).abs());
+    println!(
+        "  CN grid     : {fd:.4}  (|err| = {:.2e})",
+        (fd - exact).abs()
+    );
     assert!(
         (fd - exact).abs() < 0.05,
         "finite differences should price within a nickel"
@@ -153,7 +162,9 @@ fn main() {
         })
         .collect();
     let batch = SystemBatch::from_systems(systems).expect("strike batch");
-    let (x, report) = GpuTridiagSolver::gtx480().solve_batch(&batch).expect("gpu step");
+    let (x, report) = GpuTridiagSolver::gtx480()
+        .solve_batch(&batch)
+        .expect("gpu step");
     println!(
         "\none CN step for {} strikes x {n} nodes on simulated GTX480:",
         strikes.len()

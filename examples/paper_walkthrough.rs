@@ -43,7 +43,13 @@ fn main() {
     println!("\n=== one PCR step: every row couples to rows ±2 ===");
     let reduced = pcr::reduce(&system, 1).expect("one step");
     let (ra, rb, rc, rd) = reduced.arrays();
-    print_rows("reduced rows e'0..e'7 (interleaved in place):", ra, rb, rc, rd);
+    print_rows(
+        "reduced rows e'0..e'7 (interleaved in place):",
+        ra,
+        rb,
+        rc,
+        rd,
+    );
     println!(
         "-> {} independent subsystems, stride {}",
         reduced.num_subsystems(),
@@ -56,7 +62,13 @@ fn main() {
     for j in 0..reduced.num_subsystems() {
         let sub = reduced.subsystem(j).expect("subsystem");
         let (sa, sb, sc, sd) = sub.parts();
-        print_rows(&format!("thread {j} sees (even/odd rows gathered):"), sa, sb, sc, sd);
+        print_rows(
+            &format!("thread {j} sees (even/odd rows gathered):"),
+            sa,
+            sb,
+            sc,
+            sd,
+        );
         let xs = thomas::solve_typed(&sub).expect("thread solve");
         println!("  thread {j} solution: {xs:?}");
         for (t, &v) in xs.iter().enumerate() {

@@ -30,10 +30,7 @@ fn main() {
     // Wachspress cycle: J parameters geometrically spaced in [λmin, λmax].
     let j_params = 8usize;
     let rhos: Vec<f64> = (0..j_params)
-        .map(|j| {
-            lambda_min
-                * (lambda_max / lambda_min).powf((j as f64 + 0.5) / j_params as f64)
-        })
+        .map(|j| lambda_min * (lambda_max / lambda_min).powf((j as f64 + 0.5) / j_params as f64))
         .collect();
 
     // f = 2π² sin(πx) sin(πy); exact u = sin(πx) sin(πy).
@@ -47,13 +44,8 @@ fn main() {
 
     // One tridiagonal line operator (ρI + A) with the given RHS.
     let line_operator = |rho: f64, rhs: Vec<f64>| -> TridiagonalSystem<f64> {
-        TridiagonalSystem::new(
-            vec![-ih2; n],
-            vec![rho + 2.0 * ih2; n],
-            vec![-ih2; n],
-            rhs,
-        )
-        .expect("line operator")
+        TridiagonalSystem::new(vec![-ih2; n], vec![rho + 2.0 * ih2; n], vec![-ih2; n], rhs)
+            .expect("line operator")
     };
 
     let t0 = std::time::Instant::now();
@@ -132,7 +124,9 @@ fn main() {
         })
         .collect();
     let batch = SystemBatch::from_systems(rows).expect("gpu batch");
-    let (xg, report) = GpuTridiagSolver::gtx480().solve_batch(&batch).expect("gpu sweep");
+    let (xg, report) = GpuTridiagSolver::gtx480()
+        .solve_batch(&batch)
+        .expect("gpu sweep");
     println!(
         "  one sweep on simulated GTX480: M={n} N={n} -> {:.1} us modeled (k = {}), residual {:.1e}",
         report.total_us,

@@ -32,8 +32,8 @@ fn main() {
     let batch = generators::random_batch::<f64>(m, n, 42);
 
     let t0 = std::time::Instant::now();
-    let x_cpu = cpu_ref::solve_batch_threaded(&batch, &cpu_ref::ThreadPool::per_cpu())
-        .expect("cpu solve");
+    let x_cpu =
+        cpu_ref::solve_batch_threaded(&batch, &cpu_ref::ThreadPool::per_cpu()).expect("cpu solve");
     let cpu_wall = t0.elapsed();
 
     let solver = GpuTridiagSolver::gtx480();

@@ -38,7 +38,10 @@ fn main() {
     for spike_at in (0..n).step_by(250_000) {
         let lo = spike_at.saturating_sub(radius / 2);
         let hi = (spike_at + radius / 2).min(n - 1);
-        assert!(dilated[lo] >= 3.5 && dilated[hi] >= 3.5, "spike at {spike_at} must spread");
+        assert!(
+            dilated[lo] >= 3.5 && dilated[hi] >= 3.5,
+            "spike at {spike_at} must spread"
+        );
     }
 
     // --- resident state is stream-length independent ------------------
@@ -65,6 +68,9 @@ fn main() {
         after,
         before / after
     );
-    assert!(after < before / 3.0, "smoothing must suppress sample-to-sample noise");
+    assert!(
+        after < before / 3.0,
+        "smoothing must suppress sample-to-sample noise"
+    );
     println!("OK: the sliding-window machinery generalises exactly as Section VI anticipated");
 }

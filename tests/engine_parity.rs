@@ -9,9 +9,7 @@ use scalable_tridiag::cpu_ref;
 use scalable_tridiag::tridiag_core::{
     cr, generators, hybrid, pcr, rd, thomas, Layout, Scalar, SystemBatch,
 };
-use scalable_tridiag::tridiag_gpu::solver::{
-    GpuSolverConfig, GpuTridiagSolver, MappingVariant,
-};
+use scalable_tridiag::tridiag_gpu::solver::{GpuSolverConfig, GpuTridiagSolver, MappingVariant};
 use scalable_tridiag::tridiag_gpu::{davidson, zhang};
 
 fn assert_close<S: Scalar>(a: &[S], b: &[S], tol: f64, ctx: &str) {
@@ -41,8 +39,7 @@ fn gpu_engines_agree_with_cpu_reference() {
     for (m, n) in [(4usize, 512usize), (64, 256), (3, 1000)] {
         let batch = generators::random_batch::<f64>(m, n, 17 + m as u64);
         let x_cpu = cpu_ref::solve_batch_sequential(&batch).unwrap();
-        let x_mt =
-            cpu_ref::solve_batch_threaded(&batch, &cpu_ref::ThreadPool::new(4)).unwrap();
+        let x_mt = cpu_ref::solve_batch_threaded(&batch, &cpu_ref::ThreadPool::new(4)).unwrap();
         assert_eq!(x_cpu, x_mt, "threaded CPU must be bitwise identical");
 
         let (x_gpu, _) = GpuTridiagSolver::gtx480().solve_batch(&batch).unwrap();
@@ -101,7 +98,10 @@ fn all_three_mappings_agree() {
             },
         );
         let (x, report) = solver.solve_batch(&batch).unwrap();
-        assert!(batch.max_relative_residual(&x).unwrap() < 1e-9, "{mapping:?}");
+        assert!(
+            batch.max_relative_residual(&x).unwrap() < 1e-9,
+            "{mapping:?}"
+        );
         answers.push((mapping, x, report));
     }
     // All mappings compute the identical reduction (bit-exact PCR), so

@@ -55,8 +55,7 @@ fn sharded_solver_faults_cleanly_on_singular_shard() {
     systems[5] = zero_head(n);
     let batch = SystemBatch::from_systems(systems).unwrap();
     let solver = GpuTridiagSolver::gtx480();
-    let group =
-        gpu_sim::DeviceGroup::homogeneous(gpu_sim::DeviceSpec::gtx480(), 4).unwrap();
+    let group = gpu_sim::DeviceGroup::homogeneous(gpu_sim::DeviceSpec::gtx480(), 4).unwrap();
     let err = solver.solve_batch_group::<f64>(&group, &batch).unwrap_err();
     assert!(matches!(err, gpu_sim::SimError::KernelFault(_)), "{err}");
     // The fault is attributed to the shard that owns system 5.
@@ -115,8 +114,8 @@ fn nan_input_is_caught_not_propagated_silently() {
 
     // Four systems over two devices: the poisoned one lands in shard 1.
     let group = gpu_sim::DeviceGroup::homogeneous(gpu_sim::DeviceSpec::gtx480(), 2).unwrap();
-    let batch = SystemBatch::from_systems(vec![healthy(7), healthy(8), poisoned, healthy(9)])
-        .unwrap();
+    let batch =
+        SystemBatch::from_systems(vec![healthy(7), healthy(8), poisoned, healthy(9)]).unwrap();
     let err = solver.solve_batch_group::<f64>(&group, &batch).unwrap_err();
     assert!(non_finite(&err), "{err}");
     assert!(err.to_string().contains("shard 1"), "{err}");
