@@ -10,10 +10,10 @@
 
 use crate::buffers::{upload, GpuScalar};
 use crate::consts::REGS_PCR_SHARED;
+use crate::executor::PlanExecutor;
 use crate::kernels::pcr_shared::PcrSharedKernel;
 use crate::solver::KernelReport;
-use gpu_sim::timing::{time_kernel, TrafficSummary};
-use gpu_sim::{launch, DeviceSpec, GpuMemory, LaunchConfig, Precision, Result, SimError};
+use gpu_sim::{DeviceSpec, ExecConfig, GpuMemory, LaunchConfig, Result, SimError};
 use tridiag_core::{Layout, SystemBatch};
 
 /// Report of one Zhang-style solve.
@@ -63,35 +63,22 @@ pub fn solve_batch<S: GpuScalar>(
         input: [dev.a, dev.b, dev.c, dev.d],
         x: dev.x,
         n,
+        q: 0,
         steps: Some(steps),
-    };
-    let precision = if <S as gpu_sim::Elem>::BYTES == 4 {
-        Precision::F32
-    } else {
-        Precision::F64
     };
     let cfg = LaunchConfig::new("zhang_pcr_thomas", m, (n as u32).clamp(32, 512))
         .with_regs(REGS_PCR_SHARED);
-    let res = launch(spec, &cfg, &kernel, &mut mem)?;
-    let report = KernelReport {
-        timing: time_kernel(spec, &res, precision),
-        traffic: TrafficSummary::from_stats(spec, &res.stats),
-        shared_bytes: res.shared_bytes_per_block,
-        blocks: res.stats.blocks,
-    };
-    let xr = mem.read(dev.x)?;
+    let mut ex = PlanExecutor::new(spec.clone(), ExecConfig::default());
+    ex.launch(&cfg, &kernel, &mut mem)?;
+    let (kernel, _) = ex.take_last_launch()?;
     let mut out = vec![S::ZERO; batch.total_len()];
-    for sys in 0..m {
-        for row in 0..n {
-            out[batch.index(sys, row)] = xr[sys * n + row];
-        }
-    }
-    let total_us = report.timing.total_us;
+    Layout::Contiguous.convert(batch.layout(), &mem.read(dev.x)?, m, n, &mut out);
+    let total_us = kernel.timing.total_us;
     Ok((
         out,
         ZhangReport {
             pcr_steps: steps,
-            kernel: report,
+            kernel,
             total_us,
         },
     ))

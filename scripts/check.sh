@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# Repo health check: tier-1 (build + root-package tests), clippy, every
+# Repo health check: tier-1 (build + root-package tests), rustfmt, clippy, every
 # workspace test once, the benchmark's unit tests, API docs and the CLI
 # smokes. Run from anywhere; exits non-zero on any failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # First-party crates (vendored shims under vendor/ are exempt from the
-# clippy gate).
+# rustfmt and clippy gates).
 FIRST_PARTY=(-p tridiag-core -p gpu-sim -p tridiag-gpu -p cpu-ref -p tridiag-service -p tridiag-cli -p bench)
 
 echo "== tier-1: build =="
@@ -14,6 +14,9 @@ cargo build --release
 
 echo "== tier-1: root-package tests =="
 cargo test -q
+
+echo "== rustfmt (first-party and the root package; vendor/ and benchmark/ are exempt) =="
+cargo fmt "${FIRST_PARTY[@]}" -p scalable-tridiag -- --check
 
 echo "== clippy (first-party, warnings are errors) =="
 cargo clippy "${FIRST_PARTY[@]}" --all-targets -- -D warnings
