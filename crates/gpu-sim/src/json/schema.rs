@@ -1,7 +1,7 @@
 //! Shared building blocks for the strict "collect all findings" JSON
-//! validators (`tridiag.solve_plan/v1`, `tridiag.sharded_plan/v1`,
-//! `tridiag.service_report/v1`, `tridiag.metrics/v1`,
-//! `tridiag.events/v1`, Chrome traces).
+//! validators (`tridiag.solve_plan/v3`, `tridiag.sharded_plan/v3`,
+//! `tridiag.distributed_plan/v1`, `tridiag.metrics/v1`,
+//! `tridiag.events/v1`, `tridiag.bench_history/v1`, Chrome traces).
 //!
 //! Every validator in the workspace follows the same shape: walk a
 //! parsed [`Json`] document, push a human-readable problem string for

@@ -1172,10 +1172,11 @@ fn write_telemetry(dir: &str, metrics: &str, events: &str, trace: &str) -> Resul
 /// gauge / histogram tables (top `--top` labels per family), the
 /// latency-attribution partition, the SLO account, and every
 /// telemetry invariant check (metrics schema, exact partition,
-/// event-log replay, trace schema, request chains, report schema).
+/// event-log replay, trace schema, request chains).
 /// `--json` prints the raw `tridiag.metrics/v1` snapshot instead of
-/// tables; `--out DIR` writes the telemetry artifact set. Any
-/// violated invariant is a finding (exit 2).
+/// tables; `--out DIR` writes the service's three artifacts
+/// (`metrics.json`, `events.jsonl`, `trace.json`). Any violated
+/// invariant is a finding (exit 2).
 fn cmd_stats(a: &Args) -> Result<(), Failure> {
     use tridiag_service::{ServiceConfig, ServiceCore, SolveRequest};
 
@@ -1215,11 +1216,6 @@ fn cmd_stats(a: &Args) -> Result<(), Failure> {
             .cross_check(&report)
             .into_iter()
             .map(|p| format!("exact-partition: {p}")),
-    );
-    findings.extend(
-        tridiag_service::validate_service_report_json(&report.to_json())
-            .into_iter()
-            .map(|p| format!("report schema: {p}")),
     );
 
     if a.flag("json") {

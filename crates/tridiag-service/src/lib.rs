@@ -34,9 +34,7 @@ pub mod telemetry;
 pub use cache::{certify, config_fingerprint, CacheStats, PlanCache, PlanKey};
 pub use coalesce::{coalesce, CoalesceKey, CoalescedBatch, Member};
 pub use core::{ServiceConfig, ServiceCore};
-pub use report::{
-    validate_service_report_json, BatchSummary, DeviceSpan, ServiceReport, SloConfig, SloSummary,
-};
+pub use report::{BatchSummary, DeviceSpan, ServiceReport, SloConfig, SloSummary};
 pub use request::{Payload, RequestSpans, Response, ServiceError, Solution, SolveRequest};
 pub use service::{ServiceStats, SolveService, Ticket};
 pub use telemetry::{
