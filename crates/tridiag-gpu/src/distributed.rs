@@ -690,9 +690,10 @@ impl DistributedExecutor {
             }
         }
         merged.absorb("reduced", &red_report);
-        // The merged report carries the reduced plan (the one the
-        // primary device actually ran); per-chunk certificates were
-        // checked by verify_distributed_plan above.
+        // The merged report carries the reduced plan and its run's
+        // certificate (the one the primary device actually ran);
+        // per-chunk certificates were checked by
+        // verify_distributed_plan above.
         let distributed = DistributedSummary {
             devices: plan.chunks.len(),
             reduced_n: rd_n,
@@ -707,8 +708,8 @@ impl DistributedExecutor {
             serialized_us: timeline.serialized_us(),
         };
         let report = merged.into_report(
-            self.group.primary(),
             reduced_plan,
+            red_report.verify.clone(),
             kernel_wall,
             trace,
             summaries,

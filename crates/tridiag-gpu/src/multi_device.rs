@@ -1,10 +1,10 @@
 //! The multi-device core: the machinery every run over a
 //! [`DeviceGroup`] shares.
 //!
-//! Batch sharding ([`crate::sharded::ShardedExecutor`]), the row-split
-//! single-system solve ([`crate::distributed::DistributedExecutor`]) and
-//! the zoo's group run ([`crate::zoo::run_zoo_group`]) differ only in
-//! what each device computes and how the results combine. The rest is
+//! Batch sharding ([`crate::sharded::ShardedExecutor`]) and the
+//! row-split single-system solve
+//! ([`crate::distributed::DistributedExecutor`]) differ only in what
+//! each device computes and how the results combine. The rest is
 //! defined here, once:
 //!
 //! - [`fan_out`]: one scoped worker thread per device. A worker panic
@@ -23,12 +23,12 @@
 use crate::executor::PlanExecutor;
 use crate::plan::{Partition, SolvePlan, Step};
 use crate::solver::{DistributedSummary, GpuSolveReport, KernelReport, ShardSummary};
+use crate::verify::VerifyReport;
 use gpu_sim::group::copy_us;
 use gpu_sim::par::Permits;
 use gpu_sim::trace::Trace;
 use gpu_sim::{
-    DeviceGroup, DeviceSpec, DeviceStream, GroupTimeline, Json, Result, SanitizerViolation,
-    SimError, StreamOp,
+    DeviceGroup, DeviceStream, GroupTimeline, Json, Result, SanitizerViolation, SimError, StreamOp,
 };
 
 /// Run `work(d)` for every device `d in 0..workers`, each on its own
@@ -299,14 +299,15 @@ impl Merged {
     }
 
     /// The merged report. It carries `lead` — the plan whose decisions
-    /// describe the solve — with `lead`'s certificate on `spec`; the
-    /// per-device certificates were checked before anything ran, and
-    /// their prediction mismatches arrive prefixed through
-    /// [`Merged::absorb`].
+    /// describe the solve — and `verify`, the certificate of a plan
+    /// that ran on the primary device (a lead that never ran is not
+    /// re-verified); the per-device certificates were checked before
+    /// anything ran, and their prediction mismatches arrive prefixed
+    /// through [`Merged::absorb`].
     pub(crate) fn into_report(
         self,
-        spec: &DeviceSpec,
         lead: &SolvePlan,
+        verify: VerifyReport,
         total_us: f64,
         trace: Trace,
         shards: Vec<ShardSummary>,
@@ -321,7 +322,7 @@ impl Merged {
             precision: lead.precision,
             violations: self.violations,
             phase_sum_mismatches: self.phase_sum_mismatches,
-            verify: crate::verify::verify_plan(spec, lead),
+            verify,
             verify_mismatches: self.verify_mismatches,
             trace,
             plan: lead.clone(),
@@ -343,7 +344,7 @@ mod tests {
 
     #[test]
     fn device_threads_and_block_helpers_share_one_thread_budget() {
-        use gpu_sim::{launch, BlockCtx, BlockKernel, GpuMemory, LaunchConfig};
+        use gpu_sim::{launch, BlockCtx, BlockKernel, DeviceSpec, GpuMemory, LaunchConfig};
         use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
         use std::time::{Duration, Instant};
         /// Blocks that each work for 200 µs, long enough for a launch

@@ -326,6 +326,42 @@ impl SolvePlan {
         n: usize,
         elem_bytes: usize,
     ) -> Result<SolvePlan> {
+        let plan = Self::build_unchecked(spec, config, host_layout, m, n, elem_bytes)?;
+        // One memory model: the OOM check is the verifier's
+        // liveness-based high-water mark — an exact peak-bytes
+        // certificate, not the sum of allocations (buffers that die
+        // before later scratch is allocated don't count twice).
+        let (peak, _) = crate::verify::peak_resident_bytes(&plan);
+        if peak > spec.global_mem_bytes {
+            // A single system that outgrows one device is exactly what
+            // the distributed path exists for — name it in the error so
+            // the caller learns the way out, not just the wall.
+            let hint = if m == 1 {
+                "; a single system this large can be split across devices \
+                 with a distributed plan (solve --split-n)"
+            } else {
+                ""
+            };
+            return Err(SimError::InvalidPlan(format!(
+                "peak resident device memory {peak} bytes exceeds {} global memory \
+                 ({} bytes) for m = {m}, n = {n} at {}{hint}",
+                spec.name, spec.global_mem_bytes, plan.precision
+            )));
+        }
+        Ok(plan)
+    }
+
+    /// [`SolvePlan::build_for_host`] without the device-memory check:
+    /// the full-batch reference of a [`ShardedPlan`], which only
+    /// supplies decisions and never runs.
+    fn build_unchecked(
+        spec: &DeviceSpec,
+        config: &GpuSolverConfig,
+        host_layout: Layout,
+        m: usize,
+        n: usize,
+        elem_bytes: usize,
+    ) -> Result<SolvePlan> {
         if m == 0 || n == 0 {
             return Err(SimError::InvalidPlan(format!(
                 "empty batch geometry: m = {m}, n = {n}"
@@ -516,7 +552,7 @@ impl SolvePlan {
             }
         }
 
-        let plan = SolvePlan {
+        Ok(SolvePlan {
             device: spec.name,
             config: *config,
             m,
@@ -530,29 +566,7 @@ impl SolvePlan {
             host_layout,
             buffers,
             steps,
-        };
-        // One memory model: the OOM check is the verifier's
-        // liveness-based high-water mark — an exact peak-bytes
-        // certificate, not the sum of allocations (buffers that die
-        // before later scratch is allocated don't count twice).
-        let (peak, _) = crate::verify::peak_resident_bytes(&plan);
-        if peak > spec.global_mem_bytes {
-            // A single system that outgrows one device is exactly what
-            // the distributed path exists for — name it in the error so
-            // the caller learns the way out, not just the wall.
-            let hint = if m == 1 {
-                "; a single system this large can be split across devices \
-                 with a distributed plan (solve --split-n)"
-            } else {
-                ""
-            };
-            return Err(SimError::InvalidPlan(format!(
-                "peak resident device memory {peak} bytes exceeds {} global memory \
-                 ({} bytes) for m = {m}, n = {n} at {precision}{hint}",
-                spec.name, spec.global_mem_bytes
-            )));
-        }
-        Ok(plan)
+        })
     }
 
     /// Total device elements across every buffer the plan creates.
@@ -1004,7 +1018,8 @@ pub struct ShardedPlan {
     pub precision: &'static str,
     /// Single-device plan for the full batch on the primary device —
     /// the source of the pinned global decisions and the merged
-    /// report's `plan`.
+    /// report's `plan`. On more than one device it never runs, so it
+    /// is not held to the primary's global memory.
     pub reference: SolvePlan,
     /// Per-device shard plans, in device order.
     pub shards: Vec<ShardPlan>,
@@ -1026,8 +1041,8 @@ impl ShardedPlan {
         n: usize,
         elem_bytes: usize,
     ) -> Result<ShardedPlan> {
-        let reference = SolvePlan::build(group.primary(), config, m, n, elem_bytes)?;
         if group.len() == 1 {
+            let reference = SolvePlan::build(group.primary(), config, m, n, elem_bytes)?;
             let shards = vec![ShardPlan {
                 device_index: 0,
                 sys_start: 0,
@@ -1043,6 +1058,15 @@ impl ShardedPlan {
                 shards,
             });
         }
+        // The reference never runs, so only the shards must fit.
+        let reference = SolvePlan::build_unchecked(
+            group.primary(),
+            config,
+            Layout::Contiguous,
+            m,
+            n,
+            elem_bytes,
+        )?;
         let ranges = partition(m, group.len(), Partition::Systems)?;
         // Pin the reference's decisions so every shard runs the same
         // pipeline on its systems (per-device clamps still apply inside

@@ -221,14 +221,11 @@ impl ShardedExecutor {
             });
             merged.absorb(&format!("dev{d}"), report);
         }
-        let report = merged.into_report(
-            self.group.primary(),
-            &plan.reference,
-            kernel_wall,
-            trace,
-            summaries,
-            None,
-        );
+        // The reference plan never ran; shard 0's run on the primary
+        // carries the certificate.
+        let verify = runs[0].1.verify.clone();
+        let report =
+            merged.into_report(&plan.reference, verify, kernel_wall, trace, summaries, None);
         Ok((out, report))
     }
 }
@@ -306,5 +303,36 @@ mod tests {
             assert!(s.flops > 0);
             assert!(s.completion_us > s.kernel_us, "copies add stream time");
         }
+    }
+
+    /// A batch one device cannot hold shards onto two: only the shard
+    /// plans are held to device memory, not the full-batch reference
+    /// that never runs, and the report carries a certificate of a plan
+    /// that ran.
+    #[test]
+    fn batch_too_large_for_one_device_shards_onto_two() {
+        let (m, n) = (64, 1024);
+        let config = GpuSolverConfig::default();
+        let full = DeviceSpec::gtx480();
+        let whole = crate::plan::SolvePlan::build(&full, &config, m, n, 8).unwrap();
+        let mut small = full.clone();
+        small.global_mem_bytes = crate::verify::peak_resident_bytes(&whole).0 * 3 / 4;
+        let solver = GpuTridiagSolver::new(small.clone(), config);
+        assert!(
+            solver.plan_geometry(m, n, 8).is_err(),
+            "one device must overflow"
+        );
+
+        let group = DeviceGroup::homogeneous(small, 2).unwrap();
+        let batch = random_batch::<f64>(m, n, 29);
+        let (x, report) = solver.solve_batch_group(&group, &batch).unwrap();
+        assert!(
+            report.is_verify_clean(),
+            "{}\n{:?}",
+            report.verify,
+            report.verify_mismatches
+        );
+        let (x1, _) = GpuTridiagSolver::gtx480().solve_batch(&batch).unwrap();
+        assert_eq!(x, x1, "sharded solutions must be bit-identical");
     }
 }

@@ -20,6 +20,7 @@
 
 use crate::buffers::GpuScalar;
 use crate::executor::PlanExecutor;
+use crate::plan::cost::Decision;
 use crate::plan::SolvePlan;
 use gpu_sim::timing::TrafficSummary;
 use gpu_sim::trace::Trace;
@@ -95,23 +96,35 @@ impl Default for GpuSolverConfig {
 }
 
 impl GpuSolverConfig {
-    /// `plan.config` with every decision `plan` made pinned — `k` (as
+    /// `self` with `decision` pinned — `k` (as
     /// [`TransitionPolicy::Fixed`]), the resolved mapping, fusion and
-    /// the device layout — so planning any other batch size under it
-    /// replays the same pipeline. The target device's own clamps still
-    /// apply. Shards of a [`crate::plan::ShardedPlan`] and every batch
-    /// the solve service coalesces at one geometry plan under this.
-    pub fn pinned_to(plan: &SolvePlan) -> GpuSolverConfig {
+    /// the device layout — so planning any batch size under it replays
+    /// that pipeline. The target device's own clamps still apply. The
+    /// solve service pins every batch it coalesces at one geometry this
+    /// way.
+    pub fn pinned(&self, decision: Decision) -> GpuSolverConfig {
         GpuSolverConfig {
-            policy: TransitionPolicy::Fixed(plan.k),
-            mapping: plan.mapping,
-            fused: plan.fused,
-            layout: match plan.layout {
+            policy: TransitionPolicy::Fixed(decision.k),
+            mapping: decision.mapping,
+            fused: decision.fused,
+            layout: match decision.layout {
                 Layout::Contiguous => LayoutChoice::Contiguous,
                 Layout::Interleaved => LayoutChoice::Interleaved,
             },
-            ..plan.config
+            ..*self
         }
+    }
+
+    /// `plan.config` with every decision `plan` made pinned (see
+    /// [`GpuSolverConfig::pinned`]). Shards of a
+    /// [`crate::plan::ShardedPlan`] plan under this.
+    pub fn pinned_to(plan: &SolvePlan) -> GpuSolverConfig {
+        plan.config.pinned(Decision {
+            layout: plan.layout,
+            mapping: plan.mapping,
+            fused: plan.fused,
+            k: plan.k,
+        })
     }
 }
 
@@ -219,9 +232,12 @@ pub struct GpuSolveReport {
     pub phase_sum_mismatches: Vec<String>,
     /// Static plan verification (dataflow, layout pairing, liveness
     /// peak memory) the executor ran before launching anything. Always
-    /// clean here — a plan with findings never executes. For sharded
-    /// runs this is the reference plan's certificate on the primary
-    /// device.
+    /// clean here — a plan with findings never executes. A
+    /// multi-device report carries the certificate of a plan that ran
+    /// on the primary device: shard 0's for a sharded solve (the
+    /// full-batch reference in `plan` never runs), the reduced
+    /// interface plan's for a row-split one. Every other device's
+    /// certificate was checked before anything ran.
     pub verify: crate::verify::VerifyReport,
     /// Discrepancies between the verifier's [`crate::verify::PlanPrediction`]
     /// and the stats the run actually measured (empty = exact

@@ -77,6 +77,14 @@ grep -q "devices     : 2" <<<"$out"
 out="$(cargo run --release -q -p tridiag-cli -- plan --m 64 --n 512 --devices 2 --json)"
 grep -q "tridiag.sharded_plan/v3" <<<"$out"
 
+echo "== CLI large-geometry smokes (only plans that run are held to device memory) =="
+# 8192 x 4096 f64 overflows one GTX480 but not two shards of 4096.
+out="$(cargo run --release -q -p tridiag-cli -- plan --m 8192 --n 4096 --devices 2)"
+grep -q "sharded plan: m=8192" <<<"$out"
+# One 131072-row system fits; the service's 256-system pin batch would not.
+out="$(cargo run --release -q -p tridiag-cli -- stats --requests 2 --m 1 --n 131072)"
+grep -q "completed 2" <<<"$out"
+
 echo "== CLI distributed smoke (one system row-split, certified + solved) =="
 out="$(cargo run --release -q -p tridiag-cli -- solve --split-n 4 --n 4096 --verify)"
 grep -q "one system row-split" <<<"$out"
