@@ -66,14 +66,6 @@ pub fn upload<'h, S: GpuScalar>(
     }
 }
 
-/// Read the solution buffer back to the host ("cudaMemcpy D→H").
-pub fn download_solution<S: GpuScalar>(
-    mem: &GpuMemory<'_, S>,
-    batch: &DeviceBatch,
-) -> gpu_sim::Result<Vec<S>> {
-    mem.read(batch.x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -27,7 +27,7 @@ pub mod verify;
 pub mod zhang;
 pub mod zoo;
 
-pub use buffers::{download_solution, upload, DeviceBatch, GpuScalar};
+pub use buffers::{upload, DeviceBatch, GpuScalar};
 pub use distributed::{
     validate_distributed_plan_json, ChunkPlan, DistributedExecutor, DistributedPlan,
 };

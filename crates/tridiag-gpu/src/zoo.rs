@@ -18,11 +18,9 @@ use crate::kernels::fused::FusedKernel;
 use crate::kernels::p_thomas::{AddrMap, PThomasKernel};
 use crate::kernels::pcr_shared::PcrSharedKernel;
 use crate::kernels::tiled_pcr::TiledPcrKernel;
-use crate::multi_device::fan_out;
-use crate::plan::{partition, Partition};
 use gpu_sim::{
-    BlockKernel, DeviceGroup, DeviceSpec, ExecConfig, GpuMemory, KernelStats, KernelTiming,
-    LaunchConfig, Result, SanitizerViolation,
+    BlockKernel, DeviceSpec, ExecConfig, GpuMemory, KernelStats, KernelTiming, LaunchConfig,
+    Result, SanitizerViolation,
 };
 use tridiag_core::generators::random_batch;
 use tridiag_core::Layout;
@@ -316,30 +314,6 @@ pub fn run_zoo() -> Result<Vec<ZooEntry>> {
     run_zoo_on(&DeviceSpec::gtx480())
 }
 
-/// Run the zoo sharded across a [`DeviceGroup`]: the six kernel
-/// builders are partitioned contiguously (balanced within 1) over the
-/// group's devices — devices beyond the sixth idle — and run
-/// concurrently on scoped threads, each builder against its device's
-/// spec. Entries come back flattened in canonical zoo order, so on a
-/// homogeneous group the result is identical to [`run_zoo_on`] with
-/// that spec. A worker panic surfaces as
-/// [`gpu_sim::SimError::KernelFault`]; the first failing device (by
-/// index) wins.
-pub fn run_zoo_group(group: &DeviceGroup) -> Result<Vec<ZooEntry>> {
-    let workers = group.len().min(BUILDERS);
-    let ranges = partition(BUILDERS, workers, Partition::Systems)?;
-    let per_device = fan_out("device", ranges.len(), |d| {
-        let (start, count) = ranges[d];
-        let mut r = Checked {
-            spec: &group.devices()[d],
-            out: Vec::new(),
-        };
-        run_builders(&mut r, start..start + count)?;
-        Ok(r.out)
-    })?;
-    Ok(per_device.into_iter().flatten().collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,23 +413,5 @@ mod tests {
             });
         assert!(divergent.stats.findings().is_empty());
         assert!(!divergent.is_clean());
-    }
-
-    #[test]
-    fn sharded_zoo_matches_the_single_device_zoo() {
-        let solo = run_zoo().unwrap();
-        let group = DeviceGroup::homogeneous(DeviceSpec::gtx480(), 3).unwrap();
-        let sharded = run_zoo_group(&group).unwrap();
-        assert_eq!(sharded.len(), solo.len());
-        for (a, b) in solo.iter().zip(&sharded) {
-            assert_eq!(a.kernel, b.kernel);
-            assert_eq!(a.geometry, b.geometry);
-            assert_eq!(a.stats.total, b.stats.total, "{} {}", a.kernel, a.geometry);
-            assert_eq!(a.timing.total_us, b.timing.total_us);
-            assert_eq!(a.is_clean(), b.is_clean());
-        }
-        // More devices than builders: the extras idle, result unchanged.
-        let wide = DeviceGroup::homogeneous(DeviceSpec::gtx480(), 8).unwrap();
-        assert_eq!(run_zoo_group(&wide).unwrap().len(), solo.len());
     }
 }
