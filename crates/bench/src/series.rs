@@ -84,7 +84,7 @@ mod tests {
     fn series_are_positive_and_ordered_sanely() {
         let (ours, report) = ours_us::<f64>(64, 512);
         assert!(ours > 0.0);
-        assert_eq!(report.k, 6); // Table III: 32 <= M < 512
+        assert_eq!(report.k, 4); // tuned table: M in [64, 128), N in [512, 1024)
         let seq = mkl_seq_us(64, 512, 8);
         let mt = mkl_mt_us(64, 512, 8);
         assert!(mt < seq);

@@ -6,10 +6,16 @@
 //! Too few steps starve the machine of parallelism; too many inflate the
 //! `O(k·n)` PCR work term (Table II).
 //!
-//! The default is the paper's empirical Table III
-//! ([`TransitionPolicy::Gtx480Heuristic`]), keyed on the number of
-//! systems `M`; [`TransitionPolicy::Fixed`] pins `k`. The Table II
-//! cost minimiser for a machine of parallelism `P` is
+//! The paper tunes this once per device (§III-D: "finding proper values
+//! for different situations can be done only once and the effort can be
+//! quickly amortized"). The default, [`TransitionPolicy::Tuned`], asks
+//! for the device's autotuned decision table; the tables are device data
+//! the GPU planner owns (`tridiag_gpu::plan::cost`), so this crate — and
+//! any device without a table — answers it with the paper's empirical
+//! Table III ([`TransitionPolicy::Gtx480Heuristic`], keyed on the number
+//! of systems `M`), which also stays selectable on its own as the paper
+//! replay. [`TransitionPolicy::Fixed`] pins `k`. The Table II cost
+//! minimiser for a machine of parallelism `P` is
 //! [`cost_model::optimal_k`].
 
 use crate::cost_model;
@@ -17,8 +23,11 @@ use crate::cost_model;
 /// How the hybrid picks its PCR step count `k`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransitionPolicy {
-    /// Table III verbatim (tuned on an NVIDIA GTX480).
+    /// The device's autotuned decision table where the GPU planner has
+    /// one; Table III everywhere else (see the module docs).
     #[default]
+    Tuned,
+    /// Table III verbatim (tuned on an NVIDIA GTX480): the paper replay.
     Gtx480Heuristic,
     /// Always use exactly this `k` (clamped to the system size).
     Fixed(u32),
@@ -27,10 +36,13 @@ pub enum TransitionPolicy {
 /// Pick the PCR step count for `m` systems of `n` unknowns each.
 ///
 /// The returned `k` always satisfies `2^k <= n`, so the reduction is
-/// valid regardless of policy.
+/// valid regardless of policy. [`TransitionPolicy::Tuned`] is Table
+/// III here: no table applies without a device.
 pub fn choose_k(policy: TransitionPolicy, m: usize, n: usize) -> u32 {
     let k = match policy {
-        TransitionPolicy::Gtx480Heuristic => cost_model::gtx480_heuristic_k(m as u64),
+        TransitionPolicy::Tuned | TransitionPolicy::Gtx480Heuristic => {
+            cost_model::gtx480_heuristic_k(m as u64)
+        }
         TransitionPolicy::Fixed(k) => k,
     };
     k.min(max_k_for(n))
@@ -74,10 +86,14 @@ mod tests {
     }
 
     #[test]
-    fn default_policy_is_heuristic() {
-        assert_eq!(
-            TransitionPolicy::default(),
-            TransitionPolicy::Gtx480Heuristic
-        );
+    fn default_policy_is_tuned_and_deviceless_it_is_table_iii() {
+        assert_eq!(TransitionPolicy::default(), TransitionPolicy::Tuned);
+        for m in [1, 16, 32, 512, 1024] {
+            assert_eq!(
+                choose_k(TransitionPolicy::Tuned, m, 1 << 20),
+                choose_k(TransitionPolicy::Gtx480Heuristic, m, 1 << 20),
+                "m={m}"
+            );
+        }
     }
 }

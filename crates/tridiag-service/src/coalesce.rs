@@ -1,33 +1,43 @@
 //! The coalescer: merge compatible queued requests into fused batches.
 //!
-//! Compatibility is exact geometry + precision: requests merge only
-//! when they share `(n, elem_bytes)` — different row counts or scalar
-//! widths can never share a kernel launch (the kernels are monomorphic
-//! in both). The device group is fixed per service, so it never splits
-//! a tick. Merging preserves first-seen order: batches form in the
-//! order their first member arrived, and members keep arrival order
-//! inside a batch, so the fused system indices are deterministic.
+//! Compatibility is exact geometry, precision and decision: requests
+//! merge only when they share `(n, elem_bytes)` — different row counts
+//! or scalar widths can never share a kernel launch (the kernels are
+//! monomorphic in both) — and the planner makes the same decision for
+//! each of them solved alone ([`Payload::decision`]), so the fused
+//! batch can run under that one pinned decision and every member gets
+//! the bits its own solo solve would. The device group is fixed per
+//! service, so it never splits a tick. Merging preserves first-seen
+//! order: batches form in the order their first member arrived, and
+//! members keep arrival order inside a batch, so the fused system
+//! indices are deterministic.
 
-use gpu_sim::SimError;
+use gpu_sim::{DeviceSpec, SimError};
 use tridiag_core::{Layout, SystemBatch};
+use tridiag_gpu::plan::cost::Decision;
 
 use crate::request::{Payload, SolveRequest};
 
 /// What makes two requests mergeable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoalesceKey {
     /// Rows per system.
     pub n: usize,
     /// Scalar width in bytes.
     pub elem_bytes: usize,
+    /// The planner's decision for each member solved alone on the
+    /// service's primary device; the fused batch runs pinned to it.
+    pub decision: Decision,
 }
 
 impl CoalesceKey {
-    /// The key of one request.
-    pub fn of(req: &SolveRequest) -> Self {
+    /// The key of one request on a service whose primary device is
+    /// `spec`.
+    pub fn of(spec: &DeviceSpec, req: &SolveRequest) -> Self {
         Self {
             n: req.payload.system_len(),
             elem_bytes: req.payload.elem_bytes(),
+            decision: req.payload.decision(spec),
         }
     }
 }
@@ -65,13 +75,17 @@ pub struct CoalescedBatch {
 }
 
 /// Group `requests` (one tick's working set, in arrival order) into
-/// fused batches. Batches come out in first-seen order of their key.
-/// Fails with [`SimError::InvalidPlan`] only if concatenation produces
-/// an invalid batch, which a well-formed working set cannot.
-pub fn coalesce(requests: &[SolveRequest]) -> Result<Vec<CoalescedBatch>, SimError> {
+/// fused batches, keyed as on a service whose primary device is
+/// `spec`. Batches come out in first-seen order of their key. Fails
+/// with [`SimError::InvalidPlan`] only if concatenation produces an
+/// invalid batch, which a well-formed working set cannot.
+pub fn coalesce(
+    spec: &DeviceSpec,
+    requests: &[SolveRequest],
+) -> Result<Vec<CoalescedBatch>, SimError> {
     let mut batches: Vec<(CoalesceKey, Vec<usize>)> = Vec::new();
     for (slot, req) in requests.iter().enumerate() {
-        let key = CoalesceKey::of(req);
+        let key = CoalesceKey::of(spec, req);
         match batches.iter_mut().find(|(k, _)| *k == key) {
             Some((_, slots)) => slots.push(slot),
             None => batches.push((key, vec![slot])),

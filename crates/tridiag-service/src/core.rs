@@ -3,24 +3,27 @@
 //! all on the modeled-time axis (no wall clocks anywhere).
 //!
 //! **Decision pinning.** A request's answer must not depend on its
-//! co-tenants. The planner's transition rule chooses `(k, mapping,
-//! fused)` from the batch size `M`, and a coalesced batch's `M` varies
-//! with traffic — so the service never lets the rule see the fused
-//! `M`. Instead, per `(n, precision)` it takes the planner's decisions
-//! for a canonical batch of [`PIN_M`] systems under the default solver
-//! config ([`tridiag_gpu::plan::cost::decide`]) and pins them
-//! ([`GpuSolverConfig::pinned`]: `k`, resolved mapping, fusion, layout)
-//! into every solve at that geometry — fused *and* solo. Per-system
-//! arithmetic depends only on the pinned decisions (the property the
-//! sharded differential harness proves), so coalescing is bit-neutral
-//! by construction.
+//! co-tenants. The planner chooses `(k, mapping, fused, layout)` from
+//! the batch size `M`, and a coalesced batch's `M` varies with traffic
+//! — so the service never lets the planner see the fused `M`. Each
+//! request's decision is the planner's for the request alone
+//! ([`Payload::decision`]: [`tridiag_gpu::plan::cost::decide`] under
+//! the default config on the primary device, what
+//! [`tridiag_gpu::GpuTridiagSolver::solve_batch`] takes for it); only
+//! requests with equal decisions coalesce, and the fused batch runs
+//! with that decision pinned ([`GpuSolverConfig::pinned`]: `k`,
+//! resolved mapping, fusion, layout). Per-system arithmetic depends
+//! only on `(k, layout)` — not on the mapping, fusion or batch size
+//! (the `pipeline_choices_are_bit_neutral` property test and the
+//! sharded differential harness prove it) — so every answer equals the
+//! request's own `solve_batch`, bit for bit.
 //!
 //! **The tick.** When the device frees and the queue is non-empty, a
 //! coalescing window opens; it closes `window_us` later. Requests
 //! arriving by the close join the queue (bounced with
 //! [`ServiceError::Overloaded`] beyond `queue_depth`); at the close
-//! the whole queue drains, coalesces by `(n, precision)`, and the
-//! batches run back-to-back. `window_us == 0` disables coalescing:
+//! the whole queue drains, coalesces by `(n, precision, decision)`, and
+//! the batches run back-to-back. `window_us == 0` disables coalescing:
 //! exactly one request per tick, the solo baseline.
 
 use std::sync::Arc;
@@ -29,7 +32,7 @@ use gpu_sim::group::copy_us;
 use gpu_sim::{DeviceGroup, ExecConfig, Result, SimError};
 use tridiag_core::SystemBatch;
 use tridiag_gpu::buffers::GpuScalar;
-use tridiag_gpu::plan::cost::decide;
+use tridiag_gpu::plan::cost::Decision;
 use tridiag_gpu::solver::GpuSolverConfig;
 use tridiag_gpu::{ShardedExecutor, ShardedPlan};
 
@@ -38,10 +41,6 @@ use crate::coalesce::{coalesce, CoalescedBatch};
 use crate::report::{BatchSummary, DeviceSpan, ServiceReport, SloConfig};
 use crate::request::{Payload, RequestSpans, Response, ServiceError, Solution, SolveRequest};
 use crate::telemetry::Telemetry;
-
-/// Canonical batch size the per-geometry decisions are pinned from
-/// (see the module docs).
-pub const PIN_M: usize = 256;
 
 /// Plan-cache capacity (plans, not bytes).
 pub const CACHE_CAPACITY: usize = 32;
@@ -139,17 +138,6 @@ impl ServiceCore {
         self.cache.stats()
     }
 
-    /// The pinned solver config for `(n, elem_bytes)`: the planner's
-    /// decisions for the canonical [`PIN_M`] geometry on the primary
-    /// device, replayed for every solve at that geometry regardless of
-    /// batch size. Only the decision is taken — no `PIN_M` plan is
-    /// built — so a geometry whose canonical batch would not fit the
-    /// device still pins.
-    pub fn pinned_config(&self, n: usize, elem_bytes: usize) -> GpuSolverConfig {
-        let base = GpuSolverConfig::default();
-        base.pinned(decide(self.group.primary(), &base, PIN_M, n, elem_bytes))
-    }
-
     /// The group a batch of `m` systems actually shards over: the full
     /// group, or — when `m` is too small to give every device a shard —
     /// just the primary device.
@@ -161,16 +149,28 @@ impl ServiceCore {
         }
     }
 
-    /// Solve one payload under the pinned config for its geometry.
-    /// Returns the solution, the modeled kernel time, whether the plan
-    /// came from the cache, and the per-device shard execution.
+    /// Solve one payload alone under its own pinned decision
+    /// ([`Payload::decision`] on the primary device). Returns the
+    /// solution, the modeled kernel time, whether the plan came from
+    /// the cache, and the per-device shard execution.
     pub fn solve_payload(
         &mut self,
         payload: &Payload,
     ) -> Result<(Solution, f64, bool, Vec<DeviceSpan>)> {
+        let decision = payload.decision(self.group.primary());
+        self.solve_pinned(payload, decision)
+    }
+
+    /// Solve one payload with `decision` pinned, whatever its batch
+    /// size (see the module docs).
+    fn solve_pinned(
+        &mut self,
+        payload: &Payload,
+        decision: Decision,
+    ) -> Result<(Solution, f64, bool, Vec<DeviceSpan>)> {
         let n = payload.system_len();
         let bytes = payload.elem_bytes();
-        let config = self.pinned_config(n, bytes);
+        let config = GpuSolverConfig::default().pinned(decision);
         let m = payload.num_systems();
         let group = self.effective_group(m);
         let (plan, hit) = self.cache.lookup(&group, &config, m, n, bytes)?;
@@ -197,12 +197,13 @@ impl ServiceCore {
         }
     }
 
-    /// Solve one coalesced batch. On a solver fault the batch is
-    /// *isolated*: every member re-solves alone under the same pinned
-    /// config, so the fault lands only on the member(s) that carry the
-    /// bad system and healthy co-tenants still complete.
+    /// Solve one coalesced batch under its members' shared decision.
+    /// On a solver fault the batch is *isolated*: every member
+    /// re-solves alone under the same decision, so the fault lands only
+    /// on the member(s) that carry the bad system and healthy
+    /// co-tenants still complete.
     fn run_batch(&mut self, batch: CoalescedBatch) -> BatchRun {
-        match self.solve_payload(&batch.payload) {
+        match self.solve_pinned(&batch.payload, batch.key.decision) {
             Ok((solution, kernel_us, cache_hit, devices)) => {
                 let pieces = Self::scatter(&batch, &solution);
                 let outcomes = batch
@@ -233,7 +234,7 @@ impl ServiceCore {
         // isolation needs no access to the original requests.
         for mem in &batch.members {
             let solo = member_payload(&batch, mem);
-            match solo.and_then(|p| self.solve_payload(&p)) {
+            match solo.and_then(|p| self.solve_pinned(&p, batch.key.decision)) {
                 Ok((x, us, hit, _devices)) => {
                     kernel_total += us;
                     outcomes.push((us, copy_us(mem.solution_bytes), hit, Ok(x)));
@@ -278,7 +279,7 @@ impl ServiceCore {
         let mut responses: Vec<Option<Response>> = vec![None; working.len()];
         let mut summaries = Vec::new();
         let tick = self.telemetry.on_tick_open(open_us, working);
-        let batches = match coalesce(working) {
+        let batches = match coalesce(self.group.primary(), working) {
             Ok(b) => b,
             Err(e) => {
                 // Coalescing itself cannot fail on well-formed

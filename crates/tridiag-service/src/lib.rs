@@ -7,12 +7,13 @@
 //! win decisively past the crossover point — but real traffic arrives
 //! as small independent requests. This crate bridges the two: a
 //! bounded request queue with typed backpressure, a coalescer merging
-//! compatible requests (same `n`, same precision) into one fused batch
-//! per tick, a plan cache over the pure planner (PR 4's
-//! [`tridiag_gpu::SolvePlan::build`]), per-request latency attribution
-//! (queue / coalesce-window / kernel / scatter spans), and — the
-//! correctness keystone — **decision pinning**, which makes a
-//! request's bits independent of its co-tenants (see
+//! compatible requests (same `n`, same precision, same planner
+//! decision) into one fused batch per tick, a plan cache over the pure
+//! planner ([`tridiag_gpu::SolvePlan::build`]), per-request latency
+//! attribution (queue / coalesce-window / kernel / scatter spans), and
+//! — the correctness keystone — **decision pinning**, which makes a
+//! request's bits those of its own solo `solve_batch`, whoever its
+//! co-tenants are (see
 //! [`core`] module docs; proven by the `service_differential` suite).
 //!
 //! Two drivers share the same engine:
@@ -43,10 +44,11 @@ pub use telemetry::{
 
 use gpu_sim::{DeviceGroup, Result};
 
-/// Solve one payload alone under the exact pinned config the service
-/// would use — the reference answer coalescing must reproduce
-/// bit-for-bit. (A fresh one-shot [`ServiceCore`]; the plan cache is
-/// irrelevant to the answer.)
+/// Solve one payload alone through the service, under its own pinned
+/// decision — a fresh one-shot [`ServiceCore`], so no co-tenant and no
+/// cached plan is involved. Coalesced answers must equal it, and it
+/// equals [`tridiag_gpu::GpuTridiagSolver::solve_batch`] on the payload
+/// on the group's primary device, bit for bit.
 pub fn solo_solution(
     group: &DeviceGroup,
     cfg: ServiceConfig,

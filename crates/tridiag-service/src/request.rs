@@ -8,8 +8,11 @@
 
 use std::fmt;
 
+use gpu_sim::DeviceSpec;
 use tridiag_core::SystemBatch;
+use tridiag_gpu::plan::cost::{decide, Decision};
 use tridiag_gpu::solution_hash;
+use tridiag_gpu::GpuSolverConfig;
 
 /// The systems one request wants solved, tagged by precision.
 #[derive(Debug, Clone)]
@@ -56,6 +59,21 @@ impl Payload {
     /// Bytes of one solution download for this payload.
     pub fn solution_bytes(&self) -> usize {
         self.num_systems() * self.system_len() * self.elem_bytes()
+    }
+
+    /// The planner's decision for this payload solved alone on `spec`
+    /// under the default config — the one
+    /// [`tridiag_gpu::GpuTridiagSolver::solve_batch`] takes for it, and
+    /// the one the service pins for it.
+    pub fn decision(&self, spec: &DeviceSpec) -> Decision {
+        let config = GpuSolverConfig::default();
+        decide(
+            spec,
+            &config,
+            self.num_systems(),
+            self.system_len(),
+            self.elem_bytes(),
+        )
     }
 }
 

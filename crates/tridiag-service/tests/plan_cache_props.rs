@@ -126,7 +126,7 @@ proptest! {
 fn config_fingerprint_separates_pinned_configs() {
     let base = GpuSolverConfig::default();
     let pinned = GpuSolverConfig {
-        policy: TransitionPolicy::Fixed(3),
+        policy: TransitionPolicy::Fixed(1),
         ..base
     };
     assert_ne!(config_fingerprint(&base), config_fingerprint(&pinned));

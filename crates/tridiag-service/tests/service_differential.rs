@@ -3,10 +3,11 @@
 //!
 //! For randomized mixes of request shapes the coalesced path must be
 //! **bit-identical** (FNV-1a solution hashes, same style as
-//! `sharded_differential.rs`) to solving each request alone under the
-//! service's pinned config, and the coalescer must merge *exactly* the
-//! compatible requests: same `(n, precision)` always lands in one
-//! batch per tick, different `(n, precision)` never shares one.
+//! `sharded_differential.rs`) to a plain `GpuTridiagSolver::solve_batch`
+//! of each request alone (and to the service's own solo solve), and the
+//! coalescer must merge *exactly* the compatible requests: same
+//! `(n, precision, decision)` always lands in one batch per tick,
+//! different keys never share one.
 //!
 //! Also pinned here: the throughput claim the service exists for —
 //! with small per-request batches, a non-zero coalescing window beats
@@ -18,11 +19,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tridiag_core::generators::random_batch;
 use tridiag_core::SystemBatch;
-use tridiag_gpu::solver::GpuSolverConfig;
-use tridiag_gpu::SolvePlan;
-use tridiag_service::core::PIN_M;
+use tridiag_gpu::GpuTridiagSolver;
 use tridiag_service::{
-    solo_solution, Payload, ServiceConfig, ServiceCore, ServiceReport, SolveRequest,
+    solo_solution, CoalesceKey, Payload, ServiceConfig, ServiceCore, ServiceReport, Solution,
+    SolveRequest,
 };
 
 const MIXES: usize = 60;
@@ -50,6 +50,22 @@ fn random_mix(rng: &mut StdRng) -> Vec<SolveRequest> {
             }
         })
         .collect()
+}
+
+/// A plain one-device `solve_batch` of `payload` alone on `spec`, and
+/// its modeled kernel time.
+fn plain_solve(spec: &DeviceSpec, payload: &Payload) -> (Solution, f64) {
+    let solver = GpuTridiagSolver::new(spec.clone(), Default::default());
+    match payload {
+        Payload::F32(b) => {
+            let (x, report) = solver.solve_batch(b).unwrap();
+            (Solution::F32(x), report.total_us)
+        }
+        Payload::F64(b) => {
+            let (x, report) = solver.solve_batch(b).unwrap();
+            (Solution::F64(x), report.total_us)
+        }
+    }
 }
 
 fn service_config(window_us: f64) -> ServiceConfig {
@@ -100,15 +116,13 @@ fn assert_batches_are_coherent(report: &ServiceReport, ctx: &str) {
 /// batching is exactly the compatibility relation.
 #[test]
 fn coalesced_solutions_bit_identical_to_solo_across_random_mixes() {
-    let group = DeviceGroup::single(DeviceSpec::gtx480());
+    let spec = DeviceSpec::gtx480();
+    let group = DeviceGroup::single(spec.clone());
     let mut rng = StdRng::seed_from_u64(0xC0A1E5CE);
     let mut coalesced_batches = 0usize;
     for mix in 0..MIXES {
         let requests = random_mix(&mut rng);
-        let keys: Vec<(usize, usize)> = requests
-            .iter()
-            .map(|r| (r.payload.system_len(), r.payload.elem_bytes()))
-            .collect();
+        let keys: Vec<CoalesceKey> = requests.iter().map(|r| CoalesceKey::of(&spec, r)).collect();
         let mut core = ServiceCore::new(group.clone(), service_config(50.0));
         let report = core.run_workload(requests.clone());
         assert_eq!(report.responses.len(), requests.len(), "mix {mix}");
@@ -132,6 +146,13 @@ fn coalesced_solutions_bit_identical_to_solo_across_random_mixes() {
                 req.id
             );
             assert_eq!(coalesced, &solo, "mix {mix} request {}: bit drift", req.id);
+            let (plain, _) = plain_solve(&spec, &req.payload);
+            assert_eq!(
+                coalesced.hash(),
+                plain.hash(),
+                "mix {mix} request {}: service answer differs from solve_batch",
+                req.id
+            );
         }
 
         // Exact-batching: all arrivals land inside the first window, so
@@ -155,7 +176,7 @@ fn coalesced_solutions_bit_identical_to_solo_across_random_mixes() {
                 } else {
                     assert_ne!(
                         ba, bb,
-                        "mix {mix}: incompatible requests {a}/{b} merged (n/precision differ)"
+                        "mix {mix}: incompatible requests {a}/{b} merged (n/precision/decision differ)"
                     );
                 }
             }
@@ -179,7 +200,8 @@ fn coalesced_solutions_bit_identical_to_solo_across_random_mixes() {
 /// primary — the answer must still be bit-identical.
 #[test]
 fn coalesced_solutions_bit_identical_on_a_device_group() {
-    let group = DeviceGroup::homogeneous(DeviceSpec::gtx480(), 2).unwrap();
+    let spec = DeviceSpec::gtx480();
+    let group = DeviceGroup::homogeneous(spec.clone(), 2).unwrap();
     let mut rng = StdRng::seed_from_u64(0x5EED);
     for mix in 0..8 {
         let requests = random_mix(&mut rng);
@@ -193,6 +215,13 @@ fn coalesced_solutions_bit_identical_on_a_device_group() {
                 coalesced.hash(),
                 solo.hash(),
                 "mix {mix} request {} on D=2",
+                req.id
+            );
+            let (plain, _) = plain_solve(&spec, &req.payload);
+            assert_eq!(
+                coalesced.hash(),
+                plain.hash(),
+                "mix {mix} request {} on D=2: differs from one-device solve_batch",
                 req.id
             );
         }
@@ -254,10 +283,10 @@ struct WindowPin {
 const WINDOW_PINS: &[WindowPin] = &[
     WindowPin {
         window_us: 0.0,
-        requests_per_s: 0x40f0_48e2_d7c7_ea9e,
-        p50_us: 0x407c_0be9_4b8d_0682,
-        p99_us: 0x408c_03e9_4b8d_0682,
-        makespan_us: 0x408d_fbe9_4b8d_0681,
+        requests_per_s: 0x40f2_a249_97af_bddc,
+        p50_us: 0x4078_4430_ec88_7517,
+        p99_us: 0x4088_3c30_ec88_7510,
+        makespan_us: 0x408a_3430_ec88_750f,
         batches: 64,
         fused_batches: 0,
         cache_hits: 63,
@@ -265,10 +294,10 @@ const WINDOW_PINS: &[WindowPin] = &[
     },
     WindowPin {
         window_us: 2.0,
-        requests_per_s: 0x4111_8b4f_a8c6_3296,
-        p50_us: 0x405f_d129_0c56_938e,
-        p99_us: 0x4063_f4de_4089_7f07,
-        makespan_us: 0x406b_d4de_4089_7f07,
+        requests_per_s: 0x4113_04cc_d4a9_927b,
+        p50_us: 0x405b_8058_b0ed_1829,
+        p99_us: 0x4061_cc76_12d4_c154,
+        makespan_us: 0x4069_ac76_12d4_c154,
         batches: 3,
         fused_batches: 3,
         cache_hits: 0,
@@ -276,10 +305,10 @@ const WINDOW_PINS: &[WindowPin] = &[
     },
     WindowPin {
         window_us: 4.0,
-        requests_per_s: 0x4110_cf5e_2c30_4278,
-        p50_us: 0x4056_05e4_6765_9ef0,
-        p99_us: 0x4065_2c09_508e_5e70,
-        makespan_us: 0x406d_0c09_508e_5e70,
+        requests_per_s: 0x4112_9f3a_d0c8_d096,
+        p50_us: 0x405c_9869_5b14_c859,
+        p99_us: 0x4062_587e_67e8_996c,
+        makespan_us: 0x406a_387e_67e8_996c,
         batches: 3,
         fused_batches: 3,
         cache_hits: 0,
@@ -287,10 +316,10 @@ const WINDOW_PINS: &[WindowPin] = &[
     },
     WindowPin {
         window_us: 8.0,
-        requests_per_s: 0x4110_8fba_ab99_99a0,
-        p50_us: 0x405b_e149_3544_da16,
-        p99_us: 0x4065_9ba6_e2cc_5fc8,
-        makespan_us: 0x406d_7ba6_e2cc_5fc8,
+        requests_per_s: 0x4111_c6ed_4fb5_9687,
+        p50_us: 0x4058_630b_d617_be27,
+        p99_us: 0x4063_9788_d241_678b,
+        makespan_us: 0x406b_7788_d241_678b,
         batches: 3,
         fused_batches: 3,
         cache_hits: 0,
@@ -298,10 +327,10 @@ const WINDOW_PINS: &[WindowPin] = &[
     },
     WindowPin {
         window_us: 16.0,
-        requests_per_s: 0x4110_5a7b_054d_549a,
-        p50_us: 0x4061_ef5d_286e_2a88,
-        p99_us: 0x4065_fba6_e2cc_5fc8,
-        makespan_us: 0x406d_dba6_e2cc_5fc8,
+        requests_per_s: 0x4111_89a1_8c5d_f620,
+        p50_us: 0x405f_d67e_2fc6_6495,
+        p99_us: 0x4063_f788_d241_678a,
+        makespan_us: 0x406b_d788_d241_678a,
         batches: 2,
         fused_batches: 2,
         cache_hits: 0,
@@ -309,10 +338,10 @@ const WINDOW_PINS: &[WindowPin] = &[
     },
     WindowPin {
         window_us: 64.0,
-        requests_per_s: 0x410c_fab9_6bc9_820d,
-        p50_us: 0x4065_c688_3873_09f1,
-        p99_us: 0x4069_d2d1_f2d1_3f32,
-        makespan_us: 0x4070_d968_f968_9f98,
+        requests_per_s: 0x410e_ee5d_385c_716b,
+        p50_us: 0x4063_a630_8300_7821,
+        p99_us: 0x4067_b27a_3d5e_ad60,
+        makespan_us: 0x406f_927a_3d5e_ad60,
         batches: 1,
         fused_batches: 1,
         cache_hits: 0,
@@ -449,22 +478,41 @@ fn scatter_returns_each_request_its_own_rows() {
     }
 }
 
-/// A geometry whose canonical pin batch would overflow the device
-/// still pins: the service takes the planner's decision, not a
-/// [`PIN_M`]-system plan, so requests that fit the device complete,
-/// bit-identical to their solo solves and to the same solves on a
-/// full-memory device.
+/// A lone large request runs at its own decision, not at one pinned
+/// for some other batch size: two 131072-row f64 systems model within
+/// 1.25x of `solve_batch`'s kernel time for the same request, with the
+/// same bits.
 #[test]
-fn requests_complete_when_the_pin_batch_would_overflow() {
-    let n = 4096;
-    let full = DeviceSpec::gtx480();
-    let mut small = full.clone();
-    small.global_mem_bytes = 16 << 20;
+fn lone_large_request_runs_at_its_own_decision() {
+    let spec = DeviceSpec::gtx480();
+    let payload = Payload::F64(random_batch::<f64>(2, 131072, 5));
+    let requests = vec![SolveRequest {
+        id: 0,
+        arrival_us: 0.0,
+        payload: payload.clone(),
+    }];
+    let mut core = ServiceCore::new(DeviceGroup::single(spec.clone()), service_config(50.0));
+    let report = core.run_workload(requests);
+    assert_eq!(report.totals(), (1, 0, 0), "{:?}", report.responses);
+    let resp = &report.responses[0];
+    let (plain, plain_us) = plain_solve(&spec, &payload);
+    assert_eq!(resp.result.as_ref().unwrap(), &plain);
+    let kernel_us = resp.spans.kernel_us;
     assert!(
-        SolvePlan::build(&small, &GpuSolverConfig::default(), PIN_M, n, 8).is_err(),
-        "the pin batch must overflow the shrunken device"
+        kernel_us <= 1.25 * plain_us,
+        "service kernel {kernel_us} us vs solve_batch {plain_us} us"
     );
-    let group = DeviceGroup::single(small);
+}
+
+/// The service runs on any device, shrunken copies included: a device
+/// without a tuned table takes the planner's fallback decision, and
+/// each answer is still its own `solve_batch` on that device.
+#[test]
+fn requests_on_a_shrunken_device_match_its_solve_batch() {
+    let n = 4096;
+    let mut small = DeviceSpec::gtx480();
+    small.global_mem_bytes = 16 << 20;
+    let group = DeviceGroup::single(small.clone());
     let requests: Vec<SolveRequest> = (0..2u64)
         .map(|i| SolveRequest {
             id: i,
@@ -472,20 +520,17 @@ fn requests_complete_when_the_pin_batch_would_overflow() {
             payload: Payload::F64(random_batch::<f64>(1, n, 70 + i)),
         })
         .collect();
-    let mut core = ServiceCore::new(group.clone(), service_config(50.0));
+    let mut core = ServiceCore::new(group, service_config(50.0));
     let report = core.run_workload(requests.clone());
     assert_eq!(report.totals(), (2, 0, 0), "{:?}", report.responses);
     for req in &requests {
         let resp = report.responses.iter().find(|r| r.id == req.id).unwrap();
-        let x = resp.result.as_ref().unwrap();
-        let solo = solo_solution(&group, service_config(50.0), &req.payload).unwrap();
-        assert_eq!(x, &solo, "request {}: coalesced differs from solo", req.id);
-        let unshrunk = solo_solution(
-            &DeviceGroup::single(full.clone()),
-            service_config(50.0),
-            &req.payload,
-        )
-        .unwrap();
-        assert_eq!(x, &unshrunk, "request {}: memory changed the pin", req.id);
+        let (plain, _) = plain_solve(&small, &req.payload);
+        assert_eq!(
+            resp.result.as_ref().unwrap(),
+            &plain,
+            "request {}: differs from solve_batch",
+            req.id
+        );
     }
 }

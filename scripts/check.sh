@@ -43,6 +43,12 @@ grep -q "dry run     : no kernels launched" <<<"$out"
 out="$(cargo run --release -q -p tridiag-cli -- plan --m 64 --n 512 --json)"
 grep -q "tridiag.solve_plan/v3" <<<"$out"
 
+echo "== CLI plan rule smoke (which rule decided, Table III's k beside it) =="
+out="$(cargo run --release -q -p tridiag-cli -- plan --m 64 --n 512)"
+grep -q "rule: tuned cell M∈\[64,128) N∈\[512,1024)" <<<"$out"
+out="$(cargo run --release -q -p tridiag-cli -- plan --m 64 --n 512 --device gtx280)"
+grep -q "rule: Table III fallback (spec not tuned)" <<<"$out"
+
 echo "== CLI fusion smoke (the planner fuses block-per-system hybrids, never k = 0) =="
 out="$(cargo run --release -q -p tridiag-cli -- plan --m 64 --n 512)"
 grep -q "fused=true" <<<"$out"
@@ -81,9 +87,19 @@ echo "== CLI large-geometry smokes (only plans that run are held to device memor
 # 8192 x 4096 f64 overflows one GTX480 but not two shards of 4096.
 out="$(cargo run --release -q -p tridiag-cli -- plan --m 8192 --n 4096 --devices 2)"
 grep -q "sharded plan: m=8192" <<<"$out"
-# One 131072-row system fits; the service's 256-system pin batch would not.
+# One 131072-row system fits the device and the service runs it.
 out="$(cargo run --release -q -p tridiag-cli -- stats --requests 2 --m 1 --n 131072)"
 grep -q "completed 2" <<<"$out"
+# A lone 1 x 2M request runs at its own decision: the service's makespan
+# is within 1.25x of the modeled time `solve` reports for it.
+solve_us="$(cargo run --release -q -p tridiag-cli -- solve --m 1 --n 2097152 | awk '/^modeled time:/ {print $3}')"
+out="$(cargo run --release -q -p tridiag-cli -- stats --requests 1 --m 1 --n 2097152)"
+grep -q "completed 1" <<<"$out"
+makespan_us="$(grep -o 'makespan [0-9.]*' <<<"$out" | awk '{print $2}')"
+awk -v s="$solve_us" -v m="$makespan_us" 'BEGIN { exit !(s > 0 && m <= 1.25 * s) }' || {
+  echo "service 1x2M makespan $makespan_us us exceeds 1.25 x solve's $solve_us us"
+  exit 1
+}
 
 echo "== CLI distributed smoke (one system row-split, certified + solved) =="
 out="$(cargo run --release -q -p tridiag-cli -- solve --split-n 4 --n 4096 --verify)"

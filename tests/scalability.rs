@@ -2,19 +2,44 @@
 //! the integration-level checks behind Figs. 12–14.
 
 use bench::series;
+use scalable_tridiag::gpu_sim::DeviceSpec;
 use scalable_tridiag::tridiag_core::generators;
-use scalable_tridiag::tridiag_gpu::solver::{GpuTridiagSolver, MappingVariant};
+use scalable_tridiag::tridiag_core::transition::TransitionPolicy;
+use scalable_tridiag::tridiag_gpu::solver::{GpuSolverConfig, GpuTridiagSolver, MappingVariant};
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "slow simulation; run with --release")]
 fn gpu_time_is_sublinear_then_linear_in_m() {
-    // Fig. 12 shape: under-filled region grows sub-linearly …
+    // Fig. 12 shape under the paper's rule (Table III): the under-filled
+    // region grows sub-linearly …
     let n = 512;
-    let (t64, _) = series::ours_us::<f64>(64, n);
-    let (t256, _) = series::ours_us::<f64>(256, n);
+    let paper_us = |m: usize| {
+        let config = GpuSolverConfig {
+            policy: TransitionPolicy::Gtx480Heuristic,
+            ..Default::default()
+        };
+        let batch = series::batch_for::<f64>(m, n);
+        let (_, report) = GpuTridiagSolver::new(DeviceSpec::gtx480(), config)
+            .solve_batch(&batch)
+            .unwrap();
+        report.total_us
+    };
+    let (t64, t256) = (paper_us(64), paper_us(256));
     assert!(
         t256 < 3.5 * t64,
         "sub-linear region: {t64:.1} -> {t256:.1} for 4x systems"
+    );
+    // … and the default planner's tuned decisions are no slower at
+    // either point, and still grow less than linearly.
+    let (d64, _) = series::ours_us::<f64>(64, n);
+    let (d256, _) = series::ours_us::<f64>(256, n);
+    assert!(
+        d64 <= t64 && d256 <= t256,
+        "tuned {d64:.1}/{d256:.1} vs Table III {t64:.1}/{t256:.1}"
+    );
+    assert!(
+        d256 < 4.0 * d64,
+        "tuned sub-linear region: {d64:.1} -> {d256:.1} for 4x systems"
     );
     // … and the saturated region is ~linear.
     let (t4k, _) = series::ours_us::<f64>(4096, n);
