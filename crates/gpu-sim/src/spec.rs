@@ -74,7 +74,7 @@ pub struct DeviceSpec {
 
 impl DeviceSpec {
     /// The NVIDIA GTX480 (GF100, Fermi) used in the paper's evaluation.
-    pub fn gtx480() -> Self {
+    pub const fn gtx480() -> Self {
         DeviceSpec {
             name: "GTX480",
             num_sms: 15,
