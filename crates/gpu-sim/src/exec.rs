@@ -20,6 +20,14 @@
 //! pieces and take the slice path, so checked launches see exactly the
 //! per-lane indices.
 //!
+//! A kernel that moves shared data itself counts the accesses apart
+//! from the move: [`BlockCtx::sh_account`] counts a group of them (one
+//! lane shape at several shifts) exactly as the per-access calls would,
+//! [`BlockCtx::sh_account_group`] applies a repeated group's count
+//! again without recounting it, and [`BlockCtx::shared_slice_mut`] is
+//! the data path. Every counted access must be one the data path
+//! performs; checked launches hand each of them to the sanitizer.
+//!
 //! Blocks are independent, as CUDA requires: CUDA guarantees nothing
 //! about cross-block ordering within a launch, and no kernel in this
 //! workspace communicates across blocks. An unchecked launch therefore
@@ -35,7 +43,7 @@
 
 use crate::counters::{BlockStats, KernelStats, PhaseStats, PRELUDE_PHASE};
 use crate::error::{Result, SimError};
-use crate::lanes::{expand, AffinePiece};
+use crate::lanes::{expand, AffinePiece, Lanes};
 use crate::memory::{
     access_conflict_cycles, access_transactions, access_uncoalesced, shared_conflict_cycles,
     uncoalesced, warp_transactions, InitMask,
@@ -417,6 +425,42 @@ pub struct BlockCtx<'a, S: Elem> {
     san: Option<Sanitizer>,
     /// Scratch for the affine entry points' expanded lanes.
     expanded: Vec<usize>,
+    /// Scratch for [`Self::sh_account`]'s block-sized runs of lanes.
+    run: Lanes,
+}
+
+/// A group of shared-memory accesses a kernel issues again and again —
+/// one lane shape at fixed shifts, as [`BlockCtx::sh_account`] takes
+/// them — with the count an unchecked launch made of it on its first
+/// [`BlockCtx::sh_account_group`]. Build it within the block that
+/// counts it: the count holds for that block's launch.
+#[derive(Debug, Clone, Default)]
+pub struct SharedGroup {
+    lanes: Lanes,
+    shifts: Vec<usize>,
+    write: bool,
+    count: Option<GroupCount>,
+}
+
+impl SharedGroup {
+    /// Loads (`write = false`) or stores of `lanes` at each of
+    /// `shifts`.
+    pub fn new(lanes: Lanes, shifts: &[usize], write: bool) -> Self {
+        Self {
+            lanes,
+            shifts: shifts.to_vec(),
+            write,
+            count: None,
+        }
+    }
+}
+
+/// The counter deltas of one group of shared accesses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct GroupCount {
+    accesses: u64,
+    replays: u64,
+    worst: u64,
 }
 
 /// Lane count of a piece list in lane order, and whether every lane's
@@ -445,6 +489,28 @@ fn check_values<S>(pieces: &[AffinePiece], vals: &[S]) -> Result<()> {
             indices: lanes,
             values: vals.len(),
         });
+    }
+    Ok(())
+}
+
+/// Call `f(pieces, len)` for each run of at most `threads` lanes of
+/// `lanes`, in lane order, the run renumbered from lane 0 (through the
+/// scratch list `run` when `lanes` needs more than one); stops at the
+/// first error.
+fn for_each_run(
+    lanes: &Lanes,
+    threads: usize,
+    run: &mut Lanes,
+    mut f: impl FnMut(&[AffinePiece], usize) -> Result<()>,
+) -> Result<()> {
+    let n = lanes.len();
+    if n <= threads {
+        return f(lanes.pieces(), n);
+    }
+    for lo in (0..n).step_by(threads) {
+        let hi = (lo + threads).min(n);
+        lanes.slice_into(lo, hi, run);
+        f(run.pieces(), hi - lo)?;
     }
     Ok(())
 }
@@ -731,6 +797,137 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
         &self.shared
     }
 
+    /// The mutable twin of [`Self::shared_slice`]: direct writes to
+    /// shared memory whose accesses were (or will be) counted with
+    /// [`Self::sh_account`].
+    pub fn shared_slice_mut(&mut self) -> &mut [S] {
+        &mut self.shared
+    }
+
+    /// Count a group of shared-memory accesses of one lane shape without
+    /// moving data. For each `shift` in `shifts`, in order, the lanes of
+    /// `lanes` moved up by `shift` elements are one load (`write =
+    /// false`) or store, issued as one access per run of at most
+    /// [`Self::threads`] lanes — a block looping over a list longer than
+    /// itself. The counters (the block total and the current phase's
+    /// `shared_accesses`, `bank_conflict_replays` and
+    /// `bank_conflict_degree_peak`) move exactly as the matching
+    /// [`Self::sh_ld_affine`] or [`Self::sh_st_affine`] calls would
+    /// move them; the kernel moves the data itself, through
+    /// [`Self::shared_slice_mut`]. An empty list or shift set counts
+    /// nothing.
+    ///
+    /// An unchecked launch counts each run once in closed form and
+    /// reuses the count for every shift: moving every lane of an access
+    /// by the same number of elements rotates the banks, which changes
+    /// no conflict. A checked launch, or a group with a lane out of
+    /// bounds, expands every access and hands it with its lanes to the
+    /// dense counter and to the sanitizer, as the per-access calls do.
+    pub fn sh_account(&mut self, lanes: &Lanes, shifts: &[usize], write: bool) -> Result<()> {
+        self.count_group(lanes, shifts, write).map(drop)
+    }
+
+    /// [`Self::sh_account`] of `group`'s lanes and shifts. An unchecked
+    /// launch counts the group on its first call and applies that count
+    /// again on every later one; a checked launch expands and checks
+    /// every access on every call.
+    pub fn sh_account_group(&mut self, group: &mut SharedGroup) -> Result<()> {
+        match group.count {
+            Some(count) => self.apply_group(count),
+            None => group.count = self.count_group(&group.lanes, &group.shifts, group.write)?,
+        }
+        Ok(())
+    }
+
+    /// Count a group as [`Self::sh_account`] does; its deltas when they
+    /// were made in closed form and hold for any later call with the
+    /// same group (shared memory only grows within a block), `None`
+    /// when the group is empty or was counted access by access.
+    fn count_group(
+        &mut self,
+        lanes: &Lanes,
+        shifts: &[usize],
+        write: bool,
+    ) -> Result<Option<GroupCount>> {
+        let Some(&top_shift) = shifts.iter().max() else {
+            return Ok(None);
+        };
+        if lanes.is_empty() {
+            return Ok(None);
+        }
+        let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+        for p in lanes.pieces() {
+            let (a, b) = (p.base, p.elem(p.lanes - 1));
+            lo = lo.min(a.min(b));
+            hi = hi.max(a.max(b));
+        }
+        let in_bounds = lo >= 0 && (hi as usize) + top_shift < self.shared.len();
+        // A uniform shift rotates the banks only when it moves every
+        // lane by whole bank words.
+        let word_shifts = S::BYTES.is_multiple_of(4);
+        let mut run = std::mem::take(&mut self.run);
+        let r = if self.checked() || !in_bounds || !word_shifts {
+            self.sh_account_expanded(lanes, shifts, write, &mut run)
+                .map(|()| None)
+        } else {
+            let (warp, banks) = (self.warp_size, self.banks);
+            let (mut accesses, mut replays, mut worst) = (0u64, 0u64, 1u64);
+            for_each_run(lanes, self.threads, &mut run, |pieces, len| {
+                let (r, w) = access_conflict_cycles(pieces, len, warp, S::BYTES, banks);
+                accesses += 1;
+                replays += r;
+                worst = worst.max(w);
+                Ok(())
+            })?;
+            let times = shifts.len() as u64;
+            let count = GroupCount {
+                accesses: accesses * times,
+                replays: replays * times,
+                worst,
+            };
+            self.apply_group(count);
+            Ok(Some(count))
+        };
+        self.run = run;
+        r
+    }
+
+    /// Apply a group's deltas to the block total and the current phase.
+    fn apply_group(&mut self, c: GroupCount) {
+        self.bump(|s| {
+            s.shared_accesses += c.accesses;
+            s.bank_conflict_replays += c.replays;
+            s.bank_conflict_degree_peak = s.bank_conflict_degree_peak.max(c.worst);
+        });
+    }
+
+    /// [`Self::sh_account`] access by access: every run of every shift
+    /// expanded to its indices, counted densely and checked by the
+    /// sanitizer.
+    fn sh_account_expanded(
+        &mut self,
+        lanes: &Lanes,
+        shifts: &[usize],
+        write: bool,
+        run: &mut Lanes,
+    ) -> Result<()> {
+        let mut idx = std::mem::take(&mut self.expanded);
+        let threads = self.threads;
+        let r = shifts.iter().try_for_each(|&shift| {
+            for_each_run(lanes, threads, run, |pieces, _| {
+                expand(pieces, &mut idx);
+                idx.iter_mut().for_each(|i| *i += shift);
+                self.account_shared(&idx)?;
+                if let Some(san) = self.san.as_mut() {
+                    san.shared_access(&idx, write);
+                }
+                Ok(())
+            })
+        });
+        self.expanded = idx;
+        r
+    }
+
     fn account_shared(&mut self, idx: &[usize]) -> Result<()> {
         if let Some(pos) = idx.iter().position(|&i| i >= self.shared.len()) {
             let len = self.shared.len();
@@ -913,6 +1110,7 @@ fn run_block<S: Elem, K: BlockKernel<S>>(
             )
         }),
         expanded: Vec::new(),
+        run: Lanes::new(),
     };
     kernel.run_block(&mut ctx)?;
     let mut out = BlockOut {
@@ -1617,6 +1815,204 @@ mod shared_slice_tests {
         let buf = mem.alloc(1);
         let cfg = LaunchConfig::new("peek", 1, 32);
         launch(&DeviceSpec::gtx480(), &cfg, &PeekKernel { buf }, &mut mem).unwrap();
+        assert_eq!(mem.read(buf).unwrap()[0], 10.0);
+    }
+}
+
+#[cfg(test)]
+mod sh_account_tests {
+    use super::*;
+
+    /// One group: `(base, stride, count)` runs, shifts, direction,
+    /// and whether a barrier follows.
+    type Group = (&'static [(usize, i64, usize)], &'static [usize], bool, bool);
+
+    /// Unit, strided and multi-piece shapes, lists longer than the
+    /// 48-thread block (runs that split warps), several shifts, empty
+    /// groups, two phases, and a store then an overlapping load by
+    /// other lanes in one epoch (a read-after-write race).
+    const GROUPS: [Group; 8] = [
+        (&[(0, 1, 100)], &[0, 130, 260, 390], false, true),
+        (
+            &[(0, 1, 10), (37, 1, 10), (90, 1, 10)],
+            &[0, 1, 5, 200],
+            true,
+            true,
+        ),
+        (&[(3, 2, 20), (100, 4, 20), (7, 0, 9)], &[0, 3], false, true),
+        (&[(0, 1, 10), (37, 1, 10), (90, 1, 10)], &[], true, true),
+        (&[], &[0, 4], false, true),
+        (&[(600, -1, 70), (10, 1, 33)], &[2, 0, 9], false, true),
+        (&[(500, 1, 32)], &[0], true, false),
+        (&[(501, 1, 32)], &[0], false, true),
+    ];
+
+    /// How [`Groups`] counts.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Mode {
+        /// Access by access through the affine entry points.
+        Single,
+        /// [`BlockCtx::sh_account`].
+        Bulk,
+        /// [`BlockCtx::sh_account_group`] on groups built once.
+        Group,
+    }
+
+    /// Runs [`GROUPS`] twice over, counted as `mode` says.
+    struct Groups {
+        mode: Mode,
+    }
+
+    impl<S: Elem> BlockKernel<S> for Groups {
+        fn run_block(&self, ctx: &mut BlockCtx<'_, S>) -> Result<()> {
+            let sh = ctx.shared_alloc(1000)?;
+            let (mut lanes, mut run, mut moved) = (Lanes::new(), Lanes::new(), Lanes::new());
+            let mut vals = Vec::new();
+            let mut built: Vec<SharedGroup> = Vec::new();
+            for pass in 0..2 {
+                for (g, &(runs, shifts, write, barrier)) in GROUPS.iter().enumerate() {
+                    ctx.phase(["a", "b"][g % 2]);
+                    lanes.clear();
+                    for &(base, stride, count) in runs {
+                        lanes.push(sh + base, stride, count);
+                    }
+                    match self.mode {
+                        Mode::Bulk => ctx.sh_account(&lanes, shifts, write)?,
+                        Mode::Group => {
+                            if pass == 0 {
+                                built.push(SharedGroup::new(lanes.clone(), shifts, write));
+                            }
+                            ctx.sh_account_group(&mut built[g])?;
+                        }
+                        Mode::Single => {
+                            for &shift in shifts {
+                                for lo in (0..lanes.len()).step_by(ctx.threads) {
+                                    let hi = (lo + ctx.threads).min(lanes.len());
+                                    lanes.slice_into(lo, hi, &mut run);
+                                    moved.clear();
+                                    for p in run.pieces() {
+                                        moved.push(p.base as usize + shift, p.stride, p.lanes);
+                                    }
+                                    if write {
+                                        vals.clear();
+                                        vals.resize(moved.len(), S::default());
+                                        ctx.sh_st_affine(moved.pieces(), &vals)?;
+                                    } else {
+                                        ctx.sh_ld_affine(moved.pieces(), &mut vals)?;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    if barrier {
+                        ctx.sync();
+                    }
+                }
+            }
+            Ok(())
+        }
+    }
+
+    fn run<S: Elem>(mode: Mode, exec: ExecConfig) -> (KernelStats, Vec<SanitizerViolation>) {
+        let mut mem = GpuMemory::<S>::new();
+        let cfg = LaunchConfig::new("groups", 2, 48);
+        let res = launch_with(
+            &DeviceSpec::gtx480(),
+            &cfg,
+            &exec,
+            &Groups { mode },
+            &mut mem,
+        )
+        .unwrap();
+        (res.stats, res.violations)
+    }
+
+    fn bulk_counts_like_single_accesses<S: Elem>() {
+        let reference = run::<S>(Mode::Single, ExecConfig::default());
+        assert!(reference.0.total.bank_conflict_replays > 0);
+        let checked = run::<S>(Mode::Single, ExecConfig::sanitized());
+        assert!(checked.0.total.sanitizer.shared_races > 0);
+        for mode in [Mode::Bulk, Mode::Group] {
+            assert_eq!(run::<S>(mode, ExecConfig::default()), reference, "{mode:?}");
+            assert_eq!(run::<S>(mode, ExecConfig::sanitized()), checked, "{mode:?}");
+        }
+        // Only the sanitizer's tallies tell the modes apart.
+        let mut plain = checked.0.clone();
+        plain.total.sanitizer = Default::default();
+        assert_eq!(plain.total, reference.0.total);
+    }
+
+    #[test]
+    fn bulk_counts_like_single_accesses_in_f64() {
+        bulk_counts_like_single_accesses::<f64>();
+    }
+
+    #[test]
+    fn bulk_counts_like_single_accesses_in_f32() {
+        bulk_counts_like_single_accesses::<f32>();
+    }
+
+    #[test]
+    fn bulk_out_of_bounds_matches_the_single_access_error() {
+        struct Oob {
+            bulk: bool,
+        }
+        impl BlockKernel<f64> for Oob {
+            fn run_block(&self, ctx: &mut BlockCtx<'_, f64>) -> Result<()> {
+                let sh = ctx.shared_alloc(64)?;
+                let mut lanes = Lanes::new();
+                lanes.push(sh + 40, 1, 20);
+                if self.bulk {
+                    ctx.sh_account(&lanes, &[0, 8], false)
+                } else {
+                    let mut out = Vec::new();
+                    ctx.sh_ld_affine(lanes.pieces(), &mut out)?;
+                    lanes.clear();
+                    lanes.push(sh + 48, 1, 20);
+                    ctx.sh_ld_affine(lanes.pieces(), &mut out)
+                }
+            }
+        }
+        for exec in [ExecConfig::default(), ExecConfig::sanitized()] {
+            let err = |bulk| {
+                let mut mem = GpuMemory::<f64>::new();
+                let cfg = LaunchConfig::new("oob", 1, 32);
+                launch_with(&DeviceSpec::gtx480(), &cfg, &exec, &Oob { bulk }, &mut mem)
+                    .unwrap_err()
+                    .to_string()
+            };
+            assert_eq!(err(true), err(false));
+        }
+    }
+
+    /// The mutable view writes what the read-only view and the next
+    /// counted load see.
+    #[test]
+    fn shared_slice_mut_writes_functional_state() {
+        struct Poke {
+            buf: BufId,
+        }
+        impl BlockKernel<f64> for Poke {
+            fn run_block(&self, ctx: &mut BlockCtx<'_, f64>) -> Result<()> {
+                let base = ctx.shared_alloc(4)?;
+                let mut lanes = Lanes::new();
+                lanes.push(base, 1, 4);
+                ctx.sh_account(&lanes, &[0], true)?;
+                ctx.shared_slice_mut()[base..base + 4].copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
+                ctx.sync();
+                let mut vals = Vec::new();
+                ctx.sh_ld_affine(lanes.pieces(), &mut vals)?;
+                ctx.st(self.buf, &[0], &[vals.iter().sum()])?;
+                Ok(())
+            }
+        }
+        let mut mem = GpuMemory::new();
+        let buf = mem.alloc(1);
+        let cfg = LaunchConfig::new("poke", 1, 32);
+        let exec = ExecConfig::sanitized();
+        let res = launch_with(&DeviceSpec::gtx480(), &cfg, &exec, &Poke { buf }, &mut mem).unwrap();
+        assert!(res.violations.is_empty(), "{:?}", res.violations);
+        assert_eq!(res.stats.total.shared_accesses, 2);
         assert_eq!(mem.read(buf).unwrap()[0], 10.0);
     }
 }

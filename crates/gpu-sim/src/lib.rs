@@ -95,7 +95,7 @@ pub use counters::{
 pub use error::{Result, SimError};
 pub use exec::{
     launch, launch_with, BlockCtx, BlockKernel, BufId, Elem, ExecConfig, GpuMemory, LaunchConfig,
-    LaunchResult,
+    LaunchResult, SharedGroup,
 };
 pub use group::{DeviceGroup, DeviceStream, GroupTimeline, StreamEvent, StreamOp};
 pub use json::Json;

@@ -15,6 +15,11 @@
 //! occupancy trade-off the paper warns about: "kernel fusion does not
 //! always improve performance".
 //!
+//! The fold reads each sub-tile's reduced rows straight from the
+//! window after counting the four `window_read` loads as one group
+//! ([`gpu_sim::BlockCtx::sh_account_group`]); the simulated accesses
+//! are the same four block-wide loads.
+//!
 //! The kernel covers the Fig. 11(a) mapping (one whole system per
 //! block); the solver falls back to the split pipeline for the other
 //! mappings.
@@ -22,7 +27,7 @@
 use super::window::{StreamSlot, WindowEngine};
 use crate::buffers::GpuScalar;
 use crate::consts::{THOMAS_BWD_FLOPS, THOMAS_FWD_FLOPS};
-use gpu_sim::{BlockCtx, BlockKernel, BufId, Lanes, Result, SimError};
+use gpu_sim::{BlockCtx, BlockKernel, BufId, Lanes, Result, SharedGroup, SimError};
 
 /// The fused kernel's phases that do the tiled-PCR stage's work — the
 /// window engine's — as opposed to the Thomas fold, the `c'`/`d'`
@@ -87,25 +92,26 @@ impl<S: GpuScalar> BlockKernel<S> for FusedKernel {
         let mut pend_dp: Vec<S> = Vec::with_capacity(st + f);
 
         let mut lanes = Lanes::new();
-        let mut rows: [Vec<S>; 4] = Default::default();
+        // This sub-tile's reduced rows: positions t0 − f .. t0 + st − f,
+        // the first `st` rows of each array's window.
+        let window = engine.slots[0].buf;
+        let mut window_lanes = Lanes::new();
+        window_lanes.push(window[0], 1, st);
+        let mut window_read = SharedGroup::new(window_lanes, &engine.arr_shifts, false);
 
         while engine.advance(ctx, self.input)? {
             let t0 = engine.slots[0].t0;
 
             // ---- read this sub-tile's reduced rows from shared ------
-            // (positions t0 − f .. t0 + st − f, already in the window).
             ctx.phase("window_read");
-            for (arr, out) in rows.iter_mut().enumerate() {
-                lanes.clear();
-                lanes.push(engine.slots[0].buf[arr], 1, st);
-                engine.io.load(ctx, None, &lanes, out)?;
-            }
+            ctx.sh_account_group(&mut window_read)?;
             // All lanes must finish reading the window before the next
             // advance() overwrites it: the fresh region [2f, 2f + st)
             // overlaps the rows just read whenever st > 2f (c ≥ 2).
             ctx.sync();
 
             // ---- fold into the per-thread Thomas forward recurrence --
+            let sh = ctx.shared_slice();
             let mut folded = 0u64;
             for i in 0..st {
                 let p = t0 - f as isize + i as isize;
@@ -114,7 +120,7 @@ impl<S: GpuScalar> BlockKernel<S> for FusedKernel {
                 }
                 let p = p as usize;
                 let j = p % stride;
-                let (a, b, c, d) = (rows[0][i], rows[1][i], rows[2][i], rows[3][i]);
+                let [a, b, c, d] = window.map(|w| sh[w + i]);
                 let (cp, dp) = if !started[j] {
                     if b == S::ZERO {
                         return Err(SimError::KernelFault(format!(
@@ -152,12 +158,8 @@ impl<S: GpuScalar> BlockKernel<S> for FusedKernel {
             while pend_cp.len() >= st {
                 lanes.clear();
                 lanes.push(base + pend_p0, 1, st);
-                engine
-                    .io
-                    .store(ctx, Some(self.c_prime), &lanes, &pend_cp[..st])?;
-                engine
-                    .io
-                    .store(ctx, Some(self.d_prime), &lanes, &pend_dp[..st])?;
+                engine.io.store(ctx, self.c_prime, &lanes, &pend_cp[..st])?;
+                engine.io.store(ctx, self.d_prime, &lanes, &pend_dp[..st])?;
                 pend_cp.drain(..st);
                 pend_dp.drain(..st);
                 pend_p0 += st;
@@ -169,8 +171,8 @@ impl<S: GpuScalar> BlockKernel<S> for FusedKernel {
         ctx.phase("cprime_store");
         lanes.clear();
         lanes.push(base + pend_p0, 1, pend_cp.len());
-        engine.io.store(ctx, Some(self.c_prime), &lanes, &pend_cp)?;
-        engine.io.store(ctx, Some(self.d_prime), &lanes, &pend_dp)?;
+        engine.io.store(ctx, self.c_prime, &lanes, &pend_cp)?;
+        engine.io.store(ctx, self.d_prime, &lanes, &pend_dp)?;
 
         // ---- backward substitution per thread -----------------------
         // Thread j owns rows j, j + 2^k, … (interleaved → coalesced):

@@ -21,10 +21,17 @@
 //!   segment).
 //!
 //! The streaming core lives in `super::window::WindowEngine` and is
-//! shared with the fused kernel. Because out-of-range neighbours are
-//! identity rows at every level (`reduce_row(·, identity, ·) =
-//! identity`), the kernel's output is **bit-for-bit identical** to the
-//! monolithic host reduction [`tridiag_core::pcr::reduce`] — the tests
+//! shared with the fused kernel; it counts each PCR level's shared
+//! accesses in groups and moves the window in place. The emit and the
+//! flush count their shared loads the same way
+//! ([`gpu_sim::BlockCtx::sh_account`]), read the values straight from
+//! the window and the carry, and store them to global memory; the carry
+//! roll is one `copy_within` per array. Because out-of-range neighbours
+//! are identity rows at every level (`reduce_row(·, identity, ·) =
+//! identity`), the kernel's output equals the monolithic host reduction
+//! [`tridiag_core::pcr::reduce`] exactly — bit for bit except the sign
+//! of an exact zero next to a stream's head, where the window reduces
+//! identity rows that the host takes fresh at every level. The tests
 //! assert exact equality.
 //!
 //! The `assignments` table expresses all three Fig. 11 mappings:
@@ -120,22 +127,19 @@ impl<S: GpuScalar> BlockKernel<S> for TiledPcrKernel {
         let f = engine.f;
         let sti = st as isize;
 
-        // Output-carry buffers for aligned emission.
+        // Output-carry buffers for aligned emission, the four arrays of
+        // a slot `carry_shifts` apart.
         ctx.phase("carry_init");
+        let carry_len = (st - f).max(1);
+        let carry_shifts = [0, carry_len, 2 * carry_len, 3 * carry_len];
         let mut carry: Vec<[usize; 4]> = Vec::with_capacity(engine.slots.len());
         for _ in 0..engine.slots.len() {
-            let mut c = [0usize; 4];
-            for slot_arr in c.iter_mut() {
-                *slot_arr = ctx.shared_alloc((st - f).max(1))?;
-            }
-            carry.push(c);
+            let base = ctx.shared_alloc(4 * carry_len)?;
+            carry.push(carry_shifts.map(|c| base + c));
         }
 
         let mut sh_lanes = Lanes::new();
         let mut g_lanes = Lanes::new();
-        // Per-array register tile staging the carry roll across the
-        // barrier that separates it from the emit reads.
-        let mut roll_vals: [Vec<S>; 4] = Default::default();
 
         while engine.advance(ctx, self.input)? {
             // ---- emit the *aligned* chunk [t0 − st, t0) -------------
@@ -163,16 +167,16 @@ impl<S: GpuScalar> BlockKernel<S> for TiledPcrKernel {
                 }
                 engine
                     .io
-                    .shared_to_global(ctx, &sh_lanes, self.output[arr], &g_lanes)?;
-
-                // Read the next chunk's carry head [t0, t0 + st − f) —
-                // this sub-tile's buf[f .. st) — into registers.
-                if st > f {
-                    slot_runs(&mut sh_lanes, &engine.active, st - f, |g| {
-                        engine.slots[g].buf[arr] + f
-                    });
-                    engine.io.load(ctx, None, &sh_lanes, &mut roll_vals[arr])?;
-                }
+                    .store_shared(ctx, &sh_lanes, self.output[arr], &g_lanes)?;
+            }
+            // Read the next chunk's carry head [t0, t0 + st − f) — this
+            // sub-tile's buf[f .. st) — into registers (the roll below
+            // moves it).
+            if st > f {
+                slot_runs(&mut sh_lanes, &engine.active, st - f, |g| {
+                    engine.slots[g].buf[0] + f
+                });
+                ctx.sh_account(&sh_lanes, &engine.arr_shifts, false)?;
             }
             // The emit phase *read* the carry words the roll below
             // *writes*, from differently-mapped lanes; without this
@@ -181,9 +185,14 @@ impl<S: GpuScalar> BlockKernel<S> for TiledPcrKernel {
             ctx.sync();
             ctx.phase("carry_roll");
             if st > f {
-                for (arr, vals) in roll_vals.iter().enumerate() {
-                    slot_runs(&mut sh_lanes, &engine.active, st - f, |g| carry[g][arr]);
-                    engine.io.store(ctx, None, &sh_lanes, vals)?;
+                slot_runs(&mut sh_lanes, &engine.active, st - f, |g| carry[g][0]);
+                ctx.sh_account(&sh_lanes, &carry_shifts, true)?;
+                let sh = ctx.shared_slice_mut();
+                for &g in &engine.active {
+                    for arr in 0..4 {
+                        let from = engine.slots[g].buf[arr] + f;
+                        sh.copy_within(from..from + st - f, carry[g][arr]);
+                    }
                 }
             }
             ctx.sync();
@@ -210,7 +219,7 @@ impl<S: GpuScalar> BlockKernel<S> for TiledPcrKernel {
             }
             engine
                 .io
-                .shared_to_global(ctx, &sh_lanes, self.output[arr], &g_lanes)?;
+                .store_shared(ctx, &sh_lanes, self.output[arr], &g_lanes)?;
         }
         Ok(())
     }
@@ -365,6 +374,59 @@ mod tests {
         assert_eq!(res.shared_bytes_per_block, elems * 8);
         // The paper's Table III flagship config fits 48 KiB easily.
         assert!(res.shared_bytes_per_block <= 48 * 1024);
+    }
+
+    /// Gradual underflow stays: in f32 the off-diagonals of dominant
+    /// systems reach the subnormal range at level 6, which a k = 6
+    /// launch emits and a k = 7 launch combines into the zeros it
+    /// emits. Both match the host reduction bit for bit — no flush to
+    /// zero, as sm_20 runs without fast-math. (Exact zeros may differ
+    /// in sign: the window reduces the identity rows before a stream's
+    /// head, the host takes fresh ones at every level.)
+    #[test]
+    fn f32_high_k_keeps_subnormal_coefficients() {
+        let (m, n) = (2usize, 1024usize);
+        let host = random_batch::<f32>(m, n, 11);
+        for k in [6u32, 7] {
+            let mut mem = GpuMemory::new();
+            let dev = upload(&mut mem, &host);
+            let out = [(); 4].map(|_| mem.alloc(m * n));
+            let kernel = TiledPcrKernel {
+                input: [dev.a, dev.b, dev.c, dev.d],
+                output: out,
+                n,
+                k,
+                sub_tile: 1 << k,
+                assignments: TiledPcrKernel::assign_block_per_system(m, n),
+            };
+            let cfg = LaunchConfig::new("tiled_pcr", m, 1 << k).with_regs(REGS_TILED_PCR);
+            launch(&DeviceSpec::gtx480(), &cfg, &kernel, &mut mem).unwrap();
+            let arrays: Vec<Vec<f32>> = out.iter().map(|&b| mem.read(b).unwrap()).collect();
+            let (mut subnormal, mut zero) = (0usize, 0usize);
+            for sys in 0..m {
+                let reference = pcr::reduce(&host.system(sys).unwrap(), k).unwrap();
+                let (ra, rb, rc, rd) = reference.arrays();
+                for (arr, want) in [ra, rb, rc, rd].into_iter().enumerate() {
+                    let got = &arrays[arr][sys * n..(sys + 1) * n];
+                    for (row, (g, w)) in got.iter().zip(want).enumerate() {
+                        let same = g.to_bits() == w.to_bits() || (*g == 0.0 && *w == 0.0);
+                        assert!(
+                            same,
+                            "k={k} array {arr} sys {sys} row {row}: {g:e} vs {w:e}"
+                        );
+                        if arr == 0 || arr == 2 {
+                            subnormal += usize::from(g.is_subnormal());
+                            zero += usize::from(*g == 0.0);
+                        }
+                    }
+                }
+            }
+            if k == 6 {
+                assert!(subnormal > 0, "no subnormal off-diagonal at k = 6");
+            } else {
+                assert_eq!(zero, 2 * m * n, "k = 7 underflows every off-diagonal");
+            }
+        }
     }
 
     #[test]

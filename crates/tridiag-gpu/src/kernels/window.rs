@@ -11,14 +11,26 @@
 //! (store to global, or feed the Thomas recurrence directly in the
 //! fused kernel), then calls [`WindowEngine::step`].
 //!
-//! Every access is one unit-stride lane run per active slot, handed to
-//! the simulator as affine pieces ([`Lanes`]) and issued through
-//! [`Chunked`] in accesses of at most one lane per thread.
+//! Every simulated access is one unit-stride lane run per active slot.
+//! Global accesses go through [`GlobalIo`], one access per block-sized
+//! run of lanes. Shared accesses are counted in groups, then the data
+//! moves in place through [`BlockCtx::shared_slice_mut`]: a slot's four
+//! arrays sit [`WindowEngine::arr_shifts`] apart, so one lane shape at
+//! four (or, for the three dependency rows, twelve) shifts is one
+//! [`SharedGroup`], and a level is six of them. The groups depend only
+//! on the active slot set, so the engine builds them once per set and
+//! an unchecked launch counts each once in closed form, then applies
+//! that count on every later sub-tile ([`BlockCtx::sh_account_group`];
+//! a checked launch expands and checks every access every time). The
+//! splice and the cache refresh are `copy_within`, the combine (Eqs.
+//! 5–6) rewrites the window in ascending lane order — lane `i` reads
+//! only positions at or above its own, which no earlier lane has
+//! rewritten — and the fresh sub-tile is staged straight into the
+//! window.
 
 use crate::buffers::GpuScalar;
 use crate::consts::PCR_FLOPS_PER_ROW;
-use gpu_sim::{AffinePiece, BlockCtx, BufId, Lanes, Result, SimError};
-use std::ops::Range;
+use gpu_sim::{BlockCtx, BufId, Lanes, Result, SharedGroup, SimError};
 use tridiag_core::cr::{reduce_row, Row};
 
 /// One PCR stream: a thread group reducing rows `[emit_lo, emit_hi)` of
@@ -63,121 +75,102 @@ impl SlotState {
     pub fn done(&self, f: isize) -> bool {
         self.t0 >= self.emit_hi + f
     }
+
+    /// Offsets `lo..hi` within the current `st`-row sub-tile of the
+    /// real input rows; the rest are identity rows.
+    fn fresh(&self, st: usize) -> (usize, usize) {
+        let lo = (-self.t0).clamp(0, st as isize);
+        let hi = (self.in_end - self.t0).clamp(lo, st as isize);
+        (lo as usize, hi as usize)
+    }
 }
 
-/// Block-wide accesses over lane lists of any length: a list is issued
-/// in chunks of at most `ctx.threads` lanes, one access per chunk, as a
-/// block that loops over its data would.
-pub(crate) struct Chunked<S> {
-    part: Lanes,
-    part_g: Lanes,
+/// Block-wide global accesses over lane lists of any length: a list is
+/// issued in runs of at most `ctx.threads` lanes, one access per run,
+/// as a block that loops over its data would.
+pub(crate) struct GlobalIo<S> {
+    run: Lanes,
     tmp: Vec<S>,
 }
 
-impl<S> Default for Chunked<S> {
+impl<S> Default for GlobalIo<S> {
     fn default() -> Self {
         Self {
-            part: Lanes::new(),
-            part_g: Lanes::new(),
+            run: Lanes::new(),
             tmp: Vec::new(),
         }
     }
 }
 
-/// Call `f(pieces, lanes)` for each chunk of at most `threads` lanes of
-/// `lanes` (none for an empty list).
-fn for_chunks(
-    threads: usize,
-    lanes: &Lanes,
-    part: &mut Lanes,
-    mut f: impl FnMut(&[AffinePiece], Range<usize>) -> Result<()>,
-) -> Result<()> {
-    let n = lanes.len();
-    if n <= threads {
-        return if n == 0 {
-            Ok(())
-        } else {
-            f(lanes.pieces(), 0..n)
-        };
-    }
-    for lo in (0..n).step_by(threads) {
-        let hi = (lo + threads).min(n);
-        lanes.slice_into(lo, hi, part);
-        f(part.pieces(), lo..hi)?;
-    }
-    Ok(())
-}
-
-impl<S: GpuScalar> Chunked<S> {
-    /// Load `lanes` of global buffer `Some(buf)` or of shared memory
-    /// (`None`) into `out`.
+impl<S: GpuScalar> GlobalIo<S> {
+    /// Load `lanes` of `buf` into `out`.
     pub fn load(
         &mut self,
         ctx: &mut BlockCtx<'_, S>,
-        src: Option<BufId>,
+        buf: BufId,
         lanes: &Lanes,
         out: &mut Vec<S>,
     ) -> Result<()> {
-        let load = |ctx: &mut BlockCtx<'_, S>, pieces: &[AffinePiece], out: &mut Vec<S>| match src {
-            Some(buf) => ctx.ld_affine(buf, pieces, out),
-            None => ctx.sh_ld_affine(pieces, out),
-        };
         out.clear();
-        // A list that fits one access loads straight into `out`.
-        if lanes.len() <= ctx.threads {
-            return if lanes.is_empty() {
+        let n = lanes.len();
+        if n <= ctx.threads {
+            return if n == 0 {
                 Ok(())
             } else {
-                load(ctx, lanes.pieces(), out)
+                ctx.ld_affine(buf, lanes.pieces(), out)
             };
         }
-        let tmp = &mut self.tmp;
-        for_chunks(ctx.threads, lanes, &mut self.part, |pieces, _| {
-            load(ctx, pieces, tmp)?;
-            out.extend_from_slice(tmp);
-            Ok(())
-        })
+        for lo in (0..n).step_by(ctx.threads) {
+            lanes.slice_into(lo, (lo + ctx.threads).min(n), &mut self.run);
+            ctx.ld_affine(buf, self.run.pieces(), &mut self.tmp)?;
+            out.extend_from_slice(&self.tmp);
+        }
+        Ok(())
     }
 
-    /// Store `vals` (one per lane) to `lanes` of global buffer
-    /// `Some(buf)` or of shared memory (`None`).
+    /// Store `vals` (one per lane) to `lanes` of `buf`.
     pub fn store(
         &mut self,
         ctx: &mut BlockCtx<'_, S>,
-        dst: Option<BufId>,
+        buf: BufId,
         lanes: &Lanes,
         vals: &[S],
     ) -> Result<()> {
-        if vals.len() != lanes.len() {
+        let n = lanes.len();
+        if vals.len() != n {
             return Err(SimError::LaneMismatch {
-                indices: lanes.len(),
+                indices: n,
                 values: vals.len(),
             });
         }
-        for_chunks(ctx.threads, lanes, &mut self.part, |pieces, r| match dst {
-            Some(buf) => ctx.st_affine(buf, pieces, &vals[r]),
-            None => ctx.sh_st_affine(pieces, &vals[r]),
-        })
+        for lo in (0..n).step_by(ctx.threads) {
+            let hi = (lo + ctx.threads).min(n);
+            lanes.slice_into(lo, hi, &mut self.run);
+            ctx.st_affine(buf, self.run.pieces(), &vals[lo..hi])?;
+        }
+        Ok(())
     }
 
-    /// Copy shared lanes `sh` to global lanes `g` of `dst`, chunk by
-    /// chunk: each chunk is a shared load then a global store.
-    pub fn shared_to_global(
+    /// Copy shared lanes `sh` to lanes `g` of `buf`: the shared loads
+    /// are counted as one group, their values read from shared memory
+    /// directly, then stored.
+    pub fn store_shared(
         &mut self,
         ctx: &mut BlockCtx<'_, S>,
         sh: &Lanes,
-        dst: BufId,
+        buf: BufId,
         g: &Lanes,
     ) -> Result<()> {
-        let n = g.len();
-        for lo in (0..n).step_by(ctx.threads) {
-            let hi = (lo + ctx.threads).min(n);
-            sh.slice_into(lo, hi, &mut self.part);
-            g.slice_into(lo, hi, &mut self.part_g);
-            ctx.sh_ld_affine(self.part.pieces(), &mut self.tmp)?;
-            ctx.st_affine(dst, self.part_g.pieces(), &self.tmp)?;
+        ctx.sh_account(sh, &[0], false)?;
+        let mut vals = std::mem::take(&mut self.tmp);
+        vals.clear();
+        let shared = ctx.shared_slice();
+        for p in sh.pieces() {
+            vals.extend((0..p.lanes).map(|x| shared[p.elem(x) as usize]));
         }
-        Ok(())
+        let r = self.store(ctx, buf, g, &vals);
+        self.tmp = vals;
+        r
     }
 }
 
@@ -205,17 +198,54 @@ pub(crate) struct WindowEngine<S> {
     pub slots: Vec<SlotState>,
     /// Slots still streaming, as of the last [`Self::advance`].
     pub active: Vec<usize>,
-    /// Access scratch, shared with the kernel driving the engine.
-    pub io: Chunked<S>,
-    // Reusable scratch: lane lists, the fresh rows' offsets within the
-    // staged sub-tile, and per-array value tiles.
+    /// Distance of each array's window (and cache) from array 0's, the
+    /// same in every slot: `slot.buf[arr] = slot.buf[0] + arr_shifts[arr]`.
+    pub arr_shifts: [usize; 4],
+    /// Global-access scratch, shared with the kernel driving the engine.
+    pub io: GlobalIo<S>,
+    /// The shared-access groups of a step, for the last active set.
+    groups: StepGroups,
+    // Reusable scratch: the fresh rows' global lanes and one array's
+    // loaded values.
     g_lanes: Lanes,
-    sh_lanes: Lanes,
-    fresh: Vec<(usize, usize)>,
-    vals: Vec<S>,
-    loaded: [Vec<S>; 4],
-    tri: [Vec<S>; 12],
-    out_vals: [Vec<S>; 4],
+    loaded: Vec<S>,
+}
+
+/// The shared-access groups of one sub-tile step for one active slot
+/// set: each is counted in closed form on its first use and its count
+/// applied again on every later step (see [`BlockCtx::sh_account_group`]).
+#[derive(Default)]
+struct StepGroups {
+    /// The active slots the groups cover.
+    active: Vec<usize>,
+    /// The staged sub-tile's stores.
+    stage: SharedGroup,
+    /// Per level: the splice's cache loads and window stores, the three
+    /// dependency-row loads, then the write-back, the span-tail loads
+    /// and the cache stores.
+    levels: Vec<[SharedGroup; 6]>,
+}
+
+/// Level `j`'s offsets: the neighbour distance `s = 2^(j−1)`, the
+/// window offset `OFF_j` its rows are written at, and the offset of its
+/// `2s` cached rows.
+struct Level {
+    s_half: usize,
+    two_s: usize,
+    off: usize,
+    cache_off: usize,
+}
+
+impl Level {
+    fn new(two_f: usize, j: usize) -> Self {
+        let s_half = 1usize << (j - 1);
+        Level {
+            s_half,
+            two_s: 2 * s_half,
+            off: two_f - 2 * ((1usize << j) - 1),
+            cache_off: 2 * (s_half - 1),
+        }
+    }
 }
 
 impl<S: GpuScalar> WindowEngine<S> {
@@ -243,6 +273,9 @@ impl<S: GpuScalar> WindowEngine<S> {
         let f = (1usize << k) - 1;
         let two_f = 2 * f;
         let buf_len = two_f + st;
+        // Per array: the window, then its cache.
+        let arr_step = buf_len + two_f;
+        let arr_shifts = [0, arr_step, 2 * arr_step, 3 * arr_step];
 
         ctx.phase("window_init");
         let mut slots = Vec::with_capacity(slots_cfg.len());
@@ -253,12 +286,8 @@ impl<S: GpuScalar> WindowEngine<S> {
                     s.emit_lo, s.emit_hi
                 )));
             }
-            let mut buf = [0usize; 4];
-            let mut cache = [0usize; 4];
-            for arr in 0..4 {
-                buf[arr] = ctx.shared_alloc(buf_len)?;
-                cache[arr] = ctx.shared_alloc(two_f)?;
-            }
+            let base = ctx.shared_alloc(4 * arr_step)?;
+            let buf = arr_shifts.map(|a| base + a);
             let in_start = (s.emit_lo as isize - f as isize).max(0);
             slots.push(SlotState {
                 system: s.system,
@@ -267,22 +296,24 @@ impl<S: GpuScalar> WindowEngine<S> {
                 in_end: ((s.emit_hi + f) as isize).min(n as isize),
                 t0: in_start,
                 buf,
-                cache,
+                cache: buf.map(|b| b + buf_len),
             });
         }
 
         // Identity rows for the positions preceding each stream.
         let mut lanes = Lanes::new();
-        let mut vals: Vec<S> = Vec::new();
         for slot in &slots {
-            for arr in 0..4 {
-                let ident = if arr == 1 { S::ONE } else { S::ZERO };
-                lanes.push(slot.cache[arr], 1, two_f);
-                vals.resize(vals.len() + two_f, ident);
+            for cache in slot.cache {
+                lanes.push(cache, 1, two_f);
             }
         }
-        let mut io = Chunked::default();
-        io.store(ctx, None, &lanes, &vals)?;
+        ctx.sh_account(&lanes, &[0], true)?;
+        let sh = ctx.shared_slice_mut();
+        for slot in &slots {
+            for (arr, cache) in slot.cache.into_iter().enumerate() {
+                sh[cache..cache + two_f].fill(identity(arr));
+            }
+        }
         ctx.sync();
 
         Ok(Self {
@@ -293,15 +324,42 @@ impl<S: GpuScalar> WindowEngine<S> {
             two_f,
             slots,
             active: Vec::new(),
-            io,
+            arr_shifts,
+            io: GlobalIo::default(),
+            groups: StepGroups::default(),
             g_lanes: Lanes::new(),
-            sh_lanes: lanes,
-            fresh: Vec::new(),
-            vals,
-            loaded: Default::default(),
-            tri: Default::default(),
-            out_vals: Default::default(),
+            loaded: Vec::new(),
         })
+    }
+
+    /// The step's shared-access groups for the current active set.
+    fn step_groups(&self) -> StepGroups {
+        let (st, two_f, shifts) = (self.st, self.two_f, self.arr_shifts);
+        let group = |count: usize, base: &dyn Fn(&SlotState) -> usize, at: &[usize], write| {
+            let mut lanes = Lanes::new();
+            slot_runs(&mut lanes, &self.active, count, |g| base(&self.slots[g]));
+            SharedGroup::new(lanes, at, write)
+        };
+        let levels = (1..=self.k)
+            .map(|j| {
+                let l = Level::new(two_f, j);
+                let rows: [usize; 12] =
+                    std::array::from_fn(|i| shifts[i / 3] + [0, l.s_half, l.two_s][i % 3]);
+                [
+                    group(l.two_s, &|s| s.cache[0] + l.cache_off, &shifts, false),
+                    group(l.two_s, &|s| s.buf[0] + l.off, &shifts, true),
+                    group(st, &|s| s.buf[0] + l.off, &rows, false),
+                    group(st, &|s| s.buf[0] + l.off, &shifts, true),
+                    group(l.two_s, &|s| s.buf[0] + l.off + st, &shifts, false),
+                    group(l.two_s, &|s| s.cache[0] + l.cache_off, &shifts, true),
+                ]
+            })
+            .collect();
+        StepGroups {
+            active: self.active.clone(),
+            stage: group(st, &|s| s.buf[0] + two_f, &shifts, true),
+            levels,
+        }
     }
 
     /// Load the next sub-tile for every active slot and run the `k`
@@ -315,119 +373,94 @@ impl<S: GpuScalar> WindowEngine<S> {
         if self.active.is_empty() {
             return Ok(false);
         }
-        let st = self.st;
-        let two_f = self.two_f;
-        let n = self.n;
-        let active = &self.active;
-        let slots = &self.slots;
+        if self.groups.active != self.active {
+            self.groups = self.step_groups();
+        }
+        let (st, two_f, n) = (self.st, self.two_f, self.n);
+        let step = self.arr_shifts[1];
+        let Self {
+            slots,
+            active,
+            io,
+            groups,
+            g_lanes,
+            loaded,
+            ..
+        } = self;
 
         // ---- 1. coalesced global loads of the fresh sub-tile --------
-        // Slot rank r's positions t0 + i, i ∈ [lo, hi), are the real
-        // input rows; they land at lanes r·st + i of the staged tile.
+        // Each slot's real input rows t0 + i, i ∈ [lo, hi), land at
+        // buf[arr] + 2f + i; the rest of its sub-tile is identity rows.
         ctx.phase("window_load");
-        self.g_lanes.clear();
-        self.fresh.clear();
-        for (rank, &g) in active.iter().enumerate() {
+        g_lanes.clear();
+        for &g in active.iter() {
             let s = &slots[g];
-            let lo = (-s.t0).clamp(0, st as isize);
-            let hi = (s.in_end - s.t0).clamp(lo, st as isize);
-            let (lo, hi) = (lo as usize, hi as usize);
-            self.g_lanes
-                .push(s.system * n + (s.t0 + lo as isize) as usize, 1, hi - lo);
-            self.fresh.push((rank * st + lo, hi - lo));
+            let (lo, hi) = s.fresh(st);
+            g_lanes.push(s.system * n + (s.t0 + lo as isize) as usize, 1, hi - lo);
         }
-        for arr in 0..4 {
-            self.io
-                .load(ctx, Some(input[arr]), &self.g_lanes, &mut self.loaded[arr])?;
-        }
-        for arr in 0..4 {
-            let ident = if arr == 1 { S::ONE } else { S::ZERO };
-            self.vals.clear();
-            self.vals.resize(active.len() * st, ident);
-            let mut src = 0usize;
-            for &(dst, len) in &self.fresh {
-                self.vals[dst..dst + len].copy_from_slice(&self.loaded[arr][src..src + len]);
-                src += len;
+        for (arr, &buf) in input.iter().enumerate() {
+            io.load(ctx, buf, g_lanes, loaded)?;
+            let sh = ctx.shared_slice_mut();
+            let mut src = loaded.as_slice();
+            for &g in active.iter() {
+                let s = &slots[g];
+                let (lo, hi) = s.fresh(st);
+                let tile = &mut sh[s.buf[arr] + two_f..][..st];
+                let (rows, rest) = src.split_at(hi - lo);
+                tile[..lo].fill(identity(arr));
+                tile[lo..hi].copy_from_slice(rows);
+                tile[hi..].fill(identity(arr));
+                src = rest;
             }
-            slot_runs(&mut self.sh_lanes, active, st, |g| {
-                slots[g].buf[arr] + two_f
-            });
-            self.io.store(ctx, None, &self.sh_lanes, &self.vals)?;
         }
+        ctx.sh_account_group(&mut groups.stage)?;
         ctx.sync();
 
         // ---- 2. k lockstep PCR levels -------------------------------
-        for j in 1..=self.k {
-            let s_half = 1usize << (j - 1);
-            let two_s = 2 * s_half;
-            let off_j = two_f - 2 * ((1usize << j) - 1);
-            let cache_off = 2 * (s_half - 1);
+        for (j, [splice_ld, splice_st, rows_ld, back_st, tail_ld, cache_st]) in
+            (1..).zip(groups.levels.iter_mut())
+        {
+            let l = Level::new(two_f, j);
 
             // (a) splice cache_{j-1} in front of the fresh region.
             ctx.phase("splice");
-            for arr in 0..4 {
-                slot_runs(&mut self.sh_lanes, active, two_s, |g| {
-                    slots[g].cache[arr] + cache_off
-                });
-                self.io.load(ctx, None, &self.sh_lanes, &mut self.vals)?;
-                slot_runs(&mut self.sh_lanes, active, two_s, |g| {
-                    slots[g].buf[arr] + off_j
-                });
-                self.io.store(ctx, None, &self.sh_lanes, &self.vals)?;
+            ctx.sh_account_group(splice_ld)?;
+            ctx.sh_account_group(splice_st)?;
+            let sh = ctx.shared_slice_mut();
+            for &g in active.iter() {
+                let s = &slots[g];
+                for arr in 0..4 {
+                    let from = s.cache[arr] + l.cache_off;
+                    sh.copy_within(from..from + l.two_s, s.buf[arr] + l.off);
+                }
             }
             ctx.sync();
 
             // (b) lockstep read of the three dependency rows.
             ctx.phase("pcr_level");
-            for arr in 0..4 {
-                for (d, dist) in [0usize, s_half, two_s].into_iter().enumerate() {
-                    slot_runs(&mut self.sh_lanes, active, st, |g| {
-                        slots[g].buf[arr] + off_j + dist
-                    });
-                    self.io
-                        .load(ctx, None, &self.sh_lanes, &mut self.tri[arr * 3 + d])?;
-                }
-            }
+            ctx.sh_account_group(rows_ld)?;
             ctx.sync();
 
-            // Combine (Eqs. 5–6) per lane.
-            let lane_count = active.len() * st;
-            let tri = &self.tri;
-            for ov in self.out_vals.iter_mut() {
-                ov.clear();
+            // Combine (Eqs. 5–6) per lane, in place and in lane order.
+            let sh = ctx.shared_slice_mut();
+            for (rank, &g) in active.iter().enumerate() {
+                let w = &mut sh[slots[g].buf[0] + l.off..][..3 * step + st + l.two_s];
+                reduce_in_place(w, step, st, l.s_half, rank * st)?;
             }
-            for lane in 0..lane_count {
-                let row_at = |d: usize| Row {
-                    a: tri[d][lane],
-                    b: tri[3 + d][lane],
-                    c: tri[6 + d][lane],
-                    d: tri[9 + d][lane],
-                };
-                let r = reduce_row(row_at(0), row_at(1), row_at(2), lane)
-                    .map_err(|e| SimError::KernelFault(e.to_string()))?;
-                self.out_vals[0].push(r.a);
-                self.out_vals[1].push(r.b);
-                self.out_vals[2].push(r.c);
-                self.out_vals[3].push(r.d);
-            }
-            ctx.flops(lane_count as u64 * PCR_FLOPS_PER_ROW);
+            ctx.flops((active.len() * st) as u64 * PCR_FLOPS_PER_ROW);
 
             // (c) in-place write, then refresh cache_{j-1} from the
             // untouched span tail.
-            for arr in 0..4 {
-                slot_runs(&mut self.sh_lanes, active, st, |g| {
-                    slots[g].buf[arr] + off_j
-                });
-                self.io
-                    .store(ctx, None, &self.sh_lanes, &self.out_vals[arr])?;
-                slot_runs(&mut self.sh_lanes, active, two_s, |g| {
-                    slots[g].buf[arr] + off_j + st
-                });
-                self.io.load(ctx, None, &self.sh_lanes, &mut self.vals)?;
-                slot_runs(&mut self.sh_lanes, active, two_s, |g| {
-                    slots[g].cache[arr] + cache_off
-                });
-                self.io.store(ctx, None, &self.sh_lanes, &self.vals)?;
+            ctx.sh_account_group(back_st)?;
+            ctx.sh_account_group(tail_ld)?;
+            ctx.sh_account_group(cache_st)?;
+            let sh = ctx.shared_slice_mut();
+            for &g in active.iter() {
+                let s = &slots[g];
+                for arr in 0..4 {
+                    let from = s.buf[arr] + l.off + st;
+                    sh.copy_within(from..from + l.two_s, s.cache[arr] + l.cache_off);
+                }
             }
             ctx.sync();
         }
@@ -440,4 +473,54 @@ impl<S: GpuScalar> WindowEngine<S> {
             self.slots[g].t0 += self.st as isize;
         }
     }
+}
+
+/// The identity row's coefficient in array `arr` (`a, b, c, d` = 0, 1,
+/// 0, 0).
+fn identity<S: GpuScalar>(arr: usize) -> S {
+    if arr == 1 {
+        S::ONE
+    } else {
+        S::ZERO
+    }
+}
+
+/// One PCR level over one slot's window: `w` starts at the level's
+/// offset in array 0, the arrays sit `step` apart, and row `i < st`
+/// becomes the combination of rows `i`, `i + s_half` and `i + 2·s_half`.
+/// Rows are rewritten in ascending order: row `i` reads only rows at or
+/// above `i`, which no earlier row has rewritten. `lane0` numbers the
+/// rows in a zero-pivot error.
+fn reduce_in_place<S: GpuScalar>(
+    w: &mut [S],
+    step: usize,
+    st: usize,
+    s_half: usize,
+    lane0: usize,
+) -> Result<()> {
+    let span = st + 2 * s_half;
+    let (a, rest) = w.split_at_mut(step);
+    let (b, rest) = rest.split_at_mut(step);
+    let (c, d) = rest.split_at_mut(step);
+    let (a, b, c, d) = (
+        &mut a[..span],
+        &mut b[..span],
+        &mut c[..span],
+        &mut d[..span],
+    );
+    for i in 0..st {
+        let row = |x: usize| Row {
+            a: a[x],
+            b: b[x],
+            c: c[x],
+            d: d[x],
+        };
+        let r = reduce_row(row(i), row(i + s_half), row(i + 2 * s_half), lane0 + i)
+            .map_err(|e| SimError::KernelFault(e.to_string()))?;
+        a[i] = r.a;
+        b[i] = r.b;
+        c[i] = r.c;
+        d[i] = r.d;
+    }
+    Ok(())
 }

@@ -36,6 +36,15 @@ cargo run --release -q -p tridiag-cli -- lint
 echo "== CLI --sanitize smoke (the sanitizer on a solve) =="
 out="$(cargo run --release -q -p tridiag-cli -- solve --m 8 --n 256 --sanitize)"
 grep -q "sanitizer   : clean" <<<"$out"
+# The window engine's bulk-counted shared accesses under the sanitizer:
+# a low-k fused geometry (f64, k = 4), a service-sized batch, and the
+# f32 block-group tiled PCR of one long system.
+out="$(cargo run --release -q -p tridiag-cli -- solve --m 64 --n 2048 --sanitize)"
+grep -q "sanitizer   : clean" <<<"$out"
+out="$(cargo run --release -q -p tridiag-cli -- solve --m 4 --n 512 --sanitize)"
+grep -q "sanitizer   : clean" <<<"$out"
+out="$(cargo run --release -q -p tridiag-cli -- solve --m 1 --n 16384 --precision f32 --sanitize)"
+grep -q "sanitizer   : clean" <<<"$out"
 
 echo "== CLI plan smoke (dry-run planning, plan JSON) =="
 out="$(cargo run --release -q -p tridiag-cli -- solve --m 16 --n 1024 --dry-run)"
