@@ -1,8 +1,9 @@
 //! Table III reproduction: the transition heuristic `k(M)` re-derived
-//! empirically on the simulated GTX480 via [`tridiag_gpu::autotune`],
-//! printed next to the paper's values and the planner's checked-in
-//! tuned table (the default decision, `k` and mapping), plus the Table
-//! I window properties for each configuration.
+//! empirically on the simulated GTX480 by the planner's own search
+//! ([`autotune::candidates`] and [`autotune::pick`]), printed next to
+//! the paper's values and the planner's checked-in tuned table (the
+//! default decision, `k` and mapping), plus the Table I window
+//! properties for each configuration.
 //!
 //! Check to make against the paper: the tuned `k` is large (7–8) for a
 //! handful of systems, steps down through the `M` ranges, and hits 0 by
@@ -13,15 +14,41 @@
 
 use bench::table::TextTable;
 use bench::HarnessArgs;
-use gpu_sim::{DeviceGroup, DeviceSpec};
+use gpu_sim::DeviceSpec;
 use tridiag_core::cost_model;
 use tridiag_core::sliding_window::WindowProperties;
 use tridiag_gpu::autotune;
-use tridiag_gpu::{GpuTridiagSolver, LayoutChoice};
+use tridiag_gpu::plan::cost;
+use tridiag_gpu::{GpuSolverConfig, GpuTridiagSolver};
+
+/// The search's pick at one `M`, with `k = 0`'s time beside it.
+#[derive(Debug)]
+struct Point {
+    m: usize,
+    n: usize,
+    best_k: u32,
+    best_us: f64,
+    k0_us: f64,
+}
+
+/// Time every candidate decision for `m` f64 systems of `n` rows on
+/// `spec` and keep the pick.
+fn tune(spec: &DeviceSpec, m: usize, n: usize) -> Point {
+    let timed = autotune::candidates(spec, 8, m, n).expect("tuning run");
+    let paper = cost::table3_decision(spec, &GpuSolverConfig::default(), m, n, 8);
+    let best = autotune::pick(&timed, paper).expect("k = 0 is always timed");
+    Point {
+        m,
+        n,
+        best_k: best.decision.k,
+        best_us: best.us,
+        k0_us: timed[0].us,
+    }
+}
 
 fn main() {
     let args = HarnessArgs::parse();
-    let gtx480 = DeviceGroup::single(DeviceSpec::gtx480());
+    let gtx480 = DeviceSpec::gtx480();
 
     // Representative M per Table III range.
     let m_values: Vec<usize> = if args.fast {
@@ -30,11 +57,9 @@ fn main() {
         vec![1, 8, 16, 24, 32, 256, 512, 768, 1024, 4096]
     };
     let n = if args.fast { 1024 } else { 4096 };
-    let k_max = 8;
 
     println!("== Table III: transition point k(M), tuned on the simulated GTX480 (N = {n}) ==");
-    let points = autotune::tune::<f64>(&gtx480, &m_values, n, k_max, LayoutChoice::Auto)
-        .expect("tuning run");
+    let points: Vec<Point> = m_values.iter().map(|&m| tune(&gtx480, m, n)).collect();
     let mut t = TextTable::new([
         "M",
         "paper k",

@@ -13,7 +13,9 @@
 //! tridiag profile --m 256 --n 1024       # per-phase profile + Chrome trace
 //! tridiag profile --zoo --out zoo.json   # ...for every shipped kernel
 //! tridiag compare --m 64 --n 2048        # run every engine, check parity
-//! tridiag tune --n 4096 --m-list 1,16,256,1024 [--k-max 8]
+//! tridiag tune --n 4096 --m-list 1,16,256,1024
+//!                                        # the planner's search: picked
+//!                                        # (k, mapping) per M
 //! tridiag tune --emit crates/tridiag-gpu/src/plan/tuned.rs
 //!                                        # regenerate the tuned table
 //! tridiag info [--device gtx480]         # device spec + occupancy sheet
@@ -42,6 +44,7 @@ use std::process::ExitCode;
 use tridiag_core::generators::random_batch;
 use tridiag_core::{Layout, SystemBatch};
 use tridiag_gpu::autotune;
+use tridiag_gpu::plan::cost;
 use tridiag_gpu::solver::{GpuSolverConfig, GpuTridiagSolver, LayoutChoice};
 use tridiag_gpu::{davidson, zhang};
 
@@ -218,7 +221,6 @@ impl RoutePlan {
     /// III's `k` beside the chosen one (the full-batch reference's for
     /// a sharded plan; none for a row split).
     fn rule_line(&self, device: &DeviceSpec) -> Option<String> {
-        use tridiag_gpu::plan::cost;
         let p = match self {
             RoutePlan::Single(p) => p,
             RoutePlan::Sharded(_, p) => &p.reference,
@@ -366,8 +368,7 @@ fn usage() -> &'static str {
      tridiag profile --m M --n N [--precision f64|f32] [--device D] [--seed S] \
      [--out FILE] | --zoo [--out FILE]\n  \
      tridiag compare --m M --n N [--seed S]\n  \
-     tridiag tune    --n N [--m-list 1,16,256] [--k-max 8] [--device D] [--devices G] \
-     [--layout L] | --emit FILE\n  \
+     tridiag tune    --n N [--m-list 1,16,256] | --emit FILE\n  \
      tridiag info    [--device gtx480]\n  \
      tridiag lint    [--verbose]\n  \
      tridiag serve   [--requests R] [--clients C] [--window US] [--depth Q] \
@@ -918,33 +919,40 @@ fn cmd_compare(a: &Args) -> Result<(), Failure> {
     Ok(())
 }
 
+/// `tridiag tune`: for each `M`, the planner's own search on the stock
+/// GTX480 at f64 — every candidate `(k, mapping)` timed, the pick
+/// printed with its modeled time, `k = 0`'s time and Table III's `k`.
 fn cmd_tune(a: &Args) -> Result<(), Failure> {
     if let Some(out) = a.get("emit") {
         return emit_tuned_table(a, out);
     }
     let n: usize = a.get_or("n", 4096)?;
-    let k_max: u32 = a.get_or("k-max", 8u32)?;
     let m_values = a
         .get_list("m-list")?
         .unwrap_or_else(|| vec![1, 16, 64, 256, 1024]);
-    let device = device_by_name(a.get("device").unwrap_or("gtx480"))?;
-    let layout = layout_choice(a)?;
-    let group = device_group(a, &device)?.unwrap_or_else(|| DeviceGroup::single(device));
+    let spec = DeviceSpec::gtx480();
     println!(
-        "tuning k on simulated {} ({} device(s)) at N = {n}…",
-        group.label(),
-        group.len()
+        "tuning (k, mapping) on simulated {} at N = {n}, f64…",
+        spec.name
     );
-    let points =
-        autotune::tune::<f64>(&group, &m_values, n, k_max, layout).map_err(|e| e.to_string())?;
     println!(
-        "{:>8} {:>8} {:>12} {:>12}",
-        "M", "best k", "best [us]", "k=0 [us]"
+        "{:>8} {:>4} {:>24} {:>12} {:>12} {:>12}",
+        "M", "k", "mapping", "tuned [us]", "k=0 [us]", "Table III k"
     );
-    for p in points {
+    for m in m_values {
+        let timed = autotune::candidates(&spec, 8, m, n).map_err(|e| e.to_string())?;
+        let paper = cost::table3_decision(&spec, &GpuSolverConfig::default(), m, n, 8);
+        let (Some(best), Some(k0)) = (autotune::pick(&timed, paper), timed.first()) else {
+            return Err(Failure::Error(format!("no candidate at m={m} n={n}")));
+        };
         println!(
-            "{:>8} {:>8} {:>12.1} {:>12.1}",
-            p.m, p.best_k, p.best_us, p.k0_us
+            "{:>8} {:>4} {:>24} {:>12.1} {:>12.1} {:>12}",
+            m,
+            best.decision.k,
+            format!("{:?}", best.decision.mapping),
+            best.us,
+            k0.us,
+            paper.k
         );
     }
     Ok(())
@@ -955,10 +963,7 @@ fn cmd_tune(a: &Args) -> Result<(), Failure> {
 /// to `FILE` (`crates/tridiag-gpu/src/plan/tuned.rs` in the source
 /// tree). The file is written only once every cell has tuned.
 fn emit_tuned_table(a: &Args, out: &str) -> Result<(), Failure> {
-    if let Some(other) = ["n", "m-list", "k-max", "device", "devices", "layout"]
-        .into_iter()
-        .find(|o| a.get(o).is_some())
-    {
+    if let Some(other) = ["n", "m-list"].into_iter().find(|o| a.get(o).is_some()) {
         return Err(Failure::Error(format!(
             "--emit tunes the stock GTX480's table; --{other} does not apply"
         )));
@@ -1412,12 +1417,7 @@ const COMMANDS: &[(&str, &str, &str, Command)] = &[
         cmd_profile,
     ),
     ("compare", "m n seed", "", cmd_compare),
-    (
-        "tune",
-        "n m-list k-max device devices layout emit",
-        "",
-        cmd_tune,
-    ),
+    ("tune", "n m-list emit", "", cmd_tune),
     ("info", "device", "", cmd_info),
     ("lint", "", "verbose", cmd_lint),
     (
@@ -1536,6 +1536,13 @@ mod tests {
             check("solve --check"),
             Err("solve: unknown option --check".into())
         );
+        for retired in ["--k-max 2", "--devices 1", "--layout contiguous"] {
+            let key = retired.split_whitespace().next().unwrap_or_default();
+            assert_eq!(
+                check(&format!("tune --n 64 {retired}")),
+                Err(format!("tune: unknown option {key}"))
+            );
+        }
         assert_eq!(check("solve --m 8 --sanitize"), Ok(()));
         assert_eq!(check("lint --verbose"), Ok(()));
     }

@@ -115,18 +115,27 @@ fn split_auto_reports_a_planning_error_that_is_not_about_memory() {
     assert!(stderr.contains("empty batch geometry"), "{stderr}");
 }
 
+/// `tune` reports the planner's own search: at a hybrid geometry its
+/// picked `k` and mapping are the ones `plan` plans.
 #[test]
-fn tune_single_device_matches_devices_1() {
-    let args = ["tune", "--n", "64", "--m-list", "1,16", "--k-max", "2"];
-    let (ok, single, stderr) = run(&args);
-    assert!(ok, "stderr: {stderr}");
-    let (ok1, grouped, stderr1) = run(&[&args[..], &["--devices", "1"]].concat());
-    assert!(ok1, "stderr: {stderr1}");
-    assert!(single.contains("best k"), "{single}");
-    assert_eq!(
-        single, grouped,
-        "--devices 1 must tune exactly like one device"
-    );
+fn tune_picks_what_plan_plans() {
+    for (m, n) in [("64", "512"), ("16", "4096")] {
+        let (ok, tuned, stderr) = run(&["tune", "--n", n, "--m-list", m]);
+        assert!(ok, "stderr: {stderr}");
+        let row: Vec<&str> = tuned
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(m))
+            .unwrap_or_else(|| panic!("no row for M = {m}: {tuned}"))
+            .split_whitespace()
+            .collect();
+        let (ok, planned, stderr) = run(&["plan", "--m", m, "--n", n]);
+        assert!(ok, "stderr: {stderr}");
+        let decision = format!("k={} mapping={} ", row[1], row[2]);
+        assert!(
+            planned.contains(&decision),
+            "tune picked {decision:?}, plan planned:\n{planned}"
+        );
+    }
 }
 
 /// `--layout interleaved` hands the batch over interleaved, so the

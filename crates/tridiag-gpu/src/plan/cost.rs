@@ -128,12 +128,26 @@ pub fn rule(
     n: usize,
     elem_bytes: usize,
 ) -> Rule {
+    rule_and_cell(spec, config, m, n, elem_bytes).0
+}
+
+/// [`rule`], and the cell it read when that rule is [`Rule::Tuned`]
+/// (`None` under every other rule).
+fn rule_and_cell(
+    spec: &DeviceSpec,
+    config: &GpuSolverConfig,
+    m: usize,
+    n: usize,
+    elem_bytes: usize,
+) -> (Rule, Option<TunedCell>) {
     if config.layout == LayoutChoice::Interleaved {
-        return Rule::Interleaved;
+        return (Rule::Interleaved, None);
     }
     match config.policy {
-        TransitionPolicy::Fixed(_) => return Rule::Requested,
-        TransitionPolicy::Gtx480Heuristic => return Rule::TableIII("policy set to Table III"),
+        TransitionPolicy::Fixed(_) => return (Rule::Requested, None),
+        TransitionPolicy::Gtx480Heuristic => {
+            return (Rule::TableIII("policy set to Table III"), None)
+        }
         TransitionPolicy::Tuned => {}
     }
     // `fused: false` ablates fusion alone: the tuned (k, mapping) then
@@ -142,23 +156,23 @@ pub fn rule(
         && config.layout == LayoutChoice::Auto
         && config.sub_tile_scale == 1;
     if !tunable {
-        return Rule::TableIII("config not tuned");
+        return (Rule::TableIII("config not tuned"), None);
     }
     if *spec != STOCK_GTX480 {
-        return Rule::TableIII("spec not tuned");
+        return (Rule::TableIII("spec not tuned"), None);
     }
     let log2 = |v: usize| usize::BITS - 1 - v.leading_zeros();
     if m == 0 || n < 1 << TUNED_N_MIN_LOG2 || !matches!(elem_bytes, 4 | 8) {
-        return Rule::TableIII("outside the tuned grid");
+        return (Rule::TableIII("outside the tuned grid"), None);
     }
     let (m_log2, n_log2) = (log2(m), log2(n));
     if m_log2 >= TUNED_M_ROWS || n_log2 >= TUNED_N_MIN_LOG2 + TUNED_N_COLS {
-        return Rule::TableIII("outside the tuned grid");
+        return (Rule::TableIII("outside the tuned grid"), None);
     }
-    if tuned_cell(elem_bytes, m_log2, n_log2).is_none() {
-        return Rule::TableIII("above the generation cap");
+    match tuned_cell(elem_bytes, m_log2, n_log2) {
+        None => (Rule::TableIII("above the generation cap"), None),
+        cell => (Rule::Tuned { m_log2, n_log2 }, cell),
     }
-    Rule::Tuned { m_log2, n_log2 }
 }
 
 /// The checked-in cell for `(elem_bytes, m_log2, n_log2)`, `None` above
@@ -301,11 +315,9 @@ pub fn decide(
     n: usize,
     elem_bytes: usize,
 ) -> Decision {
-    let (requested_k, requested_mapping) = match rule(spec, config, m, n, elem_bytes) {
-        Rule::Interleaved => return pthomas_decision(Layout::Interleaved),
-        Rule::Tuned { m_log2, n_log2 } => {
-            tuned_cell(elem_bytes, m_log2, n_log2).expect("rule reads only tuned cells")
-        }
+    let (requested_k, requested_mapping) = match rule_and_cell(spec, config, m, n, elem_bytes) {
+        (Rule::Interleaved, _) => return pthomas_decision(Layout::Interleaved),
+        (_, Some(cell)) => cell,
         _ => (choose_k(config.policy, m, n), config.mapping),
     };
     let c = config.sub_tile_scale.max(1);
@@ -510,6 +522,26 @@ mod tests {
             crate::autotune::emit_table(&rows(&tuned::F32), &rows(&tuned::F64)),
             include_str!("tuned.rs")
         );
+    }
+
+    #[test]
+    fn tuned_k_decreases_with_m() {
+        // The defining shape of Table III: fewer systems -> deeper PCR.
+        let cfg = GpuSolverConfig::default();
+        for bytes in [4, 8] {
+            let ks: Vec<u32> = (0..TUNED_M_ROWS)
+                .map(|a| decide(&spec(), &cfg, 1 << a, 4096, bytes).k)
+                .collect();
+            assert!(
+                ks.windows(2).all(|w| w[1] <= w[0]),
+                "f{}: {ks:?}",
+                8 * bytes
+            );
+            // A lone system must use PCR (k = 0 would use one thread).
+            assert!(ks[0] > 0, "f{}: {ks:?}", 8 * bytes);
+            // Saturated batches want pure p-Thomas.
+            assert!(ks[10..].iter().all(|&k| k == 0), "f{}: {ks:?}", 8 * bytes);
+        }
     }
 
     #[test]

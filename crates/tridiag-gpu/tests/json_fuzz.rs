@@ -2,15 +2,21 @@
 //! plan, trace and metrics document goes through:
 //!
 //! - arbitrary strings, biased towards JSON's own tokens, never panic;
-//! - single-byte mutations of a serialized `SolvePlan` never panic;
+//! - single-byte mutations of a serialized single-device, 2-device
+//!   sharded and 2-device row-split plan never panic, in the parser nor
+//!   in the plan's own schema validator (`validate_*_plan_json`);
 //! - every generated `Json` tree with finite numbers round-trips:
 //!   `parse(&v.to_string()) == Ok(v)`.
 
 use gpu_sim::json::{parse, Json};
-use gpu_sim::DeviceSpec;
+use gpu_sim::{DeviceGroup, DeviceSpec};
 use proptest::prelude::*;
+use std::sync::OnceLock;
 use tridiag_gpu::plan::SolvePlan;
-use tridiag_gpu::GpuSolverConfig;
+use tridiag_gpu::{
+    validate_distributed_plan_json, validate_plan_json, validate_sharded_plan_json,
+    GpuSolverConfig, GpuTridiagSolver,
+};
 
 /// Characters the string fuzzer draws from besides random code points:
 /// JSON structure, literals, number and escape syntax, and whitespace.
@@ -109,6 +115,36 @@ fn plan_document() -> Vec<u8> {
     plan.to_json().to_string().into_bytes()
 }
 
+/// A serialized plan and the validator of its schema.
+type PlanDoc = (Vec<u8>, fn(&Json) -> Vec<String>);
+
+/// The single-device plan of [`plan_document`], a 2-device sharded
+/// plan and a 2-device row-split plan, each with its validator.
+fn plan_documents() -> &'static [PlanDoc; 3] {
+    static DOCS: OnceLock<[PlanDoc; 3]> = OnceLock::new();
+    DOCS.get_or_init(|| {
+        let solver = GpuTridiagSolver::gtx480();
+        let group = DeviceGroup::homogeneous(DeviceSpec::gtx480(), 2).expect("a 2-device group");
+        let sharded = solver
+            .plan_geometry_group(&group, 64, 512, 8)
+            .expect("the (64, 512) f64 sharded plan builds");
+        let split = solver
+            .plan_geometry_split(&group, 16384, 8)
+            .expect("the 16384-row f64 split plan builds");
+        [
+            (plan_document(), validate_plan_json),
+            (
+                sharded.to_json().to_string().into_bytes(),
+                validate_sharded_plan_json,
+            ),
+            (
+                split.to_json().to_string().into_bytes(),
+                validate_distributed_plan_json,
+            ),
+        ]
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2000))]
 
@@ -119,8 +155,14 @@ proptest! {
     }
 
     #[test]
-    fn mutated_plan_documents_never_panic(at in any::<usize>(), byte in any::<u8>(), op in 0u8..3) {
-        let mut doc = plan_document();
+    fn mutated_plan_documents_never_panic(
+        which in 0usize..3,
+        at in any::<usize>(),
+        byte in any::<u8>(),
+        op in 0u8..3,
+    ) {
+        let (doc, validate) = &plan_documents()[which];
+        let mut doc = doc.clone();
         let at = at % doc.len();
         match op {
             0 => doc[at] = byte,
@@ -129,7 +171,9 @@ proptest! {
                 doc.remove(at);
             }
         }
-        let _ = parse(&String::from_utf8_lossy(&doc));
+        if let Ok(json) = parse(&String::from_utf8_lossy(&doc)) {
+            let _ = validate(&json);
+        }
     }
 
     #[test]
@@ -141,7 +185,9 @@ proptest! {
 
 #[test]
 fn the_unmutated_plan_document_parses() {
-    let doc = plan_document();
-    let text = String::from_utf8(doc).expect("the writer emits UTF-8");
-    assert!(parse(&text).is_ok());
+    for (doc, validate) in plan_documents() {
+        let text = String::from_utf8(doc.clone()).expect("the writer emits UTF-8");
+        let json = parse(&text).expect("the writer emits JSON");
+        assert_eq!(validate(&json), Vec::<String>::new(), "{text}");
+    }
 }

@@ -58,6 +58,10 @@ grep -q "rule: tuned cell M∈\[64,128) N∈\[512,1024)" <<<"$out"
 out="$(cargo run --release -q -p tridiag-cli -- plan --m 64 --n 512 --device gtx280)"
 grep -q "rule: Table III fallback (spec not tuned)" <<<"$out"
 
+echo "== CLI tune smoke (the planner's own search: k = 5 at M = 16, N = 4096, as planned) =="
+out="$(cargo run --release -q -p tridiag-cli -- tune --n 4096 --m-list 16)"
+grep -qE "^ +16 +5 " <<<"$out"
+
 echo "== CLI fusion smoke (the planner fuses block-per-system hybrids, never k = 0) =="
 out="$(cargo run --release -q -p tridiag-cli -- plan --m 64 --n 512)"
 grep -q "fused=true" <<<"$out"
