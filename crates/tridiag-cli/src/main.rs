@@ -48,6 +48,46 @@ use tridiag_gpu::plan::cost;
 use tridiag_gpu::solver::{GpuSolverConfig, GpuTridiagSolver, LayoutChoice};
 use tridiag_gpu::{davidson, zhang};
 
+/// A command failure, split by exit code: plain errors exit 1, check
+/// findings (sanitizer violations, counter findings, phase-sum or
+/// verification failures) exit 2, and a reader that closed stdout
+/// early (`tridiag plan ... | head`) ends the command quietly, exit 0.
+enum Failure {
+    Error(String),
+    Findings(String),
+    Closed,
+}
+
+/// Write `args` through the process's one stdout handle, locked for
+/// the write. A closed pipe is [`Failure::Closed`], not a panic.
+fn emit(args: std::fmt::Arguments<'_>) -> Result<(), Failure> {
+    use std::io::Write;
+    std::io::stdout()
+        .lock()
+        .write_fmt(args)
+        .map_err(|e| match e.kind() {
+            std::io::ErrorKind::BrokenPipe => Failure::Closed,
+            _ => Failure::Error(format!("writing to stdout: {e}")),
+        })
+}
+
+/// `print!` through [`emit`], returning from the command on failure.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))?
+    };
+}
+
+/// `println!` through [`emit`], returning from the command on failure.
+macro_rules! outln {
+    () => {
+        out!("\n")
+    };
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
+
 fn device_by_name(name: &str) -> Result<DeviceSpec, String> {
     match name.to_ascii_lowercase().as_str() {
         "gtx480" => Ok(DeviceSpec::gtx480()),
@@ -273,11 +313,11 @@ fn print_plan(
 ) -> Result<(), Failure> {
     if show_plan {
         if json {
-            println!("{}", plan.to_json());
+            outln!("{}", plan.to_json());
         } else {
-            print!("{}", plan.describe());
+            out!("{}", plan.describe());
             if let Some(line) = plan.rule_line(device) {
-                println!("{line}");
+                outln!("{line}");
             }
         }
     }
@@ -286,9 +326,9 @@ fn print_plan(
     }
     let (text, doc, problems) = plan.verify(device);
     if !json {
-        println!("{text}");
+        outln!("{text}");
     } else if !show_plan {
-        println!("{doc}");
+        outln!("{doc}");
     }
     if problems.is_empty() {
         Ok(())
@@ -441,14 +481,6 @@ fn usage() -> &'static str {
      \u{20}           (metrics-schema, exact-partition, event-replay) findings"
 }
 
-/// A command failure, split by exit code: plain errors exit 1, check
-/// findings (sanitizer violations, counter findings, phase-sum or
-/// verification failures) exit 2.
-enum Failure {
-    Error(String),
-    Findings(String),
-}
-
 impl From<String> for Failure {
     fn from(e: String) -> Self {
         Failure::Error(e)
@@ -508,12 +540,12 @@ fn solve_typed<S: tridiag_gpu::GpuScalar>(a: &Args) -> Result<(), Failure> {
         // Plan only: print k, mapping, kernel sequence and buffer
         // footprint without launching a single kernel.
         if fits_note {
-            println!("split       : n = {n} fits on one device; no split needed");
+            outln!("split       : n = {n} fits on one device; no split needed");
         }
         let plan = RoutePlan::build(route, &solver, host_layout(layout), m, n, elem_bytes)?;
         print_plan(&plan, &device, json, true, false)?;
         if !json {
-            println!("dry run     : no kernels launched");
+            outln!("dry run     : no kernels launched");
         }
         return Ok(());
     }
@@ -538,7 +570,7 @@ fn solve_typed<S: tridiag_gpu::GpuScalar>(a: &Args) -> Result<(), Failure> {
             }
             .map_err(|e| e.to_string())?;
             if a.flag("verbose") && !json {
-                print!("{report}");
+                out!("{report}");
             }
             let us = report.total_us;
             gpu_report = Some(report);
@@ -576,40 +608,44 @@ fn solve_typed<S: tridiag_gpu::GpuScalar>(a: &Args) -> Result<(), Failure> {
         let rep = gpu_report
             .as_ref()
             .ok_or_else(|| Failure::Error("--json requires the gpu engine".into()))?;
-        println!("{}", rep.to_json());
+        outln!("{}", rep.to_json());
     } else {
-        println!("engine      : {engine}");
-        println!("batch       : M = {m}, N = {n} ({})", S::NAME);
+        outln!("engine      : {engine}");
+        outln!("batch       : M = {m}, N = {n} ({})", S::NAME);
         match &route {
-            Route::Split(g) => println!(
+            Route::Split(g) => outln!(
                 "devices     : {} ({}, one system row-split)",
                 g.len(),
                 g.label()
             ),
-            Route::Sharded(g) => println!("devices     : {} ({})", g.len(), g.label()),
+            Route::Sharded(g) => outln!("devices     : {} ({})", g.len(), g.label()),
             Route::Single if fits_note => {
-                println!("split       : n = {n} fits on one device; no split needed")
+                outln!("split       : n = {n} fits on one device; no split needed")
             }
             Route::Single => {}
         }
         if let Some(ds) = gpu_report.as_ref().and_then(|r| r.distributed.as_ref()) {
-            println!(
+            outln!(
                 "distributed : reduced {} unknowns (k = {}) on the primary; \
                  gather {} B, scatter {} B, back-sub {} flops",
-                ds.reduced_n, ds.reduced_k, ds.gather_bytes, ds.scatter_bytes, ds.backsub_flops
+                ds.reduced_n,
+                ds.reduced_k,
+                ds.gather_bytes,
+                ds.scatter_bytes,
+                ds.backsub_flops
             );
         }
         if let Some(us) = modeled_us {
             if !matches!(route, Route::Single) {
-                println!("modeled time: {us:.1} us (kernel wall-clock, max over devices)");
+                outln!("modeled time: {us:.1} us (kernel wall-clock, max over devices)");
             } else {
-                println!("modeled time: {us:.1} us (simulated device)");
+                outln!("modeled time: {us:.1} us (simulated device)");
             }
         }
-        println!("host time   : {host:?} (simulator/solver wall-clock)");
-        println!("residual    : {resid:.3e}");
+        outln!("host time   : {host:?} (simulator/solver wall-clock)");
+        outln!("residual    : {resid:.3e}");
         if let Some(path) = trace {
-            println!("trace       : wrote {path}");
+            outln!("trace       : wrote {path}");
         }
     }
     let mut findings = Vec::new();
@@ -663,7 +699,7 @@ fn solve_typed<S: tridiag_gpu::GpuScalar>(a: &Args) -> Result<(), Failure> {
             }
             if let Some((label, clean, failed)) = status.filter(|_| !json) {
                 let state = if problems.is_empty() { &clean } else { failed };
-                println!("{label:<12}: {state}");
+                outln!("{label:<12}: {state}");
             }
             if !problems.is_empty() {
                 findings.push(format!("{heading}:\n  - {}", problems.join("\n  - ")));
@@ -745,10 +781,10 @@ fn profile_typed<S: tridiag_gpu::GpuScalar>(
     let solver = GpuTridiagSolver::new(device, GpuSolverConfig::default());
     let (x, report) = solver.solve_batch(&batch).map_err(|e| e.to_string())?;
     let resid = batch.max_relative_residual(&x).map_err(|e| e.to_string())?;
-    print!("{}", report.profile_report());
+    out!("{}", report.profile_report());
     write_trace(out, &report.trace.to_chrome_json())?;
-    println!("trace       : wrote {out} (open in chrome://tracing or ui.perfetto.dev)");
-    println!("residual    : {resid:.3e}");
+    outln!("trace       : wrote {out} (open in chrome://tracing or ui.perfetto.dev)");
+    outln!("residual    : {resid:.3e}");
     if !report.is_phase_sum_clean() {
         return Err(Failure::Findings(format!(
             "phase-sum violations:\n  - {}",
@@ -801,17 +837,17 @@ fn profile_zoo(out: &str) -> Result<(), Failure> {
         cursor += e.timing.total_us;
     }
     rows.sort_by(|a, b| b.1.total_cmp(&a.1));
-    println!(
+    outln!(
         "zoo profile : {} kernel/geometry entries, {:.1} us modeled total",
         entries.len(),
         cursor
     );
-    println!("{:<34} {:>10}", "top phases (kernel/phase)", "us");
+    outln!("{:<34} {:>10}", "top phases (kernel/phase)", "us");
     for (name, us, _) in rows.iter().take(12) {
-        println!("{name:<34} {us:>10.3}");
+        outln!("{name:<34} {us:>10.3}");
     }
     write_trace(out, &trace.to_chrome_json())?;
-    println!("trace       : wrote {out} (open in chrome://tracing or ui.perfetto.dev)");
+    outln!("trace       : wrote {out} (open in chrome://tracing or ui.perfetto.dev)");
     if !phase_sum_bad.is_empty() {
         return Err(Failure::Findings(format!(
             "phase-sum violations:\n  - {}",
@@ -841,16 +877,16 @@ fn cmd_lint(a: &Args) -> Result<(), Failure> {
                 findings.len()
             )
         };
-        println!("{:<18} {:<28} {status}", e.kernel, e.geometry);
+        outln!("{:<18} {:<28} {status}", e.kernel, e.geometry);
         for v in &e.violations {
-            println!("    {v}");
+            outln!("    {v}");
         }
         for f in &findings {
-            println!("    {f}");
+            outln!("    {f}");
         }
         if verbose {
             let t = &e.stats.total;
-            println!(
+            outln!(
                 "    gld_t={} gst_t={} uncoalesced={} replays={} worst_bank_degree={} barriers={}",
                 t.global_load_transactions,
                 t.global_store_transactions,
@@ -861,7 +897,7 @@ fn cmd_lint(a: &Args) -> Result<(), Failure> {
             );
         }
     }
-    println!(
+    outln!(
         "{} kernel/geometry entries checked, {} with findings",
         entries.len(),
         bad
@@ -882,11 +918,13 @@ fn cmd_compare(a: &Args) -> Result<(), Failure> {
     let batch: SystemBatch<f64> = random_batch(m, n, seed);
     let reference = cpu_ref::solve_batch_sequential(&batch).map_err(|e| e.to_string())?;
 
-    println!(
+    outln!(
         "{:<12} {:>14} {:>14}",
-        "engine", "max |Δ| vs cpu", "residual"
+        "engine",
+        "max |Δ| vs cpu",
+        "residual"
     );
-    let report = |name: &str, x: &[f64]| -> Result<(), String> {
+    let report = |name: &str, x: &[f64]| -> Result<(), Failure> {
         let d = x
             .iter()
             .zip(&reference)
@@ -895,7 +933,7 @@ fn cmd_compare(a: &Args) -> Result<(), Failure> {
         let r = batch
             .max_relative_residual(x)
             .map_err(|e| format!("{name} residual: {e}"))?;
-        println!("{name:<12} {d:>14.3e} {r:>14.3e}");
+        outln!("{name:<12} {d:>14.3e} {r:>14.3e}");
         Ok(())
     };
     report("cpu", &reference)?;
@@ -914,7 +952,7 @@ fn cmd_compare(a: &Args) -> Result<(), Failure> {
             zhang::solve_batch(&DeviceSpec::gtx480(), &batch, None).map_err(|e| e.to_string())?;
         report("zhang", &z)?;
     } else {
-        println!("{:<12} {:>14}", "zhang", "N too large");
+        outln!("{:<12} {:>14}", "zhang", "N too large");
     }
     Ok(())
 }
@@ -931,13 +969,18 @@ fn cmd_tune(a: &Args) -> Result<(), Failure> {
         .get_list("m-list")?
         .unwrap_or_else(|| vec![1, 16, 64, 256, 1024]);
     let spec = DeviceSpec::gtx480();
-    println!(
+    outln!(
         "tuning (k, mapping) on simulated {} at N = {n}, f64…",
         spec.name
     );
-    println!(
+    outln!(
         "{:>8} {:>4} {:>24} {:>12} {:>12} {:>12}",
-        "M", "k", "mapping", "tuned [us]", "k=0 [us]", "Table III k"
+        "M",
+        "k",
+        "mapping",
+        "tuned [us]",
+        "k=0 [us]",
+        "Table III k"
     );
     for m in m_values {
         let timed = autotune::candidates(&spec, 8, m, n).map_err(|e| e.to_string())?;
@@ -945,7 +988,7 @@ fn cmd_tune(a: &Args) -> Result<(), Failure> {
         let (Some(best), Some(k0)) = (autotune::pick(&timed, paper), timed.first()) else {
             return Err(Failure::Error(format!("no candidate at m={m} n={n}")));
         };
-        println!(
+        outln!(
             "{:>8} {:>4} {:>24} {:>12.1} {:>12.1} {:>12}",
             m,
             best.decision.k,
@@ -979,40 +1022,40 @@ fn emit_tuned_table(a: &Args, out: &str) -> Result<(), Failure> {
     }
     let text = autotune::emit_table(&tables[0], &tables[1]);
     std::fs::write(out, text).map_err(|e| Failure::Error(format!("writing {out}: {e}")))?;
-    println!("wrote {out}");
+    outln!("wrote {out}");
     Ok(())
 }
 
 fn cmd_info(a: &Args) -> Result<(), Failure> {
     let device = device_by_name(a.get("device").unwrap_or("gtx480"))?;
-    println!("device              : {}", device.name);
-    println!("SMs                 : {}", device.num_sms);
-    println!("cores/SM            : {}", device.cores_per_sm);
-    println!("clock               : {:.3} GHz", device.clock_ghz);
-    println!(
+    outln!("device              : {}", device.name);
+    outln!("SMs                 : {}", device.num_sms);
+    outln!("cores/SM            : {}", device.cores_per_sm);
+    outln!("clock               : {:.3} GHz", device.clock_ghz);
+    outln!(
         "shared memory/SM    : {} KiB",
         device.shared_mem_per_sm / 1024
     );
-    println!("max threads/SM      : {}", device.max_threads_per_sm);
-    println!(
+    outln!("max threads/SM      : {}", device.max_threads_per_sm);
+    outln!(
         "DRAM bandwidth      : {:.1} GB/s",
         device.dram_bandwidth_gbps
     );
-    println!(
+    outln!(
         "DRAM latency        : {} cycles",
         device.dram_latency_cycles
     );
-    println!(
+    outln!(
         "peak f32 / f64      : {:.0} / {:.0} GFLOP/s",
         device.peak_flops(gpu_sim::Precision::F32) / 1e9,
         device.peak_flops(gpu_sim::Precision::F64) / 1e9
     );
-    println!(
+    outln!(
         "parallelism P       : {} resident threads",
         device.parallelism()
     );
-    println!();
-    println!("occupancy sheet (threads/block, shared KiB -> blocks/SM):");
+    outln!();
+    outln!("occupancy sheet (threads/block, shared KiB -> blocks/SM):");
     for &tpb in &[64u32, 128, 256, 512] {
         let mut cells = Vec::new();
         for &kb in &[0usize, 8, 16, 32] {
@@ -1021,12 +1064,12 @@ fn cmd_info(a: &Args) -> Result<(), Failure> {
                 .unwrap_or_else(|_| "-".into());
             cells.push(format!("{kb:>2}KiB:{o}"));
         }
-        println!("  {tpb:>4} threads: {}", cells.join("  "));
+        outln!("  {tpb:>4} threads: {}", cells.join("  "));
     }
-    println!();
+    outln!();
     let solver = GpuTridiagSolver::new(device, GpuSolverConfig::default());
-    println!("max k (f64 window)  : {}", solver.max_k_for_shared(1, 8));
-    println!(
+    outln!("max k (f64 window)  : {}", solver.max_k_for_shared(1, 8));
+    outln!(
         "in-shared method cap: {} rows (f64) — tiled PCR has no cap",
         zhang::max_system_size(solver.spec(), 8)
     );
@@ -1089,7 +1132,7 @@ fn cmd_serve(a: &Args) -> Result<(), Failure> {
     };
     let payloads = service_payloads(requests, m, n, seed, precision)?;
 
-    println!(
+    outln!(
         "serve: {requests} requests from {clients} clients on {} \
          (window {window} us, depth {depth}, {precision})",
         group.label()
@@ -1157,17 +1200,20 @@ fn cmd_serve(a: &Args) -> Result<(), Failure> {
         let (stats, telemetry) = service.shutdown_with_telemetry();
         let (metrics, events, trace, findings) = telemetry_artifacts(&telemetry, "tridiag-serve");
         write_telemetry(dir, &metrics, &events, &trace)?;
-        println!("  telemetry: wrote {dir}/metrics.json, events.jsonl, trace.json");
+        outln!("  telemetry: wrote {dir}/metrics.json, events.jsonl, trace.json");
         problems.extend(findings);
         stats
     } else {
         service.shutdown()
     };
 
-    println!(
+    outln!(
         "  answered {ok}/{requests} bit-identical to solo; \
          {} batches, cache {}/{} hits, modeled makespan {:.1} us",
-        stats.batches, stats.cache.hits, stats.cache.lookups, stats.clock_us
+        stats.batches,
+        stats.cache.hits,
+        stats.cache.lookups,
+        stats.clock_us
     );
     if !problems.is_empty() {
         return Err(Failure::Findings(problems.join("\n")));
@@ -1280,15 +1326,15 @@ fn cmd_stats(a: &Args) -> Result<(), Failure> {
     );
 
     if a.flag("json") {
-        println!("{metrics}");
+        outln!("{metrics}");
     } else {
         let (done, rejected, failed) = report.totals();
-        println!(
+        outln!(
             "stats: {requests} modeled requests of m={m} n={n} {precision} on {}, \
              window {window} us",
             group.label()
         );
-        println!(
+        outln!(
             "  completed {done}, rejected {rejected}, failed {failed}; {} batches, \
              cache {}/{} hits, makespan {:.1} us, {:.0} requests/s",
             report.batches.len(),
@@ -1298,7 +1344,7 @@ fn cmd_stats(a: &Args) -> Result<(), Failure> {
             report.requests_per_s
         );
         let att = &report.attributed;
-        println!(
+        outln!(
             "  attributed_us: queue {:.2} + coalesce {:.2} + kernel {:.2} + \
              scatter {:.2} = {:.2} (partitions report totals bit-exactly)",
             att.queue_us,
@@ -1308,7 +1354,7 @@ fn cmd_stats(a: &Args) -> Result<(), Failure> {
             att.latency_us()
         );
         let s = &report.slo;
-        println!(
+        outln!(
             "  slo: target {:.0} us, {} violation(s) in {done} completion(s); \
              buckets {} good + {} bad = {}; budget burn {:.2} of {:.0}%",
             s.target_latency_us,
@@ -1319,7 +1365,7 @@ fn cmd_stats(a: &Args) -> Result<(), Failure> {
             s.budget_burn,
             s.budget_frac * 100.0
         );
-        println!("\n  counters (top {top} per family):");
+        outln!("\n  counters (top {top} per family):");
         for (family, labels) in telemetry.metrics.counter_families() {
             let mut points: Vec<(&str, u64)> =
                 labels.iter().map(|(l, &v)| (l.as_str(), v)).collect();
@@ -1329,9 +1375,9 @@ fn cmd_stats(a: &Args) -> Result<(), Failure> {
                 points.iter().map(|(l, v)| format!("{l}={v}")),
                 points.len(),
                 top,
-            );
+            )?;
         }
-        println!("\n  gauges (top {top} per family):");
+        outln!("\n  gauges (top {top} per family):");
         for (family, labels) in telemetry.metrics.gauge_families() {
             let mut points: Vec<(&str, f64)> =
                 labels.iter().map(|(l, &v)| (l.as_str(), v)).collect();
@@ -1341,9 +1387,9 @@ fn cmd_stats(a: &Args) -> Result<(), Failure> {
                 points.iter().map(|(l, v)| format!("{l}={v:.2}")),
                 points.len(),
                 top,
-            );
+            )?;
         }
-        println!("\n  histograms (non-empty buckets):");
+        outln!("\n  histograms (non-empty buckets):");
         for (family, labels) in telemetry.metrics.histogram_families() {
             for (label, h) in labels {
                 let mut cells = Vec::new();
@@ -1358,7 +1404,7 @@ fn cmd_stats(a: &Args) -> Result<(), Failure> {
                     };
                     cells.push(format!("{bound}:{c}"));
                 }
-                println!(
+                outln!(
                     "    {:<28} n={} sum={:.1}  {}",
                     format!("{family}/{label}"),
                     h.count,
@@ -1370,7 +1416,7 @@ fn cmd_stats(a: &Args) -> Result<(), Failure> {
     }
     if let Some(dir) = a.get("out") {
         write_telemetry(dir, &metrics, &events, &trace)?;
-        println!("  wrote {dir}/metrics.json, events.jsonl, trace.json");
+        outln!("  wrote {dir}/metrics.json, events.jsonl, trace.json");
     }
     if !findings.is_empty() {
         return Err(Failure::Findings(format!(
@@ -1382,14 +1428,20 @@ fn cmd_stats(a: &Args) -> Result<(), Failure> {
 }
 
 /// One `family  label=value ...` table row, eliding past `top`.
-fn print_topk_row(family: &str, cells: impl Iterator<Item = String>, total: usize, top: usize) {
+fn print_topk_row(
+    family: &str,
+    cells: impl Iterator<Item = String>,
+    total: usize,
+    top: usize,
+) -> Result<(), Failure> {
     let shown: Vec<String> = cells.take(top).collect();
     let elided = total.saturating_sub(top);
     if elided > 0 {
-        println!("    {family:<28} {}  (+{elided} more)", shown.join("  "));
+        outln!("    {family:<28} {}  (+{elided} more)", shown.join("  "));
     } else {
-        println!("    {family:<28} {}", shown.join("  "));
+        outln!("    {family:<28} {}", shown.join("  "));
     }
+    Ok(())
 }
 
 /// A command's entry point.
@@ -1459,12 +1511,13 @@ fn main() -> ExitCode {
         }
     };
     if args.flag("help") || args.command.as_deref() == Some("help") {
-        println!("{}", usage());
+        // A closed pipe has nothing left to tell.
+        let _ = emit(format_args!("{}\n", usage()));
         return ExitCode::SUCCESS;
     }
     let result = command(&args).and_then(|run| run(&args));
     match result {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(()) | Err(Failure::Closed) => ExitCode::SUCCESS,
         Err(Failure::Error(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
@@ -1521,7 +1574,7 @@ mod tests {
     fn check(line: &str) -> std::result::Result<(), String> {
         let args = Args::parse(line.split_whitespace().map(String::from))?;
         match command(&args) {
-            Ok(_) => Ok(()),
+            Ok(_) | Err(Failure::Closed) => Ok(()),
             Err(Failure::Error(e) | Failure::Findings(e)) => Err(e),
         }
     }

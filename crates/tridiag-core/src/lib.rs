@@ -57,6 +57,7 @@ pub mod generators;
 pub mod hybrid;
 pub mod pcr;
 pub mod pivoting;
+pub mod ragged;
 pub mod rd;
 pub mod scalar;
 pub mod sliding_window;
@@ -69,5 +70,6 @@ pub mod verify;
 
 pub use batch::{Layout, SystemBatch};
 pub use error::{Result, TridiagError};
+pub use ragged::RaggedBatch;
 pub use scalar::Scalar;
 pub use system::TridiagonalSystem;

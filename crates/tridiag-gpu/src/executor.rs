@@ -11,7 +11,7 @@
 //! once.
 
 use crate::buffers::GpuScalar;
-use crate::kernels::fused::FusedKernel;
+use crate::kernels::fused::{FusedKernel, RaggedFusedKernel};
 use crate::kernels::p_thomas::PThomasKernel;
 use crate::kernels::tiled_pcr::TiledPcrKernel;
 use crate::multi_device::kernel_spans;
@@ -24,7 +24,84 @@ use gpu_sim::{
     launch_with, BlockKernel, BufId, DeviceSpec, ExecConfig, GpuMemory, Json, KernelStats,
     LaunchConfig, Precision, Result, SanitizerViolation, SimError,
 };
-use tridiag_core::{Layout, SystemBatch};
+use std::ops::Range;
+use tridiag_core::{Layout, RaggedBatch, SystemBatch};
+
+/// A host batch the executors run: a [`SystemBatch`] (`m` systems of
+/// `n` rows, in either layout) or a [`RaggedBatch`] (per-system row
+/// counts, back to back), uploaded as its four arrays.
+pub trait HostBatch<S: GpuScalar>: Sync + Sized {
+    /// Number of systems.
+    fn num_systems(&self) -> usize;
+    /// Rows per system; the longest system's in a ragged batch.
+    fn system_len(&self) -> usize;
+    /// First element of each system, then the total, when the systems'
+    /// row counts differ; `None` when every system has
+    /// [`HostBatch::system_len`] rows (the convention of
+    /// [`KernelOp::Fused`]'s `rows`).
+    fn ragged_offsets(&self) -> Option<&[usize]>;
+    /// Storage layout of the arrays (a ragged batch is system-major).
+    fn layout(&self) -> Layout;
+    /// The four coefficient arrays `(a, b, c, d)`.
+    fn arrays(&self) -> (&[S], &[S], &[S], &[S]);
+    /// Systems `systems` as a batch of their own, in this batch's
+    /// layout.
+    fn sub_batch(&self, systems: Range<usize>) -> tridiag_core::Result<Self>;
+}
+
+impl<S: GpuScalar> HostBatch<S> for SystemBatch<S> {
+    fn num_systems(&self) -> usize {
+        self.num_systems()
+    }
+    fn system_len(&self) -> usize {
+        self.system_len()
+    }
+    fn ragged_offsets(&self) -> Option<&[usize]> {
+        None
+    }
+    fn layout(&self) -> Layout {
+        self.layout()
+    }
+    fn arrays(&self) -> (&[S], &[S], &[S], &[S]) {
+        self.arrays()
+    }
+    fn sub_batch(&self, systems: Range<usize>) -> tridiag_core::Result<Self> {
+        self.sub_batch(systems)
+    }
+}
+
+impl<S: GpuScalar> HostBatch<S> for RaggedBatch<S> {
+    fn num_systems(&self) -> usize {
+        self.num_systems()
+    }
+    fn system_len(&self) -> usize {
+        self.max_len()
+    }
+    fn ragged_offsets(&self) -> Option<&[usize]> {
+        self.uniform_len().is_none().then(|| self.offsets())
+    }
+    fn layout(&self) -> Layout {
+        Layout::Contiguous
+    }
+    fn arrays(&self) -> (&[S], &[S], &[S], &[S]) {
+        self.arrays()
+    }
+    fn sub_batch(&self, systems: Range<usize>) -> tridiag_core::Result<Self> {
+        self.sub_batch(systems)
+    }
+}
+
+/// Whether a batch's ragged offsets and a plan's ragged row counts
+/// describe the same systems (both `None`: both uniform).
+pub(crate) fn same_rows(offsets: Option<&[usize]>, rows: Option<&[usize]>) -> bool {
+    match (offsets, rows) {
+        (None, None) => true,
+        (Some(o), Some(r)) => {
+            o.len() == r.len() + 1 && o.windows(2).zip(r).all(|(w, &r)| w[1] - w[0] == r)
+        }
+        _ => false,
+    }
+}
 
 /// Runs plans (and standalone launches) against one device, collecting
 /// every launch's artifacts in arrival order.
@@ -100,7 +177,10 @@ impl PlanExecutor {
         }
     }
 
-    /// Execute `plan` on `batch`: walk the step sequence, launch every
+    /// Execute `plan` on `batch` — a [`SystemBatch`], or a
+    /// [`RaggedBatch`] under a plan of the same row counts
+    /// ([`SolvePlan::build_ragged`]), uploaded as its concatenated
+    /// arrays: walk the step sequence, launch every
     /// kernel through [`PlanExecutor::launch`], and assemble the
     /// [`GpuSolveReport`] (carrying the plan itself) from this run's
     /// artifacts. The executor's collections keep accumulating across
@@ -110,7 +190,7 @@ impl PlanExecutor {
     pub fn run<S: GpuScalar>(
         &mut self,
         plan: &SolvePlan,
-        batch: &SystemBatch<S>,
+        batch: &impl HostBatch<S>,
     ) -> Result<(Vec<S>, GpuSolveReport)> {
         if <S as gpu_sim::Elem>::BYTES != plan.elem_bytes {
             return Err(SimError::InvalidPlan(format!(
@@ -124,6 +204,14 @@ impl PlanExecutor {
             return Err(SimError::InvalidPlan(format!(
                 "plan was built for m = {}, n = {} but the batch is m = {m}, n = {n}",
                 plan.m, plan.n
+            )));
+        }
+        let ragged = batch.ragged_offsets();
+        if !same_rows(ragged, plan.ragged_rows()) {
+            return Err(SimError::InvalidPlan(format!(
+                "plan rows {:?} do not match the batch's (m = {m}, ragged: {})",
+                plan.ragged_rows(),
+                ragged.is_some()
             )));
         }
         // Static certification is the one gate: a plan with findings
@@ -197,6 +285,11 @@ impl PlanExecutor {
                     // place, read-only; only a change of layout copies.
                     let buf = if to == batch.layout() {
                         mem.borrow(arr)
+                    } else if ragged.is_some() {
+                        return Err(SimError::InvalidPlan(format!(
+                            "a ragged batch stays {:?}; the plan converts to {to:?}",
+                            batch.layout()
+                        )));
                     } else {
                         let mut dev = vec![S::ZERO; arr.len()];
                         batch.layout().convert(to, arr, m, n, &mut dev);
@@ -263,8 +356,9 @@ impl PlanExecutor {
                             k,
                             sub_tile,
                             m,
+                            rows,
                         } => {
-                            let kernel = FusedKernel {
+                            let fused = FusedKernel {
                                 input: bound4(&slots, *input)?,
                                 c_prime: bound(&slots, *c_prime)?,
                                 d_prime: bound(&slots, *d_prime)?,
@@ -274,7 +368,19 @@ impl PlanExecutor {
                                 sub_tile: *sub_tile,
                                 m: *m,
                             };
-                            self.launch(&cfg, &kernel, &mut mem)?;
+                            match rows {
+                                None => self.launch(&cfg, &fused, &mut mem)?,
+                                Some(rows) => {
+                                    let offsets = std::iter::once(0)
+                                        .chain(rows.iter().scan(0, |end, &r| {
+                                            *end += r;
+                                            Some(*end)
+                                        }))
+                                        .collect();
+                                    let kernel = RaggedFusedKernel { fused, offsets };
+                                    self.launch(&cfg, &kernel, &mut mem)?;
+                                }
+                            }
                         }
                     }
                     match dynamic.launches.iter_mut().find(|(n, _)| *n == ls.name) {
@@ -303,7 +409,7 @@ impl PlanExecutor {
                     out = Some(if *from == batch.layout() {
                         xs
                     } else {
-                        let mut o = vec![S::ZERO; batch.total_len()];
+                        let mut o = vec![S::ZERO; xs.len()];
                         from.convert(batch.layout(), &xs, m, n, &mut o);
                         o
                     });
@@ -320,9 +426,14 @@ impl PlanExecutor {
         // The kernels are pivot-free and only trap exact zero pivots, so
         // a NaN or Inf in the input sweeps straight through to `x`.
         if !out.iter().all(|v| v.is_finite()) {
+            let rows = |sys: usize| ragged.map_or(n, |o| o[sys + 1] - o[sys]);
+            let index = |sys: usize, row: usize| match ragged {
+                Some(o) => o[sys] + row,
+                None => batch.layout().index(sys, row, m, n),
+            };
             let (sys, row) = (0..m)
-                .flat_map(|sys| (0..n).map(move |row| (sys, row)))
-                .find(|&(sys, row)| !out[batch.index(sys, row)].is_finite())
+                .flat_map(|sys| (0..rows(sys)).map(move |row| (sys, row)))
+                .find(|&(sys, row)| !out[index(sys, row)].is_finite())
                 .unwrap_or_default();
             return Err(SimError::KernelFault(format!(
                 "non-finite solution at system {sys}, row {row}"

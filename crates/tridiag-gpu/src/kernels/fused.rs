@@ -71,13 +71,49 @@ impl<S: GpuScalar> BlockKernel<S> for FusedKernel {
         if sys >= self.m {
             return Ok(());
         }
-        let n = self.n;
-        let slots = [StreamSlot::whole(sys, n)];
+        self.solve_system(ctx, sys, sys * self.n, self.n)
+    }
+}
+
+/// The fused kernel over a ragged batch: block `b` solves system `b`,
+/// rows `offsets[b] .. offsets[b + 1]` of the global arrays, with the
+/// launch's one `k`, sub-tile and `2^k` threads. A block's work depends
+/// only on its own system, so each system's answer is the one a uniform
+/// launch at the same `k` gives it.
+#[derive(Debug, Clone)]
+pub struct RaggedFusedKernel {
+    /// Buffers, `k` and sub-tile; `n` is the longest system's row count
+    /// and `m` the number of systems.
+    pub fused: FusedKernel,
+    /// First element of each system, then the total (`m + 1` entries).
+    pub offsets: Vec<usize>,
+}
+
+impl<S: GpuScalar> BlockKernel<S> for RaggedFusedKernel {
+    fn run_block(&self, ctx: &mut BlockCtx<'_, S>) -> Result<()> {
+        let sys = ctx.block_id;
+        match self.offsets.get(sys..sys + 2) {
+            Some(&[lo, hi]) if sys < self.fused.m => self.fused.solve_system(ctx, sys, lo, hi - lo),
+            _ => Ok(()),
+        }
+    }
+}
+
+impl FusedKernel {
+    /// One block's work: solve system `sys`, the `n` rows starting at
+    /// global element `base`.
+    fn solve_system<S: GpuScalar>(
+        &self,
+        ctx: &mut BlockCtx<'_, S>,
+        sys: usize,
+        base: usize,
+        n: usize,
+    ) -> Result<()> {
+        let slots = [StreamSlot::whole(base, n)];
         let mut engine = WindowEngine::new(ctx, n, self.k, self.sub_tile, &slots)?;
         let st = engine.st;
         let f = engine.f;
         let stride = 1usize << self.k;
-        let base = sys * n;
 
         // Per-thread Thomas forward state (registers).
         let mut cp_reg = vec![S::ZERO; stride];

@@ -77,7 +77,7 @@ impl TiledPcrKernel {
 
     /// Fig. 11(a) assignment: block `i` streams system `i` whole.
     pub fn assign_block_per_system(m: usize, n: usize) -> Vec<Vec<StreamSlot>> {
-        (0..m).map(|s| vec![StreamSlot::whole(s, n)]).collect()
+        (0..m).map(|s| vec![StreamSlot::whole(s * n, n)]).collect()
     }
 
     /// Fig. 11(b) assignment: each system split into `g` contiguous
@@ -92,7 +92,7 @@ impl TiledPcrKernel {
             for part in 0..g {
                 let len = base + usize::from(part < extra);
                 out.push(vec![StreamSlot {
-                    system: sys,
+                    base: sys * n,
                     emit_lo: lo,
                     emit_hi: lo + len,
                 }]);
@@ -109,7 +109,7 @@ impl TiledPcrKernel {
         (0..m.div_ceil(q))
             .map(|b| {
                 (b * q..((b + 1) * q).min(m))
-                    .map(|s| StreamSlot::whole(s, n))
+                    .map(|s| StreamSlot::whole(s * n, n))
                     .collect()
             })
             .collect()
@@ -159,11 +159,7 @@ impl<S: GpuScalar> BlockKernel<S> for TiledPcrKernel {
                     let split = (st - f).clamp(lo, hi);
                     sh_lanes.push(carry[g][arr] + lo, 1, split - lo);
                     sh_lanes.push(s.buf[arr] + split.saturating_sub(st - f), 1, hi - split);
-                    g_lanes.push(
-                        s.system * self.n + (first + lo as isize) as usize,
-                        1,
-                        hi - lo,
-                    );
+                    g_lanes.push(s.base + (first + lo as isize) as usize, 1, hi - lo);
                 }
                 engine
                     .io
@@ -211,11 +207,7 @@ impl<S: GpuScalar> BlockKernel<S> for TiledPcrKernel {
                 let lo = (s.emit_lo - last_t).clamp(0, tail) as usize;
                 let hi = (s.emit_hi - last_t).clamp(lo as isize, tail) as usize;
                 sh_lanes.push(carry[g][arr] + lo, 1, hi - lo);
-                g_lanes.push(
-                    s.system * self.n + (last_t + lo as isize) as usize,
-                    1,
-                    hi - lo,
-                );
+                g_lanes.push(s.base + (last_t + lo as isize) as usize, 1, hi - lo);
             }
             engine
                 .io
@@ -454,7 +446,7 @@ mod tests {
             k: 2,
             sub_tile: 4,
             assignments: vec![vec![StreamSlot {
-                system: 0,
+                base: 0,
                 emit_lo: 10,
                 emit_hi: 10,
             }]],

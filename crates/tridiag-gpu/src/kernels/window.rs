@@ -34,11 +34,12 @@ use gpu_sim::{BlockCtx, BufId, Lanes, Result, SharedGroup, SimError};
 use tridiag_core::cr::{reduce_row, Row};
 
 /// One PCR stream: a thread group reducing rows `[emit_lo, emit_hi)` of
-/// `system`.
+/// the system whose row 0 is global element `base`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamSlot {
-    /// System index in the batch.
-    pub system: usize,
+    /// Global index of the system's row 0: `system · n` in a batch of
+    /// uniform `n`, the system's row offset in a ragged one.
+    pub base: usize,
     /// First row this slot emits.
     pub emit_lo: usize,
     /// One past the last row this slot emits.
@@ -46,10 +47,11 @@ pub struct StreamSlot {
 }
 
 impl StreamSlot {
-    /// A slot covering one whole system (Fig. 11(a) mapping).
-    pub fn whole(system: usize, n: usize) -> Self {
+    /// A slot covering one whole system of `n` rows starting at global
+    /// element `base` (Fig. 11(a) mapping).
+    pub fn whole(base: usize, n: usize) -> Self {
         StreamSlot {
-            system,
+            base,
             emit_lo: 0,
             emit_hi: n,
         }
@@ -58,7 +60,8 @@ impl StreamSlot {
 
 /// Per-slot streaming state (shared-memory bases + stream position).
 pub(crate) struct SlotState {
-    pub system: usize,
+    /// Global index of the system's row 0.
+    pub base: usize,
     pub emit_lo: isize,
     pub emit_hi: isize,
     /// One past the last *real* input position (`min(n, emit_hi + f)`).
@@ -190,7 +193,6 @@ pub(crate) fn slot_runs(
 
 /// The streaming engine (see module docs).
 pub(crate) struct WindowEngine<S> {
-    pub n: usize,
     pub k: usize,
     pub st: usize,
     pub f: usize,
@@ -249,7 +251,8 @@ impl Level {
 }
 
 impl<S: GpuScalar> WindowEngine<S> {
-    /// Carve shared memory for the given slots and initialise the
+    /// Carve shared memory for the given slots, each streaming a
+    /// system of `n` rows from its own row base, and initialise the
     /// dependency caches with identity rows.
     pub fn new(
         ctx: &mut BlockCtx<'_, S>,
@@ -290,7 +293,7 @@ impl<S: GpuScalar> WindowEngine<S> {
             let buf = arr_shifts.map(|a| base + a);
             let in_start = (s.emit_lo as isize - f as isize).max(0);
             slots.push(SlotState {
-                system: s.system,
+                base: s.base,
                 emit_lo: s.emit_lo as isize,
                 emit_hi: s.emit_hi as isize,
                 in_end: ((s.emit_hi + f) as isize).min(n as isize),
@@ -317,7 +320,6 @@ impl<S: GpuScalar> WindowEngine<S> {
         ctx.sync();
 
         Ok(Self {
-            n,
             k,
             st,
             f,
@@ -376,7 +378,7 @@ impl<S: GpuScalar> WindowEngine<S> {
         if self.groups.active != self.active {
             self.groups = self.step_groups();
         }
-        let (st, two_f, n) = (self.st, self.two_f, self.n);
+        let (st, two_f) = (self.st, self.two_f);
         let step = self.arr_shifts[1];
         let Self {
             slots,
@@ -396,7 +398,7 @@ impl<S: GpuScalar> WindowEngine<S> {
         for &g in active.iter() {
             let s = &slots[g];
             let (lo, hi) = s.fresh(st);
-            g_lanes.push(s.system * n + (s.t0 + lo as isize) as usize, 1, hi - lo);
+            g_lanes.push(s.base + (s.t0 + lo as isize) as usize, 1, hi - lo);
         }
         for (arr, &buf) in input.iter().enumerate() {
             io.load(ctx, buf, g_lanes, loaded)?;

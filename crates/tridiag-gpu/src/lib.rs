@@ -31,7 +31,7 @@ pub use buffers::{upload, DeviceBatch, GpuScalar};
 pub use distributed::{
     validate_distributed_plan_json, ChunkPlan, DistributedExecutor, DistributedPlan,
 };
-pub use executor::PlanExecutor;
+pub use executor::{HostBatch, PlanExecutor};
 pub use hash::solution_hash;
 pub use plan::{
     partition, validate_plan_json, validate_sharded_plan_json, Partition, ShardPlan, ShardedPlan,

@@ -25,6 +25,7 @@ use crate::kernels::tiled_pcr::{StreamSlot, TiledPcrKernel};
 use crate::solver::{GpuSolverConfig, MappingVariant};
 use gpu_sim::json::schema::Check;
 use gpu_sim::{DeviceGroup, DeviceSpec, Json, Result, SimError};
+use std::ops::Range;
 use tridiag_core::Layout;
 
 pub mod cost;
@@ -115,7 +116,7 @@ pub enum KernelOp {
         d_prime: Slot,
         /// Solution buffer.
         x: Slot,
-        /// Rows per system.
+        /// Rows per system (the longest system's, when `rows` is set).
         n: usize,
         /// PCR steps.
         k: u32,
@@ -123,6 +124,11 @@ pub enum KernelOp {
         sub_tile: usize,
         /// Number of systems.
         m: usize,
+        /// Per-system row counts of a ragged batch, only when they
+        /// differ: block `b` solves system `b`'s `rows[b]` rows, stored
+        /// after the rows of systems `0..b`. `None` when every system
+        /// has `n` rows.
+        rows: Option<Vec<usize>>,
     },
 }
 
@@ -252,7 +258,8 @@ pub struct SolvePlan {
     pub config: GpuSolverConfig,
     /// Number of systems.
     pub m: usize,
-    /// Rows per system.
+    /// Rows per system (the longest system's in a ragged plan, see
+    /// [`SolvePlan::ragged_rows`]).
     pub n: usize,
     /// Scalar width in bytes (4 or 8).
     pub elem_bytes: usize,
@@ -275,6 +282,25 @@ pub struct SolvePlan {
     pub buffers: Vec<BufferDecl>,
     /// The step sequence.
     pub steps: Vec<Step>,
+}
+
+/// Row counts as a plan carries them: `None` when every system has the
+/// same count.
+pub(crate) fn ragged(rows: &[usize]) -> Option<&[usize]> {
+    rows.iter().any(|&r| r != rows[0]).then_some(rows)
+}
+
+/// `(m, n)` of a batch of per-system row counts `rows`: the number of
+/// systems and the longest one's rows. Fails on an empty list or a
+/// zero-row system.
+fn ragged_geometry(rows: &[usize]) -> Result<(usize, usize)> {
+    if rows.is_empty() || rows.contains(&0) {
+        return Err(SimError::InvalidPlan(format!(
+            "empty batch geometry: m = {}, row counts {rows:?}",
+            rows.len()
+        )));
+    }
+    Ok((rows.len(), rows.iter().copied().max().unwrap_or(0)))
 }
 
 /// Largest `k` whose tiled-PCR window still fits `spec`'s shared memory
@@ -327,7 +353,46 @@ impl SolvePlan {
         n: usize,
         elem_bytes: usize,
     ) -> Result<SolvePlan> {
-        let plan = Self::build_unchecked(spec, config, host_layout, m, n, elem_bytes)?;
+        let plan = Self::build_unchecked(spec, config, host_layout, m, n, None, elem_bytes)?;
+        Self::check_memory(spec, plan)
+    }
+
+    /// Plan one fused launch over systems of per-system row counts
+    /// `rows`, stored back to back (a [`tridiag_core::RaggedBatch`]):
+    /// block `b` solves system `b` with the launch's single `k`,
+    /// sub-tile and `2^k` threads. Equal counts plan exactly what
+    /// [`SolvePlan::build`] does for `(rows.len(), rows[0])`. Otherwise
+    /// `config` must decide the fused one-block-per-system pipeline
+    /// with `k ≥ 1` at the shortest system (a pinned decision does, see
+    /// [`GpuSolverConfig::pinned`]); `n` is then the longest system's
+    /// row count and every buffer holds `Σ rows` elements.
+    ///
+    /// Fails with [`SimError::InvalidPlan`] on an empty or zero-row
+    /// geometry, any other decision, or the memory checks of
+    /// [`SolvePlan::build`].
+    pub fn build_ragged(
+        spec: &DeviceSpec,
+        config: &GpuSolverConfig,
+        rows: &[usize],
+        elem_bytes: usize,
+    ) -> Result<SolvePlan> {
+        let (m, n) = ragged_geometry(rows)?;
+        let plan = Self::build_unchecked(
+            spec,
+            config,
+            Layout::Contiguous,
+            m,
+            n,
+            ragged(rows),
+            elem_bytes,
+        )?;
+        Self::check_memory(spec, plan)
+    }
+
+    /// `plan`, unless its peak resident footprint exceeds `spec`'s
+    /// global memory.
+    fn check_memory(spec: &DeviceSpec, plan: SolvePlan) -> Result<SolvePlan> {
+        let (m, n) = (plan.m, plan.n);
         // One memory model: the OOM check is the verifier's
         // liveness-based high-water mark — an exact peak-bytes
         // certificate, not the sum of allocations (buffers that die
@@ -352,15 +417,18 @@ impl SolvePlan {
         Ok(plan)
     }
 
-    /// [`SolvePlan::build_for_host`] without the device-memory check:
-    /// the full-batch reference of a [`ShardedPlan`], which only
-    /// supplies decisions and never runs.
+    /// [`SolvePlan::build_for_host`] (or, with `rows`, the ragged
+    /// [`SolvePlan::build_ragged`]) without the device-memory check: the
+    /// full-batch reference of a [`ShardedPlan`], which only supplies
+    /// decisions and never runs.
+    #[allow(clippy::too_many_arguments)]
     fn build_unchecked(
         spec: &DeviceSpec,
         config: &GpuSolverConfig,
         host_layout: Layout,
         m: usize,
         n: usize,
+        rows: Option<&[usize]>,
         elem_bytes: usize,
     ) -> Result<SolvePlan> {
         if m == 0 || n == 0 {
@@ -378,9 +446,18 @@ impl SolvePlan {
             }
         };
         // Every pipeline decision — layout, mapping, fusion, k — is
-        // made in one place, by the transition rule in `cost::decide`.
-        let decision = cost::decide(spec, config, m, n, elem_bytes);
+        // made in one place, by the transition rule in `cost::decide`;
+        // a ragged batch decides at its shortest system, which bounds k.
+        let shortest = rows.and_then(|r| r.iter().min().copied()).unwrap_or(n);
+        let decision = cost::decide(spec, config, m, shortest, elem_bytes);
         let k = decision.k;
+        if rows.is_some() && !(decision.fused && k > 0) {
+            return Err(SimError::InvalidPlan(format!(
+                "a ragged batch needs the fused one-block-per-system pipeline, \
+                 but the decision is k = {k}, mapping {:?}, fused = {}",
+                decision.mapping, decision.fused
+            )));
+        }
         // Elide conversions when the batch arrives already interleaved
         // and the pipeline wants it interleaved. The hybrid pipeline's
         // contiguous->contiguous Convert and ConvertBack are *kept*: the
@@ -389,7 +466,7 @@ impl SolvePlan {
         // caller's array, so they copy nothing.
         let elide = host_layout == decision.layout && host_layout == Layout::Interleaved;
 
-        let total = m * n;
+        let total = rows.map_or(m * n, |r| r.iter().sum());
         let mut buffers: Vec<BufferDecl> = Vec::new();
         let mut steps: Vec<Step> = Vec::new();
         // The five coefficient/solution buffers open every pipeline, in
@@ -481,6 +558,7 @@ impl SolvePlan {
                         k,
                         sub_tile: st,
                         m,
+                        rows: rows.map(<[usize]>::to_vec),
                     },
                 }));
             } else {
@@ -580,6 +658,15 @@ impl SolvePlan {
         self.device_elems() * self.elem_bytes
     }
 
+    /// Per-system row counts of a ragged plan ([`SolvePlan::build_ragged`]
+    /// over counts that differ); `None` when every system has `n` rows.
+    pub fn ragged_rows(&self) -> Option<&[usize]> {
+        self.launches().find_map(|ls| match &ls.op {
+            KernelOp::Fused { rows, .. } => rows.as_deref(),
+            _ => None,
+        })
+    }
+
     /// The launch steps, in order.
     pub fn launches(&self) -> impl Iterator<Item = &LaunchStep> {
         self.steps.iter().filter_map(|s| match s {
@@ -645,9 +732,12 @@ impl SolvePlan {
                         KernelOp::TiledPcr { k, sub_tile, .. } => {
                             format!("k={k} sub_tile={sub_tile}")
                         }
-                        KernelOp::Fused { k, sub_tile, .. } => {
-                            format!("k={k} sub_tile={sub_tile}")
-                        }
+                        KernelOp::Fused {
+                            k, sub_tile, rows, ..
+                        } => match rows {
+                            Some(rows) => format!("k={k} sub_tile={sub_tile} rows={rows:?}"),
+                            None => format!("k={k} sub_tile={sub_tile}"),
+                        },
                     };
                     format!(
                         "launch {} grid={} threads={} regs={} binds={:?} {detail}",
@@ -699,29 +789,39 @@ impl SolvePlan {
                     ("op".into(), Json::str("alloc")),
                     ("slot".into(), Json::num(*slot as f64)),
                 ]),
-                Step::Launch(ls) => Json::Obj(vec![
-                    ("op".into(), Json::str("launch")),
-                    ("kernel".into(), Json::str(ls.name)),
-                    ("grid_blocks".into(), Json::num(ls.grid_blocks as f64)),
-                    (
-                        "threads_per_block".into(),
-                        Json::num(ls.threads_per_block as f64),
-                    ),
-                    (
-                        "regs_per_thread".into(),
-                        Json::num(ls.regs_per_thread as f64),
-                    ),
-                    (
-                        "binds".into(),
-                        Json::Arr(
-                            ls.op
-                                .binds()
-                                .into_iter()
-                                .map(|s| Json::num(s as f64))
-                                .collect(),
+                Step::Launch(ls) => {
+                    let mut fields = vec![
+                        ("op".into(), Json::str("launch")),
+                        ("kernel".into(), Json::str(ls.name)),
+                        ("grid_blocks".into(), Json::num(ls.grid_blocks as f64)),
+                        (
+                            "threads_per_block".into(),
+                            Json::num(ls.threads_per_block as f64),
                         ),
-                    ),
-                ]),
+                        (
+                            "regs_per_thread".into(),
+                            Json::num(ls.regs_per_thread as f64),
+                        ),
+                        (
+                            "binds".into(),
+                            Json::Arr(
+                                ls.op
+                                    .binds()
+                                    .into_iter()
+                                    .map(|s| Json::num(s as f64))
+                                    .collect(),
+                            ),
+                        ),
+                    ];
+                    if let KernelOp::Fused {
+                        rows: Some(rows), ..
+                    } = &ls.op
+                    {
+                        let rows = rows.iter().map(|&r| Json::num(r as f64)).collect();
+                        fields.push(("rows".into(), Json::Arr(rows)));
+                    }
+                    Json::Obj(fields)
+                }
                 Step::Download { slot } => Json::Obj(vec![
                     ("op".into(), Json::str("download")),
                     ("slot".into(), Json::num(*slot as f64)),
@@ -806,9 +906,18 @@ pub fn validate_plan_json(doc: &Json) -> Vec<String> {
             Some("launch") => {
                 sc.req_str("kernel");
                 sc.req_uints(&["grid_blocks", "threads_per_block", "regs_per_thread"]);
+                let uint = |v: &Json| v.as_num().is_some_and(|v| v >= 0.0 && v.fract() == 0.0);
                 for (j, b) in sc.req_arr("binds").iter().enumerate() {
-                    if !b.as_num().is_some_and(|v| v >= 0.0 && v.fract() == 0.0) {
+                    if !uint(b) {
                         sc.problem(format!("binds[{j}] is not a non-negative integer"));
+                    }
+                }
+                // A ragged fused launch lists its per-system row counts.
+                if step.get("rows").is_some() {
+                    for (j, r) in sc.req_arr("rows").iter().enumerate() {
+                        if !uint(r) {
+                            sc.problem(format!("rows[{j}] is not a non-negative integer"));
+                        }
                     }
                 }
             }
@@ -1011,7 +1120,7 @@ pub struct ShardPlan {
 pub struct ShardedPlan {
     /// Number of systems in the full batch.
     pub m: usize,
-    /// Rows per system.
+    /// Rows per system (the longest system's, in a ragged batch).
     pub n: usize,
     /// Scalar width in bytes (4 or 8).
     pub elem_bytes: usize,
@@ -1046,8 +1155,40 @@ impl ShardedPlan {
         n: usize,
         elem_bytes: usize,
     ) -> Result<ShardedPlan> {
+        Self::build_rows(group, config, m, n, None, elem_bytes)
+    }
+
+    /// [`ShardedPlan::build`] for systems of per-system row counts
+    /// `rows` (see [`SolvePlan::build_ragged`]): the shards split the
+    /// batch by whole systems, as they split a uniform one, and each
+    /// shard plans its own systems' counts (a uniform plan when they
+    /// happen to be equal). `n` is the longest system's row count.
+    pub fn build_ragged(
+        group: &DeviceGroup,
+        config: &GpuSolverConfig,
+        rows: &[usize],
+        elem_bytes: usize,
+    ) -> Result<ShardedPlan> {
+        let (m, n) = ragged_geometry(rows)?;
+        Self::build_rows(group, config, m, n, ragged(rows), elem_bytes)
+    }
+
+    fn build_rows(
+        group: &DeviceGroup,
+        config: &GpuSolverConfig,
+        m: usize,
+        n: usize,
+        rows: Option<&[usize]>,
+        elem_bytes: usize,
+    ) -> Result<ShardedPlan> {
+        // The plan for systems `range` of the batch on one device.
+        let plan_systems =
+            |spec: &DeviceSpec, config: &GpuSolverConfig, range: Range<usize>| match rows {
+                None => SolvePlan::build(spec, config, range.len(), n, elem_bytes),
+                Some(rows) => SolvePlan::build_ragged(spec, config, &rows[range], elem_bytes),
+            };
         if group.len() == 1 {
-            let reference = SolvePlan::build(group.primary(), config, m, n, elem_bytes)?;
+            let reference = plan_systems(group.primary(), config, 0..m)?;
             let shards = vec![ShardPlan {
                 device_index: 0,
                 sys_start: 0,
@@ -1070,6 +1211,7 @@ impl ShardedPlan {
             Layout::Contiguous,
             m,
             n,
+            rows,
             elem_bytes,
         )?;
         let ranges = partition(m, group.len(), Partition::Systems)?;
@@ -1081,12 +1223,10 @@ impl ShardedPlan {
             .into_iter()
             .enumerate()
             .map(|(device_index, (sys_start, sys_count))| {
-                SolvePlan::build(
+                plan_systems(
                     &group.devices()[device_index],
                     &pinned,
-                    sys_count,
-                    n,
-                    elem_bytes,
+                    sys_start..sys_start + sys_count,
                 )
                 .map(|plan| ShardPlan {
                     device_index,

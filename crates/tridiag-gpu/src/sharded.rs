@@ -5,8 +5,9 @@
 //! reference plan's pipeline decisions into every shard — see
 //! [`crate::plan::ShardedPlan::build`]) and:
 //!
-//! 1. slices the caller's batch into per-shard sub-batches by system
-//!    range ([`SystemBatch::sub_batch`]), in the caller's layout,
+//! 1. slices the caller's batch — uniform or ragged ([`HostBatch`]) —
+//!    into per-shard sub-batches by system range, in the caller's
+//!    layout,
 //! 2. drives each shard's [`SolvePlan`](crate::plan::SolvePlan) on its
 //!    own thread (vendored crossbeam scoped threads) with a private
 //!    [`PlanExecutor`] against that shard's device spec,
@@ -35,14 +36,14 @@
 //! byte.
 
 use crate::buffers::GpuScalar;
-use crate::executor::PlanExecutor;
+use crate::executor::{same_rows, HostBatch, PlanExecutor};
 use crate::multi_device::{
     counter_totals, device_track, fan_out, group_trace, replay_plan, Launch, Merged,
 };
 use crate::plan::{Partition, ShardedPlan};
 use crate::solver::{GpuSolveReport, ShardSummary};
 use gpu_sim::{DeviceGroup, ExecConfig, GroupTimeline, Json, Result, SimError};
-use tridiag_core::{Layout, SystemBatch};
+use tridiag_core::Layout;
 
 /// Drives a [`ShardedPlan`] across a [`DeviceGroup`], one thread per
 /// shard, and merges the results.
@@ -76,9 +77,12 @@ impl ShardedExecutor {
     pub fn run<S: GpuScalar + Send + Sync>(
         &self,
         plan: &ShardedPlan,
-        batch: &SystemBatch<S>,
+        batch: &impl HostBatch<S>,
     ) -> Result<(Vec<S>, GpuSolveReport)> {
-        if batch.num_systems() != plan.m || batch.system_len() != plan.n {
+        if batch.num_systems() != plan.m
+            || batch.system_len() != plan.n
+            || !same_rows(batch.ragged_offsets(), plan.reference.ragged_rows())
+        {
             return Err(SimError::InvalidPlan(format!(
                 "batch is {}x{} but the sharded plan was built for {}x{}",
                 batch.num_systems(),
@@ -133,11 +137,15 @@ impl ShardedExecutor {
         // a shard's systems are one run of a contiguous batch, and one
         // run per row of an interleaved one.
         let (m, n) = (plan.m, plan.n);
-        let mut out = vec![S::ZERO; batch.total_len()];
+        let ragged = batch.ragged_offsets();
+        let mut out = vec![S::ZERO; batch.arrays().0.len()];
         for (sh, (x, _, _)) in plan.shards.iter().zip(&runs) {
             let (start, count) = (sh.sys_start, sh.sys_count);
             match batch.layout() {
-                Layout::Contiguous => out[start * n..][..count * n].copy_from_slice(x),
+                Layout::Contiguous => {
+                    let at = ragged.map_or(start * n, |o| o[start]);
+                    out[at..][..x.len()].copy_from_slice(x)
+                }
                 Layout::Interleaved => {
                     for (row, xs) in x.chunks_exact(count).enumerate() {
                         out[row * m + start..][..count].copy_from_slice(xs);

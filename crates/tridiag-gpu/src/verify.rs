@@ -31,6 +31,10 @@
 //! - **read-only inputs** — no launch writes an `Upload`ed slot: the
 //!   executor borrows an upload that needs no change of layout straight
 //!   from the caller's batch, read-only ([`FindingKind::InputWrite`]);
+//! - **ragged geometry** — a fused launch over per-system row counts
+//!   has one block per system, every count at least `2^k`, the plan's
+//!   `n` the longest count, and every buffer it binds `Σ rows` long
+//!   ([`FindingKind::MalformedPlan`]);
 //! - **memory** — a liveness-based high-water mark: buffers become
 //!   resident at their `Upload`/`Alloc` step and die after their last
 //!   use, and the exact peak must fit the device's global memory
@@ -53,7 +57,9 @@
 //! reduced system for chunks).
 
 use crate::distributed::{valid_interior_m, DistributedPlan};
-use crate::plan::{Partition, ShardedPlan, Slot, SolvePlan, Step, TileWalk};
+use crate::plan::{
+    ragged, KernelOp, LaunchStep, Partition, ShardedPlan, Slot, SolvePlan, Step, TileWalk,
+};
 use gpu_sim::{DeviceGroup, DeviceSpec, Json, Result, SimError};
 use std::fmt;
 
@@ -836,6 +842,9 @@ pub fn verify_plan(spec: &DeviceSpec, plan: &SolvePlan) -> VerifyReport {
                         slots[s].written = true;
                     }
                 }
+                for msg in ragged_launch_problems(plan, ls) {
+                    push(&mut findings, FindingKind::MalformedPlan, Some(i), msg);
+                }
                 match launches.iter_mut().find(|(n, _)| *n == ls.name) {
                     Some((_, c)) => *c += 1,
                     None => launches.push((ls.name, 1)),
@@ -1017,6 +1026,56 @@ pub fn verify_plan(spec: &DeviceSpec, plan: &SolvePlan) -> VerifyReport {
     }
 }
 
+/// What is wrong with a fused launch over per-system row counts: the
+/// grid must be one block per system of the plan, every count at least
+/// the `2^k` rows of its PCR stage, the plan's and the launch's `n` the
+/// longest count, and every buffer the launch binds exactly `Σ rows`
+/// elements. Uniform launches have nothing to check here.
+fn ragged_launch_problems(plan: &SolvePlan, ls: &LaunchStep) -> Vec<String> {
+    let KernelOp::Fused {
+        n,
+        k,
+        m,
+        rows: Some(rows),
+        ..
+    } = &ls.op
+    else {
+        return Vec::new();
+    };
+    let mut out = Vec::new();
+    let systems = rows.len();
+    if (ls.grid_blocks, *m, plan.m) != (systems, systems, systems) {
+        out.push(format!(
+            "{} launches {} blocks for m = {m} (plan m = {}) but lists {systems} systems",
+            ls.name, ls.grid_blocks, plan.m
+        ));
+    }
+    let longest = rows.iter().copied().max().unwrap_or(0);
+    if (*n, plan.n) != (longest, longest) {
+        out.push(format!(
+            "{} has n = {n} (plan n = {}) but its longest system has {longest} rows",
+            ls.name, plan.n
+        ));
+    }
+    if let Some((sys, r)) = rows.iter().enumerate().find(|(_, &r)| r < 1 << k) {
+        out.push(format!(
+            "{} system {sys} has {r} rows, fewer than 2^k = {}",
+            ls.name,
+            1usize << k
+        ));
+    }
+    let total: usize = rows.iter().sum();
+    for s in ls.op.binds() {
+        if let Some(b) = plan.buffers.get(s).filter(|b| b.elems != total) {
+            out.push(format!(
+                "{} binds slot {s} ({}) of {} elements but its systems hold {total}",
+                ls.name, b.name, b.elems
+            ));
+        }
+    }
+    out
+}
+
 /// Attribute `f` to part `part` of a plan partitioned as `of`: a shard
 /// or a chunk.
 fn attribute(f: &mut PlanFinding, of: Partition, part: Option<usize>) {
@@ -1061,6 +1120,8 @@ struct Part<'a> {
     plan: Option<&'a SolvePlan>,
     /// The `(m, n)` that plan must solve.
     need: (usize, usize),
+    /// The ragged row counts that plan must solve (`None`: uniform).
+    need_rows: Option<&'a [usize]>,
 }
 
 /// The tiling-and-consistency check every multi-device plan shares:
@@ -1125,13 +1186,19 @@ fn check_parts(
             );
         }
         let Some(plan) = p.plan else { continue };
-        if (plan.m, plan.n) != p.need {
+        if (plan.m, plan.n) != p.need || plan.ragged_rows() != p.need_rows {
             push(
                 consistency,
                 Some(i),
                 format!(
-                    "{name} plan solves m = {}, n = {} but the {name} needs m = {}, n = {}",
-                    plan.m, plan.n, p.need.0, p.need.1
+                    "{name} plan solves m = {}, n = {}, rows {:?} but the {name} needs \
+                     m = {}, n = {}, rows {:?}",
+                    plan.m,
+                    plan.n,
+                    plan.ragged_rows(),
+                    p.need.0,
+                    p.need.1,
+                    p.need_rows
                 ),
             );
         }
@@ -1182,12 +1249,23 @@ pub fn verify_sharded_plan(group: &DeviceGroup, plan: &ShardedPlan) -> GroupVeri
     let parts: Vec<Part> = plan
         .shards
         .iter()
-        .map(|sh| Part {
-            device_index: sh.device_index,
-            start: sh.sys_start,
-            count: sh.sys_count,
-            plan: Some(&sh.plan),
-            need: (sh.sys_count, plan.n),
+        .map(|sh| {
+            // A ragged batch's shard solves its own systems' row counts.
+            let rows = plan
+                .reference
+                .ragged_rows()
+                .and_then(|r| r.get(sh.sys_start..sh.sys_start + sh.sys_count));
+            Part {
+                device_index: sh.device_index,
+                start: sh.sys_start,
+                count: sh.sys_count,
+                plan: Some(&sh.plan),
+                need: match rows {
+                    Some(r) => (r.len(), r.iter().copied().max().unwrap_or(0)),
+                    None => (sh.sys_count, plan.n),
+                },
+                need_rows: rows.and_then(ragged),
+            }
         })
         .collect();
     let plans = check_parts(group, of, plan.m, plan.elem_bytes, &parts, &mut findings);
@@ -1399,6 +1477,7 @@ pub fn verify_distributed_plan(group: &DeviceGroup, plan: &DistributedPlan) -> G
                 ch.interior.as_ref().map_or(1, |p| p.m),
                 ch.row_count.saturating_sub(2),
             ),
+            need_rows: None,
         })
         .collect();
     let mut plans = check_parts(group, of, plan.n, plan.elem_bytes, &parts, &mut findings);

@@ -1,5 +1,9 @@
 //! The plan cache: memoized [`ShardedPlan`]s keyed by geometry,
 //! precision, device-group fingerprint and solver-config fingerprint.
+//! The geometry of a ragged batch — one fused launch over members of
+//! different row counts ([`ShardedPlan::build_ragged`]) — is its
+//! per-system row counts; a batch whose systems share `n` keys on
+//! `(m, n)` alone, whichever way it was built.
 //!
 //! PR 4 made [`tridiag_gpu::SolvePlan::build`] a pure function of
 //! `(spec, config, m, n, elem_bytes)` — no device state, fully
@@ -29,12 +33,14 @@ pub fn certify(group: &DeviceGroup, plan: &ShardedPlan) -> Result<()> {
 /// width, and fingerprints of the device group composition and the
 /// solver config. Two lookups with equal keys are guaranteed the same
 /// plan because the planner is pure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// Systems in the fused batch.
     pub m: usize,
-    /// Rows per system.
+    /// Rows per system (the longest system's, in a ragged batch).
     pub n: usize,
+    /// Per-system row counts of a ragged batch, only when they differ.
+    pub rows: Option<Vec<usize>>,
     /// Scalar width in bytes (4 or 8).
     pub elem_bytes: usize,
     /// [`DeviceGroup::fingerprint`] of the group the plan shards over.
@@ -121,6 +127,7 @@ impl PlanCache {
         PlanKey {
             m,
             n,
+            rows: None,
             elem_bytes,
             group_fp: group.fingerprint(),
             config_fp: config_fingerprint(config),
@@ -139,8 +146,42 @@ impl PlanCache {
         n: usize,
         elem_bytes: usize,
     ) -> Result<(Arc<ShardedPlan>, bool)> {
-        self.stats.lookups += 1;
         let key = Self::key_for(group, config, m, n, elem_bytes);
+        self.fetch(
+            key,
+            || ShardedPlan::build(group, config, m, n, elem_bytes),
+            group,
+        )
+    }
+
+    /// [`PlanCache::lookup`] for systems of per-system row counts
+    /// `rows` ([`ShardedPlan::build_ragged`]). Counts that are all
+    /// equal look up the uniform `(m, n)` plan.
+    pub fn lookup_ragged(
+        &mut self,
+        group: &DeviceGroup,
+        config: &GpuSolverConfig,
+        rows: &[usize],
+        elem_bytes: usize,
+    ) -> Result<(Arc<ShardedPlan>, bool)> {
+        let longest = rows.iter().copied().max().unwrap_or(0);
+        let mut key = Self::key_for(group, config, rows.len(), longest, elem_bytes);
+        key.rows = rows.iter().any(|&r| r != longest).then(|| rows.to_vec());
+        self.fetch(
+            key,
+            || ShardedPlan::build_ragged(group, config, rows, elem_bytes),
+            group,
+        )
+    }
+
+    /// The cached plan for `key`, or a fresh certified `build()`.
+    fn fetch(
+        &mut self,
+        key: PlanKey,
+        build: impl FnOnce() -> Result<ShardedPlan>,
+        group: &DeviceGroup,
+    ) -> Result<(Arc<ShardedPlan>, bool)> {
+        self.stats.lookups += 1;
         if let Some(pos) = self.entries.iter().position(|(k, _)| *k == key) {
             self.stats.hits += 1;
             // Refresh recency: move to the back.
@@ -150,7 +191,7 @@ impl PlanCache {
             return Ok((plan, true));
         }
         self.stats.misses += 1;
-        let plan = Arc::new(ShardedPlan::build(group, config, m, n, elem_bytes)?);
+        let plan = Arc::new(build()?);
         // Verification-on-insert: only certified plans are cached (and
         // only certified plans are returned at all).
         certify(group, &plan)?;

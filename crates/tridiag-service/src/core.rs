@@ -22,25 +22,34 @@
 //! coalescing window opens; it closes `window_us` later. Requests
 //! arriving by the close join the queue (bounced with
 //! [`ServiceError::Overloaded`] beyond `queue_depth`); at the close
-//! the whole queue drains, coalesces by `(n, precision, decision)`, and
-//! the batches run back-to-back. `window_us == 0` disables coalescing:
-//! exactly one request per tick, the solo baseline.
+//! the whole queue drains, coalesces by `(precision, decision)` — and
+//! by `n` too, unless the decision is the fused one-block-per-system
+//! pipeline, whose one ragged launch takes every member's row count
+//! ([`mod@crate::coalesce`]) — and the batches run back-to-back. A tick
+//! therefore issues one fused launch per precision and `k`, not one
+//! per distinct `n`. `window_us == 0` disables coalescing: exactly one
+//! request per tick, the solo baseline.
 
 use std::sync::Arc;
 
 use gpu_sim::group::copy_us;
 use gpu_sim::{DeviceGroup, ExecConfig, Result, SimError};
-use tridiag_core::SystemBatch;
+use tridiag_core::{Layout, RaggedBatch};
 use tridiag_gpu::buffers::GpuScalar;
+use tridiag_gpu::executor::HostBatch;
 use tridiag_gpu::plan::cost::Decision;
 use tridiag_gpu::solver::GpuSolverConfig;
 use tridiag_gpu::{ShardedExecutor, ShardedPlan};
 
 use crate::cache::{CacheStats, PlanCache};
-use crate::coalesce::{coalesce, CoalescedBatch};
+use crate::coalesce::{coalesce, CoalescedBatch, FusedPayload};
 use crate::report::{BatchSummary, DeviceSpan, ServiceReport, SloConfig};
 use crate::request::{Payload, RequestSpans, Response, ServiceError, Solution, SolveRequest};
 use crate::telemetry::Telemetry;
+
+/// A solve's answer, its modeled kernel time (µs), whether its plan
+/// came from the cache, and the per-device shard execution.
+type Solved<X> = (X, f64, bool, Vec<DeviceSpan>);
 
 /// Plan-cache capacity (plans, not bytes).
 pub const CACHE_CAPACITY: usize = 32;
@@ -153,47 +162,51 @@ impl ServiceCore {
     /// ([`Payload::decision`] on the primary device). Returns the
     /// solution, the modeled kernel time, whether the plan came from
     /// the cache, and the per-device shard execution.
-    pub fn solve_payload(
-        &mut self,
-        payload: &Payload,
-    ) -> Result<(Solution, f64, bool, Vec<DeviceSpan>)> {
+    pub fn solve_payload(&mut self, payload: &Payload) -> Result<Solved<Solution>> {
         let decision = payload.decision(self.group.primary());
-        self.solve_pinned(payload, decision)
-    }
-
-    /// Solve one payload with `decision` pinned, whatever its batch
-    /// size (see the module docs).
-    fn solve_pinned(
-        &mut self,
-        payload: &Payload,
-        decision: Decision,
-    ) -> Result<(Solution, f64, bool, Vec<DeviceSpan>)> {
-        let n = payload.system_len();
-        let bytes = payload.elem_bytes();
-        let config = GpuSolverConfig::default().pinned(decision);
-        let m = payload.num_systems();
-        let group = self.effective_group(m);
-        let (plan, hit) = self.cache.lookup(&group, &config, m, n, bytes)?;
-        let exec = config.exec;
         match payload {
-            Payload::F32(b) => run_plan::<f32>(&group, exec, &plan, b)
-                .map(|(x, us, devices)| (Solution::F32(x), us, hit, devices)),
-            Payload::F64(b) => run_plan::<f64>(&group, exec, &plan, b)
-                .map(|(x, us, devices)| (Solution::F64(x), us, hit, devices)),
+            Payload::F32(b) => self.solve_pinned(b, decision).map(wrap(Solution::F32)),
+            Payload::F64(b) => self.solve_pinned(b, decision).map(wrap(Solution::F64)),
         }
     }
 
-    /// Slice a fused solution back into per-member solutions, in
-    /// member order.
-    fn scatter(batch: &CoalescedBatch, solution: &Solution) -> Vec<Solution> {
-        match (&batch.payload, solution) {
-            (Payload::F32(merged), Solution::F32(x)) => {
-                split_members(batch, merged, x, Solution::F32)
+    /// Solve one batch — a request's own, or a coalesced ragged one —
+    /// with `decision` pinned, whatever its batch size (see the module
+    /// docs). Returns the solution in the batch's layout, the modeled
+    /// kernel time, whether the plan was cached, and the per-device
+    /// shard execution.
+    fn solve_pinned<S: GpuScalar + Send + Sync>(
+        &mut self,
+        batch: &impl HostBatch<S>,
+        decision: Decision,
+    ) -> Result<Solved<Vec<S>>> {
+        let config = GpuSolverConfig::default().pinned(decision);
+        let (m, bytes) = (batch.num_systems(), <S as gpu_sim::Elem>::BYTES);
+        let group = self.effective_group(m);
+        let (plan, hit) = match batch.ragged_offsets() {
+            None => self
+                .cache
+                .lookup(&group, &config, m, batch.system_len(), bytes)?,
+            Some(offsets) => {
+                let rows: Vec<usize> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
+                self.cache.lookup_ragged(&group, &config, &rows, bytes)?
             }
-            (Payload::F64(merged), Solution::F64(x)) => {
-                split_members(batch, merged, x, Solution::F64)
-            }
-            _ => unreachable!("solution width always matches its payload"),
+        };
+        run_plan(&group, config.exec, &plan, batch).map(|(x, us, devices)| (x, us, hit, devices))
+    }
+
+    /// Solve one coalesced batch under its members' shared decision —
+    /// one launch, whatever the members' row counts — and slice the
+    /// solution back into per-member solutions, in member order.
+    fn solve_fused(&mut self, batch: &CoalescedBatch) -> Result<Solved<Vec<Solution>>> {
+        let decision = batch.key.decision;
+        match &batch.payload {
+            FusedPayload::F32(b) => self.solve_pinned(b, decision).map(|(x, us, hit, devices)| {
+                (split_members(batch, &x, Solution::F32), us, hit, devices)
+            }),
+            FusedPayload::F64(b) => self.solve_pinned(b, decision).map(|(x, us, hit, devices)| {
+                (split_members(batch, &x, Solution::F64), us, hit, devices)
+            }),
         }
     }
 
@@ -203,9 +216,8 @@ impl ServiceCore {
     /// on the member(s) that carry the bad system and healthy
     /// co-tenants still complete.
     fn run_batch(&mut self, batch: CoalescedBatch) -> BatchRun {
-        match self.solve_pinned(&batch.payload, batch.key.decision) {
-            Ok((solution, kernel_us, cache_hit, devices)) => {
-                let pieces = Self::scatter(&batch, &solution);
+        match self.solve_fused(&batch) {
+            Ok((pieces, kernel_us, cache_hit, devices)) => {
                 let outcomes = batch
                     .members
                     .iter()
@@ -232,9 +244,18 @@ impl ServiceCore {
         let mut kernel_total = 0.0;
         // Re-extract each member's systems from the fused payload so
         // isolation needs no access to the original requests.
+        let decision = batch.key.decision;
         for mem in &batch.members {
-            let solo = member_payload(&batch, mem);
-            match solo.and_then(|p| self.solve_pinned(&p, batch.key.decision)) {
+            let range = mem.sys_start..mem.sys_start + mem.sys_count;
+            let solo = match &batch.payload {
+                FusedPayload::F32(b) => member_batch(b, range, mem.layout)
+                    .and_then(|p| self.solve_pinned(&p, decision))
+                    .map(wrap(Solution::F32)),
+                FusedPayload::F64(b) => member_batch(b, range, mem.layout)
+                    .and_then(|p| self.solve_pinned(&p, decision))
+                    .map(wrap(Solution::F64)),
+            };
+            match solo {
                 Ok((x, us, hit, _devices)) => {
                     kernel_total += us;
                     outcomes.push((us, copy_us(mem.solution_bytes), hit, Ok(x)));
@@ -276,7 +297,8 @@ impl ServiceCore {
         working: &[SolveRequest],
         batch_base: usize,
     ) -> (Vec<Response>, Vec<BatchSummary>, f64) {
-        let mut responses: Vec<Option<Response>> = vec![None; working.len()];
+        // (slot, response) pairs; every slot answers exactly once.
+        let mut responses: Vec<(usize, Response)> = Vec::with_capacity(working.len());
         let mut summaries = Vec::new();
         let tick = self.telemetry.on_tick_open(open_us, working);
         let batches = match coalesce(self.group.primary(), working) {
@@ -284,25 +306,11 @@ impl ServiceCore {
             Err(e) => {
                 // Coalescing itself cannot fail on well-formed
                 // requests; if it does, fail the whole tick typed.
-                let msg = e.to_string();
-                for (slot, req) in working.iter().enumerate() {
-                    responses[slot] = Some(Response {
-                        id: req.id,
-                        result: Err(ServiceError::InvalidRequest(msg.clone())),
-                        spans: RequestSpans::default(),
-                        batch: None,
-                        coalesced_with: 0,
-                        cache_hit: false,
-                        completed_us: req.arrival_us,
-                    });
-                }
-                self.telemetry.on_tick_close(tick, close_us, 0);
+                let err = ServiceError::InvalidRequest(e.to_string());
                 let out: Vec<Response> =
-                    responses.into_iter().map(|r| r.expect("filled")).collect();
-                for (slot, r) in out.iter().enumerate() {
-                    self.telemetry
-                        .on_response(r, working[slot].payload.precision());
-                }
+                    working.iter().map(|req| reject(req, err.clone())).collect();
+                self.telemetry.on_tick_close(tick, close_us, 0);
+                self.respond(&out, working);
                 return (out, summaries, close_us);
             }
         };
@@ -319,10 +327,11 @@ impl ServiceCore {
                 "f64"
             };
             let cids: Vec<u64> = run.batch.members.iter().map(|m| m.id).collect();
+            // A ragged batch's event reports its longest system's rows.
             self.telemetry.on_batch(
                 batch_base + bi,
                 start,
-                run.batch.key.n,
+                run.batch.payload.system_len(),
                 run.batch.key.elem_bytes,
                 precision,
                 run.batch.payload.num_systems(),
@@ -380,15 +389,18 @@ impl ServiceCore {
                         Err(map_solver_error(e))
                     }
                 };
-                responses[mem.slot] = Some(Response {
-                    id: mem.id,
-                    result: service_result,
-                    spans,
-                    batch: Some(batch_base + bi),
-                    coalesced_with,
-                    cache_hit: hit,
-                    completed_us: completed,
-                });
+                responses.push((
+                    mem.slot,
+                    Response {
+                        id: mem.id,
+                        result: service_result,
+                        spans,
+                        batch: Some(batch_base + bi),
+                        coalesced_with,
+                        cache_hit: hit,
+                        completed_us: completed,
+                    },
+                ));
             }
             device_free = device_free.max(start + elapsed);
             summaries.push(BatchSummary {
@@ -398,15 +410,19 @@ impl ServiceCore {
                 devices: run.devices,
             });
         }
-        let out: Vec<Response> = responses.into_iter().map(|r| r.expect("filled")).collect();
-        // Terminal events + attributed-time gauges, in the exact slot
-        // order the report builder will sum the responses in — the
-        // other half of the bit-exact partition invariant.
-        for (slot, r) in out.iter().enumerate() {
-            self.telemetry
-                .on_response(r, working[slot].payload.precision());
-        }
+        responses.sort_by_key(|(slot, _)| *slot);
+        let out: Vec<Response> = responses.into_iter().map(|(_, r)| r).collect();
+        self.respond(&out, working);
         (out, summaries, device_free)
+    }
+
+    /// Terminal events + attributed-time gauges, in the exact slot
+    /// order the report builder will sum the responses in — the other
+    /// half of the bit-exact partition invariant.
+    fn respond(&mut self, out: &[Response], working: &[SolveRequest]) {
+        for (r, req) in out.iter().zip(working) {
+            self.telemetry.on_response(r, req.payload.precision());
+        }
     }
 
     /// Run a whole workload on the modeled clock: requests sorted by
@@ -509,7 +525,7 @@ fn run_plan<S: GpuScalar + Send + Sync>(
     group: &DeviceGroup,
     exec: ExecConfig,
     plan: &Arc<ShardedPlan>,
-    batch: &SystemBatch<S>,
+    batch: &impl HostBatch<S>,
 ) -> Result<(Vec<S>, f64, Vec<DeviceSpan>)> {
     let m = batch.num_systems();
     let ex = ShardedExecutor::new(group.clone(), exec);
@@ -537,38 +553,40 @@ fn run_plan<S: GpuScalar + Send + Sync>(
     })
 }
 
-/// Extract one member's systems from the fused payload, restored to
-/// the member's own storage layout.
-fn member_payload(batch: &CoalescedBatch, mem: &crate::coalesce::Member) -> Result<Payload> {
-    let range = mem.sys_start..mem.sys_start + mem.sys_count;
-    let take = |e: tridiag_core::TridiagError| SimError::InvalidPlan(e.to_string());
-    Ok(match &batch.payload {
-        Payload::F32(b) => Payload::F32(b.sub_batch(range).map_err(take)?.to_layout(mem.layout)),
-        Payload::F64(b) => Payload::F64(b.sub_batch(range).map_err(take)?.to_layout(mem.layout)),
-    })
+/// Wrap a solve's solution vector as a [`Solution`] of its width.
+fn wrap<S>(width: fn(Vec<S>) -> Solution) -> impl Fn(Solved<Vec<S>>) -> Solved<Solution> {
+    move |(x, us, hit, devices)| (width(x), us, hit, devices)
 }
 
-/// Slice the fused solution into per-member vectors, each emitted in
-/// its request's own storage layout (bit-exact moves, no arithmetic).
+/// One member's systems of the fused batch, restored to the member's
+/// own storage layout.
+fn member_batch<S: GpuScalar>(
+    merged: &RaggedBatch<S>,
+    systems: std::ops::Range<usize>,
+    layout: Layout,
+) -> Result<tridiag_core::SystemBatch<S>> {
+    merged
+        .uniform_batch(systems)
+        .map(|b| b.to_layout(layout))
+        .map_err(|e| SimError::InvalidPlan(e.to_string()))
+}
+
+/// Slice the fused solution (system-major, the members back to back)
+/// into per-member vectors, each emitted in its request's own storage
+/// layout (bit-exact moves, no arithmetic).
 fn split_members<S: GpuScalar>(
     batch: &CoalescedBatch,
-    merged: &SystemBatch<S>,
     x: &[S],
-    wrap: fn(Vec<S>) -> Solution,
+    width: fn(Vec<S>) -> Solution,
 ) -> Vec<Solution> {
-    let n = merged.system_len();
     batch
         .members
         .iter()
         .map(|mem| {
-            let mut out = vec![S::default(); mem.sys_count * n];
-            for local in 0..mem.sys_count {
-                for row in 0..n {
-                    out[mem.layout.index(local, row, mem.sys_count, n)] =
-                        x[merged.index(mem.sys_start + local, row)];
-                }
-            }
-            wrap(out)
+            let piece = &x[mem.row_start..][..mem.sys_count * mem.n];
+            let mut out = vec![S::default(); piece.len()];
+            Layout::Contiguous.convert(mem.layout, piece, mem.sys_count, mem.n, &mut out);
+            width(out)
         })
         .collect()
 }

@@ -7,8 +7,10 @@
 //! win decisively past the crossover point — but real traffic arrives
 //! as small independent requests. This crate bridges the two: a
 //! bounded request queue with typed backpressure, a coalescer merging
-//! compatible requests (same `n`, same precision, same planner
-//! decision) into one fused batch per tick, a plan cache over the pure
+//! compatible requests (same precision and planner decision, and same
+//! `n` unless the decision is the fused one-block-per-system pipeline,
+//! whose ragged launch takes each member's row count) into one fused
+//! batch per precision and `k` each tick, a plan cache over the pure
 //! planner ([`tridiag_gpu::SolvePlan::build`]), per-request latency
 //! attribution (queue / coalesce-window / kernel / scatter spans), and
 //! — the correctness keystone — **decision pinning**, which makes a
@@ -33,7 +35,7 @@ pub mod service;
 pub mod telemetry;
 
 pub use cache::{certify, config_fingerprint, CacheStats, PlanCache, PlanKey};
-pub use coalesce::{coalesce, CoalesceKey, CoalescedBatch, Member};
+pub use coalesce::{coalesce, CoalesceKey, CoalescedBatch, FusedPayload, Member};
 pub use core::{ServiceConfig, ServiceCore};
 pub use report::{BatchSummary, DeviceSpan, ServiceReport, SloConfig, SloSummary};
 pub use request::{Payload, RequestSpans, Response, ServiceError, Solution, SolveRequest};

@@ -7,7 +7,8 @@
 //! [`crate::core::ServiceCore`] records an `admission` event when a
 //! request enters a solve tick, `coalesce_open`/`coalesce_close` per
 //! tick, one `cache_hit`/`cache_miss` event per fused batch (listing
-//! every member cid), `shard_dispatch`/`shard_join` per device the
+//! every member cid; its `n` is the longest system's row count when the
+//! members differ in `n`), `shard_dispatch`/`shard_join` per device the
 //! batch ran on, and exactly one terminal event — `completion` or
 //! `fault` — per admitted request. Admission-time bounces get a
 //! standalone `reject` event instead. [`validate_event_log`] replays a
@@ -190,7 +191,9 @@ impl Telemetry {
     }
 
     /// One fused batch ran: the batch-level cache lookup outcome plus
-    /// per-device shard dispatch/join events.
+    /// per-device shard dispatch/join events. `n` is the batch's rows
+    /// per system — its longest system's in a ragged batch, whose
+    /// members differ in `n` — and `m_total` its number of systems.
     #[allow(clippy::too_many_arguments)]
     pub fn on_batch(
         &mut self,

@@ -258,6 +258,45 @@ fn nan_co_tenant_fails_typed_and_healthy_co_tenants_complete() {
     assert_eq!(stats.failed, 1);
 }
 
+/// The same isolation inside a ragged batch: members of different `n`
+/// share one fused launch, a NaN member makes it fail, and the
+/// re-solved members — each cut back out of the ragged batch in its
+/// own layout — fail or complete exactly as they do alone.
+#[test]
+fn nan_member_of_a_ragged_batch_is_isolated() {
+    let mut poisoned = generators::dominant_random::<f64>(256, 21);
+    poisoned.rhs_mut()[7] = f64::NAN;
+    let payloads = [
+        healthy(2, 128, 20),
+        Payload::F64(SystemBatch::from_systems(vec![poisoned]).unwrap()),
+        Payload::F64(generators::random_batch::<f64>(3, 64, 22).to_layout(Layout::Interleaved)),
+    ];
+    let requests = payloads
+        .iter()
+        .enumerate()
+        .map(|(i, p)| tridiag_service::SolveRequest {
+            id: i as u64,
+            arrival_us: i as f64,
+            payload: p.clone(),
+        })
+        .collect();
+    let mut core = tridiag_service::ServiceCore::new(group(), service_config(8.0, 16));
+    let report = core.run_workload(requests);
+    assert_eq!(report.batches.len(), 1, "the three n must share one batch");
+    for r in &report.responses {
+        assert_eq!(r.coalesced_with, 3);
+        let payload = &payloads[r.id as usize];
+        match (&r.result, r.id) {
+            (Err(ServiceError::Solve(msg)), 1) => assert!(msg.contains("non-finite"), "{msg}"),
+            (Ok(x), 0 | 2) => {
+                let solo = solo_solution(&group(), service_config(8.0, 16), payload).unwrap();
+                assert_eq!(x, &solo, "request {} drifted from solo", r.id);
+            }
+            (other, id) => panic!("request {id}: unexpected {other:?}"),
+        }
+    }
+}
+
 /// Shutdown drains: requests still queued when shutdown begins get a
 /// typed `ShuttingDown` response instead of hanging their tickets, and
 /// later submissions are refused outright.

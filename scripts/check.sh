@@ -52,6 +52,17 @@ grep -q "dry run     : no kernels launched" <<<"$out"
 out="$(cargo run --release -q -p tridiag-cli -- plan --m 64 --n 512 --json)"
 grep -q "tridiag.solve_plan/v3" <<<"$out"
 
+echo "== CLI closed-pipe smoke (a reader that stops early is a quiet exit 0, not a panic) =="
+cargo build --release -q -p tridiag-cli
+status=0
+./target/release/tridiag plan --m 1024 --n 512 --layout contiguous | head -2 > /dev/null || status="${PIPESTATUS[0]}"
+[ "$status" -eq 0 ] || { echo "tridiag plan | head -2 exited $status"; exit 1; }
+# The same with a reader that closed its end before the first write.
+status=0
+{ sleep 0.2; ./target/release/tridiag plan --m 1024 --n 512 --layout contiguous; } \
+  | (exec 0<&-; sleep 0.4) || status="${PIPESTATUS[0]}"
+[ "$status" -eq 0 ] || { echo "tridiag plan into a closed pipe exited $status"; exit 1; }
+
 echo "== CLI plan rule smoke (which rule decided, Table III's k beside it) =="
 out="$(cargo run --release -q -p tridiag-cli -- plan --m 64 --n 512)"
 grep -q "rule: tuned cell M∈\[64,128) N∈\[512,1024)" <<<"$out"
