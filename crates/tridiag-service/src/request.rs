@@ -125,11 +125,15 @@ impl Solution {
 /// `completed_us - arrival_us == queue + coalesce + kernel + scatter`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RequestSpans {
-    /// Waiting in the admission queue for a window to open, plus any
-    /// wait for co-tenant batches scheduled ahead in the same tick.
+    /// Every other wait before the request's batch starts: for the
+    /// device past the coalescing window's end (an earlier tick still
+    /// running), plus any wait for co-tenant batches scheduled ahead
+    /// in the same tick.
     pub queue_us: f64,
-    /// Inside an open coalescing window, waiting for it to close
-    /// (always 0 when the window size is 0).
+    /// Inside the tick's coalescing window, from the request's arrival
+    /// to the window's end — the oldest queued arrival plus
+    /// `window_us` — and 0 for a request arriving after it (always 0
+    /// when the window size is 0).
     pub coalesce_us: f64,
     /// Modeled kernel time of the (possibly fused) batch this request
     /// rode in.

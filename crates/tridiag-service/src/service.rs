@@ -6,8 +6,13 @@
 //! worker owns the [`ServiceCore`] (pins, plan cache, tick machinery)
 //! and answers each ticket over its own channel. Timing stays on the
 //! modeled axis — the worker keeps a modeled clock that advances by
-//! each tick's kernel/scatter time; wall clocks appear nowhere, so
-//! span assertions in tests are deterministic.
+//! each tick's kernel/scatter time, and takes each tick's window from
+//! [`ServiceConfig::tick_window`], the rule
+//! [`ServiceCore::run_workload`] uses; wall clocks appear nowhere, so
+//! span assertions in tests are deterministic. A poisoned state lock
+//! (a thread panicked while holding it) shuts the service down rather
+//! than panicking: admission and every waiting ticket answer
+//! [`ServiceError::ShuttingDown`].
 //!
 //! [`pause`](SolveService::pause)/[`resume`](SolveService::resume) gate
 //! the worker without touching admission: tests use them to stack the
@@ -16,7 +21,7 @@
 
 use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use gpu_sim::DeviceGroup;
@@ -52,17 +57,27 @@ pub struct ServiceStats {
 pub struct Ticket {
     /// The id the response will carry.
     pub id: u64,
+    arrival_us: f64,
     rx: Receiver<Response>,
 }
 
 impl Ticket {
     /// Block until the service answers. The service always answers
     /// every admitted ticket — a shutdown drains the queue with typed
-    /// [`ServiceError::ShuttingDown`] responses first.
+    /// [`ServiceError::ShuttingDown`] responses first — and a worker
+    /// that vanished without answering reads as the same typed
+    /// [`ServiceError::ShuttingDown`].
     pub fn wait(self) -> Response {
-        self.rx
-            .recv()
-            .expect("service dropped a ticket without responding")
+        let (id, arrival_us) = (self.id, self.arrival_us);
+        self.rx.recv().unwrap_or_else(|_| Response {
+            id,
+            result: Err(ServiceError::ShuttingDown),
+            spans: Default::default(),
+            batch: None,
+            coalesced_with: 0,
+            cache_hit: false,
+            completed_us: arrival_us,
+        })
     }
 }
 
@@ -80,6 +95,32 @@ struct State {
 struct Shared {
     state: Mutex<State>,
     wake: Condvar,
+}
+
+impl Shared {
+    /// Lock the state. A poisoned lock — a thread panicked while
+    /// holding it — shuts the service down instead of spreading the
+    /// panic: admission then answers [`ServiceError::ShuttingDown`] and
+    /// the worker, woken, drains the queue with typed responses. The
+    /// recovered state is sound to use: its updates are counter, flag
+    /// and queue operations that cannot panic halfway.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(|p| self.shut_down(p))
+    }
+
+    /// Block on the wake-up condition, with [`Shared::lock`]'s
+    /// poisoning rule.
+    fn wait<'a>(&'a self, st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        self.wake.wait(st).unwrap_or_else(|p| self.shut_down(p))
+    }
+
+    /// Recover a poisoned state guard, marked as shutting down.
+    fn shut_down<'a>(&self, poisoned: PoisonError<MutexGuard<'a, State>>) -> MutexGuard<'a, State> {
+        let mut st = poisoned.into_inner();
+        st.shutdown = true;
+        self.wake.notify_all();
+        st
+    }
 }
 
 /// The threaded solve service. See the module docs.
@@ -130,7 +171,7 @@ impl SolveService {
                 payload.system_len()
             )));
         }
-        let mut st = self.shared.state.lock().expect("service state poisoned");
+        let mut st = self.shared.lock();
         if st.shutdown {
             return Err(ServiceError::ShuttingDown);
         }
@@ -158,47 +199,30 @@ impl SolveService {
         ));
         drop(st);
         self.shared.wake.notify_all();
-        Ok(Ticket { id, rx })
+        Ok(Ticket { id, arrival_us, rx })
     }
 
     /// Stop the worker from draining the queue (admission continues,
     /// so the bounded queue can fill and bounce).
     pub fn pause(&self) {
-        self.shared
-            .state
-            .lock()
-            .expect("service state poisoned")
-            .paused = true;
+        self.shared.lock().paused = true;
     }
 
     /// Let the worker drain again.
     pub fn resume(&self) {
-        self.shared
-            .state
-            .lock()
-            .expect("service state poisoned")
-            .paused = false;
+        self.shared.lock().paused = false;
         self.shared.wake.notify_all();
     }
 
     /// Current counters (a snapshot; the worker updates them between
     /// ticks).
     pub fn stats(&self) -> ServiceStats {
-        self.shared
-            .state
-            .lock()
-            .expect("service state poisoned")
-            .stats
+        self.shared.lock().stats
     }
 
     /// Number of requests waiting right now.
     pub fn queue_len(&self) -> usize {
-        self.shared
-            .state
-            .lock()
-            .expect("service state poisoned")
-            .queue
-            .len()
+        self.shared.lock().queue.len()
     }
 
     /// Drain and stop: queued-but-unsolved requests get typed
@@ -220,17 +244,13 @@ impl SolveService {
         if let Some(w) = self.worker.take() {
             let _ = w.join();
         }
-        let mut st = self.shared.state.lock().expect("service state poisoned");
+        let mut st = self.shared.lock();
         let telemetry = st.telemetry.take().unwrap_or_default();
         (st.stats, telemetry)
     }
 
     fn begin_shutdown(&self) {
-        self.shared
-            .state
-            .lock()
-            .expect("service state poisoned")
-            .shutdown = true;
+        self.shared.lock().shutdown = true;
         self.shared.wake.notify_all();
     }
 }
@@ -245,14 +265,14 @@ impl Drop for SolveService {
 }
 
 fn worker_loop(shared: Arc<Shared>, mut core: ServiceCore) {
-    let window_us = core.config().window_us.max(0.0);
+    let cfg = *core.config();
     let mut batch_base = 0usize;
     loop {
         // Wait for work (or shutdown), then drain a tick's working set.
-        let (working, senders, open) = {
-            let mut st = shared.state.lock().expect("service state poisoned");
+        let (working, senders, device_free) = {
+            let mut st = shared.lock();
             while (st.paused || st.queue.is_empty()) && !st.shutdown {
-                st = shared.wake.wait(st).expect("service state poisoned");
+                st = shared.wait(st);
             }
             if st.shutdown {
                 let clock = st.stats.clock_us;
@@ -274,7 +294,7 @@ fn worker_loop(shared: Arc<Shared>, mut core: ServiceCore) {
                 st.telemetry = Some(core.take_telemetry());
                 return;
             }
-            let take = if window_us == 0.0 { 1 } else { st.queue.len() };
+            let take = cfg.tick_drain(st.queue.len());
             let mut working = Vec::with_capacity(take);
             let mut senders = Vec::with_capacity(take);
             for (req, tx) in st.queue.drain(..take) {
@@ -284,7 +304,7 @@ fn worker_loop(shared: Arc<Shared>, mut core: ServiceCore) {
             (working, senders, st.stats.clock_us)
         };
 
-        let close = open + window_us;
+        let (open, close) = cfg.tick_window(working[0].arrival_us, device_free);
         let (responses, batches, free) = core.solve_tick(open, close, &working, batch_base);
         batch_base += batches.len();
         publish(&shared, &responses, &batches, free, core.cache_stats());
@@ -301,7 +321,7 @@ fn publish(
     clock_us: f64,
     cache: CacheStats,
 ) {
-    let mut st = shared.state.lock().expect("service state poisoned");
+    let mut st = shared.lock();
     for r in responses {
         match &r.result {
             Ok(_) => st.stats.completed += 1,
@@ -311,4 +331,104 @@ fn publish(
     st.stats.batches += batches.len() as u64;
     st.stats.clock_us = clock_us;
     st.stats.cache = cache;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::core::tests::windows;
+    use gpu_sim::DeviceSpec;
+    use tridiag_core::generators::random_batch;
+
+    fn group() -> DeviceGroup {
+        DeviceGroup::single(DeviceSpec::gtx480())
+    }
+
+    fn config(window_us: f64) -> ServiceConfig {
+        ServiceConfig {
+            window_us,
+            ..ServiceConfig::default()
+        }
+    }
+
+    fn payload(seed: u64) -> Payload {
+        Payload::F64(random_batch::<f64>(2, 256, seed))
+    }
+
+    /// The threaded worker and the modeled driver take their ticks from
+    /// one rule: the same queue gives the same windows and the same
+    /// spans, with and without coalescing.
+    #[test]
+    fn threaded_ticks_match_run_workload() {
+        for w in [0.0, 4.0] {
+            let service = SolveService::start(group(), config(w));
+            service.pause();
+            let tickets: Vec<Ticket> = (0..3)
+                .map(|i| service.submit(payload(i)).unwrap())
+                .collect();
+            service.resume();
+            let threaded: Vec<Response> = tickets.into_iter().map(Ticket::wait).collect();
+            let (_, telemetry) = service.shutdown_with_telemetry();
+
+            let mut core = ServiceCore::new(group(), config(w));
+            let requests = (0..3)
+                .map(|i| SolveRequest {
+                    id: i,
+                    arrival_us: 0.0,
+                    payload: payload(i),
+                })
+                .collect();
+            let modeled = core.run_workload(requests);
+            assert_eq!(windows(&telemetry), windows(core.telemetry()), "window {w}");
+            assert_eq!(windows(&telemetry).len(), if w == 0.0 { 3 } else { 1 });
+            for (t, m) in threaded.iter().zip(&modeled.responses) {
+                assert_eq!(
+                    (t.id, t.spans, t.completed_us),
+                    (m.id, m.spans, m.completed_us)
+                );
+            }
+        }
+    }
+
+    /// A panic while holding the state lock poisons it; the service
+    /// then answers typed errors instead of panicking in turn.
+    #[test]
+    fn poisoned_state_shuts_the_service_down() {
+        let service = SolveService::start(group(), config(4.0));
+        service.pause();
+        let queued = service.submit(payload(1)).unwrap();
+        let shared = Arc::clone(&service.shared);
+        let poisoner = std::thread::spawn(move || {
+            let _held = shared.state.lock().unwrap();
+            panic!("poison the service state");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(service.shared.state.is_poisoned());
+
+        assert_eq!(
+            service.submit(payload(2)).unwrap_err(),
+            ServiceError::ShuttingDown
+        );
+        let resp = queued.wait();
+        assert_eq!(resp.result, Err(ServiceError::ShuttingDown));
+        let stats = service.shutdown();
+        assert_eq!((stats.submitted, stats.rejected), (1, 1));
+    }
+
+    /// A ticket whose worker vanished without answering reads as a
+    /// typed shutdown, not a panic.
+    #[test]
+    fn vanished_worker_answers_shutting_down() {
+        let (tx, rx) = channel();
+        drop(tx);
+        let resp = Ticket {
+            id: 7,
+            arrival_us: 3.0,
+            rx,
+        }
+        .wait();
+        assert_eq!(resp.id, 7);
+        assert_eq!(resp.result, Err(ServiceError::ShuttingDown));
+        assert_eq!((resp.batch, resp.completed_us), (None, 3.0));
+    }
 }

@@ -294,10 +294,10 @@ const WINDOW_PINS: &[WindowPin] = &[
     },
     WindowPin {
         window_us: 2.0,
-        requests_per_s: 0x4113_04cc_d4a9_927b,
-        p50_us: 0x405b_8058_b0ed_1829,
-        p99_us: 0x4061_cc76_12d4_c154,
-        makespan_us: 0x4069_ac76_12d4_c154,
+        requests_per_s: 0x4113_6581_1a96_2a84,
+        p50_us: 0x405a_8058_b0ed_182a,
+        p99_us: 0x4061_4c76_12d4_c154,
+        makespan_us: 0x4069_2c76_12d4_c154,
         batches: 3,
         fused_batches: 3,
         cache_hits: 0,
@@ -305,10 +305,10 @@ const WINDOW_PINS: &[WindowPin] = &[
     },
     WindowPin {
         window_us: 4.0,
-        requests_per_s: 0x4112_9f3a_d0c8_d096,
-        p50_us: 0x405c_9869_5b14_c859,
-        p99_us: 0x4062_587e_67e8_996c,
-        makespan_us: 0x406a_387e_67e8_996c,
+        requests_per_s: 0x4113_5c40_1bc9_54d5,
+        p50_us: 0x405a_9869_5b14_c858,
+        p99_us: 0x4061_587e_67e8_996c,
+        makespan_us: 0x4069_387e_67e8_996c,
         batches: 3,
         fused_batches: 3,
         cache_hits: 0,
@@ -316,10 +316,10 @@ const WINDOW_PINS: &[WindowPin] = &[
     },
     WindowPin {
         window_us: 8.0,
-        requests_per_s: 0x4111_c6ed_4fb5_9687,
-        p50_us: 0x4058_630b_d617_be27,
-        p99_us: 0x4063_9788_d241_678b,
-        makespan_us: 0x406b_7788_d241_678b,
+        requests_per_s: 0x4113_2c53_6fd1_4649,
+        p50_us: 0x4054_c34e_7eb6_7ee4,
+        p99_us: 0x4061_9788_d241_678a,
+        makespan_us: 0x4069_7788_d241_678a,
         batches: 3,
         fused_batches: 3,
         cache_hits: 0,
@@ -327,10 +327,10 @@ const WINDOW_PINS: &[WindowPin] = &[
     },
     WindowPin {
         window_us: 16.0,
-        requests_per_s: 0x4111_89a1_8c5d_f620,
-        p50_us: 0x405f_d67e_2fc6_6495,
-        p99_us: 0x4063_f788_d241_678a,
-        makespan_us: 0x406b_d788_d241_678a,
+        requests_per_s: 0x4112_e519_887b_6764,
+        p50_us: 0x405b_d67e_2fc6_6495,
+        p99_us: 0x4061_f788_d241_678a,
+        makespan_us: 0x4069_d788_d241_678a,
         batches: 2,
         fused_batches: 2,
         cache_hits: 0,

@@ -152,6 +152,10 @@ out="$(cargo run --release -q -p tridiag-cli -- stats --requests 24)"
 grep -q "partitions report totals bit-exactly" <<<"$out"
 grep -q "slo: target" <<<"$out"
 cargo run --release -q -p tridiag-cli -- stats --requests 24 --json | grep -q "tridiag.metrics/v1"
+# An overload burst: multi-batch ticks whose windows overlap a busy
+# device, and bounces at the queue bound, all through the validators.
+out="$(cargo run --release -q -p tridiag-cli -- stats --requests 200 --precision mixed)"
+grep -q "partitions report totals bit-exactly" <<<"$out"
 
 echo "== telemetry artifact sweep (stats --out + serve --telemetry, all schemas validated) =="
 cargo run --release -q -p tridiag-cli -- stats --requests 24 --out "$tracedir/tel" > /dev/null
