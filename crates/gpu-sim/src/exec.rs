@@ -20,12 +20,16 @@
 //! pieces and take the slice path, so checked launches see exactly the
 //! per-lane indices.
 //!
-//! A kernel that moves shared data itself counts the accesses apart
-//! from the move: [`BlockCtx::sh_account`] counts a group of them (one
-//! lane shape at several shifts) exactly as the per-access calls would,
-//! [`BlockCtx::sh_account_group`] applies a repeated group's count
-//! again without recounting it, and [`BlockCtx::shared_slice_mut`] is
-//! the data path. Every counted access must be one the data path
+//! A kernel that moves data itself counts the accesses apart from the
+//! move. In shared memory, [`BlockCtx::sh_account`] counts a group of
+//! them (one lane shape at several shifts) exactly as the per-access
+//! calls would, [`BlockCtx::sh_account_group`] applies a repeated
+//! group's count again without recounting it, and
+//! [`BlockCtx::shared_slice_mut`] is the data path. In global memory,
+//! [`BlockCtx::global_account`] is the same group count — once per
+//! alignment class of the shifts on the transaction-segment grid — and
+//! the views [`BlockCtx::global_read`] and [`BlockCtx::global_write`]
+//! are the data path. Every counted access must be one the data path
 //! performs; checked launches hand each of them to the sanitizer.
 //!
 //! Blocks are independent, as CUDA requires: CUDA guarantees nothing
@@ -33,8 +37,10 @@
 //! workspace communicates across blocks. An unchecked launch therefore
 //! runs its blocks on several host threads when they are long enough
 //! to pay for it ([`launch_with`]), against a global memory of atomic
-//! cells ([`Elem::Cell`]) and read-only borrowed host arrays
-//! ([`GpuMemory::borrow`]); each block counts into its own
+//! cells ([`Elem::Cell`]) and read-only borrowed host arrays, used in
+//! place as they are ([`GpuMemory::borrow`]) or transposed
+//! ([`GpuMemory::borrow_transposed`], an upload with a change of
+//! layout that copies nothing); each block counts into its own
 //! [`BlockCtx`], and the launch merges the blocks' counters, phases,
 //! per-block vectors and errors in block order. Checked launches run
 //! their blocks one after another. Determinism is total — every run of
@@ -121,16 +127,88 @@ enum Storage<'h, S: Elem> {
     /// Device cells, written by uploads, kernel stores and the host.
     Owned(Vec<S::Cell>),
     /// The caller's host array, used in place ("a `const` device
-    /// pointer"): loads read it, stores are a typed error.
-    Borrowed(&'h [S]),
+    /// pointer"), as is or transposed: loads read it, stores are a
+    /// typed error.
+    Borrowed(HostArray<'h, S>),
 }
 
 impl<S: Elem> Storage<'_, S> {
     fn len(&self) -> usize {
         match self {
             Storage::Owned(cells) => cells.len(),
-            Storage::Borrowed(host) => host.len(),
+            Storage::Borrowed(host) => host.data.len(),
         }
+    }
+}
+
+/// A borrowed host array seen as a `rows × cols` row-major device
+/// buffer whose host copy is stored column by column: device element
+/// `r·cols + c` is `data[c·rows + r]`. A plain borrow is the one-row
+/// case, where device element `i` is `data[i]`; any other shape is the
+/// transpose a change of layout would have copied.
+#[derive(Debug, Clone, Copy)]
+struct HostArray<'h, S> {
+    data: &'h [S],
+    rows: usize,
+    cols: usize,
+}
+
+impl<S: Copy> HostArray<'_, S> {
+    /// Device element `i`.
+    #[inline]
+    fn get(&self, i: usize) -> S {
+        if self.rows == 1 {
+            self.data[i]
+        } else {
+            self.data[(i % self.cols) * self.rows + i / self.cols]
+        }
+    }
+
+    /// Device elements `start..start + out.len()` into `out`.
+    fn copy_to(&self, start: usize, out: &mut [S]) {
+        if self.rows == 1 {
+            return out.copy_from_slice(&self.data[start..start + out.len()]);
+        }
+        let (mut r, mut c) = (start / self.cols, start % self.cols);
+        let mut out = out;
+        while !out.is_empty() {
+            // The rest of device row `r` is a column of the host array.
+            let split = (self.cols - c).min(out.len());
+            let (head, rest) = std::mem::take(&mut out).split_at_mut(split);
+            let column = self.data[c * self.rows + r..].iter().step_by(self.rows);
+            for (o, &v) in head.iter_mut().zip(column) {
+                *o = v;
+            }
+            (out, r, c) = (rest, r + 1, 0);
+        }
+    }
+
+    /// [`GlobalRead::copy_rows`]. A block of whole device rows of a
+    /// transpose is a run of host columns, each read contiguously.
+    fn copy_rows(&self, start: usize, pitch: usize, len: usize, out: &mut [S]) {
+        let (r0, c0) = (start / self.cols, start % self.cols);
+        if self.rows == 1 || pitch != self.cols || c0 + len > self.cols {
+            for (k, run) in out.chunks_exact_mut(len).enumerate() {
+                self.copy_to(start + k * pitch, run);
+            }
+            return;
+        }
+        let height = out.len() / len;
+        for j in 0..len {
+            let column = &self.data[(c0 + j) * self.rows + r0..][..height];
+            for (o, &v) in out[j..].iter_mut().step_by(len).zip(column) {
+                *o = v;
+            }
+        }
+    }
+
+    /// The whole buffer in device order.
+    fn device_order(&self) -> Vec<S> {
+        let mut out = self.data.to_vec();
+        if self.rows > 1 {
+            self.copy_to(0, &mut out);
+        }
+        out
     }
 }
 
@@ -139,9 +217,11 @@ impl<S: Elem> Storage<'_, S> {
 /// A buffer either owns its elements, each in an atomic cell
 /// ([`Elem::Cell`]) so a launch's blocks can run on several host
 /// threads against a shared `&GpuMemory`, or borrows a read-only host
-/// array for the arena's lifetime `'h` ([`GpuMemory::borrow`]), which
-/// is how an upload needing no layout change costs no copy. Stores to
-/// a borrowed buffer fail with [`SimError::ReadOnlyBuffer`]. Every
+/// array for the arena's lifetime `'h`, as it is
+/// ([`GpuMemory::borrow`]) or transposed
+/// ([`GpuMemory::borrow_transposed`]), which is how an upload costs no
+/// copy with or without a change of layout. Stores to a borrowed
+/// buffer fail with [`SimError::ReadOnlyBuffer`]. Every
 /// buffer carries a word-granular [`InitMask`] shadow recording which
 /// elements have ever been written — by a kernel store or a host
 /// upload. The sanitizer's initcheck reads it; maintenance is cheap
@@ -165,7 +245,7 @@ impl<S: Elem> Clone for GpuMemory<'_, S> {
                     Storage::Owned(cells) => {
                         Storage::Owned(cells.iter().map(|c| S::load(c).into_cell()).collect())
                     }
-                    Storage::Borrowed(host) => Storage::Borrowed(host),
+                    Storage::Borrowed(host) => Storage::Borrowed(*host),
                 })
                 .collect(),
             init: self.init.clone(),
@@ -215,7 +295,34 @@ impl<'h, S: Elem> GpuMemory<'h, S> {
     /// but it is read-only — a kernel or host store into it fails with
     /// [`SimError::ReadOnlyBuffer`].
     pub fn borrow(&mut self, data: &'h [S]) -> BufId {
-        self.push(Storage::Borrowed(data), InitMask::Full)
+        let host = HostArray {
+            data,
+            rows: 1,
+            cols: data.len(),
+        };
+        self.push(Storage::Borrowed(host), InitMask::Full)
+    }
+
+    /// Upload the transpose of a host array without copying it: a
+    /// read-only buffer, like [`Self::borrow`], that holds a `rows ×
+    /// cols` row-major matrix whose host copy `data` is stored column
+    /// by column — device element `r·cols + c` reads `data[c·rows +
+    /// r]`. Uploading with a change of layout is this view: the
+    /// interleaved element `(sys, row)` of `m` systems of `n` rows is
+    /// the contiguous host element, with `rows = n, cols = m`, and the
+    /// other way round with `rows = m, cols = n`. Every access, checked
+    /// or not, and [`Self::read`], [`Self::take`] and `clone` read
+    /// through the transpose. A [`SimError::LaneMismatch`] unless
+    /// `data` holds `rows·cols` elements.
+    pub fn borrow_transposed(&mut self, data: &'h [S], rows: usize, cols: usize) -> Result<BufId> {
+        if rows * cols != data.len() {
+            return Err(SimError::LaneMismatch {
+                indices: rows * cols,
+                values: data.len(),
+            });
+        }
+        let host = HostArray { data, rows, cols };
+        Ok(self.push(Storage::Borrowed(host), InitMask::Full))
     }
 
     /// Drop a buffer's storage and take its bytes out of the resident
@@ -242,11 +349,11 @@ impl<'h, S: Elem> GpuMemory<'h, S> {
     /// Read back a buffer and release it in one step — a download that
     /// is the buffer's last use. An owned buffer's storage becomes the
     /// returned vector, so nothing is copied; a borrowed one returns a
-    /// copy of its host array.
+    /// copy of its host array in device order.
     pub fn take(&mut self, id: BufId) -> Result<Vec<S>> {
         Ok(match self.release(id)? {
             Storage::Owned(cells) => cells.into_iter().map(|c| S::load(&c)).collect(),
-            Storage::Borrowed(host) => host.to_vec(),
+            Storage::Borrowed(host) => host.device_order(),
         })
     }
 
@@ -286,7 +393,7 @@ impl<'h, S: Elem> GpuMemory<'h, S> {
     pub fn read(&self, id: BufId) -> Result<Vec<S>> {
         Ok(match self.storage(id)? {
             Storage::Owned(cells) => cells.iter().map(S::load).collect(),
-            Storage::Borrowed(host) => host.to_vec(),
+            Storage::Borrowed(host) => host.device_order(),
         })
     }
 
@@ -323,7 +430,19 @@ impl<'h, S: Elem> GpuMemory<'h, S> {
     fn gather(&self, buf: BufId, pieces: &[AffinePiece], out: &mut Vec<S>) {
         match &self.buffers[buf.0] {
             Storage::Owned(cells) => gather(cells, pieces, out, S::load),
-            Storage::Borrowed(host) => gather(host, pieces, out, |&v| v),
+            Storage::Borrowed(host) if host.rows == 1 => gather(host.data, pieces, out, |&v| v),
+            Storage::Borrowed(host) => {
+                out.clear();
+                for p in pieces {
+                    let len = out.len();
+                    if p.stride == 1 {
+                        out.resize(len + p.lanes, S::default());
+                        host.copy_to(p.base as usize, &mut out[len..]);
+                    } else {
+                        out.extend((0..p.lanes).map(|x| host.get(p.elem(x) as usize)));
+                    }
+                }
+            }
         }
     }
 
@@ -342,6 +461,113 @@ impl<'h, S: Elem> GpuMemory<'h, S> {
             }
         }
         Ok(())
+    }
+}
+
+/// A read view of one global buffer ([`BlockCtx::global_read`]): the
+/// data path of loads a kernel counts with [`BlockCtx::global_account`].
+/// It reads owned cells, a borrowed host array and a transposed one
+/// alike, in device order.
+#[derive(Debug)]
+pub struct GlobalRead<'a, S: Elem>(ReadSource<'a, S>);
+
+#[derive(Debug)]
+enum ReadSource<'a, S: Elem> {
+    Cells(&'a [S::Cell]),
+    Host(HostArray<'a, S>),
+}
+
+impl<S: Elem> Clone for GlobalRead<'_, S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<S: Elem> Copy for GlobalRead<'_, S> {}
+
+impl<S: Elem> Clone for ReadSource<'_, S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<S: Elem> Copy for ReadSource<'_, S> {}
+
+impl<S: Elem> GlobalRead<'_, S> {
+    /// Elements in the buffer.
+    pub fn len(&self) -> usize {
+        match self.0 {
+            ReadSource::Cells(cells) => cells.len(),
+            ReadSource::Host(host) => host.data.len(),
+        }
+    }
+
+    /// `true` for an empty (or freed) buffer.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Elements `start..start + out.len()` into `out`; panics out of
+    /// bounds.
+    pub fn copy_to(&self, start: usize, out: &mut [S]) {
+        match self.0 {
+            ReadSource::Cells(cells) => {
+                let cells = &cells[start..start + out.len()];
+                for (o, c) in out.iter_mut().zip(cells) {
+                    *o = S::load(c);
+                }
+            }
+            ReadSource::Host(host) => host.copy_to(start, out),
+        }
+    }
+
+    /// The runs of `len` elements at `start`, `start + pitch`,
+    /// `start + 2·pitch`, … back to back into `out` (whose length is a
+    /// whole number of runs) — a block of device rows when `pitch` is
+    /// the row length. Panics out of bounds or for `len == 0`. Equal
+    /// to one [`Self::copy_to`] per run, but a transposed view reads
+    /// such a block column by column, each contiguous in the host
+    /// array, instead of striding across it once per row.
+    pub fn copy_rows(&self, start: usize, pitch: usize, len: usize, out: &mut [S]) {
+        match self.0 {
+            ReadSource::Host(host) => host.copy_rows(start, pitch, len, out),
+            ReadSource::Cells(_) => {
+                for (k, run) in out.chunks_exact_mut(len).enumerate() {
+                    self.copy_to(start + k * pitch, run);
+                }
+            }
+        }
+    }
+}
+
+/// A write view of one owned global buffer ([`BlockCtx::global_write`]):
+/// the data path of stores a kernel counts with
+/// [`BlockCtx::global_account`]. Every store marks its elements
+/// initialized, as [`BlockCtx::st`] does.
+#[derive(Debug, Clone, Copy)]
+pub struct GlobalWrite<'a, S: Elem> {
+    cells: &'a [S::Cell],
+    init: &'a InitMask,
+}
+
+impl<S: Elem> GlobalWrite<'_, S> {
+    /// Elements in the buffer.
+    pub fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// `true` for an empty (or freed) buffer.
+    pub fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
+
+    /// Store `vals` at elements `start..start + vals.len()` and mark
+    /// them initialized; panics out of bounds.
+    pub fn store(&self, start: usize, vals: &[S]) {
+        for (c, &v) in self.cells[start..start + vals.len()].iter().zip(vals) {
+            S::store(c, v);
+        }
+        self.init.set_range(start, start + vals.len());
     }
 }
 
@@ -481,6 +707,17 @@ fn piece_extent(pieces: &[AffinePiece], len: usize) -> Result<(usize, bool)> {
     Ok((lanes, in_bounds))
 }
 
+/// The lowest and highest element of a non-empty lane list.
+fn extent(lanes: &Lanes) -> (i64, i64) {
+    let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+    for p in lanes.pieces() {
+        let (a, b) = (p.base, p.elem(p.lanes - 1));
+        lo = lo.min(a.min(b));
+        hi = hi.max(a.max(b));
+    }
+    (lo, hi)
+}
+
 /// Error unless `vals` holds one value per lane of `pieces`.
 fn check_values<S>(pieces: &[AffinePiece], vals: &[S]) -> Result<()> {
     let lanes: usize = pieces.iter().map(|p| p.lanes).sum();
@@ -576,8 +813,10 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
 
     /// Is the sanitizer on? Its per-lane checks need the index slice,
     /// so the affine entry points expand their pieces and take the
-    /// slice path.
-    fn checked(&self) -> bool {
+    /// slice path, and a kernel with a bulk data path of its own
+    /// ([`Self::global_account`]) may keep its per-access one for
+    /// checked launches.
+    pub fn checked(&self) -> bool {
         self.san.is_some()
     }
 
@@ -602,18 +841,11 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
     /// stride.
     pub fn ld(&mut self, buf: BufId, idx: &[usize], out: &mut Vec<S>) -> Result<()> {
         self.account_global(buf, idx, true)?;
-        if let Some(san) = self.san.as_mut() {
-            let mask = &self.mem.init[buf.0];
-            for (lane, &i) in idx.iter().enumerate() {
-                if !mask.is_set(i) {
-                    san.global_uninit_read(lane, buf.0, i);
-                }
-            }
-        }
+        self.initcheck(buf, idx);
         out.clear();
         match self.mem.storage(buf)? {
             Storage::Owned(cells) => out.extend(idx.iter().map(|&i| S::load(&cells[i]))),
-            Storage::Borrowed(host) => out.extend(idx.iter().map(|&i| host[i])),
+            Storage::Borrowed(host) => out.extend(idx.iter().map(|&i| host.get(i))),
         }
         Ok(())
     }
@@ -637,6 +869,19 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
             mask.set(i);
         }
         Ok(())
+    }
+
+    /// Under the sanitizer, report every lane of a load of `buf` (in
+    /// bounds) that reads a never-written element.
+    fn initcheck(&mut self, buf: BufId, idx: &[usize]) {
+        if let Some(san) = self.san.as_mut() {
+            let mask = &self.mem.init[buf.0];
+            for (lane, &i) in idx.iter().enumerate() {
+                if !mask.is_set(i) {
+                    san.global_uninit_read(lane, buf.0, i);
+                }
+            }
+        }
     }
 
     fn account_global(&mut self, buf: BufId, idx: &[usize], is_load: bool) -> Result<()> {
@@ -736,6 +981,153 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
             return self.with_expanded(pieces, |ctx, idx| ctx.st(buf, idx, vals));
         }
         self.mem.scatter(buf, pieces, vals)
+    }
+
+    /// Count a group of global accesses to `buf` of one lane shape
+    /// without moving data: the global twin of [`Self::sh_account`].
+    /// For each `shift` in `shifts`, in order, the lanes of `lanes`
+    /// moved up by `shift` elements are one load (`write = false`) or
+    /// store, issued as one access per run of at most [`Self::threads`]
+    /// lanes. The counters (the block total and the current phase's
+    /// transactions, bytes, access rounds and uncoalesced accesses)
+    /// move exactly as the matching [`Self::ld_affine`] or
+    /// [`Self::st_affine`] calls would move them; the kernel moves the
+    /// data itself, through [`Self::global_read`] and
+    /// [`Self::global_write`]. An empty list or shift set counts
+    /// nothing.
+    ///
+    /// An unchecked launch counts each run once per alignment class of
+    /// the shifts in closed form: two shifts whose byte offsets differ
+    /// by whole transaction segments put every lane on the same segment
+    /// grid, so their accesses cost the same transactions. A checked
+    /// launch, or a group with a lane out of bounds, expands every
+    /// access and hands it to the dense counter and the bounds check,
+    /// and a load's lanes to the initcheck, as the per-access calls do.
+    /// The initcheck reads the init marks when the loads are counted,
+    /// so count a group of loads after storing (through
+    /// [`GlobalWrite::store`]) whatever they read.
+    pub fn global_account(
+        &mut self,
+        buf: BufId,
+        lanes: &Lanes,
+        shifts: &[usize],
+        write: bool,
+    ) -> Result<()> {
+        let len = self.mem.len(buf)?;
+        let Some(&top_shift) = shifts.iter().max() else {
+            return Ok(());
+        };
+        if lanes.is_empty() {
+            return Ok(());
+        }
+        let (lo, hi) = extent(lanes);
+        let in_bounds = lo >= 0 && (hi as usize) + top_shift < len;
+        let mut run = std::mem::take(&mut self.run);
+        let r = if self.checked() || !in_bounds {
+            self.global_account_expanded(buf, lanes, shifts, write, &mut run)
+        } else {
+            self.global_account_closed(lanes, shifts, write, &mut run)
+        };
+        self.run = run;
+        r
+    }
+
+    /// [`Self::global_account`] in closed form, once per run and
+    /// alignment class.
+    fn global_account_closed(
+        &mut self,
+        lanes: &Lanes,
+        shifts: &[usize],
+        write: bool,
+        run: &mut Lanes,
+    ) -> Result<()> {
+        let segment = self.transaction_bytes;
+        // `classes[k]` = (a shift of byte class `k`, shifts in the class).
+        let mut classes = vec![(0usize, 0u64); segment];
+        for &shift in shifts {
+            let class = &mut classes[shift * S::BYTES % segment];
+            *class = (shift, class.1 + 1);
+        }
+        let (warp, threads) = (self.warp_size, self.threads);
+        let times = shifts.len() as u64;
+        let (mut transactions, mut accesses, mut uncoalesced, mut bytes) = (0u64, 0u64, 0u64, 0u64);
+        let mut moved: Vec<AffinePiece> = Vec::new();
+        for_each_run(lanes, threads, run, |pieces, len| {
+            for &(shift, count) in classes.iter().filter(|c| c.1 > 0) {
+                moved.clear();
+                moved.extend(pieces.iter().map(|p| AffinePiece {
+                    base: p.base + shift as i64,
+                    ..*p
+                }));
+                transactions += count * access_transactions(&moved, len, warp, S::BYTES, segment);
+            }
+            accesses += times;
+            uncoalesced += times * u64::from(access_uncoalesced(pieces));
+            bytes += times * (len * S::BYTES) as u64;
+            Ok(())
+        })?;
+        self.bump(|s| {
+            s.uncoalesced_global_accesses += uncoalesced;
+            if write {
+                s.global_store_transactions += transactions;
+                s.global_store_bytes += bytes;
+            } else {
+                s.global_load_transactions += transactions;
+                s.global_load_bytes += bytes;
+            }
+            s.global_access_rounds += accesses;
+        });
+        Ok(())
+    }
+
+    /// [`Self::global_account`] access by access: every run of every
+    /// shift expanded to its indices, bounds-checked, counted densely
+    /// and, for a load, initchecked.
+    fn global_account_expanded(
+        &mut self,
+        buf: BufId,
+        lanes: &Lanes,
+        shifts: &[usize],
+        write: bool,
+        run: &mut Lanes,
+    ) -> Result<()> {
+        let mut idx = std::mem::take(&mut self.expanded);
+        let threads = self.threads;
+        let r = shifts.iter().try_for_each(|&shift| {
+            for_each_run(lanes, threads, run, |pieces, _| {
+                expand(pieces, &mut idx);
+                idx.iter_mut().for_each(|i| *i += shift);
+                self.account_global(buf, &idx, !write)?;
+                if !write {
+                    self.initcheck(buf, &idx);
+                }
+                Ok(())
+            })
+        });
+        self.expanded = idx;
+        r
+    }
+
+    /// A read view of `buf`, the data path of loads counted with
+    /// [`Self::global_account`]. It reads memory directly: a checked
+    /// launch's sanitizer sees the loads only as they are counted.
+    pub fn global_read(&self, buf: BufId) -> Result<GlobalRead<'a, S>> {
+        let mem: &'a GpuMemory<'a, S> = self.mem;
+        Ok(GlobalRead(match mem.storage(buf)? {
+            Storage::Owned(cells) => ReadSource::Cells(cells),
+            Storage::Borrowed(host) => ReadSource::Host(*host),
+        }))
+    }
+
+    /// A write view of the owned buffer `buf`, the data path of stores
+    /// counted with [`Self::global_account`]; a
+    /// [`SimError::ReadOnlyBuffer`] for a borrowed one.
+    pub fn global_write(&self, buf: BufId) -> Result<GlobalWrite<'a, S>> {
+        let mem: &'a GpuMemory<'a, S> = self.mem;
+        Ok(GlobalWrite {
+            cells: mem.writable(buf)?,
+            init: &mem.init[buf.0],
+        })
     }
 
     /// Allocate `len` elements of shared memory; returns the base offset
@@ -855,12 +1247,7 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
         if lanes.is_empty() {
             return Ok(None);
         }
-        let (mut lo, mut hi) = (i64::MAX, i64::MIN);
-        for p in lanes.pieces() {
-            let (a, b) = (p.base, p.elem(p.lanes - 1));
-            lo = lo.min(a.min(b));
-            hi = hi.max(a.max(b));
-        }
+        let (lo, hi) = extent(lanes);
         let in_bounds = lo >= 0 && (hi as usize) + top_shift < self.shared.len();
         // A uniform shift rotates the banks only when it moves every
         // lane by whole bank words.
@@ -1685,37 +2072,6 @@ mod tests {
         assert!(mem.read(BufId(9)).is_err());
     }
 
-    /// Copies `input` to `output` over one block-sized chunk per block,
-    /// with unit-stride affine pieces (`affine`) or index slices.
-    struct CopyKernel {
-        input: BufId,
-        output: BufId,
-        n: usize,
-        affine: bool,
-    }
-
-    impl BlockKernel<f64> for CopyKernel {
-        fn run_block(&self, ctx: &mut BlockCtx<'_, f64>) -> Result<()> {
-            let base = ctx.block_id * ctx.threads;
-            let lanes = ctx.threads.min(self.n - base);
-            let mut vals = Vec::new();
-            if self.affine {
-                let piece = [AffinePiece {
-                    lane0: 0,
-                    lanes,
-                    base: base as i64,
-                    stride: 1,
-                }];
-                ctx.ld_affine(self.input, &piece, &mut vals)?;
-                ctx.st_affine(self.output, &piece, &vals)
-            } else {
-                let idx: Vec<usize> = (base..base + lanes).collect();
-                ctx.ld(self.input, &idx, &mut vals)?;
-                ctx.st(self.output, &idx, &vals)
-            }
-        }
-    }
-
     #[test]
     fn borrowed_buffers_read_the_host_array_and_count_like_owned_ones() {
         let host: Vec<f64> = (0..300).map(|i| i as f64 * 0.5).collect();
@@ -1787,6 +2143,164 @@ mod tests {
             mem.is_word_init(id, 63),
             "a borrowed array is fully initialized"
         );
+    }
+
+    /// Copies `input` to `output` over one block-sized chunk per block
+    /// through the slice or the affine entry points; odd blocks walk
+    /// their chunk backwards (stride −1), even ones forwards.
+    struct CopyKernel {
+        input: BufId,
+        output: BufId,
+        n: usize,
+        affine: bool,
+    }
+
+    impl<S: Elem> BlockKernel<S> for CopyKernel {
+        fn run_block(&self, ctx: &mut BlockCtx<'_, S>) -> Result<()> {
+            let base = ctx.block_id * ctx.threads;
+            let lanes = ctx.threads.min(self.n - base);
+            let piece = [if ctx.block_id.is_multiple_of(2) {
+                AffinePiece {
+                    lane0: 0,
+                    lanes,
+                    base: base as i64,
+                    stride: 1,
+                }
+            } else {
+                AffinePiece {
+                    lane0: 0,
+                    lanes,
+                    base: (base + lanes - 1) as i64,
+                    stride: -1,
+                }
+            }];
+            let mut vals = Vec::new();
+            if self.affine {
+                ctx.ld_affine(self.input, &piece, &mut vals)?;
+                ctx.st_affine(self.output, &piece, &vals)
+            } else {
+                let mut idx = Vec::new();
+                expand(&piece, &mut idx);
+                ctx.ld(self.input, &idx, &mut vals)?;
+                ctx.st(self.output, &idx, &vals)
+            }
+        }
+    }
+
+    /// The shapes the transposed-view tests cover, each in both
+    /// directions.
+    const TRANSPOSE_SHAPES: [(usize, usize); 6] =
+        [(1, 1), (1, 257), (300, 1), (31, 33), (33, 31), (1024, 512)];
+
+    /// `host` (`rows·cols` elements, stored column by column) as the
+    /// owned copy a change of layout makes: element `r·cols + c` is
+    /// `host[c·rows + r]`.
+    fn converted<S: Copy>(host: &[S], rows: usize, cols: usize) -> Vec<S> {
+        (0..rows * cols)
+            .map(|i| host[(i % cols) * rows + i / cols])
+            .collect()
+    }
+
+    fn transposed_views_read_like_an_owned_converted_copy<S: Elem>(val: fn(usize) -> S) {
+        let cfg = |n: usize| LaunchConfig::new("copy", n.div_ceil(256), 256);
+        for (r0, c0) in TRANSPOSE_SHAPES {
+            for (rows, cols) in [(r0, c0), (c0, r0)] {
+                let n = rows * cols;
+                let host: Vec<S> = (0..n).map(val).collect();
+                let want = converted(&host, rows, cols);
+                let mut mem = GpuMemory::new();
+                let view = mem.borrow_transposed(&host, rows, cols).unwrap();
+                assert_eq!(mem.resident_bytes(), n * S::BYTES, "like alloc_from");
+                let owned = mem.alloc_from(want.clone());
+                assert_eq!(mem.read(view).unwrap(), want, "({rows}, {cols}) read");
+                assert_eq!(mem.clone().read(view).unwrap(), want, "clone");
+                for exec in [ExecConfig::default(), ExecConfig::sanitized()] {
+                    for affine in [false, true] {
+                        let mut run = |input| {
+                            let output = mem.alloc(n);
+                            let k = CopyKernel {
+                                input,
+                                output,
+                                n,
+                                affine,
+                            };
+                            let res = launch_with(&gtx480(), &cfg(n), &exec, &k, &mut mem).unwrap();
+                            assert!(res.violations.is_empty(), "{:?}", res.violations);
+                            let out = mem.take(output).unwrap();
+                            (out, res.stats)
+                        };
+                        let (got, stats) = run(view);
+                        assert_eq!(got, want, "({rows}, {cols}) {exec:?} affine {affine}");
+                        assert_eq!((got, stats), run(owned));
+                    }
+                }
+                assert_eq!(mem.resident_bytes(), 2 * n * S::BYTES);
+                assert_eq!(mem.take(view).unwrap(), want, "take");
+                assert_eq!(mem.resident_bytes(), n * S::BYTES);
+            }
+        }
+        let mut mem = GpuMemory::new();
+        let host = vec![val(1); 6];
+        assert_eq!(
+            mem.borrow_transposed(&host, 4, 2).unwrap_err(),
+            SimError::LaneMismatch {
+                indices: 8,
+                values: 6
+            }
+        );
+    }
+
+    #[test]
+    fn transposed_views_read_like_an_owned_converted_copy_in_f64() {
+        transposed_views_read_like_an_owned_converted_copy::<f64>(|i| i as f64 * 0.5);
+    }
+
+    #[test]
+    fn transposed_views_read_like_an_owned_converted_copy_in_f32() {
+        transposed_views_read_like_an_owned_converted_copy::<f32>(|i| i as f32 * 0.25);
+    }
+
+    fn stores_to_a_transposed_view_are_typed_errors<S: Elem>(val: fn(usize) -> S) {
+        for (r0, c0) in TRANSPOSE_SHAPES {
+            for (rows, cols) in [(r0, c0), (c0, r0)] {
+                let n = rows * cols;
+                let host: Vec<S> = (0..n).map(val).collect();
+                let cfg = LaunchConfig::new("copy", n.div_ceil(256), 256);
+                for exec in [ExecConfig::default(), ExecConfig::sanitized()] {
+                    for affine in [false, true] {
+                        let mut mem = GpuMemory::new();
+                        let input = mem.alloc_from(vec![val(3); n]);
+                        let output = mem.borrow_transposed(&host, rows, cols).unwrap();
+                        let k = CopyKernel {
+                            input,
+                            output,
+                            n,
+                            affine,
+                        };
+                        let err = launch_with(&gtx480(), &cfg, &exec, &k, &mut mem).unwrap_err();
+                        assert_eq!(err, SimError::ReadOnlyBuffer { buffer: output.0 });
+                        assert_eq!(mem.read(output).unwrap(), converted(&host, rows, cols));
+                    }
+                }
+                let mut mem = GpuMemory::new();
+                let id = mem.borrow_transposed(&host, rows, cols).unwrap();
+                assert_eq!(
+                    mem.write(id, &host).unwrap_err(),
+                    SimError::ReadOnlyBuffer { buffer: id.0 }
+                );
+                assert!((0..n).all(|i| mem.is_word_init(id, i)));
+            }
+        }
+    }
+
+    #[test]
+    fn stores_to_a_transposed_view_are_typed_errors_in_f64() {
+        stores_to_a_transposed_view_are_typed_errors::<f64>(|i| i as f64);
+    }
+
+    #[test]
+    fn stores_to_a_transposed_view_are_typed_errors_in_f32() {
+        stores_to_a_transposed_view_are_typed_errors::<f32>(|i| i as f32);
     }
 }
 
@@ -2014,5 +2528,280 @@ mod sh_account_tests {
         assert!(res.violations.is_empty(), "{:?}", res.violations);
         assert_eq!(res.stats.total.shared_accesses, 2);
         assert_eq!(mem.read(buf).unwrap()[0], 10.0);
+    }
+}
+
+#[cfg(test)]
+mod global_account_tests {
+    use super::*;
+
+    /// One group: `(base, stride, count)` runs, shifts, direction.
+    type Group = (&'static [(usize, i64, usize)], &'static [usize], bool);
+
+    /// Unit, strided, broadcast, negative-stride and multi-piece
+    /// shapes, lists longer than the 48-thread block, shifts in many
+    /// alignment classes (and repeats of one), empty groups, two phases,
+    /// stores, and loads of words never written (initcheck findings).
+    const GROUPS: [Group; 8] = [
+        (&[(0, 1, 100)], &[0, 130, 260, 390, 16, 32], true),
+        (
+            &[(0, 1, 10), (37, 1, 10), (90, 1, 10)],
+            &[0, 1, 5, 200, 16],
+            false,
+        ),
+        (
+            &[(3, 2, 20), (100, 4, 20), (7, 0, 9)],
+            &[0, 3, 17, 33],
+            false,
+        ),
+        (&[(0, 1, 10)], &[], true),
+        (&[], &[0, 4], false),
+        (&[(600, -1, 70), (10, 1, 33)], &[2, 0, 9, 32, 64], false),
+        (
+            &[(1000, 1, 64)],
+            &[0, 13, 26, 39, 52, 65, 78, 91, 104, 117, 130],
+            true,
+        ),
+        (&[(1001, 1, 64)], &[0, 26, 52, 78, 104, 700], false),
+    ];
+
+    /// How [`Groups`] counts.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Mode {
+        /// Access by access through the affine entry points.
+        Single,
+        /// Stores through [`GlobalWrite`], then [`BlockCtx::global_account`].
+        Bulk,
+    }
+
+    /// Runs [`GROUPS`] against `buf`, counted as `mode` says; stores
+    /// write each lane's element index.
+    struct Groups {
+        buf: BufId,
+        mode: Mode,
+    }
+
+    impl<S: Elem + From<u16>> BlockKernel<S> for Groups {
+        fn run_block(&self, ctx: &mut BlockCtx<'_, S>) -> Result<()> {
+            let (mut lanes, mut run, mut moved) = (Lanes::new(), Lanes::new(), Lanes::new());
+            let (mut vals, mut idx) = (Vec::new(), Vec::new());
+            for (g, &(runs, shifts, write)) in GROUPS.iter().enumerate() {
+                ctx.phase(["a", "b"][g % 2]);
+                lanes.clear();
+                for &(base, stride, count) in runs {
+                    lanes.push(base, stride, count);
+                }
+                match self.mode {
+                    Mode::Bulk => {
+                        if write {
+                            let view = ctx.global_write(self.buf)?;
+                            expand(lanes.pieces(), &mut idx);
+                            for &shift in shifts {
+                                for &i in &idx {
+                                    view.store(i + shift, &[S::from((i + shift) as u16)]);
+                                }
+                            }
+                        }
+                        ctx.global_account(self.buf, &lanes, shifts, write)?;
+                    }
+                    Mode::Single => {
+                        for &shift in shifts {
+                            for lo in (0..lanes.len()).step_by(ctx.threads) {
+                                let hi = (lo + ctx.threads).min(lanes.len());
+                                lanes.slice_into(lo, hi, &mut run);
+                                moved.clear();
+                                for p in run.pieces() {
+                                    moved.push(p.base as usize + shift, p.stride, p.lanes);
+                                }
+                                if write {
+                                    expand(moved.pieces(), &mut idx);
+                                    vals.clear();
+                                    vals.extend(idx.iter().map(|&i| S::from(i as u16)));
+                                    ctx.st_affine(self.buf, moved.pieces(), &vals)?;
+                                } else {
+                                    ctx.ld_affine(self.buf, moved.pieces(), &mut vals)?;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            Ok(())
+        }
+    }
+
+    type Run<S> = (KernelStats, Vec<SanitizerViolation>, Vec<S>);
+
+    fn run<S: Elem + From<u16>>(mode: Mode, exec: ExecConfig) -> Run<S> {
+        let mut mem = GpuMemory::<S>::new();
+        let buf = mem.alloc(2000);
+        let cfg = LaunchConfig::new("groups", 2, 48);
+        let res = launch_with(
+            &DeviceSpec::gtx480(),
+            &cfg,
+            &exec,
+            &Groups { buf, mode },
+            &mut mem,
+        )
+        .unwrap();
+        (res.stats, res.violations, mem.read(buf).unwrap())
+    }
+
+    fn bulk_counts_like_single_accesses<S: Elem + From<u16>>() {
+        let reference = run::<S>(Mode::Single, ExecConfig::default());
+        assert!(reference.0.total.uncoalesced_global_accesses > 0);
+        assert!(reference.0.total.global_store_transactions > 0);
+        let checked = run::<S>(Mode::Single, ExecConfig::sanitized());
+        assert!(checked.0.total.sanitizer.uninit_reads > 0);
+        assert_eq!(run::<S>(Mode::Bulk, ExecConfig::default()), reference);
+        assert_eq!(run::<S>(Mode::Bulk, ExecConfig::sanitized()), checked);
+        let mut plain = checked.0.clone();
+        plain.total.sanitizer = Default::default();
+        assert_eq!(plain.total, reference.0.total);
+    }
+
+    #[test]
+    fn bulk_counts_like_single_accesses_in_f64() {
+        bulk_counts_like_single_accesses::<f64>();
+    }
+
+    #[test]
+    fn bulk_counts_like_single_accesses_in_f32() {
+        bulk_counts_like_single_accesses::<f32>();
+    }
+
+    #[test]
+    fn bulk_out_of_bounds_matches_the_single_access_error() {
+        struct Oob {
+            buf: BufId,
+            bulk: bool,
+        }
+        impl BlockKernel<f64> for Oob {
+            fn run_block(&self, ctx: &mut BlockCtx<'_, f64>) -> Result<()> {
+                let mut lanes = Lanes::new();
+                lanes.push(40, 1, 20);
+                if self.bulk {
+                    ctx.global_account(self.buf, &lanes, &[0, 8], false)
+                } else {
+                    let mut out = Vec::new();
+                    ctx.ld_affine(self.buf, lanes.pieces(), &mut out)?;
+                    lanes.clear();
+                    lanes.push(48, 1, 20);
+                    ctx.ld_affine(self.buf, lanes.pieces(), &mut out)
+                }
+            }
+        }
+        for exec in [ExecConfig::default(), ExecConfig::sanitized()] {
+            let err = |bulk| {
+                let mut mem = GpuMemory::<f64>::new();
+                let buf = mem.alloc_from(vec![1.0; 64]);
+                let cfg = LaunchConfig::new("oob", 1, 32);
+                launch_with(
+                    &DeviceSpec::gtx480(),
+                    &cfg,
+                    &exec,
+                    &Oob { buf, bulk },
+                    &mut mem,
+                )
+                .unwrap_err()
+                .to_string()
+            };
+            assert_eq!(err(true), err(false));
+        }
+    }
+
+    /// A block read of rows equals one run read per row, for every
+    /// storage kind: whole-row blocks of a transpose (read column by
+    /// column), runs that wrap past a row's end, and other pitches.
+    #[test]
+    fn copy_rows_reads_like_one_copy_per_run() {
+        struct Blocks {
+            bufs: [BufId; 3],
+            cols: usize,
+        }
+        impl BlockKernel<f64> for Blocks {
+            fn run_block(&self, ctx: &mut BlockCtx<'_, f64>) -> Result<()> {
+                for &buf in &self.bufs {
+                    let view = ctx.global_read(buf)?;
+                    let n = view.len();
+                    for pitch in [self.cols, self.cols + 2, 3] {
+                        for len in 1..=self.cols + 1 {
+                            for start in 0..n {
+                                let height = (n.saturating_sub(start + len) / pitch + 1).min(4);
+                                if start + (height - 1) * pitch + len > n {
+                                    continue;
+                                }
+                                let mut block = vec![0.0; height * len];
+                                view.copy_rows(start, pitch, len, &mut block);
+                                let mut want = vec![0.0; height * len];
+                                for (k, run) in want.chunks_exact_mut(len).enumerate() {
+                                    view.copy_to(start + k * pitch, run);
+                                }
+                                assert_eq!(block, want, "start {start} pitch {pitch} len {len}");
+                            }
+                        }
+                    }
+                }
+                Ok(())
+            }
+        }
+        let (rows, cols) = (5, 7);
+        let host: Vec<f64> = (0..rows * cols).map(|i| i as f64).collect();
+        let mut mem = GpuMemory::new();
+        let bufs = [
+            mem.alloc_from(host.clone()),
+            mem.borrow(&host),
+            mem.borrow_transposed(&host, rows, cols).unwrap(),
+        ];
+        let cfg = LaunchConfig::new("blocks", 1, 32);
+        launch(
+            &DeviceSpec::gtx480(),
+            &cfg,
+            &Blocks { bufs, cols },
+            &mut mem,
+        )
+        .unwrap();
+    }
+
+    /// The views read every storage kind in device order, and a write
+    /// view of a borrowed buffer is a typed error.
+    #[test]
+    fn views_read_and_write_device_order() {
+        struct Peek {
+            bufs: [BufId; 3],
+            out: BufId,
+        }
+        impl BlockKernel<f64> for Peek {
+            fn run_block(&self, ctx: &mut BlockCtx<'_, f64>) -> Result<()> {
+                let out = ctx.global_write(self.out)?;
+                for (k, &buf) in self.bufs.iter().enumerate() {
+                    let view = ctx.global_read(buf)?;
+                    let mut row = vec![0.0; 4];
+                    view.copy_to(1, &mut row);
+                    out.store(4 * k, &row);
+                }
+                match ctx.global_write(self.bufs[1]) {
+                    Err(SimError::ReadOnlyBuffer { .. }) => Ok(()),
+                    other => panic!("{other:?}"),
+                }
+            }
+        }
+        let host = [0.0, 2.0, 4.0, 1.0, 3.0, 5.0];
+        let mut mem = GpuMemory::new();
+        let owned = mem.alloc_from(host.to_vec());
+        let borrowed = mem.borrow(&host);
+        let transposed = mem.borrow_transposed(&host, 3, 2).unwrap();
+        let out = mem.alloc(12);
+        let k = Peek {
+            bufs: [owned, borrowed, transposed],
+            out,
+        };
+        let cfg = LaunchConfig::new("peek", 1, 32);
+        launch(&DeviceSpec::gtx480(), &cfg, &k, &mut mem).unwrap();
+        assert_eq!(
+            mem.read(out).unwrap(),
+            [2.0, 4.0, 1.0, 3.0, 2.0, 4.0, 1.0, 3.0, 1.0, 2.0, 3.0, 4.0]
+        );
+        assert!((0..12).all(|i| mem.is_word_init(out, i)));
     }
 }

@@ -94,8 +94,8 @@ pub use counters::{
 };
 pub use error::{Result, SimError};
 pub use exec::{
-    launch, launch_with, BlockCtx, BlockKernel, BufId, Elem, ExecConfig, GpuMemory, LaunchConfig,
-    LaunchResult, SharedGroup,
+    launch, launch_with, BlockCtx, BlockKernel, BufId, Elem, ExecConfig, GlobalRead, GlobalWrite,
+    GpuMemory, LaunchConfig, LaunchResult, SharedGroup,
 };
 pub use group::{DeviceGroup, DeviceStream, GroupTimeline, StreamEvent, StreamOp};
 pub use json::Json;

@@ -249,8 +249,8 @@ impl PlanExecutor {
         // before use, in whatever order the plan creates them.
         let mut slots: Vec<Option<BufId>> = vec![None; plan.buffers.len()];
         // Device layout a `Convert` step asked for; each upload
-        // transposes its array straight from the caller's batch, or
-        // borrows it when the layouts already agree.
+        // borrows its array from the caller's batch, transposed when the
+        // layouts differ.
         let mut convert_to: Option<Layout> = None;
         let mut downloaded: Option<Vec<S>> = None;
         let mut out: Option<Vec<S>> = None;
@@ -281,8 +281,9 @@ impl PlanExecutor {
                         crate::plan::CoefArray::Upper => c,
                         crate::plan::CoefArray::Rhs => d,
                     };
-                    // An array already in the device layout is used in
-                    // place, read-only; only a change of layout copies.
+                    // The caller's array is used in place, read-only:
+                    // as is when it is already in the device layout,
+                    // transposed otherwise. Nothing is copied.
                     let buf = if to == batch.layout() {
                         mem.borrow(arr)
                     } else if ragged.is_some() {
@@ -291,9 +292,13 @@ impl PlanExecutor {
                             batch.layout()
                         )));
                     } else {
-                        let mut dev = vec![S::ZERO; arr.len()];
-                        batch.layout().convert(to, arr, m, n, &mut dev);
-                        mem.alloc_from(dev)
+                        // The device array is a `rows × cols` matrix
+                        // whose host copy is stored column by column.
+                        let (rows, cols) = match to {
+                            Layout::Interleaved => (n, m),
+                            Layout::Contiguous => (m, n),
+                        };
+                        mem.borrow_transposed(arr, rows, cols)?
                     };
                     dynamic
                         .h2d

@@ -10,9 +10,25 @@
 //! interleaved) and are re-read by the backward sweep, matching how real
 //! GPU p-Thomas implementations spill when the system exceeds the
 //! register file.
+//!
+//! The simulator runs the kernel two ways with identical results and
+//! counters. Checked launches, and the `HybridSubsystems` and
+//! `Contiguous` maps, issue every row's nine accesses (four
+//! coefficient loads and two stores forward, two loads and a store
+//! backward) through the per-access entry points. An unchecked launch
+//! of the `Interleaved` map — the `k = 0` path — runs in bulk: row `r`
+//! of a block's threads is one unit-stride run at `r·M + base` in every
+//! buffer, so each of the nine accesses is counted for all rows at once
+//! with [`BlockCtx::global_account`] (in closed form once per alignment
+//! class of the row base, `(r·M + base) mod 128/elem_bytes`), and the
+//! recurrence runs straight over read views of the inputs — tiles of
+//! `ROW_TILE` rows, which a transposed upload reads column by column
+//! — and the written cells, marking each stored row initialized. Rows
+//! and lanes go in the per-access order, so a zero pivot faults at the
+//! same thread (lowest row, then lowest system) with the same message.
 
 use crate::consts::{THOMAS_BWD_FLOPS, THOMAS_FWD_FLOPS};
-use gpu_sim::{BlockCtx, BlockKernel, BufId, Lanes, Result};
+use gpu_sim::{BlockCtx, BlockKernel, BufId, GlobalRead, GlobalWrite, Lanes, Result};
 use std::ops::Range;
 
 use crate::buffers::GpuScalar;
@@ -161,8 +177,53 @@ impl<S: GpuScalar> BlockKernel<S> for PThomasKernel {
             return Ok(());
         }
         let threads = base..base + count;
-        let max_rows = threads.clone().map(|t| self.map.rows(t)).max().unwrap_or(0);
+        if let AddrMap::Interleaved { m, n } = self.map {
+            if !ctx.checked() && n > 0 {
+                if let Some(views) = self.views(ctx, m * n) {
+                    return self.sweep_interleaved(ctx, &views, threads, m, n);
+                }
+            }
+        }
+        self.sweep_per_access(ctx, threads)
+    }
+}
 
+/// The seven buffers of one p-Thomas launch, as read and write views.
+struct Views<'a, S: GpuScalar> {
+    inputs: [GlobalRead<'a, S>; 4],
+    c_prime: GlobalWrite<'a, S>,
+    d_prime: GlobalWrite<'a, S>,
+    /// `c'` and `d'` again, for the backward sweep's loads.
+    primes: [GlobalRead<'a, S>; 2],
+    x: GlobalWrite<'a, S>,
+}
+
+impl PThomasKernel {
+    /// Views of the kernel's buffers when every one holds at least
+    /// `len` elements and the three it writes are writable; `None`
+    /// otherwise, and the per-access path reports the fault exactly.
+    fn views<'a, S: GpuScalar>(&self, ctx: &BlockCtx<'a, S>, len: usize) -> Option<Views<'a, S>> {
+        let read = |buf| ctx.global_read(buf).ok().filter(|v| v.len() >= len);
+        let write = |buf| ctx.global_write(buf).ok().filter(|v| v.len() >= len);
+        Some(Views {
+            inputs: [read(self.a)?, read(self.b)?, read(self.c)?, read(self.d)?],
+            c_prime: write(self.c_prime)?,
+            d_prime: write(self.d_prime)?,
+            primes: [read(self.c_prime)?, read(self.d_prime)?],
+            x: write(self.x)?,
+        })
+    }
+
+    /// Every row of every thread through the per-access entry points:
+    /// checked launches, and the `HybridSubsystems` and `Contiguous`
+    /// maps.
+    fn sweep_per_access<S: GpuScalar>(
+        &self,
+        ctx: &mut BlockCtx<'_, S>,
+        threads: Range<usize>,
+    ) -> Result<()> {
+        let (base, count) = (threads.start, threads.len());
+        let max_rows = threads.clone().map(|t| self.map.rows(t)).max().unwrap_or(0);
         // Per-thread recurrence registers, indexed by `t − base`.
         let mut cp_reg = vec![S::ZERO; count];
         let mut dp_reg = vec![S::ZERO; count];
@@ -195,17 +256,13 @@ impl<S: GpuScalar> BlockKernel<S> for PThomasKernel {
                 let (a, b, c, d) = (av[lane], bv[lane], cv[lane], dv[lane]);
                 let (cp, dp) = if r == 0 {
                     if b == S::ZERO {
-                        return Err(gpu_sim::SimError::KernelFault(format!(
-                            "zero pivot, system {t} row 0"
-                        )));
+                        return Err(zero_pivot(t, r));
                     }
                     (c / b, d / b)
                 } else {
                     let denom = b - cp_reg[slot] * a;
                     if denom == S::ZERO {
-                        return Err(gpu_sim::SimError::KernelFault(format!(
-                            "zero pivot, system {t} row {r}"
-                        )));
+                        return Err(zero_pivot(t, r));
                     }
                     let inv = S::ONE / denom;
                     (c * inv, (d - dp_reg[slot] * a) * inv)
@@ -247,6 +304,107 @@ impl<S: GpuScalar> BlockKernel<S> for PThomasKernel {
         }
         Ok(())
     }
+
+    /// One block of the `Interleaved` map in bulk (unchecked launches;
+    /// see the module docs). The forward sweep reads the inputs
+    /// [`ROW_TILE`] rows at a time and stores `c'` and `d'` row by row;
+    /// the backward sweep reads them back row by row and stores `x`.
+    /// Each sweep's accesses are counted after its data moved, so the
+    /// backward loads count against rows the forward sweep stored.
+    // Not inlined: `run_block` stays as small as the per-access path,
+    // which a smaller binary showed in `peak_rss_mb`.
+    #[inline(never)]
+    fn sweep_interleaved<S: GpuScalar>(
+        &self,
+        ctx: &mut BlockCtx<'_, S>,
+        views: &Views<'_, S>,
+        threads: Range<usize>,
+        m: usize,
+        n: usize,
+    ) -> Result<()> {
+        let (base, count) = (threads.start, threads.len());
+        // Rows `r0..r0 + ROW_TILE` of the four inputs, `count` lanes each.
+        let mut tiles = [(); 4].map(|()| vec![S::ZERO; ROW_TILE * count]);
+        // Per-thread recurrence registers, lane `j` for thread `base + j`.
+        let mut cp = vec![S::ZERO; count];
+        let mut dp = vec![S::ZERO; count];
+        let mut lanes = Lanes::new();
+        lanes.push(base, 1, count);
+        let shifts: Vec<usize> = (0..n).map(|r| r * m).collect();
+
+        // ---- forward reduction (Eqs. 2–3) -------------------------------
+        ctx.phase("forward");
+        for r0 in (0..n).step_by(ROW_TILE) {
+            let height = ROW_TILE.min(n - r0);
+            for (view, tile) in views.inputs.iter().zip(&mut tiles) {
+                view.copy_rows(r0 * m + base, m, count, &mut tile[..height * count]);
+            }
+            for (k, r) in (r0..r0 + height).enumerate() {
+                let [av, bv, cv, dv] = tiles.each_ref().map(|t| &t[k * count..][..count]);
+                for j in 0..count {
+                    let (a, b, c, d) = (av[j], bv[j], cv[j], dv[j]);
+                    (cp[j], dp[j]) = if r == 0 {
+                        if b == S::ZERO {
+                            return Err(zero_pivot(base + j, r));
+                        }
+                        (c / b, d / b)
+                    } else {
+                        let denom = b - cp[j] * a;
+                        if denom == S::ZERO {
+                            return Err(zero_pivot(base + j, r));
+                        }
+                        let inv = S::ONE / denom;
+                        (c * inv, (d - dp[j] * a) * inv)
+                    };
+                }
+                let at = r * m + base;
+                views.c_prime.store(at, &cp);
+                views.d_prime.store(at, &dp);
+            }
+        }
+        for buf in [self.a, self.b, self.c, self.d] {
+            ctx.global_account(buf, &lanes, &shifts, false)?;
+        }
+        for buf in [self.c_prime, self.d_prime] {
+            ctx.global_account(buf, &lanes, &shifts, true)?;
+        }
+        ctx.flops((n * count) as u64 * THOMAS_FWD_FLOPS);
+
+        // ---- backward substitution (Eq. 4) ------------------------------
+        ctx.phase("backward");
+        // The x registers reuse a row buffer; `c'` and `d'` rows load into
+        // the recurrence registers.
+        let (x, cv, dv) = (&mut tiles[0][..count], &mut cp, &mut dp);
+        for r in (0..n).rev() {
+            let at = r * m + base;
+            views.primes[0].copy_to(at, cv);
+            views.primes[1].copy_to(at, dv);
+            for j in 0..count {
+                x[j] = if r + 1 == n {
+                    dv[j]
+                } else {
+                    dv[j] - cv[j] * x[j]
+                };
+            }
+            views.x.store(at, x);
+        }
+        for buf in [self.c_prime, self.d_prime] {
+            ctx.global_account(buf, &lanes, &shifts, false)?;
+        }
+        ctx.global_account(self.x, &lanes, &shifts, true)?;
+        ctx.flops((n * count) as u64 * THOMAS_BWD_FLOPS);
+        Ok(())
+    }
+}
+
+/// Rows the bulk interleaved sweep reads per input array at once: one
+/// 64-byte line of each host column of a transposed f32 upload, two of
+/// an f64 one.
+const ROW_TILE: usize = 16;
+
+/// The zero-pivot fault of system `t` at row `r`.
+fn zero_pivot(t: usize, r: usize) -> gpu_sim::SimError {
+    gpu_sim::SimError::KernelFault(format!("zero pivot, system {t} row {r}"))
 }
 
 #[cfg(test)]
@@ -254,9 +412,11 @@ mod tests {
     use super::*;
     use crate::buffers::upload;
     use crate::consts::{PTHOMAS_BLOCK, REGS_PTHOMAS};
-    use gpu_sim::{launch, launch_with, DeviceSpec, ExecConfig, GpuMemory, LaunchConfig, SimError};
+    use gpu_sim::{
+        launch, launch_with, DeviceSpec, ExecConfig, GpuMemory, KernelStats, LaunchConfig, SimError,
+    };
     use tridiag_core::generators::random_batch;
-    use tridiag_core::Layout;
+    use tridiag_core::{Layout, SystemBatch};
 
     fn run_interleaved(m: usize, n: usize) -> f64 {
         let host = random_batch::<f64>(m, n, 42).to_layout(Layout::Interleaved);
@@ -474,5 +634,121 @@ mod tests {
         let cfg = LaunchConfig::new("p_thomas", 1, 1);
         let err = launch(&DeviceSpec::gtx480(), &cfg, &kernel, &mut mem).unwrap_err();
         assert!(matches!(err, gpu_sim::SimError::KernelFault(_)));
+    }
+
+    /// How a bulk-versus-per-access run uploads its four coefficient
+    /// arrays.
+    #[derive(Debug, Clone, Copy)]
+    enum Inputs {
+        /// The interleaved host arrays, borrowed as they are.
+        Borrowed,
+        /// The contiguous host arrays, borrowed as transposed views.
+        Transposed,
+        /// Owned copies of the interleaved arrays.
+        Owned,
+    }
+
+    /// One interleaved p-Thomas launch over `batch` (contiguous) with
+    /// the inputs uploaded as `inputs` says: its counters and solution,
+    /// or its error message.
+    fn launch_interleaved<S: GpuScalar>(
+        batch: &SystemBatch<S>,
+        inputs: Inputs,
+        exec: ExecConfig,
+    ) -> std::result::Result<(KernelStats, Vec<S>), String> {
+        let (m, n) = (batch.num_systems(), batch.system_len());
+        let inter = batch.to_layout(Layout::Interleaved);
+        let mut mem = GpuMemory::new();
+        let [a, b, c, d] = match inputs {
+            Inputs::Borrowed => {
+                let (a, b, c, d) = inter.arrays();
+                [a, b, c, d].map(|arr| mem.borrow(arr))
+            }
+            Inputs::Transposed => {
+                let (a, b, c, d) = batch.arrays();
+                [a, b, c, d].map(|arr| mem.borrow_transposed(arr, n, m).unwrap())
+            }
+            Inputs::Owned => {
+                let (a, b, c, d) = inter.arrays();
+                [a, b, c, d].map(|arr| mem.alloc_from(arr.to_vec()))
+            }
+        };
+        let (c_prime, d_prime, x) = (mem.alloc(m * n), mem.alloc(m * n), mem.alloc(m * n));
+        let kernel = PThomasKernel {
+            a,
+            b,
+            c,
+            d,
+            c_prime,
+            d_prime,
+            x,
+            map: AddrMap::Interleaved { m, n },
+        };
+        let cfg = LaunchConfig::new(
+            "p_thomas",
+            m.div_ceil(PTHOMAS_BLOCK as usize),
+            PTHOMAS_BLOCK,
+        )
+        .with_regs(REGS_PTHOMAS);
+        let res = launch_with(&DeviceSpec::gtx480(), &cfg, &exec, &kernel, &mut mem)
+            .map_err(|e| e.to_string())?;
+        assert!(res.violations.is_empty(), "{:?}", res.violations);
+        Ok((res.stats, mem.read(x).unwrap()))
+    }
+
+    /// Unchecked launches of the interleaved map (bulk) against checked
+    /// ones (per access): the same `KernelStats` — totals, phases and
+    /// per-block vectors — and the same solution, or the same fault.
+    fn bulk_matches_per_access<S: GpuScalar>() {
+        for m in [1, 7, 130, 1000, 1024, 4100] {
+            for n in [1, 3, 37, 100] {
+                let batch = random_batch::<S>(m, n, (m * n) as u64);
+                let mut last = None;
+                for inputs in [Inputs::Borrowed, Inputs::Transposed, Inputs::Owned] {
+                    let bulk = launch_interleaved(&batch, inputs, ExecConfig::default());
+                    let checked = launch_interleaved(&batch, inputs, ExecConfig::sanitized());
+                    assert_eq!(bulk, checked, "m {m} n {n} {inputs:?}");
+                    let (stats, x) = bulk.unwrap();
+                    assert_eq!(stats.rounds_per_block.len(), stats.blocks);
+                    assert_eq!(stats.phases.len(), 2, "forward and backward");
+                    if let Some(prev) = last.replace(x.clone()) {
+                        assert_eq!(x, prev, "m {m} n {n} {inputs:?}");
+                    }
+                }
+            }
+        }
+        // Zero pivots at (system 5, row 3), (system 9, row 3), (system
+        // 2, row 7) and (system 129, row 0): block 0 faults first, at its
+        // lowest row, then its lowest system.
+        let (m, n) = (130, 12);
+        let singular = random_batch::<S>(m, n, 9);
+        let (a, b, c, d) = singular.arrays();
+        let (mut a, mut b) = (a.to_vec(), b.to_vec());
+        for (sys, row) in [(5, 3), (9, 3), (2, 7), (129, 0)] {
+            a[sys * n + row] = S::ZERO;
+            b[sys * n + row] = S::ZERO;
+        }
+        let batch =
+            SystemBatch::from_raw(a, b, c.to_vec(), d.to_vec(), m, n, Layout::Contiguous).unwrap();
+        for inputs in [Inputs::Borrowed, Inputs::Transposed, Inputs::Owned] {
+            for exec in [ExecConfig::default(), ExecConfig::sanitized()] {
+                let err = launch_interleaved(&batch, inputs, exec).unwrap_err();
+                assert_eq!(
+                    err,
+                    SimError::KernelFault("zero pivot, system 5 row 3".into()).to_string(),
+                    "{inputs:?} {exec:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_matches_per_access_in_f64() {
+        bulk_matches_per_access::<f64>();
+    }
+
+    #[test]
+    fn bulk_matches_per_access_in_f32() {
+        bulk_matches_per_access::<f32>();
     }
 }

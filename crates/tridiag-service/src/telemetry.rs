@@ -18,11 +18,12 @@
 //! batch.
 //!
 //! [`Telemetry::to_trace`] derives the merged Chrome trace from the
-//! log alone: per-request span chains (queue → coalesce → kernel →
-//! scatter, linked by the cid argument), batch spans, and per-device
-//! shard tracks. [`validate_request_chains`] checks the chain
-//! structure — each cid appears in exactly one causally-linked chain
-//! whose spans tile `[arrival, completion]` exactly.
+//! log alone: per-request span chains (coalesce → queue → kernel →
+//! scatter, the order a request spends them in, linked by the cid
+//! argument), batch spans, and per-device shard tracks.
+//! [`validate_request_chains`] checks the chain structure — each cid
+//! appears in exactly one causally-linked chain whose spans come in
+//! that order and tile `[arrival, completion]` exactly.
 //!
 //! The metrics half mirrors the event log into counters, histograms
 //! (latency, queue depth, coalesce batch size, kernel time) and the
@@ -358,9 +359,9 @@ impl Telemetry {
 
     /// Derive the merged Chrome trace from the event log: one span per
     /// batch (tid 0), one track per device (`shard_dispatch`/`join`
-    /// pairs), and a causally-linked queue → coalesce → kernel →
-    /// scatter chain per completed request, each span tagged with its
-    /// cid.
+    /// pairs), and a causally-linked coalesce → queue → kernel →
+    /// scatter chain ([`CHAIN`]) per completed request, each span
+    /// tagged with its cid.
     pub fn to_trace(&self, process: &str) -> Trace {
         let mut trace = Trace::new(process);
         let mut dispatches: Vec<(u64, u64, f64)> = Vec::new(); // (batch, device, t)
@@ -440,9 +441,7 @@ impl Telemetry {
                     let tid = request_track(cid);
                     let arrival = e.t_us - (q + c + k + s);
                     let mut cursor = arrival;
-                    for (name, dur) in
-                        [("queue", q), ("coalesce", c), ("kernel", k), ("scatter", s)]
-                    {
+                    for (name, dur) in CHAIN.into_iter().zip([c, q, k, s]) {
                         trace.span(
                             format!("req[{cid}]/{name}"),
                             "request",
@@ -537,6 +536,12 @@ impl Telemetry {
         problems
     }
 }
+
+/// A request's span chain in the merged trace, in time order: it waits
+/// inside the coalescing window ([`crate::RequestSpans::coalesce_us`]),
+/// then for the device and the batches ahead of it in its tick
+/// ([`crate::RequestSpans::queue_us`]), then runs and is scattered.
+pub const CHAIN: [&str; 4] = ["coalesce", "queue", "kernel", "scatter"];
 
 /// Track id base for per-device shard tracks in the merged trace
 /// (request tracks use low ids derived from the cid).
@@ -783,9 +788,9 @@ pub fn validate_event_log(text: &str) -> Result<ReplaySummary, Vec<String>> {
 /// Validate the per-request span chains of a merged Chrome trace (the
 /// [`Telemetry::to_trace`] format). Every
 /// cat-`"request"` span must carry a numeric `cid` argument; per cid
-/// there must be exactly one chain of four spans — queue, coalesce,
-/// kernel, scatter, in that order, on one track — whose spans tile
-/// `[arrival, completion]` **exactly** (`ts[i+1] == ts[i] + dur[i]`,
+/// there must be exactly one chain of four spans — coalesce, queue,
+/// kernel, scatter, in that order ([`CHAIN`]), on one track — whose
+/// spans tile `[arrival, completion]` **exactly** (`ts[i+1] == ts[i] + dur[i]`,
 /// bit-exact on the parsed values). Returns the chained cids (sorted)
 /// or every violation.
 pub fn validate_request_chains(trace_text: &str) -> Result<Vec<u64>, Vec<String>> {
@@ -836,10 +841,7 @@ pub fn validate_request_chains(trace_text: &str) -> Result<Vec<u64>, Vec<String>
         if spans.iter().any(|s| s.0 != tid) {
             problems.push(format!("cid {cid}: chain spans spread across tracks"));
         }
-        for (idx, stage) in ["queue", "coalesce", "kernel", "scatter"]
-            .iter()
-            .enumerate()
-        {
+        for (idx, stage) in CHAIN.iter().enumerate() {
             let expected = format!("req[{cid}]/{stage}");
             if spans[idx].1 != expected {
                 problems.push(format!(
@@ -921,6 +923,60 @@ mod tests {
 
         let errs = validate_event_log("{\"schema\":\"bogus/v9\"}\n").unwrap_err();
         assert!(errs[0].starts_with("header:"), "{errs:?}");
+    }
+
+    /// A request that waits out its window and then the device is drawn
+    /// coalesce first, and a chain in any other order is refused.
+    #[test]
+    fn chains_draw_the_waits_in_the_order_they_happen() {
+        let mut t = Telemetry::new();
+        let spans = [
+            ("queue_us", 10.0),
+            ("coalesce_us", 8.0),
+            ("kernel_us", 20.0),
+            ("scatter_us", 2.0),
+        ];
+        let args = spans.map(|(k, v)| (k.to_string(), Json::num(v))).to_vec();
+        t.push("completion", 50.0, Some(3), args);
+        let trace = t.to_trace("chains");
+        let chain: Vec<(String, f64, f64)> = trace
+            .events
+            .iter()
+            .filter(|e| e.cat == "request")
+            .map(|e| (e.name.clone(), e.ts_us, e.dur_us))
+            .collect();
+        assert_eq!(
+            chain,
+            [
+                ("req[3]/coalesce".into(), 10.0, 8.0),
+                ("req[3]/queue".into(), 18.0, 10.0),
+                ("req[3]/kernel".into(), 28.0, 20.0),
+                ("req[3]/scatter".into(), 48.0, 2.0),
+            ]
+        );
+        assert_eq!(
+            validate_request_chains(&trace.to_chrome_json()),
+            Ok(vec![3])
+        );
+
+        let mut swapped = Trace::new("swapped");
+        let mut ts = 10.0;
+        for (name, dur) in [
+            ("queue", 10.0),
+            ("coalesce", 8.0),
+            ("kernel", 20.0),
+            ("scatter", 2.0),
+        ] {
+            let args = vec![("cid".into(), Json::num(3))];
+            swapped.span(format!("req[3]/{name}"), "request", 4, ts, dur, args);
+            ts += dur;
+        }
+        let errs = validate_request_chains(&swapped.to_chrome_json()).unwrap_err();
+        assert!(
+            errs.iter()
+                .any(|p| p.contains("span 0 is \"req[3]/queue\"")),
+            "{errs:?}"
+        );
     }
 
     #[test]

@@ -355,7 +355,7 @@ fn degenerate_geometry_is_answered_not_stranded() {
 /// log and the replay validator proves every admitted request reached
 /// **exactly one** terminal event — and the merged Chrome trace
 /// derived from the log carries each completed correlation id in
-/// exactly one causally-linked queue → coalesce → kernel → scatter
+/// exactly one causally-linked coalesce → queue → kernel → scatter
 /// span chain.
 #[test]
 fn event_log_replay_accounts_for_every_admitted_request() {

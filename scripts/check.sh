@@ -45,6 +45,12 @@ out="$(cargo run --release -q -p tridiag-cli -- solve --m 4 --n 512 --sanitize)"
 grep -q "sanitizer   : clean" <<<"$out"
 out="$(cargo run --release -q -p tridiag-cli -- solve --m 1 --n 16384 --precision f32 --sanitize)"
 grep -q "sanitizer   : clean" <<<"$out"
+# A contiguous-host k = 0 solve: p-Thomas reads the caller's arrays
+# through transposed views (the converted upload), in f64 and f32.
+out="$(cargo run --release -q -p tridiag-cli -- solve --m 2048 --n 64 --sanitize)"
+grep -q "sanitizer   : clean" <<<"$out"
+out="$(cargo run --release -q -p tridiag-cli -- solve --m 2048 --n 64 --precision f32 --sanitize)"
+grep -q "sanitizer   : clean" <<<"$out"
 
 echo "== CLI plan smoke (dry-run planning, plan JSON) =="
 out="$(cargo run --release -q -p tridiag-cli -- solve --m 16 --n 1024 --dry-run)"
