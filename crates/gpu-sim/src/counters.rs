@@ -98,6 +98,43 @@ impl BlockStats {
         self.sanitizer.merge(&o.sanitizer);
     }
 
+    /// What counting added since `before` (an earlier state of the same
+    /// counters): the summable fields' differences, and the peaks as
+    /// they are now.
+    pub(crate) fn since(&self, before: &BlockStats) -> BlockStats {
+        BlockStats {
+            flops: self.flops - before.flops,
+            global_load_transactions: self.global_load_transactions
+                - before.global_load_transactions,
+            global_store_transactions: self.global_store_transactions
+                - before.global_store_transactions,
+            global_load_bytes: self.global_load_bytes - before.global_load_bytes,
+            global_store_bytes: self.global_store_bytes - before.global_store_bytes,
+            global_access_rounds: self.global_access_rounds - before.global_access_rounds,
+            shared_accesses: self.shared_accesses - before.shared_accesses,
+            bank_conflict_replays: self.bank_conflict_replays - before.bank_conflict_replays,
+            uncoalesced_global_accesses: self.uncoalesced_global_accesses
+                - before.uncoalesced_global_accesses,
+            barriers: self.barriers - before.barriers,
+            ..*self
+        }
+    }
+
+    /// Add `times` × the summable fields of `delta` (peaks: no change,
+    /// as repeating a count cannot raise a maximum it already reached).
+    pub(crate) fn add_times(&mut self, delta: &BlockStats, times: u64) {
+        self.flops += times * delta.flops;
+        self.global_load_transactions += times * delta.global_load_transactions;
+        self.global_store_transactions += times * delta.global_store_transactions;
+        self.global_load_bytes += times * delta.global_load_bytes;
+        self.global_store_bytes += times * delta.global_store_bytes;
+        self.global_access_rounds += times * delta.global_access_rounds;
+        self.shared_accesses += times * delta.shared_accesses;
+        self.bank_conflict_replays += times * delta.bank_conflict_replays;
+        self.uncoalesced_global_accesses += times * delta.uncoalesced_global_accesses;
+        self.barriers += times * delta.barriers;
+    }
+
     /// Total global transactions (loads + stores).
     pub fn global_transactions(&self) -> u64 {
         self.global_load_transactions + self.global_store_transactions

@@ -30,7 +30,10 @@
 //! alignment class of the shifts on the transaction-segment grid — and
 //! the views [`BlockCtx::global_read`] and [`BlockCtx::global_write`]
 //! are the data path. Every counted access must be one the data path
-//! performs; checked launches hand each of them to the sanitizer.
+//! performs; checked launches hand each of them to the sanitizer. A
+//! loop whose steps repeat a few shapes counts each shape once, with
+//! [`BlockCtx::count_repeated`], and [`BlockCtx::segment_class`] is the
+//! alignment class that tells two global runs' counts apart.
 //!
 //! Blocks are independent, as CUDA requires: CUDA guarantees nothing
 //! about cross-block ordering within a launch, and no kernel in this
@@ -1042,18 +1045,24 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
         run: &mut Lanes,
     ) -> Result<()> {
         let segment = self.transaction_bytes;
-        // `classes[k]` = (a shift of byte class `k`, shifts in the class).
-        let mut classes = vec![(0usize, 0u64); segment];
+        // (a shift of each byte class present, shifts in the class).
+        let mut classes: Vec<(usize, u64)> = Vec::new();
         for &shift in shifts {
-            let class = &mut classes[shift * S::BYTES % segment];
-            *class = (shift, class.1 + 1);
+            let class = shift * S::BYTES % segment;
+            match classes
+                .iter_mut()
+                .find(|c| c.0 * S::BYTES % segment == class)
+            {
+                Some(c) => c.1 += 1,
+                None => classes.push((shift, 1)),
+            }
         }
         let (warp, threads) = (self.warp_size, self.threads);
         let times = shifts.len() as u64;
         let (mut transactions, mut accesses, mut uncoalesced, mut bytes) = (0u64, 0u64, 0u64, 0u64);
         let mut moved: Vec<AffinePiece> = Vec::new();
         for_each_run(lanes, threads, run, |pieces, len| {
-            for &(shift, count) in classes.iter().filter(|c| c.1 > 0) {
+            for &(shift, count) in &classes {
                 moved.clear();
                 moved.extend(pieces.iter().map(|p| AffinePiece {
                     base: p.base + shift as i64,
@@ -1106,6 +1115,47 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
         });
         self.expanded = idx;
         r
+    }
+
+    /// The alignment class of global element `elem`: its byte offset
+    /// modulo the transaction segment. Unit-stride runs of the same
+    /// lengths that start in the same classes cost the same
+    /// transactions — the classes [`Self::global_account`] counts once
+    /// each.
+    pub fn segment_class(&self, elem: usize) -> usize {
+        elem * S::BYTES % self.transaction_bytes
+    }
+
+    /// Run `count` — a kernel's counting of one repeated stretch of work,
+    /// such as a loop step, with no data movement — and count it `times`
+    /// times in all. An unchecked launch runs `count` once and applies
+    /// the deltas it made to the block total and to each phase `times
+    /// − 1` more times: the same counters, and the same phases in the
+    /// same order of first appearance, as `times` runs of it. A checked
+    /// launch runs `count` `times` times, so the sanitizer sees every
+    /// access. `times = 0` counts nothing.
+    pub fn count_repeated(
+        &mut self,
+        times: u64,
+        count: &mut dyn FnMut(&mut Self) -> Result<()>,
+    ) -> Result<()> {
+        if self.checked() {
+            return (0..times).try_for_each(|_| count(self));
+        }
+        if times == 0 {
+            return Ok(());
+        }
+        let total = self.stats;
+        let phases: Vec<BlockStats> = self.phase_stats.iter().map(|p| p.stats).collect();
+        count(self)?;
+        let more = times - 1;
+        let delta = self.stats.since(&total);
+        self.stats.add_times(&delta, more);
+        for (i, p) in self.phase_stats.iter_mut().enumerate() {
+            let delta = p.stats.since(&phases.get(i).copied().unwrap_or_default());
+            p.stats.add_times(&delta, more);
+        }
+        Ok(())
     }
 
     /// A read view of `buf`, the data path of loads counted with
@@ -2803,5 +2853,79 @@ mod global_account_tests {
             [2.0, 4.0, 1.0, 3.0, 2.0, 4.0, 1.0, 3.0, 1.0, 2.0, 3.0, 4.0]
         );
         assert!((0..12).all(|i| mem.is_word_init(out, i)));
+    }
+}
+
+#[cfg(test)]
+mod count_repeated_tests {
+    use super::*;
+
+    /// A prelude, then one step counted `times` times — through
+    /// [`BlockCtx::count_repeated`] or by running it again — then a
+    /// tail in an earlier phase. The step opens two phases of its own.
+    struct Steps {
+        buf: BufId,
+        times: u64,
+        repeated: bool,
+    }
+
+    impl BlockKernel<f64> for Steps {
+        fn run_block(&self, ctx: &mut BlockCtx<'_, f64>) -> Result<()> {
+            ctx.shared_alloc(256)?;
+            ctx.phase("a");
+            ctx.sync();
+            let mut lanes = Lanes::new();
+            lanes.push(3 + ctx.block_id, 1, 40);
+            let mut step = |ctx: &mut BlockCtx<'_, f64>| {
+                ctx.phase("b");
+                ctx.global_account(self.buf, &lanes, &[0, 17, 33], false)?;
+                ctx.sh_account(&lanes, &[0, 1], false)?;
+                ctx.flops(7);
+                ctx.phase("c");
+                ctx.sync();
+                Ok(())
+            };
+            if self.repeated {
+                ctx.count_repeated(self.times, &mut step)?;
+            } else {
+                for _ in 0..self.times {
+                    step(ctx)?;
+                }
+            }
+            ctx.phase("a");
+            ctx.flops(1);
+            Ok(())
+        }
+    }
+
+    /// The same `KernelStats` — totals, phases in order, per-block
+    /// vectors — and sanitizer reports either way, checked or not.
+    #[test]
+    fn repeating_a_count_equals_running_it_again() {
+        for times in [0, 1, 5] {
+            for exec in [ExecConfig::default(), ExecConfig::sanitized()] {
+                let run = |repeated| {
+                    let mut mem = GpuMemory::new();
+                    let buf = mem.alloc_from(vec![1.0; 200]);
+                    let kernel = Steps {
+                        buf,
+                        times,
+                        repeated,
+                    };
+                    let cfg = LaunchConfig::new("steps", 3, 64);
+                    launch_with(&DeviceSpec::gtx480(), &cfg, &exec, &kernel, &mut mem).unwrap()
+                };
+                let (repeated, again) = (run(true), run(false));
+                assert_eq!(repeated.stats, again.stats, "times {times} {exec:?}");
+                assert_eq!(repeated.violations, again.violations);
+                let labels: Vec<_> = repeated.stats.phases.iter().map(|p| p.label).collect();
+                let want: &[&str] = if times == 0 {
+                    &[PRELUDE_PHASE, "a"]
+                } else {
+                    &[PRELUDE_PHASE, "a", "b", "c"]
+                };
+                assert_eq!(labels, want);
+            }
+        }
     }
 }

@@ -15,16 +15,26 @@
 //! occupancy trade-off the paper warns about: "kernel fusion does not
 //! always improve performance".
 //!
-//! The fold reads each sub-tile's reduced rows straight from the
-//! window after counting the four `window_read` loads as one group
-//! ([`gpu_sim::BlockCtx::sh_account_group`]); the simulated accesses
-//! are the same four block-wide loads.
+//! Per step (checked launches), the fold reads each sub-tile's reduced
+//! rows straight from the window after counting the four `window_read`
+//! loads as one group ([`gpu_sim::BlockCtx::sh_account_group`]); the
+//! simulated accesses are the same four block-wide loads. In bulk
+//! (unchecked launches), `super::window::stream_bulk` hands the
+//! reduced rows over chunk by chunk and the fold runs a row of the
+//! block's `2^k` threads at a time, storing `c'`/`d'` straight to
+//! global memory; the steps are then counted once per distinct shape
+//! (the window module docs). Both paths count the `c'`/`d'` stores
+//! with [`gpu_sim::BlockCtx::global_account`] — whole sub-tiles, then
+//! the tail — and write them through
+//! [`gpu_sim::BlockCtx::global_write`] views, and both share the
+//! backward sweep: its loads and stores counted for every row at once,
+//! then the recurrence run over views, a row of threads at a time.
 //!
 //! The kernel covers the Fig. 11(a) mapping (one whole system per
 //! block); the solver falls back to the split pipeline for the other
 //! mappings.
 
-use super::window::{StreamSlot, WindowEngine};
+use super::window::{read_views, stream_bulk, valid, write_views, StreamSlot, WindowEngine};
 use crate::buffers::GpuScalar;
 use crate::consts::{THOMAS_BWD_FLOPS, THOMAS_FWD_FLOPS};
 use gpu_sim::{BlockCtx, BlockKernel, BufId, Lanes, Result, SharedGroup, SimError};
@@ -99,6 +109,86 @@ impl<S: GpuScalar> BlockKernel<S> for RaggedFusedKernel {
     }
 }
 
+/// The per-thread Thomas forward state of a per-step run: the
+/// recurrence registers of the `2^k` subsystems, and the register tile
+/// of pending `c'`/`d'` values for positions `p0 ..` awaiting an
+/// aligned store — the paper's "previous results ... in registers".
+struct Forward<S> {
+    cp: Vec<S>,
+    dp: Vec<S>,
+    p0: usize,
+    pend_cp: Vec<S>,
+    pend_dp: Vec<S>,
+}
+
+/// Fold the consecutive reduced rows `p0 ..` of system `sys`, given as
+/// `[a, b, c, d]`, into the forward recurrences of their subsystems
+/// `p mod stride`, whose registers are `[cp, dp]`, and write each
+/// row's `(c', d')` to `[cps, dps]`. Rows arrive in position order, so
+/// `p < stride` is a subsystem's head. Each run of subsystems within
+/// one row of the block's threads has its pivots computed and checked,
+/// then runs as one loop; a zero pivot fails at the first row that has
+/// one.
+// Not inlined: one copy per scalar type serves both paths.
+#[inline(never)]
+fn fold_rows<S: GpuScalar>(
+    sys: usize,
+    p0: usize,
+    stride: usize,
+    [a, b, c, d]: [&[S]; 4],
+    [cp, dp]: [&mut [S]; 2],
+    [cps, dps]: [&mut [S]; 2],
+) -> Result<()> {
+    let mut i = 0;
+    while i < a.len() {
+        let (p, j) = (p0 + i, (p0 + i) % stride);
+        let w = (stride - j).min(a.len() - i);
+        let run = i..i + w;
+        let (a, b, c, d) = (
+            &a[run.clone()],
+            &b[run.clone()],
+            &c[run.clone()],
+            &d[run.clone()],
+        );
+        let (cps, dps) = (&mut cps[run.clone()], &mut dps[run]);
+        let (cp, dp) = (&mut cp[j..j + w], &mut dp[j..j + w]);
+        // Each row's pivot goes to `cps` first, where `c'` ends up.
+        let head = p < stride;
+        if head {
+            cps.copy_from_slice(b);
+        } else {
+            for x in 0..w {
+                cps[x] = b[x] - cp[x] * a[x];
+            }
+        }
+        if let Some(x) = cps.iter().position(|&pivot| pivot == S::ZERO) {
+            let at = if head {
+                "head".to_string()
+            } else {
+                format!("row {}", p + x)
+            };
+            return Err(SimError::KernelFault(format!(
+                "zero pivot, system {sys} subsystem {} {at}",
+                j + x
+            )));
+        }
+        if head {
+            for x in 0..w {
+                (cp[x], dp[x]) = (c[x] / b[x], d[x] / b[x]);
+            }
+        } else {
+            for x in 0..w {
+                let inv = S::ONE / cps[x];
+                (cp[x], dp[x]) = (c[x] * inv, (d[x] - dp[x] * a[x]) * inv);
+            }
+        }
+        cps.copy_from_slice(cp);
+        dps.copy_from_slice(dp);
+        i += w;
+    }
+    Ok(())
+}
+
 impl FusedKernel {
     /// One block's work: solve system `sys`, the `n` rows starting at
     /// global element `base`.
@@ -110,136 +200,266 @@ impl FusedKernel {
         n: usize,
     ) -> Result<()> {
         let slots = [StreamSlot::whole(base, n)];
+        // Unchecked: c' and d' are computed and stored in bulk first,
+        // then the device's steps are counted without moving data.
+        let moving = ctx.checked() || !self.forward_bulk(ctx, sys, &slots[0]);
         let mut engine = WindowEngine::new(ctx, n, self.k, self.sub_tile, &slots)?;
-        let st = engine.st;
-        let f = engine.f;
+        let (st, f) = (engine.st, engine.f);
         let stride = 1usize << self.k;
 
-        // Per-thread Thomas forward state (registers).
-        let mut cp_reg = vec![S::ZERO; stride];
-        let mut dp_reg = vec![S::ZERO; stride];
-        let mut started = vec![false; stride];
-
-        // Register tile of pending c'/d' values for the consecutive
-        // positions `pend_p0 ..` awaiting an aligned store — the paper's
-        // "previous results ... in registers".
-        let mut pend_p0 = 0usize;
-        let mut pend_cp: Vec<S> = Vec::with_capacity(st + f);
-        let mut pend_dp: Vec<S> = Vec::with_capacity(st + f);
-
-        let mut lanes = Lanes::new();
         // This sub-tile's reduced rows: positions t0 − f .. t0 + st − f,
         // the first `st` rows of each array's window.
-        let window = engine.slots[0].buf;
         let mut window_lanes = Lanes::new();
-        window_lanes.push(window[0], 1, st);
+        window_lanes.push(engine.slots[0].buf[0], 1, st);
         let mut window_read = SharedGroup::new(window_lanes, &engine.arr_shifts, false);
+        let mut lanes = Lanes::new();
 
-        while engine.advance(ctx, self.input)? {
-            let t0 = engine.slots[0].t0;
-
-            // ---- read this sub-tile's reduced rows from shared ------
-            ctx.phase("window_read");
-            ctx.sh_account_group(&mut window_read)?;
-            // All lanes must finish reading the window before the next
-            // advance() overwrites it: the fresh region [2f, 2f + st)
-            // overlaps the rows just read whenever st > 2f (c ≥ 2).
-            ctx.sync();
-
-            // ---- fold into the per-thread Thomas forward recurrence --
-            let sh = ctx.shared_slice();
-            let mut folded = 0u64;
-            for i in 0..st {
-                let p = t0 - f as isize + i as isize;
-                if p < 0 || p >= n as isize {
-                    continue;
-                }
-                let p = p as usize;
-                let j = p % stride;
-                let [a, b, c, d] = window.map(|w| sh[w + i]);
-                let (cp, dp) = if !started[j] {
-                    if b == S::ZERO {
-                        return Err(SimError::KernelFault(format!(
-                            "zero pivot, system {sys} subsystem {j} head"
-                        )));
-                    }
-                    started[j] = true;
-                    (c / b, d / b)
-                } else {
-                    let denom = b - cp_reg[j] * a;
-                    if denom == S::ZERO {
-                        return Err(SimError::KernelFault(format!(
-                            "zero pivot, system {sys} subsystem {j} row {p}"
-                        )));
-                    }
-                    let inv = S::ONE / denom;
-                    (c * inv, (d - dp_reg[j] * a) * inv)
-                };
-                cp_reg[j] = cp;
-                dp_reg[j] = dp;
-                if pend_cp.is_empty() {
-                    pend_p0 = p;
-                }
-                debug_assert_eq!(p, pend_p0 + pend_cp.len(), "positions stream in order");
-                pend_cp.push(cp);
-                pend_dp.push(dp);
-                folded += 1;
+        if moving {
+            let mut fwd = Forward {
+                cp: vec![S::ZERO; stride],
+                dp: vec![S::ZERO; stride],
+                p0: 0,
+                pend_cp: Vec::with_capacity(st + f),
+                pend_dp: Vec::with_capacity(st + f),
+            };
+            while engine.advance(ctx, self.input, true)? {
+                self.fold_step(
+                    ctx,
+                    &engine,
+                    sys,
+                    &mut window_read,
+                    &mut lanes,
+                    Some(&mut fwd),
+                )?;
+                engine.step();
             }
-            ctx.flops(folded * THOMAS_FWD_FLOPS);
-
-            // ---- aligned global stores of c'/d' ---------------------
-            // Flush pending in st-sized chunks, keeping the tail for
-            // alignment (the register tile).
-            ctx.phase("cprime_store");
-            while pend_cp.len() >= st {
-                lanes.clear();
-                lanes.push(base + pend_p0, 1, st);
-                engine.io.store(ctx, self.c_prime, &lanes, &pend_cp[..st])?;
-                engine.io.store(ctx, self.d_prime, &lanes, &pend_dp[..st])?;
-                pend_cp.drain(..st);
-                pend_dp.drain(..st);
-                pend_p0 += st;
-            }
-            engine.step();
+            debug_assert_eq!(fwd.p0, n / st * st, "every whole sub-tile was flushed");
+            self.cprime_store(ctx, &mut lanes, base + fwd.p0, n - fwd.p0)?;
+            let [c_prime, d_prime] = [self.c_prime, self.d_prime].map(|b| ctx.global_write(b));
+            c_prime?.store(base + fwd.p0, &fwd.pend_cp);
+            d_prime?.store(base + fwd.p0, &fwd.pend_dp);
+        } else {
+            engine.count_steps(
+                ctx,
+                self.input,
+                &mut |ctx, s, key| {
+                    let (lo, hi) = folded(s.t0, st, f, n);
+                    let class = ctx.segment_class(base + lo / st * st);
+                    key.extend([hi - lo, hi / st - lo / st, class].map(|v| v as isize));
+                },
+                &mut |ctx, engine| {
+                    self.fold_step(ctx, engine, sys, &mut window_read, &mut lanes, None)
+                },
+            )?;
+            let p0 = n / st * st;
+            self.cprime_store(ctx, &mut lanes, base + p0, n - p0)?;
         }
+        self.backward(ctx, &mut lanes, base, n)
+    }
 
-        // Flush the register-tile remainder.
+    /// One step's fold: the window read of the reduced rows, their
+    /// recurrence flops, and the aligned `c'`/`d'` stores of every whole
+    /// sub-tile of them pending — counted, and with `fwd` (a per-step
+    /// run) performed.
+    fn fold_step<S: GpuScalar>(
+        &self,
+        ctx: &mut BlockCtx<'_, S>,
+        engine: &WindowEngine<S>,
+        sys: usize,
+        window_read: &mut SharedGroup,
+        lanes: &mut Lanes,
+        fwd: Option<&mut Forward<S>>,
+    ) -> Result<()> {
+        let (st, f) = (engine.st, engine.f);
+        let s = &engine.slots[0];
+        let n = s.emit_hi as usize;
+        let (lo, hi) = folded(s.t0, st, f, n);
+
+        // ---- read this sub-tile's reduced rows from shared ----------
+        ctx.phase("window_read");
+        ctx.sh_account_group(window_read)?;
+        // All lanes must finish reading the window before the next
+        // advance() overwrites it: the fresh region [2f, 2f + st)
+        // overlaps the rows just read whenever st > 2f (c ≥ 2).
+        ctx.sync();
+
+        // ---- fold into the per-thread Thomas forward recurrence ------
+        let Some(fwd) = fwd else {
+            ctx.flops((hi - lo) as u64 * THOMAS_FWD_FLOPS);
+            // Whole sub-tiles [q·st, (q + 1)·st) completed by this step.
+            return self.cprime_store(ctx, lanes, s.base + lo / st * st, (hi / st - lo / st) * st);
+        };
+        // Window row i holds position t0 − f + i.
+        let at = (lo as isize - s.t0 + f as isize) as usize;
+        let rows = ctx.shared_slice();
+        let rows = s.buf.map(|w| &rows[w + at..][..hi - lo]);
+        let pending = fwd.pend_cp.len();
+        fwd.pend_cp.resize(pending + hi - lo, S::ZERO);
+        fwd.pend_dp.resize(pending + hi - lo, S::ZERO);
+        fold_rows(
+            sys,
+            lo,
+            1 << engine.k,
+            rows,
+            [&mut fwd.cp, &mut fwd.dp],
+            [&mut fwd.pend_cp[pending..], &mut fwd.pend_dp[pending..]],
+        )?;
+        ctx.flops((hi - lo) as u64 * THOMAS_FWD_FLOPS);
+
+        // ---- aligned global stores of c'/d' -------------------------
+        // Flush pending in st-sized chunks, keeping the tail for
+        // alignment (the register tile).
+        let whole = fwd.pend_cp.len() / st * st;
+        self.cprime_store(ctx, lanes, s.base + fwd.p0, whole)?;
+        let [c_prime, d_prime] = [self.c_prime, self.d_prime].map(|b| ctx.global_write(b));
+        c_prime?.store(s.base + fwd.p0, &fwd.pend_cp[..whole]);
+        d_prime?.store(s.base + fwd.p0, &fwd.pend_dp[..whole]);
+        fwd.pend_cp.drain(..whole);
+        fwd.pend_dp.drain(..whole);
+        fwd.p0 += whole;
+        Ok(())
+    }
+
+    /// Count the `c'` and `d'` stores of `len` rows from global element
+    /// `start`, in sub-tiles (the last may be partial), each issued in
+    /// runs of at most a block of lanes.
+    fn cprime_store<S: GpuScalar>(
+        &self,
+        ctx: &mut BlockCtx<'_, S>,
+        lanes: &mut Lanes,
+        start: usize,
+        len: usize,
+    ) -> Result<()> {
         ctx.phase("cprime_store");
-        lanes.clear();
-        lanes.push(base + pend_p0, 1, pend_cp.len());
-        engine.io.store(ctx, self.c_prime, &lanes, &pend_cp)?;
-        engine.io.store(ctx, self.d_prime, &lanes, &pend_dp)?;
-
-        // ---- backward substitution per thread -----------------------
-        // Thread j owns rows j, j + 2^k, … (interleaved → coalesced):
-        // row r of every thread j < min(2^k, n − r·2^k) is one run.
-        ctx.phase("backward");
-        let max_rows = n.div_ceil(stride);
-        let mut x_reg = vec![S::ZERO; stride];
-        let (mut cp_vals, mut dp_vals) = (Vec::new(), Vec::new());
-        let mut xv: Vec<S> = Vec::with_capacity(stride);
-        for r in (0..max_rows).rev() {
-            let live = stride.min(n - r * stride);
+        let st = self.sub_tile;
+        let whole: Vec<usize> = (0..len / st).map(|q| q * st).collect();
+        for (at, count, shifts) in [
+            (start, st, &whole[..]),
+            (start + len / st * st, len % st, &[0]),
+        ] {
             lanes.clear();
-            lanes.push(base + r * stride, 1, live);
-            ctx.ld_affine(self.c_prime, lanes.pieces(), &mut cp_vals)?;
-            ctx.ld_affine(self.d_prime, lanes.pieces(), &mut dp_vals)?;
-            xv.clear();
-            for j in 0..live {
-                let rows_j = (n - j).div_ceil(stride);
-                let x = if r + 1 == rows_j {
-                    dp_vals[j]
-                } else {
-                    dp_vals[j] - cp_vals[j] * x_reg[j]
-                };
-                x_reg[j] = x;
-                xv.push(x);
+            lanes.push(at, 1, count);
+            for buf in [self.c_prime, self.d_prime] {
+                ctx.global_account(buf, lanes, shifts, true)?;
             }
-            ctx.flops(live as u64 * THOMAS_BWD_FLOPS);
-            ctx.st_affine(self.x, lanes.pieces(), &xv)?;
         }
         Ok(())
     }
+
+    /// The forward sweep in bulk (unchecked launches): the slot's
+    /// level-`k` rows from [`stream_bulk`] folded into the recurrence
+    /// and their `c'`/`d'` stored straight to global memory. `false`
+    /// when the block must run per step instead — an invalid
+    /// configuration, a buffer too short or read-only, or a zero pivot
+    /// — which then reports the fault.
+    fn forward_bulk<S: GpuScalar>(
+        &self,
+        ctx: &BlockCtx<'_, S>,
+        sys: usize,
+        slot: &StreamSlot,
+    ) -> bool {
+        let (base, n) = (slot.base, slot.emit_hi);
+        if !valid(n, self.k, self.sub_tile, std::slice::from_ref(slot)) {
+            return false;
+        }
+        let (Some(input), Some([c_prime, d_prime])) = (
+            read_views(ctx, self.input, base + n),
+            write_views(ctx, [self.c_prime, self.d_prime], base + n),
+        ) else {
+            return false;
+        };
+        let stride = 1usize << self.k;
+        let (mut cp, mut dp) = (vec![S::ZERO; stride], vec![S::ZERO; stride]);
+        let (mut cps, mut dps) = (Vec::new(), Vec::new());
+        let mut mem = Vec::new();
+        stream_bulk(n, self.k, slot, &input, &mut mem, &mut |p0, rows| {
+            cps.resize(rows[0].len(), S::ZERO);
+            dps.resize(rows[0].len(), S::ZERO);
+            fold_rows(
+                sys,
+                p0,
+                stride,
+                rows,
+                [&mut cp, &mut dp],
+                [&mut cps, &mut dps],
+            )?;
+            c_prime.store(base + p0, &cps);
+            d_prime.store(base + p0, &dps);
+            Ok(())
+        })
+        .is_ok()
+    }
+
+    /// Backward substitution, thread `j` owning rows `j, j + 2^k, …`
+    /// (interleaved → coalesced): row `r` of every thread
+    /// `j < min(2^k, n − r·2^k)` is one run. The loads of `c'`/`d'` and
+    /// the stores of `x` are counted for every row at once, then the
+    /// sweep runs over the views from the last row up.
+    fn backward<S: GpuScalar>(
+        &self,
+        ctx: &mut BlockCtx<'_, S>,
+        lanes: &mut Lanes,
+        base: usize,
+        n: usize,
+    ) -> Result<()> {
+        ctx.phase("backward");
+        let stride = 1usize << self.k;
+        let full = n / stride;
+        let rows: Vec<usize> = (0..full).map(|r| r * stride).collect();
+        for (at, count, shifts) in [
+            (base, stride, &rows[..]),
+            (base + full * stride, n % stride, &[0]),
+        ] {
+            lanes.clear();
+            lanes.push(at, 1, count);
+            for (buf, write) in [(self.c_prime, false), (self.d_prime, false), (self.x, true)] {
+                ctx.global_account(buf, lanes, shifts, write)?;
+            }
+        }
+        ctx.flops(n as u64 * THOMAS_BWD_FLOPS);
+
+        let [c_prime, d_prime] = [self.c_prime, self.d_prime].map(|b| ctx.global_read(b));
+        let (c_prime, d_prime, x) = (c_prime?, d_prime?, ctx.global_write(self.x)?);
+        // Rows r_lo..r_hi at a time: `xs` holds their x, then the x of
+        // row r_hi (the first of the rows above).
+        let block = (CHUNK_ROWS / stride).max(1);
+        let mut xs = vec![S::ZERO; (block + 1) * stride];
+        let (mut cv, mut dv) = (vec![S::ZERO; block * stride], vec![S::ZERO; block * stride]);
+        let mut r_hi = n.div_ceil(stride);
+        while r_hi > 0 {
+            let r_lo = r_hi.saturating_sub(block);
+            let (lo, hi) = (r_lo * stride, (r_hi * stride).min(n));
+            xs.copy_within(0..stride, (r_hi - r_lo) * stride);
+            c_prime.copy_to(base + lo, &mut cv[..hi - lo]);
+            d_prime.copy_to(base + lo, &mut dv[..hi - lo]);
+            for r in (r_lo..r_hi).rev() {
+                let o = (r - r_lo) * stride;
+                let live = stride.min(n - r * stride);
+                // Threads below `split` have a row r + 1; the rest end here.
+                let split = n.saturating_sub((r + 1) * stride).min(live);
+                let (row, above) = xs[o..].split_at_mut(stride);
+                let (cv, dv) = (&cv[o..o + live], &dv[o..o + live]);
+                for i in 0..split {
+                    row[i] = dv[i] - cv[i] * above[i];
+                }
+                row[split..live].copy_from_slice(&dv[split..]);
+            }
+            x.store(base + lo, &xs[..hi - lo]);
+            r_hi = r_lo;
+        }
+        Ok(())
+    }
+}
+
+/// Rows the backward sweep reads and writes per block of rows.
+const CHUNK_ROWS: usize = 512;
+
+/// The positions `lo..hi` a step at sub-tile start `t0` folds: its
+/// level-`k` rows `[t0 − f, t0 + st − f)` within the system's `n`.
+fn folded(t0: isize, st: usize, f: usize, n: usize) -> (usize, usize) {
+    let first = t0 - f as isize;
+    let clip = |p: isize| p.clamp(0, n as isize) as usize;
+    (clip(first), clip(first + st as isize))
 }
 
 #[cfg(test)]

@@ -12,20 +12,24 @@
 //! register file.
 //!
 //! The simulator runs the kernel two ways with identical results and
-//! counters. Checked launches, and the `HybridSubsystems` and
-//! `Contiguous` maps, issue every row's nine accesses (four
-//! coefficient loads and two stores forward, two loads and a store
-//! backward) through the per-access entry points. An unchecked launch
-//! of the `Interleaved` map — the `k = 0` path — runs in bulk: row `r`
-//! of a block's threads is one unit-stride run at `r·M + base` in every
-//! buffer, so each of the nine accesses is counted for all rows at once
-//! with [`BlockCtx::global_account`] (in closed form once per alignment
-//! class of the row base, `(r·M + base) mod 128/elem_bytes`), and the
-//! recurrence runs straight over read views of the inputs — tiles of
-//! `ROW_TILE` rows, which a transposed upload reads column by column
-//! — and the written cells, marking each stored row initialized. Rows
-//! and lanes go in the per-access order, so a zero pivot faults at the
-//! same thread (lowest row, then lowest system) with the same message.
+//! counters. Checked launches, and the `Contiguous` map, issue every
+//! row's nine accesses (four coefficient loads and two stores forward,
+//! two loads and a store backward) through the per-access entry
+//! points. An unchecked launch of the `Interleaved` map — the `k = 0`
+//! path — or of the `HybridSubsystems` map — the split pipeline after
+//! tiled PCR — runs in bulk. A block's row `r` is the same unit-stride
+//! lane runs in every buffer, `r·pitch` elements on from row 0's: one
+//! run at `r·M + base` (`Interleaved`), or one per outer system at
+//! `sys·n + j0 + r·2^k` (`HybridSubsystems`, whose subsystems
+//! `j < n mod 2^k` have one more row, counted apart). So each of the
+//! nine accesses is counted for all rows at once with
+//! [`BlockCtx::global_account`] (in closed form once per alignment
+//! class of the row base), and the recurrence runs straight over read
+//! views of the inputs — tiles of `ROW_TILE` rows per run, which a
+//! transposed upload reads column by column — and the written cells,
+//! marking each stored row initialized. Rows and lanes go in the
+//! per-access order, so a zero pivot faults at the same thread (lowest
+//! row, then lowest thread) with the same message.
 
 use crate::consts::{THOMAS_BWD_FLOPS, THOMAS_FWD_FLOPS};
 use gpu_sim::{BlockCtx, BlockKernel, BufId, GlobalRead, GlobalWrite, Lanes, Result};
@@ -177,14 +181,84 @@ impl<S: GpuScalar> BlockKernel<S> for PThomasKernel {
             return Ok(());
         }
         let threads = base..base + count;
-        if let AddrMap::Interleaved { m, n } = self.map {
-            if !ctx.checked() && n > 0 {
-                if let Some(views) = self.views(ctx, m * n) {
-                    return self.sweep_interleaved(ctx, &views, threads, m, n);
+        if !ctx.checked() {
+            if let Some(rows) = self.map.bulk_rows(threads.clone()) {
+                if let Some(views) = self.views(ctx, rows.len) {
+                    return self.sweep_bulk(ctx, &views, threads, &rows);
                 }
             }
         }
         self.sweep_per_access(ctx, threads)
+    }
+}
+
+/// A block's rows as the bulk sweep takes them: every row `r < full`
+/// is the same lane runs `pitch·r` elements further on, and the
+/// leading `tail` lanes of each run have one more row, `full`.
+struct BulkRows {
+    runs: Vec<Run>,
+    pitch: usize,
+    full: usize,
+    /// Elements every buffer must hold.
+    len: usize,
+}
+
+/// One unit-stride run of a block's lanes in row 0: the block's
+/// threads `t..t + lanes` at elements `elem..elem + lanes`, the first
+/// `tail` of which also have row `full`.
+#[derive(Clone, Copy)]
+struct Run {
+    t: usize,
+    elem: usize,
+    lanes: usize,
+    tail: usize,
+}
+
+impl AddrMap {
+    /// The rows of threads `threads` for the bulk sweep: row `r` of the
+    /// `Interleaved` map is one run at `r·M`, of the `HybridSubsystems`
+    /// map one run per outer system at `sys·n + r·2^k` (its subsystems
+    /// `j < n mod 2^k` have one more row). `None` for the `Contiguous`
+    /// map, whose rows are strided, and for an empty system.
+    fn bulk_rows(&self, threads: Range<usize>) -> Option<BulkRows> {
+        let base = threads.start;
+        match *self {
+            AddrMap::Interleaved { m, n } if n > 0 => Some(BulkRows {
+                runs: vec![Run {
+                    t: 0,
+                    elem: base,
+                    lanes: threads.len(),
+                    tail: 0,
+                }],
+                pitch: m,
+                full: n,
+                len: m * n,
+            }),
+            AddrMap::HybridSubsystems { m, n, k } if n > 0 => {
+                let width = 1usize << k;
+                let rem = n % width;
+                let mut runs = Vec::new();
+                let mut t = base;
+                while t < threads.end {
+                    let (sys, j) = (t >> k, t % width);
+                    let end = threads.end.min((sys + 1) << k);
+                    runs.push(Run {
+                        t: t - base,
+                        elem: sys * n + j,
+                        lanes: end - t,
+                        tail: rem.saturating_sub(j).min(end - t),
+                    });
+                    t = end;
+                }
+                Some(BulkRows {
+                    runs,
+                    pitch: width,
+                    full: n / width,
+                    len: m * n,
+                })
+            }
+            _ => None,
+        }
     }
 }
 
@@ -215,8 +289,7 @@ impl PThomasKernel {
     }
 
     /// Every row of every thread through the per-access entry points:
-    /// checked launches, and the `HybridSubsystems` and `Contiguous`
-    /// maps.
+    /// checked launches, and the `Contiguous` map.
     fn sweep_per_access<S: GpuScalar>(
         &self,
         ctx: &mut BlockCtx<'_, S>,
@@ -305,94 +378,143 @@ impl PThomasKernel {
         Ok(())
     }
 
-    /// One block of the `Interleaved` map in bulk (unchecked launches;
-    /// see the module docs). The forward sweep reads the inputs
-    /// [`ROW_TILE`] rows at a time and stores `c'` and `d'` row by row;
-    /// the backward sweep reads them back row by row and stores `x`.
-    /// Each sweep's accesses are counted after its data moved, so the
-    /// backward loads count against rows the forward sweep stored.
+    /// One block in bulk (unchecked launches of the `Interleaved` and
+    /// `HybridSubsystems` maps; see the module docs). The forward sweep
+    /// reads the inputs [`ROW_TILE`] rows at a time, run by run, and
+    /// stores `c'` and `d'` row by row; the backward sweep reads them
+    /// back row by row and stores `x`. Each sweep's accesses are
+    /// counted after its data moved, so the backward loads count
+    /// against rows the forward sweep stored.
     // Not inlined: `run_block` stays as small as the per-access path,
     // which a smaller binary showed in `peak_rss_mb`.
     #[inline(never)]
-    fn sweep_interleaved<S: GpuScalar>(
+    fn sweep_bulk<S: GpuScalar>(
         &self,
         ctx: &mut BlockCtx<'_, S>,
         views: &Views<'_, S>,
         threads: Range<usize>,
-        m: usize,
-        n: usize,
+        rows: &BulkRows,
     ) -> Result<()> {
         let (base, count) = (threads.start, threads.len());
-        // Rows `r0..r0 + ROW_TILE` of the four inputs, `count` lanes each.
+        let BulkRows {
+            ref runs,
+            pitch,
+            full,
+            ..
+        } = *rows;
+        // Rows `r0..r0 + ROW_TILE` of the four inputs: run `run`'s rows
+        // back to back from `ROW_TILE · run.t`.
         let mut tiles = [(); 4].map(|()| vec![S::ZERO; ROW_TILE * count]);
         // Per-thread recurrence registers, lane `j` for thread `base + j`.
         let mut cp = vec![S::ZERO; count];
         let mut dp = vec![S::ZERO; count];
-        let mut lanes = Lanes::new();
-        lanes.push(base, 1, count);
-        let shifts: Vec<usize> = (0..n).map(|r| r * m).collect();
+        // The runs' lanes in row 0, and in the tail row (at shift 0).
+        let (mut lanes, mut tail) = (Lanes::new(), Lanes::new());
+        for run in runs {
+            lanes.push(run.elem, 1, run.lanes);
+            tail.push(run.elem + full * pitch, 1, run.tail);
+        }
+        let shifts: Vec<usize> = (0..full).map(|r| r * pitch).collect();
+        let rows_total = (full * count + tail.len()) as u64;
 
         // ---- forward reduction (Eqs. 2–3) -------------------------------
         ctx.phase("forward");
-        for r0 in (0..n).step_by(ROW_TILE) {
-            let height = ROW_TILE.min(n - r0);
+        let forward = |r: usize, run: &Run, row: [&[S]; 4], cp: &mut [S], dp: &mut [S]| {
+            let [av, bv, cv, dv] = row;
+            for j in 0..av.len() {
+                let (a, b, c, d) = (av[j], bv[j], cv[j], dv[j]);
+                (cp[j], dp[j]) = if r == 0 {
+                    if b == S::ZERO {
+                        return Err(zero_pivot(base + run.t + j, r));
+                    }
+                    (c / b, d / b)
+                } else {
+                    let denom = b - cp[j] * a;
+                    if denom == S::ZERO {
+                        return Err(zero_pivot(base + run.t + j, r));
+                    }
+                    let inv = S::ONE / denom;
+                    (c * inv, (d - dp[j] * a) * inv)
+                };
+            }
+            let (at, live) = (run.elem + r * pitch, av.len());
+            views.c_prime.store(at, &cp[..live]);
+            views.d_prime.store(at, &dp[..live]);
+            Ok(())
+        };
+        for r0 in (0..full).step_by(ROW_TILE) {
+            let height = ROW_TILE.min(full - r0);
             for (view, tile) in views.inputs.iter().zip(&mut tiles) {
-                view.copy_rows(r0 * m + base, m, count, &mut tile[..height * count]);
+                for run in runs {
+                    let at = &mut tile[ROW_TILE * run.t..][..height * run.lanes];
+                    view.copy_rows(run.elem + r0 * pitch, pitch, run.lanes, at);
+                }
             }
             for (k, r) in (r0..r0 + height).enumerate() {
-                let [av, bv, cv, dv] = tiles.each_ref().map(|t| &t[k * count..][..count]);
-                for j in 0..count {
-                    let (a, b, c, d) = (av[j], bv[j], cv[j], dv[j]);
-                    (cp[j], dp[j]) = if r == 0 {
-                        if b == S::ZERO {
-                            return Err(zero_pivot(base + j, r));
-                        }
-                        (c / b, d / b)
-                    } else {
-                        let denom = b - cp[j] * a;
-                        if denom == S::ZERO {
-                            return Err(zero_pivot(base + j, r));
-                        }
-                        let inv = S::ONE / denom;
-                        (c * inv, (d - dp[j] * a) * inv)
-                    };
+                for run in runs {
+                    let row = tiles
+                        .each_ref()
+                        .map(|t| &t[ROW_TILE * run.t + k * run.lanes..][..run.lanes]);
+                    let lanes = run.t..run.t + run.lanes;
+                    forward(r, run, row, &mut cp[lanes.clone()], &mut dp[lanes])?;
                 }
-                let at = r * m + base;
-                views.c_prime.store(at, &cp);
-                views.d_prime.store(at, &dp);
             }
         }
-        for buf in [self.a, self.b, self.c, self.d] {
-            ctx.global_account(buf, &lanes, &shifts, false)?;
+        for run in runs.iter().filter(|run| run.tail > 0) {
+            for (view, tile) in views.inputs.iter().zip(&mut tiles) {
+                view.copy_to(run.elem + full * pitch, &mut tile[..run.tail]);
+            }
+            let row = tiles.each_ref().map(|t| &t[..run.tail]);
+            let lanes = run.t..run.t + run.tail;
+            forward(full, run, row, &mut cp[lanes.clone()], &mut dp[lanes])?;
         }
-        for buf in [self.c_prime, self.d_prime] {
-            ctx.global_account(buf, &lanes, &shifts, true)?;
+        for (buf, write) in [
+            (self.a, false),
+            (self.b, false),
+            (self.c, false),
+            (self.d, false),
+            (self.c_prime, true),
+            (self.d_prime, true),
+        ] {
+            ctx.global_account(buf, &lanes, &shifts, write)?;
+            ctx.global_account(buf, &tail, &[0], write)?;
         }
-        ctx.flops((n * count) as u64 * THOMAS_FWD_FLOPS);
+        ctx.flops(rows_total * THOMAS_FWD_FLOPS);
 
         // ---- backward substitution (Eq. 4) ------------------------------
         ctx.phase("backward");
         // The x registers reuse a row buffer; `c'` and `d'` rows load into
         // the recurrence registers.
         let (x, cv, dv) = (&mut tiles[0][..count], &mut cp, &mut dp);
-        for r in (0..n).rev() {
-            let at = r * m + base;
-            views.primes[0].copy_to(at, cv);
-            views.primes[1].copy_to(at, dv);
-            for j in 0..count {
-                x[j] = if r + 1 == n {
-                    dv[j]
-                } else {
-                    dv[j] - cv[j] * x[j]
-                };
+        for run in runs.iter().filter(|run| run.tail > 0) {
+            let (at, lanes) = (run.elem + full * pitch, run.t..run.t + run.tail);
+            views.primes[1].copy_to(at, &mut x[lanes.clone()]);
+            views.x.store(at, &x[lanes]);
+        }
+        for r in (0..full).rev() {
+            for run in runs {
+                let (at, lanes) = (run.elem + r * pitch, run.t..run.t + run.lanes);
+                let (x, cv, dv) = (
+                    &mut x[lanes.clone()],
+                    &mut cv[lanes.clone()],
+                    &mut dv[lanes],
+                );
+                views.primes[0].copy_to(at, cv);
+                views.primes[1].copy_to(at, dv);
+                // Lanes below `above` have row r + 1; the rest end here.
+                let above = if r + 1 == full { run.tail } else { run.lanes };
+                for j in 0..above {
+                    x[j] = dv[j] - cv[j] * x[j];
+                }
+                x[above..].copy_from_slice(&dv[above..]);
+                views.x.store(at, x);
             }
-            views.x.store(at, x);
         }
-        for buf in [self.c_prime, self.d_prime] {
-            ctx.global_account(buf, &lanes, &shifts, false)?;
+        for (buf, write) in [(self.c_prime, false), (self.d_prime, false), (self.x, true)] {
+            ctx.global_account(buf, &lanes, &shifts, write)?;
+            ctx.global_account(buf, &tail, &[0], write)?;
         }
-        ctx.global_account(self.x, &lanes, &shifts, true)?;
-        ctx.flops((n * count) as u64 * THOMAS_BWD_FLOPS);
+        ctx.flops(rows_total * THOMAS_BWD_FLOPS);
         Ok(())
     }
 }
@@ -742,13 +864,106 @@ mod tests {
         }
     }
 
+    /// One `HybridSubsystems` launch over `batch` (contiguous, each
+    /// system split into `2^k` subsystems), its inputs borrowed or owned,
+    /// with blocks of [`PTHOMAS_BLOCK`] threads: its counters and
+    /// solution, or its error message.
+    fn launch_hybrid<S: GpuScalar>(
+        batch: &SystemBatch<S>,
+        k: u32,
+        owned: bool,
+        exec: ExecConfig,
+    ) -> std::result::Result<(KernelStats, Vec<S>), String> {
+        let (m, n) = (batch.num_systems(), batch.system_len());
+        let mut mem = GpuMemory::new();
+        let (a, b, c, d) = batch.arrays();
+        let [a, b, c, d] = [a, b, c, d].map(|arr| {
+            if owned {
+                mem.alloc_from(arr.to_vec())
+            } else {
+                mem.borrow(arr)
+            }
+        });
+        let (c_prime, d_prime, x) = (mem.alloc(m * n), mem.alloc(m * n), mem.alloc(m * n));
+        let map = AddrMap::HybridSubsystems { m, n, k };
+        let kernel = PThomasKernel {
+            a,
+            b,
+            c,
+            d,
+            c_prime,
+            d_prime,
+            x,
+            map,
+        };
+        let blocks = map.num_threads().div_ceil(PTHOMAS_BLOCK as usize);
+        let cfg = LaunchConfig::new("p_thomas", blocks, PTHOMAS_BLOCK).with_regs(REGS_PTHOMAS);
+        let res = launch_with(&DeviceSpec::gtx480(), &cfg, &exec, &kernel, &mut mem)
+            .map_err(|e| e.to_string())?;
+        assert!(res.violations.is_empty(), "{:?}", res.violations);
+        Ok((res.stats, mem.read(x).unwrap()))
+    }
+
+    /// Unchecked launches of the `HybridSubsystems` map (bulk) against
+    /// checked ones (per access): blocks within one system (`2^k` >
+    /// the block), spanning several and ending mid-system, `n` a
+    /// multiple of `2^k` or not; then planted zero pivots.
+    fn hybrid_bulk_matches_per_access<S: GpuScalar>() {
+        for (m, n, k) in [
+            (1, 16, 4),
+            (1, 1000, 7),
+            (2, 1000, 9),
+            (3, 100, 2),
+            (2, 37, 3),
+            (5, 64, 4),
+            (4, 130, 5),
+            (7, 33, 5),
+            (3, 300, 6),
+        ] {
+            let batch = random_batch::<S>(m, n, (m * n) as u64 + u64::from(k));
+            for owned in [false, true] {
+                let bulk = launch_hybrid(&batch, k, owned, ExecConfig::default());
+                let checked = launch_hybrid(&batch, k, owned, ExecConfig::sanitized());
+                assert_eq!(bulk, checked, "m {m} n {n} k {k} owned {owned}");
+                let (stats, _) = bulk.unwrap();
+                assert_eq!(stats.phases.len(), 2, "forward and backward");
+            }
+        }
+        // Zero pivots at (thread 7, row 2), (thread 5, row 2), (thread
+        // 2, row 1) and (thread 9, row 9, the tail row of n = 39, k = 2):
+        // the block faults at its lowest row, then its lowest thread.
+        let (m, n, k) = (3, 39, 2);
+        let singular = random_batch::<S>(m, n, 9);
+        let (a, b, c, d) = singular.arrays();
+        let (mut a, mut b) = (a.to_vec(), b.to_vec());
+        for (t, r) in [(7, 2), (5, 2), (2, 1), (9, 9)] {
+            let at = (t >> k) * n + (t & 3) + (r << k);
+            a[at] = S::ZERO;
+            b[at] = S::ZERO;
+        }
+        let batch =
+            SystemBatch::from_raw(a, b, c.to_vec(), d.to_vec(), m, n, Layout::Contiguous).unwrap();
+        for owned in [false, true] {
+            for exec in [ExecConfig::default(), ExecConfig::sanitized()] {
+                let err = launch_hybrid(&batch, k, owned, exec).unwrap_err();
+                assert_eq!(
+                    err,
+                    SimError::KernelFault("zero pivot, system 2 row 1".into()).to_string(),
+                    "owned {owned} {exec:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn bulk_matches_per_access_in_f64() {
         bulk_matches_per_access::<f64>();
+        hybrid_bulk_matches_per_access::<f64>();
     }
 
     #[test]
     fn bulk_matches_per_access_in_f32() {
         bulk_matches_per_access::<f32>();
+        hybrid_bulk_matches_per_access::<f32>();
     }
 }

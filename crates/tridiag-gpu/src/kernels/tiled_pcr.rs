@@ -22,11 +22,19 @@
 //!
 //! The streaming core lives in `super::window::WindowEngine` and is
 //! shared with the fused kernel; it counts each PCR level's shared
-//! accesses in groups and moves the window in place. The emit and the
-//! flush count their shared loads the same way
-//! ([`gpu_sim::BlockCtx::sh_account`]), read the values straight from
-//! the window and the carry, and store them to global memory; the carry
-//! roll is one `copy_within` per array. Because out-of-range neighbours
+//! accesses in groups and moves the window in place. Per step (checked
+//! launches), the emit and the flush count their shared loads the same
+//! way ([`gpu_sim::BlockCtx::sh_account`]) and their global stores with
+//! [`gpu_sim::BlockCtx::global_account`], then copy the values straight
+//! from the window and the carry through a
+//! [`gpu_sim::BlockCtx::global_write`] view; the carry roll is one
+//! `copy_within` per array. In bulk (unchecked launches), each slot's
+//! emit range is reduced by `super::window::stream_bulk` and stored to
+//! the outputs chunk by chunk, and the steps — emit, carry read and
+//! roll included — are counted once per distinct shape (the window
+//! module docs); the flush is counted as it is per step.
+//!
+//! Because out-of-range neighbours
 //! are identity rows at every level (`reduce_row(·, identity, ·) =
 //! identity`), the kernel's output equals the monolithic host reduction
 //! [`tridiag_core::pcr::reduce`] exactly — bit for bit except the sign
@@ -44,7 +52,7 @@
 //!   hiding the paper credits this variant with).
 
 pub use super::window::StreamSlot;
-use super::window::{slot_runs, WindowEngine};
+use super::window::{read_views, slot_runs, stream_bulk, valid, write_views, WindowEngine};
 use crate::buffers::GpuScalar;
 use gpu_sim::{BlockCtx, BlockKernel, BufId, Lanes, Result};
 
@@ -122,98 +130,217 @@ impl<S: GpuScalar> BlockKernel<S> for TiledPcrKernel {
         if slots_cfg.is_empty() {
             return Ok(());
         }
+        // Unchecked: the rows go to the outputs in bulk first, then the
+        // device's steps are counted without moving data.
+        let moving = ctx.checked() || !self.store_bulk(ctx, slots_cfg);
         let mut engine = WindowEngine::new(ctx, self.n, self.k, self.sub_tile, slots_cfg)?;
         let st = engine.st;
         let f = engine.f;
-        let sti = st as isize;
 
         // Output-carry buffers for aligned emission, the four arrays of
         // a slot `carry_shifts` apart.
         ctx.phase("carry_init");
         let carry_len = (st - f).max(1);
-        let carry_shifts = [0, carry_len, 2 * carry_len, 3 * carry_len];
-        let mut carry: Vec<[usize; 4]> = Vec::with_capacity(engine.slots.len());
+        let mut emit = Emit {
+            carry: Vec::with_capacity(engine.slots.len()),
+            carry_shifts: [0, carry_len, 2 * carry_len, 3 * carry_len],
+            sh_lanes: Lanes::new(),
+            g_lanes: Lanes::new(),
+        };
         for _ in 0..engine.slots.len() {
             let base = ctx.shared_alloc(4 * carry_len)?;
-            carry.push(carry_shifts.map(|c| base + c));
+            emit.carry.push(emit.carry_shifts.map(|c| base + c));
         }
 
-        let mut sh_lanes = Lanes::new();
-        let mut g_lanes = Lanes::new();
-
-        while engine.advance(ctx, self.input)? {
-            // ---- emit the *aligned* chunk [t0 − st, t0) -------------
-            // Fresh level-k rows cover [t0 − f, t0 + st − f); the carry
-            // holds [t0 − st, t0 − f) from the previous sub-tile. Lane i
-            // of a slot emits position t0 − st + i from carry[i] when
-            // i < st − f, else from buf[i − (st − f)].
-            ctx.phase("emit");
-            for arr in 0..4 {
-                sh_lanes.clear();
-                g_lanes.clear();
-                for &g in &engine.active {
-                    let s = &engine.slots[g];
-                    let first = s.t0 - sti;
-                    let lo = (s.emit_lo - first).clamp(0, sti) as usize;
-                    let hi = (s.emit_hi - first).clamp(lo as isize, sti) as usize;
-                    let split = (st - f).clamp(lo, hi);
-                    sh_lanes.push(carry[g][arr] + lo, 1, split - lo);
-                    sh_lanes.push(s.buf[arr] + split.saturating_sub(st - f), 1, hi - split);
-                    g_lanes.push(s.base + (first + lo as isize) as usize, 1, hi - lo);
-                }
-                engine
-                    .io
-                    .store_shared(ctx, &sh_lanes, self.output[arr], &g_lanes)?;
+        if moving {
+            while engine.advance(ctx, self.input, true)? {
+                self.emit_step(ctx, &engine, &mut emit, true)?;
+                engine.step();
             }
-            // Read the next chunk's carry head [t0, t0 + st − f) — this
-            // sub-tile's buf[f .. st) — into registers (the roll below
-            // moves it).
-            if st > f {
-                slot_runs(&mut sh_lanes, &engine.active, st - f, |g| {
-                    engine.slots[g].buf[0] + f
-                });
-                ctx.sh_account(&sh_lanes, &engine.arr_shifts, false)?;
-            }
-            // The emit phase *read* the carry words the roll below
-            // *writes*, from differently-mapped lanes; without this
-            // barrier that is a write-after-read race (a stream slot's
-            // emit could observe the next sub-tile's carry).
-            ctx.sync();
-            ctx.phase("carry_roll");
-            if st > f {
-                slot_runs(&mut sh_lanes, &engine.active, st - f, |g| carry[g][0]);
-                ctx.sh_account(&sh_lanes, &carry_shifts, true)?;
-                let sh = ctx.shared_slice_mut();
-                for &g in &engine.active {
-                    for arr in 0..4 {
-                        let from = engine.slots[g].buf[arr] + f;
-                        sh.copy_within(from..from + st - f, carry[g][arr]);
-                    }
-                }
-            }
-            ctx.sync();
-            engine.step();
+        } else {
+            engine.count_steps(
+                ctx,
+                self.input,
+                &mut |ctx, s, key| {
+                    let (first, lo, _, hi) = emit_span(s.t0 - st as isize, s, st, st - f);
+                    let start = s.base + (first + lo as isize) as usize;
+                    key.extend([lo as isize, hi as isize, ctx.segment_class(start) as isize]);
+                },
+                &mut |ctx, engine| self.emit_step(ctx, engine, &mut emit, false),
+            )?;
         }
 
         // ---- final flush: each slot's carry holds [t0 − st, t0 − f),
         // which covers everything not yet stored.
         ctx.phase("flush");
         for arr in 0..4 {
-            sh_lanes.clear();
-            g_lanes.clear();
+            emit.sh_lanes.clear();
+            emit.g_lanes.clear();
             for (g, s) in engine.slots.iter().enumerate() {
-                let last_t = s.t0 - sti;
-                let tail = (st - f) as isize;
-                let lo = (s.emit_lo - last_t).clamp(0, tail) as usize;
-                let hi = (s.emit_hi - last_t).clamp(lo as isize, tail) as usize;
-                sh_lanes.push(carry[g][arr] + lo, 1, hi - lo);
-                g_lanes.push(s.base + (last_t + lo as isize) as usize, 1, hi - lo);
+                let (first, lo, _, hi) = emit_span(s.t0 - st as isize, s, st - f, st - f);
+                emit.sh_lanes.push(emit.carry[g][arr] + lo, 1, hi - lo);
+                emit.g_lanes
+                    .push(s.base + (first + lo as isize) as usize, 1, hi - lo);
             }
-            engine
-                .io
-                .store_shared(ctx, &sh_lanes, self.output[arr], &g_lanes)?;
+            ctx.sh_account(&emit.sh_lanes, &[0], false)?;
+            ctx.global_account(self.output[arr], &emit.g_lanes, &[0], true)?;
+            if moving {
+                let out = ctx.global_write(self.output[arr])?;
+                let sh = ctx.shared_slice();
+                for (g, s) in engine.slots.iter().enumerate() {
+                    let (first, lo, _, hi) = emit_span(s.t0 - st as isize, s, st - f, st - f);
+                    if lo < hi {
+                        let at = emit.carry[g][arr];
+                        out.store(
+                            s.base + (first + lo as isize) as usize,
+                            &sh[at + lo..at + hi],
+                        );
+                    }
+                }
+            }
         }
         Ok(())
+    }
+}
+
+/// The emit's scratch: each slot's carry bases, the distance between
+/// a slot's four carries, and the lanes of one access.
+struct Emit {
+    carry: Vec<[usize; 4]>,
+    carry_shifts: [usize; 4],
+    sh_lanes: Lanes,
+    g_lanes: Lanes,
+}
+
+/// The rows a slot emits from a run of `len` positions starting at
+/// `first` whose first `carried` come from its carry and the rest from
+/// its window: `(first, lo, split, hi)`, the emitted offsets `lo..hi`
+/// (within the emit range), carried below `split`.
+fn emit_span(
+    first: isize,
+    s: &super::window::SlotState,
+    len: usize,
+    carried: usize,
+) -> (isize, usize, usize, usize) {
+    let len = len as isize;
+    let lo = (s.emit_lo - first).clamp(0, len) as usize;
+    let hi = (s.emit_hi - first).clamp(lo as isize, len) as usize;
+    (first, lo, carried.clamp(lo, hi), hi)
+}
+
+impl TiledPcrKernel {
+    /// One step's emit, carry read and carry roll for every active
+    /// slot: counted, and when `moving` performed in shared and global
+    /// memory.
+    fn emit_step<S: GpuScalar>(
+        &self,
+        ctx: &mut BlockCtx<'_, S>,
+        engine: &WindowEngine<S>,
+        emit: &mut Emit,
+        moving: bool,
+    ) -> Result<()> {
+        let (st, f) = (engine.st, engine.f);
+        // ---- emit the *aligned* chunk [t0 − st, t0) -----------------
+        // Fresh level-k rows cover [t0 − f, t0 + st − f); the carry
+        // holds [t0 − st, t0 − f) from the previous sub-tile. Lane i of
+        // a slot emits position t0 − st + i from carry[i] when
+        // i < st − f, else from buf[i − (st − f)].
+        ctx.phase("emit");
+        let span = |s: &super::window::SlotState| emit_span(s.t0 - st as isize, s, st, st - f);
+        for arr in 0..4 {
+            emit.sh_lanes.clear();
+            emit.g_lanes.clear();
+            for &g in &engine.active {
+                let s = &engine.slots[g];
+                let (first, lo, split, hi) = span(s);
+                emit.sh_lanes.push(emit.carry[g][arr] + lo, 1, split - lo);
+                emit.sh_lanes
+                    .push(s.buf[arr] + split.saturating_sub(st - f), 1, hi - split);
+                emit.g_lanes
+                    .push(s.base + (first + lo as isize) as usize, 1, hi - lo);
+            }
+            ctx.sh_account(&emit.sh_lanes, &[0], false)?;
+            ctx.global_account(self.output[arr], &emit.g_lanes, &[0], true)?;
+            if moving {
+                let out = ctx.global_write(self.output[arr])?;
+                let sh = ctx.shared_slice();
+                for &g in &engine.active {
+                    let s = &engine.slots[g];
+                    let (first, lo, split, hi) = span(s);
+                    let start = s.base + (first + lo as isize) as usize;
+                    if lo < split {
+                        let carried = emit.carry[g][arr];
+                        out.store(start, &sh[carried + lo..carried + split]);
+                    }
+                    if split < hi {
+                        let fresh = s.buf[arr] + split - (st - f);
+                        out.store(start + split - lo, &sh[fresh..fresh + hi - split]);
+                    }
+                }
+            }
+        }
+        // Read the next chunk's carry head [t0, t0 + st − f) — this
+        // sub-tile's buf[f .. st) — into registers (the roll below
+        // moves it).
+        if st > f {
+            slot_runs(&mut emit.sh_lanes, &engine.active, st - f, |g| {
+                engine.slots[g].buf[0] + f
+            });
+            ctx.sh_account(&emit.sh_lanes, &engine.arr_shifts, false)?;
+        }
+        // The emit phase *read* the carry words the roll below *writes*,
+        // from differently-mapped lanes; without this barrier that is a
+        // write-after-read race (a stream slot's emit could observe the
+        // next sub-tile's carry).
+        ctx.sync();
+        ctx.phase("carry_roll");
+        if st > f {
+            slot_runs(&mut emit.sh_lanes, &engine.active, st - f, |g| {
+                emit.carry[g][0]
+            });
+            ctx.sh_account(&emit.sh_lanes, &emit.carry_shifts, true)?;
+            if moving {
+                let sh = ctx.shared_slice_mut();
+                for &g in &engine.active {
+                    for arr in 0..4 {
+                        let from = engine.slots[g].buf[arr] + f;
+                        sh.copy_within(from..from + st - f, emit.carry[g][arr]);
+                    }
+                }
+            }
+        }
+        ctx.sync();
+        Ok(())
+    }
+
+    /// The data path in bulk (unchecked launches): every slot's emit
+    /// range reduced by [`stream_bulk`] and stored straight to the
+    /// outputs. `false` when the block must run per step instead — an
+    /// invalid configuration, a buffer too short or read-only, or a
+    /// zero pivot — which then reports the fault.
+    fn store_bulk<S: GpuScalar>(&self, ctx: &BlockCtx<'_, S>, slots: &[StreamSlot]) -> bool {
+        if !valid(self.n, self.k, self.sub_tile, slots) {
+            return false;
+        }
+        let f = (1usize << self.k) - 1;
+        let in_len = slots.iter().map(|s| s.base + (s.emit_hi + f).min(self.n));
+        let out_len = slots.iter().map(|s| s.base + s.emit_hi);
+        let (Some(input), Some(output)) = (
+            read_views(ctx, self.input, in_len.max().unwrap_or(0)),
+            write_views(ctx, self.output, out_len.max().unwrap_or(0)),
+        ) else {
+            return false;
+        };
+        let mut mem = Vec::new();
+        slots.iter().all(|s| {
+            stream_bulk(self.n, self.k, s, &input, &mut mem, &mut |p, rows| {
+                for (out, row) in output.iter().zip(rows) {
+                    out.store(s.base + p, row);
+                }
+                Ok(())
+            })
+            .is_ok()
+        })
     }
 }
 

@@ -45,6 +45,14 @@ out="$(cargo run --release -q -p tridiag-cli -- solve --m 4 --n 512 --sanitize)"
 grep -q "sanitizer   : clean" <<<"$out"
 out="$(cargo run --release -q -p tridiag-cli -- solve --m 1 --n 16384 --precision f32 --sanitize)"
 grep -q "sanitizer   : clean" <<<"$out"
+# The window engine's per-step path (the reference its bulk path is
+# tested against): the f32 fused launch at k = 7, and f64 k = 7
+# block-group tiled PCR (BG(10), unequal edge and interior blocks)
+# feeding the split p-Thomas.
+out="$(cargo run --release -q -p tridiag-cli -- solve --m 16 --n 1024 --precision f32 --sanitize)"
+grep -q "sanitizer   : clean" <<<"$out"
+out="$(cargo run --release -q -p tridiag-cli -- solve --m 3 --n 12000 --sanitize)"
+grep -q "sanitizer   : clean" <<<"$out"
 # A contiguous-host k = 0 solve: p-Thomas reads the caller's arrays
 # through transposed views (the converted upload), in f64 and f32.
 out="$(cargo run --release -q -p tridiag-cli -- solve --m 2048 --n 64 --sanitize)"
