@@ -33,7 +33,11 @@
 //! performs; checked launches hand each of them to the sanitizer. A
 //! loop whose steps repeat a few shapes counts each shape once, with
 //! [`BlockCtx::count_repeated`], and [`BlockCtx::segment_class`] is the
-//! alignment class that tells two global runs' counts apart.
+//! alignment class that tells two global runs' counts apart. Across the
+//! blocks of one launch, [`BlockCtx::count_once`] is the same idea: a
+//! count that many blocks repeat is made once per distinct key the
+//! kernel gives it, recorded in a memo that lives as long as the
+//! launch, and applied to every other block with that key.
 //!
 //! Blocks are independent, as CUDA requires: CUDA guarantees nothing
 //! about cross-block ordering within a launch, and no kernel in this
@@ -62,9 +66,11 @@ use crate::par::{for_each_ordered, Permits};
 use crate::sanitizer::{MemSpace, Sanitizer, SanitizerViolation};
 use crate::spec::DeviceSpec;
 use std::cell::Cell;
+use std::collections::HashMap;
 use std::fmt::Debug;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::atomic::{AtomicU32, AtomicU64};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Element types storable in simulated GPU memory.
@@ -641,6 +647,8 @@ pub struct BlockCtx<'a, S: Elem> {
     /// Threads in this block.
     pub threads: usize,
     mem: &'a GpuMemory<'a, S>,
+    /// The launch's [`Self::count_once`] records.
+    memo: &'a CountMemo,
     shared: Vec<S>,
     warp_size: usize,
     transaction_bytes: usize,
@@ -681,6 +689,38 @@ impl SharedGroup {
             write,
             count: None,
         }
+    }
+}
+
+/// What one count made by [`BlockCtx::count_once`] added to its block:
+/// the summable counter deltas with the peaks the count itself reached,
+/// the phases it counted into (in order of first appearance, each with
+/// its own deltas and peaks), and the phase current when it returned.
+#[derive(Debug, Clone, PartialEq)]
+struct CountRecord {
+    total: BlockStats,
+    phases: Vec<PhaseStats>,
+    end_phase: &'static str,
+}
+
+/// One launch's [`BlockCtx::count_once`] records by key: made by
+/// [`launch_with`], shared by the launch's threads, dropped when it
+/// returns. A poisoned lock is taken as it is: every update is one
+/// insert of a whole record, so the map is valid whatever panicked.
+#[derive(Default)]
+struct CountMemo(Mutex<HashMap<Vec<usize>, Arc<CountRecord>>>);
+
+impl CountMemo {
+    fn get(&self, key: &[usize]) -> Option<Arc<CountRecord>> {
+        let map = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        map.get(key).cloned()
+    }
+
+    /// Keep `record` for `key` unless another thread, which missed the
+    /// same key at the same time, kept its own (equal) record first.
+    fn insert(&self, key: &[usize], record: Arc<CountRecord>) {
+        let mut map = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        map.entry(key.to_vec()).or_insert(record);
     }
 }
 
@@ -1158,6 +1198,97 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
         Ok(())
     }
 
+    /// Run `count` — a kernel's counting of a stretch of work that
+    /// other blocks of the launch repeat, with no data movement — at
+    /// most once per distinct `key` in an unchecked launch. The first
+    /// block to reach a key runs `count` and the launch records what it
+    /// counted: the deltas to the block total and to each phase, the
+    /// peaks it reached (`shared_bytes_peak`, which sets the launch's
+    /// occupancy, and `bank_conflict_degree_peak`), and the phases in
+    /// their order of first appearance. Every later block with that key
+    /// applies the record instead of running `count`, which leaves the
+    /// block's counters and phases as running it would. Two threads
+    /// that miss the same key at once both run `count` and record equal
+    /// counts. A checked launch runs `count` on every call, so the
+    /// sanitizer sees every access.
+    ///
+    /// The memo belongs to the launch: [`launch_with`] makes it, and it
+    /// is dropped when the launch returns, so no record outlives a
+    /// launch's spec, buffers and kernel. The key is the kernel's: it
+    /// must hold everything `count` reads that is not a launch constant
+    /// — the block's own geometry, such as its row count and the
+    /// alignment class ([`Self::segment_class`]) of its global base —
+    /// and `count` must start in a phase the key determines. Shared
+    /// memory `count` allocates in an unchecked launch is released when
+    /// it returns (its peak stays counted), so allocate what the block
+    /// uses afterwards before the call. A debug build recounts on every
+    /// hit and panics unless the recount equals the record, which
+    /// catches an incomplete key.
+    pub fn count_once(
+        &mut self,
+        key: &[usize],
+        count: &mut dyn FnMut(&mut Self) -> Result<()>,
+    ) -> Result<()> {
+        if self.checked() {
+            return count(self);
+        }
+        let memo = self.memo;
+        let record = match memo.get(key) {
+            Some(record) => {
+                #[cfg(debug_assertions)]
+                {
+                    let recount = self.count_alone(count)?;
+                    assert_eq!(recount, *record, "count_once key {key:?} is incomplete");
+                }
+                record
+            }
+            None => {
+                let record = Arc::new(self.count_alone(count)?);
+                memo.insert(key, Arc::clone(&record));
+                record
+            }
+        };
+        self.apply_count(&record);
+        Ok(())
+    }
+
+    /// Run `count` against empty counters and phases, starting in the
+    /// current phase, and return its record; the block's own counters,
+    /// phase and shared memory are as they were before the call.
+    fn count_alone(
+        &mut self,
+        count: &mut dyn FnMut(&mut Self) -> Result<()>,
+    ) -> Result<CountRecord> {
+        let stats = std::mem::take(&mut self.stats);
+        let phases = std::mem::take(&mut self.phase_stats);
+        let (phase, shared) = (self.cur_phase, self.shared.len());
+        self.cur_phase_idx = None;
+        let counted = count(self);
+        let record = CountRecord {
+            total: std::mem::replace(&mut self.stats, stats),
+            phases: std::mem::replace(&mut self.phase_stats, phases),
+            end_phase: self.cur_phase,
+        };
+        self.shared.truncate(shared);
+        self.phase(phase);
+        counted.map(|()| record)
+    }
+
+    /// Add a [`CountRecord`] to the block: its deltas summed into the
+    /// counters and its peaks maxed in, phase by phase (a phase the
+    /// block has not counted into yet is appended), then its last phase
+    /// made current.
+    fn apply_count(&mut self, record: &CountRecord) {
+        self.stats.merge(&record.total);
+        for p in &record.phases {
+            match self.phase_stats.iter_mut().find(|q| q.label == p.label) {
+                Some(q) => q.stats.merge(&p.stats),
+                None => self.phase_stats.push(p.clone()),
+            }
+        }
+        self.phase(record.end_phase);
+    }
+
     /// A read view of `buf`, the data path of loads counted with
     /// [`Self::global_account`]. It reads memory directly: a checked
     /// launch's sanitizer sees the loads only as they are counted.
@@ -1522,6 +1653,7 @@ fn run_block<S: Elem, K: BlockKernel<S>>(
     exec: &ExecConfig,
     kernel: &K,
     mem: &GpuMemory<'_, S>,
+    memo: &CountMemo,
     block_id: usize,
 ) -> Result<BlockOut> {
     let mut ctx = BlockCtx {
@@ -1529,6 +1661,7 @@ fn run_block<S: Elem, K: BlockKernel<S>>(
         grid_blocks: cfg.grid_blocks,
         threads: cfg.threads_per_block as usize,
         mem,
+        memo,
         shared: Vec::new(),
         warp_size: spec.warp_size as usize,
         transaction_bytes: spec.transaction_bytes,
@@ -1622,7 +1755,8 @@ pub fn launch_with<S: Elem, K: BlockKernel<S>>(
     };
 
     let mem: &GpuMemory<'_, S> = mem;
-    let run = |block_id| run_block(spec, cfg, exec, kernel, mem, block_id);
+    let memo = CountMemo::default();
+    let run = |block_id| run_block(spec, cfg, exec, kernel, mem, &memo, block_id);
     let started = Instant::now();
     merge(run(0)?);
     let rest = 1..cfg.grid_blocks;
@@ -2927,5 +3061,129 @@ mod count_repeated_tests {
                 assert_eq!(labels, want);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod count_once_tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    /// A prelude, then a count keyed by `block_id % keys` — through
+    /// [`BlockCtx::count_once`] or run in place — then a tail in an
+    /// earlier phase. The count's shared allocation, bank conflicts and
+    /// global alignment all depend on the key, and it opens two phases
+    /// of its own; `runs` tallies how often it ran.
+    struct Keyed {
+        buf: BufId,
+        keys: usize,
+        once: bool,
+        runs: AtomicUsize,
+    }
+
+    impl BlockKernel<f64> for Keyed {
+        fn run_block(&self, ctx: &mut BlockCtx<'_, f64>) -> Result<()> {
+            ctx.shared_alloc(64)?;
+            ctx.phase("a");
+            ctx.sync();
+            let key = ctx.block_id % self.keys;
+            let mut count = |ctx: &mut BlockCtx<'_, f64>| {
+                self.runs.fetch_add(1, Relaxed);
+                ctx.phase("b");
+                ctx.shared_alloc(64 + 32 * key)?;
+                let mut lanes = Lanes::new();
+                lanes.push(0, 1 + key as i64, 32);
+                ctx.sh_account(&lanes, &[0], false)?;
+                lanes.clear();
+                lanes.push(3 + key, 1, 40);
+                ctx.global_account(self.buf, &lanes, &[0, 17], false)?;
+                ctx.phase("c");
+                ctx.flops(7 * key as u64);
+                ctx.sync();
+                Ok(())
+            };
+            if self.once {
+                ctx.count_once(&[key], &mut count)?;
+            } else {
+                count(ctx)?;
+                // In place, the count's shared memory stays allocated;
+                // a count made once releases it. Nothing reads it.
+            }
+            ctx.phase("a");
+            ctx.flops(1);
+            Ok(())
+        }
+    }
+
+    /// A launch of `Keyed` over `blocks` blocks, and how often its count
+    /// ran.
+    fn run(
+        spec: &DeviceSpec,
+        exec: ExecConfig,
+        blocks: usize,
+        keys: usize,
+        once: bool,
+    ) -> (LaunchResult, usize) {
+        let mut mem = GpuMemory::new();
+        let buf = mem.alloc_from(vec![1.0; 200]);
+        let kernel = Keyed {
+            buf,
+            keys,
+            once,
+            runs: AtomicUsize::new(0),
+        };
+        let cfg = LaunchConfig::new("keyed", blocks, 64);
+        let res = launch_with(spec, &cfg, &exec, &kernel, &mut mem).unwrap();
+        (res, kernel.runs.into_inner())
+    }
+
+    /// Hits give the `KernelStats` a recount gives — totals, peaks,
+    /// phases in order, per-block vectors — and the same occupancy; an
+    /// unchecked release launch runs the count once per key (a debug
+    /// build recounts on every hit to check it).
+    #[test]
+    fn a_hit_equals_a_recount() {
+        let spec = DeviceSpec::gtx480();
+        for (blocks, keys) in [(1, 1), (7, 3), (12, 12)] {
+            let (once, runs) = run(&spec, ExecConfig::default(), blocks, keys, true);
+            let (inline, _) = run(&spec, ExecConfig::default(), blocks, keys, false);
+            assert_eq!(once.stats, inline.stats, "{blocks} blocks, {keys} keys");
+            assert_eq!(once.occupancy, inline.occupancy);
+            assert_eq!(once.shared_bytes_per_block, inline.shared_bytes_per_block);
+            let labels: Vec<_> = once.stats.phases.iter().map(|p| p.label).collect();
+            assert_eq!(labels, [PRELUDE_PHASE, "a", "b", "c"]);
+            let want = if cfg!(debug_assertions) { blocks } else { keys };
+            assert_eq!(runs, want, "{blocks} blocks, {keys} keys");
+        }
+    }
+
+    /// The memo does not outlive its launch: a later launch with the
+    /// same keys on a device with another transaction size counts
+    /// afresh, and gets that device's counters.
+    #[test]
+    fn a_later_launch_recounts() {
+        let wide = DeviceSpec::gtx480();
+        let narrow = DeviceSpec {
+            transaction_bytes: 32,
+            ..DeviceSpec::gtx480()
+        };
+        let (first, _) = run(&wide, ExecConfig::default(), 6, 2, true);
+        let (later, runs) = run(&narrow, ExecConfig::default(), 6, 2, true);
+        let (inline, _) = run(&narrow, ExecConfig::default(), 6, 2, false);
+        assert_eq!(later.stats, inline.stats);
+        assert_ne!(later.stats.total, first.stats.total);
+        assert!(runs >= 2);
+    }
+
+    /// A checked launch runs the count on every call and reports what
+    /// running it in place reports.
+    #[test]
+    fn a_checked_launch_never_hits() {
+        let spec = DeviceSpec::gtx480();
+        let (once, runs) = run(&spec, ExecConfig::sanitized(), 8, 2, true);
+        let (inline, _) = run(&spec, ExecConfig::sanitized(), 8, 2, false);
+        assert_eq!(runs, 8);
+        assert_eq!(once.stats, inline.stats);
+        assert_eq!(once.violations, inline.violations);
     }
 }

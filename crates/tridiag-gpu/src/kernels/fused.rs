@@ -27,8 +27,19 @@
 //! with [`gpu_sim::BlockCtx::global_account`] — whole sub-tiles, then
 //! the tail — and write them through
 //! [`gpu_sim::BlockCtx::global_write`] views, and both share the
-//! backward sweep: its loads and stores counted for every row at once,
-//! then the recurrence run over views, a row of threads at a time.
+//! backward sweep in two halves: its loads and stores counted for every
+//! row at once, and the recurrence run over views, a row of threads at
+//! a time.
+//!
+//! In bulk, a block runs its data — the forward sweep, then the
+//! backward sweep's data half — and then its whole count (engine
+//! set-up, the steps, the `c'` tail and the backward counts) as one
+//! [`gpu_sim::BlockCtx::count_once`] keyed on `(n, class)`: the
+//! system's row count and the alignment class
+//! ([`gpu_sim::BlockCtx::segment_class`]) of its base, the only things
+//! the count reads that are not launch constants. On 128-byte
+//! transaction segments a uniform launch has at most 16 distinct
+//! blocks in f64 and 32 in f32, however many systems it solves.
 //!
 //! The kernel covers the Fig. 11(a) mapping (one whole system per
 //! block); the solver falls back to the split pipeline for the other
@@ -199,11 +210,37 @@ impl FusedKernel {
         base: usize,
         n: usize,
     ) -> Result<()> {
-        let slots = [StreamSlot::whole(base, n)];
-        // Unchecked: c' and d' are computed and stored in bulk first,
-        // then the device's steps are counted without moving data.
-        let moving = ctx.checked() || !self.forward_bulk(ctx, sys, &slots[0]);
-        let mut engine = WindowEngine::new(ctx, n, self.k, self.sub_tile, &slots)?;
+        let slot = StreamSlot::whole(base, n);
+        // Unchecked: c', d' and x are computed and stored in bulk first,
+        // then the device's counters are counted without moving data,
+        // once per launch for each distinct key. The key holds what the
+        // count reads that is not a launch constant (`k`, sub-tile,
+        // threads, buffers and spec): the system's `n` and its base's
+        // alignment class.
+        if !ctx.checked() && self.forward_bulk(ctx, sys, &slot) {
+            self.backward_data(ctx, base, n)?;
+            let key = [n, ctx.segment_class(base)];
+            return ctx.count_once(&key, &mut |ctx| self.steps(ctx, sys, &slot, false));
+        }
+        self.steps(ctx, sys, &slot, true)?;
+        self.backward_data(ctx, base, n)
+    }
+
+    /// The block's window steps, its `c'`/`d'` stores and the backward
+    /// sweep's counts: counted, and when `moving` the forward sweep
+    /// performed step by step.
+    // Not inlined: one copy per scalar type serves both paths.
+    #[inline(never)]
+    fn steps<S: GpuScalar>(
+        &self,
+        ctx: &mut BlockCtx<'_, S>,
+        sys: usize,
+        slot: &StreamSlot,
+        moving: bool,
+    ) -> Result<()> {
+        let (base, n) = (slot.base, slot.emit_hi);
+        let mut engine =
+            WindowEngine::new(ctx, n, self.k, self.sub_tile, std::slice::from_ref(slot))?;
         let (st, f) = (engine.st, engine.f);
         let stride = 1usize << self.k;
 
@@ -254,7 +291,7 @@ impl FusedKernel {
             let p0 = n / st * st;
             self.cprime_store(ctx, &mut lanes, base + p0, n - p0)?;
         }
-        self.backward(ctx, &mut lanes, base, n)
+        self.backward_count(ctx, &mut lanes, base, n)
     }
 
     /// One step's fold: the window read of the reduced rows, their
@@ -350,8 +387,9 @@ impl FusedKernel {
     /// level-`k` rows from [`stream_bulk`] folded into the recurrence
     /// and their `c'`/`d'` stored straight to global memory. `false`
     /// when the block must run per step instead — an invalid
-    /// configuration, a buffer too short or read-only, or a zero pivot
-    /// — which then reports the fault.
+    /// configuration, a buffer too short or read-only (`x` included,
+    /// which the backward sweep writes), or a zero pivot — which then
+    /// reports the fault.
     fn forward_bulk<S: GpuScalar>(
         &self,
         ctx: &BlockCtx<'_, S>,
@@ -362,9 +400,9 @@ impl FusedKernel {
         if !valid(n, self.k, self.sub_tile, std::slice::from_ref(slot)) {
             return false;
         }
-        let (Some(input), Some([c_prime, d_prime])) = (
+        let (Some(input), Some([c_prime, d_prime, _])) = (
             read_views(ctx, self.input, base + n),
-            write_views(ctx, [self.c_prime, self.d_prime], base + n),
+            write_views(ctx, [self.c_prime, self.d_prime, self.x], base + n),
         ) else {
             return false;
         };
@@ -390,12 +428,11 @@ impl FusedKernel {
         .is_ok()
     }
 
-    /// Backward substitution, thread `j` owning rows `j, j + 2^k, …`
-    /// (interleaved → coalesced): row `r` of every thread
+    /// The backward substitution's counts, thread `j` owning rows `j,
+    /// j + 2^k, …` (interleaved → coalesced): row `r` of every thread
     /// `j < min(2^k, n − r·2^k)` is one run. The loads of `c'`/`d'` and
-    /// the stores of `x` are counted for every row at once, then the
-    /// sweep runs over the views from the last row up.
-    fn backward<S: GpuScalar>(
+    /// the stores of `x` are counted for every row at once.
+    fn backward_count<S: GpuScalar>(
         &self,
         ctx: &mut BlockCtx<'_, S>,
         lanes: &mut Lanes,
@@ -417,7 +454,18 @@ impl FusedKernel {
             }
         }
         ctx.flops(n as u64 * THOMAS_BWD_FLOPS);
+        Ok(())
+    }
 
+    /// The backward substitution's data: the sweep over views of `c'`,
+    /// `d'` and `x`, from the last row of threads up.
+    fn backward_data<S: GpuScalar>(
+        &self,
+        ctx: &BlockCtx<'_, S>,
+        base: usize,
+        n: usize,
+    ) -> Result<()> {
+        let stride = 1usize << self.k;
         let [c_prime, d_prime] = [self.c_prime, self.d_prime].map(|b| ctx.global_read(b));
         let (c_prime, d_prime, x) = (c_prime?, d_prime?, ctx.global_write(self.x)?);
         // Rows r_lo..r_hi at a time: `xs` holds their x, then the x of

@@ -32,7 +32,12 @@
 //! emit range is reduced by `super::window::stream_bulk` and stored to
 //! the outputs chunk by chunk, and the steps — emit, carry read and
 //! roll included — are counted once per distinct shape (the window
-//! module docs); the flush is counted as it is per step.
+//! module docs); the flush is counted as it is per step. That whole
+//! count, set-up included, is one [`gpu_sim::BlockCtx::count_once`]
+//! keyed on each slot's base alignment class and emit range, so a
+//! launch counts each distinct block once: the blocks of a
+//! block-group launch repeat from system to system, and those of a
+//! block-per-system launch whenever their bases share a class.
 //!
 //! Because out-of-range neighbours
 //! are identity rows at every level (`reduce_row(·, identity, ·) =
@@ -131,8 +136,34 @@ impl<S: GpuScalar> BlockKernel<S> for TiledPcrKernel {
             return Ok(());
         }
         // Unchecked: the rows go to the outputs in bulk first, then the
-        // device's steps are counted without moving data.
-        let moving = ctx.checked() || !self.store_bulk(ctx, slots_cfg);
+        // device's steps are counted without moving data, once per
+        // launch for each distinct key. The key holds what the count
+        // reads that is not a launch constant (`n`, `k`, sub-tile,
+        // threads, buffers and spec): each slot's base alignment class
+        // and emit range, in slot order.
+        if !ctx.checked() && self.store_bulk(ctx, slots_cfg) {
+            let key: Vec<usize> = slots_cfg
+                .iter()
+                .flat_map(|s| [ctx.segment_class(s.base), s.emit_lo, s.emit_hi])
+                .collect();
+            return ctx.count_once(&key, &mut |ctx| self.steps(ctx, slots_cfg, false));
+        }
+        self.steps(ctx, slots_cfg, true)
+    }
+}
+
+impl TiledPcrKernel {
+    /// One block's streams over `slots_cfg`: every step's emit, carry
+    /// read and roll and the final flush, counted, and when `moving`
+    /// performed step by step.
+    // Not inlined: one copy per scalar type serves both paths.
+    #[inline(never)]
+    fn steps<S: GpuScalar>(
+        &self,
+        ctx: &mut BlockCtx<'_, S>,
+        slots_cfg: &[StreamSlot],
+        moving: bool,
+    ) -> Result<()> {
         let mut engine = WindowEngine::new(ctx, self.n, self.k, self.sub_tile, slots_cfg)?;
         let st = engine.st;
         let f = engine.f;

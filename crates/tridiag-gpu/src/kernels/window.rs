@@ -55,6 +55,19 @@
 //! succeeded; a zero pivot, a buffer too short or read-only, or an
 //! invalid configuration sends the block down the per-step path, which
 //! reports the fault exactly.
+//!
+//! **Once per distinct block.** Every block of a launch that took the
+//! bulk path wraps its whole count — the engine's set-up,
+//! [`WindowEngine::count_steps`] and the kernel's own counts around it
+//! — in one [`BlockCtx::count_once`], so the launch counts each
+//! distinct block once and applies that count to the blocks that
+//! repeat it. The key rule: a key holds everything the count reads
+//! that is not a launch constant (`k`, sub-tile, threads, buffers,
+//! spec). A block's counts depend on its slots' emit ranges, its row
+//! count and the alignment classes of its global bases, never on the
+//! bases themselves, so the fused kernels key on `(n, class)` and
+//! tiled PCR on each slot's class and emit range. Blocks that fall
+//! back to the per-step path never consult the memo.
 
 use crate::buffers::GpuScalar;
 use crate::consts::PCR_FLOPS_PER_ROW;
@@ -1000,6 +1013,70 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Many-block launches whose blocks repeat their count's key
+    /// ([`BlockCtx::count_once`]): uniform fused batches whose bases
+    /// cycle through every alignment class (`n` odd), alternate between
+    /// a few (`n ≡ 8 mod 16`) or share one (`n` a multiple of 32);
+    /// ragged fused batches that repeat some `n` and not others; tiled
+    /// PCR over block groups whose interior blocks repeat from system
+    /// to system, and over several systems per block. Two `k` and two
+    /// sub-tiles run the same keys in different launches. Unchecked
+    /// (each distinct block counted once) and sanitized (every block
+    /// counted) launches must agree in their whole `KernelStats` and
+    /// every output.
+    fn window_count_memo_matches_per_step<S: Bits>() {
+        let lens = [40usize, 97, 40, 136, 33, 97, 160, 40, 97, 1];
+        let mut offsets = vec![0];
+        for n in lens.iter().cycle().take(3 * lens.len()) {
+            offsets.push(offsets.last().unwrap() + n);
+        }
+        for k in [2u32, 4] {
+            let threads = 1u32 << k;
+            for c in [1, 2] {
+                for n in [97usize, 136, 160] {
+                    let mut shapes = vec![
+                        (Launch::Fused(17), 17 * n),
+                        (Launch::Fused(64), 64 * n),
+                        (
+                            Launch::Tiled(
+                                TiledPcrKernel::assign_block_group_per_system(6, n, 4),
+                                threads,
+                            ),
+                            6 * n,
+                        ),
+                        (
+                            Launch::Tiled(
+                                TiledPcrKernel::assign_multi_system_per_block(12, n, 3),
+                                3 * threads,
+                            ),
+                            12 * n,
+                        ),
+                    ];
+                    if n == 160 {
+                        let len = *offsets.last().unwrap();
+                        shapes.push((Launch::Ragged(offsets.clone()), len));
+                    }
+                    for (launch, len) in shapes {
+                        let arrays = coefficients::<S>(len, (len + n) as u64);
+                        agree(&arrays, n, k, c, &launch).unwrap();
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "slow simulation; run with --release")]
+    fn window_count_memo_matches_per_step_in_f64() {
+        window_count_memo_matches_per_step::<f64>();
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "slow simulation; run with --release")]
+    fn window_count_memo_matches_per_step_in_f32() {
+        window_count_memo_matches_per_step::<f32>();
     }
 
     #[test]

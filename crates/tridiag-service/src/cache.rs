@@ -16,13 +16,17 @@
 //! Ragged keys seldom repeat: a ragged batch keys on every member's
 //! row count, which mixed traffic rarely reproduces, so the
 //! repository benchmark's `service_stream` hits on only about 28 % of
-//! lookups (≈ 42 misses per 96-request session). A miss is cheap
-//! enough that no per-decision template cache is kept: on three
-//! service-shaped ragged batches (3–5 fused block-per-system members of
-//! n ∈ {64, …, 512}, f32 and f64, GTX480 model, release build, one
-//! thread) [`ShardedPlan::build_ragged`] took ≈ 2.3 µs and
-//! [`certify`] ≈ 2.1 µs per miss, so a session's misses cost
-//! ≈ 0.19 ms of its ≈ 13.4 ms host time, about 1.4 %.
+//! lookups (≈ 42 misses per 96-request session). No per-decision
+//! template cache is kept, though lookups are no longer a small share
+//! of the session: on three service-shaped ragged batches (3–5 fused
+//! block-per-system members of n ∈ {64, …, 512}, f32 and f64, GTX480
+//! model, release build, one thread) [`ShardedPlan::build_ragged`]
+//! took ≈ 2.3 µs and [`certify`] ≈ 2.1 µs per miss, and timers around
+//! every lookup of one-thread `service_stream` sessions (release build,
+//! one vCPU of a 2-vCPU VM) read 7.6–8.1 µs per lookup, hits included,
+//! over ≈ 66 lookups per session: ≈ 0.5 ms of a 6.7–7.2 ms session,
+//! about 7 % (it was 8.2–9.1 µs of an 8.9–9.9 ms session, about 6 %,
+//! before a launch counted each distinct block once).
 
 use std::sync::Arc;
 

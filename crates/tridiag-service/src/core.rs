@@ -50,6 +50,7 @@
 //! oldest arrival instead of when the device frees cut the modeled mean
 //! latency from 37.2 to 28.2 µs and the tail from 61.2 to 46.6 µs.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use gpu_sim::group::copy_us;
@@ -500,14 +501,18 @@ impl ServiceCore {
 
         let mut responses = Vec::with_capacity(requests.len());
         let mut summaries = Vec::new();
+        // Requests not yet arrived, in arrival order; each moves out
+        // when it arrives.
+        let mut pending = VecDeque::from(requests);
         let mut queue: Vec<SolveRequest> = Vec::new();
         let mut device_free = 0.0f64;
-        let mut next = 0usize;
-        while next < requests.len() || !queue.is_empty() {
+        loop {
             if queue.is_empty() {
-                // Idle: jump to the next arrival.
-                let req = requests[next].clone();
-                next += 1;
+                // Idle: jump to the next arrival, or stop when none is
+                // left.
+                let Some(req) = pending.pop_front() else {
+                    break;
+                };
                 if let Err(e) = validate(&req) {
                     self.telemetry.on_reject(req.id, req.arrival_us, &e);
                     responses.push(reject(&req, e));
@@ -517,9 +522,7 @@ impl ServiceCore {
             }
             let (open, close) = self.cfg.tick_window(queue[0].arrival_us, device_free);
             // Admit (or bounce) everything arriving by the close.
-            while next < requests.len() && requests[next].arrival_us <= close {
-                let req = requests[next].clone();
-                next += 1;
+            while let Some(req) = pending.pop_front_if(|r| r.arrival_us <= close) {
                 if let Err(e) = validate(&req) {
                     self.telemetry.on_reject(req.id, req.arrival_us, &e);
                     responses.push(reject(&req, e));

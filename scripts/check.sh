@@ -24,6 +24,9 @@ cargo clippy "${FIRST_PARTY[@]}" --all-targets -- -D warnings
 echo "== every workspace test, once (lib units; sanitizer/counter-finding/verifier negative suites; golden counters, plan snapshots, layout, differential and service pins; properties; CLI) =="
 cargo test --release -q --workspace
 
+echo "== window count memo suite (release; #[ignore] in debug builds): unchecked many-block launches against sanitized ones =="
+cargo test --release -q -p tridiag-gpu --lib window_count_memo
+
 echo "== repository benchmark unit tests (benchmark/, host-clock instrument) =="
 cargo test --release -q --manifest-path benchmark/Cargo.toml
 
@@ -44,6 +47,11 @@ grep -q "sanitizer   : clean" <<<"$out"
 out="$(cargo run --release -q -p tridiag-cli -- solve --m 4 --n 512 --sanitize)"
 grep -q "sanitizer   : clean" <<<"$out"
 out="$(cargo run --release -q -p tridiag-cli -- solve --m 1 --n 16384 --precision f32 --sanitize)"
+grep -q "sanitizer   : clean" <<<"$out"
+# The checked twin of the launch whose blocks share counts the most: f32
+# (256, 523), one fused block per system, its bases in 32 alignment
+# classes.
+out="$(cargo run --release -q -p tridiag-cli -- solve --m 256 --n 523 --precision f32 --sanitize)"
 grep -q "sanitizer   : clean" <<<"$out"
 # The window engine's per-step path (the reference its bulk path is
 # tested against): the f32 fused launch at k = 7, and f64 k = 7
