@@ -70,7 +70,7 @@ use std::collections::HashMap;
 use std::fmt::Debug;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::atomic::{AtomicU32, AtomicU64};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Element types storable in simulated GPU memory.
@@ -134,7 +134,7 @@ pub struct BufId(usize);
 #[derive(Debug)]
 enum Storage<'h, S: Elem> {
     /// Device cells, written by uploads, kernel stores and the host.
-    Owned(Vec<S::Cell>),
+    Owned(Cells<S>),
     /// The caller's host array, used in place ("a `const` device
     /// pointer"), as is or transposed: loads read it, stores are a
     /// typed error.
@@ -144,8 +144,82 @@ enum Storage<'h, S: Elem> {
 impl<S: Elem> Storage<'_, S> {
     fn len(&self) -> usize {
         match self {
-            Storage::Owned(cells) => cells.len(),
+            Storage::Owned(cells) => cells.len,
             Storage::Borrowed(host) => host.data.len(),
+        }
+    }
+}
+
+/// The cells of an owned buffer of `len` elements, materialized —
+/// zero-filled — on the first store, so a buffer no store reaches never
+/// touches host memory. Until then every element reads as zero. The
+/// [`OnceLock`] lets the blocks of a launch, on several host threads,
+/// race to the first store through a shared reference: one fills the
+/// cells, the others wait for it.
+#[derive(Debug)]
+struct Cells<S: Elem> {
+    len: usize,
+    cells: OnceLock<Vec<S::Cell>>,
+}
+
+impl<S: Elem> Cells<S> {
+    /// `len` elements, not materialized.
+    fn lazy(len: usize) -> Self {
+        Self {
+            len,
+            cells: OnceLock::new(),
+        }
+    }
+
+    /// Cells already materialized.
+    fn from_cells(cells: Vec<S::Cell>) -> Self {
+        Self {
+            len: cells.len(),
+            cells: OnceLock::from(cells),
+        }
+    }
+
+    /// The cells, or `None` while nothing has been stored.
+    #[inline]
+    fn get(&self) -> Option<&[S::Cell]> {
+        self.cells.get().map(Vec::as_slice)
+    }
+
+    /// The cells, zero-filled first if nothing has been stored yet.
+    fn materialized(&self) -> &[S::Cell] {
+        self.cells
+            .get_or_init(|| (0..self.len).map(|_| S::default().into_cell()).collect())
+    }
+
+    /// Element `i` (in bounds).
+    #[inline]
+    fn load(&self, i: usize) -> S {
+        self.get().map_or(S::default(), |cells| S::load(&cells[i]))
+    }
+
+    /// Every element, moved out.
+    fn into_vec(self) -> Vec<S> {
+        match self.cells.into_inner() {
+            Some(cells) => cells.into_iter().map(|c| S::load(&c)).collect(),
+            None => vec![S::default(); self.len],
+        }
+    }
+
+    /// Every element, copied.
+    fn to_vec(&self) -> Vec<S> {
+        match self.get() {
+            Some(cells) => cells.iter().map(S::load).collect(),
+            None => vec![S::default(); self.len],
+        }
+    }
+}
+
+impl<S: Elem> Clone for Cells<S> {
+    /// A copy, materialized only if `self` is.
+    fn clone(&self) -> Self {
+        match self.get() {
+            Some(cells) => Self::from_cells(cells.iter().map(|c| S::load(c).into_cell()).collect()),
+            None => Self::lazy(self.len),
         }
     }
 }
@@ -236,6 +310,13 @@ impl<S: Copy> HostArray<'_, S> {
 /// upload. The sanitizer's initcheck reads it; maintenance is cheap
 /// enough to run unconditionally, so the shadow stays accurate even
 /// when only some launches are sanitized.
+///
+/// An owned buffer is allocated lazily ([`Self::alloc`]): its bytes
+/// count as resident at once, but host memory is touched only by its
+/// first store. A kernel's launch-private scratch
+/// ([`BlockKernel::scratch`]) goes back to that state when the launch
+/// returns, so scratch a launch never stores to never costs host
+/// memory at all.
 #[derive(Debug, Default)]
 pub struct GpuMemory<'h, S: Elem> {
     buffers: Vec<Storage<'h, S>>,
@@ -251,9 +332,7 @@ impl<S: Elem> Clone for GpuMemory<'_, S> {
                 .buffers
                 .iter()
                 .map(|b| match b {
-                    Storage::Owned(cells) => {
-                        Storage::Owned(cells.iter().map(|c| S::load(c).into_cell()).collect())
-                    }
+                    Storage::Owned(cells) => Storage::Owned(cells.clone()),
                     Storage::Borrowed(host) => Storage::Borrowed(*host),
                 })
                 .collect(),
@@ -285,17 +364,21 @@ impl<'h, S: Elem> GpuMemory<'h, S> {
 
     /// Allocate a buffer of `len` elements. Functionally zero-filled
     /// (deterministic), but *uninitialized* to the sanitizer — like
-    /// `cudaMalloc`, whose contents are undefined.
+    /// `cudaMalloc`, whose contents are undefined. Its bytes are
+    /// resident at once, but it touches no host memory until its first
+    /// store (`st`, `st_affine`, [`GlobalWrite::store`] or
+    /// [`Self::write`]) fills it with zeros; until then loads,
+    /// [`Self::read`], [`Self::take`] and `clone` see zeros without
+    /// filling it, and a clone stays unfilled.
     pub fn alloc(&mut self, len: usize) -> BufId {
-        let cells = (0..len).map(|_| S::default().into_cell()).collect();
-        self.push(Storage::Owned(cells), InitMask::uninit(len))
+        self.push(Storage::Owned(Cells::lazy(len)), InitMask::uninit(len))
     }
 
     /// Upload host data ("cudaMemcpy host→device"); fully initialized.
     /// The vector's allocation becomes the buffer's storage.
     pub fn alloc_from(&mut self, data: Vec<S>) -> BufId {
         let cells = data.into_iter().map(S::into_cell).collect();
-        self.push(Storage::Owned(cells), InitMask::Full)
+        self.push(Storage::Owned(Cells::from_cells(cells)), InitMask::Full)
     }
 
     /// Upload a host array without copying it: the buffer reads `data`
@@ -341,7 +424,7 @@ impl<'h, S: Elem> GpuMemory<'h, S> {
             .buffers
             .get_mut(id.0)
             .ok_or(SimError::BadBuffer { buffer: id.0 })?;
-        let storage = std::mem::replace(buf, Storage::Owned(Vec::new()));
+        let storage = std::mem::replace(buf, Storage::Owned(Cells::lazy(0)));
         self.resident_bytes = self.resident_bytes.saturating_sub(storage.len() * S::BYTES);
         self.init[id.0] = InitMask::uninit(0);
         Ok(storage)
@@ -361,9 +444,20 @@ impl<'h, S: Elem> GpuMemory<'h, S> {
     /// copy of its host array in device order.
     pub fn take(&mut self, id: BufId) -> Result<Vec<S>> {
         Ok(match self.release(id)? {
-            Storage::Owned(cells) => cells.into_iter().map(|c| S::load(&c)).collect(),
+            Storage::Owned(cells) => cells.into_vec(),
             Storage::Borrowed(host) => host.device_order(),
         })
+    }
+
+    /// Return the owned buffer `id` to the state [`Self::alloc`] leaves
+    /// it in — unfilled and uninitialized — keeping its bytes resident:
+    /// the end of a launch's private scratch.
+    fn discard(&mut self, id: BufId) {
+        if let Some(Storage::Owned(cells)) = self.buffers.get_mut(id.0) {
+            let len = cells.len;
+            *cells = Cells::lazy(len);
+            self.init[id.0] = InitMask::uninit(len);
+        }
     }
 
     /// Bytes currently allocated across live (un-freed) buffers.
@@ -391,7 +485,7 @@ impl<'h, S: Elem> GpuMemory<'h, S> {
 
     /// The cells of an owned buffer, to store into; a typed error for a
     /// borrowed one.
-    fn writable(&self, id: BufId) -> Result<&[S::Cell]> {
+    fn writable(&self, id: BufId) -> Result<&Cells<S>> {
         match self.storage(id)? {
             Storage::Owned(cells) => Ok(cells),
             Storage::Borrowed(_) => Err(SimError::ReadOnlyBuffer { buffer: id.0 }),
@@ -401,7 +495,7 @@ impl<'h, S: Elem> GpuMemory<'h, S> {
     /// Read back a buffer ("cudaMemcpy device→host").
     pub fn read(&self, id: BufId) -> Result<Vec<S>> {
         Ok(match self.storage(id)? {
-            Storage::Owned(cells) => cells.iter().map(S::load).collect(),
+            Storage::Owned(cells) => cells.to_vec(),
             Storage::Borrowed(host) => host.device_order(),
         })
     }
@@ -421,14 +515,18 @@ impl<'h, S: Elem> GpuMemory<'h, S> {
     /// [`SimError::ReadOnlyBuffer`].
     pub fn write(&mut self, id: BufId, data: &[S]) -> Result<()> {
         let buf = self.writable(id)?;
-        if buf.len() != data.len() {
+        if buf.len != data.len() {
             return Err(SimError::LaneMismatch {
-                indices: buf.len(),
+                indices: buf.len,
                 values: data.len(),
             });
         }
-        for (c, &v) in buf.iter().zip(data) {
-            S::store(c, v);
+        match buf.get() {
+            Some(cells) => cells.iter().zip(data).for_each(|(c, &v)| S::store(c, v)),
+            None => {
+                let cells = data.iter().map(|&v| v.into_cell()).collect();
+                self.buffers[id.0] = Storage::Owned(Cells::from_cells(cells));
+            }
         }
         self.init[id.0] = InitMask::Full;
         Ok(())
@@ -438,7 +536,13 @@ impl<'h, S: Elem> GpuMemory<'h, S> {
     /// lane of `pieces` (all in bounds).
     fn gather(&self, buf: BufId, pieces: &[AffinePiece], out: &mut Vec<S>) {
         match &self.buffers[buf.0] {
-            Storage::Owned(cells) => gather(cells, pieces, out, S::load),
+            Storage::Owned(cells) => match cells.get() {
+                Some(cells) => gather(cells, pieces, out, S::load),
+                None => {
+                    out.clear();
+                    out.resize(pieces.iter().map(|p| p.lanes).sum(), S::default());
+                }
+            },
             Storage::Borrowed(host) if host.rows == 1 => gather(host.data, pieces, out, |&v| v),
             Storage::Borrowed(host) => {
                 out.clear();
@@ -459,7 +563,7 @@ impl<'h, S: Elem> GpuMemory<'h, S> {
     /// `buf` at every lane of `pieces`, in lane order, marking each
     /// written element initialized.
     fn scatter(&self, buf: BufId, pieces: &[AffinePiece], vals: &[S]) -> Result<()> {
-        scatter(self.writable(buf)?, pieces, vals, S::store);
+        scatter(self.writable(buf)?.materialized(), pieces, vals, S::store);
         let mask = &self.init[buf.0];
         for p in pieces {
             let b = p.base as usize;
@@ -476,13 +580,15 @@ impl<'h, S: Elem> GpuMemory<'h, S> {
 /// A read view of one global buffer ([`BlockCtx::global_read`]): the
 /// data path of loads a kernel counts with [`BlockCtx::global_account`].
 /// It reads owned cells, a borrowed host array and a transposed one
-/// alike, in device order.
+/// alike, in device order; an owned buffer no store has filled yet
+/// reads as zeros, and one filled after the view was taken reads as
+/// stored.
 #[derive(Debug)]
 pub struct GlobalRead<'a, S: Elem>(ReadSource<'a, S>);
 
 #[derive(Debug)]
 enum ReadSource<'a, S: Elem> {
-    Cells(&'a [S::Cell]),
+    Cells(&'a Cells<S>),
     Host(HostArray<'a, S>),
 }
 
@@ -506,7 +612,7 @@ impl<S: Elem> GlobalRead<'_, S> {
     /// Elements in the buffer.
     pub fn len(&self) -> usize {
         match self.0 {
-            ReadSource::Cells(cells) => cells.len(),
+            ReadSource::Cells(cells) => cells.len,
             ReadSource::Host(host) => host.data.len(),
         }
     }
@@ -520,12 +626,18 @@ impl<S: Elem> GlobalRead<'_, S> {
     /// bounds.
     pub fn copy_to(&self, start: usize, out: &mut [S]) {
         match self.0 {
-            ReadSource::Cells(cells) => {
-                let cells = &cells[start..start + out.len()];
-                for (o, c) in out.iter_mut().zip(cells) {
-                    *o = S::load(c);
+            ReadSource::Cells(cells) => match cells.get() {
+                Some(cells) => {
+                    let cells = &cells[start..start + out.len()];
+                    for (o, c) in out.iter_mut().zip(cells) {
+                        *o = S::load(c);
+                    }
                 }
-            }
+                None => {
+                    assert!(start + out.len() <= cells.len, "read past the buffer");
+                    out.fill(S::default());
+                }
+            },
             ReadSource::Host(host) => host.copy_to(start, out),
         }
     }
@@ -552,28 +664,30 @@ impl<S: Elem> GlobalRead<'_, S> {
 /// A write view of one owned global buffer ([`BlockCtx::global_write`]):
 /// the data path of stores a kernel counts with
 /// [`BlockCtx::global_account`]. Every store marks its elements
-/// initialized, as [`BlockCtx::st`] does.
+/// initialized, as [`BlockCtx::st`] does. Taking the view fills
+/// nothing; the first store fills the buffer ([`GpuMemory::alloc`]).
 #[derive(Debug, Clone, Copy)]
 pub struct GlobalWrite<'a, S: Elem> {
-    cells: &'a [S::Cell],
+    cells: &'a Cells<S>,
     init: &'a InitMask,
 }
 
 impl<S: Elem> GlobalWrite<'_, S> {
     /// Elements in the buffer.
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.cells.len
     }
 
     /// `true` for an empty (or freed) buffer.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.cells.len == 0
     }
 
     /// Store `vals` at elements `start..start + vals.len()` and mark
     /// them initialized; panics out of bounds.
     pub fn store(&self, start: usize, vals: &[S]) {
-        for (c, &v) in self.cells[start..start + vals.len()].iter().zip(vals) {
+        let cells = self.cells.materialized();
+        for (c, &v) in cells[start..start + vals.len()].iter().zip(vals) {
             S::store(c, v);
         }
         self.init.set_range(start, start + vals.len());
@@ -636,6 +750,24 @@ impl LaunchConfig {
 pub trait BlockKernel<S: Elem>: Sync {
     /// Execute one block. All global/shared accesses go through `ctx`.
     fn run_block(&self, ctx: &mut BlockCtx<'_, S>) -> Result<()>;
+
+    /// The launch-private scratch buffers: global buffers the kernel
+    /// writes and reads back within the launch and that nothing reads
+    /// after it — what CUDA would keep in local memory. Their traffic
+    /// is counted like any other access, but their contents end with
+    /// the launch: after an `Ok` launch, checked or not,
+    /// [`launch_with`] returns each one to the unfilled, uninitialized
+    /// state of a fresh [`GpuMemory::alloc`] (its bytes stay resident),
+    /// so a later checked load of it is an initcheck finding. A bulk
+    /// data path may therefore keep a scratch buffer's values in
+    /// block-local host memory and never store them
+    /// ([`BlockCtx::is_scratch`]). Every one must be an owned buffer
+    /// that no other binding of the kernel names; a borrowed one fails
+    /// the launch with [`SimError::ReadOnlyBuffer`] before any block
+    /// runs. None by default.
+    fn scratch(&self) -> Vec<BufId> {
+        Vec::new()
+    }
 }
 
 /// Per-block execution context handed to [`BlockKernel::run_block`].
@@ -647,8 +779,8 @@ pub struct BlockCtx<'a, S: Elem> {
     /// Threads in this block.
     pub threads: usize,
     mem: &'a GpuMemory<'a, S>,
-    /// The launch's [`Self::count_once`] records.
-    memo: &'a CountMemo,
+    /// What the launch's blocks share.
+    launch: &'a LaunchShared,
     shared: Vec<S>,
     warp_size: usize,
     transaction_bytes: usize,
@@ -703,10 +835,19 @@ struct CountRecord {
     end_phase: &'static str,
 }
 
-/// One launch's [`BlockCtx::count_once`] records by key: made by
+/// What the blocks of one launch share besides memory: made by
 /// [`launch_with`], shared by the launch's threads, dropped when it
-/// returns. A poisoned lock is taken as it is: every update is one
-/// insert of a whole record, so the map is valid whatever panicked.
+/// returns.
+struct LaunchShared {
+    /// The kernel's [`BlockKernel::scratch`] buffers.
+    scratch: Vec<BufId>,
+    /// The [`BlockCtx::count_once`] records.
+    memo: CountMemo,
+}
+
+/// One launch's [`BlockCtx::count_once`] records by key. A poisoned
+/// lock is taken as it is: every update is one insert of a whole
+/// record, so the map is valid whatever panicked.
 #[derive(Default)]
 struct CountMemo(Mutex<HashMap<Vec<usize>, Arc<CountRecord>>>);
 
@@ -863,6 +1004,15 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
         self.san.is_some()
     }
 
+    /// Does the launch hold `buf` as launch-private scratch
+    /// ([`BlockKernel::scratch`])? Its contents end with the launch, so
+    /// a bulk data path may keep them in block-local memory and skip
+    /// the stores — counting them all the same. A kernel wrapped in one
+    /// that declares no scratch gets `false` and stores as before.
+    pub fn is_scratch(&self, buf: BufId) -> bool {
+        self.launch.scratch.contains(&buf)
+    }
+
     /// Run a slice-form access on `pieces` expanded to their indices.
     fn with_expanded<R>(
         &mut self,
@@ -887,7 +1037,7 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
         self.initcheck(buf, idx);
         out.clear();
         match self.mem.storage(buf)? {
-            Storage::Owned(cells) => out.extend(idx.iter().map(|&i| S::load(&cells[i]))),
+            Storage::Owned(cells) => out.extend(idx.iter().map(|&i| cells.load(i))),
             Storage::Borrowed(host) => out.extend(idx.iter().map(|&i| host.get(i))),
         }
         Ok(())
@@ -905,7 +1055,7 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
             });
         }
         self.account_global(buf, idx, false)?;
-        let data = self.mem.writable(buf)?;
+        let data = self.mem.writable(buf)?.materialized();
         let mask = &self.mem.init[buf.0];
         for (&i, &v) in idx.iter().zip(vals) {
             S::store(&data[i], v);
@@ -1232,7 +1382,7 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
         if self.checked() {
             return count(self);
         }
-        let memo = self.memo;
+        let memo = &self.launch.memo;
         let record = match memo.get(key) {
             Some(record) => {
                 #[cfg(debug_assertions)]
@@ -1302,7 +1452,8 @@ impl<'a, S: Elem> BlockCtx<'a, S> {
 
     /// A write view of the owned buffer `buf`, the data path of stores
     /// counted with [`Self::global_account`]; a
-    /// [`SimError::ReadOnlyBuffer`] for a borrowed one.
+    /// [`SimError::ReadOnlyBuffer`] for a borrowed one. The view fills
+    /// nothing until a store goes through it.
     pub fn global_write(&self, buf: BufId) -> Result<GlobalWrite<'a, S>> {
         let mem: &'a GpuMemory<'a, S> = self.mem;
         Ok(GlobalWrite {
@@ -1653,7 +1804,7 @@ fn run_block<S: Elem, K: BlockKernel<S>>(
     exec: &ExecConfig,
     kernel: &K,
     mem: &GpuMemory<'_, S>,
-    memo: &CountMemo,
+    launch: &LaunchShared,
     block_id: usize,
 ) -> Result<BlockOut> {
     let mut ctx = BlockCtx {
@@ -1661,7 +1812,7 @@ fn run_block<S: Elem, K: BlockKernel<S>>(
         grid_blocks: cfg.grid_blocks,
         threads: cfg.threads_per_block as usize,
         mem,
-        memo,
+        launch,
         shared: Vec::new(),
         warp_size: spec.warp_size as usize,
         transaction_bytes: spec.transaction_bytes,
@@ -1714,8 +1865,9 @@ const FAN_OUT_MIN_NS: u128 = 1_000_000;
 /// one after another; a failing launch returns the error of its lowest
 /// failing block. Checked launches always run their blocks in order on
 /// the calling thread, so sanitizer reports come out the same on every
-/// run. Memory contents after a failed launch are
-/// unspecified.
+/// run. After an `Ok` launch the kernel's [`BlockKernel::scratch`]
+/// buffers are discarded, in both modes alike. Memory contents after a
+/// failed launch are unspecified.
 pub fn launch_with<S: Elem, K: BlockKernel<S>>(
     spec: &DeviceSpec,
     cfg: &LaunchConfig,
@@ -1754,9 +1906,15 @@ pub fn launch_with<S: Elem, K: BlockKernel<S>>(
         stats.total.merge(&b);
     };
 
-    let mem: &GpuMemory<'_, S> = mem;
-    let memo = CountMemo::default();
-    let run = |block_id| run_block(spec, cfg, exec, kernel, mem, &memo, block_id);
+    let launch = LaunchShared {
+        scratch: kernel.scratch(),
+        memo: CountMemo::default(),
+    };
+    for &buf in &launch.scratch {
+        mem.writable(buf)?;
+    }
+    let shared: &GpuMemory<'_, S> = mem;
+    let run = |block_id| run_block(spec, cfg, exec, kernel, shared, &launch, block_id);
     let started = Instant::now();
     merge(run(0)?);
     let rest = 1..cfg.grid_blocks;
@@ -1767,6 +1925,9 @@ pub fn launch_with<S: Elem, K: BlockKernel<S>>(
     let wanted = (estimated_ns / FAN_OUT_MIN_NS).min(rest.len().saturating_sub(1) as u128);
     let helpers = Permits::take(if exec.sanitize { 0 } else { wanted as usize });
     for_each_ordered(rest, helpers.count(), run, &mut merge)?;
+    for &buf in &launch.scratch {
+        mem.discard(buf);
+    }
 
     let occ = occupancy(
         spec,
@@ -3185,5 +3346,230 @@ mod count_once_tests {
         assert_eq!(runs, 8);
         assert_eq!(once.stats, inline.stats);
         assert_eq!(once.violations, inline.violations);
+    }
+}
+
+#[cfg(test)]
+mod scratch_tests {
+    use super::*;
+
+    impl<S: Elem> GpuMemory<'_, S> {
+        /// Has a store filled the owned buffer `id`?
+        fn is_filled(&self, id: BufId) -> bool {
+            matches!(&self.buffers[id.0], Storage::Owned(cells) if cells.get().is_some())
+        }
+    }
+
+    /// `tmp = 2·input`, then `output = tmp + 1` read back from `tmp`,
+    /// over one block-sized chunk per block. Checked launches go access
+    /// by access; unchecked ones count the same four accesses with
+    /// `global_account`, keep `tmp` block-local and store it only when
+    /// the launch does not hold it as scratch.
+    struct Staged {
+        input: BufId,
+        tmp: BufId,
+        output: BufId,
+        n: usize,
+    }
+
+    impl BlockKernel<f64> for Staged {
+        fn scratch(&self) -> Vec<BufId> {
+            vec![self.tmp]
+        }
+
+        fn run_block(&self, ctx: &mut BlockCtx<'_, f64>) -> Result<()> {
+            let base = ctx.block_id * ctx.threads;
+            let len = ctx.threads.min(self.n - base);
+            let mut lanes = Lanes::new();
+            lanes.push(base, 1, len);
+            if ctx.checked() {
+                let (mut v, mut t) = (Vec::new(), Vec::new());
+                ctx.ld_affine(self.input, lanes.pieces(), &mut v)?;
+                let doubled: Vec<f64> = v.iter().map(|x| 2.0 * x).collect();
+                ctx.st_affine(self.tmp, lanes.pieces(), &doubled)?;
+                ctx.ld_affine(self.tmp, lanes.pieces(), &mut t)?;
+                let out: Vec<f64> = t.iter().map(|x| x + 1.0).collect();
+                return ctx.st_affine(self.output, lanes.pieces(), &out);
+            }
+            let mut tmp = vec![0.0; len];
+            ctx.global_read(self.input)?.copy_to(base, &mut tmp);
+            tmp.iter_mut().for_each(|x| *x *= 2.0);
+            if !ctx.is_scratch(self.tmp) {
+                ctx.global_write(self.tmp)?.store(base, &tmp);
+            }
+            let out: Vec<f64> = tmp.iter().map(|x| x + 1.0).collect();
+            ctx.global_write(self.output)?.store(base, &out);
+            for (buf, write) in [
+                (self.input, false),
+                (self.tmp, true),
+                (self.tmp, false),
+                (self.output, true),
+            ] {
+                ctx.global_account(buf, &lanes, &[0], write)?;
+            }
+            Ok(())
+        }
+    }
+
+    /// A kernel run through a wrapper that declares no scratch.
+    struct Wrapper<K>(K);
+
+    impl<K: BlockKernel<f64>> BlockKernel<f64> for Wrapper<K> {
+        fn run_block(&self, ctx: &mut BlockCtx<'_, f64>) -> Result<()> {
+            self.0.run_block(ctx)
+        }
+    }
+
+    /// Loads the `n` elements of `input` over one block-sized chunk per
+    /// block.
+    struct Load {
+        input: BufId,
+        n: usize,
+    }
+
+    impl BlockKernel<f64> for Load {
+        fn run_block(&self, ctx: &mut BlockCtx<'_, f64>) -> Result<()> {
+            let base = ctx.block_id * ctx.threads;
+            let idx: Vec<usize> = (base..self.n.min(base + ctx.threads)).collect();
+            ctx.ld(self.input, &idx, &mut Vec::new())
+        }
+    }
+
+    const N: usize = 300;
+
+    fn cfg() -> LaunchConfig {
+        LaunchConfig::new("staged", N.div_ceil(128), 128)
+    }
+
+    fn host() -> Vec<f64> {
+        (0..N).map(|i| i as f64 * 0.25).collect()
+    }
+
+    /// A memory holding `host()` as input, then `tmp` and `output`.
+    fn memory(host: &[f64]) -> (GpuMemory<'_, f64>, Staged) {
+        let mut mem = GpuMemory::new();
+        let input = mem.borrow(host);
+        let (tmp, output) = (mem.alloc(N), mem.alloc(N));
+        let kernel = Staged {
+            input,
+            tmp,
+            output,
+            n: N,
+        };
+        (mem, kernel)
+    }
+
+    #[test]
+    fn a_fresh_alloc_reads_as_zeros_and_is_resident() {
+        let mut mem = GpuMemory::<f64>::new();
+        let a = mem.alloc(100);
+        assert_eq!(
+            (mem.resident_bytes(), mem.peak_resident_bytes()),
+            (800, 800)
+        );
+        assert!(!mem.is_filled(a));
+        assert_eq!(mem.read(a).unwrap(), vec![0.0; 100]);
+        assert!(!mem.is_word_init(a, 0) && !mem.is_word_init(a, 99));
+        let copy = mem.clone();
+        assert!(!copy.is_filled(a), "a clone stays unfilled");
+        assert_eq!(copy.read(a).unwrap(), vec![0.0; 100]);
+        // A launch that only loads it fills nothing either.
+        let res = launch(
+            &DeviceSpec::gtx480(),
+            &LaunchConfig::new("load", 1, 100),
+            &Load { input: a, n: 100 },
+            &mut mem,
+        );
+        res.unwrap();
+        assert!(!mem.is_filled(a));
+        assert_eq!(mem.take(a).unwrap(), vec![0.0; 100]);
+        assert_eq!((mem.resident_bytes(), mem.peak_resident_bytes()), (0, 800));
+    }
+
+    #[test]
+    fn the_first_store_fills_a_buffer() {
+        let host = host();
+        for exec in [ExecConfig::default(), ExecConfig::sanitized()] {
+            let (mut mem, kernel) = memory(&host);
+            let k = Wrapper(kernel);
+            launch_with(&DeviceSpec::gtx480(), &cfg(), &exec, &k, &mut mem).unwrap();
+            assert!(
+                mem.is_filled(k.0.tmp) && mem.is_filled(k.0.output),
+                "{exec:?}"
+            );
+            let doubled: Vec<f64> = host.iter().map(|x| 2.0 * x).collect();
+            assert_eq!(mem.read(k.0.tmp).unwrap(), doubled);
+            assert!(mem.clone().is_filled(k.0.tmp));
+        }
+        // A host write fills an unfilled buffer and initializes it.
+        let mut mem = GpuMemory::<f64>::new();
+        let a = mem.alloc(3);
+        mem.write(a, &[1.0, 2.0, 3.0]).unwrap();
+        assert!(mem.is_filled(a) && mem.is_word_init(a, 2));
+        assert_eq!(mem.take(a).unwrap(), [1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn declared_scratch_ends_with_its_launch_in_both_modes() {
+        let host = host();
+        let mut left = Vec::new();
+        for exec in [ExecConfig::default(), ExecConfig::sanitized()] {
+            let (mut mem, kernel) = memory(&host);
+            let resident = mem.resident_bytes();
+            let res = launch_with(&DeviceSpec::gtx480(), &cfg(), &exec, &kernel, &mut mem).unwrap();
+            assert!(res.violations.is_empty(), "{:?}", res.violations);
+            let want: Vec<f64> = host.iter().map(|x| 2.0 * x + 1.0).collect();
+            assert_eq!(mem.read(kernel.output).unwrap(), want, "{exec:?}");
+            assert!(!mem.is_filled(kernel.tmp), "{exec:?}");
+            assert!((0..N).all(|i| !mem.is_word_init(kernel.tmp, i)), "{exec:?}");
+            assert_eq!(mem.resident_bytes(), resident, "scratch stays resident");
+            assert_eq!(mem.peak_resident_bytes(), resident);
+            // A later checked load of the scratch reads uninitialized words.
+            let mut later = mem.clone();
+            let load = Load {
+                input: kernel.tmp,
+                n: N,
+            };
+            let checked = ExecConfig::sanitized();
+            let res = launch_with(&DeviceSpec::gtx480(), &cfg(), &checked, &load, &mut later);
+            let res = res.unwrap();
+            assert_eq!(res.stats.total.sanitizer.uninit_reads, N as u64);
+            assert!(matches!(
+                res.violations[0],
+                SanitizerViolation::UninitRead { .. }
+            ));
+            left.push((format!("{mem:?}"), res.stats));
+        }
+        assert_eq!(left[0], left[1], "both modes leave the same memory");
+    }
+
+    #[test]
+    fn declaring_a_borrowed_buffer_as_scratch_is_a_typed_error() {
+        let host = host();
+        for exec in [ExecConfig::default(), ExecConfig::sanitized()] {
+            let (mut mem, mut kernel) = memory(&host);
+            kernel.tmp = kernel.input;
+            let err =
+                launch_with(&DeviceSpec::gtx480(), &cfg(), &exec, &kernel, &mut mem).unwrap_err();
+            assert_eq!(
+                err,
+                SimError::ReadOnlyBuffer {
+                    buffer: kernel.input.0
+                }
+            );
+            assert!(!mem.is_filled(kernel.output), "no block ran");
+        }
+    }
+
+    #[test]
+    fn a_wrapper_that_declares_nothing_leaves_what_a_checked_launch_leaves() {
+        let host = host();
+        let run = |exec: ExecConfig| {
+            let (mut mem, kernel) = memory(&host);
+            let k = Wrapper(kernel);
+            let res = launch_with(&DeviceSpec::gtx480(), &cfg(), &exec, &k, &mut mem).unwrap();
+            (format!("{mem:?}"), res.stats)
+        };
+        assert_eq!(run(ExecConfig::default()), run(ExecConfig::sanitized()));
     }
 }

@@ -15,21 +15,27 @@
 //! occupancy trade-off the paper warns about: "kernel fusion does not
 //! always improve performance".
 //!
+//! `c'` and `d'` are launch-private scratch
+//! ([`gpu_sim::BlockKernel::scratch`]), as CUDA local memory is: their
+//! traffic is counted, but their contents end with the launch.
+//!
 //! Per step (checked launches), the fold reads each sub-tile's reduced
 //! rows straight from the window after counting the four `window_read`
 //! loads as one group ([`gpu_sim::BlockCtx::sh_account_group`]); the
-//! simulated accesses are the same four block-wide loads. In bulk
-//! (unchecked launches), `super::window::stream_bulk` hands the
-//! reduced rows over chunk by chunk and the fold runs a row of the
-//! block's `2^k` threads at a time, storing `c'`/`d'` straight to
-//! global memory; the steps are then counted once per distinct shape
-//! (the window module docs). Both paths count the `c'`/`d'` stores
-//! with [`gpu_sim::BlockCtx::global_account`] — whole sub-tiles, then
-//! the tail — and write them through
-//! [`gpu_sim::BlockCtx::global_write`] views, and both share the
-//! backward sweep in two halves: its loads and stores counted for every
-//! row at once, and the recurrence run over views, a row of threads at
-//! a time.
+//! simulated accesses are the same four block-wide loads, and the
+//! `c'`/`d'` stores go through [`gpu_sim::BlockCtx::global_write`]
+//! views. In bulk (unchecked launches), `super::window::stream_bulk`
+//! hands the reduced rows over chunk by chunk and the fold runs a row
+//! of the block's `2^k` threads at a time into block-local `c'`/`d'`
+//! rows, which reach device memory only when the launch does not hold
+//! them as scratch ([`gpu_sim::BlockCtx::is_scratch`]: a wrapper kernel
+//! that declares none); the steps are then counted once per distinct
+//! shape (the window module docs). Both paths count the `c'`/`d'`
+//! stores with [`gpu_sim::BlockCtx::global_account`] — whole
+//! sub-tiles, then the tail — and share the backward sweep in two
+//! halves: its loads and stores counted for every row at once, and the
+//! recurrence run over the system's `c'`/`d'` (block-local in bulk,
+//! read back from device memory per step), a row of threads at a time.
 //!
 //! In bulk, a block runs its data — the forward sweep, then the
 //! backward sweep's data half — and then its whole count (engine
@@ -45,6 +51,7 @@
 //! block); the solver falls back to the split pipeline for the other
 //! mappings.
 
+use super::p_thomas::scratch_of;
 use super::window::{read_views, stream_bulk, valid, write_views, StreamSlot, WindowEngine};
 use crate::buffers::GpuScalar;
 use crate::consts::{THOMAS_BWD_FLOPS, THOMAS_FWD_FLOPS};
@@ -87,6 +94,12 @@ impl FusedKernel {
 }
 
 impl<S: GpuScalar> BlockKernel<S> for FusedKernel {
+    /// `c'` and `d'`, unless a buffer is also bound elsewhere.
+    fn scratch(&self) -> Vec<BufId> {
+        let [a, b, c, d] = self.input;
+        scratch_of([self.c_prime, self.d_prime], &[a, b, c, d, self.x])
+    }
+
     fn run_block(&self, ctx: &mut BlockCtx<'_, S>) -> Result<()> {
         let sys = ctx.block_id;
         if sys >= self.m {
@@ -111,6 +124,10 @@ pub struct RaggedFusedKernel {
 }
 
 impl<S: GpuScalar> BlockKernel<S> for RaggedFusedKernel {
+    fn scratch(&self) -> Vec<BufId> {
+        BlockKernel::<S>::scratch(&self.fused)
+    }
+
     fn run_block(&self, ctx: &mut BlockCtx<'_, S>) -> Result<()> {
         let sys = ctx.block_id;
         match self.offsets.get(sys..sys + 2) {
@@ -211,19 +228,25 @@ impl FusedKernel {
         n: usize,
     ) -> Result<()> {
         let slot = StreamSlot::whole(base, n);
-        // Unchecked: c', d' and x are computed and stored in bulk first,
-        // then the device's counters are counted without moving data,
-        // once per launch for each distinct key. The key holds what the
-        // count reads that is not a launch constant (`k`, sub-tile,
-        // threads, buffers and spec): the system's `n` and its base's
-        // alignment class.
-        if !ctx.checked() && self.forward_bulk(ctx, sys, &slot) {
-            self.backward_data(ctx, base, n)?;
-            let key = [n, ctx.segment_class(base)];
-            return ctx.count_once(&key, &mut |ctx| self.steps(ctx, sys, &slot, false));
+        // Unchecked: c', d' and x are computed in bulk first, then the
+        // device's counters are counted without moving data, once per
+        // launch for each distinct key. The key holds what the count
+        // reads that is not a launch constant (`k`, sub-tile, threads,
+        // buffers and spec): the system's `n` and its base's alignment
+        // class.
+        if !ctx.checked() {
+            if let Some(primes) = self.forward_bulk(ctx, sys, &slot) {
+                self.backward_data(ctx, base, primes.each_ref().map(Vec::as_slice))?;
+                let key = [n, ctx.segment_class(base)];
+                return ctx.count_once(&key, &mut |ctx| self.steps(ctx, sys, &slot, false));
+            }
         }
         self.steps(ctx, sys, &slot, true)?;
-        self.backward_data(ctx, base, n)
+        let mut primes = [vec![S::ZERO; n], vec![S::ZERO; n]];
+        for (buf, vals) in [self.c_prime, self.d_prime].into_iter().zip(&mut primes) {
+            ctx.global_read(buf)?.copy_to(base, vals);
+        }
+        self.backward_data(ctx, base, primes.each_ref().map(Vec::as_slice))
     }
 
     /// The block's window steps, its `c'`/`d'` stores and the backward
@@ -384,48 +407,48 @@ impl FusedKernel {
     }
 
     /// The forward sweep in bulk (unchecked launches): the slot's
-    /// level-`k` rows from [`stream_bulk`] folded into the recurrence
-    /// and their `c'`/`d'` stored straight to global memory. `false`
-    /// when the block must run per step instead — an invalid
-    /// configuration, a buffer too short or read-only (`x` included,
-    /// which the backward sweep writes), or a zero pivot — which then
-    /// reports the fault.
+    /// level-`k` rows from [`stream_bulk`] folded into the recurrence,
+    /// their `c'`/`d'` returned block-local (indexed from the system's
+    /// first row) and stored to global memory only when the launch
+    /// does not hold them as scratch. `None` when the block must run
+    /// per step instead — an invalid configuration, a buffer too short
+    /// or read-only (`x` included, which the backward sweep writes), or
+    /// a zero pivot — which then reports the fault.
     fn forward_bulk<S: GpuScalar>(
         &self,
         ctx: &BlockCtx<'_, S>,
         sys: usize,
         slot: &StreamSlot,
-    ) -> bool {
+    ) -> Option<[Vec<S>; 2]> {
         let (base, n) = (slot.base, slot.emit_hi);
         if !valid(n, self.k, self.sub_tile, std::slice::from_ref(slot)) {
-            return false;
+            return None;
         }
-        let (Some(input), Some([c_prime, d_prime, _])) = (
-            read_views(ctx, self.input, base + n),
-            write_views(ctx, [self.c_prime, self.d_prime, self.x], base + n),
-        ) else {
-            return false;
-        };
+        let input = read_views(ctx, self.input, base + n)?;
+        let [c_prime, d_prime, _] =
+            write_views(ctx, [self.c_prime, self.d_prime, self.x], base + n)?;
         let stride = 1usize << self.k;
         let (mut cp, mut dp) = (vec![S::ZERO; stride], vec![S::ZERO; stride]);
-        let (mut cps, mut dps) = (Vec::new(), Vec::new());
+        let (mut cps, mut dps) = (vec![S::ZERO; n], vec![S::ZERO; n]);
         let mut mem = Vec::new();
         stream_bulk(n, self.k, slot, &input, &mut mem, &mut |p0, rows| {
-            cps.resize(rows[0].len(), S::ZERO);
-            dps.resize(rows[0].len(), S::ZERO);
+            let at = p0..p0 + rows[0].len();
             fold_rows(
                 sys,
                 p0,
                 stride,
                 rows,
                 [&mut cp, &mut dp],
-                [&mut cps, &mut dps],
-            )?;
-            c_prime.store(base + p0, &cps);
-            d_prime.store(base + p0, &dps);
-            Ok(())
+                [&mut cps[at.clone()], &mut dps[at]],
+            )
         })
-        .is_ok()
+        .ok()?;
+        for (buf, view, vals) in [(self.c_prime, c_prime, &cps), (self.d_prime, d_prime, &dps)] {
+            if !ctx.is_scratch(buf) {
+                view.store(base, vals);
+            }
+        }
+        Some([cps, dps])
     }
 
     /// The backward substitution's counts, thread `j` owning rows `j,
@@ -457,29 +480,27 @@ impl FusedKernel {
         Ok(())
     }
 
-    /// The backward substitution's data: the sweep over views of `c'`,
-    /// `d'` and `x`, from the last row of threads up.
+    /// The backward substitution's data: the sweep over the system's
+    /// `c'` and `d'` (`primes`, indexed from its first row) into a
+    /// view of `x` at `base`, from the last row of threads up.
     fn backward_data<S: GpuScalar>(
         &self,
         ctx: &BlockCtx<'_, S>,
         base: usize,
-        n: usize,
+        [cps, dps]: [&[S]; 2],
     ) -> Result<()> {
-        let stride = 1usize << self.k;
-        let [c_prime, d_prime] = [self.c_prime, self.d_prime].map(|b| ctx.global_read(b));
-        let (c_prime, d_prime, x) = (c_prime?, d_prime?, ctx.global_write(self.x)?);
+        let (n, stride) = (cps.len(), 1usize << self.k);
+        let x = ctx.global_write(self.x)?;
         // Rows r_lo..r_hi at a time: `xs` holds their x, then the x of
         // row r_hi (the first of the rows above).
         let block = (CHUNK_ROWS / stride).max(1);
         let mut xs = vec![S::ZERO; (block + 1) * stride];
-        let (mut cv, mut dv) = (vec![S::ZERO; block * stride], vec![S::ZERO; block * stride]);
         let mut r_hi = n.div_ceil(stride);
         while r_hi > 0 {
             let r_lo = r_hi.saturating_sub(block);
             let (lo, hi) = (r_lo * stride, (r_hi * stride).min(n));
             xs.copy_within(0..stride, (r_hi - r_lo) * stride);
-            c_prime.copy_to(base + lo, &mut cv[..hi - lo]);
-            d_prime.copy_to(base + lo, &mut dv[..hi - lo]);
+            let (cv, dv) = (&cps[lo..hi], &dps[lo..hi]);
             for r in (r_lo..r_hi).rev() {
                 let o = (r - r_lo) * stride;
                 let live = stride.min(n - r * stride);

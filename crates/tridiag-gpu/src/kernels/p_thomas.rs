@@ -9,7 +9,9 @@
 //! Forward-sweep intermediates `c'` and `d'` go to global scratch (also
 //! interleaved) and are re-read by the backward sweep, matching how real
 //! GPU p-Thomas implementations spill when the system exceeds the
-//! register file.
+//! register file. The kernel declares them launch-private scratch
+//! ([`BlockKernel::scratch`]), as CUDA local memory is: their traffic is
+//! counted, but their contents end with the launch.
 //!
 //! The simulator runs the kernel two ways with identical results and
 //! counters. Checked launches, and the `Contiguous` map, issue every
@@ -26,10 +28,14 @@
 //! [`BlockCtx::global_account`] (in closed form once per alignment
 //! class of the row base), and the recurrence runs straight over read
 //! views of the inputs — tiles of `ROW_TILE` rows per run, which a
-//! transposed upload reads column by column — and the written cells,
-//! marking each stored row initialized. Rows and lanes go in the
-//! per-access order, so a zero pivot faults at the same thread (lowest
-//! row, then lowest thread) with the same message.
+//! transposed upload reads column by column. The block keeps every
+//! row's `c'` and `d'` in block-local host memory and the backward
+//! sweep reads them from there; they reach device memory only when the
+//! launch does not hold them as scratch ([`BlockCtx::is_scratch`]: a
+//! wrapper kernel that declares none), so an unchecked launch of the
+//! bare kernel never fills its `c'`/`d'` buffers at all. Rows and lanes
+//! go in the per-access order, so a zero pivot faults at the same
+//! thread (lowest row, then lowest thread) with the same message.
 
 use crate::consts::{THOMAS_BWD_FLOPS, THOMAS_FWD_FLOPS};
 use gpu_sim::{BlockCtx, BlockKernel, BufId, GlobalRead, GlobalWrite, Lanes, Result};
@@ -173,6 +179,14 @@ pub struct PThomasKernel {
 }
 
 impl<S: GpuScalar> BlockKernel<S> for PThomasKernel {
+    /// `c'` and `d'`, unless a buffer is also bound elsewhere.
+    fn scratch(&self) -> Vec<BufId> {
+        scratch_of(
+            [self.c_prime, self.d_prime],
+            &[self.a, self.b, self.c, self.d, self.x],
+        )
+    }
+
     fn run_block(&self, ctx: &mut BlockCtx<'_, S>) -> Result<()> {
         let total = self.map.num_threads();
         let base = ctx.block_id * ctx.threads;
@@ -262,13 +276,23 @@ impl AddrMap {
     }
 }
 
+/// The launch-private scratch of a kernel whose `c'`/`d'` buffers are
+/// `primes`: each one no other binding — the other prime or any of
+/// `others` — names. A buffer bound twice is not the kernel's alone to
+/// discard.
+pub(crate) fn scratch_of(primes: [BufId; 2], others: &[BufId]) -> Vec<BufId> {
+    let [c_prime, d_prime] = primes;
+    primes
+        .into_iter()
+        .filter(|b| c_prime != d_prime && !others.contains(b))
+        .collect()
+}
+
 /// The seven buffers of one p-Thomas launch, as read and write views.
 struct Views<'a, S: GpuScalar> {
     inputs: [GlobalRead<'a, S>; 4],
-    c_prime: GlobalWrite<'a, S>,
-    d_prime: GlobalWrite<'a, S>,
-    /// `c'` and `d'` again, for the backward sweep's loads.
-    primes: [GlobalRead<'a, S>; 2],
+    /// `c'` and `d'`, when the launch does not hold them as scratch.
+    primes: [Option<GlobalWrite<'a, S>>; 2],
     x: GlobalWrite<'a, S>,
 }
 
@@ -279,11 +303,13 @@ impl PThomasKernel {
     fn views<'a, S: GpuScalar>(&self, ctx: &BlockCtx<'a, S>, len: usize) -> Option<Views<'a, S>> {
         let read = |buf| ctx.global_read(buf).ok().filter(|v| v.len() >= len);
         let write = |buf| ctx.global_write(buf).ok().filter(|v| v.len() >= len);
+        let prime = |buf| {
+            let view = write(buf)?;
+            Some((!ctx.is_scratch(buf)).then_some(view))
+        };
         Some(Views {
             inputs: [read(self.a)?, read(self.b)?, read(self.c)?, read(self.d)?],
-            c_prime: write(self.c_prime)?,
-            d_prime: write(self.d_prime)?,
-            primes: [read(self.c_prime)?, read(self.d_prime)?],
+            primes: [prime(self.c_prime)?, prime(self.d_prime)?],
             x: write(self.x)?,
         })
     }
@@ -380,11 +406,13 @@ impl PThomasKernel {
 
     /// One block in bulk (unchecked launches of the `Interleaved` and
     /// `HybridSubsystems` maps; see the module docs). The forward sweep
-    /// reads the inputs [`ROW_TILE`] rows at a time, run by run, and
-    /// stores `c'` and `d'` row by row; the backward sweep reads them
-    /// back row by row and stores `x`. Each sweep's accesses are
-    /// counted after its data moved, so the backward loads count
-    /// against rows the forward sweep stored.
+    /// reads the inputs [`ROW_TILE`] rows at a time, run by run, into
+    /// block-local `c'` and `d'` rows (stored to device memory too when
+    /// the launch does not hold them as scratch); the backward sweep
+    /// reads them back row by row and stores `x`. Each sweep's accesses
+    /// are counted after its data moved, in the per-access path's
+    /// order, so the backward loads count against rows the forward
+    /// sweep stored.
     // Not inlined: `run_block` stays as small as the per-access path,
     // which a smaller binary showed in `peak_rss_mb`.
     #[inline(never)]
@@ -405,9 +433,6 @@ impl PThomasKernel {
         // Rows `r0..r0 + ROW_TILE` of the four inputs: run `run`'s rows
         // back to back from `ROW_TILE · run.t`.
         let mut tiles = [(); 4].map(|()| vec![S::ZERO; ROW_TILE * count]);
-        // Per-thread recurrence registers, lane `j` for thread `base + j`.
-        let mut cp = vec![S::ZERO; count];
-        let mut dp = vec![S::ZERO; count];
         // The runs' lanes in row 0, and in the tail row (at shift 0).
         let (mut lanes, mut tail) = (Lanes::new(), Lanes::new());
         for run in runs {
@@ -416,30 +441,48 @@ impl PThomasKernel {
         }
         let shifts: Vec<usize> = (0..full).map(|r| r * pitch).collect();
         let rows_total = (full * count + tail.len()) as u64;
+        // Every row's `c'` and `d'`: lane `j` of row `r` (thread
+        // `base + j`) at `r·count + j`.
+        let height = full + usize::from(!tail.is_empty());
+        let mut cps = vec![S::ZERO; height * count];
+        let mut dps = vec![S::ZERO; height * count];
 
         // ---- forward reduction (Eqs. 2–3) -------------------------------
         ctx.phase("forward");
-        let forward = |r: usize, run: &Run, row: [&[S]; 4], cp: &mut [S], dp: &mut [S]| {
+        // Row `r` of `run`'s leading `row[0].len()` lanes from their
+        // inputs `row`, into `cps`/`dps` (and to device memory).
+        let forward = |r: usize, run: &Run, row: [&[S]; 4], cps: &mut [S], dps: &mut [S]| {
             let [av, bv, cv, dv] = row;
-            for j in 0..av.len() {
-                let (a, b, c, d) = (av[j], bv[j], cv[j], dv[j]);
-                (cp[j], dp[j]) = if r == 0 {
+            let (at, live) = (r * count + run.t, av.len());
+            let (c_prev, cp) = cps.split_at_mut(at);
+            let (d_prev, dp) = dps.split_at_mut(at);
+            let (cp, dp) = (&mut cp[..live], &mut dp[..live]);
+            if r == 0 {
+                for j in 0..live {
+                    let (b, c, d) = (bv[j], cv[j], dv[j]);
                     if b == S::ZERO {
                         return Err(zero_pivot(base + run.t + j, r));
                     }
-                    (c / b, d / b)
-                } else {
-                    let denom = b - cp[j] * a;
+                    (cp[j], dp[j]) = (c / b, d / b);
+                }
+            } else {
+                let (c_prev, d_prev) = (&c_prev[at - count..][..live], &d_prev[at - count..]);
+                for j in 0..live {
+                    let (a, b, c, d) = (av[j], bv[j], cv[j], dv[j]);
+                    let denom = b - c_prev[j] * a;
                     if denom == S::ZERO {
                         return Err(zero_pivot(base + run.t + j, r));
                     }
                     let inv = S::ONE / denom;
-                    (c * inv, (d - dp[j] * a) * inv)
-                };
+                    (cp[j], dp[j]) = (c * inv, (d - d_prev[j] * a) * inv);
+                }
             }
-            let (at, live) = (run.elem + r * pitch, av.len());
-            views.c_prime.store(at, &cp[..live]);
-            views.d_prime.store(at, &dp[..live]);
+            let at = run.elem + r * pitch;
+            for (view, vals) in views.primes.iter().zip([&*cp, &*dp]) {
+                if let Some(view) = view {
+                    view.store(at, vals);
+                }
+            }
             Ok(())
         };
         for r0 in (0..full).step_by(ROW_TILE) {
@@ -455,8 +498,7 @@ impl PThomasKernel {
                     let row = tiles
                         .each_ref()
                         .map(|t| &t[ROW_TILE * run.t + k * run.lanes..][..run.lanes]);
-                    let lanes = run.t..run.t + run.lanes;
-                    forward(r, run, row, &mut cp[lanes.clone()], &mut dp[lanes])?;
+                    forward(r, run, row, &mut cps, &mut dps)?;
                 }
             }
         }
@@ -465,8 +507,7 @@ impl PThomasKernel {
                 view.copy_to(run.elem + full * pitch, &mut tile[..run.tail]);
             }
             let row = tiles.each_ref().map(|t| &t[..run.tail]);
-            let lanes = run.t..run.t + run.tail;
-            forward(full, run, row, &mut cp[lanes.clone()], &mut dp[lanes])?;
+            forward(full, run, row, &mut cps, &mut dps)?;
         }
         for (buf, write) in [
             (self.a, false),
@@ -483,31 +524,25 @@ impl PThomasKernel {
 
         // ---- backward substitution (Eq. 4) ------------------------------
         ctx.phase("backward");
-        // The x registers reuse a row buffer; `c'` and `d'` rows load into
-        // the recurrence registers.
-        let (x, cv, dv) = (&mut tiles[0][..count], &mut cp, &mut dp);
+        // The x registers reuse a row buffer.
+        let x = &mut tiles[0][..count];
         for run in runs.iter().filter(|run| run.tail > 0) {
             let (at, lanes) = (run.elem + full * pitch, run.t..run.t + run.tail);
-            views.primes[1].copy_to(at, &mut x[lanes.clone()]);
+            x[lanes.clone()].copy_from_slice(&dps[full * count..][lanes.clone()]);
             views.x.store(at, &x[lanes]);
         }
         for r in (0..full).rev() {
+            let (cv, dv) = (&cps[r * count..][..count], &dps[r * count..][..count]);
             for run in runs {
-                let (at, lanes) = (run.elem + r * pitch, run.t..run.t + run.lanes);
-                let (x, cv, dv) = (
-                    &mut x[lanes.clone()],
-                    &mut cv[lanes.clone()],
-                    &mut dv[lanes],
-                );
-                views.primes[0].copy_to(at, cv);
-                views.primes[1].copy_to(at, dv);
+                let lanes = run.t..run.t + run.lanes;
+                let (x, cv, dv) = (&mut x[lanes.clone()], &cv[lanes.clone()], &dv[lanes]);
                 // Lanes below `above` have row r + 1; the rest end here.
                 let above = if r + 1 == full { run.tail } else { run.lanes };
                 for j in 0..above {
                     x[j] = dv[j] - cv[j] * x[j];
                 }
                 x[above..].copy_from_slice(&dv[above..]);
-                views.x.store(at, x);
+                views.x.store(run.elem + r * pitch, x);
             }
         }
         for (buf, write) in [(self.c_prime, false), (self.d_prime, false), (self.x, true)] {

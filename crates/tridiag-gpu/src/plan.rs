@@ -164,9 +164,8 @@ impl KernelOp {
     }
 
     /// Slots the kernel *reads* as inputs: the coefficient buffers.
-    /// The `c'`/`d'` scratch is written before it is read within the
-    /// same launch, so it is a write, not an input dependency — this
-    /// is the dataflow signature [`crate::verify`] interprets.
+    /// With [`Self::writes`] and [`Self::scratch`] this is the dataflow
+    /// signature [`crate::verify`] interprets.
     pub fn reads(&self) -> Vec<Slot> {
         match self {
             KernelOp::PThomas { a, b, c, d, .. } => vec![*a, *b, *c, *d],
@@ -175,22 +174,27 @@ impl KernelOp {
         }
     }
 
-    /// Slots the kernel *writes*: outputs and write-first scratch.
+    /// Slots the kernel *writes* as outputs, which later steps read.
     pub fn writes(&self) -> Vec<Slot> {
         match self {
-            KernelOp::PThomas {
-                c_prime,
-                d_prime,
-                x,
-                ..
-            } => vec![*c_prime, *d_prime, *x],
+            KernelOp::PThomas { x, .. } | KernelOp::Fused { x, .. } => vec![*x],
             KernelOp::TiledPcr { output, .. } => output.to_vec(),
-            KernelOp::Fused {
-                c_prime,
-                d_prime,
-                x,
-                ..
-            } => vec![*c_prime, *d_prime, *x],
+        }
+    }
+
+    /// The launch-private `c'`/`d'` scratch: written before it is read
+    /// within the launch, and undefined once the launch returns
+    /// ([`gpu_sim::BlockKernel::scratch`]), so no later step may read
+    /// it.
+    pub fn scratch(&self) -> Vec<Slot> {
+        match self {
+            KernelOp::PThomas {
+                c_prime, d_prime, ..
+            }
+            | KernelOp::Fused {
+                c_prime, d_prime, ..
+            } => vec![*c_prime, *d_prime],
+            KernelOp::TiledPcr { .. } => Vec::new(),
         }
     }
 }

@@ -14,8 +14,10 @@
 //!   `Upload`ed/`Alloc`ed first ([`FindingKind::UseBeforeDef`]), and
 //!   `Alloc`-only scratch is written by some kernel before anything
 //!   reads it ([`FindingKind::UnwrittenScratchRead`]), using the
-//!   per-kernel read/write signatures [`crate::plan::KernelOp::reads`] /
-//!   [`crate::plan::KernelOp::writes`];
+//!   per-kernel signatures [`crate::plan::KernelOp::reads`],
+//!   [`crate::plan::KernelOp::writes`] and
+//!   [`crate::plan::KernelOp::scratch`]; a launch's `c'`/`d'` scratch
+//!   dies with it, so it is unwritten again once the launch returns;
 //! - **slot hygiene** — duplicate creations
 //!   ([`FindingKind::DuplicateDef`]), slots that are declared or
 //!   created but feed nothing ([`FindingKind::DanglingSlot`]), and
@@ -737,7 +739,10 @@ pub fn verify_plan(spec: &DeviceSpec, plan: &SolvePlan) -> VerifyReport {
                     );
                 }
                 let reads = ls.op.reads();
-                let writes = ls.op.writes();
+                let scratch = ls.op.scratch();
+                // Outputs, then the launch-private scratch: both are
+                // stores, but only outputs stay written after the launch.
+                let writes: Vec<Slot> = ls.op.writes().into_iter().chain(scratch.clone()).collect();
                 for &s in &reads {
                     if s >= nslots {
                         push(
@@ -839,7 +844,7 @@ pub fn verify_plan(spec: &DeviceSpec, plan: &SolvePlan) -> VerifyReport {
                     }
                     slots[s].used = true;
                     if slots[s].created.is_some() {
-                        slots[s].written = true;
+                        slots[s].written = !scratch.contains(&s);
                     }
                 }
                 for msg in ragged_launch_problems(plan, ls) {
@@ -1575,6 +1580,67 @@ mod tests {
         assert_eq!(p0.buffers.len(), 7);
         let (peak0, _) = peak_resident_bytes(&p0);
         assert_eq!(peak0, 7 * 2048 * 128 * 8);
+    }
+
+    #[test]
+    fn a_launch_reading_an_earlier_launchs_scratch_is_an_unwritten_scratch_read() {
+        // k = 0: one p-Thomas launch. A second one reads the first's c'
+        // as its sub-diagonal, with scratch of its own.
+        let mut p = plan(2048, 128, 8);
+        let at = p
+            .steps
+            .iter()
+            .position(|s| matches!(s, Step::Launch(_)))
+            .unwrap();
+        let Step::Launch(first) = &p.steps[at] else {
+            unreachable!("found above")
+        };
+        let mut second = first.clone();
+        let KernelOp::PThomas {
+            a,
+            c_prime,
+            d_prime,
+            ..
+        } = &mut second.op
+        else {
+            panic!("a k = 0 plan launches p-Thomas: {:?}", second.op)
+        };
+        let (cp2, dp2) = (p.buffers.len(), p.buffers.len() + 1);
+        *a = *c_prime;
+        (*c_prime, *d_prime) = (cp2, dp2);
+        p.buffers
+            .extend([p.buffers[*a].clone(), p.buffers[*a].clone()]);
+        let first_c_prime = *a;
+        p.steps.splice(
+            at + 1..at + 1,
+            [
+                Step::Alloc { slot: cp2 },
+                Step::Alloc { slot: dp2 },
+                Step::Launch(second),
+            ],
+        );
+        let report = verify_plan(&DeviceSpec::gtx480(), &p);
+        let kinds: Vec<FindingKind> = report.findings.iter().map(|f| f.kind).collect();
+        assert_eq!(kinds, [FindingKind::UnwrittenScratchRead], "{report}");
+        let f = &report.findings[0];
+        assert_eq!(f.step, Some(at + 3));
+        assert!(f.message.contains("no prior step wrote"), "{}", f.message);
+
+        // Downloading it instead is the same finding.
+        let mut p = plan(2048, 128, 8);
+        for step in &mut p.steps {
+            if let Step::Download { slot } = step {
+                *slot = first_c_prime;
+            }
+        }
+        let report = verify_plan(&DeviceSpec::gtx480(), &p);
+        assert!(
+            report
+                .findings
+                .iter()
+                .any(|f| f.kind == FindingKind::UnwrittenScratchRead),
+            "{report}"
+        );
     }
 
     #[test]

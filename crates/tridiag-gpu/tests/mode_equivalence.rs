@@ -7,11 +7,12 @@
 //! phases and the per-block vectors — and a bit-identical solution, in
 //! f32 and f64.
 //!
-//! The shapes cover the benchmark's nominal geometries, fused and split
-//! tiled PCR at every `k` the shared memory allows with `c ∈ {1, 2}`,
-//! all three Fig. 11 mappings (block groups with ragged emit ranges,
-//! multi-system blocks whose warps span slots), the solve service's
-//! request shapes and the sharded batches under Table III.
+//! The shapes cover the benchmark's nominal geometries (every
+//! `wide_batch` one in both layouts), fused and split tiled PCR at every
+//! `k` the shared memory allows with `c ∈ {1, 2}`, all three Fig. 11
+//! mappings (block groups with ragged emit ranges, multi-system blocks
+//! whose warps span slots), the solve service's request shapes and the
+//! sharded batches under Table III.
 //!
 //! The zoo's 18 kernel configurations get the same check in
 //! `zoo::tests::every_entry_runs_identically_unchecked_and_checked`.
@@ -24,14 +25,22 @@ use tridiag_gpu::solver::{LayoutChoice, MappingVariant};
 use tridiag_gpu::{solution_hash, GpuScalar, GpuSolverConfig, PlanExecutor};
 
 /// The hybrid regime (tiled PCR then p-Thomas) and the wide regime
-/// (k = 0 p-Thomas), with the layout each runs in.
-const SHAPES: [(usize, usize, LayoutChoice); 6] = [
+/// (k = 0 p-Thomas: every `wide_batch` geometry, and one `n` that is no
+/// multiple of a warp or a segment), with the layout each runs in.
+const SHAPES: [(usize, usize, LayoutChoice); 13] = [
     (16, 1024, LayoutChoice::Auto),
     (64, 512, LayoutChoice::Auto),
     (1, 16384, LayoutChoice::Auto),
     (1024, 512, LayoutChoice::Interleaved),
     (1024, 512, LayoutChoice::Contiguous),
     (2048, 64, LayoutChoice::Auto),
+    (2048, 256, LayoutChoice::Interleaved),
+    (2048, 256, LayoutChoice::Contiguous),
+    (4096, 128, LayoutChoice::Interleaved),
+    (4096, 128, LayoutChoice::Contiguous),
+    (8192, 64, LayoutChoice::Interleaved),
+    (8192, 64, LayoutChoice::Contiguous),
+    (1024, 529, LayoutChoice::Auto),
 ];
 
 fn bytes<S: GpuScalar>() -> usize {

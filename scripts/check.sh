@@ -67,6 +67,10 @@ out="$(cargo run --release -q -p tridiag-cli -- solve --m 2048 --n 64 --sanitize
 grep -q "sanitizer   : clean" <<<"$out"
 out="$(cargo run --release -q -p tridiag-cli -- solve --m 2048 --n 64 --precision f32 --sanitize)"
 grep -q "sanitizer   : clean" <<<"$out"
+# A wide_batch geometry, checked: p-Thomas's c'/d' are launch-private
+# scratch, stored and read back within the launch.
+out="$(cargo run --release -q -p tridiag-cli -- solve --m 4096 --n 128 --precision f32 --sanitize)"
+grep -q "sanitizer   : clean" <<<"$out"
 
 echo "== CLI plan smoke (dry-run planning, plan JSON) =="
 out="$(cargo run --release -q -p tridiag-cli -- solve --m 16 --n 1024 --dry-run)"
